@@ -70,13 +70,30 @@ val items : t -> (string * view) list
     order. *)
 
 val histo_buckets : histo -> Qt_util.Histogram.t
-(** The live underlying histogram (scaled integer units).  Callers may
-    snapshot it with {!Qt_util.Histogram.copy} to compute windowed
-    deltas; mutating it directly would corrupt the metric. *)
+(** The live underlying histogram (scaled integer units): every
+    observation since registration.  Read-only — mutating it directly
+    would corrupt the metric.  Windowed readers use {!drain_window}
+    instead of snapshotting it. *)
 
 val histo_scale : histo -> float
 (** Raw-unit multiplier: divide {!Qt_util.Histogram.percentile} results
-    on {!histo_buckets} by this to get back to raw units. *)
+    on {!histo_buckets} (or {!Qt_util.Histogram.Window.percentile} on a
+    {!drain_window}) by this to get back to raw units. *)
+
+val enable_windows : t -> unit
+(** Start logging, per histogram, the bucket of every observation, for
+    {!drain_window}.  {!Timeseries.create} calls this; a registry feeds
+    at most one scraper.  A histogram that already holds observations
+    has them logged now, so its first window is everything so far.
+    Until this is called [observe] keeps no log and allocates nothing.
+    @raise Invalid_argument if already enabled. *)
+
+val drain_window : histo -> Qt_util.Histogram.Window.t
+(** The observations logged since the previous drain (since
+    {!enable_windows}, or the histogram's registration, for the first),
+    as a sparse window over the histogram's buckets; empties the log.
+    Costs O(k log k) for k logged observations, independent of the
+    bucket count.  Empty unless {!enable_windows} was called. *)
 
 val to_json : t -> string
 (** One flat JSON object, keys sorted; histograms expand to

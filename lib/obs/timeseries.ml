@@ -5,6 +5,27 @@ module Interval = Qt_util.Interval
 
 type point = { pt_time : float; pt_series : string; pt_value : float }
 
+(* Per-item scrape state, built the first time the item is scraped so a
+   tick concatenates no series names. *)
+type counter_series = {
+  cs_counter : Metrics.counter;
+  cs_rate : string;
+  mutable cs_prev : int;
+  mutable cs_delta : float;  (* last window's increment *)
+}
+
+type histo_series = {
+  hs_histo : Metrics.histo;
+  hs_count : string;
+  hs_quantiles : (string * float) list;
+  mutable hs_window : Histogram.Window.t;  (* last window *)
+}
+
+type series =
+  | S_counter of counter_series
+  | S_gauge of string * Metrics.gauge
+  | S_histo of histo_series
+
 type t = {
   ts_metrics : Metrics.t;
   ts_interval : float;
@@ -13,17 +34,19 @@ type t = {
   (* Points in reverse emission order; [points] reverses once. *)
   mutable ts_points : point list;
   mutable ts_npoints : int;
-  prev_counters : (string, int) Hashtbl.t;
-  prev_histos : (string, Histogram.t) Hashtbl.t;
-  (* Results of the most recent scrape, for SLO evaluation. *)
-  window_counters : (string, float) Hashtbl.t;
-  window_histos : (string, Histogram.t * float) Hashtbl.t;
+  (* Every item scraped so far, by name, and the scrape order: the
+     series of [ts_items], which is [Metrics.items] as last seen (the
+     registry returns the same list until something registers). *)
+  ts_series : (string, series) Hashtbl.t;
+  mutable ts_items : (string * Metrics.view) list;
+  mutable ts_order : series list;
   lasts : (string, float) Hashtbl.t;
 }
 
 let create ~interval metrics =
   if not (interval > 0.) then
     invalid_arg "Timeseries.create: interval must be positive";
+  Metrics.enable_windows metrics;
   {
     ts_metrics = metrics;
     ts_interval = interval;
@@ -33,10 +56,9 @@ let create ~interval metrics =
     ts_ticks = 0;
     ts_points = [];
     ts_npoints = 0;
-    prev_counters = Hashtbl.create 32;
-    prev_histos = Hashtbl.create 16;
-    window_counters = Hashtbl.create 32;
-    window_histos = Hashtbl.create 16;
+    ts_series = Hashtbl.create 64;
+    ts_items = [];
+    ts_order = [];
     lasts = Hashtbl.create 64;
   }
 
@@ -52,65 +74,85 @@ let emit t ~now series value =
 
 let push = emit
 
-let scrape t ~now =
-  List.iter
-    (fun (name, view) ->
+let series_of t (name, view) =
+  match Hashtbl.find_opt t.ts_series name with
+  | Some s -> s
+  | None ->
+    let s =
       match view with
       | Metrics.V_counter c ->
-        let cur = Metrics.value c in
-        let prev =
-          match Hashtbl.find_opt t.prev_counters name with
-          | Some v -> v
-          | None -> 0
-        in
-        let delta = float_of_int (cur - prev) in
-        Hashtbl.replace t.prev_counters name cur;
-        Hashtbl.replace t.window_counters name delta;
-        emit t ~now (name ^ ".rate") (delta /. t.ts_interval)
-      | Metrics.V_gauge g -> emit t ~now name (Metrics.gauge_value g)
+        S_counter
+          { cs_counter = c; cs_rate = name ^ ".rate"; cs_prev = 0; cs_delta = 0. }
+      | Metrics.V_gauge g -> S_gauge (name, g)
       | Metrics.V_histo h ->
-        let cur = Histogram.copy (Metrics.histo_buckets h) in
-        let window =
-          match Hashtbl.find_opt t.prev_histos name with
-          | Some prev -> Histogram.diff cur prev
-          | None -> cur
-        in
-        Hashtbl.replace t.prev_histos name cur;
-        let scale = Metrics.histo_scale h in
-        Hashtbl.replace t.window_histos name (window, scale);
-        let count = Histogram.total window in
-        emit t ~now (name ^ ".count") count;
+        S_histo
+          {
+            hs_histo = h;
+            hs_count = name ^ ".count";
+            hs_quantiles =
+              List.map
+                (fun (suffix, p) -> (name ^ suffix, p))
+                [ (".p50", 0.5); (".p95", 0.95); (".p99", 0.99) ];
+            hs_window =
+              Histogram.Window.of_buckets (Metrics.histo_buckets h) [||];
+          }
+    in
+    Hashtbl.replace t.ts_series name s;
+    s
+
+let scrape t ~now =
+  let items = Metrics.items t.ts_metrics in
+  if items != t.ts_items then begin
+    t.ts_items <- items;
+    t.ts_order <- List.map (series_of t) items
+  end;
+  List.iter
+    (function
+      | S_counter c ->
+        let cur = Metrics.value c.cs_counter in
+        c.cs_delta <- float_of_int (cur - c.cs_prev);
+        c.cs_prev <- cur;
+        emit t ~now c.cs_rate (c.cs_delta /. t.ts_interval)
+      | S_gauge (name, g) -> emit t ~now name (Metrics.gauge_value g)
+      | S_histo h ->
+        (* The window is the log of buckets observed since the last
+           scrape, so a tick costs O(window observations), not
+           O(buckets). *)
+        let window = Metrics.drain_window h.hs_histo in
+        h.hs_window <- window;
+        let scale = Metrics.histo_scale h.hs_histo in
+        let count = Histogram.Window.total window in
+        emit t ~now h.hs_count count;
         if count > 0. then
           List.iter
-            (fun (suffix, p) ->
-              emit t ~now (name ^ suffix)
-                (Histogram.percentile window p /. scale))
-            [ (".p50", 0.5); (".p95", 0.95); (".p99", 0.99) ])
-    (Metrics.items t.ts_metrics);
+            (fun (series, p) ->
+              emit t ~now series (Histogram.Window.percentile window p /. scale))
+            h.hs_quantiles)
+    t.ts_order;
   t.ts_ticks <- t.ts_ticks + 1;
   t.ts_next <- t.ts_next +. t.ts_interval
 
 let last t series = Hashtbl.find_opt t.lasts series
 
 let window_delta t name =
-  match Hashtbl.find_opt t.window_counters name with
-  | Some d -> d
-  | None -> 0.
+  match Hashtbl.find_opt t.ts_series name with
+  | Some (S_counter c) -> c.cs_delta
+  | _ -> 0.
 
 let window_above t name threshold =
-  match Hashtbl.find_opt t.window_histos name with
-  | None -> None
-  | Some (window, scale) ->
-    let total = Histogram.total window in
-    let dom = Histogram.domain window in
-    let thr = int_of_float (Float.max 0. (threshold *. scale)) in
+  match Hashtbl.find_opt t.ts_series name with
+  | Some (S_histo h) ->
+    let window = h.hs_window in
+    let total = Histogram.Window.total window in
+    let thr =
+      int_of_float (Float.max 0. (threshold *. Metrics.histo_scale h.hs_histo))
+    in
     let below =
       if thr <= 0 then 0.
-      else
-        Histogram.mass_in window
-          (Interval.inter dom (Interval.make 0 (thr - 1)))
+      else Histogram.Window.mass_in window (Interval.make 0 (thr - 1))
     in
     Some (Float.max 0. (total -. below), total)
+  | _ -> None
 
 let points t = List.rev t.ts_points
 

@@ -4,10 +4,12 @@
     sim-time series: at each scrape tick (a deterministic sim-time
     interval, scheduled by the caller on its event loop) counters become
     windowed rates, gauges are sampled, and histograms yield per-window
-    p50/p95/p99 by snapshot-diffing the underlying buckets.  Scraping
-    only reads — it never advances any clock or mutates the metrics —
-    so a run with scraping on follows exactly the trajectory of the same
-    run with scraping off.
+    p50/p95/p99 from the observations logged since the previous scrape
+    ({!Metrics.drain_window}): a sparse window whose cost follows the
+    number of observations in it, not the histogram's bucket count.
+    Scraping never advances any clock or changes a metric's value — it
+    only drains the window logs — so a run with scraping on follows
+    exactly the trajectory of the same run with scraping off.
 
     Series naming: a counter [c] emits [c.rate] (delta per second of the
     window), a gauge [g] emits [g], and a histogram [h] emits [h.count]
@@ -23,8 +25,11 @@ type point = { pt_time : float; pt_series : string; pt_value : float }
 
 val create : interval:float -> Metrics.t -> t
 (** The first tick is due at [interval] (a scrape at 0 would only see an
-    empty window).
-    @raise Invalid_argument unless [interval > 0]. *)
+    empty window).  Attaches to the registry ({!Metrics.enable_windows}):
+    histogram observations from then on are logged for the windows, and
+    a histogram's first window holds everything it observed before.
+    @raise Invalid_argument unless [interval > 0], or if another
+    [Timeseries] already scrapes the registry. *)
 
 val interval : t -> float
 

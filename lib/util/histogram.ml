@@ -13,13 +13,20 @@ let domain t = Interval.make t.lo t.hi
 let width t = t.hi - t.lo + 1
 
 (* Bucket boundaries: bucket b covers value indices
-   [b*width/n, (b+1)*width/n). *)
-let bucket_of t v =
-  let v = max t.lo (min t.hi v) in
-  let idx = (v - t.lo) * bucket_count t / width t in
-  min (bucket_count t - 1) idx
+   [b*width/n, (b+1)*width/n) past [lo]. *)
+let bucket_lo t b = t.lo + (b * width t / bucket_count t)
 
-let add t v = t.counts.(bucket_of t v) <- t.counts.(bucket_of t v) +. 1.
+let bucket_hi t b =
+  Int.max (bucket_lo t b) (t.lo + (((b + 1) * width t / bucket_count t) - 1))
+
+let bucket_of t v =
+  let v = Int.max t.lo (Int.min t.hi v) in
+  let idx = (v - t.lo) * bucket_count t / width t in
+  Int.min (bucket_count t - 1) idx
+
+let add t v =
+  let b = bucket_of t v in
+  t.counts.(b) <- t.counts.(b) +. 1.
 
 let of_values ~lo ~hi ~buckets values =
   let t = create ~lo ~hi ~buckets in
@@ -32,8 +39,7 @@ let uniform ~lo ~hi ~buckets ~total =
   (* Allocate proportionally to each bucket's value span so boundary
      buckets of uneven splits stay consistent. *)
   for b = 0 to n - 1 do
-    let b_lo = lo + (b * width t / n) and b_hi = lo + (((b + 1) * width t / n) - 1) in
-    let span = float_of_int (b_hi - b_lo + 1) in
+    let span = float_of_int (bucket_hi t b - bucket_lo t b + 1) in
     t.counts.(b) <- total *. span /. float_of_int (width t)
   done;
   t
@@ -68,42 +74,81 @@ let zipf ~lo ~hi ~buckets ~total ~theta =
     t
   end
 
-let total t = Array.fold_left ( +. ) 0. t.counts
+(* ---- (bucket, count) runs ------------------------------------------- *)
+(* Total, percentile and mass-in are written once, over a run of
+   (bucket, count) pairs in ascending bucket order: position [i] holds
+   count [counts.(i)] of bucket [i] when [buckets] is [None] (a dense
+   histogram, every bucket) or of bucket [buckets.(i)] (a sparse
+   {!Window}, only the buckets it saw).  A bucket a run leaves out
+   would add exactly [+0.] to every sum, so a sparse run yields the dense
+   result bit for bit.  Loops over float refs keep the sums unboxed. *)
 
-let copy t = { t with counts = Array.copy t.counts }
+let bucket_at buckets i = match buckets with None -> i | Some b -> b.(i)
 
-let diff cur prev =
-  if cur.lo <> prev.lo || cur.hi <> prev.hi
-     || bucket_count cur <> bucket_count prev
-  then invalid_arg "Histogram.diff: mismatched domains";
-  {
-    cur with
-    counts =
-      Array.mapi
-        (fun b c -> Float.max 0. (c -. prev.counts.(b)))
-        cur.counts;
-  }
+let run_total counts =
+  let acc = ref 0. in
+  for i = 0 to Array.length counts - 1 do
+    acc := !acc +. counts.(i)
+  done;
+  !acc
 
-let mass_in t itv =
+let run_percentile t buckets counts p =
+  let len = Array.length counts in
+  let p = Float.max 0. (Float.min 1. p) in
+  let tot = run_total counts in
+  if tot <= 0. then float_of_int t.lo
+  else begin
+    let target = p *. tot in
+    (* First position whose cumulative mass reaches the target. *)
+    let pos = ref (-1) and i = ref 0 and acc = ref 0. in
+    while !pos < 0 && !i < len do
+      let c = counts.(!i) in
+      acc := !acc +. c;
+      if !acc >= target && c > 0. then pos := !i;
+      incr i
+    done;
+    let pos = if !pos < 0 then len - 1 else !pos in
+    (* Summed downward from the position below: fractional counts (zipf)
+       are not associative, and this is the order the quantiles were
+       always computed in. *)
+    let before = ref 0. in
+    for j = pos - 1 downto 0 do
+      before := !before +. counts.(j)
+    done;
+    let b = bucket_at buckets pos and c = counts.(pos) in
+    let b_lo = bucket_lo t b in
+    (* Linear interpolation of the target rank within the bucket span. *)
+    let frac =
+      if c <= 0. then 0. else Float.max 0. (Float.min 1. ((target -. !before) /. c))
+    in
+    float_of_int b_lo +. (frac *. float_of_int (bucket_hi t b - b_lo))
+  end
+
+let run_mass_in t buckets counts itv =
   let clipped = Interval.inter itv (domain t) in
   if Interval.is_empty clipped then 0.
   else begin
-    let n = bucket_count t in
-    let acc = ref 0. in
-    for b = 0 to n - 1 do
-      let b_lo = t.lo + (b * width t / n) in
-      let b_hi = t.lo + (((b + 1) * width t / n) - 1) in
-      let bucket_itv = Interval.make b_lo (max b_lo b_hi) in
-      let overlap = Interval.inter bucket_itv clipped in
-      if not (Interval.is_empty overlap) then begin
-        let frac =
-          float_of_int (Interval.width overlap) /. float_of_int (Interval.width bucket_itv)
-        in
-        acc := !acc +. (t.counts.(b) *. frac)
-      end
+    let c_lo = clipped.Interval.lo and c_hi = clipped.Interval.hi in
+    let len = Array.length counts and acc = ref 0. and i = ref 0 in
+    (* Bucket spans ascend, so the first span past [c_hi] ends the scan. *)
+    while !i < len && bucket_lo t (bucket_at buckets !i) <= c_hi do
+      let b = bucket_at buckets !i in
+      let b_lo = bucket_lo t b and b_hi = bucket_hi t b in
+      let o_lo = Int.max b_lo c_lo and o_hi = Int.min b_hi c_hi in
+      if o_lo <= o_hi then begin
+        let frac = float_of_int (o_hi - o_lo + 1) /. float_of_int (b_hi - b_lo + 1) in
+        acc := !acc +. (counts.(!i) *. frac)
+      end;
+      incr i
     done;
     !acc
   end
+
+let total t = run_total t.counts
+let mass_in t itv = run_mass_in t None t.counts itv
+let percentile t p = run_percentile t None t.counts p
+
+let iter_nonzero f t = Array.iteri (fun b c -> if c <> 0. then f b c) t.counts
 
 let fraction_in t itv =
   let tot = total t in
@@ -121,35 +166,43 @@ let sample t rng =
       if target < acc then b else go (b + 1) acc
   in
   let b = go 0 0. in
-  let b_lo = t.lo + (b * width t / n) in
-  let b_hi = max b_lo (t.lo + (((b + 1) * width t / n) - 1)) in
-  Rng.int_in rng b_lo b_hi
+  Rng.int_in rng (bucket_lo t b) (bucket_hi t b)
 
-let percentile t p =
-  let p = Float.max 0. (Float.min 1. p) in
-  let tot = total t in
-  if tot <= 0. then float_of_int t.lo
-  else begin
-    let target = p *. tot in
-    let n = bucket_count t in
-    let rec go b acc =
-      if b >= n then n - 1
-      else
-        let acc' = acc +. t.counts.(b) in
-        if acc' >= target && t.counts.(b) > 0. then b else go (b + 1) acc'
-    in
-    let rec cum b acc = if b < 0 then acc else cum (b - 1) (acc +. t.counts.(b)) in
-    let b = go 0 0. in
-    let before = cum (b - 1) 0. in
-    let b_lo = t.lo + (b * width t / n) in
-    let b_hi = max b_lo (t.lo + (((b + 1) * width t / n) - 1)) in
-    (* Linear interpolation of the target rank within the bucket span. *)
-    let frac =
-      if t.counts.(b) <= 0. then 0.
-      else Float.max 0. (Float.min 1. ((target -. before) /. t.counts.(b)))
-    in
-    float_of_int b_lo +. (frac *. float_of_int (b_hi - b_lo))
-  end
+module Window = struct
+  type hist = t
+
+  (* [buckets] strictly ascending, [counts.(i) > 0.] the observations in
+     [buckets.(i)]; [geometry] lends only its domain and bucket spans. *)
+  type t = { geometry : hist; buckets : int array; counts : float array }
+
+  let of_buckets geometry observed =
+    let n = bucket_count geometry in
+    Array.iter
+      (fun b ->
+        if b < 0 || b >= n then
+          invalid_arg "Histogram.Window.of_buckets: bucket out of range")
+      observed;
+    Array.sort Int.compare observed;
+    let len = Array.length observed in
+    let distinct = ref 0 in
+    Array.iteri
+      (fun i b -> if i = 0 || b <> observed.(i - 1) then incr distinct)
+      observed;
+    let buckets = Array.make !distinct 0 and counts = Array.make !distinct 0. in
+    let k = ref (-1) in
+    for i = 0 to len - 1 do
+      if i = 0 || observed.(i) <> observed.(i - 1) then begin
+        incr k;
+        buckets.(!k) <- observed.(i)
+      end;
+      counts.(!k) <- counts.(!k) +. 1.
+    done;
+    { geometry; buckets; counts }
+
+  let total w = run_total w.counts
+  let percentile w p = run_percentile w.geometry (Some w.buckets) w.counts p
+  let mass_in w itv = run_mass_in w.geometry (Some w.buckets) w.counts itv
+end
 
 let pp ppf t =
   Format.fprintf ppf "hist[%d,%d] %d buckets, %.0f rows" t.lo t.hi (bucket_count t)

@@ -29,15 +29,13 @@ val add : t -> int -> unit
 
 val total : t -> float
 
-val copy : t -> t
-(** Independent snapshot; later {!add}s to either side do not affect the
-    other. *)
+val bucket_of : t -> int -> int
+(** Index of the bucket a value counts in, after clamping it to the
+    domain as {!add} does. *)
 
-val diff : t -> t -> t
-(** [diff cur prev] is the bucketwise difference [cur - prev] clamped at
-    zero — the mass added between two snapshots of the same histogram,
-    suitable for windowed percentiles.
-    @raise Invalid_argument if the domains or bucket counts differ. *)
+val iter_nonzero : (int -> float -> unit) -> t -> unit
+(** [iter_nonzero f t] calls [f bucket count] for every bucket with a
+    nonzero count, in ascending bucket order. *)
 
 val mass_in : t -> Interval.t -> float
 (** Estimated rows with values inside the interval (clipped to the
@@ -54,6 +52,29 @@ val percentile : t -> float -> float
     to [0, 1]): the first bucket whose cumulative mass reaches
     [p * total], linearly interpolated across the bucket's value span.
     Returns the domain's lower bound when the histogram is empty. *)
+
+(** Sparse histograms: the (bucket, count) pairs of a small set of
+    observations, laid over a dense histogram's buckets.  A window of k
+    observations costs O(k log k) to build and O(distinct buckets) per
+    query, however many buckets the domain has.  {!Window.percentile}
+    and {!Window.mass_in} run the same code as {!percentile} and
+    {!mass_in}, so a window gives bit for bit what a dense histogram
+    holding the same counts would. *)
+module Window : sig
+  type hist := t
+  type t
+
+  val of_buckets : hist -> int array -> t
+  (** [of_buckets h observed] counts each element of [observed] as one
+      observation in that bucket of [h]'s geometry; [h] lends only its
+      domain and bucket spans, its counts are not read.  Sorts
+      [observed] in place.
+      @raise Invalid_argument if an index is not a bucket of [h]. *)
+
+  val total : t -> float
+  val percentile : t -> float -> float
+  val mass_in : t -> Interval.t -> float
+end
 
 val sample : t -> Rng.t -> int
 (** Draw a value from the histogram's distribution: a bucket weighted by

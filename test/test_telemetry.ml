@@ -62,6 +62,198 @@ let test_timeseries_scrape () =
        false
      with Invalid_argument _ -> true)
 
+(* The dense computation the sparse windows replaced, kept verbatim as
+   the oracle: snapshot the whole bucket array at every scrape, diff it
+   against the previous snapshot, and run the bucket-by-bucket total,
+   percentile and mass-in over the difference. *)
+module Dense = struct
+  module Interval = Qt_util.Interval
+
+  type t = { lo : int; hi : int; counts : float array }
+
+  let create ~lo ~hi ~buckets =
+    { lo; hi; counts = Array.make (min buckets (hi - lo + 1)) 0. }
+
+  let bucket_count t = Array.length t.counts
+  let domain t = Interval.make t.lo t.hi
+  let width t = t.hi - t.lo + 1
+
+  let bucket_of t v =
+    let v = max t.lo (min t.hi v) in
+    let idx = (v - t.lo) * bucket_count t / width t in
+    min (bucket_count t - 1) idx
+
+  let add t v = t.counts.(bucket_of t v) <- t.counts.(bucket_of t v) +. 1.
+  let total t = Array.fold_left ( +. ) 0. t.counts
+  let copy t = { t with counts = Array.copy t.counts }
+
+  let diff cur prev =
+    {
+      cur with
+      counts =
+        Array.mapi (fun b c -> Float.max 0. (c -. prev.counts.(b))) cur.counts;
+    }
+
+  let mass_in t itv =
+    let clipped = Interval.inter itv (domain t) in
+    if Interval.is_empty clipped then 0.
+    else begin
+      let n = bucket_count t in
+      let acc = ref 0. in
+      for b = 0 to n - 1 do
+        let b_lo = t.lo + (b * width t / n) in
+        let b_hi = t.lo + (((b + 1) * width t / n) - 1) in
+        let bucket_itv = Interval.make b_lo (max b_lo b_hi) in
+        let overlap = Interval.inter bucket_itv clipped in
+        if not (Interval.is_empty overlap) then begin
+          let frac =
+            float_of_int (Interval.width overlap)
+            /. float_of_int (Interval.width bucket_itv)
+          in
+          acc := !acc +. (t.counts.(b) *. frac)
+        end
+      done;
+      !acc
+    end
+
+  let percentile t p =
+    let p = Float.max 0. (Float.min 1. p) in
+    let tot = total t in
+    if tot <= 0. then float_of_int t.lo
+    else begin
+      let target = p *. tot in
+      let n = bucket_count t in
+      let rec go b acc =
+        if b >= n then n - 1
+        else
+          let acc' = acc +. t.counts.(b) in
+          if acc' >= target && t.counts.(b) > 0. then b else go (b + 1) acc'
+      in
+      let rec cum b acc =
+        if b < 0 then acc else cum (b - 1) (acc +. t.counts.(b))
+      in
+      let b = go 0 0. in
+      let before = cum (b - 1) 0. in
+      let b_lo = t.lo + (b * width t / n) in
+      let b_hi = max b_lo (t.lo + (((b + 1) * width t / n) - 1)) in
+      let frac =
+        if t.counts.(b) <= 0. then 0.
+        else Float.max 0. (Float.min 1. ((target -. before) /. t.counts.(b)))
+      in
+      float_of_int b_lo +. (frac *. float_of_int (b_hi - b_lo))
+    end
+
+  (* What [Metrics.observe] adds and [Timeseries.window_above] asks. *)
+  let observe t ~scale v = add t (int_of_float (Float.max 0. (v *. scale)))
+
+  let above t ~scale threshold =
+    let total = total t in
+    let thr = int_of_float (Float.max 0. (threshold *. scale)) in
+    let below =
+      if thr <= 0 then 0.
+      else mass_in t (Interval.inter (domain t) (Interval.make 0 (thr - 1)))
+    in
+    (Float.max 0. (total -. below), total)
+end
+
+type window_op = Observe of bool * float | Scrape
+
+(* Random observation streams cut at random scrape points: every scraped
+   window's count, p50/p95/p99 and window_above (at random thresholds)
+   equal the dense snapshot-diff oracle's exactly.  "pre" holds
+   observations from before Timeseries.create (its first window is all of
+   them); "post" registers after it.  A 37-bucket domain of 1000 units
+   gives uneven bucket spans, and values outside [0, 99.9] clamp to its
+   edges. *)
+let prop_sparse_window_matches_dense =
+  let gen =
+    QCheck2.Gen.(
+      let value = float_range (-20.) 130. in
+      triple
+        (list_size (int_range 0 30) value)
+        (list_size (int_range 1 200)
+           (frequency
+              [ (6, map2 (fun pre v -> Observe (pre, v)) bool value); (1, pure Scrape) ]))
+        (list_size (int_range 1 4) (float_range (-5.) 120.)))
+  in
+  let print (pre, ops, thresholds) =
+    let fl l = String.concat ";" (List.map string_of_float l) in
+    Printf.sprintf "pre=[%s] ops=[%s] thresholds=[%s]" (fl pre)
+      (String.concat ";"
+         (List.map
+            (function
+              | Observe (p, v) -> Printf.sprintf "%s %g" (if p then "pre" else "post") v
+              | Scrape -> "scrape")
+            ops))
+      (fl thresholds)
+  in
+  QCheck2.Test.make ~name:"timeseries: sparse windows = dense snapshot diffs"
+    ~count:300 ~print gen (fun (pre_values, ops, thresholds) ->
+      let lo = 0 and hi = 999 and buckets = 37 and scale = 10. in
+      let m = Metrics.create () in
+      let histo name = Metrics.histogram ~lo ~hi ~buckets ~scale m name in
+      let tracked name h =
+        (name, h, Dense.create ~lo ~hi ~buckets, ref None)
+      in
+      let pre = tracked "pre" (histo "pre") in
+      let observe (_, h, cur, _) v =
+        Metrics.observe h v;
+        Dense.observe cur ~scale v
+      in
+      List.iter (observe pre) pre_values;
+      let ts = Timeseries.create ~interval:1. m in
+      let post = tracked "post" (histo "post") in
+      let now = ref 0. in
+      let check_window (name, _, cur, prev) =
+        let window =
+          match !prev with Some p -> Dense.diff cur p | None -> Dense.copy cur
+        in
+        prev := Some (Dense.copy cur);
+        let count = Dense.total window in
+        Timeseries.last ts (name ^ ".count") = Some count
+        && (count = 0.
+           || List.for_all
+                (fun (suffix, p) ->
+                  Timeseries.last ts (name ^ suffix)
+                  = Some (Dense.percentile window p /. scale))
+                [ (".p50", 0.5); (".p95", 0.95); (".p99", 0.99) ])
+        && List.for_all
+             (fun thr ->
+               Timeseries.window_above ts name thr
+               = Some (Dense.above window ~scale thr))
+             thresholds
+      in
+      List.for_all
+        (function
+          | Observe (to_pre, v) ->
+            observe (if to_pre then pre else post) v;
+            true
+          | Scrape ->
+            now := !now +. 1.;
+            Timeseries.scrape ts ~now:!now;
+            check_window pre && check_window post)
+        (ops @ [ Scrape ]))
+
+let test_observe_allocation_free () =
+  let m = Metrics.create () in
+  let h = Metrics.histogram m "lat" in
+  let values = List.init 10_000 (fun i -> float_of_int (i mod 997) *. 0.013) in
+  let rec feed = function
+    | [] -> ()
+    | v :: rest ->
+      Metrics.observe h v;
+      feed rest
+  in
+  (* Two back-to-back reads measure what reading the counter costs. *)
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  feed values;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "observe allocates no minor words" 0.
+    (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check int) "every observation counted" 10_000
+    (Metrics.observations h)
+
 (* ------------------------------------------------------------------ *)
 (* SLO burn-rate engine                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -497,11 +689,111 @@ let test_latency_domain () =
   Alcotest.(check int) "completions unchanged" a.Market.str_completed
     c.Market.str_completed
 
+(* The telemetry artifacts of a small shedding + surge + shared-cache
+   stream with one latency and one goodput rule (both fire, so alerts and
+   flight-recorder bundles are in the output), pinned by md5.  The
+   configuration is the one `qtsim stream` builds from
+
+     --queries 300 --rate 5 --shedding occupancy:0.9 --cache shared
+     --pricing surge --scrape-interval 1
+     --slo 'interactive:p95<5:budget=0.01' --slo 'all:goodput>0.5:budget=0.1'
+     --json > telemetry-pin.json --series telemetry-pin.jsonl
+     --openmetrics telemetry-pin.om
+
+   and golden/telemetry.md5 is in `md5sum -c` format, so CI checks the
+   CLI's files against the same digests.  Telemetry work may change how
+   fast these bytes are produced, never the bytes. *)
+let pinned_telemetry_artifacts () =
+  let ok = function Ok v -> v | Error msg -> failwith msg in
+  let federation =
+    Qt_sim.Generator.telecom ~nodes:8
+      ~placement:{ Qt_sim.Generator.partitions = 4; replicas = 1 }
+      ()
+  in
+  let templates =
+    Array.of_list (Qt_sim.Workload.telecom_templates ~seed:11 ~count:12)
+  in
+  let arrivals =
+    Arrivals.generate ~seed:13
+      ~process:(Arrivals.Poisson { rate = 5. })
+      ~horizon:(Arrivals.Count 300) ~templates:12 ~theta:0.9
+      ~mix:Sla.default_mix
+  in
+  let base = Market.default_config params in
+  let scfg =
+    {
+      Market.base =
+        {
+          base with
+          Market.admission =
+            {
+              Admission.default_config with
+              Admission.slots = 2;
+              queue_limit = 4;
+              policy = Admission.Priority;
+            };
+          concurrency = 32;
+          qcache = Some (Qt_cache.Tier.create Qt_cache.Tier.default_config);
+          pricing =
+            Option.map
+              (fun mix -> { Qt_pricing.Pricing.default_config with mix })
+              (ok (Qt_pricing.Pricing.mix_of_string "surge"));
+        };
+      spec_of = Sla.default_spec;
+      shedding = ok (Qt_stream.Shedding.of_string "occupancy:0.9");
+      telemetry =
+        Some
+          {
+            Market.default_telemetry with
+            Market.slo_rules =
+              List.map
+                (fun s -> ok (Slo.parse s))
+                [ "interactive:p95<5:budget=0.01"; "all:goodput>0.5:budget=0.1" ];
+          };
+      latency_domain = 1000.;
+    }
+  in
+  let s = Market.run_stream scfg federation ~templates arrivals in
+  let tel = Option.get s.Market.str_telemetry in
+  Alcotest.(check bool) "both rules fire" true
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (fun ((al : Slo.alert), _) -> al.Slo.al_rule.Slo.r_name)
+             tel.Market.tl_alerts))
+    = 2);
+  [
+    ("telemetry-pin.json", Market.stream_to_json s ^ "\n");
+    ("telemetry-pin.jsonl", Market.telemetry_jsonl tel);
+    ("telemetry-pin.om", Openmetrics.render (Market.stream_metrics_registry s));
+  ]
+
+let test_telemetry_pinned_digests () =
+  let expected =
+    In_channel.with_open_text "golden/telemetry.md5" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ digest; ""; file ] -> Some (file, digest)
+           | _ -> None)
+  in
+  let artifacts = pinned_telemetry_artifacts () in
+  Alcotest.(check (list string)) "one digest per artifact"
+    (List.map fst artifacts) (List.map fst expected);
+  List.iter
+    (fun (file, bytes) ->
+      Alcotest.(check string) file (List.assoc file expected)
+        (Digest.to_hex (Digest.string bytes)))
+    artifacts
+
 let suite =
   ( "telemetry",
     [
       quick "timeseries: rates, gauges, windows, tick cadence"
         test_timeseries_scrape;
+      QCheck_alcotest.to_alcotest prop_sparse_window_matches_dense;
+      quick "metrics: observe without a scraper allocates nothing"
+        test_observe_allocation_free;
       quick "slo: rule grammar" test_slo_parse;
       quick "slo: burn-rate alert timing and re-arm" test_slo_alert_timing;
       quick "slo: severity tiers and dedup folding" test_slo_severity_and_dedup;
@@ -519,4 +811,6 @@ let suite =
       quick "run_stream: telemetry off leaves output byte-identical"
         test_stream_telemetry_off_identity;
       quick "run_stream: latency histogram domain" test_latency_domain;
+      quick "run_stream: telemetry artifacts match pinned digests"
+        test_telemetry_pinned_digests;
     ] )
