@@ -234,6 +234,86 @@ let test_market_concurrency_cap () =
   Alcotest.(check int) "no cross-trade merging possible" 0
     s.Market.batcher.Batcher.messages_saved
 
+(* Batch output pinned by md5.  Each case is the configuration `qtsim
+   market` builds from the listed flags (telecom or tpch on 8 nodes, 4
+   partitions, 1 replica); its `--json` line and `--metrics` file carry a
+   trailing newline.  golden/market.md5 is in `md5sum -c` format, so CI
+   checks the CLI's files against the same digests.  The tpch case runs
+   with `--domains 4` in CI and serially here: pooled output is
+   byte-identical by contract. *)
+let pinned_market_cases =
+  let telecom = Qt_sim.Workload.telecom_revenue_by_office in
+  let batch ?(schema = `Telecom) ?(slots = 2) ?(queue_limit = 4)
+      ?(policy = Admission.Fifo) ?(concurrency = 0) ?(execute = false)
+      ?(cache = false) ?pricing count =
+    let placement = { Qt_sim.Generator.partitions = 4; replicas = 1 } in
+    let federation, queries =
+      match schema with
+      | `Telecom ->
+        ( Qt_sim.Generator.telecom ~nodes:8 ~placement (),
+          List.init count (fun i ->
+              telecom ~custid_range:(0, 999 + (137 * i mod 3000)) ()) )
+      | `Tpch ->
+        ( Qt_sim.Generator.tpch ~nodes:8 ~placement (),
+          Qt_sim.Workload.tpch_templates ~seed:11 ~count )
+    in
+    let config =
+      {
+        (Market.default_config params) with
+        Market.admission =
+          { Admission.default_config with Admission.slots; queue_limit; policy };
+        concurrency;
+        execute = (if execute then Some Market.default_exec else None);
+        qcache =
+          (if cache then Some (Qt_cache.Tier.create Qt_cache.Tier.default_config)
+           else None);
+        pricing =
+          Option.map
+            (fun spec ->
+              match Qt_pricing.Pricing.mix_of_string spec with
+              | Ok (Some mix) -> { Qt_pricing.Pricing.default_config with mix }
+              | _ -> Alcotest.failf "bad pricing spec %s" spec)
+            pricing;
+      }
+    in
+    fun () -> Market.run config federation queries
+  in
+  [
+    ("count8", batch 8);
+    ("count8-exec", batch ~execute:true 8);
+    ("count8-shared-exec", batch ~cache:true ~execute:true 8);
+    ("count8-surge-priority", batch ~pricing:"surge" ~policy:Admission.Priority 8);
+    ("count16-tight", batch ~concurrency:2 ~slots:1 ~queue_limit:1 16);
+    ("tpch12-exec-d4", batch ~schema:`Tpch ~execute:true 12);
+  ]
+
+let test_market_pinned_digests () =
+  let expected =
+    In_channel.with_open_text "golden/market.md5" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ digest; ""; file ] -> Some (file, digest)
+           | _ -> None)
+  in
+  let artifacts =
+    List.concat_map
+      (fun (name, run) ->
+        let s = run () in
+        [
+          ("market-" ^ name ^ ".json", Market.to_json s ^ "\n");
+          ("market-" ^ name ^ ".metrics.json", Market.metrics_json s ^ "\n");
+        ])
+      pinned_market_cases
+  in
+  Alcotest.(check (list string)) "one digest per artifact"
+    (List.map fst artifacts) (List.map fst expected);
+  List.iter
+    (fun (file, bytes) ->
+      Alcotest.(check string) file (List.assoc file expected)
+        (Digest.to_hex (Digest.string bytes)))
+    artifacts
+
 let suite =
   ( "market",
     [
@@ -249,4 +329,6 @@ let suite =
       quick "market: batching preserves contracts, saves messages"
         test_market_batching_parity;
       quick "market: concurrency cap serializes trades" test_market_concurrency_cap;
+      quick "market: batch output matches pinned digests"
+        test_market_pinned_digests;
     ] )
