@@ -95,6 +95,11 @@ let queue_depth t = List.length t.queued
 let offered_load t =
   t.cfg.load_per_contract *. float_of_int (in_service t + queue_depth t)
 
+(* Over the clamped config, so the capacity is at least one slot. *)
+let occupancy t =
+  float_of_int (in_service t + queue_depth t)
+  /. float_of_int (t.cfg.slots + t.cfg.queue_limit)
+
 let work h = h.h_work
 let trade_of h = h.h_trade
 let reserved h = h.h_reserved

@@ -57,6 +57,12 @@ val offered_load : t -> float
 (** [load_per_contract * (in_service + queue_depth)] — what this node
     adds to its base load when pricing new requests. *)
 
+val occupancy : t -> float
+(** [(in_service + queue_depth) / (slots + queue_limit)] over the
+    clamped config ([slots >= 1], [queue_limit >= 0]) that {!create}
+    applies — the one occupancy surge pricing, load shedding and the
+    telemetry gauges all read. *)
+
 val work : handle -> float
 val trade_of : handle -> int
 

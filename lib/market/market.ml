@@ -224,7 +224,8 @@ type trade = {
       (* How the cache tier served this trade, if it did. *)
   mutable t_cache_table : Table.t option;
       (* The result-cache answer delivered to the buyer. *)
-  (* Open-stream fields; inert in batch runs. *)
+  (* Arrival and SLA: a batch trade arrives at 0 with no deadline and
+     no class. *)
   t_arrival : float;  (* arrival time on the market timeline *)
   t_deadline : float;  (* absolute completion deadline; [infinity] = none *)
   t_klass : Qt_stream.Sla.klass option;  (* [None] in batch runs *)
@@ -294,11 +295,6 @@ type market = {
   metrics : Metrics.t;
   rtt : Metrics.histo;  (* offer round trips, RFB window close -> reply *)
   waits : Metrics.histo;  (* admission queue waits, all sellers *)
-  mutable on_complete : int -> seller:int -> float -> unit;
-      (* Called as [(trade, ~seller, time)] when one of the trade's
-         contracts finishes; the stream runner hooks end-to-end
-         accounting here and the pricing layer its revenue
-         bookkeeping. *)
   mutable on_reject : int -> int -> float -> unit;
       (* Called as [(trade, seller, time)] when a seller rejects a
          contract submission; the stream telemetry's flight recorder
@@ -313,11 +309,18 @@ let admission_of st node =
     Hashtbl.replace st.admissions node a;
     a
 
+let schedule_promoted st seller ~now promoted =
+  List.iter
+    (fun p ->
+      Event_queue.push st.completions ~time:(now +. Admission.work p) (seller, p))
+    promoted
+
 (* Fire one contract-completion event: free the slot, start the promoted
-   waiters and schedule their completions.  Events whose contract was
-   canceled in the meantime are skipped — the stale-event guard that
-   deadline cancellation leans on. *)
-let fire_completion st t seller h =
+   waiters, schedule their completions and report the completion as
+   [on_complete trade ~seller t].  Events whose contract was canceled in
+   the meantime are skipped — the stale-event guard that deadline
+   cancellation leans on. *)
+let fire_completion st ~on_complete t seller h =
   let adm = admission_of st seller in
   if Admission.is_active adm h then begin
     st.mclock <- Float.max st.mclock t;
@@ -331,42 +334,9 @@ let fire_completion st t seller h =
              ]
            ~t0:(Admission.started_at h) ~t1:t ()
           : int);
-    let promoted = Admission.finish adm ~now:t h in
-    List.iter
-      (fun p ->
-        Event_queue.push st.completions
-          ~time:(t +. Admission.work p)
-          (seller, p))
-      promoted;
-    st.on_complete (Admission.trade_of h) ~seller t
+    schedule_promoted st seller ~now:t (Admission.finish adm ~now:t h);
+    on_complete (Admission.trade_of h) ~seller t
   end
-
-(* Fire every contract completion up to [upto]. *)
-let rec drain_completions st ~upto =
-  match Event_queue.peek_time st.completions with
-  | Some t when t <= upto -> (
-    match Event_queue.pop st.completions with
-    | None -> ()
-    | Some (t, (seller, h)) ->
-      fire_completion st t seller h;
-      drain_completions st ~upto)
-  | _ -> ()
-
-(* Advance both event streams together: contract completions (costing
-   work at the admission layer) and execution-task completions (row work
-   at the scheduler), so backlog-derived load is current whenever a
-   pricing round reads it. *)
-let drain_all st ~upto =
-  drain_completions st ~upto;
-  match st.sched with
-  | Some sched -> Execsched.drain sched ~upto
-  | None -> ()
-
-let schedule_promoted st seller ~now promoted =
-  List.iter
-    (fun p ->
-      Event_queue.push st.completions ~time:(now +. Admission.work p) (seller, p))
-    promoted
 
 (* The buyer's effective view of a seller's load: the base profile, plus
    what the admission layer says the node is already committed to, plus
@@ -434,26 +404,17 @@ let make_transport st tr : Seller.response Transport.t =
     bytes = (fun () -> tr.t_bytes);
   }
 
-(* One contract per (seller, trade): the plan's purchased offers rolled
-   up by seller, in ascending id order. *)
-let contracts_of (outcome : Trader.outcome) =
+(* The plan's purchased offers rolled up by seller, in ascending id
+   order.  Rolled up by [true_cost] they are the contracts (one per
+   seller and trade); by [quoted] price (surge and markup included) they
+   are what the buyer pays each seller, the revenue the pricing layer
+   accounts. *)
+let by_seller amount (outcome : Trader.outcome) =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (o : Offer.t) ->
       let prev = Option.value (Hashtbl.find_opt tbl o.Offer.seller) ~default:0. in
-      Hashtbl.replace tbl o.Offer.seller (prev +. o.Offer.true_cost))
-    outcome.Trader.purchased;
-  Hashtbl.fold (fun s w acc -> (s, w) :: acc) tbl [] |> List.sort compare
-
-(* What the buyer pays each seller: the plan's purchased offers rolled
-   up by seller at their {e quoted} prices (surge and markup included),
-   the revenue the pricing layer accounts. *)
-let prices_of (outcome : Trader.outcome) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (o : Offer.t) ->
-      let prev = Option.value (Hashtbl.find_opt tbl o.Offer.seller) ~default:0. in
-      Hashtbl.replace tbl o.Offer.seller (prev +. o.Offer.quoted))
+      Hashtbl.replace tbl o.Offer.seller (prev +. amount o))
     outcome.Trader.purchased;
   Hashtbl.fold (fun s w acc -> (s, w) :: acc) tbl [] |> List.sort compare
 
@@ -541,15 +502,19 @@ let try_admit st tr ~now works =
         tr.t_prices);
     Ok ()
 
-(* (Re)start a trade's optimization fiber and hand its first step to
-   [drive].  The buyer's clock is floored at market time and at the
-   trade's arrival time: a query cannot start trading before it exists,
-   nor before the window in which the market got around to it. *)
-let launch_fiber st tr ~drive =
-  tr.t_attempts <- tr.t_attempts + 1;
+(* Floor the buyer's clock at market time and at the trade's arrival
+   time: a query cannot start trading before it exists, nor before the
+   window in which the market got around to it. *)
+let floor_buyer_clock st tr =
   let floor = Float.max st.mclock tr.t_arrival in
   let c = Runtime.node_clock st.rt tr.t_buyer in
-  if floor > c then Runtime.advance st.rt ~node:tr.t_buyer (floor -. c);
+  if floor > c then Runtime.advance st.rt ~node:tr.t_buyer (floor -. c)
+
+(* (Re)start a trade's optimization fiber, on a floored buyer clock, and
+   hand its first step to [drive]. *)
+let launch_fiber st tr ~drive =
+  tr.t_attempts <- tr.t_attempts + 1;
+  floor_buyer_clock st tr;
   let transport = make_transport st tr in
   let tcfg = trader_config st tr in
   drive tr
@@ -575,9 +540,7 @@ let qcache_probe st tr =
   match st.qcache with
   | None -> `Off
   | Some q -> (
-    let floor = Float.max st.mclock tr.t_arrival in
-    let c = Runtime.node_clock st.rt tr.t_buyer in
-    if floor > c then Runtime.advance st.rt ~node:tr.t_buyer (floor -. c);
+    floor_buyer_clock st tr;
     let lat = (Tier.config q.q_tier).Tier.lookup_latency in
     if lat > 0. then Runtime.advance st.rt ~node:tr.t_buyer lat;
     let inst = Tier.instance q.q_tier ~client:tr.t_index in
@@ -668,26 +631,19 @@ let wave_close st trades waiting =
   st.mclock <- t_close;
   t_close
 
-(* Refresh every seller's surge state from its admission occupancy:
-   (in service + queued) / (slots + queue limit).  Runs on the
-   coordinator at each wave close, before any envelope is priced, so
-   the multiplier a wave sees is frozen — phase A's parallel pricing
-   only reads it and results stay byte-identical at any domain count. *)
+(* Refresh every seller's surge state from its admission occupancy.
+   Runs on the coordinator at each wave close, before any envelope is
+   priced, so the multiplier a wave sees is frozen — phase A's parallel
+   pricing only reads it and results stay byte-identical at any domain
+   count. *)
 let update_surge st =
   match st.pstate with
   | None -> ()
   | Some p ->
     List.iter
       (fun id ->
-        let adm = admission_of st id in
-        let cap =
-          Admission.slots adm + max 0 st.cfg.admission.Admission.queue_limit
-        in
-        let occ =
-          float_of_int (Admission.in_service adm + Admission.queue_depth adm)
-          /. float_of_int (max 1 cap)
-        in
-        Pricing.observe_occupancy p ~seller:id ~occupancy:occ)
+        Pricing.observe_occupancy p ~seller:id
+          ~occupancy:(Admission.occupancy (admission_of st id)))
       (List.sort compare (Federation.node_ids st.federation))
 
 (* Serve one closed wave: coalesce the suspended broadcasts into
@@ -917,7 +873,6 @@ let make_market ~obs cfg federation =
       metrics;
       rtt = Metrics.histogram metrics "market.offer_rtt";
       waits = Metrics.histogram metrics "market.queue_wait";
-      on_complete = (fun _ ~seller:_ _ -> ());
       on_reject = (fun _ _ _ -> ());
     }
   in
@@ -937,19 +892,37 @@ let make_market ~obs cfg federation =
     (Federation.node_ids federation);
   st
 
-let exec_node_stats workers (es : Execsched.stats) =
-  List.map
-    (fun (n : Execsched.node_stats) ->
+(* Execution totals of a run that executed plans, with the per-trade
+   rows the caller chose to keep. *)
+let exec_stats_of st ~exec_trades =
+  match (st.sched, st.cfg.execute) with
+  | Some sched, Some e ->
+    let es = Execsched.stats sched in
+    let node (n : Execsched.node_stats) =
       let window = n.Execsched.ns_last_finish -. n.Execsched.ns_first_start in
-      let capacity = float_of_int workers *. window in
+      let capacity = float_of_int e.workers *. window in
       {
         en_node = n.Execsched.ns_node;
         en_tasks = n.Execsched.ns_tasks;
         en_busy = n.Execsched.ns_busy;
         en_utilization =
           (if capacity > 0. then n.Execsched.ns_busy /. capacity else 0.);
-      })
-    es.Execsched.exec_nodes
+      }
+    in
+    Some
+      {
+        exec_makespan = es.Execsched.exec_makespan;
+        tasks_run = es.Execsched.tasks_run;
+        shared_results = es.Execsched.shared_results;
+        exec_trades;
+        exec_nodes = List.map node es.Execsched.exec_nodes;
+      }
+  | _ -> None
+
+(* End of everything: trading, extended to the last execution task. *)
+let makespan_of ~trading_makespan = function
+  | Some e -> Float.max trading_makespan e.exec_makespan
+  | None -> trading_makespan
 
 let seller_stats_of st ~horizon =
   List.sort compare (Federation.node_ids st.federation)
@@ -984,249 +957,6 @@ let emit_pool_span obs pool ~at =
          ~at ()
         : int)
   | _ -> ()
-
-let run ?(obs = Obs.disabled) cfg federation queries =
-  let st = make_market ~obs cfg federation in
-  let trades =
-    Array.of_list
-      (List.mapi
-         (fun i q -> make_trade ~index:i ~priority:(cfg.priority_of i) q)
-         queries)
-  in
-  Array.iter
-    (fun tr ->
-      Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
-      Runtime.register st.rt tr.t_buyer)
-    trades;
-  let ready = Queue.create () in
-  Array.iter (fun tr -> Queue.add tr.t_index ready) trades;
-  qcache_install_exec_hook st trades;
-  (* Pricing bookkeeping at contract completion: first completion per
-     seller marks the seller done for the trade, and a reserved trade's
-     completed contracts count toward the reservation fill rate.  (Batch
-     runs have no deadlines, so credited revenue is never clawed back.) *)
-  (match st.pstate with
-  | None -> ()
-  | Some p ->
-    st.on_complete <-
-      (fun i ~seller _t ->
-        let tr = trades.(i) in
-        if not (List.mem seller tr.t_done) then begin
-          tr.t_done <- seller :: tr.t_done;
-          if tr.t_reserved then Pricing.reserve_completed p ~seller
-        end));
-  let parked = ref [] in
-  let running = ref 0 in
-  let complete_admitted tr ~now ~plan ~plan_cost works =
-    tr.t_status <- Some Completed;
-    tr.t_plan_cost <- plan_cost;
-    tr.t_contracts <- works;
-    tr.t_finished_at <- now;
-    tr.t_plan <- Some plan;
-    match st.sched with
-    | Some sched ->
-      Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at:now plan
-    | None -> ()
-  in
-  let handle_ok tr (outcome : Trader.outcome) =
-    let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-    drain_all st ~upto:now;
-    st.mclock <- Float.max st.mclock now;
-    let works = contracts_of outcome in
-    if st.pstate <> None then tr.t_prices <- prices_of outcome;
-    match try_admit st tr ~now works with
-    | Ok () ->
-      qcache_note_traded st tr ~plan:outcome.Trader.plan
-        ~plan_cost:(Cost.response outcome.Trader.cost) works;
-      complete_admitted tr ~now ~plan:outcome.Trader.plan
-        ~plan_cost:(Cost.response outcome.Trader.cost) works
-    | Error seller ->
-      if tr.t_attempts <= cfg.max_admission_retries then begin
-        st.retries <- st.retries + 1;
-        penalize tr seller cfg.rejection_penalty;
-        Queue.add tr.t_index ready
-      end
-      else begin
-        tr.t_status <- Some Admission_failed;
-        tr.t_finished_at <- now
-      end
-  in
-  (* Probe the cache tier before spending a fiber on a trade.  A result
-     hit completes the trade outright; a statement hit goes straight to
-     admission with the remembered contracts (falling back to fresh
-     trading if admission rejects them — no penalty, the cached plan just
-     stopped fitting the market).  Returns [true] when the trade was
-     served without trading. *)
-  let try_cache tr =
-    (* Materialize every execution completion at or before the probe time
-       first, so an answer that already finished on the timeline is
-       visible to the result cache (the fill hook fires from the drain). *)
-    if st.qcache <> None then
-      drain_all st ~upto:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock);
-    match qcache_probe st tr with
-    | `Off | `Miss -> false
-    | `Result (q, e) ->
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain_all st ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      tr.t_attempts <- tr.t_attempts + 1;
-      let now = qcache_serve_result st q tr e ~now in
-      st.mclock <- Float.max st.mclock now;
-      true
-    | `Stmt (q, e) -> (
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain_all st ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      let works = e.Statement_cache.contracts in
-      (* A statement hit skips negotiation, so the contracts' work is the
-         only price signal available: the cached plan is bought at cost. *)
-      if st.pstate <> None then tr.t_prices <- works;
-      match try_admit st tr ~now works with
-      | Ok () ->
-        tr.t_attempts <- tr.t_attempts + 1;
-        tr.t_cache_hit <- Some Cache_stmt;
-        Tier.note_trade_avoided q.q_tier;
-        complete_admitted tr ~now ~plan:e.Statement_cache.plan
-          ~plan_cost:e.Statement_cache.plan_cost works;
-        true
-      | Error _ -> false)
-  in
-  let drive tr = function
-    | Awaiting (req, k) ->
-      tr.t_rounds <- tr.t_rounds + 1;
-      parked := (tr.t_index, req, k) :: !parked
-    | Finished res ->
-      decr running;
-      (match res with
-      | Ok outcome ->
-        tr.t_phases <-
-          Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
-        handle_ok tr outcome
-      | Error _ ->
-        tr.t_status <- Some No_plan;
-        tr.t_finished_at <-
-          Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock)
-  in
-  let cap = if cfg.concurrency <= 0 then max_int else cfg.concurrency in
-  let start_more () =
-    while !running < cap && not (Queue.is_empty ready) do
-      let tr = trades.(Queue.pop ready) in
-      if not (try_cache tr) then begin
-        incr running;
-        launch_fiber st tr ~drive
-      end
-    done
-  in
-  let execute_wave () =
-    let waiting = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !parked in
-    parked := [];
-    let t_close = wave_close st trades waiting in
-    drain_all st ~upto:t_close;
-    serve_wave st trades waiting ~t_close ~drive
-  in
-  let rec market_loop () =
-    start_more ();
-    if !parked <> [] then begin
-      execute_wave ();
-      market_loop ()
-    end
-  in
-  market_loop ();
-  drain_all st ~upto:infinity;
-  let trading_makespan =
-    Array.fold_left (fun acc tr -> Float.max acc tr.t_finished_at) st.mclock trades
-  in
-  emit_pool_span obs cfg.pool ~at:trading_makespan;
-  let exec, results =
-    match (st.sched, cfg.execute) with
-    | Some sched, Some e ->
-      let es = Execsched.stats sched in
-      let exec_nodes = exec_node_stats e.workers es in
-      let exec_trades, results =
-        Array.fold_right
-          (fun tr (ets, res) ->
-            match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
-            | Some table, Some plan ->
-              let et =
-                {
-                  et_trade = tr.t_index;
-                  et_rows = List.length table.Table.rows;
-                  et_digest = table_digest table;
-                  et_finished_at =
-                    Option.value
-                      (Execsched.finished_at sched ~trade:tr.t_index)
-                      ~default:0.;
-                }
-              in
-              (et :: ets, (tr.t_index, plan, table) :: res)
-            | _ -> (
-              (* Result-cache hits never reach the scheduler, but their
-                 answers still belong in [results] so callers can oracle
-                 them against fresh execution. *)
-              match (tr.t_cache_table, tr.t_plan) with
-              | Some table, Some plan ->
-                (ets, (tr.t_index, plan, table) :: res)
-              | _ -> (ets, res)))
-          trades ([], [])
-      in
-      ( Some
-          {
-            exec_makespan = es.Execsched.exec_makespan;
-            tasks_run = es.Execsched.tasks_run;
-            shared_results = es.Execsched.shared_results;
-            exec_trades;
-            exec_nodes;
-          },
-        results )
-    | _ -> (None, [])
-  in
-  let makespan =
-    match exec with
-    | Some e -> Float.max trading_makespan e.exec_makespan
-    | None -> trading_makespan
-  in
-  let sellers = seller_stats_of st ~horizon:trading_makespan in
-  let trade_list =
-    Array.to_list
-      (Array.map
-         (fun tr ->
-           {
-             trade = tr.t_index;
-             status = Option.value tr.t_status ~default:No_plan;
-             attempts = tr.t_attempts;
-             rounds = tr.t_rounds;
-             plan_cost = tr.t_plan_cost;
-             messages = tr.t_messages;
-             bytes = tr.t_bytes;
-             sim_time = tr.t_finished_at;
-             contracts = tr.t_contracts;
-             phases = tr.t_phases;
-           })
-         trades)
-  in
-  let completed =
-    List.length (List.filter (fun t -> t.status = Completed) trade_list)
-  in
-  let wire = Runtime.stats st.rt in
-  {
-    trades = trade_list;
-    sellers;
-    batcher = Batcher.stats st.batcher;
-    cache = Seller.pool_stats st.caches;
-    completed;
-    failed = List.length trade_list - completed;
-    admission_retries = st.retries;
-    trading_makespan;
-    makespan;
-    wire_messages = wire.Runtime.messages;
-    wire_bytes = wire.Runtime.bytes;
-    offer_rtt = summarize st.rtt;
-    queue_wait = summarize st.waits;
-    exec;
-    qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
-    pricing = Option.map Pricing.stats st.pstate;
-    results;
-  }
 
 (* Canonical JSON: fixed key order, no wall-clock or process-local
    values, floats through one formatter — same-seed runs render
@@ -1278,15 +1008,14 @@ let batcher_json (bt : Batcher.stats) =
     bt.Batcher.unbatched_bytes bt.Batcher.messages_saved bt.Batcher.bytes_saved
     bt.Batcher.dup_signatures_merged
 
-let cache_json (c : Seller.cache_stats) =
-  Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}"
-    c.Seller.hits c.Seller.misses c.Seller.invalidations c.Seller.evictions
-
 let counts_json hits misses invalidations evictions =
   Printf.sprintf
     "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}" hits
     misses invalidations evictions
+
+let cache_json (c : Seller.cache_stats) =
+  counts_json c.Seller.hits c.Seller.misses c.Seller.invalidations
+    c.Seller.evictions
 
 (* Rendered only when the tier is configured, so cache-off output stays
    byte-identical to a build without the cache tier. *)
@@ -1551,7 +1280,7 @@ let default_stream_config params =
     latency_domain = 1000.;
   }
 
-(* Live per-run telemetry state; internal to [run_stream]. *)
+(* Live per-run telemetry state; internal to the market loop. *)
 type stream_tel = {
   tel_cfg : telemetry_config;
   tel_ts : Timeseries.t;
@@ -1625,37 +1354,52 @@ let stream_latency_histogram ?(domain = 1000.) metrics name =
   let buckets = min 100_000 ((hi + 1) / 100) in
   Metrics.histogram ~hi ~buckets ~scale metrics name
 
-let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
-  let cfg = scfg.base in
-  if Array.length templates = 0 then
-    invalid_arg "Market.run_stream: empty template pool";
+(* ------------------------------------------------------------------- *)
+(* The market loop.  Batch [run] and [run_stream] share one driver: a
+   batch is a stream whose arrivals all land at t=0, with no deadlines,
+   no shedding and no telemetry. *)
+
+(* What the driver leaves for a run's stats projection. *)
+type finished = {
+  f_st : market;
+  f_trades : trade array;
+  f_tel : stream_tel option;
+  f_lat_all : Metrics.histo;  (* end-to-end latency, all classes *)
+  f_lat_class : Sla.klass -> Metrics.histo;
+  f_trading_makespan : float;
+}
+
+(* Run [trades] (in arrival order) to completion: release each at its
+   arrival time, shed or queue it, trade queued ones concurrently under
+   [cfg.concurrency], enforce deadlines, and drain every contract,
+   deadline, scrape tick and execution task.
+
+   [exec_at_admission] is the one rule batch and stream runs do not
+   share.  Batch hands an admitted plan to the execution scheduler at
+   admission; the stream hands it over when the plan's last contract
+   completes, so a trade canceled at its deadline never executes.  A
+   batch has no deadlines, so either rule is sound there, but moving
+   execution changes every pinned batch [--execute] output; the rule
+   stays a private argument here, not a configuration knob. *)
+let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
+    ?telemetry ?latency_domain cfg federation trades =
   let st = make_market ~obs cfg federation in
   let seller_ids = List.sort compare (Federation.node_ids federation) in
   (* The shedding policy's input: the occupancy of the most saturated
-     seller (contracts in service or queued over its slot + queue
-     capacity).  Under skewed template popularity load concentrates on a
+     seller.  Under skewed template popularity load concentrates on a
      few hot sellers, so a federation-wide average would stay low while
      the bottleneck queue overflows; the max tracks the queue that
      actually dooms deadlines. *)
-  let capacity =
-    float_of_int
-      (cfg.admission.Admission.slots + cfg.admission.Admission.queue_limit)
-  in
   let occupancy () =
-    if capacity <= 0. then 1.
-    else
-      List.fold_left
-        (fun acc id ->
-          let adm = admission_of st id in
-          let used = Admission.in_service adm + Admission.queue_depth adm in
-          Float.max acc (float_of_int used /. capacity))
-        0. seller_ids
+    List.fold_left
+      (fun acc id -> Float.max acc (Admission.occupancy (admission_of st id)))
+      0. seller_ids
   in
   (* ---- telemetry state --------------------------------------------- *)
   (* All of it lives on the coordinator and is read-only with respect to
      the sim: the live counters below are registered in [st.metrics]
      (which no existing output serializes), and scrape ticks never touch
-     [st.mclock].  With [scfg.telemetry = None] every handle is [None]
+     [st.mclock].  With [telemetry = None] every handle is [None]
      and every hook below is a no-op, so telemetry-off runs are
      byte-for-byte unchanged. *)
   let tel =
@@ -1669,7 +1413,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
           tel_alerts = [];
           tel_failures = [];
         })
-      scfg.telemetry
+      telemetry
   in
   let tel_counter name =
     Option.map (fun _ -> Metrics.counter st.metrics name) tel
@@ -1729,18 +1473,6 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
             :: t.tel_failures)
       tel
   in
-  let trades =
-    Array.of_list arrivals
-    |> Array.mapi (fun i (a : Arrivals.arrival) ->
-           let spec = scfg.spec_of a.Arrivals.klass in
-           let deadline =
-             if spec.Sla.deadline = infinity then infinity
-             else a.Arrivals.at +. spec.Sla.deadline
-           in
-           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
-             ~index:i ~priority:spec.Sla.priority
-             templates.(a.Arrivals.template mod Array.length templates))
-  in
   Array.iter
     (fun tr ->
       Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
@@ -1748,7 +1480,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     trades;
   qcache_install_exec_hook st trades;
   let lat_all =
-    stream_latency_histogram ~domain:scfg.latency_domain st.metrics
+    stream_latency_histogram ?domain:latency_domain st.metrics
       "stream.latency.all"
   in
   let lat_class =
@@ -1756,7 +1488,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
       List.map
         (fun k ->
           ( k,
-            stream_latency_histogram ~domain:scfg.latency_domain st.metrics
+            stream_latency_histogram ?domain:latency_domain st.metrics
               ("stream.latency." ^ Sla.to_string k) ))
         Sla.all
     in
@@ -1765,7 +1497,8 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
   (* Every full completion funnels through here (last contract, empty
      plans, cache-served results alike), so it doubles as the telemetry
      completion/hit count site. *)
-  let observe_latency tr t =
+  let note_completed tr t =
+    tr.t_completed_at <- t;
     let lat = t -. tr.t_arrival in
     Metrics.observe lat_all lat;
     tincr c_completed;
@@ -1792,36 +1525,37 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
            ~at ()
           : int)
   in
-  (* End-to-end accounting at contract completion; hooked into
+  let submit_exec tr ~at =
+    match (st.sched, tr.t_plan) with
+    | Some sched, Some plan ->
+      Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at plan
+    | _ -> ()
+  in
+  (* The trade's last contract completed (or it had none). *)
+  let contracts_done tr t =
+    note_completed tr t;
+    if not exec_at_admission then submit_exec tr ~at:t
+  in
+  (* End-to-end accounting at contract completion, from
      [fire_completion], so it also runs for promotions and late drains. *)
-  st.on_complete <-
-    (fun ti ~seller t ->
-      let tr = trades.(ti) in
-      (* Pricing bookkeeping: the seller's contract for this trade
-         completed, so its credited revenue is final and a reserved
-         trade's fill rate advances.  Runs before the pending-count step
-         so deadline refunds (below) can tell completed sellers apart. *)
-      (match st.pstate with
-      | None -> ()
-      | Some p ->
-        if not (List.mem seller tr.t_done) then begin
-          tr.t_done <- seller :: tr.t_done;
-          if tr.t_reserved then Pricing.reserve_completed p ~seller
-        end);
-      if tr.t_status = Some Completed && tr.t_pending > 0 then begin
-        tr.t_pending <- tr.t_pending - 1;
-        if tr.t_pending = 0 then begin
-          tr.t_completed_at <- t;
-          observe_latency tr t;
-          (* Execution is submitted only once every contract completed:
-             a trade canceled at its deadline never reaches the
-             execution scheduler. *)
-          match (st.sched, tr.t_plan) with
-          | Some sched, Some plan ->
-            Execsched.submit sched ~trade:ti ~buyer:tr.t_buyer ~at:t plan
-          | _ -> ()
-        end
+  let on_complete ti ~seller t =
+    let tr = trades.(ti) in
+    (* Pricing bookkeeping: the seller's contract for this trade
+       completed, so its credited revenue is final and a reserved
+       trade's fill rate advances.  Runs before the pending-count step
+       so deadline refunds (below) can tell completed sellers apart. *)
+    (match st.pstate with
+    | None -> ()
+    | Some p ->
+      if not (List.mem seller tr.t_done) then begin
+        tr.t_done <- seller :: tr.t_done;
+        if tr.t_reserved then Pricing.reserve_completed p ~seller
       end);
+    if tr.t_status = Some Completed && tr.t_pending > 0 then begin
+      tr.t_pending <- tr.t_pending - 1;
+      if tr.t_pending = 0 then contracts_done tr t
+    end
+  in
   if tel <> None then
     st.on_reject <-
       (fun ti seller t ->
@@ -1887,9 +1621,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     List.iter
       (fun (id, (g_occ, g_load, g_rev)) ->
         let adm = admission_of st id in
-        let used = Admission.in_service adm + Admission.queue_depth adm in
-        Metrics.set g_occ
-          (if capacity <= 0. then 1. else float_of_int used /. capacity);
+        Metrics.set g_occ (Admission.occupancy adm);
         Metrics.set g_load (Admission.offered_load adm);
         Metrics.set g_rev (Admission.stats adm).Admission.busy)
       seller_gauges;
@@ -2006,7 +1738,9 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
   (* Advance contract completions, deadline expiries and scrape ticks
      together in time order (completions win ties: finishing exactly at
      the deadline counts; events at a tick's exact time land in that
-     tick's window), then settle execution up to the same point. *)
+     tick's window), then settle execution up to the same point, so
+     backlog-derived load is current whenever a pricing round reads
+     it. *)
   let rec drain_events ~upto =
     let tc = Event_queue.peek_time st.completions in
     let td = Event_queue.peek_time deadlines in
@@ -2019,7 +1753,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     in
     if completion_first then begin
       (match Event_queue.pop st.completions with
-      | Some (t, (seller, h)) -> fire_completion st t seller h
+      | Some (t, (seller, h)) -> fire_completion st ~on_complete t seller h
       | None -> ());
       drain_events ~upto
     end
@@ -2053,33 +1787,19 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     tr.t_finished_at <- now;
     tr.t_plan <- Some plan;
     tr.t_pending <- List.length works;
-    if works = [] then begin
-      tr.t_completed_at <- now;
-      observe_latency tr now;
-      match st.sched with
-      | Some sched ->
-        Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at:now plan
-      | None -> ()
-    end
+    if exec_at_admission then submit_exec tr ~at:now;
+    if works = [] then contracts_done tr now
   in
   let handle_ok tr (outcome : Trader.outcome) =
     let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
     drain ~upto:now;
     st.mclock <- Float.max st.mclock now;
-    if tr.t_status = Some Expired then ()
-      (* The drain fired this trade's deadline: too late to admit. *)
-    else if now > tr.t_deadline then begin
-      (* Belt and braces — the deadline event at [t_deadline < now]
-         should already have fired in the drain above. *)
-      tr.t_status <- Some Expired;
-      tr.t_finished_at <- tr.t_deadline;
-      stream_instant tr ~at:tr.t_deadline "expired";
-      tincr c_expired;
-      Option.iter (class_incr cc_expired) tr.t_klass
-    end
-    else begin
-      let works = contracts_of outcome in
-      if st.pstate <> None then tr.t_prices <- prices_of outcome;
+    (* The drain fired every deadline up to [now]: an expired trade is
+       too late to admit, and a live one is still inside its deadline. *)
+    if tr.t_status <> Some Expired then begin
+      let works = by_seller (fun o -> o.Offer.true_cost) outcome in
+      if st.pstate <> None then
+        tr.t_prices <- by_seller (fun o -> o.Offer.quoted) outcome;
       match try_admit st tr ~now works with
       | Ok () ->
         qcache_note_traded st tr ~plan:outcome.Trader.plan
@@ -2087,8 +1807,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
         complete_admitted tr ~now ~plan:outcome.Trader.plan
           ~plan_cost:(Cost.response outcome.Trader.cost) works
       | Error seller ->
-        if tr.t_attempts <= cfg.max_admission_retries && now < tr.t_deadline
-        then begin
+        if tr.t_attempts <= cfg.max_admission_retries then begin
           st.retries <- st.retries + 1;
           penalize tr seller cfg.rejection_penalty;
           Queue.add tr.t_index ready
@@ -2128,10 +1847,12 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
           fr_failure ~time:tr.t_finished_at
             ~reason:(Printf.sprintf "trade %d found no plan" tr.t_index)))
   in
-  (* Probe the cache tier before spending a fiber on an arrival: same
-     protocol as the batch runner, plus the stream bookkeeping (deadline
-     guards, end-to-end latency) a completion owes.  Returns [true] when
-     the arrival needs no fiber. *)
+  (* Probe the cache tier before spending a fiber on an arrival.  A
+     result hit completes the trade outright; a statement hit goes
+     straight to admission with the remembered contracts (falling back to
+     fresh trading if admission rejects them — no penalty, the cached
+     plan just stopped fitting the market).  Returns [true] when the
+     arrival needs no fiber. *)
   let try_cache tr =
     (* Materialize execution completions at or before the probe time
        first (the result-cache fill hook fires from the drain); the drain
@@ -2152,23 +1873,14 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
         tincr c_cache_hits;
         let now = qcache_serve_result st q tr e ~now in
         st.mclock <- Float.max st.mclock now;
-        tr.t_completed_at <- now;
-        observe_latency tr now;
+        note_completed tr now;
         true
       end
     | `Stmt (q, e) -> (
       let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
       drain ~upto:now;
       st.mclock <- Float.max st.mclock now;
-      if tr.t_status <> None then true
-      else if now > tr.t_deadline then begin
-        tr.t_status <- Some Expired;
-        tr.t_finished_at <- tr.t_deadline;
-        stream_instant tr ~at:tr.t_deadline "expired";
-        tincr c_expired;
-        Option.iter (class_incr cc_expired) tr.t_klass;
-        true
-      end
+      if tr.t_status <> None then true  (* expired during the drain *)
       else begin
         (* A statement hit skips negotiation: the cached plan is bought
            at its contracts' cost. *)
@@ -2195,7 +1907,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
       stream_instant tr ~at:tr.t_arrival "arrive";
       tincr c_arrivals;
       Option.iter (class_incr cc_arrivals) tr.t_klass;
-      if Shedding.sheds scfg.shedding ~occupancy:(occupancy ()) then begin
+      if Shedding.sheds shedding ~occupancy:(occupancy ()) then begin
         tr.t_status <- Some Shed;
         tr.t_finished_at <- tr.t_arrival;
         stream_instant tr ~at:tr.t_arrival "shed";
@@ -2238,12 +1950,12 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     List.iter (fun (i, req, k) -> poison_fiber trades.(i) ~drive req k) expired;
     if live <> [] then serve_wave st trades live ~t_close ~drive
   in
-  let rec stream_loop () =
+  let rec market_loop () =
     release ();
     start_more ();
     if !parked <> [] then begin
       execute_wave ();
-      stream_loop ()
+      market_loop ()
     end
     else if !next < Array.length trades then begin
       (* Idle marketplace: jump to the next arrival, settling
@@ -2251,10 +1963,10 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
       let t = Float.max trades.(!next).t_arrival st.mclock in
       drain ~upto:t;
       st.mclock <- Float.max st.mclock t;
-      stream_loop ()
+      market_loop ()
     end
   in
-  stream_loop ();
+  market_loop ();
   drain ~upto:infinity;
   let trading_makespan =
     Array.fold_left
@@ -2273,25 +1985,119 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
         scrape_tick t ~now:trading_makespan)
     tel;
   emit_pool_span obs cfg.pool ~at:trading_makespan;
-  let exec =
-    match (st.sched, cfg.execute) with
-    | Some sched, Some e ->
-      let es = Execsched.stats sched in
-      Some
-        {
-          exec_makespan = es.Execsched.exec_makespan;
-          tasks_run = es.Execsched.tasks_run;
-          shared_results = es.Execsched.shared_results;
-          exec_trades = [];  (* per-trade tables are not kept at stream scale *)
-          exec_nodes = exec_node_stats e.workers es;
-        }
-    | _ -> None
+  {
+    f_st = st;
+    f_trades = trades;
+    f_tel = tel;
+    f_lat_all = lat_all;
+    f_lat_class = lat_class;
+    f_trading_makespan = trading_makespan;
+  }
+
+let run ?(obs = Obs.disabled) cfg federation queries =
+  let trades =
+    Array.of_list
+      (List.mapi
+         (fun i q -> make_trade ~index:i ~priority:(cfg.priority_of i) q)
+         queries)
   in
-  let makespan =
-    match exec with
-    | Some e -> Float.max trading_makespan e.exec_makespan
-    | None -> trading_makespan
+  let f = drive_market ~obs ~exec_at_admission:true cfg federation trades in
+  let st = f.f_st and trading_makespan = f.f_trading_makespan in
+  let exec_trades, results =
+    match st.sched with
+    | None -> ([], [])
+    | Some sched ->
+      Array.fold_right
+        (fun tr (ets, res) ->
+          match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
+          | Some table, Some plan ->
+            let et =
+              {
+                et_trade = tr.t_index;
+                et_rows = List.length table.Table.rows;
+                et_digest = table_digest table;
+                et_finished_at =
+                  Option.value
+                    (Execsched.finished_at sched ~trade:tr.t_index)
+                    ~default:0.;
+              }
+            in
+            (et :: ets, (tr.t_index, plan, table) :: res)
+          | _ -> (
+            (* Result-cache hits never reach the scheduler, but their
+               answers still belong in [results] so callers can oracle
+               them against fresh execution. *)
+            match (tr.t_cache_table, tr.t_plan) with
+            | Some table, Some plan -> (ets, (tr.t_index, plan, table) :: res)
+            | _ -> (ets, res)))
+        trades ([], [])
   in
+  let exec = exec_stats_of st ~exec_trades in
+  let trade_list =
+    Array.to_list
+      (Array.map
+         (fun tr ->
+           {
+             trade = tr.t_index;
+             status = Option.value tr.t_status ~default:No_plan;
+             attempts = tr.t_attempts;
+             rounds = tr.t_rounds;
+             plan_cost = tr.t_plan_cost;
+             messages = tr.t_messages;
+             bytes = tr.t_bytes;
+             sim_time = tr.t_finished_at;
+             contracts = tr.t_contracts;
+             phases = tr.t_phases;
+           })
+         trades)
+  in
+  let completed =
+    List.length (List.filter (fun t -> t.status = Completed) trade_list)
+  in
+  let wire = Runtime.stats st.rt in
+  {
+    trades = trade_list;
+    sellers = seller_stats_of st ~horizon:trading_makespan;
+    batcher = Batcher.stats st.batcher;
+    cache = Seller.pool_stats st.caches;
+    completed;
+    failed = List.length trade_list - completed;
+    admission_retries = st.retries;
+    trading_makespan;
+    makespan = makespan_of ~trading_makespan exec;
+    wire_messages = wire.Runtime.messages;
+    wire_bytes = wire.Runtime.bytes;
+    offer_rtt = summarize st.rtt;
+    queue_wait = summarize st.waits;
+    exec;
+    qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
+    pricing = Option.map Pricing.stats st.pstate;
+    results;
+  }
+
+let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
+  if Array.length templates = 0 then
+    invalid_arg "Market.run_stream: empty template pool";
+  let trades =
+    Array.of_list arrivals
+    |> Array.mapi (fun i (a : Arrivals.arrival) ->
+           let spec = scfg.spec_of a.Arrivals.klass in
+           let deadline =
+             if spec.Sla.deadline = infinity then infinity
+             else a.Arrivals.at +. spec.Sla.deadline
+           in
+           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
+             ~index:i ~priority:spec.Sla.priority
+             templates.(a.Arrivals.template mod Array.length templates))
+  in
+  let f =
+    drive_market ~obs ~exec_at_admission:false ~shedding:scfg.shedding
+      ?telemetry:scfg.telemetry ~latency_domain:scfg.latency_domain scfg.base
+      federation trades
+  in
+  let st = f.f_st and trading_makespan = f.f_trading_makespan in
+  (* Per-trade answer tables are not kept at stream scale. *)
+  let exec = exec_stats_of st ~exec_trades:[] in
   let count pred =
     Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
   in
@@ -2338,7 +2144,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
           cs_cache_hit_rate =
             (if arrivals = 0 then 0.
              else float_of_int cache_hits /. float_of_int arrivals);
-          cs_latency = summarize (lat_class k);
+          cs_latency = summarize (f.f_lat_class k);
         })
       Sla.all
   in
@@ -2354,13 +2160,13 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     str_expired = expired;
     str_failed = failed;
     str_goodput = goodput;
-    str_latency = summarize lat_all;
+    str_latency = summarize f.f_lat_all;
     str_classes = classes;
     str_sellers = seller_stats_of st ~horizon:trading_makespan;
     str_batcher = Batcher.stats st.batcher;
     str_cache = Seller.pool_stats st.caches;
     str_admission_retries = st.retries;
-    str_makespan = makespan;
+    str_makespan = makespan_of ~trading_makespan exec;
     str_wire_messages = wire.Runtime.messages;
     str_wire_bytes = wire.Runtime.bytes;
     str_offer_rtt = summarize st.rtt;
@@ -2379,7 +2185,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
             tl_alerts = List.rev t.tel_alerts;
             tl_failures = List.rev t.tel_failures;
           })
-        tel;
+        f.f_tel;
   }
 
 (* Cache fields render only when the tier was on, keeping cache-off

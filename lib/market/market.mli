@@ -205,7 +205,9 @@ type stats = {
   queue_wait : latency_summary;
       (** Admission queue waits across all sellers: contract submission
           to service start (0 for immediate starts). *)
-  exec : exec_stats option;  (** Present when [config.execute] was set. *)
+  exec : exec_stats option;
+      (** Present when [config.execute] was set.  A batch plan is
+          submitted for execution when it is admitted. *)
   qcache : Qt_cache.Tier.stats option;
       (** Cache-tier counters and hit revenue; present iff
           [config.qcache] was set. *)
@@ -230,13 +232,22 @@ val run :
     node [-(i+1)] — and run the market until all trades have ended and
     all admitted contracts completed.
 
-    [obs] (default: the no-op sink) records the whole run: per-trade
-    phase spans on each buyer's track (via {!Qt_core.Trader.optimize}),
-    RFB-wave spans on the market's own track with per-seller envelope
-    message spans nested under them, admission decisions
-    (admit/enqueue/reject/cancel) as instants on the deciding seller's
-    track, and one [contract] span per completed contract from service
-    start to completion. *)
+    A batch is a stream whose arrivals all land at t=0, with no
+    deadlines, no shedding and no telemetry: [run] drives the same
+    market loop as {!run_stream}.  The one rule the two do not share is
+    when a plan executes (with [config.execute]): [run] submits an
+    admitted plan to the execution scheduler at admission, so execution
+    overlaps contract work, while {!run_stream} waits for the plan's last
+    contract to complete.
+
+    [obs] (default: the no-op sink) records the whole run: one
+    zero-width [stream/arrive] span per trade at t=0 on its buyer's
+    track, per-trade phase spans on each buyer's track (via
+    {!Qt_core.Trader.optimize}), RFB-wave spans on the market's own track
+    with per-seller envelope message spans nested under them, admission
+    decisions (admit/enqueue/reject/cancel) as instants on the deciding
+    seller's track, and one [contract] span per completed contract from
+    service start to completion. *)
 
 val to_json : stats -> string
 (** Canonical single-line JSON rendering.  Contains no wall-clock or
@@ -250,8 +261,9 @@ val metrics_json : stats -> string
 
 (** {1 Open-stream marketplace}
 
-    {!run} trades a fixed batch; {!run_stream} drives the same wave
-    scheduler as an open system: queries arrive continuously (see
+    {!run_stream} drives the market loop as an open system ({!run} is
+    the special case of a stream whose arrivals all land at t=0 with no
+    deadlines, shedding or telemetry): queries arrive continuously (see
     {!Qt_stream.Arrivals}), each carries an SLA class resolving to a
     completion deadline and an admission priority
     ({!Qt_stream.Sla}), and the marketplace enforces the deadlines —

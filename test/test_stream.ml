@@ -274,6 +274,24 @@ let test_stream_shedding_sheds () =
   Alcotest.(check bool) "but not everything" true
     (s.Market.str_completed > 0)
 
+(* Admission clamps slots to at least 1 and the queue to at least 0, and
+   shedding reads occupancy over that clamped capacity, so a degenerate
+   configuration runs exactly like its clamped twin instead of shedding
+   every arrival. *)
+let test_stream_clamped_capacity () =
+  let run slots queue =
+    run_small ~shedding:(Shedding.Occupancy 0.9) ~slots ~queue ~count:60
+      ~rate:6. ()
+  in
+  let clamped = run 1 0 in
+  Alcotest.(check bool) "the clamped market serves" true
+    (clamped.Market.str_completed > 0);
+  let json = Market.stream_to_json clamped in
+  Alcotest.(check string) "slots 0 runs as slots 1" json
+    (Market.stream_to_json (run 0 0));
+  Alcotest.(check string) "queue -1 runs as queue 0" json
+    (Market.stream_to_json (run 1 (-1)))
+
 let test_stream_empty_pool_rejected () =
   let federation = stream_federation () in
   Alcotest.check_raises "empty template pool rejected"
@@ -347,6 +365,8 @@ let suite =
         test_stream_deadline_expiry;
       quick "run_stream: occupancy shedding sheds under overload"
         test_stream_shedding_sheds;
+      quick "run_stream: degenerate capacity runs as its clamped twin"
+        test_stream_clamped_capacity;
       quick "run_stream: empty template pool rejected" test_stream_empty_pool_rejected;
       quick "admission: stale completion after cancel is dropped"
         test_admission_stale_completion;
