@@ -1333,26 +1333,27 @@ let r_execsched () =
       sm fm (sm /. fm)
 
 (* ------------------------------------------------------------------ *)
-(* R-stream: open-stream overload, load shedding vs none               *)
+(* Open-stream overload shared by R-stream and R-telemetry              *)
 (* ------------------------------------------------------------------ *)
 
-let r_stream () =
-  heading "R-stream"
-    "open-stream overload: admission-time load shedding vs serving everyone, \
-     BENCH_stream.json";
+let overload_nodes = 8
+let overload_queries = 10_000
+let overload_rate = 5.0
+
+(* A cheap-to-optimize federation so the 10k-arrival horizon stays
+   tractable: what these scenarios stress is the open-stream machinery
+   (queues, deadlines, retries, scrapes), not the optimizer.  Deadlines
+   are loose enough that an uncontended query meets them with room to
+   spare; shallow per-seller queues make overload show up as rejections
+   and retry churn rather than quiet queueing.  Returns a runner for the
+   first [n] arrivals of the seed-13 schedule. *)
+let overload_stream () =
   let module Market = Qt_market.Market in
   let module Admission = Qt_market.Admission in
   let module Sla = Qt_stream.Sla in
   let module Arrivals = Qt_stream.Arrivals in
-  let module Shedding = Qt_stream.Shedding in
-  (* A cheap-to-optimize federation so the 10k-arrival horizon stays
-     tractable: what we are stressing is the open-stream machinery
-     (queues, deadlines, retries), not the optimizer. *)
-  let nodes = 8 in
-  let queries = 10_000 in
-  let rate = 5.0 in
   let federation =
-    Generator.chain ~nodes ~relations:2
+    Generator.chain ~nodes:overload_nodes ~relations:2
       ~placement:{ Generator.partitions = 4; replicas = 1 }
       ()
   in
@@ -1361,15 +1362,6 @@ let r_stream () =
       (Workload.random_chain_queries ~seed:11 ~count:12 ~relations:2
          ~max_joins:1)
   in
-  let arrivals =
-    Arrivals.generate ~seed:13
-      ~process:(Arrivals.Poisson { rate })
-      ~horizon:(Arrivals.Count queries) ~templates:(Array.length templates)
-      ~theta:0.9 ~mix:Sla.default_mix
-  in
-  (* Deadlines loose enough that an uncontended query meets them with
-     room to spare; shallow per-seller queues so overload shows up as
-     rejections and retry churn rather than quiet queueing. *)
   let spec_of klass =
     let s = Sla.default_spec klass in
     match klass with
@@ -1377,31 +1369,50 @@ let r_stream () =
     | Sla.Batch -> { s with Sla.deadline = 12.0 }
     | Sla.Besteffort -> s
   in
-  let scfg shedding =
+  fun ?pool ?telemetry ?(shedding = Qt_stream.Shedding.Keep_all) n ->
     let d = Market.default_stream_config params in
-    {
-      d with
-      Market.base =
-        {
-          d.Market.base with
-          Market.admission =
-            {
-              d.Market.base.Market.admission with
-              Admission.slots = 2;
-              queue_limit = 4;
-            };
-          max_admission_retries = 10;
-        };
-      spec_of;
-      shedding;
-    }
-  in
-  let run shedding =
-    Market.run_stream (scfg shedding) federation ~templates arrivals
-  in
+    let scfg =
+      {
+        d with
+        Market.base =
+          {
+            d.Market.base with
+            Market.admission =
+              {
+                d.Market.base.Market.admission with
+                Admission.slots = 2;
+                queue_limit = 4;
+              };
+            max_admission_retries = 10;
+            pool;
+          };
+        spec_of;
+        shedding;
+        telemetry;
+      }
+    in
+    Market.run_stream scfg federation ~templates
+      (Arrivals.generate ~seed:13
+         ~process:(Arrivals.Poisson { rate = overload_rate })
+         ~horizon:(Arrivals.Count n) ~templates:(Array.length templates)
+         ~theta:0.9 ~mix:Sla.default_mix)
+
+(* ------------------------------------------------------------------ *)
+(* R-stream: open-stream overload, load shedding vs none               *)
+(* ------------------------------------------------------------------ *)
+
+let r_stream () =
+  heading "R-stream"
+    "open-stream overload: admission-time load shedding vs serving everyone, \
+     BENCH_stream.json";
+  let module Market = Qt_market.Market in
+  let module Sla = Qt_stream.Sla in
+  let module Shedding = Qt_stream.Shedding in
+  let run = overload_stream () in
+  let queries = overload_queries in
   let shed_policy = Shedding.Occupancy 0.9 in
-  let none = run Shedding.Keep_all in
-  let shed = run shed_policy in
+  let none = run queries in
+  let shed = run ~shedding:shed_policy queries in
   let t =
     Texttable.create
       [
@@ -1438,9 +1449,9 @@ let r_stream () =
   let snapshot =
     [
       ("scenario", Bench_json.S "stream");
-      ("nodes", Bench_json.I nodes);
+      ("nodes", Bench_json.I overload_nodes);
       ("arrivals", Bench_json.I queries);
-      ("rate", Bench_json.F rate);
+      ("rate", Bench_json.F overload_rate);
       ("shed_policy", Bench_json.S (Shedding.to_string shed_policy));
       ("none_goodput", Bench_json.F none.Market.str_goodput);
       ("shed_goodput", Bench_json.F shed.Market.str_goodput);
@@ -1481,69 +1492,20 @@ let r_telemetry () =
     "time-resolved telemetry on an overloaded stream: scraped series, SLO \
      burn-rate alerting with flight-recorder bundles, BENCH_telemetry.json";
   let module Market = Qt_market.Market in
-  let module Admission = Qt_market.Admission in
-  let module Sla = Qt_stream.Sla in
-  let module Arrivals = Qt_stream.Arrivals in
   let module Pool = Qt_optimizer.Pool in
   let module Slo = Qt_obs.Slo in
   (* Same overload shape as R-stream, nothing shed: everyone is served
      late, so the interactive p95 objective burns its error budget early
      and the alert must fire long before the run drains. *)
-  let nodes = 8 in
-  let queries = 10_000 in
-  let rate = 5.0 in
-  let federation =
-    Generator.chain ~nodes ~relations:2
-      ~placement:{ Generator.partitions = 4; replicas = 1 }
-      ()
-  in
-  let templates =
-    Array.of_list
-      (Workload.random_chain_queries ~seed:11 ~count:12 ~relations:2
-         ~max_joins:1)
-  in
-  let arrivals n =
-    Arrivals.generate ~seed:13
-      ~process:(Arrivals.Poisson { rate })
-      ~horizon:(Arrivals.Count n) ~templates:(Array.length templates)
-      ~theta:0.9 ~mix:Sla.default_mix
-  in
-  let spec_of klass =
-    let s = Sla.default_spec klass in
-    match klass with
-    | Sla.Interactive -> { s with Sla.deadline = 4.0 }
-    | Sla.Batch -> { s with Sla.deadline = 12.0 }
-    | Sla.Besteffort -> s
-  in
+  let run = overload_stream () in
+  let queries = overload_queries in
   let rule =
     match Slo.parse "interactive:p95<5:budget=0.01" with
     | Ok r -> r
     | Error msg -> failwith msg
   in
-  let scfg pool =
-    let d = Market.default_stream_config params in
-    {
-      d with
-      Market.base =
-        {
-          d.Market.base with
-          Market.admission =
-            {
-              d.Market.base.Market.admission with
-              Admission.slots = 2;
-              queue_limit = 4;
-            };
-          max_admission_retries = 10;
-          pool;
-        };
-      spec_of;
-      telemetry =
-        Some { Market.default_telemetry with Market.slo_rules = [ rule ] };
-    }
-  in
-  let s =
-    Market.run_stream (scfg None) federation ~templates (arrivals queries)
-  in
+  let telemetry = { Market.default_telemetry with Market.slo_rules = [ rule ] } in
+  let s = run ~telemetry queries in
   let tel = Option.get s.Market.str_telemetry in
   let alerts = tel.Market.tl_alerts in
   let first_alert_t =
@@ -1573,15 +1535,12 @@ let r_telemetry () =
   (* Determinism gate on a shorter horizon: the full telemetry output —
      stats JSON and the JSONL series dump — must be byte-identical
      between domains=1 and domains=4. *)
-  let small_d1 =
-    Market.run_stream (scfg None) federation ~templates (arrivals 2000)
-  in
+  let small_d1 = run ~telemetry 2000 in
   let small_d4 =
     let p = Pool.create ~domains:4 in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown p)
-      (fun () ->
-        Market.run_stream (scfg (Some p)) federation ~templates (arrivals 2000))
+      (fun () -> run ~pool:p ~telemetry 2000)
   in
   let identical =
     Market.stream_to_json small_d1 = Market.stream_to_json small_d4
@@ -1603,7 +1562,7 @@ let r_telemetry () =
     [
       ("scenario", Bench_json.S "telemetry");
       ("arrivals", Bench_json.I queries);
-      ("rate", Bench_json.F rate);
+      ("rate", Bench_json.F overload_rate);
       ("goodput", Bench_json.F s.Market.str_goodput);
       ("min_goodput_window", Bench_json.F min_goodput_window);
       ("makespan", Bench_json.F s.Market.str_makespan);

@@ -190,9 +190,21 @@ let write_file_raw path contents =
   output_string oc contents;
   close_out oc
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let obs_of_trace = function
   | None -> Qt_obs.Obs.disabled
   | Some _ -> Qt_obs.Obs.create ()
+
+(* Write a run's Chrome trace file; human-readable runs also announce it. *)
+let write_trace ?counters ~json obs path =
+  write_file path (Qt_obs.Chrome_trace.to_json ?counters obs);
+  if not json then
+    Printf.printf "trace: %d spans, %d categories, %d tracks -> %s\n"
+      (Qt_obs.Obs.span_count obs)
+      (List.length (Qt_obs.Obs.categories obs))
+      (List.length (Qt_obs.Obs.tracks obs))
+      path
 
 let build_federation schema nodes partitions replicas views =
   match String.split_on_char ':' schema with
@@ -216,22 +228,24 @@ let build_federation schema nodes partitions replicas views =
     failwith
       (Printf.sprintf "unknown schema %s (try telecom, tpch or chain:3)" schema)
 
-(* Per-schema query pool for the batch subcommands (workload, market). *)
-let batch_queries schema ~count =
-  if String.length schema >= 5 && String.sub schema 0 5 = "chain" then
-    let relations =
-      match String.split_on_char ':' schema with
-      | [ "chain"; k ] -> int_of_string k
-      | _ -> 2
-    in
+(* Per-schema query pool of a federation [build_federation] accepted;
+   [telecom] supplies the telecom queries. *)
+let schema_queries schema ~count ~telecom =
+  match String.split_on_char ':' schema with
+  | [ "chain"; k ] ->
+    let relations = int_of_string k in
     Qt_sim.Workload.random_chain_queries ~seed:11 ~count ~relations
       ~max_joins:(relations - 1)
-  else if schema = "tpch" then Qt_sim.Workload.tpch_templates ~seed:11 ~count
-  else
-    List.init count (fun i ->
-        Qt_sim.Workload.telecom_revenue_by_office
-          ~custid_range:(0, 999 + (137 * i mod 3000))
-          ())
+  | [ "tpch" ] -> Qt_sim.Workload.tpch_templates ~seed:11 ~count
+  | _ -> telecom count
+
+(* The batch subcommands' (workload, market) pool. *)
+let batch_queries schema ~count =
+  schema_queries schema ~count ~telecom:(fun count ->
+      List.init count (fun i ->
+          Qt_sim.Workload.telecom_revenue_by_office
+            ~custid_range:(0, 999 + (137 * i mod 3000))
+            ()))
 
 (* ------------------------------------------------------------------ *)
 (* Query-cache tier flags (market, stream)                              *)
@@ -274,25 +288,10 @@ let cache_bytes_arg =
     & info [ "cache-bytes" ] ~docv:"B"
         ~doc:"Result-cache byte budget before LRU eviction.")
 
-let build_qcache mode clients latency fraction bytes =
-  match mode with
-  | "off" -> None
-  | "client" | "shared" ->
-    Some
-      (Qt_cache.Tier.create
-         {
-           Qt_cache.Tier.default_config with
-           Qt_cache.Tier.placement =
-             (if mode = "client" then Qt_cache.Tier.Client
-              else Qt_cache.Tier.Shared);
-           clients;
-           lookup_latency = latency;
-           hit_price_fraction = fraction;
-           result_bytes = bytes;
-         })
-  | other ->
-    failwith
-      (Printf.sprintf "unknown cache mode %s (try off, client or shared)" other)
+let print_bid_cache (c : Qt_core.Seller.cache_stats) =
+  Printf.printf "bid cache: %d hits, %d misses, %d invalidations, %d evictions\n"
+    c.Qt_core.Seller.hits c.Qt_core.Seller.misses c.Qt_core.Seller.invalidations
+    c.Qt_core.Seller.evictions
 
 let print_qcache_stats (q : Qt_cache.Tier.stats) =
   Printf.printf
@@ -374,25 +373,6 @@ let slo_surge_arg =
            alert is firing, every seller is forced into surge pricing; the \
            flip and the clear are recorded in the flight recorder.")
 
-let build_pricing spec ~surge_multiplier ~surge_high ~surge_low ~markup
-    ~slo_surge ~reserve_priority ~reserve_premium =
-  let module Pricing = Qt_pricing.Pricing in
-  match Pricing.mix_of_string spec with
-  | Error msg -> failwith msg
-  | Ok None -> None
-  | Ok (Some mix) ->
-    Some
-      {
-        Pricing.mix;
-        surge_multiplier;
-        high_water = surge_high;
-        low_water = surge_low;
-        markup;
-        slo_surge;
-        reserve_priority;
-        reserve_premium;
-      }
-
 let print_pricing_stats (p : Qt_pricing.Pricing.stats) =
   let module Pricing = Qt_pricing.Pricing in
   Printf.printf
@@ -446,6 +426,159 @@ let build_config ?(subcontracting = false) ?(price = 0.) ?pool params competitiv
         pool;
       };
   }
+
+(* ------------------------------------------------------------------ *)
+(* Marketplace configuration (market, stream)                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The one [Market.config] builder behind `market` and `stream`.  It owns
+   the ten marketplace flags the two commands share and reads the global
+   network, strategy, seed, cache-tier and pricing flags; only the
+   --concurrency and --policy defaults and the --execute doc differ
+   between the commands.  The config waits for the run's domain pool, and
+   bad flag values fail when it is built, inside the run. *)
+let market_config_term ~concurrency ~policy ~execute_doc =
+  let open Term.Syntax in
+  let+ profile = profile_arg
+  and+ competitive = competitive_arg
+  and+ seed = seed_arg
+  and+ concurrency =
+    Arg.(
+      value & opt int concurrency
+      & info [ "concurrency" ] ~docv:"N"
+          ~doc:"Max trades in flight at once (0 = unlimited).")
+  and+ slots =
+    Arg.(
+      value & opt int 2
+      & info [ "slots" ] ~docv:"N" ~doc:"Concurrent contract slots per seller.")
+  and+ queue =
+    Arg.(
+      value & opt int 4
+      & info [ "queue" ] ~docv:"N"
+          ~doc:"Admission queue depth per seller before rejection.")
+  and+ policy =
+    Arg.(
+      value & opt string policy
+      & info [ "policy" ] ~docv:"POLICY"
+          ~doc:
+            "Admission arbitration: fifo, priority or proportional (in a \
+             stream, priority reads each query's SLA class).")
+  and+ no_batching =
+    Arg.(
+      value & flag
+      & info [ "no-batching" ]
+          ~doc:"Disable cross-trade RFB coalescing (baseline traffic).")
+  and+ execute = Arg.(value & flag & info [ "execute" ] ~doc:execute_doc)
+  and+ workers =
+    Arg.(
+      value & opt int 1
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Parallel execution servers per node (with --execute).")
+  and+ exec_seed =
+    Arg.(
+      value & opt int 11
+      & info [ "exec-seed" ] ~docv:"SEED"
+          ~doc:
+            "Seed for the synthetic data --execute materializes; \
+             independent of $(b,--seed).")
+  and+ no_exec_feedback =
+    Arg.(
+      value & flag
+      & info [ "no-exec-feedback" ]
+          ~doc:
+            "Hide measured execution backlog from seller pricing (static \
+             estimates only).")
+  and+ no_sharing =
+    Arg.(
+      value & flag
+      & info [ "no-sharing" ]
+          ~doc:"Execute identical purchased sub-queries separately per trade.")
+  and+ cache = cache_arg
+  and+ clients = cache_clients_arg
+  and+ lookup_latency = cache_latency_arg
+  and+ hit_price_fraction = cache_fraction_arg
+  and+ result_bytes = cache_bytes_arg
+  and+ pricing = pricing_arg
+  and+ surge_multiplier = surge_multiplier_arg
+  and+ high_water = surge_high_arg
+  and+ low_water = surge_low_arg
+  and+ markup = markup_arg
+  and+ reserve_priority = reserve_priority_arg
+  and+ reserve_premium = reserve_premium_arg in
+  fun pool ->
+    let module Market = Qt_market.Market in
+    let module Admission = Qt_market.Admission in
+    let module Tier = Qt_cache.Tier in
+    let module Pricing = Qt_pricing.Pricing in
+    let params = params_of_profile profile in
+    let policy =
+      match Admission.policy_of_string policy with
+      | Some p -> p
+      | None ->
+        failwith
+          (Printf.sprintf
+             "unknown admission policy %s (try fifo, priority or proportional)"
+             policy)
+    in
+    let qcache =
+      match cache with
+      | "off" -> None
+      | "client" | "shared" ->
+        Some
+          (Tier.create
+             {
+               Tier.default_config with
+               Tier.placement =
+                 (if cache = "client" then Tier.Client else Tier.Shared);
+               clients;
+               lookup_latency;
+               hit_price_fraction;
+               result_bytes;
+             })
+      | other ->
+        failwith
+          (Printf.sprintf "unknown cache mode %s (try off, client or shared)"
+             other)
+    in
+    let pricing =
+      match Pricing.mix_of_string pricing with
+      | Error msg -> failwith msg
+      | Ok None -> None
+      | Ok (Some mix) ->
+        Some
+          {
+            Pricing.mix;
+            surge_multiplier;
+            high_water;
+            low_water;
+            markup;
+            slo_surge = false;
+            reserve_priority;
+            reserve_premium;
+          }
+    in
+    {
+      (Market.default_config params) with
+      Market.trader = build_config ?pool params competitive false;
+      admission =
+        { Admission.default_config with Admission.slots; queue_limit = queue; policy };
+      batching = not no_batching;
+      concurrency;
+      seed;
+      execute =
+        (if execute then
+           Some
+             {
+               Market.workers;
+               store_seed = exec_seed;
+               exec_feedback = not no_exec_feedback;
+               share_results = not no_sharing;
+             }
+         else None);
+      qcache;
+      pricing;
+      pool;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* optimize                                                             *)
@@ -774,75 +907,23 @@ let workload_cmd =
 (* market                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_market schema nodes partitions replicas profile count concurrency slots
-    queue policy no_batching seed competitive json trace metrics execute workers
-    exec_seed no_exec_feedback no_sharing cache cache_clients cache_latency
-    cache_fraction cache_bytes pricing surge_multiplier surge_high surge_low
-    markup reserve_priority reserve_premium domains =
+let run_market schema nodes partitions replicas count json trace metrics
+    domains market_config =
   with_pool domains @@ fun pool ->
   let module Market = Qt_market.Market in
   let module Admission = Qt_market.Admission in
-  let params = params_of_profile profile in
   let federation = build_federation schema nodes partitions replicas false in
   let queries = batch_queries schema ~count in
-  let policy =
-    match Admission.policy_of_string policy with
-    | Some p -> p
-    | None ->
-      failwith
-        (Printf.sprintf "unknown admission policy %s (try fifo, priority or \
-                         proportional)" policy)
-  in
-  let strategy =
-    if competitive then Qt_trading.Strategy.default_competitive
-    else Qt_trading.Strategy.Cooperative
-  in
-  let config =
-    {
-      (Market.default_config params) with
-      Market.trader =
-        {
-          (Qt_core.Trader.default_config params) with
-          Qt_core.Trader.strategy_of = (fun _ -> strategy);
-          pool;
-          seller_template =
-            {
-              (Qt_core.Seller.default_config params) with
-              Qt_core.Seller.strategy = strategy;
-              pool;
-            };
-        };
-      admission =
-        { Admission.default_config with Admission.slots; queue_limit = queue; policy };
-      batching = not no_batching;
-      concurrency;
-      seed;
-      execute =
-        (if execute then
-           Some
-             {
-               Market.workers;
-               store_seed = exec_seed;
-               exec_feedback = not no_exec_feedback;
-               share_results = not no_sharing;
-             }
-         else None);
-      qcache = build_qcache cache cache_clients cache_latency cache_fraction
-          cache_bytes;
-      pricing =
-        build_pricing pricing ~surge_multiplier ~surge_high ~surge_low ~markup
-          ~slo_surge:false ~reserve_priority ~reserve_premium;
-      pool;
-    }
-  in
+  let config = market_config pool in
   let obs = obs_of_trace trace in
   let s = Market.run ~obs config federation queries in
   (* Every executed answer must equal direct global evaluation — the same
      oracle `optimize --execute` uses, here across concurrent trades. *)
   let exec_failures =
-    if not execute then 0
-    else begin
-      let store = Qt_exec.Store.generate ~seed:exec_seed federation in
+    match config.Market.execute with
+    | None -> 0
+    | Some e ->
+      let store = Qt_exec.Store.generate ~seed:e.Market.store_seed federation in
       Qt_exec.Naive.materialize_views store federation;
       List.fold_left
         (fun acc (trade, _plan, table) ->
@@ -853,18 +934,8 @@ let run_market schema nodes partitions replicas profile count concurrency slots
             acc + 1
           end)
         0 s.Market.results
-    end
   in
-  Option.iter
-    (fun path ->
-      write_file path (Qt_obs.Chrome_trace.to_json obs);
-      if not json then
-        Printf.printf "trace: %d spans, %d categories, %d tracks -> %s\n"
-          (Qt_obs.Obs.span_count obs)
-          (List.length (Qt_obs.Obs.categories obs))
-          (List.length (Qt_obs.Obs.tracks obs))
-          path)
-    trace;
+  Option.iter (write_trace ~json obs) trace;
   Option.iter (fun path -> write_file path (Market.metrics_json s)) metrics;
   if json then print_endline (Market.to_json s)
   else begin
@@ -899,10 +970,7 @@ let run_market schema nodes partitions replicas profile count concurrency slots
       b.Qt_market.Batcher.unbatched_messages
       b.Qt_market.Batcher.messages_saved b.Qt_market.Batcher.bytes_saved
       b.Qt_market.Batcher.dup_signatures_merged;
-    Printf.printf "bid cache: %d hits, %d misses, %d invalidations, %d evictions\n"
-      s.Market.cache.Qt_core.Seller.hits s.Market.cache.Qt_core.Seller.misses
-      s.Market.cache.Qt_core.Seller.invalidations
-      s.Market.cache.Qt_core.Seller.evictions;
+    print_bid_cache s.Market.cache;
     Option.iter print_qcache_stats s.Market.qcache;
     Option.iter print_pricing_stats s.Market.pricing;
     List.iter
@@ -946,109 +1014,33 @@ let market_cmd =
       value & opt int 4
       & info [ "count" ] ~docv:"N" ~doc:"Number of concurrent buyers.")
   in
-  let concurrency_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "concurrency" ] ~docv:"N"
-          ~doc:"Max trades in flight at once (0 = all).")
-  in
-  let slots_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "slots" ] ~docv:"N" ~doc:"Concurrent contract slots per seller.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue depth per seller before rejection.")
-  in
-  let policy_arg =
-    Arg.(
-      value & opt string "fifo"
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Admission arbitration: fifo, priority or proportional.")
-  in
-  let no_batching_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batching" ]
-          ~doc:"Disable cross-trade RFB coalescing (baseline traffic).")
-  in
   let json_arg =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the full market statistics as one JSON line.")
   in
-  let market_execute_arg =
-    Arg.(
-      value & flag
-      & info [ "execute" ]
-          ~doc:
-            "Execute every admitted plan on the distributed scheduler (tasks \
-             interleaved on the shared timeline) and verify each answer \
-             against direct evaluation.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Parallel execution servers per node (with --execute).")
-  in
-  let exec_seed_arg =
-    Arg.(
-      value & opt int 11
-      & info [ "exec-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the synthetic data --execute materializes; \
-             independent of $(b,--seed).")
-  in
-  let no_exec_feedback_arg =
-    Arg.(
-      value & flag
-      & info [ "no-exec-feedback" ]
-          ~doc:
-            "Hide measured execution backlog from seller pricing (static \
-             estimates only).")
-  in
-  let no_sharing_arg =
-    Arg.(
-      value & flag
-      & info [ "no-sharing" ]
-          ~doc:"Execute identical purchased sub-queries separately per trade.")
+  let market_config =
+    market_config_term ~concurrency:0 ~policy:"fifo"
+      ~execute_doc:
+        "Execute every admitted plan on the distributed scheduler (tasks \
+         interleaved on the shared timeline) and verify each answer against \
+         direct evaluation."
   in
   Cmd.v
     (Cmd.info "market" ~doc)
     Term.(
       const run_market $ schema_arg $ nodes_arg $ partitions_arg $ replicas_arg
-      $ profile_arg $ count_arg $ concurrency_arg $ slots_arg $ queue_arg
-      $ policy_arg $ no_batching_arg $ seed_arg $ competitive_arg $ json_arg
-      $ trace_arg $ metrics_arg $ market_execute_arg $ workers_arg
-      $ exec_seed_arg $ no_exec_feedback_arg $ no_sharing_arg $ cache_arg
-      $ cache_clients_arg $ cache_latency_arg $ cache_fraction_arg
-      $ cache_bytes_arg $ pricing_arg $ surge_multiplier_arg $ surge_high_arg
-      $ surge_low_arg $ markup_arg $ reserve_priority_arg $ reserve_premium_arg
-      $ domains_arg)
+      $ count_arg $ json_arg $ trace_arg $ metrics_arg $ domains_arg
+      $ market_config)
 
 (* ------------------------------------------------------------------ *)
 (* stream                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let run_stream schema nodes partitions replicas profile rate process burst_on
-    burst_off queries duration templates zipf mix deadlines shedding concurrency
-    slots queue policy admission_retries no_batching seed arrival_seed
-    competitive json trace metrics execute workers exec_seed no_exec_feedback
-    no_sharing cache cache_clients cache_latency cache_fraction cache_bytes
-    pricing surge_multiplier surge_high surge_low markup slo_surge
-    reserve_priority reserve_premium record replay scrape_interval slo series
-    openmetrics latency_domain domains =
+let run_stream schema nodes partitions replicas rate process burst_on burst_off
+    queries duration templates zipf mix deadlines shedding admission_retries
+    arrival_seed json trace metrics slo_surge record replay scrape_interval slo
+    series openmetrics latency_domain domains market_config =
   with_pool domains @@ fun pool ->
   let module Market = Qt_market.Market in
   let module Admission = Qt_market.Admission in
@@ -1056,20 +1048,10 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
   let module Arrivals = Qt_stream.Arrivals in
   let module Shedding = Qt_stream.Shedding in
   let ok_or_fail = function Ok v -> v | Error msg -> failwith msg in
-  let params = params_of_profile profile in
   let federation = build_federation schema nodes partitions replicas false in
   let template_pool =
-    if String.length schema >= 5 && String.sub schema 0 5 = "chain" then
-      let relations =
-        match String.split_on_char ':' schema with
-        | [ "chain"; k ] -> int_of_string k
-        | _ -> 2
-      in
-      Qt_sim.Workload.random_chain_queries ~seed:11 ~count:templates ~relations
-        ~max_joins:(relations - 1)
-    else if schema = "tpch" then
-      Qt_sim.Workload.tpch_templates ~seed:11 ~count:templates
-    else Qt_sim.Workload.telecom_templates ~seed:11 ~count:templates
+    schema_queries schema ~count:templates ~telecom:(fun count ->
+        Qt_sim.Workload.telecom_templates ~seed:11 ~count)
   in
   let mix = ok_or_fail (Sla.mix_of_string mix) in
   let spec_of =
@@ -1095,62 +1077,16 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
       Arrivals.generate ~seed:arrival_seed ~process ~horizon ~templates
         ~theta:zipf ~mix
   in
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Arrivals.to_trace arrivals);
-      close_out oc)
-    record;
-  let policy =
-    match Admission.policy_of_string policy with
-    | Some p -> p
-    | None ->
-      failwith
-        (Printf.sprintf
-           "unknown admission policy %s (try fifo, priority or proportional)"
-           policy)
-  in
-  let strategy =
-    if competitive then Qt_trading.Strategy.default_competitive
-    else Qt_trading.Strategy.Cooperative
-  in
+  Option.iter (fun path -> write_file_raw path (Arrivals.to_trace arrivals)) record;
   let base =
+    let (c : Market.config) = market_config pool in
     {
-      (Market.default_config params) with
-      Market.trader =
-        {
-          (Qt_core.Trader.default_config params) with
-          Qt_core.Trader.strategy_of = (fun _ -> strategy);
-          pool;
-          seller_template =
-            {
-              (Qt_core.Seller.default_config params) with
-              Qt_core.Seller.strategy = strategy;
-              pool;
-            };
-        };
-      admission =
-        { Admission.default_config with Admission.slots; queue_limit = queue; policy };
-      max_admission_retries = admission_retries;
-      batching = not no_batching;
-      concurrency;
-      seed;
-      execute =
-        (if execute then
-           Some
-             {
-               Market.workers;
-               store_seed = exec_seed;
-               exec_feedback = not no_exec_feedback;
-               share_results = not no_sharing;
-             }
-         else None);
-      qcache = build_qcache cache cache_clients cache_latency cache_fraction
-          cache_bytes;
+      c with
+      Market.max_admission_retries = admission_retries;
       pricing =
-        build_pricing pricing ~surge_multiplier ~surge_high ~surge_low ~markup
-          ~slo_surge ~reserve_priority ~reserve_premium;
-      pool;
+        Option.map
+          (fun p -> { p with Qt_pricing.Pricing.slo_surge })
+          c.Market.pricing;
     }
   in
   let slo_rules = List.map (fun s -> ok_or_fail (Qt_obs.Slo.parse s)) slo in
@@ -1159,7 +1095,6 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
     if scrape_interval > 0. || slo_rules <> [] || series <> None then
       Some
         {
-          Market.default_telemetry with
           Market.scrape_interval =
             (if scrape_interval > 0. then scrape_interval else 1.0);
           slo_rules;
@@ -1190,16 +1125,7 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
           if pts = [] then None else Some (name, pts))
         [ "stream.occupancy"; "stream.goodput"; "stream.cache_hit_rate" ]
   in
-  Option.iter
-    (fun path ->
-      write_file path (Qt_obs.Chrome_trace.to_json ~counters obs);
-      if not json then
-        Printf.printf "trace: %d spans, %d categories, %d tracks -> %s\n"
-          (Qt_obs.Obs.span_count obs)
-          (List.length (Qt_obs.Obs.categories obs))
-          (List.length (Qt_obs.Obs.tracks obs))
-          path)
-    trace;
+  Option.iter (write_trace ~counters ~json obs) trace;
   Option.iter (fun path -> write_file path (Market.stream_metrics_json s)) metrics;
   Option.iter
     (fun path ->
@@ -1249,11 +1175,7 @@ let run_stream schema nodes partitions replicas profile rate process burst_on
       s.Market.str_makespan s.Market.str_wire_messages
       (float_of_int s.Market.str_wire_bytes /. 1024.)
       s.Market.str_admission_retries;
-    Printf.printf "bid cache: %d hits, %d misses, %d invalidations, %d evictions\n"
-      s.Market.str_cache.Qt_core.Seller.hits
-      s.Market.str_cache.Qt_core.Seller.misses
-      s.Market.str_cache.Qt_core.Seller.invalidations
-      s.Market.str_cache.Qt_core.Seller.evictions;
+    print_bid_cache s.Market.str_cache;
     Option.iter print_qcache_stats s.Market.str_qcache;
     Option.iter print_pricing_stats s.Market.str_pricing;
     Option.iter
@@ -1370,31 +1292,6 @@ let stream_cmd =
              the most saturated seller's admission occupancy is at least T \
              (default 0.75).")
   in
-  let concurrency_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "concurrency" ] ~docv:"N"
-          ~doc:"Max trades optimizing at once (0 = unlimited).")
-  in
-  let slots_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "slots" ] ~docv:"N" ~doc:"Concurrent contract slots per seller.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue depth per seller before rejection.")
-  in
-  let policy_arg =
-    Arg.(
-      value & opt string "priority"
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:
-            "Admission arbitration: fifo, priority or proportional \
-             (priority reads each query's SLA class).")
-  in
   let admission_retries_arg =
     Arg.(
       value & opt int 2
@@ -1403,12 +1300,6 @@ let stream_cmd =
             "Re-optimization attempts after an admission rejection before a \
              query is abandoned (stream mode also stops retrying at the \
              deadline).")
-  in
-  let no_batching_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batching" ]
-          ~doc:"Disable cross-trade RFB coalescing (baseline traffic).")
   in
   let arrival_seed_arg =
     Arg.(
@@ -1423,40 +1314,6 @@ let stream_cmd =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the stream statistics as one JSON line.")
-  in
-  let stream_execute_arg =
-    Arg.(
-      value & flag
-      & info [ "execute" ]
-          ~doc:
-            "Execute completed plans on the distributed scheduler; measured \
-             backlog re-prices sellers under the stream.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Parallel execution servers per node (with --execute).")
-  in
-  let exec_seed_arg =
-    Arg.(
-      value & opt int 11
-      & info [ "exec-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the synthetic data --execute materializes; independent \
-             of $(b,--seed) and $(b,--arrival-seed).")
-  in
-  let no_exec_feedback_arg =
-    Arg.(
-      value & flag
-      & info [ "no-exec-feedback" ]
-          ~doc:"Hide measured execution backlog from seller pricing.")
-  in
-  let no_sharing_arg =
-    Arg.(
-      value & flag
-      & info [ "no-sharing" ]
-          ~doc:"Execute identical purchased sub-queries separately per trade.")
   in
   let record_arg =
     Arg.(
@@ -1517,38 +1374,29 @@ let stream_cmd =
              seconds; bucket resolution widens automatically for larger \
              domains.")
   in
+  let market_config =
+    market_config_term ~concurrency:32 ~policy:"priority"
+      ~execute_doc:
+        "Execute completed plans on the distributed scheduler; measured \
+         backlog re-prices sellers under the stream."
+  in
   Cmd.v
     (Cmd.info "stream" ~doc)
     Term.(
       const run_stream $ schema_arg $ nodes_arg $ partitions_arg $ replicas_arg
-      $ profile_arg $ rate_arg $ process_arg $ burst_on_arg $ burst_off_arg
-      $ queries_arg $ duration_arg $ templates_arg $ zipf_arg $ mix_arg
-      $ deadlines_arg $ shedding_arg $ concurrency_arg $ slots_arg $ queue_arg
-      $ policy_arg $ admission_retries_arg $ no_batching_arg $ seed_arg
-      $ arrival_seed_arg
-      $ competitive_arg $ json_arg $ trace_arg $ metrics_arg
-      $ stream_execute_arg $ workers_arg $ exec_seed_arg $ no_exec_feedback_arg
-      $ no_sharing_arg $ cache_arg $ cache_clients_arg $ cache_latency_arg
-      $ cache_fraction_arg $ cache_bytes_arg $ pricing_arg
-      $ surge_multiplier_arg $ surge_high_arg $ surge_low_arg $ markup_arg
-      $ slo_surge_arg $ reserve_priority_arg $ reserve_premium_arg
-      $ record_arg $ replay_arg
+      $ rate_arg $ process_arg $ burst_on_arg $ burst_off_arg $ queries_arg
+      $ duration_arg $ templates_arg $ zipf_arg $ mix_arg $ deadlines_arg
+      $ shedding_arg $ admission_retries_arg $ arrival_seed_arg $ json_arg
+      $ trace_arg $ metrics_arg $ slo_surge_arg $ record_arg $ replay_arg
       $ scrape_interval_arg $ slo_arg $ series_arg $ openmetrics_arg
-      $ latency_domain_arg $ domains_arg)
+      $ latency_domain_arg $ domains_arg $ market_config)
 
 (* ------------------------------------------------------------------ *)
 (* check-trace                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let run_check_trace path =
-  let contents =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  match Qt_obs.Chrome_trace.validate contents with
+  match Qt_obs.Chrome_trace.validate (read_file path) with
   | Ok () ->
     Printf.printf "%s: valid Chrome trace\n" path;
     0

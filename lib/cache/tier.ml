@@ -10,8 +10,6 @@ type config = {
   clients : int;
   lookup_latency : float;
   hit_price_fraction : float;
-  statement_entries : int;
-  stmt_require_repeat : bool;
   result_entries : int;
   result_bytes : int;
 }
@@ -22,8 +20,6 @@ let default_config =
     clients = 8;
     lookup_latency = 0.002;
     hit_price_fraction = 0.25;
-    statement_entries = 512;
-    stmt_require_repeat = true;
     result_entries = 512;
     result_bytes = 16 * 1024 * 1024;
   }
@@ -42,6 +38,12 @@ type t = {
   c_execs_avoided : Metrics.counter;
 }
 
+(* Statement-cache capacity, and its admission filter: cache a signature
+   only on its second insertion attempt within one LRU horizon
+   ({!Statement_cache.create}'s [require_repeat]). *)
+let statement_entries = 512
+let stmt_require_repeat = true
+
 let create cfg =
   if cfg.clients < 1 then invalid_arg "Tier.create: clients must be at least 1";
   if cfg.hit_price_fraction < 0. || cfg.hit_price_fraction > 1. then
@@ -57,8 +59,8 @@ let create cfg =
         {
           stmt =
             Statement_cache.create ~metrics ~prefix:"qcache.stmt"
-              ~require_repeat:cfg.stmt_require_repeat
-              ~max_entries:cfg.statement_entries ();
+              ~require_repeat:stmt_require_repeat ~max_entries:statement_entries
+              ();
           result =
             Result_cache.create ~metrics ~prefix:"qcache.result"
               ~max_entries:cfg.result_entries ~max_bytes:cfg.result_bytes ();

@@ -31,11 +31,6 @@ type config = {
   hit_price_fraction : float;
       (** Fraction of the original per-seller work credited on a hit;
           must be in [0, 1]. *)
-  statement_entries : int;
-  stmt_require_repeat : bool;
-      (** Statement-cache admission filter: cache a signature only on
-          its second insertion attempt within one LRU horizon
-          ({!Statement_cache.create}'s [require_repeat]). *)
   result_entries : int;
   result_bytes : int;
 }

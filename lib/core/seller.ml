@@ -22,8 +22,6 @@ type config = {
   load : float;
   max_offers_per_request : int;
   use_views : bool;
-  local_prune : (int * int) option;
-  offer_overhead : float;
   price_per_mb : float;
   pool : Qt_optimizer.Pool.t option;
       (* Domain pool for parallel DP level enumeration while pricing;
@@ -53,8 +51,6 @@ let default_config params =
     load = 0.;
     max_offers_per_request = 24;
     use_views = true;
-    local_prune = None;
-    offer_overhead = 5e-4;
     price_per_mb = 0.;
     pool = None;
     legacy_dp = false;
@@ -424,12 +420,12 @@ let price_request config schema (node : Node.t) ~request ~request_sig
           let dp =
             if config.legacy_dp then
               Qt_optimizer.Dp_legacy.optimize ~params:config.params
-                ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor
-                ?prune:config.local_prune ~env ~base variant.query
+                ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor ~env ~base
+                variant.query
             else
               Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
-                ~io_factor:node.io_factor ?prune:config.local_prune
-                ?pool:config.pool ~env ~base variant.query
+                ~io_factor:node.io_factor ?pool:config.pool ~env ~base
+                variant.query
           in
           let candidates =
             dp.partials
@@ -537,7 +533,6 @@ type cache_entry = {
   e_price_per_mb : float;
   e_use_views : bool;
   e_max_offers : int;
-  e_prune : (int * int) option;
   e_params : Qt_cost.Params.t;
   e_pricing : Pricing.quote option;  (** Pricing view at pricing time. *)
   e_catalog : int;  (** Catalog fingerprint at pricing time. *)
@@ -631,7 +626,6 @@ let entry_valid config ~fingerprint e =
   && e.e_price_per_mb = config.price_per_mb
   && e.e_use_views = config.use_views
   && e.e_max_offers = config.max_offers_per_request
-  && e.e_prune = config.local_prune
   && e.e_params = config.params
   && e.e_catalog = fingerprint
 
@@ -660,6 +654,10 @@ let pool_stats (pool : cache_pool) =
       })
     pool.pool_caches
     { hits = 0; misses = 0; invalidations = 0; evictions = 0 }
+
+(* Simulated seconds of seller CPU per offer constructed — the cost of
+   running the seller-side machinery, charged to the optimization clock. *)
+let offer_overhead = 5e-4
 
 let respond ?cache config schema (node : Node.t) ~requests =
   (* Only cache-miss requests cost pricing work; a batch served entirely
@@ -704,7 +702,6 @@ let respond ?cache config schema (node : Node.t) ~requests =
             e_price_per_mb = config.price_per_mb;
             e_use_views = config.use_views;
             e_max_offers = config.max_offers_per_request;
-            e_prune = config.local_prune;
             e_params = config.params;
             e_pricing = config.pricing;
             e_catalog = fingerprint;
@@ -716,5 +713,5 @@ let respond ?cache config schema (node : Node.t) ~requests =
   let all_offers = List.concat_map serve requests in
   {
     offers = all_offers;
-    processing_time = config.offer_overhead *. float_of_int (max 1 !total_considered);
+    processing_time = offer_overhead *. float_of_int (max 1 !total_considered);
   }

@@ -21,13 +21,6 @@ type config = {
   load : float;  (** Current load of the node (0 = idle). *)
   max_offers_per_request : int;
   use_views : bool;
-  local_prune : (int * int) option;
-      (** IDP(k,m) pruning for the seller's own optimizer, for very large
-          requests. *)
-  offer_overhead : float;
-      (** Simulated seconds of seller CPU per offer constructed — the cost
-          of running the seller-side machinery, charged to the
-          optimization clock. *)
   price_per_mb : float;
       (** Monetary charge per delivered megabyte, reported in each offer's
           [props.price].  Commercial nodes set this > 0; buyers that care
@@ -59,8 +52,7 @@ type config = {
 }
 
 val default_config : Qt_cost.Params.t -> config
-(** Cooperative, idle, at most 24 offers per request, views enabled, no
-    pruning, 0.5 ms per offer. *)
+(** Cooperative, idle, at most 24 offers per request, views enabled. *)
 
 type response = {
   offers : Offer.t list;

@@ -22,8 +22,6 @@ type config = {
   strategy_of : int -> Strategy.t;
   load_of : int -> float;
   pricing_of : int -> Qt_pricing.Pricing.quote option;
-  initial_estimate : float;
-  plan_overhead : float;
   allow_subcontracting : bool;
   pool : Qt_optimizer.Pool.t option;
       (* Domain pool for the buyer's own plan generation (B4); seller-side
@@ -41,8 +39,6 @@ let default_config params =
     strategy_of = (fun _ -> Strategy.Cooperative);
     load_of = (fun _ -> 0.);
     pricing_of = (fun _ -> None);
-    initial_estimate = 0.;
-    plan_overhead = 1e-4;
     allow_subcontracting = false;
     pool = None;
   }
@@ -174,6 +170,14 @@ let add_phase_stats a b =
     rebroadcasts_skipped = a.rebroadcasts_skipped + b.rebroadcasts_skipped;
   }
 
+(* The paper's [c0]: the buyer's a-priori value for the query (0 =
+   unknown). *)
+let c0 = 0.
+
+(* Simulated buyer CPU seconds per offer in the pool, charged per
+   plan-generation pass. *)
+let plan_overhead = 1e-4
+
 let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     ?(obs = Obs.disabled) ?obs_track config (federation : Federation.t)
     (q : Ast.t) =
@@ -289,7 +293,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
   (* B4: one plan-generation pass over the current offer pool. *)
   let plan_pass () =
     let from = snap () in
-    local_work (config.plan_overhead *. float_of_int (List.length !pool));
+    local_work (plan_overhead *. float_of_int (List.length !pool));
     let candidates =
       Plan_generator.generate ~params:config.params ~weights:config.weights
         ~mode:config.mode ~schema ~offers:!pool ?pool:config.pool q
@@ -318,7 +322,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
   let queue =
     ref
       (match initial_requests with
-      | None -> [ (q, config.initial_estimate) ]
+      | None -> [ (q, c0) ]
       | Some qs -> List.map (fun query -> (query, 0.)) qs)
   in
   let iterations = ref 0 in

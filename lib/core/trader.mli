@@ -28,12 +28,6 @@ type config = {
       (** Per-node pricing view ([Seller.config.pricing]); the market
           coordinator supplies the surge multiplier in force at each
           wave.  Default [fun _ -> None] — price at cost. *)
-  initial_estimate : float;
-      (** The paper's [c0]: the buyer's a-priori value for the query (0 =
-          unknown). *)
-  plan_overhead : float;
-      (** Simulated buyer CPU seconds per offer in the pool, charged per
-          plan-generation pass. *)
   allow_subcontracting : bool;
       (** Give sellers a depth-1 market channel so they can buy missing
           ranges from third nodes and offer complete answers (Section

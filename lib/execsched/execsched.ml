@@ -9,9 +9,9 @@ module Engine = Qt_exec.Engine
 module Store = Qt_exec.Store
 module Table = Qt_exec.Table
 
-type config = { workers : int; share_results : bool; load_scale : float }
+type config = { workers : int; share_results : bool }
 
-let default_config = { workers = 1; share_results = true; load_scale = 1.0 }
+let default_config = { workers = 1; share_results = true }
 
 type node_stats = {
   ns_node : int;
@@ -370,10 +370,15 @@ let submit t ~trade ~buyer ~at plan =
     notify_result t ~trade ~at:producer.t_finished root
   end
 
+(* Multiplier from backlog seconds to the load units seller pricing
+   consumes: one second of backlog raises quotes by the contention
+   multiplier's worth. *)
+let load_scale = 1.0
+
 let load_of t node =
   match Hashtbl.find_opt t.nodes node with
   | None -> 0.
-  | Some n -> Float.max 0. n.n_backlog *. t.config.load_scale
+  | Some n -> Float.max 0. n.n_backlog *. load_scale
 
 let result t ~trade =
   match Hashtbl.find_opt t.roots trade with

@@ -48,14 +48,10 @@ type config = {
   share_results : bool;
       (** Execute byte-identical [Remote] sub-queries once per seller and
           share the answer (default on). *)
-  load_scale : float;
-      (** Multiplier from backlog seconds to the load units seller pricing
-          consumes (default 1.0: one second of backlog raises quotes by
-          the contention multiplier's worth). *)
 }
 
 val default_config : config
-(** 1 worker per node, sharing on, load scale 1.0. *)
+(** 1 worker per node, sharing on. *)
 
 type node_stats = {
   ns_node : int;
@@ -106,9 +102,9 @@ val drain : t -> upto:float -> unit
 
 val load_of : t -> int -> float
 (** Current execution backlog of a node (estimated seconds of submitted,
-    unfinished work, measured seconds once in service) times
-    [load_scale].  This is the measured-time feedback signal wired into
-    seller pricing. *)
+    unfinished work, measured seconds once in service), one load unit
+    per backlog second.  This is the measured-time feedback signal wired
+    into seller pricing. *)
 
 val result : t -> trade:int -> Qt_exec.Table.t option
 (** The trade's root answer, once every task of its plan completed. *)

@@ -49,9 +49,6 @@ type config = {
   batching : bool;
   concurrency : int;
   max_admission_retries : int;
-  rejection_penalty : float;
-  priority_of : int -> int;
-  cache_entries : int;
   seed : int;
   execute : exec_config option;
   qcache : Tier.t option;
@@ -80,9 +77,6 @@ let default_config params =
     batching = true;
     concurrency = 0;
     max_admission_retries = 2;
-    rejection_penalty = 2.0;
-    priority_of = (fun _ -> 0);
-    cache_entries = 4096;
     seed = 7;
     execute = None;
     qcache = None;
@@ -430,6 +424,10 @@ let table_digest (tb : Table.t) =
       17 tb.Table.cols
   in
   List.fold_left (fun acc row -> Array.fold_left mix acc row) header tb.Table.rows
+
+(* Extra load a retrying trade sees on each seller that rejected it —
+   the steering force toward other replicas. *)
+let rejection_penalty = 2.0
 
 let penalize tr seller amount =
   let prev = Option.value (List.assoc_opt seller tr.t_penalized) ~default:0. in
@@ -833,7 +831,6 @@ let make_market ~obs cfg federation =
            {
              Execsched.workers = e.workers;
              share_results = e.share_results;
-             load_scale = Execsched.default_config.Execsched.load_scale;
            }
            cfg.trader.Trader.params store federation)
   in
@@ -860,7 +857,7 @@ let make_market ~obs cfg federation =
       cfg;
       federation;
       rt = Runtime.create ~obs ~params:cfg.trader.Trader.params ~seed:cfg.seed ();
-      caches = Seller.pool_create ~max_entries:cfg.cache_entries ();
+      caches = Seller.pool_create ();
       batcher = Batcher.create ~batching:cfg.batching;
       admissions = Hashtbl.create 16;
       completions = Event_queue.create ();
@@ -1250,11 +1247,13 @@ module Shedding = Qt_stream.Shedding
 type telemetry_config = {
   scrape_interval : float;  (* sim seconds between scrape ticks *)
   slo_rules : Slo.rule list;
-  flight_capacity : int;  (* per-node flight-recorder ring size *)
 }
 
-let default_telemetry =
-  { scrape_interval = 1.0; slo_rules = []; flight_capacity = 32 }
+let default_telemetry = { scrape_interval = 1.0; slo_rules = [] }
+
+(* Per-node flight-recorder ring size: recent span entries kept for
+   debug bundles. *)
+let flight_capacity = 32
 
 type stream_config = {
   base : config;
@@ -1409,7 +1408,7 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
           tel_cfg = tc;
           tel_ts = Timeseries.create ~interval:tc.scrape_interval st.metrics;
           tel_slo = Slo.create tc.slo_rules;
-          tel_fr = Flight_recorder.create ~capacity:tc.flight_capacity;
+          tel_fr = Flight_recorder.create ~capacity:flight_capacity;
           tel_alerts = [];
           tel_failures = [];
         })
@@ -1809,7 +1808,7 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
       | Error seller ->
         if tr.t_attempts <= cfg.max_admission_retries then begin
           st.retries <- st.retries + 1;
-          penalize tr seller cfg.rejection_penalty;
+          penalize tr seller rejection_penalty;
           Queue.add tr.t_index ready
         end
         else begin
@@ -1994,11 +1993,15 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     f_trading_makespan = trading_makespan;
   }
 
+(* Buyer priority of every batch trade, read by the [Priority] and
+   [Proportional_share] arbitration policies. *)
+let batch_priority = 0
+
 let run ?(obs = Obs.disabled) cfg federation queries =
   let trades =
     Array.of_list
       (List.mapi
-         (fun i q -> make_trade ~index:i ~priority:(cfg.priority_of i) q)
+         (fun i q -> make_trade ~index:i ~priority:batch_priority q)
          queries)
   in
   let f = drive_market ~obs ~exec_at_admission:true cfg federation trades in
@@ -2078,6 +2081,8 @@ let run ?(obs = Obs.disabled) cfg federation queries =
 let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
   if Array.length templates = 0 then
     invalid_arg "Market.run_stream: empty template pool";
+  if not (scfg.latency_domain > 0.) then
+    invalid_arg "Market.run_stream: latency_domain must be positive";
   let trades =
     Array.of_list arrivals
     |> Array.mapi (fun i (a : Arrivals.arrival) ->

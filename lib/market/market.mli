@@ -58,13 +58,6 @@ type config = {
       (** Max trades in flight at once; [0] (default) = all at once. *)
   max_admission_retries : int;
       (** Re-optimizations allowed after an admission rejection. *)
-  rejection_penalty : float;
-      (** Extra load a retrying trade sees on each seller that rejected
-          it — the steering force toward other replicas. *)
-  priority_of : int -> int;
-      (** Buyer priority by trade index, read by the [Priority] and
-          [Proportional_share] arbitration policies. *)
-  cache_entries : int;  (** Per-seller bid-cache LRU capacity. *)
   seed : int;  (** Runtime seed (latency jitter, if configured). *)
   execute : exec_config option;
       (** When set, every admitted plan also {e executes}: the market
@@ -109,8 +102,7 @@ type config = {
 
 val default_config : Qt_cost.Params.t -> config
 (** Default trader, default admission, batching on, unlimited
-    concurrency, 2 retries, penalty 2.0, uniform priority, 4096 cache
-    entries, seed 7, no execution. *)
+    concurrency, 2 retries, seed 7, no execution. *)
 
 type status =
   | Completed  (** Planned and every contract admitted. *)
@@ -286,18 +278,15 @@ type telemetry_config = {
           timeline; must be positive. *)
   slo_rules : Qt_obs.Slo.rule list;
       (** Burn-rate alert rules evaluated at each scrape tick. *)
-  flight_capacity : int;
-      (** Per-node flight-recorder ring size (recent span entries kept
-          for debug bundles). *)
 }
 
 val default_telemetry : telemetry_config
-(** Scrape every 1.0 sim seconds, no SLO rules, 32-entry rings. *)
+(** Scrape every 1.0 sim seconds, no SLO rules. *)
 
 type stream_config = {
   base : config;
-      (** The batch marketplace settings underneath.  [priority_of] is
-          ignored — stream priorities come from each query's SLA spec. *)
+      (** The batch marketplace settings underneath; stream priorities
+          come from each query's SLA spec. *)
   spec_of : Qt_stream.Sla.klass -> Qt_stream.Sla.spec;
       (** Resolve an arrival's class to its deadline and priority. *)
   shedding : Qt_stream.Shedding.policy;
@@ -309,8 +298,8 @@ type stream_config = {
   latency_domain : float;
       (** Upper bound (sim seconds) of the end-to-end latency histogram
           domain; resolution adapts so the bucket count stays bounded.
-          The 1000.0 default reproduces the historical fixed domain
-          exactly. *)
+          Must be positive.  The 1000.0 default reproduces the historical
+          fixed domain exactly. *)
 }
 
 val default_stream_config : Qt_cost.Params.t -> stream_config
@@ -401,7 +390,8 @@ val run_stream :
     expired or failed.  A query completes end-to-end when its last
     admitted contract finishes; it counts as a goodput {e hit} iff that
     happens by its deadline.
-    @raise Invalid_argument on an empty template pool. *)
+    @raise Invalid_argument on an empty template pool or a non-positive
+    [latency_domain]. *)
 
 val stream_to_json : stream_stats -> string
 (** Canonical single-line JSON (aggregate; no per-trade list).  Same

@@ -226,7 +226,12 @@ type t = {
   mutable forced_flips : int;
 }
 
-let create cfg = { cfg; sellers = Hashtbl.create 16; forced = false; forced_flips = 0 }
+let create cfg =
+  if not (cfg.surge_multiplier >= 1.) then
+    invalid_arg "Pricing.create: surge_multiplier must be at least 1";
+  if not (cfg.low_water < cfg.high_water) then
+    invalid_arg "Pricing.create: low_water must be below high_water";
+  { cfg; sellers = Hashtbl.create 16; forced = false; forced_flips = 0 }
 
 let config t = t.cfg
 

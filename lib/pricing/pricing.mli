@@ -101,6 +101,10 @@ type t
     the parallel pricing phase — so [--domains N] stays byte-identical. *)
 
 val create : config -> t
+(** @raise Invalid_argument if [surge_multiplier < 1] (a surge would cut
+    prices) or [low_water >= high_water] (no hysteresis band: sellers
+    would flip in and out of surge at every wave). *)
+
 val config : t -> config
 val strategy_of : t -> int -> strategy
 

@@ -9,7 +9,6 @@ type config = {
   protocol : Qt_trading.Protocol.kind;
   strategy : Qt_trading.Strategy.t;
   load_decay : float;
-  load_per_second : float;
   feedback : bool;
 }
 
@@ -19,7 +18,6 @@ let default_config params =
     protocol = Qt_trading.Protocol.Bidding;
     strategy = Qt_trading.Strategy.Cooperative;
     load_decay = 0.5;
-    load_per_second = 1.0;
     feedback = true;
   }
 
@@ -114,6 +112,9 @@ let run_concurrent ?(concurrency = 0) ?(batching = true) ?admission ?(seed = 7)
     },
     stats )
 
+(* Load units added to a seller per second of purchased work. *)
+let load_per_second = 1.0
+
 let run config federation queries =
   let load : (int, float) Hashtbl.t = Hashtbl.create 16 in
   let busy : (int, float) Hashtbl.t = Hashtbl.create 16 in
@@ -151,7 +152,7 @@ let run config federation queries =
               let work = o.true_cost in
               Hashtbl.replace busy o.seller (get busy o.seller +. work);
               Hashtbl.replace load o.seller
-                (get load o.seller +. (config.load_per_second *. work)))
+                (get load o.seller +. (load_per_second *. work)))
             outcome.Trader.purchased;
           (* Loads decay before the next query arrives. *)
           Hashtbl.iter

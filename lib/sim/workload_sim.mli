@@ -21,8 +21,6 @@ type config = {
   load_decay : float;
       (** Multiplicative decay of every node's load between consecutive
           queries (0 = forget instantly, 1 = never recover). *)
-  load_per_second : float;
-      (** Load units added to a seller per second of purchased work. *)
   feedback : bool;
       (** Whether sellers see their current load when quoting.  With
           [false] they always quote as if idle, modelling a buyer working
@@ -74,10 +72,10 @@ val run_concurrent :
     scheduler ({!Qt_market.Market}) instead of one query at a time.
     Load feedback comes from the market's admission layer (slot
     occupancy and queued contracts raise a seller's quoted load) rather
-    than from this module's decay model, so [load_decay],
-    [load_per_second] and [feedback] are not consulted.  [node_busy] and
-    [makespan] are derived from admitted contract work, making the
-    result directly comparable with {!run}.  [execute] additionally runs
-    every admitted plan on the execution scheduler (see
-    {!Qt_market.Market.exec_config}); the three makespan fields then
-    separate the trading horizon from the execution horizon. *)
+    than from this module's decay model, so [load_decay] and [feedback]
+    are not consulted.  [node_busy] and [makespan] are derived from
+    admitted contract work, making the result directly comparable with
+    {!run}.  [execute] additionally runs every admitted plan on the
+    execution scheduler (see {!Qt_market.Market.exec_config}); the three
+    makespan fields then separate the trading horizon from the execution
+    horizon. *)

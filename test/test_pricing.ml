@@ -157,6 +157,27 @@ let test_surge_hysteresis_deterministic () =
   Alcotest.(check int) "each rising edge counted once" 2 activations;
   Alcotest.(check bool) "same sequence, same states" true (run () = (states, activations))
 
+(* Configs that break the documented contract are refused: a multiplier
+   below 1 made surged quotes cheaper (0 made them free), and inverted
+   watermarks flipped sellers in and out of surge at every wave. *)
+let test_create_rejects_bad_config () =
+  let surge = { Pricing.default_config with Pricing.mix = Pricing.uniform_mix Pricing.Surge } in
+  let rejects name msg cfg =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Pricing.create cfg))
+  in
+  let multiplier = "Pricing.create: surge_multiplier must be at least 1"
+  and watermarks = "Pricing.create: low_water must be below high_water" in
+  rejects "multiplier 0" multiplier { surge with Pricing.surge_multiplier = 0. };
+  rejects "multiplier 0.5" multiplier { surge with Pricing.surge_multiplier = 0.5 };
+  rejects "inverted watermarks" watermarks
+    { surge with Pricing.high_water = 0.1; low_water = 0.9 };
+  rejects "equal watermarks" watermarks
+    { surge with Pricing.high_water = 0.7; low_water = 0.7 };
+  (* The boundary values stay valid. *)
+  ignore (Pricing.create { surge with Pricing.surge_multiplier = 1. });
+  ignore (Pricing.create { surge with Pricing.high_water = 0.51; low_water = 0.5 })
+
 (* ------------------------------------------------------------------ *)
 (* Reservations on a live stream                                        *)
 (* ------------------------------------------------------------------ *)
@@ -284,6 +305,8 @@ let suite =
         test_reprice_repairs_adversarial_quotes;
       quick "surge hysteresis is deterministic with two activations"
         test_surge_hysteresis_deterministic;
+      quick "create rejects multipliers below 1 and inverted watermarks"
+        test_create_rejects_bad_config;
       quick "reservations: sold = completed + refunded on a live stream"
         test_reservation_refund_invariant;
       quick "stream with pricing + reservations is deterministic"
