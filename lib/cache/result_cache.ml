@@ -1,6 +1,6 @@
 module Sig = Qt_sql.Analysis.Sig
 module Table = Qt_exec.Table
-module Metrics = Qt_obs.Metrics
+module Lru = Qt_util.Lru
 
 type entry = {
   table : Table.t;
@@ -9,20 +9,10 @@ type entry = {
   suppliers : (int * float) list;
   bytes : int;
   epoch : int;
-  mutable used : int;
 }
 
-type t = {
-  entries : (int, entry) Hashtbl.t;  (* keyed by Sig.id; never observable *)
-  max_entries : int;
-  max_bytes : int;
-  mutable held_bytes : int;
-  mutable tick : int;
-  c_hits : Metrics.counter;
-  c_misses : Metrics.counter;
-  c_invalidations : Metrics.counter;
-  c_evictions : Metrics.counter;
-}
+(* Keyed by Sig.id; never observable. *)
+type t = (int, entry) Lru.t
 
 (* Deterministic size estimate: 8 bytes per cell plus a fixed per-entry
    overhead.  Only relative sizes matter — the byte budget is a knob, not
@@ -30,93 +20,27 @@ type t = {
 let approx_bytes (table : Table.t) =
   (Array.length table.cols * 8 * Table.cardinality table) + 64
 
-let create ?(metrics = Metrics.create ()) ?(prefix = "qcache.result")
-    ~max_entries ~max_bytes () =
-  if max_entries < 1 then
-    invalid_arg "Result_cache.create: max_entries must be at least 1";
+let create ~max_entries ~max_bytes () =
   if max_bytes < 1 then
     invalid_arg "Result_cache.create: max_bytes must be at least 1";
-  {
-    entries = Hashtbl.create 64;
-    max_entries;
-    max_bytes;
-    held_bytes = 0;
-    tick = 0;
-    c_hits = Metrics.counter metrics (prefix ^ ".hits");
-    c_misses = Metrics.counter metrics (prefix ^ ".misses");
-    c_invalidations = Metrics.counter metrics (prefix ^ ".invalidations");
-    c_evictions = Metrics.counter metrics (prefix ^ ".evictions");
-  }
-
-let touch t entry =
-  t.tick <- t.tick + 1;
-  entry.used <- t.tick
-
-let remove t key (e : entry) =
-  Hashtbl.remove t.entries key;
-  t.held_bytes <- t.held_bytes - e.bytes
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, best) when best.used <= e.used -> acc
-        | _ -> Some (key, e))
-      t.entries None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, e) ->
-    remove t key e;
-    Metrics.incr t.c_evictions
+  Lru.create ~weight:(fun e -> e.bytes) ~max_weight:max_bytes ~max_entries ()
 
 let insert t sg ~table ~plan ~plan_cost ~suppliers ~epoch =
-  let bytes = approx_bytes table in
-  if bytes <= t.max_bytes then begin
-    (match Hashtbl.find_opt t.entries (Sig.id sg) with
-    | Some old -> remove t (Sig.id sg) old
-    | None -> ());
-    while
-      Hashtbl.length t.entries > 0
-      && (Hashtbl.length t.entries >= t.max_entries
-         || t.held_bytes + bytes > t.max_bytes)
-    do
-      evict_lru t
-    done;
-    let entry = { table; plan; plan_cost; suppliers; bytes; epoch; used = 0 } in
-    touch t entry;
-    Hashtbl.replace t.entries (Sig.id sg) entry;
-    t.held_bytes <- t.held_bytes + bytes
-  end
+  Lru.insert t (Sig.id sg)
+    { table; plan; plan_cost; suppliers; bytes = approx_bytes table; epoch }
 
-let find t ~epoch sg =
-  match Hashtbl.find_opt t.entries (Sig.id sg) with
-  | None ->
-    Metrics.incr t.c_misses;
-    None
-  | Some e when e.epoch = epoch ->
-    Metrics.incr t.c_hits;
-    touch t e;
-    Some e
-  | Some e ->
-    (* Any federation catalog change retires the answer: results reflect
-       data placement at execution time, so the coarse epoch is the only
-       safe validity token. *)
-    remove t (Sig.id sg) e;
-    Metrics.incr t.c_invalidations;
-    Metrics.incr t.c_misses;
-    None
+(* Any federation catalog change retires the answer: results reflect data
+   placement at execution time, so the coarse epoch is the only safe
+   validity token. *)
+let find t ~epoch sg = Lru.find t (Sig.id sg) ~valid:(fun e -> e.epoch = epoch)
 
-type stats = { hits : int; misses : int; invalidations : int; evictions : int }
+type stats = Lru.stats = {
+  hits : int;
+  misses : int;
+  invalidations : int;
+  evictions : int;
+}
 
-let stats t =
-  {
-    hits = Metrics.value t.c_hits;
-    misses = Metrics.value t.c_misses;
-    invalidations = Metrics.value t.c_invalidations;
-    evictions = Metrics.value t.c_evictions;
-  }
-
-let length t = Hashtbl.length t.entries
-let bytes_held t = t.held_bytes
+let stats = Lru.stats
+let length = Lru.length
+let bytes_held = Lru.held

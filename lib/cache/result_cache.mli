@@ -11,10 +11,9 @@
     reflects data placement at execution time, so any catalog change
     anywhere may have moved rows under it.
 
-    Capacity-bounded by entry count {e and} byte budget (deterministic
-    size estimate, LRU eviction until both constraints hold); counters in
-    a {!Qt_obs.Metrics} registry as [<prefix>.hits/.misses/
-    .invalidations/.evictions]. *)
+    Capacity-bounded by entry count {e and} byte budget: a
+    {!Qt_util.Lru} weighted by each entry's deterministic size estimate
+    evicts until both bounds hold. *)
 
 type t
 
@@ -27,20 +26,13 @@ type entry = {
           discounted hit pricing. *)
   bytes : int;  (** Deterministic size estimate used for the budget. *)
   epoch : int;  (** {!Qt_catalog.Federation.epoch} at execution time. *)
-  mutable used : int;  (** LRU tick; managed by the cache. *)
 }
 
 val approx_bytes : Qt_exec.Table.t -> int
 (** 8 bytes per cell + fixed per-entry overhead — deterministic, so the
     byte budget never depends on runtime representation. *)
 
-val create :
-  ?metrics:Qt_obs.Metrics.t ->
-  ?prefix:string ->
-  max_entries:int ->
-  max_bytes:int ->
-  unit ->
-  t
+val create : max_entries:int -> max_bytes:int -> unit -> t
 (** @raise Invalid_argument if [max_entries < 1] or [max_bytes < 1]. *)
 
 val insert :
@@ -60,7 +52,12 @@ val find : t -> epoch:int -> Qt_sql.Analysis.Sig.t -> entry option
     [epoch] is dropped (counted as invalidation + miss), so a stale
     answer can never be returned. *)
 
-type stats = { hits : int; misses : int; invalidations : int; evictions : int }
+type stats = Qt_util.Lru.stats = {
+  hits : int;
+  misses : int;
+  invalidations : int;
+  evictions : int;
+}
 
 val stats : t -> stats
 val length : t -> int

@@ -1,124 +1,52 @@
 module Sig = Qt_sql.Analysis.Sig
-module Metrics = Qt_obs.Metrics
+module Lru = Qt_util.Lru
 
 type entry = {
   plan : Qt_optimizer.Plan.t;
   plan_cost : float;
   contracts : (int * float) list;
   sources : (int * int) list;
-  mutable used : int;
 }
 
 type t = {
-  entries : (int, entry) Hashtbl.t;  (* keyed by Sig.id; never observable *)
-  max_entries : int;
+  entries : (int, entry) Lru.t;  (* keyed by Sig.id; never observable *)
   require_repeat : bool;
-  (* Ghost list for the admission filter: signatures seen exactly once,
-     mapped to the tick of that sighting.  Bounded by [max_entries] (the
-     2Q A1out / ARC ghost-list shape), so "second occurrence" means
-     "second occurrence within one LRU horizon". *)
-  seen : (int, int) Hashtbl.t;
-  mutable tick : int;
-  c_hits : Metrics.counter;
-  c_misses : Metrics.counter;
-  c_invalidations : Metrics.counter;
-  c_evictions : Metrics.counter;
-  c_suppressed : Metrics.counter;
+  (* Ghost list for the admission filter: signatures seen exactly once.
+     Bounded by the same [max_entries] (the 2Q A1out / ARC ghost-list
+     shape), so "second occurrence" means "second occurrence within one
+     LRU horizon". *)
+  seen : (int, unit) Lru.t;
+  mutable suppressed : int;
 }
 
-let create ?(metrics = Metrics.create ()) ?(prefix = "qcache.stmt")
-    ?(require_repeat = false) ~max_entries () =
-  if max_entries < 1 then
-    invalid_arg "Statement_cache.create: max_entries must be at least 1";
+let create ?(require_repeat = false) ~max_entries () =
   {
-    entries = Hashtbl.create 64;
-    max_entries;
+    entries = Lru.create ~max_entries ();
     require_repeat;
-    seen = Hashtbl.create 64;
-    tick = 0;
-    c_hits = Metrics.counter metrics (prefix ^ ".hits");
-    c_misses = Metrics.counter metrics (prefix ^ ".misses");
-    c_invalidations = Metrics.counter metrics (prefix ^ ".invalidations");
-    c_evictions = Metrics.counter metrics (prefix ^ ".evictions");
-    c_suppressed = Metrics.counter metrics (prefix ^ ".suppressed");
+    seen = Lru.create ~max_entries ();
+    suppressed = 0;
   }
-
-(* Insertion counts as a use, and every use gets a distinct tick, so the
-   LRU victim is always unique — eviction order is deterministic. *)
-let touch t entry =
-  t.tick <- t.tick + 1;
-  entry.used <- t.tick
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, best) when best.used <= e.used -> acc
-        | _ -> Some (key, e))
-      t.entries None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove t.entries key;
-    Metrics.incr t.c_evictions
-
-(* Oldest first-sighting goes; ticks are unique, so the victim is. *)
-let evict_seen t =
-  let victim =
-    Hashtbl.fold
-      (fun key tick acc ->
-        match acc with
-        | Some (_, best) when best <= tick -> acc
-        | _ -> Some (key, tick))
-      t.seen None
-  in
-  match victim with None -> () | Some (key, _) -> Hashtbl.remove t.seen key
 
 let insert t sg ~plan ~plan_cost ~contracts ~sources =
   let id = Sig.id sg in
-  if
-    t.require_repeat
-    && (not (Hashtbl.mem t.entries id))
-    && not (Hashtbl.mem t.seen id)
+  if t.require_repeat && (not (Lru.mem t.entries id)) && not (Lru.mem t.seen id)
   then begin
     (* First sighting inside the horizon: remember it, don't cache it.
        One-off statements never displace a proven-repeat entry. *)
-    t.tick <- t.tick + 1;
-    if Hashtbl.length t.seen >= t.max_entries then evict_seen t;
-    Hashtbl.replace t.seen id t.tick;
-    Metrics.incr t.c_suppressed
+    Lru.insert t.seen id ();
+    t.suppressed <- t.suppressed + 1
   end
   else begin
-    Hashtbl.remove t.seen id;
-    if not (Hashtbl.mem t.entries id) then
-      if Hashtbl.length t.entries >= t.max_entries then evict_lru t;
-    let entry = { plan; plan_cost; contracts; sources; used = 0 } in
-    touch t entry;
-    Hashtbl.replace t.entries id entry
+    Lru.remove t.seen id;
+    Lru.insert t.entries id { plan; plan_cost; contracts; sources }
   end
 
 (* A plan stays valid as long as every node it buys from still has the
    catalog it was priced against; bumping an uninvolved node's
    fingerprint leaves the entry untouched. *)
-let entry_valid ~fingerprint e =
-  List.for_all (fun (node, fp) -> fingerprint node = fp) e.sources
-
 let find t ~fingerprint sg =
-  match Hashtbl.find_opt t.entries (Sig.id sg) with
-  | None ->
-    Metrics.incr t.c_misses;
-    None
-  | Some e when entry_valid ~fingerprint e ->
-    Metrics.incr t.c_hits;
-    touch t e;
-    Some e
-  | Some _ ->
-    Hashtbl.remove t.entries (Sig.id sg);
-    Metrics.incr t.c_invalidations;
-    Metrics.incr t.c_misses;
-    None
+  Lru.find t.entries (Sig.id sg) ~valid:(fun e ->
+      List.for_all (fun (node, fp) -> fingerprint node = fp) e.sources)
 
 type stats = {
   hits : int;
@@ -129,12 +57,22 @@ type stats = {
 }
 
 let stats t =
+  let s = Lru.stats t.entries in
   {
-    hits = Metrics.value t.c_hits;
-    misses = Metrics.value t.c_misses;
-    invalidations = Metrics.value t.c_invalidations;
-    evictions = Metrics.value t.c_evictions;
-    suppressed = Metrics.value t.c_suppressed;
+    hits = s.hits;
+    misses = s.misses;
+    invalidations = s.invalidations;
+    evictions = s.evictions;
+    suppressed = t.suppressed;
   }
 
-let length t = Hashtbl.length t.entries
+let add (a : stats) (b : stats) =
+  {
+    hits = a.hits + b.hits;
+    misses = a.misses + b.misses;
+    invalidations = a.invalidations + b.invalidations;
+    evictions = a.evictions + b.evictions;
+    suppressed = a.suppressed + b.suppressed;
+  }
+
+let length t = Lru.length t.entries

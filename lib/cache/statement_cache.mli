@@ -10,15 +10,15 @@
     uninvolved node does not invalidate it (unlike the result cache,
     which keys on the federation-wide epoch).
 
-    Capacity-bounded with a deterministic tick-based LRU; all counters
-    live in a {!Qt_obs.Metrics} registry under [<prefix>.hits/.misses/
-    .invalidations/.evictions/.suppressed].
+    Capacity-bounded by a {!Qt_util.Lru}, whose deterministic eviction
+    order and hit/miss/invalidation/eviction counts it inherits.
 
     With [require_repeat] the cache admits a signature only on its
     second insertion attempt within one LRU horizon: first sightings go
     to a ghost list (bounded by [max_entries], the 2Q/ARC shape) and are
     counted as suppressed inserts, so one-off statements never displace
-    an entry that has already proven it repeats. *)
+    an entry that has already proven it repeats.  The ghost list is a
+    second {!Qt_util.Lru}; its own order alone picks its victims. *)
 
 type t
 
@@ -30,19 +30,11 @@ type entry = {
           and revenue settlement need. *)
   sources : (int * int) list;
       (** (node id, {!Qt_catalog.Node.fingerprint}) at insertion time. *)
-  mutable used : int;  (** LRU tick; managed by the cache. *)
 }
 
-val create :
-  ?metrics:Qt_obs.Metrics.t ->
-  ?prefix:string ->
-  ?require_repeat:bool ->
-  max_entries:int ->
-  unit ->
-  t
-(** Caches sharing a registry and prefix share counters (the tier uses
-    this to aggregate per-client instances).  [require_repeat] (default
-    [false]) enables the second-occurrence admission filter.
+val create : ?require_repeat:bool -> max_entries:int -> unit -> t
+(** [require_repeat] (default [false]) enables the second-occurrence
+    admission filter.
     @raise Invalid_argument if [max_entries < 1]. *)
 
 val insert :
@@ -71,4 +63,8 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val add : stats -> stats -> stats
+(** Field-by-field sum, for aggregating a tier's client instances. *)
+
 val length : t -> int

@@ -1,4 +1,3 @@
-module Metrics = Qt_obs.Metrics
 module Federation = Qt_catalog.Federation
 
 type placement = Client | Shared
@@ -31,11 +30,10 @@ type instance = {
 
 type t = {
   cfg : config;
-  metrics : Metrics.t;
   instances : instance array;  (* one cell for Shared, [clients] for Client *)
   revenue : (int, float ref) Hashtbl.t;
-  c_trades_avoided : Metrics.counter;
-  c_execs_avoided : Metrics.counter;
+  mutable trades_avoided : int;
+  mutable executions_avoided : int;
 }
 
 (* Statement-cache capacity, and its admission filter: cache a signature
@@ -50,33 +48,27 @@ let create cfg =
     invalid_arg "Tier.create: hit_price_fraction must be in [0, 1]";
   if cfg.lookup_latency < 0. then
     invalid_arg "Tier.create: lookup_latency must be non-negative";
-  let metrics = Metrics.create () in
   let n = match cfg.placement with Shared -> 1 | Client -> cfg.clients in
-  (* All instances register against the same counters, so the tier's
-     hit/miss/invalidation/eviction numbers aggregate across clients. *)
   let instances =
     Array.init n (fun _ ->
         {
           stmt =
-            Statement_cache.create ~metrics ~prefix:"qcache.stmt"
-              ~require_repeat:stmt_require_repeat ~max_entries:statement_entries
-              ();
+            Statement_cache.create ~require_repeat:stmt_require_repeat
+              ~max_entries:statement_entries ();
           result =
-            Result_cache.create ~metrics ~prefix:"qcache.result"
-              ~max_entries:cfg.result_entries ~max_bytes:cfg.result_bytes ();
+            Result_cache.create ~max_entries:cfg.result_entries
+              ~max_bytes:cfg.result_bytes ();
         })
   in
   {
     cfg;
-    metrics;
     instances;
     revenue = Hashtbl.create 16;
-    c_trades_avoided = Metrics.counter metrics "qcache.trades_avoided";
-    c_execs_avoided = Metrics.counter metrics "qcache.executions_avoided";
+    trades_avoided = 0;
+    executions_avoided = 0;
   }
 
 let config t = t.cfg
-let metrics t = t.metrics
 
 let instance t ~client =
   match t.cfg.placement with
@@ -85,8 +77,10 @@ let instance t ~client =
     if client < 0 then invalid_arg "Tier.instance: negative client";
     t.instances.(client mod t.cfg.clients)
 
-let note_trade_avoided t = Metrics.incr t.c_trades_avoided
-let note_execution_avoided t = Metrics.incr t.c_execs_avoided
+let note_trade_avoided t = t.trades_avoided <- t.trades_avoided + 1
+
+let note_execution_avoided t =
+  t.executions_avoided <- t.executions_avoided + 1
 
 let credit t ~seller amount =
   match Hashtbl.find_opt t.revenue seller with
@@ -115,13 +109,18 @@ type stats = {
   result_bytes_held : int;
 }
 
-let stats t =
+(* A Client tier reports the sum over its instances. *)
+let stats (t : t) =
+  let sum add stats =
+    let all = Array.map stats t.instances in
+    Array.fold_left add all.(0) (Array.sub all 1 (Array.length all - 1))
+  in
   {
     placement = placement_name t.cfg.placement;
-    stmt = Statement_cache.stats t.instances.(0).stmt;
-    result = Result_cache.stats t.instances.(0).result;
-    trades_avoided = Metrics.value t.c_trades_avoided;
-    executions_avoided = Metrics.value t.c_execs_avoided;
+    stmt = sum Statement_cache.add (fun i -> Statement_cache.stats i.stmt);
+    result = sum Qt_util.Lru.add (fun i -> Result_cache.stats i.result);
+    trades_avoided = t.trades_avoided;
+    executions_avoided = t.executions_avoided;
     hit_revenue = revenue_total t;
     hit_revenue_by_seller = revenue t;
     result_bytes_held = bytes_held t;

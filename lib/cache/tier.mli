@@ -1,5 +1,5 @@
 (** The federation cache tier: statement + result caches behind one
-    placement policy, one metrics registry and one revenue ledger.
+    placement policy and one revenue ledger.
 
     Two placements (the experiment of R-cache):
 
@@ -50,10 +50,6 @@ val create : config -> t
 
 val config : t -> config
 
-val metrics : t -> Qt_obs.Metrics.t
-(** The registry holding every cache counter — all instances of a Client
-    tier share it, so its numbers aggregate across clients. *)
-
 val instance : t -> client:int -> instance
 (** The cache pair trade [client] talks to: the single shared pair, or
     client instance [client mod clients]. *)
@@ -82,6 +78,8 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Cache counters sum over every instance, so a Client tier's numbers
+    aggregate across clients. *)
 
 val fingerprint_of : Qt_catalog.Federation.t -> int -> int
 (** Per-node validity token for the statement cache

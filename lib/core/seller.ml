@@ -13,7 +13,7 @@ module Dp = Qt_optimizer.Dp
 module Localize = Qt_rewrite.Localize
 module View_match = Qt_views.View_match
 module Strategy = Qt_trading.Strategy
-module Metrics = Qt_obs.Metrics
+module Lru = Qt_util.Lru
 module Pricing = Qt_pricing.Pricing
 
 type config = {
@@ -536,84 +536,26 @@ type cache_entry = {
   e_params : Qt_cost.Params.t;
   e_pricing : Pricing.quote option;  (** Pricing view at pricing time. *)
   e_catalog : int;  (** Catalog fingerprint at pricing time. *)
-  mutable e_used : int;  (** LRU stamp: cache tick of the last hit. *)
 }
 
 let default_cache_entries = 4096
 
-type cache = {
-  entries : (int * float, cache_entry) Hashtbl.t;
-      (* key: (interned request signature id, buyer estimate) *)
-  max_entries : int;
-  mutable tick : int;
-  (* The counters live in a metrics registry; [cache_stats] is a view. *)
-  c_metrics : Metrics.t;
-  c_hits : Metrics.counter;
-  c_misses : Metrics.counter;
-  c_invalidations : Metrics.counter;
-  c_evictions : Metrics.counter;
-}
+(* Key: (interned request signature id, buyer estimate).  Long workload
+   streams with many distinct signatures must not grow the pool without
+   bound: at capacity, the least-recently-used entry makes room. *)
+type cache = (int * float, cache_entry) Lru.t
 
-type cache_stats = {
+type cache_stats = Lru.stats = {
   hits : int;
   misses : int;
   invalidations : int;
   evictions : int;
 }
 
-let cache_create ?(max_entries = default_cache_entries) () =
-  if max_entries <= 0 then invalid_arg "Seller.cache_create: max_entries must be positive";
-  let m = Metrics.create () in
-  {
-    entries = Hashtbl.create 64;
-    max_entries;
-    tick = 0;
-    c_metrics = m;
-    c_hits = Metrics.counter m "cache.hits";
-    c_misses = Metrics.counter m "cache.misses";
-    c_invalidations = Metrics.counter m "cache.invalidations";
-    c_evictions = Metrics.counter m "cache.evictions";
-  }
+let cache_create ?(max_entries = default_cache_entries) () : cache =
+  Lru.create ~max_entries ()
 
-let cache_metrics (c : cache) = c.c_metrics
-
-let cache_stats (c : cache) =
-  {
-    hits = Metrics.value c.c_hits;
-    misses = Metrics.value c.c_misses;
-    invalidations = Metrics.value c.c_invalidations;
-    evictions = Metrics.value c.c_evictions;
-  }
-
-let cache_touch (c : cache) e =
-  c.tick <- c.tick + 1;
-  e.e_used <- c.tick
-
-(* Long workload streams with many distinct signatures must not grow the
-   pool without bound: at capacity, the least-recently-used entry makes
-   room.  A linear scan per eviction is fine — evictions are rare next to
-   hits, and [max_entries] is generous by default. *)
-let cache_evict_lru (c : cache) =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, best) when best.e_used <= e.e_used -> acc
-        | _ -> Some (key, e))
-      c.entries None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove c.entries key;
-    Metrics.incr c.c_evictions
-
-let cache_insert (c : cache) key entry =
-  if Hashtbl.length c.entries >= c.max_entries then cache_evict_lru c;
-  (* Insertion counts as a use, and every use gets a distinct tick, so
-     the LRU victim is always unique — eviction order is deterministic. *)
-  cache_touch c entry;
-  Hashtbl.replace c.entries key entry
+let cache_stats = Lru.stats
 
 (* Structural digest of everything pricing reads from the node's catalog;
    shared with the federation cache tier via [Node.fingerprint]. *)
@@ -644,14 +586,7 @@ let pool_cache pool node_id =
 
 let pool_stats (pool : cache_pool) =
   Hashtbl.fold
-    (fun _ (c : cache) (acc : cache_stats) ->
-      let s = cache_stats c in
-      {
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        invalidations = acc.invalidations + s.invalidations;
-        evictions = acc.evictions + s.evictions;
-      })
+    (fun _ c acc -> Lru.add acc (cache_stats c))
     pool.pool_caches
     { hits = 0; misses = 0; invalidations = 0; evictions = 0 }
 
@@ -680,20 +615,11 @@ let respond ?cache config schema (node : Node.t) ~requests =
     | Some c when cacheable -> (
       let key = (Analysis.Sig.id request_sig, buyer_estimate) in
       let fingerprint = catalog_fingerprint node in
-      match Hashtbl.find_opt c.entries key with
-      | Some e when entry_valid config ~fingerprint e ->
-        Metrics.incr c.c_hits;
-        cache_touch c e;
-        e.e_offers
-      | stale ->
-        (match stale with
-        | Some _ ->
-          Hashtbl.remove c.entries key;
-          Metrics.incr c.c_invalidations
-        | None -> ());
-        Metrics.incr c.c_misses;
+      match Lru.find c key ~valid:(entry_valid config ~fingerprint) with
+      | Some e -> e.e_offers
+      | None ->
         let offers, considered = price () in
-        cache_insert c key
+        Lru.insert c key
           {
             e_offers = offers;
             e_considered = considered;
@@ -705,7 +631,6 @@ let respond ?cache config schema (node : Node.t) ~requests =
             e_params = config.params;
             e_pricing = config.pricing;
             e_catalog = fingerprint;
-            e_used = 0;
           };
         offers)
     | _ -> fst (price ())

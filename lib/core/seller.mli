@@ -70,13 +70,13 @@ type cache
     subcontracting is enabled bypass the cache entirely (their offers
     depend on the live market, which the key cannot capture).
 
-    Capacity is bounded: at [max_entries] the least-recently-used entry
-    is evicted, so long workload streams with many distinct signatures
-    cannot grow the cache without bound.  Every use gets a distinct
-    logical tick, which makes the eviction victim — and therefore whole
-    runs — deterministic. *)
+    Capacity is bounded: the cache is a {!Qt_util.Lru}, so at
+    [max_entries] the least-recently-used entry is evicted and long
+    workload streams with many distinct signatures cannot grow it without
+    bound.  Eviction order — and therefore whole runs — is
+    deterministic. *)
 
-type cache_stats = {
+type cache_stats = Qt_util.Lru.stats = {
   hits : int;
   misses : int;
   invalidations : int;
@@ -84,14 +84,10 @@ type cache_stats = {
 }
 
 val cache_create : ?max_entries:int -> unit -> cache
-(** [max_entries] defaults to a generous 4096 per node. *)
+(** [max_entries] defaults to a generous 4096 per node.
+    @raise Invalid_argument if [max_entries < 1]. *)
 
 val cache_stats : cache -> cache_stats
-(** A view over the cache's metrics registry (see {!cache_metrics}). *)
-
-val cache_metrics : cache -> Qt_obs.Metrics.t
-(** The registry holding the cache's counters ([cache.hits],
-    [cache.misses], [cache.invalidations], [cache.evictions]). *)
 
 type cache_pool
 (** One cache per seller node, created on demand — what a trading session

@@ -25,6 +25,7 @@ module Execsched = Qt_execsched.Execsched
 module Tier = Qt_cache.Tier
 module Statement_cache = Qt_cache.Statement_cache
 module Result_cache = Qt_cache.Result_cache
+module Lru = Qt_util.Lru
 module Analysis = Qt_sql.Analysis
 module Pricing = Qt_pricing.Pricing
 
@@ -1005,14 +1006,10 @@ let batcher_json (bt : Batcher.stats) =
     bt.Batcher.unbatched_bytes bt.Batcher.messages_saved bt.Batcher.bytes_saved
     bt.Batcher.dup_signatures_merged
 
-let counts_json hits misses invalidations evictions =
+let counts_json (c : Lru.stats) =
   Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}" hits
-    misses invalidations evictions
-
-let cache_json (c : Seller.cache_stats) =
-  counts_json c.Seller.hits c.Seller.misses c.Seller.invalidations
-    c.Seller.evictions
+    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}"
+    c.hits c.misses c.invalidations c.evictions
 
 (* Rendered only when the tier is configured, so cache-off output stays
    byte-identical to a build without the cache tier. *)
@@ -1026,8 +1023,7 @@ let qcache_json (q : Tier.stats) =
        s.Statement_cache.hits s.Statement_cache.misses
        s.Statement_cache.invalidations s.Statement_cache.evictions
        s.Statement_cache.suppressed)
-    (counts_json r.Result_cache.hits r.Result_cache.misses
-       r.Result_cache.invalidations r.Result_cache.evictions)
+    (counts_json r)
     q.Tier.trades_avoided q.Tier.executions_avoided (jf q.Tier.hit_revenue)
     (String.concat ","
        (List.map
@@ -1086,7 +1082,7 @@ let to_json (s : stats) =
   add ",\"sellers\":";
   list (fun (x : seller_stats) -> add (seller_json x)) s.sellers;
   add (",\"batcher\":" ^ batcher_json s.batcher);
-  add (",\"cache\":" ^ cache_json s.cache);
+  add (",\"cache\":" ^ counts_json s.cache);
   add
     (Printf.sprintf
        ",\"completed\":%d,\"failed\":%d,\"admission_retries\":%d,\"trading_makespan\":%s,\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
@@ -1124,11 +1120,21 @@ let to_json (s : stats) =
 let metrics_c m name v = Metrics.incr ~by:v (Metrics.counter m name)
 let metrics_g m name v = Metrics.set (Metrics.gauge m name) v
 
+(* No observations means no percentiles: only the count is written, as
+   [latency_json] renders null rather than a fake 0. *)
 let metrics_lat m name (l : latency_summary) =
   metrics_c m (name ^ ".count") l.l_count;
-  metrics_g m (name ^ ".p50") l.l_p50;
-  metrics_g m (name ^ ".p95") l.l_p95;
-  metrics_g m (name ^ ".p99") l.l_p99
+  if l.l_count > 0 then begin
+    metrics_g m (name ^ ".p50") l.l_p50;
+    metrics_g m (name ^ ".p95") l.l_p95;
+    metrics_g m (name ^ ".p99") l.l_p99
+  end
+
+let metrics_counts m prefix (c : Lru.stats) =
+  metrics_c m (prefix ^ ".hits") c.hits;
+  metrics_c m (prefix ^ ".misses") c.misses;
+  metrics_c m (prefix ^ ".invalidations") c.invalidations;
+  metrics_c m (prefix ^ ".evictions") c.evictions
 
 let metrics_exec m = function
   | None -> ()
@@ -1155,11 +1161,7 @@ let metrics_qcache m = function
       q.Tier.stmt.Statement_cache.invalidations;
     metrics_c m "qcache.stmt.evictions" q.Tier.stmt.Statement_cache.evictions;
     metrics_c m "qcache.stmt.suppressed" q.Tier.stmt.Statement_cache.suppressed;
-    metrics_c m "qcache.result.hits" q.Tier.result.Result_cache.hits;
-    metrics_c m "qcache.result.misses" q.Tier.result.Result_cache.misses;
-    metrics_c m "qcache.result.invalidations"
-      q.Tier.result.Result_cache.invalidations;
-    metrics_c m "qcache.result.evictions" q.Tier.result.Result_cache.evictions;
+    metrics_counts m "qcache.result" q.Tier.result;
     metrics_c m "qcache.trades_avoided" q.Tier.trades_avoided;
     metrics_c m "qcache.executions_avoided" q.Tier.executions_avoided;
     metrics_c m "qcache.result_bytes" q.Tier.result_bytes_held;
@@ -1192,10 +1194,7 @@ let metrics_shared m ~sellers ~(batcher : Batcher.stats) ~(cache : Seller.cache_
   metrics_c m "batcher.messages_saved" batcher.Batcher.messages_saved;
   metrics_c m "batcher.bytes_saved" batcher.Batcher.bytes_saved;
   metrics_c m "batcher.dup_signatures_merged" batcher.Batcher.dup_signatures_merged;
-  metrics_c m "cache.hits" cache.Seller.hits;
-  metrics_c m "cache.misses" cache.Seller.misses;
-  metrics_c m "cache.invalidations" cache.Seller.invalidations;
-  metrics_c m "cache.evictions" cache.Seller.evictions;
+  metrics_counts m "cache" cache;
   List.iter
     (fun (x : seller_stats) ->
       let p = Printf.sprintf "seller.%d." x.seller in
@@ -2226,7 +2225,7 @@ let stream_to_json (s : stream_stats) =
   add ",\"sellers\":";
   list (fun x -> add (seller_json x)) s.str_sellers;
   add (",\"batcher\":" ^ batcher_json s.str_batcher);
-  add (",\"cache\":" ^ cache_json s.str_cache);
+  add (",\"cache\":" ^ counts_json s.str_cache);
   add
     (Printf.sprintf
        ",\"admission_retries\":%d,\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"

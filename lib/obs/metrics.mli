@@ -1,10 +1,9 @@
 (** A minimal metrics registry: counters, gauges and sim-time histograms
     behind one deterministic [to_json].
 
-    The registry replaces the bespoke stat records that used to live in
-    the seller bid cache, the RFB batcher and the admission controller:
-    those components now register their counters here and keep their old
-    [stats] accessors as thin views.  Handles are plain mutable records,
+    The RFB batcher and the admission controller register their counters
+    here and keep their [stats] accessors as thin views.  (The caches
+    count in {!Qt_util.Lru} instead.)  Handles are plain mutable records,
     so the hot path pays one memory write per update — no hashtable
     lookup, no allocation.
 

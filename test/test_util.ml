@@ -240,6 +240,108 @@ let test_texttable () =
   Alcotest.(check bool) "row padded" true
     (String.split_on_char '\n' s |> List.length >= 4)
 
+(* Lru against a naive model: an association list ordered most recent
+   first, whose last element is the victim.  Keys 0..4, values carry the
+   step that inserted them and their weight, so replacements differ. *)
+module Lru = Qt_util.Lru
+
+type lru_op =
+  | Insert of int * int  (** key, weight *)
+  | Find of int * bool  (** key, does [valid] pass *)
+  | Remove of int
+  | Mem of int
+
+let lru_op_to_string = function
+  | Insert (k, w) -> Printf.sprintf "insert %d w%d" k w
+  | Find (k, ok) -> Printf.sprintf "find %d %b" k ok
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+
+let prop_lru_matches_model =
+  let open QCheck2.Gen in
+  let key = int_range 0 4 in
+  let op =
+    oneof
+      [
+        map2 (fun k w -> Insert (k, w)) key (int_range 0 6);
+        map2 (fun k ok -> Find (k, ok)) key bool;
+        map (fun k -> Remove k) key;
+        map (fun k -> Mem k) key;
+      ]
+  in
+  let print (max_entries, max_weight, ops) =
+    Printf.sprintf "max_entries %d, max_weight %s: %s" max_entries
+      (match max_weight with Some w -> string_of_int w | None -> "none")
+      (String.concat "; " (List.map lru_op_to_string ops))
+  in
+  let gen =
+    triple (int_range 1 4) (opt (int_range 1 10)) (list_size (int_range 0 40) op)
+  in
+  QCheck2.Test.make ~name:"lru matches a recency-list model" ~count:500 ~print
+    gen (fun (max_entries, max_weight, ops) ->
+      let lru = Lru.create ~weight:snd ?max_weight ~max_entries () in
+      let cap = Option.value max_weight ~default:max_int in
+      let model = ref [] in
+      let hits = ref 0 and misses = ref 0 in
+      let invalidations = ref 0 and evictions = ref 0 in
+      let without k = List.filter (fun (k', _) -> k' <> k) !model in
+      let held () = List.fold_left (fun acc (_, (_, w)) -> acc + w) 0 !model in
+      let present k = List.mem_assoc k !model in
+      let fail i what = QCheck2.Test.fail_reportf "step %d: %s differs" i what in
+      let step i op =
+        match op with
+        | Insert (k, w) ->
+          Lru.insert lru k (i, w);
+          if w <= cap then begin
+            model := (k, (i, w)) :: without k;
+            while List.length !model > max_entries || held () > cap do
+              model := List.rev (List.tl (List.rev !model));
+              incr evictions
+            done
+          end
+        | Find (k, ok) ->
+          let expected =
+            match List.assoc_opt k !model with
+            | Some v when ok ->
+              incr hits;
+              model := (k, v) :: without k;
+              Some v
+            | Some _ ->
+              incr invalidations;
+              incr misses;
+              model := without k;
+              None
+            | None ->
+              incr misses;
+              None
+          in
+          if Lru.find lru k ~valid:(fun _ -> ok) <> expected then fail i "find"
+        | Remove k ->
+          Lru.remove lru k;
+          model := without k
+        | Mem k -> if Lru.mem lru k <> present k then fail i "mem"
+      in
+      List.iteri
+        (fun i op ->
+          step i op;
+          (* Comparing the key set after every step names each victim. *)
+          List.iter
+            (fun k -> if Lru.mem lru k <> present k then fail i "key set")
+            [ 0; 1; 2; 3; 4 ];
+          if Lru.length lru <> List.length !model then fail i "length";
+          if Lru.held lru <> held () then fail i "held";
+          let want =
+            {
+              Lru.hits = !hits;
+              misses = !misses;
+              invalidations = !invalidations;
+              evictions = !evictions;
+            }
+          in
+          if Lru.stats lru <> want then fail i "stats")
+        ops;
+      true)
+
 let suite =
   ( "util",
     [
@@ -261,6 +363,7 @@ let suite =
       quick "histogram zipf skew" test_histogram_zipf_skew;
       quick "histogram sample" test_histogram_sample;
       QCheck_alcotest.to_alcotest prop_histogram_mass_additive;
+      QCheck_alcotest.to_alcotest prop_lru_matches_model;
       quick "listx basics" test_listx_basics;
       quick "listx group_by" test_listx_group_by;
       quick "texttable" test_texttable;
