@@ -40,7 +40,8 @@ let views_arg =
 let profile_arg =
   Arg.(
     value & opt string "default"
-    & info [ "net" ] ~docv:"PROFILE" ~doc:"Network profile: default, lan or wan.")
+    & info [ "net" ] ~docv:"PROFILE"
+        ~doc:"Latency and bandwidth profile: default, lan or wan.")
 
 let schema_arg =
   Arg.(
@@ -126,30 +127,29 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Fault plan for the discrete-event runtime, comma-separated: \
-           crash:NODE\\@TIME[s] kills a node at a virtual time, drop:P loses \
+           crash:NODE@TIME[s] kills a node at a virtual time, drop:P loses \
            each message with probability P, jitter:T[s] adds uniform extra \
-           latency.  Example: crash:2\\@0.5s,drop:0.05.  Implies the \
-           asynchronous runtime.")
+           latency.  Example: crash:2@0.5s,drop:0.05.")
 
 let timeout_arg =
   Arg.(
-    value & opt (some float) None
+    value
+    & opt float Qt_runtime.Runtime.default_rpc.timeout
     & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "RPC timeout before a request-for-bids attempt is retried.  \
-           Implies the asynchronous runtime.")
+        ~doc:"RPC timeout before a request-for-bids attempt is retried.")
 
 let retries_arg =
   Arg.(
-    value & opt int 2
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Resends after the first RPC attempt (runtime mode).")
+    value
+    & opt int Qt_runtime.Runtime.default_rpc.max_retries
+    & info [ "retries" ] ~docv:"N" ~doc:"Resends after the first RPC attempt.")
 
 let backoff_arg =
   Arg.(
-    value & opt float 2.0
+    value
+    & opt float Qt_runtime.Runtime.default_rpc.backoff
     & info [ "backoff" ] ~docv:"FACTOR"
-        ~doc:"Timeout multiplier applied per retry (runtime mode).")
+        ~doc:"Timeout multiplier applied per retry.")
 
 let stats_arg =
   Arg.(
@@ -643,31 +643,13 @@ let run_optimize sql schema nodes partitions replicas views profile execute
     if faults = "" then Qt_runtime.Fault_plan.none
     else Qt_runtime.Fault_plan.of_spec faults
   in
-  let runtime =
-    if faults = "" && timeout = None then None
-    else
-      let rpc =
-        {
-          Qt_runtime.Runtime.timeout =
-            Option.value timeout
-              ~default:Qt_runtime.Runtime.default_rpc.Qt_runtime.Runtime.timeout;
-          max_retries = retries;
-          backoff;
-        }
-      in
-      Some (Qt_runtime.Runtime.create ~rpc ~faults:fault_plan ~obs ~params ~seed ())
-  in
+  let rpc = { Qt_runtime.Runtime.timeout; max_retries = retries; backoff } in
+  let rt = Qt_runtime.Runtime.create ~rpc ~faults:fault_plan ~obs ~params ~seed () in
   let transport =
-    Option.map
-      (fun rt ->
-        Qt_runtime.Transport_des.create rt ~buyer:Qt_core.Trader.buyer_id
-          ~nodes:
-            (List.map
-               (fun (n : Qt_catalog.Node.t) -> n.Qt_catalog.Node.node_id)
-               federation.Qt_catalog.Federation.nodes))
-      runtime
+    Qt_runtime.Transport_des.create rt ~buyer:Qt_core.Trader.buyer_id
+      ~nodes:(Qt_catalog.Federation.node_ids federation)
   in
-  match Qt_core.Trader.optimize ?transport ~obs config federation query with
+  match Qt_core.Trader.optimize ~transport ~obs config federation query with
   | Error e ->
     Printf.eprintf "optimization failed: %s\n" e;
     (* A failed trade still yields a trace — often the most useful one. *)
@@ -679,37 +661,27 @@ let run_optimize sql schema nodes partitions replicas views profile execute
     Printf.printf "\nPlan (estimated %s):\n%s\n"
       (Format.asprintf "%a" Qt_cost.Cost.pp outcome.cost)
       (Format.asprintf "%a" Qt_optimizer.Plan.pp outcome.plan);
-    (match runtime with
-    | None ->
-      Printf.printf
-        "Optimization: %d iterations, %d messages, %.1f KiB, %.4fs simulated, \
-         %.1fms wall\n"
-        outcome.stats.iterations outcome.stats.messages
-        (float_of_int outcome.stats.bytes /. 1024.)
-        outcome.stats.sim_time
-        (1000. *. outcome.stats.wall_time)
-    | Some rt ->
-      (* Runtime mode prints no wall-clock figure: a seeded faulty run is
-         byte-for-byte reproducible. *)
-      let s = Qt_runtime.Runtime.stats rt in
-      Printf.printf
-        "Optimization: %d iterations, %d messages, %.1f KiB, %.4fs simulated\n"
-        outcome.stats.iterations outcome.stats.messages
-        (float_of_int outcome.stats.bytes /. 1024.)
-        outcome.stats.sim_time;
-      Printf.printf
-        "Runtime: %d events, %d drops, %d retries, %d gave-up, %d crashed \
-         (faults %s)\n"
-        s.Qt_runtime.Runtime.events s.Qt_runtime.Runtime.drops
-        s.Qt_runtime.Runtime.retries s.Qt_runtime.Runtime.gave_up
-        s.Qt_runtime.Runtime.crashes
-        (Format.asprintf "%a" Qt_runtime.Fault_plan.pp fault_plan);
-      let sellers =
-        Qt_util.Listx.dedup ( = )
-          (List.map (fun (o : Qt_core.Offer.t) -> o.seller) outcome.purchased)
-      in
-      Printf.printf "Plan bought from surviving nodes: [%s]\n"
-        (String.concat "; " (List.map string_of_int (List.sort compare sellers))));
+    (* No wall-clock figure: a seeded run is byte-for-byte reproducible
+       (per-phase wall time is in --stats). *)
+    let s = Qt_runtime.Runtime.stats rt in
+    Printf.printf
+      "Optimization: %d iterations, %d messages, %.1f KiB, %.4fs simulated\n"
+      outcome.stats.iterations outcome.stats.messages
+      (float_of_int outcome.stats.bytes /. 1024.)
+      outcome.stats.sim_time;
+    Printf.printf
+      "Runtime: %d events, %d drops, %d retries, %d gave-up, %d crashed \
+       (faults %s)\n"
+      s.Qt_runtime.Runtime.events s.Qt_runtime.Runtime.drops
+      s.Qt_runtime.Runtime.retries s.Qt_runtime.Runtime.gave_up
+      s.Qt_runtime.Runtime.crashes
+      (Format.asprintf "%a" Qt_runtime.Fault_plan.pp fault_plan);
+    let sellers =
+      Qt_util.Listx.dedup ( = )
+        (List.map (fun (o : Qt_core.Offer.t) -> o.seller) outcome.purchased)
+    in
+    Printf.printf "Plan bought from surviving nodes: [%s]\n"
+      (String.concat "; " (List.map string_of_int (List.sort compare sellers)));
     if outcome.stats.seller_surplus > 0. then
       Printf.printf "Seller surplus extracted: %.4fs\n" outcome.stats.seller_surplus;
     if stats then print_phase_stats outcome.phases;

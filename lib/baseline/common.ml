@@ -4,7 +4,7 @@ module Federation = Qt_catalog.Federation
 module Node = Qt_catalog.Node
 module Cost = Qt_cost.Cost
 module Plan = Qt_optimizer.Plan
-module Network = Qt_net.Network
+module Runtime = Qt_runtime.Runtime
 module Listx = Qt_util.Listx
 module Rng = Qt_util.Rng
 module Offer = Qt_core.Offer
@@ -116,14 +116,25 @@ let recost ~params ~true_offers plan =
   in
   Plan.cost params (substitute_remotes ~lookup plan)
 
-let catalog_fetch_cost net (federation : Federation.t) =
-  let participants =
-    List.map
-      (fun (n : Node.t) ->
-        let catalog_bytes =
-          (100 * List.length n.fragments) + (200 * List.length n.views) + 100
-        in
-        (64, catalog_bytes, 1e-3))
-      federation.nodes
+let fetch_catalogs ~params federation =
+  let rt = Runtime.create ~params ~seed:0 () in
+  let catalog_bytes id =
+    let n = Federation.node federation id in
+    (100 * List.length n.fragments) + (200 * List.length n.views) + 100
   in
-  ignore (Network.parallel_round net participants)
+  ignore
+    (Runtime.gather_round rt ~src:Qt_core.Trader.buyer_id
+       ~targets:(Federation.node_ids federation) ~request_bytes:64
+       ~serve:(fun id -> ((), 1e-3, catalog_bytes id))
+      : unit Runtime.gather_result);
+  rt
+
+let stats_of ~wall_time ~plan_cost rt =
+  let s = Runtime.stats rt in
+  {
+    messages = s.Runtime.messages;
+    bytes = s.Runtime.bytes;
+    sim_time = Runtime.node_clock rt Qt_core.Trader.buyer_id;
+    wall_time;
+    plan_cost;
+  }

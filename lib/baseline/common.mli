@@ -49,7 +49,15 @@ val recost :
     remote leaf's quoted cost with the matching true offer's cost — the
     price actually paid at execution time. *)
 
-val catalog_fetch_cost :
-  Qt_net.Network.t -> Qt_catalog.Federation.t -> unit
-(** Account one catalog-pull round: two messages per node, clock advanced
-    by the slowest reply (catalog sizes proportional to holdings). *)
+val fetch_catalogs :
+  params:Qt_cost.Params.t -> Qt_catalog.Federation.t -> Qt_runtime.Runtime.t
+(** A fresh fault-free runtime after one catalog-pull round from
+    {!Qt_core.Trader.buyer_id}: one request and one reply per node, the
+    buyer's clock advanced by the slowest reply (catalog sizes
+    proportional to holdings).  Charge the central site's own work with
+    {!Qt_runtime.Runtime.advance} on the buyer. *)
+
+val stats_of :
+  wall_time:float -> plan_cost:float -> Qt_runtime.Runtime.t -> stats
+(** The run's statistics: messages and bytes from the runtime's counters,
+    simulated time from the buyer's clock. *)

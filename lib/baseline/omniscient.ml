@@ -1,23 +1,24 @@
 module Cost = Qt_cost.Cost
-module Network = Qt_net.Network
+module Runtime = Qt_runtime.Runtime
+module Trader = Qt_core.Trader
 module Offer = Qt_core.Offer
 module Plan_generator = Qt_core.Plan_generator
 
 let run ~mode ~staleness ~seed ~params federation q =
   let wall_start = Sys.time () in
-  let net = Network.create params in
   (* Knowledge acquisition: one catalog pull per node. *)
-  Common.catalog_fetch_cost net federation;
+  let rt = Common.fetch_catalogs ~params federation in
   let true_offers, processing = Common.collect_offers ~params ~federation ~rounds:3 q in
   (* A central site evaluates every node's access paths itself,
      sequentially — this is where centralized optimization stops scaling. *)
-  Network.local_work net processing;
+  Runtime.advance rt ~node:Trader.buyer_id processing;
   let known = Common.perturb_offers ~seed ~staleness true_offers in
   let candidates =
     Plan_generator.generate ~params ~weights:Offer.default_weights ~mode
       ~schema:federation.Qt_catalog.Federation.schema ~offers:known q
   in
-  Network.local_work net (1e-4 *. float_of_int (List.length known));
+  Runtime.advance rt ~node:Trader.buyer_id
+    (1e-4 *. float_of_int (List.length known));
   match candidates with
   | [] -> Result.Error "centralized optimizer found no plan"
   | best :: _ ->
@@ -27,13 +28,8 @@ let run ~mode ~staleness ~seed ~params federation q =
         Common.plan = best.Plan_generator.plan;
         cost = true_cost;
         stats =
-          {
-            Common.messages = Network.messages net;
-            bytes = Network.bytes_sent net;
-            sim_time = Network.clock net;
-            wall_time = Sys.time () -. wall_start;
-            plan_cost = Cost.response true_cost;
-          };
+          Common.stats_of ~wall_time:(Sys.time () -. wall_start)
+            ~plan_cost:(Cost.response true_cost) rt;
       }
 
 let global_dp ?(staleness = 1.) ?(seed = 42) ~params federation q =

@@ -5,7 +5,7 @@ module Estimate = Qt_stats.Estimate
 module Cost = Qt_cost.Cost
 module Plan = Qt_optimizer.Plan
 module Dp = Qt_optimizer.Dp
-module Network = Qt_net.Network
+module Runtime = Qt_runtime.Runtime
 module Offer = Qt_core.Offer
 module Plan_generator = Qt_core.Plan_generator
 
@@ -66,15 +66,14 @@ let local_join_order ~params schema (q : Ast.t) =
 let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
   let wall_start = Sys.time () in
   let schema = federation.Qt_catalog.Federation.schema in
-  let net = Network.create params in
-  Common.catalog_fetch_cost net federation;
+  let rt = Common.fetch_catalogs ~params federation in
   match local_join_order ~params schema q with
   | None -> Result.Error "two-step: no local join order (disconnected query?)"
   | Some tree ->
     let true_offers, processing =
       Common.collect_offers ~params ~federation ~rounds:1 q
     in
-    Network.local_work net (0.2 *. processing);
+    Runtime.advance rt ~node:Qt_core.Trader.buyer_id (0.2 *. processing);
     let known = Common.perturb_offers ~seed ~staleness true_offers in
     let blocks =
       Plan_generator.singleton_blocks ~params ~weights:Offer.default_weights ~schema
@@ -138,11 +137,6 @@ let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
           Common.plan = finalized.Dp.plan;
           cost = true_cost;
           stats =
-            {
-              Common.messages = Network.messages net;
-              bytes = Network.bytes_sent net;
-              sim_time = Network.clock net;
-              wall_time = Sys.time () -. wall_start;
-              plan_cost = Cost.response true_cost;
-            };
+            Common.stats_of ~wall_time:(Sys.time () -. wall_start)
+              ~plan_cost:(Cost.response true_cost) rt;
         })

@@ -4,9 +4,9 @@ module Federation = Qt_catalog.Federation
 module Node = Qt_catalog.Node
 module Cost = Qt_cost.Cost
 module Plan = Qt_optimizer.Plan
-module Network = Qt_net.Network
-module Transport = Qt_net.Transport
-module Transport_lockstep = Qt_net.Transport_lockstep
+module Runtime = Qt_runtime.Runtime
+module Transport = Qt_runtime.Transport
+module Transport_des = Qt_runtime.Transport_des
 module Protocol = Qt_trading.Protocol
 module Strategy = Qt_trading.Strategy
 module Listx = Qt_util.Listx
@@ -183,15 +183,17 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     (q : Ast.t) =
   let wall_start = Sys.time () in
   let obs_track = Option.value ~default:buyer_id obs_track in
-  (* All execution-model specifics (lock-step vs discrete-event, faults,
-     timeouts, retries) live behind the transport; the loop below is the
-     single trading path for both. *)
+  (* All execution-model specifics (faults, timeouts, retries, batching)
+     live behind the transport; the default is a fault-free runtime of
+     our own. *)
   let transport : Seller.response Transport.t =
     match transport with
     | Some t -> t
     | None ->
-      Transport_lockstep.create ~obs ~track:obs_track
-        (Network.create config.params)
+      Transport_des.create
+        (Runtime.create ~obs ~params:config.params ~seed:0 ())
+        ~buyer:obs_track
+        ~nodes:(Federation.node_ids federation)
   in
   if Obs.enabled obs then begin
     Obs.track_name obs obs_track

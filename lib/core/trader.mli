@@ -9,9 +9,10 @@
     when neither the plan improved nor new queries appeared (B7),
     returning the best plan and its cost (B8).
 
-    All inter-node traffic flows through a {!Qt_net.Network}, so the
-    returned statistics (simulated elapsed time, messages, bytes) are the
-    quantities the paper's experiments report. *)
+    All inter-node traffic flows through a {!Qt_runtime.Transport} over
+    the discrete-event {!Qt_runtime.Runtime}, so the returned statistics
+    (simulated elapsed time, messages, bytes) are the quantities the
+    paper's experiments report. *)
 
 type config = {
   params : Qt_cost.Params.t;
@@ -117,7 +118,7 @@ val add_phase_stats : phase_stats -> phase_stats -> phase_stats
 val optimize :
   ?standing:Offer.t list ->
   ?requests:Qt_sql.Ast.t list ->
-  ?transport:Seller.response Qt_net.Transport.t ->
+  ?transport:Seller.response Qt_runtime.Transport.t ->
   ?caches:Seller.cache_pool ->
   ?obs:Qt_obs.Obs.t ->
   ?obs_track:int ->
@@ -134,18 +135,18 @@ val optimize :
     (default [[q]]): a recovering buyer asks only for the pieces it lost
     — see {!Recovery}.
 
-    [transport] selects the execution model the trading rounds run on.
-    The default is {!Qt_net.Transport_lockstep} over a fresh
-    {!Qt_net.Network} — every seller answers, one global clock — with
-    behaviour (and every reported number) bit-identical to previous
-    releases.  Passing {!Qt_runtime.Transport_des.create} instead runs
-    the same loop on the discrete-event runtime with per-node clocks, RPC
-    timeout/retry/backoff and injectable faults: each round completes
-    when every live seller replied or the (backed-off) timeout fired for
-    the rest; unresponsive or crashed sellers are written off, and their
-    standing offers are invalidated mid-trade by the same honourability
-    rule {!Recovery.surviving_contracts} applies between optimizations.
-    The loop itself never branches on the model.
+    [transport] carries the trading rounds.  The default is
+    {!Qt_runtime.Transport_des} over a fresh fault-free
+    {!Qt_runtime.Runtime} (seed 0, {!Qt_runtime.Runtime.default_rpc}),
+    with the buyer on [obs_track]: every round costs its slowest round
+    trip, and a seller slower than the RPC timeout is retried.  Pass a
+    transport over a runtime with a {!Qt_runtime.Fault_plan} to inject
+    crashes, drops and jitter: each round completes when every live
+    seller replied or the (backed-off) timeout fired for the rest;
+    unresponsive or crashed sellers are written off, and their standing
+    offers are invalidated mid-trade by the same honourability rule
+    {!Recovery.surviving_contracts} applies between optimizations.  The
+    loop itself never branches on the transport.
 
     [caches] shares seller bid caches across calls (see
     {!Seller.pool_create}): repeated trades against unchanged sellers

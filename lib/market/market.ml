@@ -6,7 +6,7 @@ module Trader = Qt_core.Trader
 module Seller = Qt_core.Seller
 module Offer = Qt_core.Offer
 module Cost = Qt_cost.Cost
-module Transport = Qt_net.Transport
+module Transport = Qt_runtime.Transport
 module Runtime = Qt_runtime.Runtime
 module Event_queue = Qt_runtime.Event_queue
 module Federation = Qt_catalog.Federation
@@ -367,8 +367,7 @@ let trader_config st tr =
 let make_transport st tr : Seller.response Transport.t =
   let pending = ref None in
   {
-    Transport.label = "market";
-    alive = (fun id -> Runtime.alive st.rt id);
+    Transport.alive = (fun id -> Runtime.alive st.rt id);
     broadcast_rfb =
       (fun ~targets ~signatures ~request_bytes ->
         let targets = List.filter (Runtime.alive st.rt) targets in

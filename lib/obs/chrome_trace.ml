@@ -13,8 +13,12 @@
    Within a (pid, tid) the viewer expects stack discipline and monotone
    timestamps.  Spans are therefore emitted as a tree per track —
    children (linked by parent id) nested between their parent's B and E
-   — and the emitted ts is clamped to be non-decreasing per track, so
-   clock skew between sibling spans can never produce an invalid file. *)
+   — and a track's root spans are spread over tid lanes: each root goes
+   to the first lane whose previous root has ended by its start, so
+   roots that overlap in time (a trade's RPCs inside its optimize span)
+   keep their own timestamps.  The emitted ts is clamped to be
+   non-decreasing per lane, so clock skew between sibling spans can never
+   produce an invalid file. *)
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -93,27 +97,40 @@ let to_json ?(counters = []) obs =
   let order ss = List.sort (fun (a : Obs.span) b -> compare (a.t0, a.id) (b.t0, b.id)) ss in
   let emit_track tr =
     let pid = pid_of tr in
-    let last_ts = ref neg_infinity in
-    let clamp ts =
-      let ts = if ts > !last_ts then ts else !last_ts in
-      last_ts := ts;
-      ts
+    (* Lane tid -> last emitted ts on it. *)
+    let lanes : (int, float ref) Hashtbl.t = Hashtbl.create 4 in
+    let rec free_lane t0 tid =
+      match Hashtbl.find_opt lanes tid with
+      | None ->
+        let last = ref neg_infinity in
+        Hashtbl.replace lanes tid last;
+        (tid, last)
+      | Some last when !last <= t0 -> (tid, last)
+      | Some _ -> free_lane t0 (tid + 1)
     in
-    let rec emit_span (s : Obs.span) =
+    let rec emit_span ~tid ~last (s : Obs.span) =
+      let clamp ts =
+        let ts = if ts > !last then ts else !last in
+        last := ts;
+        ts
+      in
       let b_ts = clamp (us s.t0) in
       event
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":%s}"
-           (escape s.name) (escape s.cat) b_ts pid (args_json s.attrs));
-      List.iter emit_span
+           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":%s}"
+           (escape s.name) (escape s.cat) b_ts pid tid (args_json s.attrs));
+      List.iter (emit_span ~tid ~last)
         (order (try Hashtbl.find children s.id with Not_found -> []));
       let e_ts = clamp (us s.t1) in
       event
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":%d,\"tid\":1}"
-           (escape s.name) (escape s.cat) e_ts pid)
+           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d}"
+           (escape s.name) (escape s.cat) e_ts pid tid)
     in
-    List.iter emit_span
+    List.iter
+      (fun (s : Obs.span) ->
+        let tid, last = free_lane (us s.t0) 1 in
+        emit_span ~tid ~last s)
       (order (try Hashtbl.find roots_of_track tr with Not_found -> []))
   in
   List.iter (fun (tr, _) -> emit_track tr) tracks;

@@ -3,7 +3,8 @@
     {!to_json} renders a sink as the JSON object format that Perfetto
     and [chrome://tracing] load: one process (pid) per track, B/E event
     pairs nested by parent links, timestamps in simulated microseconds,
-    span attributes as [args].  Wall-clock time is deliberately omitted,
+    span attributes as [args].  Root spans of one track that overlap in
+    time go to separate tid lanes, so each keeps its own timestamps.  Wall-clock time is deliberately omitted,
     so same-seed runs produce byte-identical files.
 
     {!validate} re-parses an emitted file with {!Qt_util.Json_min} and

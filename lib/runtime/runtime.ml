@@ -1,4 +1,3 @@
-module Network = Qt_net.Network
 module Rng = Qt_util.Rng
 module Obs = Qt_obs.Obs
 
@@ -33,7 +32,9 @@ type node_state = {
 }
 
 type t = {
-  net : Network.t;
+  params : Qt_cost.Params.t;
+  mutable messages : int;
+  mutable bytes : int;
   rpc : rpc_config;
   faults : Fault_plan.t;
   rng : Rng.t;
@@ -50,7 +51,9 @@ let create ?(rpc = default_rpc) ?(faults = Fault_plan.none)
   if rpc.max_retries < 0 then invalid_arg "Runtime.create: negative max_retries";
   if rpc.backoff < 1. then invalid_arg "Runtime.create: backoff must be >= 1";
   {
-    net = Network.create params;
+    params;
+    messages = 0;
+    bytes = 0;
     rpc;
     faults;
     rng = Rng.create seed;
@@ -64,12 +67,24 @@ let create ?(rpc = default_rpc) ?(faults = Fault_plan.none)
 let rpc t = t.rpc
 let obs t = t.obs
 let now t = t.now
-let one_way t ~bytes = Network.one_way t.net ~bytes
+
+(* Message accounting: every message carries [msg_overhead_bytes] of
+   envelope on top of its payload, and crosses a full mesh of uniform
+   latency and bandwidth. *)
+let payload t bytes = bytes + t.params.Qt_cost.Params.msg_overhead_bytes
+
+let one_way t ~bytes =
+  t.params.Qt_cost.Params.net_latency
+  +. (float_of_int (payload t bytes) /. t.params.Qt_cost.Params.net_bandwidth)
+
+let account t ~count ~bytes =
+  t.messages <- t.messages + count;
+  t.bytes <- t.bytes + (count * payload t bytes)
 
 let stats t =
   {
-    messages = Network.messages t.net;
-    bytes = Network.bytes_sent t.net;
+    messages = t.messages;
+    bytes = t.bytes;
     events = t.c.events;
     drops = t.c.drops;
     retries = t.c.retries;
@@ -110,7 +125,7 @@ let advance t ~node:id dt =
   n.clock <- n.clock +. Float.max 0. dt
 
 let chatter t ~node:id ~count ~bytes_each ~elapsed =
-  ignore (Network.broadcast t.net ~count ~bytes:bytes_each : float);
+  account t ~count ~bytes:bytes_each;
   advance t ~node:id elapsed
 
 let step t =
@@ -172,8 +187,8 @@ let gather_round (type reply) t ~src ~targets ~request_bytes
   let rec attempt target st ~n ~at =
     (* Request leg: accounted even when dropped — the sender still put it
        on the wire. *)
-    let transit = Network.broadcast t.net ~count:1 ~bytes:request_bytes in
-    let arrival = at +. transit +. jitter_draw t in
+    account t ~count:1 ~bytes:request_bytes;
+    let arrival = at +. one_way t ~bytes:request_bytes +. jitter_draw t in
     if drop_draw t then begin
       t.c.drops <- t.c.drops + 1;
       if Obs.enabled t.obs then
@@ -229,7 +244,8 @@ let gather_round (type reply) t ~src ~targets ~request_bytes
             if not died_before_reply then begin
               (* Reply leg: accounted (and possibly dropped) like any
                  other message. *)
-              let delay = Network.gather t.net [ (reply_bytes, processing) ] in
+              account t ~count:1 ~bytes:reply_bytes;
+              let delay = one_way t ~bytes:reply_bytes +. processing in
               let reply_arrival = arrival +. delay +. jitter_draw t in
               if drop_draw t then begin
                 t.c.drops <- t.c.drops + 1;

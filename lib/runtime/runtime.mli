@@ -1,19 +1,29 @@
-(** Deterministic discrete-event federation runtime.
+(** Deterministic discrete-event federation runtime — the simulator's
+    one network model.
 
-    The legacy {!Qt_net.Network} models every request round as a lock-step
-    barrier on one global clock, so a slow or dead seller is invisible to
-    the buyer.  This runtime gives each node its own virtual clock and a
-    FIFO mailbox, moves every message through a binary-heap event queue
-    ({!Event_queue}), and layers an RPC discipline on top — per-attempt
-    timeout, bounded retries with exponential backoff — so the trading
-    loop can proceed with whichever sellers actually answer, as the
-    paper's asynchronous protocol intends.
+    The experiments measure three things about optimization itself: how
+    long it takes (simulated elapsed time), how many messages it needs and
+    how many bytes it moves.  This runtime is the single accounting point
+    for all three.  The network is a full mesh with uniform latency and
+    bandwidth (from {!Qt_cost.Params}); every message pays
+    [msg_overhead_bytes] of envelope.  Each node has its own virtual
+    clock and a FIFO mailbox, every message moves through a binary-heap
+    event queue ({!Event_queue}), and an RPC discipline sits on top —
+    per-attempt timeout, bounded retries with exponential backoff — so
+    the trading loop proceeds with whichever sellers actually answer, as
+    the paper's asynchronous protocol intends.  A request round to many
+    sellers runs in parallel: its elapsed time is the {e slowest}
+    seller's round trip, while message/byte counters accumulate over
+    {e all} sellers — the asymmetry that lets query trading scale with
+    federation size.
 
     Faults come from a declarative {!Fault_plan}: node crashes at fixed
     virtual times, per-message drop probability, and latency jitter.  All
     randomness (drops, jitter) is drawn from one seeded {!Qt_util.Rng}
     consumed in event order, and ties in the event queue break by
-    scheduling sequence, so a given (plan, seed) replays identically. *)
+    scheduling sequence, so a given (plan, seed) replays identically.
+    With no faults the seed draws nothing, and a round costs exactly its
+    slowest round trip. *)
 
 type t
 
@@ -60,7 +70,8 @@ val now : t -> float
 (** Virtual time of the last dispatched event. *)
 
 val one_way : t -> bytes:int -> float
-(** Base transit time (before jitter) of a [bytes]-byte message. *)
+(** Base transit time (before jitter) of a message carrying [bytes] of
+    payload: latency plus payload and envelope over bandwidth. *)
 
 val stats : t -> stats
 
@@ -78,8 +89,10 @@ val advance : t -> node:int -> float -> unit
 (** Local work: advance one node's clock (negative durations ignored). *)
 
 val chatter : t -> node:int -> count:int -> bytes_each:int -> elapsed:float -> unit
-(** Bulk-account overlapping negotiation traffic against [node]'s clock —
-    the runtime analogue of {!Qt_net.Network.account_messages}. *)
+(** Bulk-account traffic whose messages overlap in time (negotiation
+    chatter): add [count] messages of [bytes_each] payload and advance
+    only [node]'s clock, by [elapsed] (e.g. the deepest lot's rounds, not
+    the sum). *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Schedule a raw event ([at] clamped to the current virtual time). *)
@@ -109,7 +122,9 @@ val gather_round :
     pump the event loop until each has replied or been given up on, and
     advance [src]'s clock to the round's resolution time.  [serve target]
     runs at delivery time on the target's clock and returns [(reply,
-    processing seconds, reply bytes)]; a target that crashes before its
+    processing seconds, reply bytes)]; its round trip is the request's
+    transit, then the processing, then the reply's transit.  A target
+    that crashes before its
     reply leaves never answers and is discovered by timeout.  Quorum
     semantics: the round completes when every live target replied {e or}
     the (final, backed-off) timeout fired for the rest. *)

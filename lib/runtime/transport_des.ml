@@ -1,4 +1,3 @@
-module Transport = Qt_net.Transport
 module Listx = Qt_util.Listx
 module Obs = Qt_obs.Obs
 
@@ -12,8 +11,7 @@ let create rt ~buyer ~nodes =
   let failed : int list ref = ref [] in
   let pending = ref None in
   {
-    Transport.label = "des";
-    alive = (fun id -> Runtime.alive rt id);
+    Transport.alive = (fun id -> Runtime.alive rt id);
     broadcast_rfb =
       (fun ~targets ~signatures:_ ~request_bytes ->
         let targets =

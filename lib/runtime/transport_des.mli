@@ -1,4 +1,4 @@
-(** {!Qt_net.Transport} over the discrete-event {!Runtime}.
+(** {!Transport} over the discrete-event {!Runtime}.
 
     Request-for-bids rounds become asynchronous RPC rounds
     ({!Runtime.gather_round}): per-attempt timeout, bounded retries with
@@ -11,7 +11,7 @@
     [round.failed]/[round.fresh_failures] so the caller can invalidate
     state that leans on it. *)
 
-val create : Runtime.t -> buyer:int -> nodes:int list -> 'reply Qt_net.Transport.t
+val create : Runtime.t -> buyer:int -> nodes:int list -> 'reply Transport.t
 (** [create rt ~buyer ~nodes] registers the buyer and every seller node
     on the runtime (arming planned crash timers) and returns the
     transport.  [elapsed]/[account] read and advance the {e buyer}'s

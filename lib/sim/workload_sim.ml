@@ -25,92 +25,10 @@ type result = {
   per_query_cost : float list;
   node_busy : (int * float) list;
   makespan : float;
-  trading_makespan : float;
-  exec_makespan : float;
-  total_makespan : float;
   balance_cv : float;
   failures : int;
   cache : Seller.cache_stats;
 }
-
-let run_concurrent ?(concurrency = 0) ?(batching = true) ?admission ?(seed = 7)
-    ?execute config federation queries =
-  let module Market = Qt_market.Market in
-  let module Admission = Qt_market.Admission in
-  let market_config =
-    let base = Market.default_config config.params in
-    {
-      base with
-      Market.trader =
-        {
-          (Trader.default_config config.params) with
-          Trader.protocol = config.protocol;
-          strategy_of = (fun _ -> config.strategy);
-          seller_template =
-            {
-              (Seller.default_config config.params) with
-              Seller.strategy = config.strategy;
-            };
-        };
-      admission = Option.value admission ~default:Admission.default_config;
-      batching;
-      concurrency;
-      seed;
-      execute;
-    }
-  in
-  let stats = Market.run market_config federation queries in
-  let costs =
-    List.filter_map
-      (fun (t : Market.trade_stats) ->
-        if t.Market.status = Market.Completed then Some t.Market.plan_cost
-        else None)
-      stats.Market.trades
-  in
-  let node_busy =
-    List.filter_map
-      (fun (s : Market.seller_stats) ->
-        let work =
-          Listx.sum_by
-            (fun (t : Market.trade_stats) ->
-              Listx.sum_by
-                (fun (seller, w) -> if seller = s.Market.seller then w else 0.)
-                t.Market.contracts)
-            stats.Market.trades
-        in
-        if work > 0. then Some (s.Market.seller, work) else None)
-      stats.Market.sellers
-  in
-  let busy_values = List.map snd node_busy in
-  let makespan = List.fold_left Float.max 0. busy_values in
-  let balance_cv =
-    match busy_values with
-    | [] -> 0.
-    | values ->
-      let n = float_of_int (List.length values) in
-      let mean = Listx.sum_by Fun.id values /. n in
-      if mean <= 0. then 0.
-      else
-        let variance =
-          Listx.sum_by (fun v -> (v -. mean) *. (v -. mean)) values /. n
-        in
-        sqrt variance /. mean
-  in
-  ( {
-      per_query_cost = costs;
-      node_busy;
-      makespan;
-      trading_makespan = stats.Market.trading_makespan;
-      exec_makespan =
-        (match stats.Market.exec with
-        | Some e -> e.Market.exec_makespan
-        | None -> 0.);
-      total_makespan = stats.Market.makespan;
-      balance_cv;
-      failures = stats.Market.failed;
-      cache = stats.Market.cache;
-    },
-    stats )
 
 (* Load units added to a seller per second of purchased work. *)
 let load_per_second = 1.0
@@ -183,9 +101,6 @@ let run config federation queries =
     per_query_cost = costs;
     node_busy;
     makespan;
-    trading_makespan = makespan;
-    exec_makespan = 0.;
-    total_makespan = makespan;
     balance_cv;
     failures = !failures;
     cache = Seller.pool_stats caches;

@@ -36,16 +36,6 @@ type result = {
   node_busy : (int * float) list;
       (** Total purchased work (seconds) accumulated per node. *)
   makespan : float;  (** Max of [node_busy] — the bottleneck node. *)
-  trading_makespan : float;
-      (** Concurrent runs: virtual time when trading finished (last
-          contract completion or trade end).  Sequential runs: equal to
-          [makespan]. *)
-  exec_makespan : float;
-      (** Concurrent runs with [~execute]: virtual time the last
-          execution task completed; [0.] otherwise. *)
-  total_makespan : float;
-      (** Max of the two above — when everything, trading and row work,
-          was done. *)
   balance_cv : float;
       (** Coefficient of variation of busy time across nodes that did any
           work; 0 = perfectly balanced. *)
@@ -57,25 +47,3 @@ type result = {
 }
 
 val run : config -> Qt_catalog.Federation.t -> Qt_sql.Ast.t list -> result
-
-val run_concurrent :
-  ?concurrency:int ->
-  ?batching:bool ->
-  ?admission:Qt_market.Admission.config ->
-  ?seed:int ->
-  ?execute:Qt_market.Market.exec_config ->
-  config ->
-  Qt_catalog.Federation.t ->
-  Qt_sql.Ast.t list ->
-  result * Qt_market.Market.stats
-(** Trade the whole workload {e concurrently} on the marketplace
-    scheduler ({!Qt_market.Market}) instead of one query at a time.
-    Load feedback comes from the market's admission layer (slot
-    occupancy and queued contracts raise a seller's quoted load) rather
-    than from this module's decay model, so [load_decay] and [feedback]
-    are not consulted.  [node_busy] and [makespan] are derived from
-    admitted contract work, making the result directly comparable with
-    {!run}.  [execute] additionally runs every admitted plan on the
-    execution scheduler (see {!Qt_market.Market.exec_config}); the three
-    makespan fields then separate the trading horizon from the execution
-    horizon. *)

@@ -149,30 +149,17 @@ let test_feedback_steers_execution () =
     true
     (em feedback < em static)
 
-let test_run_concurrent_execute () =
-  let config = Qt_sim.Workload_sim.default_config params in
-  let r, s =
-    Qt_sim.Workload_sim.run_concurrent
-      ~admission:
-        {
-          Admission.default_config with
-          Admission.slots = 8;
-          queue_limit = 8;
-          load_per_contract = 0.;
-        }
-      ~execute:Market.default_exec config (exec_federation ()) (exec_queries 3)
-  in
-  Alcotest.(check int) "no failures" 0 r.Qt_sim.Workload_sim.failures;
-  Alcotest.(check bool) "exec makespan reported" true
-    (r.Qt_sim.Workload_sim.exec_makespan > 0.);
+(* A market run that executes its plans finishes when the later of
+   trading and execution does. *)
+let test_makespan_covers_trading_and_exec () =
+  let s = Market.run (exec_config ()) (exec_federation ()) (exec_queries 3) in
+  let e = exec_stats s in
+  Alcotest.(check int) "no failures" 0 s.Market.failed;
+  Alcotest.(check bool) "exec makespan reported" true (e.Market.exec_makespan > 0.);
   Alcotest.(check (float 1e-9))
-    "total = max(trading, exec)"
-    (Float.max r.Qt_sim.Workload_sim.trading_makespan
-       r.Qt_sim.Workload_sim.exec_makespan)
-    r.Qt_sim.Workload_sim.total_makespan;
-  Alcotest.(check (float 1e-9))
-    "market stats agree" s.Market.trading_makespan
-    r.Qt_sim.Workload_sim.trading_makespan
+    "makespan = max(trading, exec)"
+    (Float.max s.Market.trading_makespan e.Market.exec_makespan)
+    s.Market.makespan
 
 let test_exec_spans_on_sim_clock () =
   let obs = Qt_obs.Obs.create () in
@@ -202,6 +189,7 @@ let suite =
       quick "identical remote purchases execute once" test_shared_results;
       quick "measured-load feedback steers trades to replicas"
         test_feedback_steers_execution;
-      quick "run_concurrent reports three makespans" test_run_concurrent_execute;
+      quick "makespan covers trading and execution"
+        test_makespan_covers_trading_and_exec;
       quick "exec spans carry sim timestamps" test_exec_spans_on_sim_clock;
     ] )

@@ -240,6 +240,45 @@ let test_exported_trace_validates () =
   Alcotest.(check bool) "no wall field exported" false
     (Astring_like.contains json "wall")
 
+(* Root spans that overlap on one track (a trade's RPCs inside its
+   optimize span) must keep their own timestamps: each lands on its own
+   tid lane instead of being pushed to the end of the earlier root. *)
+let test_overlapping_roots_keep_times () =
+  let module Json = Qt_util.Json_min in
+  let obs = Obs.create () in
+  Obs.track_name obs 0 "buyer";
+  ignore (Obs.emit obs ~cat:"x" ~name:"outer" ~track:0 ~t0:0. ~t1:1.0 () : int);
+  ignore (Obs.emit obs ~cat:"x" ~name:"inner" ~track:0 ~t0:0.25 ~t1:0.5 () : int);
+  ignore (Obs.emit obs ~cat:"x" ~name:"after" ~track:0 ~t0:0.5 ~t1:0.75 () : int);
+  let json = Chrome.to_json obs in
+  (match Chrome.validate json with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "exported trace rejected: %s" e);
+  let events =
+    match Json.field (Json.parse json) "traceEvents" with
+    | Some (Json.List evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  let times name =
+    List.filter_map
+      (fun ev ->
+        if Json.field ev "name" = Some (Json.String name) then
+          Option.bind (Json.field ev "ts") Json.num
+          |> Option.map (fun ts ->
+                 (ts, Option.bind (Json.field ev "tid") Json.num))
+        else None)
+      events
+  in
+  let lane name = match times name with (_, tid) :: _ -> tid | [] -> None in
+  Alcotest.(check (list (float 1e-9))) "outer keeps t0 and t1" [ 0.; 1e6 ]
+    (List.map fst (times "outer"));
+  Alcotest.(check (list (float 1e-9))) "inner keeps t0 and t1" [ 250000.; 500000. ]
+    (List.map fst (times "inner"));
+  Alcotest.(check (list (float 1e-9))) "after keeps t0 and t1" [ 500000.; 750000. ]
+    (List.map fst (times "after"));
+  Alcotest.(check bool) "inner on its own lane" true (lane "inner" <> lane "outer");
+  Alcotest.(check bool) "a freed lane is reused" true (lane "after" = lane "inner")
+
 let test_validator_rejects () =
   let reject name s =
     match Chrome.validate s with
@@ -283,4 +322,6 @@ let suite =
       quick "trace determinism" test_trace_determinism;
       quick "exported trace validates" test_exported_trace_validates;
       quick "validator rejects malformed" test_validator_rejects;
+      quick "overlapping root spans keep their times"
+        test_overlapping_roots_keep_times;
     ] )

@@ -53,6 +53,36 @@ let test_scheduler_dispatch_order () =
   Alcotest.(check int) "events counted" 5 (Runtime.stats t).Runtime.events
 
 (* ------------------------------------------------------------------ *)
+(* Message accounting and local work                                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_one_way_bandwidth_matters () =
+  let lan = Runtime.create ~params:Qt_cost.Params.lan ~seed:1 ()
+  and wan = Runtime.create ~params:Qt_cost.Params.wan ~seed:1 () in
+  let big = 10_000_000 in
+  Alcotest.(check bool) "wan slower than lan" true
+    (Runtime.one_way wan ~bytes:big > Runtime.one_way lan ~bytes:big)
+
+let test_chatter_accounting () =
+  let t = mk () in
+  Runtime.chatter t ~node:3 ~count:5 ~bytes_each:64 ~elapsed:0.3;
+  let s = Runtime.stats t in
+  Alcotest.(check int) "five messages" 5 s.Runtime.messages;
+  Alcotest.(check int) "payload plus envelope each"
+    (5 * (64 + params.Qt_cost.Params.msg_overhead_bytes))
+    s.Runtime.bytes;
+  Alcotest.(check (float 0.)) "node clock advanced by elapsed" 0.3
+    (Runtime.node_clock t 3);
+  Alcotest.(check (float 0.)) "other clocks untouched" 0.
+    (Runtime.node_clock t (-1))
+
+let test_advance_ignores_negative () =
+  let t = mk () in
+  Runtime.advance t ~node:(-1) 1.5;
+  Runtime.advance t ~node:(-1) (-1.0);
+  Alcotest.(check (float 0.)) "negative dt ignored" 1.5 (Runtime.node_clock t (-1))
+
+(* ------------------------------------------------------------------ *)
 (* gather_round: replies, timeouts, retries                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -75,6 +105,31 @@ let test_gather_collects_live_replies () =
   Alcotest.(check int) "no retries" 0 s.Runtime.retries;
   Alcotest.(check bool) "buyer clock advanced to resolution" true
     (Runtime.node_clock t (-1) >= round.Runtime.elapsed)
+
+(* A round runs its RPCs in parallel: it costs the slowest round trip
+   (request transit + processing + reply transit), not the sum. *)
+let test_round_elapsed_is_slowest_round_trip () =
+  let t = mk () in
+  let processing = function 1 -> 0.010 | 2 -> 0.050 | _ -> 0.020 in
+  let round =
+    Runtime.gather_round t ~src:(-1) ~targets:[ 1; 2; 3 ] ~request_bytes:100
+      ~serve:(fun id -> ((), processing id, 100))
+  in
+  let one_way = Runtime.one_way t ~bytes:100 in
+  Alcotest.(check (float 1e-12))
+    "slowest round trip" (0.050 +. (2. *. one_way)) round.Runtime.elapsed;
+  Alcotest.(check (float 1e-12))
+    "buyer clock = elapsed" round.Runtime.elapsed (Runtime.node_clock t (-1));
+  Alcotest.(check int) "six messages" 6 (Runtime.stats t).Runtime.messages
+
+let test_empty_round_is_free () =
+  let t = mk () in
+  let round =
+    Runtime.gather_round t ~src:(-1) ~targets:[] ~request_bytes:100
+      ~serve:(fun id -> (id, 0.001, 200))
+  in
+  Alcotest.(check (float 0.)) "no elapsed time" 0. round.Runtime.elapsed;
+  Alcotest.(check int) "no messages" 0 (Runtime.stats t).Runtime.messages
 
 let test_timeout_retry_backoff_accounting () =
   (* A node dead from t=0 never answers: every attempt must time out,
@@ -215,18 +270,20 @@ let test_faulty_run_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "same (faults, seed) gives identical trade" true (a = b)
 
-let test_fault_free_runtime_matches_legacy_plan () =
-  (* With no faults the runtime is just a different clock model: the
-     chosen plan must cost the same as the legacy synchronous path. *)
+let test_fault_free_trade_ignores_seed () =
+  (* With no faults the runtime draws nothing from its generator: a trade
+     on the default runtime (seed 0) and on one seeded 7 are the same
+     trade, number for number. *)
   let fed = Helpers.telecom_federation ~nodes:8 ~partitions:4 ~replicas:2 () in
   match
     ( Qt_sim.Experiment.run_qt ~params fed revenue,
-      Qt_sim.Experiment.run_qt_faulty ~params ~seed:1 fed revenue )
+      Qt_sim.Experiment.run_qt_faulty ~params ~seed:7 fed revenue )
   with
-  | Ok (legacy, _), Ok (faulty, _, rs) ->
-    Alcotest.(check (float 1e-9))
-      "same plan cost" legacy.Qt_sim.Experiment.plan_cost
-      faulty.Qt_sim.Experiment.plan_cost;
+  | Ok (default, _), Ok (seeded, _, rs) ->
+    let numbers (m : Qt_sim.Experiment.metrics) =
+      (m.plan_cost, m.sim_time, m.messages, m.kbytes, m.iterations)
+    in
+    Alcotest.(check bool) "same trade" true (numbers default = numbers seeded);
     Alcotest.(check int) "no drops" 0 rs.Runtime.drops;
     Alcotest.(check int) "no retries" 0 rs.Runtime.retries;
     Alcotest.(check int) "no crashes" 0 rs.Runtime.crashes
@@ -237,13 +294,18 @@ let suite =
     [
       quick "event queue time then FIFO" test_event_queue_orders_time_then_fifo;
       quick "scheduler dispatch order" test_scheduler_dispatch_order;
+      quick "one_way: wan slower than lan" test_one_way_bandwidth_matters;
+      quick "chatter accounting" test_chatter_accounting;
+      quick "advance ignores negative dt" test_advance_ignores_negative;
       quick "gather collects live replies" test_gather_collects_live_replies;
+      quick "round elapsed is slowest round trip"
+        test_round_elapsed_is_slowest_round_trip;
+      quick "empty round is free" test_empty_round_is_free;
       quick "timeout retry backoff accounting" test_timeout_retry_backoff_accounting;
       quick "total drop means unresponsive" test_total_drop_means_unresponsive;
       quick "gather deterministic replay" test_gather_deterministic_replay;
       quick "fault spec parsing" test_fault_spec_parsing;
       quick "mid-trade crash recovery" test_mid_trade_crash_recovery;
       quick "faulty run deterministic" test_faulty_run_deterministic;
-      quick "fault-free runtime matches legacy plan"
-        test_fault_free_runtime_matches_legacy_plan;
+      quick "fault-free trade ignores the seed" test_fault_free_trade_ignores_seed;
     ] )
