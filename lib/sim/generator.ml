@@ -8,15 +8,17 @@ module Ast = Qt_sql.Ast
 
 type placement = { partitions : int; replicas : int }
 
-let uniform_placement = { partitions = 1; replicas = 1 }
-
 (* Assign fragment copies to nodes: replica [r] of partition [p] lands on a
    node offset so copies of one partition spread across the ring. *)
 let node_of_fragment ~nodes ~replicas p r =
-  let spread = max 1 (nodes / max 1 replicas) in
+  let spread = max 1 (nodes / replicas) in
   (p + (r * spread)) mod nodes
 
+(* Every generator places its relations through here first, so this is
+   where an empty federation or a fragment with no copy is refused. *)
 let fragments_for ~nodes ~(placement : placement) (rel : Schema.relation) =
+  if nodes < 1 then invalid_arg "Generator: nodes must be at least 1";
+  if placement.replicas < 1 then invalid_arg "Generator: replicas must be at least 1";
   let key_range = Schema.key_range rel in
   let key_hist =
     Option.bind rel.partition_key (fun key ->

@@ -18,9 +18,8 @@ type placement = {
   partitions : int;  (** Horizontal partitions per relation. *)
   replicas : int;  (** Copies of each partition. *)
 }
-
-val uniform_placement : placement
-(** One partition, one replica. *)
+(** Every generator below raises [Invalid_argument] when [nodes < 1] or
+    [replicas < 1]. *)
 
 val telecom :
   ?customers:int ->
