@@ -64,15 +64,6 @@ let compare_rows r1 r2 =
 
 let sort_rows t = { t with rows = List.sort compare_rows t.rows }
 
-let equal_as_multiset a b =
-  Array.length a.cols = Array.length b.cols
-  && cardinality a = cardinality b
-  &&
-  match append (empty a.cols) b with
-  | reordered ->
-    let sa = sort_rows a and sb = sort_rows reordered in
-    List.for_all2 (fun r1 r2 -> compare_rows r1 r2 = 0) sa.rows sb.rows
-  | exception Invalid_argument _ -> false
 
 let pp ?(max_rows = 20) ppf t =
   Format.fprintf ppf "%s@."

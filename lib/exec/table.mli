@@ -33,8 +33,4 @@ val sort_rows : t -> t
 (** Rows sorted under {!Value.compare} lexicographically — a canonical
     order for comparing result multisets in tests. *)
 
-val equal_as_multiset : t -> t -> bool
-(** Same columns (after reordering) and same rows as a multiset —
-    execution-correctness oracle used throughout the test suite. *)
-
 val pp : ?max_rows:int -> Format.formatter -> t -> unit

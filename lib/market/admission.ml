@@ -1,10 +1,5 @@
 type policy = Fifo | Priority | Proportional_share
 
-let policy_to_string = function
-  | Fifo -> "fifo"
-  | Priority -> "priority"
-  | Proportional_share -> "proportional"
-
 let policy_of_string = function
   | "fifo" -> Some Fifo
   | "priority" -> Some Priority

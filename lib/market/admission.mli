@@ -20,7 +20,6 @@ type policy =
       (** The buyer with the least admitted work per unit of priority
           weight goes first — long-run fairness across trades. *)
 
-val policy_to_string : policy -> string
 val policy_of_string : string -> policy option
 
 type config = {

@@ -39,14 +39,6 @@ let metric_of_string = function
   | "cache_hit" -> Some Cache_hit
   | _ -> None
 
-let cmp_to_string = function Lt -> "<" | Gt -> ">"
-
-let rule_to_string r =
-  Printf.sprintf "%s:%s%s%g:budget=%g" r.r_subject
-    (metric_to_string r.r_metric)
-    (cmp_to_string r.r_cmp)
-    r.r_threshold r.r_budget
-
 (* Grammar:
      <subject>:<metric><cmp><threshold>:budget=<b>[:fast=N][:slow=N][:factor=F]
    e.g. interactive:p95<5:budget=0.01 — "the interactive class's

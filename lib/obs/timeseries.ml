@@ -175,12 +175,3 @@ let escape s =
 let point_to_json p =
   Printf.sprintf "{\"t\":%s,\"series\":\"%s\",\"value\":%s}" (jf p.pt_time)
     (escape p.pt_series) (jf p.pt_value)
-
-let to_jsonl t =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun p ->
-      Buffer.add_string b (point_to_json p);
-      Buffer.add_char b '\n')
-    (points t);
-  Buffer.contents b

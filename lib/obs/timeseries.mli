@@ -66,6 +66,3 @@ val points : t -> point list
 (** All points in emission order. *)
 
 val point_to_json : point -> string
-
-val to_jsonl : t -> string
-(** One [{"t":..,"series":..,"value":..}] object per line. *)

@@ -19,15 +19,6 @@ let attrs_of_select_item = function
   | Ast.Sel_agg (_, Some a) -> [ a ]
   | Ast.Sel_agg (_, None) -> []
 
-let attrs_used (q : Ast.t) =
-  let all =
-    List.concat_map attrs_of_select_item q.select
-    @ List.concat_map attrs_of_predicate q.where
-    @ q.group_by
-    @ List.map fst q.order_by
-  in
-  Listx.dedup Ast.equal_attr all
-
 let predicate_aliases p =
   Listx.dedup String.equal (List.map (fun (a : Ast.attr) -> a.rel) (attrs_of_predicate p))
 

@@ -15,9 +15,6 @@ val relation_of_alias : Ast.t -> string -> string option
 val attrs_of_predicate : Ast.predicate -> Ast.attr list
 val attrs_of_select_item : Ast.select_item -> Ast.attr list
 
-val attrs_used : Ast.t -> Ast.attr list
-(** Every attribute referenced anywhere in the query, deduplicated. *)
-
 val predicate_aliases : Ast.predicate -> string list
 (** Aliases a predicate mentions (deduplicated). *)
 

@@ -56,8 +56,6 @@ let compare_literal a b =
   | L_float _, L_string _ -> -1
   | L_string _, (L_int _ | L_float _) -> 1
 
-let equal_literal a b = compare_literal a b = 0
-
 let compare_attr a b =
   let c = String.compare a.rel b.rel in
   if c <> 0 then c else String.compare a.name b.name
@@ -72,8 +70,6 @@ let compare_scalar a b =
   | Lit x, Lit y -> compare_literal x y
   | Col _, Lit _ -> -1
   | Lit _, Col _ -> 1
-
-let equal_scalar a b = compare_scalar a b = 0
 
 let compare_predicate a b =
   match (a, b) with
@@ -110,8 +106,6 @@ let equal_select_item a b = compare_select_item a b = 0
 let compare_table_ref a b =
   let c = String.compare a.relation b.relation in
   if c <> 0 then c else String.compare a.alias b.alias
-
-let equal_table_ref a b = compare_table_ref a b = 0
 
 let compare_order a b =
   match (a, b) with

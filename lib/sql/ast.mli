@@ -78,16 +78,13 @@ val eq_const : attr -> literal -> predicate
     Structural; all list orders are significant here — use
     {!Analysis.normalize} before comparing queries for semantic identity. *)
 
-val equal_literal : literal -> literal -> bool
 val compare_literal : literal -> literal -> int
 val equal_attr : attr -> attr -> bool
 val compare_attr : attr -> attr -> int
-val equal_scalar : scalar -> scalar -> bool
 val equal_predicate : predicate -> predicate -> bool
 val compare_predicate : predicate -> predicate -> int
 val equal_select_item : select_item -> select_item -> bool
 val compare_select_item : select_item -> select_item -> int
-val equal_table_ref : table_ref -> table_ref -> bool
 val compare_table_ref : table_ref -> table_ref -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int

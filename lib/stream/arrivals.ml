@@ -4,11 +4,6 @@ type process =
   | Poisson of { rate : float }
   | Bursty of { rate : float; on_mean : float; off_mean : float }
 
-let process_to_string = function
-  | Poisson { rate } -> Printf.sprintf "poisson(rate=%g/s)" rate
-  | Bursty { rate; on_mean; off_mean } ->
-      Printf.sprintf "bursty(rate=%g/s, on=%gs, off=%gs)" rate on_mean off_mean
-
 let process_of_string s ~rate ~on_mean ~off_mean =
   match String.lowercase_ascii (String.trim s) with
   | "poisson" -> Ok (Poisson { rate })

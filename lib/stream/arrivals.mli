@@ -25,7 +25,6 @@ type process =
       (** Poisson at [rate] during on-phases of mean length [on_mean]
           seconds, separated by silent off-phases of mean [off_mean]. *)
 
-val process_to_string : process -> string
 val process_of_string : string -> rate:float -> on_mean:float -> off_mean:float -> (process, string) result
 (** Accepts ["poisson"] or ["bursty"], taking numeric parameters from
     the labelled arguments. *)

@@ -131,12 +131,3 @@ let run kind quotes =
   | Reverse_auction { max_rounds } -> run_auction ~max_rounds quotes
   | Bargaining { max_rounds; target_ratio } ->
     run_bargaining ~max_rounds ~target_ratio quotes
-
-let pp_kind ppf = function
-  | Bidding -> Format.pp_print_string ppf "bidding"
-  | Vickrey -> Format.pp_print_string ppf "vickrey"
-  | Reverse_auction { max_rounds } ->
-    Format.fprintf ppf "reverse-auction(max %d rounds)" max_rounds
-  | Bargaining { max_rounds; target_ratio } ->
-    Format.fprintf ppf "bargaining(max %d rounds, target %.0f%%)" max_rounds
-      (100. *. target_ratio)

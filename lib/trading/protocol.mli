@@ -50,5 +50,3 @@ val quote_bytes : int
 
 val run : kind -> 'item quote list -> 'item outcome
 (** Deterministic: ties break toward the earlier quote in the list. *)
-
-val pp_kind : Format.formatter -> kind -> unit

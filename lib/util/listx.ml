@@ -82,14 +82,3 @@ let cartesian lists =
 let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
   go hi []
-
-let partition3 classify xs =
-  let rec go ls ms rs = function
-    | [] -> (List.rev ls, List.rev ms, List.rev rs)
-    | x :: rest -> (
-      match classify x with
-      | `Left -> go (x :: ls) ms rs rest
-      | `Middle -> go ls (x :: ms) rs rest
-      | `Right -> go ls ms (x :: rs) rest)
-  in
-  go [] [] [] xs

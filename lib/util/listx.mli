@@ -34,6 +34,3 @@ val cartesian : 'a list list -> 'a list list
 
 val range : int -> int -> int list
 (** [range lo hi] is [lo; lo+1; ...; hi] (empty if [hi < lo]). *)
-
-val partition3 :
-  ('a -> [ `Left | `Middle | `Right ]) -> 'a list -> 'a list * 'a list * 'a list
