@@ -42,8 +42,6 @@ let valuation w t =
   +. (w.w_staleness *. (1. -. t.props.freshness))
   +. (w.w_price *. t.props.price)
 
-let wire_bytes t = 64 + String.length (Analysis.to_string t.query)
-
 let surviving ~failed offers =
   List.filter
     (fun o ->

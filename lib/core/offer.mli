@@ -80,10 +80,6 @@ val valuation : weights -> t -> float
     minimizes.  Uses the {e quoted} time, so competitive markups are felt
     by the buyer. *)
 
-val wire_bytes : t -> int
-(** Approximate size of the offer message (SQL text plus fixed fields),
-    for network accounting. *)
-
 val surviving : failed:int list -> t list -> t list
 (** The offers that remain honourable after [failed] nodes die: their
     seller is alive and none of their subcontracted imports reference a

@@ -58,7 +58,20 @@ let default_config params =
     pricing = None;
   }
 
-type response = { offers : Offer.t list; processing_time : float }
+type response = {
+  offers : Offer.t list;
+  processing_time : float;
+  reply_bytes : int;
+}
+
+(* Wire size of the offers for one request: a fixed header plus the
+   offered query's SQL per offer.  Computed once, when the request is
+   priced, and replayed from the bid cache with its offers. *)
+let offers_bytes offers =
+  List.fold_left
+    (fun acc (o : Offer.t) ->
+      acc + 64 + String.length (Analysis.to_string o.query))
+    0 offers
 
 (* Expected output column names of a request — what the buyer will see
    from any honest seller, used to align view-based answers. *)
@@ -527,6 +540,7 @@ let price_request config schema (node : Node.t) ~request ~request_sig
 
 type cache_entry = {
   e_offers : Offer.t list;
+  e_bytes : int;  (** [offers_bytes e_offers]. *)
   e_considered : int;  (** Candidates the cold pricing run enumerated. *)
   e_load : float;
   e_strategy : Strategy.t;
@@ -594,7 +608,7 @@ let pool_stats (pool : cache_pool) =
    running the seller-side machinery, charged to the optimization clock. *)
 let offer_overhead = 5e-4
 
-let respond ?cache config schema (node : Node.t) ~requests =
+let respond_signed ?cache config schema (node : Node.t) ~requests =
   (* Only cache-miss requests cost pricing work; a batch served entirely
      from cache still pays the single-request floor, so the cold path is
      charged exactly as before the cache existed. *)
@@ -602,26 +616,26 @@ let respond ?cache config schema (node : Node.t) ~requests =
   (* Under subcontracting the offers depend on what the rest of the market
      answers right now, which the key cannot capture — bypass the cache. *)
   let cacheable = config.market = None in
-  let serve (request, buyer_estimate) =
-    let request_sig = Analysis.Sig.of_ast request in
+  let serve (request, request_sig, buyer_estimate) =
     let price () =
       let offers, considered =
         price_request config schema node ~request ~request_sig ~buyer_estimate
       in
       total_considered := !total_considered + considered;
-      (offers, considered)
+      (offers, considered, offers_bytes offers)
     in
     match cache with
     | Some c when cacheable -> (
       let key = (Analysis.Sig.id request_sig, buyer_estimate) in
       let fingerprint = catalog_fingerprint node in
       match Lru.find c key ~valid:(entry_valid config ~fingerprint) with
-      | Some e -> e.e_offers
+      | Some e -> (e.e_offers, e.e_bytes)
       | None ->
-        let offers, considered = price () in
+        let offers, considered, bytes = price () in
         Lru.insert c key
           {
             e_offers = offers;
+            e_bytes = bytes;
             e_considered = considered;
             e_load = config.load;
             e_strategy = config.strategy;
@@ -632,11 +646,18 @@ let respond ?cache config schema (node : Node.t) ~requests =
             e_pricing = config.pricing;
             e_catalog = fingerprint;
           };
-        offers)
-    | _ -> fst (price ())
+        (offers, bytes))
+    | _ ->
+      let offers, _, bytes = price () in
+      (offers, bytes)
   in
-  let all_offers = List.concat_map serve requests in
+  let served = List.map serve requests in
   {
-    offers = all_offers;
+    offers = List.concat_map fst served;
     processing_time = offer_overhead *. float_of_int (max 1 !total_considered);
+    reply_bytes = List.fold_left (fun acc (_, bytes) -> acc + bytes) 0 served;
   }
+
+let respond ?cache config schema node ~requests =
+  respond_signed ?cache config schema node
+    ~requests:(List.map (fun (q, e) -> (q, Analysis.Sig.of_ast q, e)) requests)

@@ -59,6 +59,11 @@ type response = {
   processing_time : float;
       (** Simulated seller-side optimization time for the whole request
           batch. *)
+  reply_bytes : int;
+      (** Wire size of [offers]: per offer, a 64-byte header plus its
+          [query]'s SQL text.  Each request's share is computed once, when
+          it is priced, and kept in the bid-cache entry, so a cache hit
+          prints no SQL. *)
 }
 
 type cache
@@ -118,4 +123,18 @@ val respond :
     With [?cache], previously priced requests are replayed without
     re-running the local optimizer, and [processing_time] charges only
     the cache-miss requests (a batch answered entirely from cache costs
-    the single-request floor). *)
+    the single-request floor).  Signs each request with
+    {!Qt_sql.Analysis.Sig.of_ast}, then calls {!respond_signed}. *)
+
+val respond_signed :
+  ?cache:cache ->
+  config ->
+  Qt_catalog.Schema.t ->
+  Qt_catalog.Node.t ->
+  requests:(Qt_sql.Ast.t * Qt_sql.Analysis.Sig.t * float) list ->
+  response
+(** {!respond} for requests whose signature the caller already holds:
+    [(query, signature, buyer_estimate)], where [signature] must be
+    [Analysis.Sig.of_ast query].  The trading loop signs each request once
+    and passes it here, so a seller never re-signs a request.  This is
+    the only pricing and bid-cache loop; {!respond} is a wrapper. *)

@@ -84,13 +84,6 @@ type outcome = {
   iteration_costs : float list;
 }
 
-(* Wire size of one request: a fixed header plus the serialized query. *)
-let request_bytes_one q = 32 + String.length (Analysis.to_string q)
-
-let request_bytes requests =
-  Listx.sum_by (fun (q, _) -> float_of_int (request_bytes_one q)) requests
-  |> int_of_float
-
 (* The buyer's own id on the discrete-event runtime: sellers are the
    federation's node ids (>= 0), so the buyer sits below them. *)
 let buyer_id = -1
@@ -321,28 +314,25 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     record ~cat:"plan_gen" plan_p ~from ~sim_shift:0. ~wall_shift:0.;
     improved
   in
+  (* Each queued query carries its interned signature, computed exactly
+     once: here for the initial requests, at proposal time for the rest.
+     Everything downstream (dedup, memo, the asked set, seller caches,
+     lots) keys on it, and sellers receive it with the query. *)
+  let signed query estimate = (query, Analysis.Sig.of_ast query, estimate) in
   let queue =
     ref
       (match initial_requests with
-      | None -> [ (q, c0) ]
-      | Some qs -> List.map (fun query -> (query, 0.)) qs)
+      | None -> [ signed q c0 ]
+      | Some qs -> List.map (fun query -> signed query 0.) qs)
   in
   let iterations = ref 0 in
   let continue = ref true in
   while !continue && !iterations < config.max_iterations && !queue <> [] do
     incr iterations;
-    (* Each queued query is signed exactly once per round; everything
-       downstream (dedup, memo, the asked set, seller caches, lots) keys
-       on the interned signature. *)
-    let sigged =
-      List.map
-        (fun (query, estimate) -> (query, estimate, Analysis.Sig.of_ast query))
-        !queue
-    in
     let unasked =
       List.filter
-        (fun (_, _, s) -> not (Hashtbl.mem asked (Analysis.Sig.id s)))
-        sigged
+        (fun (_, s, _) -> not (Hashtbl.mem asked (Analysis.Sig.id s)))
+        !queue
     in
     (* One message per distinct signature per round: a query asked twice
        in the same RFB would be priced twice and billed twice for no new
@@ -350,7 +340,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     let seen_this_round = Hashtbl.create 8 in
     let unasked =
       List.filter
-        (fun (_, _, s) ->
+        (fun (_, s, _) ->
           if Hashtbl.mem seen_this_round (Analysis.Sig.id s) then begin
             incr requests_deduped;
             false
@@ -371,23 +361,22 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       !pool;
     let requests, memoized =
       List.partition
-        (fun (_, _, s) -> not (Hashtbl.mem live_sigs (Analysis.Sig.id s)))
+        (fun (_, s, _) -> not (Hashtbl.mem live_sigs (Analysis.Sig.id s)))
         unasked
     in
     rebroadcasts_skipped := !rebroadcasts_skipped + List.length memoized;
     List.iter
-      (fun (_, _, s) -> Hashtbl.replace asked (Analysis.Sig.id s) ())
+      (fun (_, s, _) -> Hashtbl.replace asked (Analysis.Sig.id s) ())
       unasked;
     queries_asked := !queries_asked + List.length requests;
     (* Content descriptor of the RFB for coalescing transports: one
-       (interned signature id, wire bytes) pair per request. *)
+       (interned signature id, wire bytes) pair per request.  A request's
+       wire size is a fixed header plus its SQL, printed here once. *)
     let request_sigs =
       List.map
-        (fun (query, _, s) -> (Analysis.Sig.id s, request_bytes_one query))
+        (fun (query, s, _) ->
+          (Analysis.Sig.id s, 32 + String.length (Analysis.to_string query)))
         requests
-    in
-    let requests =
-      List.map (fun (query, estimate, _) -> (query, estimate)) requests
     in
     if requests = [] then begin
       (* Nothing left to broadcast.  If standing offers cover everything
@@ -407,7 +396,9 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     end
     else begin
       (* B2: broadcast the RFB; every seller prices it in parallel. *)
-      let req_bytes = request_bytes requests in
+      let req_bytes =
+        List.fold_left (fun acc (_, bytes) -> acc + bytes) 0 request_sigs
+      in
       (* Depth-1 market channel for subcontracting: a seller may ask all
          OTHER nodes for a missing piece; the traffic is accounted after
          the round (sub-RFB + offers per contacted node). *)
@@ -418,6 +409,9 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         else
           Some
             (fun sub_query ->
+              let sub_request =
+                [ (sub_query, Analysis.Sig.of_ast sub_query, 0.) ]
+              in
               let others =
                 List.filter
                   (fun (n : Node.t) ->
@@ -437,7 +431,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
                 List.concat_map
                   (fun (n : Node.t) ->
                     let r =
-                      Seller.respond
+                      Seller.respond_signed
                         ~cache:(Seller.pool_cache caches n.node_id)
                         {
                           depth0 with
@@ -445,8 +439,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
                           load = config.load_of n.node_id;
                           pricing = config.pricing_of n.node_id;
                         }
-                        schema n
-                        ~requests:[ (sub_query, 0.) ]
+                        schema n ~requests:sub_request
                     in
                     sub_elapsed :=
                       Float.max !sub_elapsed
@@ -465,10 +458,6 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
           pricing = config.pricing_of node.node_id;
           market = market_for node;
         }
-      in
-      let reply_bytes_of (r : Seller.response) =
-        int_of_float
-          (Listx.sum_by (fun o -> float_of_int (Offer.wire_bytes o)) r.offers)
       in
       let round_from = snap () in
       let _, _, round_e0, _ = round_from in
@@ -491,7 +480,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
               if Obs.enabled obs then Some (Seller.cache_stats cache) else None
             in
             let r =
-              Seller.respond ~cache (seller_config_for node) schema node
+              Seller.respond_signed ~cache (seller_config_for node) schema node
                 ~requests
             in
             (match seller_before with
@@ -514,7 +503,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
             round_processing :=
               Float.max !round_processing r.Seller.processing_time;
             Mutex.unlock serve_lock;
-            (r, r.Seller.processing_time, reply_bytes_of r))
+            (r, r.Seller.processing_time, r.Seller.reply_bytes))
       in
       if round.Transport.fresh_failures then begin
         (* Mid-trade crash: keep only honourable contracts and drop the
@@ -557,9 +546,11 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       let plan_from = snap () in
       let proposals = Buyer_analyser.enrich ~schema ~query:q ~offers:!pool in
       let fresh_queries =
-        List.filter
+        List.filter_map
           (fun query ->
-            not (Hashtbl.mem asked (Analysis.Sig.id (Analysis.Sig.of_ast query))))
+            let ((_, s, _) as request) = signed query 0. in
+            if Hashtbl.mem asked (Analysis.Sig.id s) then None
+            else Some request)
           proposals
       in
       record ~cat:"plan_gen" plan_p ~from:plan_from ~sim_shift:0. ~wall_shift:0.;
@@ -577,7 +568,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         :: !trace;
       (* B7: stop when nothing improved and nothing new to ask. *)
       if (not improved) && fresh_queries = [] then continue := false
-      else queue := List.map (fun query -> (query, 0.)) fresh_queries
+      else queue := fresh_queries
     end
   done;
   Obs.close obs root

@@ -258,7 +258,7 @@ let normalize (q : Ast.t) =
 
 let equal_semantic a b = Ast.equal (normalize a) (normalize b)
 
-let to_string q = Format.asprintf "%a" Ast.pp q
+let to_string = Ast.to_string
 
 let signature q = to_string (normalize q)
 

@@ -92,7 +92,8 @@ val signature : Ast.t -> string
 (** Stable string key of the normal form, for hashing and deduplication. *)
 
 val to_string : Ast.t -> string
-(** SQL text (shorthand for [Format.asprintf "%a" Ast.pp]). *)
+(** SQL text: {!Ast.to_string}, which writes into a [Buffer.t] without
+    going through [Format]. *)
 
 (** Interned (hash-consed) query signatures.
 

@@ -150,15 +150,40 @@ let equal a b = compare a b = 0
 (* Printing (SQL concrete syntax)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let pp_attr ppf a = Format.fprintf ppf "%s.%s" a.rel a.name
+(* One printer: every query is written into a [Buffer.t], and the
+   [Format] printers below emit that text.  No boxes or break hints, so
+   the bytes are the same whichever entry point prints them. *)
 
-let pp_literal ppf = function
-  | L_int n -> Format.fprintf ppf "%d" n
-  | L_float f ->
-    (* 12 significant digits round-trip every float the parser produces
-       without changing its value at reparse time. *)
-    Format.fprintf ppf "%.12g" f
-  | L_string s -> Format.fprintf ppf "'%s'" s
+let add_attr b a =
+  Buffer.add_string b a.rel;
+  Buffer.add_char b '.';
+  Buffer.add_string b a.name
+
+(* The shortest of 12, 15 and 17 significant digits that reads back as the
+   same float, with [.0] appended to integral values so the lexer does not
+   turn them into integers. *)
+let float_text f =
+  let exact p =
+    let s = Printf.sprintf "%.*g" p f in
+    if float_of_string s = f then Some s else None
+  in
+  let s =
+    match exact 12 with
+    | Some s -> s
+    | None -> (
+      match exact 15 with Some s -> s | None -> Printf.sprintf "%.17g" f)
+  in
+  (* An ['n'] marks [inf] and [nan]. *)
+  if String.exists (function '.' | 'e' | 'n' -> true | _ -> false) s then s
+  else s ^ ".0"
+
+let add_literal b = function
+  | L_int n -> Buffer.add_string b (string_of_int n)
+  | L_float f -> Buffer.add_string b (float_text f)
+  | L_string s ->
+    Buffer.add_char b '\'';
+    Buffer.add_string b s;
+    Buffer.add_char b '\''
 
 let string_of_cmp = function
   | Eq -> "="
@@ -168,15 +193,23 @@ let string_of_cmp = function
   | Gt -> ">"
   | Ge -> ">="
 
-let pp_scalar ppf = function
-  | Col a -> pp_attr ppf a
-  | Lit l -> pp_literal ppf l
+let add_scalar b = function
+  | Col a -> add_attr b a
+  | Lit l -> add_literal b l
 
-let pp_predicate ppf = function
+let add_predicate b = function
   | Cmp (op, l, r) ->
-    Format.fprintf ppf "%a %s %a" pp_scalar l (string_of_cmp op) pp_scalar r
+    add_scalar b l;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (string_of_cmp op);
+    Buffer.add_char b ' ';
+    add_scalar b r
   | Between (a, lo, hi) ->
-    Format.fprintf ppf "%a BETWEEN %d AND %d" pp_attr a lo hi
+    add_attr b a;
+    Buffer.add_string b " BETWEEN ";
+    Buffer.add_string b (string_of_int lo);
+    Buffer.add_string b " AND ";
+    Buffer.add_string b (string_of_int hi)
 
 let string_of_agg = function
   | Count -> "COUNT"
@@ -185,35 +218,61 @@ let string_of_agg = function
   | Min -> "MIN"
   | Max -> "MAX"
 
-let pp_select_item ppf = function
-  | Sel_col a -> pp_attr ppf a
-  | Sel_agg (f, None) -> Format.fprintf ppf "%s(*)" (string_of_agg f)
-  | Sel_agg (f, Some a) -> Format.fprintf ppf "%s(%a)" (string_of_agg f) pp_attr a
+let add_select_item b = function
+  | Sel_col a -> add_attr b a
+  | Sel_agg (f, arg) ->
+    Buffer.add_string b (string_of_agg f);
+    Buffer.add_char b '(';
+    (match arg with None -> Buffer.add_char b '*' | Some a -> add_attr b a);
+    Buffer.add_char b ')'
 
-let pp_table_ref ppf (r : table_ref) =
-  if String.equal r.relation r.alias then Format.pp_print_string ppf r.relation
-  else Format.fprintf ppf "%s %s" r.relation r.alias
+let add_table_ref b (r : table_ref) =
+  Buffer.add_string b r.relation;
+  if not (String.equal r.relation r.alias) then begin
+    Buffer.add_char b ' ';
+    Buffer.add_string b r.alias
+  end
 
-let pp_sep sep ppf () = Format.pp_print_string ppf sep
+let add_list b sep add = function
+  | [] -> ()
+  | x :: xs ->
+    add b x;
+    List.iter
+      (fun x ->
+        Buffer.add_string b sep;
+        add b x)
+      xs
 
-let pp ppf q =
-  Format.fprintf ppf "SELECT %s%a FROM %a"
-    (if q.distinct then "DISTINCT " else "")
-    (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_select_item)
-    q.select
-    (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_table_ref)
-    q.from;
-  if q.where <> [] then
-    Format.fprintf ppf " WHERE %a"
-      (Format.pp_print_list ~pp_sep:(pp_sep " AND ") pp_predicate)
-      q.where;
-  if q.group_by <> [] then
-    Format.fprintf ppf " GROUP BY %a"
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_attr)
-      q.group_by;
-  if q.order_by <> [] then
-    Format.fprintf ppf " ORDER BY %a"
-      (Format.pp_print_list ~pp_sep:(pp_sep ", ") (fun ppf (a, o) ->
-           Format.fprintf ppf "%a%s" pp_attr a
-             (match o with Asc -> "" | Desc -> " DESC")))
-      q.order_by
+let add_order_item b (a, o) =
+  add_attr b a;
+  match o with Asc -> () | Desc -> Buffer.add_string b " DESC"
+
+let to_string q =
+  let b = Buffer.create 128 in
+  Buffer.add_string b (if q.distinct then "SELECT DISTINCT " else "SELECT ");
+  add_list b ", " add_select_item q.select;
+  Buffer.add_string b " FROM ";
+  add_list b ", " add_table_ref q.from;
+  if q.where <> [] then begin
+    Buffer.add_string b " WHERE ";
+    add_list b " AND " add_predicate q.where
+  end;
+  if q.group_by <> [] then begin
+    Buffer.add_string b " GROUP BY ";
+    add_list b ", " add_attr q.group_by
+  end;
+  if q.order_by <> [] then begin
+    Buffer.add_string b " ORDER BY ";
+    add_list b ", " add_order_item q.order_by
+  end;
+  Buffer.contents b
+
+let printer add ppf x =
+  let b = Buffer.create 32 in
+  add b x;
+  Format.pp_print_string ppf (Buffer.contents b)
+
+let pp_attr = printer add_attr
+let pp_literal = printer add_literal
+let pp_predicate = printer add_predicate
+let pp ppf q = Format.pp_print_string ppf (to_string q)

@@ -89,8 +89,15 @@ val compare_table_ref : table_ref -> table_ref -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val to_string : t -> string
+(** The query as SQL text that {!Parser.parse} accepts and reads back as an
+    equal AST.  A float literal is printed with the fewest of 12, 15 or 17
+    significant digits that give back the same float, and always as a
+    float ([5.0], not [5]). *)
+
 val pp_attr : Format.formatter -> attr -> unit
 val pp_literal : Format.formatter -> literal -> unit
 val pp_predicate : Format.formatter -> predicate -> unit
 val pp : Format.formatter -> t -> unit
-(** Prints the query as SQL text that {!Parser.parse} accepts. *)
+(** Prints {!to_string}'s text; the [pp_*] printers above write the same
+    bytes for their fragment. *)

@@ -132,16 +132,102 @@ let test_print_parse_roundtrip_cases () =
       Helpers.check_query sql q q2)
     cases
 
+(* A query with every constructor, and the exact text the printer has
+   always produced for it. *)
+let test_print_every_constructor () =
+  let a = Ast.attr in
+  let col rel name = Ast.Col (a rel name) and lit l = Ast.Lit l in
+  let q =
+    Ast.query ~distinct:true
+      ~select:
+        [
+          Ast.col "c" "office";
+          Ast.Sel_agg (Ast.Count, None);
+          Ast.Sel_agg (Ast.Sum, Some (a "il" "charge"));
+          Ast.Sel_agg (Ast.Avg, Some (a "il" "charge"));
+          Ast.Sel_agg (Ast.Min, Some (a "invoiceline" "invid"));
+          Ast.Sel_agg (Ast.Max, Some (a "il" "linenum"));
+        ]
+      ~from:
+        [
+          Ast.table ~alias:"c" "customer";
+          Ast.table ~alias:"il" "invoiceline";
+          Ast.table "invoiceline";
+        ]
+      ~where:
+        [
+          Ast.eq_join (a "c" "custid") (a "il" "custid");
+          Ast.Cmp (Ast.Ne, col "c" "custname", lit (Ast.L_string "acme"));
+          Ast.Cmp (Ast.Lt, col "il" "charge", lit (Ast.L_float 3.5));
+          Ast.Cmp (Ast.Le, col "il" "linenum", lit (Ast.L_int (-7)));
+          Ast.Cmp (Ast.Gt, lit (Ast.L_int 2), col "invoiceline" "invid");
+          Ast.Cmp (Ast.Ge, col "il" "charge", col "invoiceline" "charge");
+          Ast.Between (a "c" "custid", 10, 90);
+        ]
+      ~group_by:[ a "c" "office"; a "invoiceline" "invid" ]
+      ~order_by:
+        [ (a "c" "office", Ast.Desc); (a "invoiceline" "invid", Ast.Asc) ]
+      ()
+  in
+  Alcotest.(check string)
+    "exact text"
+    "SELECT DISTINCT c.office, COUNT(*), SUM(il.charge), AVG(il.charge), \
+     MIN(invoiceline.invid), MAX(il.linenum) FROM customer c, invoiceline il, \
+     invoiceline WHERE c.custid = il.custid AND c.custname <> 'acme' AND \
+     il.charge < 3.5 AND il.linenum <= -7 AND 2 > invoiceline.invid AND \
+     il.charge >= invoiceline.charge AND c.custid BETWEEN 10 AND 90 GROUP BY \
+     c.office, invoiceline.invid ORDER BY c.office DESC, invoiceline.invid"
+    (Ast.to_string q);
+  Alcotest.(check string) "pp prints to_string" (Ast.to_string q)
+    (Format.asprintf "%a" Ast.pp q);
+  Alcotest.(check string) "analysis prints to_string" (Ast.to_string q)
+    (Analysis.to_string q);
+  Helpers.check_query "reparses" q (parse (Ast.to_string q))
+
+(* Float literals must survive print -> parse: an integral float is not
+   an integer, and digits beyond the 12th are not dropped.  Otherwise two
+   different queries intern as one signature and share cached offers. *)
+let test_float_literals_roundtrip () =
+  let sql = "SELECT a.x FROM t a WHERE a.y < " in
+  let roundtrip lit =
+    let q = parse (sql ^ lit) in
+    let text = Ast.to_string q in
+    Alcotest.(check bool)
+      (lit ^ " reparses as itself")
+      true
+      (Ast.equal q (parse text));
+    Analysis.Sig.of_ast q
+  in
+  let distinct a b =
+    Alcotest.(check bool)
+      (a ^ " and " ^ b ^ " sign apart")
+      false
+      (Analysis.Sig.equal (roundtrip a) (roundtrip b))
+  in
+  distinct "5.0" "5";
+  distinct "123456789012345.5" "123456789012345.6";
+  distinct "0.1" "0.10000000000000002";
+  Alcotest.(check string) "integral float keeps its point" (sql ^ "5.0")
+    (Ast.to_string (parse (sql ^ "5.0")));
+  Alcotest.(check string) "short floats stay short" (sql ^ "0.1")
+    (Ast.to_string (parse (sql ^ "0.1")))
+
 (* Random query generator for the roundtrip property. *)
 let query_gen =
   QCheck2.Gen.(
     let ident = oneofl [ "alpha"; "beta"; "gamma"; "delta" ] in
     let attr_name = oneofl [ "x"; "y"; "z" ] in
     let* n_tables = int_range 1 3 in
+    (* A table ref whose alias equals its relation prints without the
+       alias. *)
+    let* own_alias = list_repeat n_tables bool in
     let tables =
-      List.init n_tables (fun i ->
-          { Ast.relation = List.nth [ "alpha"; "beta"; "gamma"; "delta" ] i;
-            alias = Printf.sprintf "t%d" i })
+      List.mapi
+        (fun i own ->
+          let relation = List.nth [ "alpha"; "beta"; "gamma"; "delta" ] i in
+          let alias = if own then relation else Printf.sprintf "t%d" i in
+          { Ast.relation; alias })
+        own_alias
     in
     let attr_gen =
       let* t = int_range 0 (n_tables - 1) in
@@ -153,38 +239,63 @@ let query_gen =
         [
           map (fun n -> Ast.L_int n) (int_range (-50) 50);
           map (fun s -> Ast.L_string s) ident;
+          (* Integral floats, and non-integral ones that need 12, 15 or
+             17 significant digits. *)
+          map (fun n -> Ast.L_float (float_of_int n)) (int_range (-50) 50);
+          map2
+            (fun n d -> Ast.L_float (float_of_int n /. float_of_int d))
+            (int_range (-1000) 1000) (int_range 1 9);
+          map
+            (fun n -> Ast.L_float ((float_of_int n *. 1e14) +. 0.5))
+            (int_range 1 9);
+          map
+            (fun e -> Ast.L_float (10. ** float_of_int e))
+            (int_range (-20) 25);
         ]
     in
+    let op_gen = oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
     let pred_gen =
       oneof
         [
           (let* a = attr_gen in
            let* b = attr_gen in
-           let* op = oneofl [ Ast.Eq; Ast.Lt; Ast.Ge ] in
+           let* op = op_gen in
            return (Ast.Cmp (op, Ast.Col a, Ast.Col b)));
           (let* a = attr_gen in
            let* l = lit_gen in
-           return (Ast.Cmp (Ast.Eq, Ast.Col a, Ast.Lit l)));
+           let* op = op_gen in
+           let* flip = bool in
+           return
+             (if flip then Ast.Cmp (op, Ast.Lit l, Ast.Col a)
+              else Ast.Cmp (op, Ast.Col a, Ast.Lit l)));
           (let* a = attr_gen in
            let* lo = int_range (-20) 20 in
            let* w = int_range 0 30 in
            return (Ast.Between (a, lo, lo + w)));
         ]
     in
+    let select_gen =
+      oneof
+        [
+          map (fun a -> Ast.Sel_col a) attr_gen;
+          return (Ast.Sel_agg (Ast.Count, None));
+          (let* f = oneofl [ Ast.Count; Ast.Sum; Ast.Avg; Ast.Min; Ast.Max ] in
+           let* a = attr_gen in
+           return (Ast.Sel_agg (f, Some a)));
+        ]
+    in
+    let* distinct = bool in
     let* n_select = int_range 1 3 in
-    let* select = list_repeat n_select (map (fun a -> Ast.Sel_col a) attr_gen) in
+    let* select = list_repeat n_select select_gen in
     let* n_where = int_range 0 3 in
     let* where = list_repeat n_where pred_gen in
-    let* order = opt attr_gen in
-    return
-      {
-        Ast.distinct = false;
-        select;
-        from = tables;
-        where;
-        group_by = [];
-        order_by = (match order with None -> [] | Some a -> [ (a, Ast.Asc) ]);
-      })
+    let* n_group = int_range 0 2 in
+    let* group_by = list_repeat n_group attr_gen in
+    let* n_order = int_range 0 2 in
+    let* order_by =
+      list_repeat n_order (pair attr_gen (oneofl [ Ast.Asc; Ast.Desc ]))
+    in
+    return { Ast.distinct; select; from = tables; where; group_by; order_by })
 
 let prop_print_parse_roundtrip =
   QCheck2.Test.make ~name:"print/parse roundtrip" ~count:300 query_gen (fun q ->
@@ -315,6 +426,8 @@ let suite =
       quick "parse errors" test_parse_errors;
       quick "parse alias star" test_parse_alias_star;
       quick "roundtrip cases" test_print_parse_roundtrip_cases;
+      quick "print every constructor" test_print_every_constructor;
+      quick "float literals roundtrip" test_float_literals_roundtrip;
       QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
       QCheck_alcotest.to_alcotest prop_parser_total;
       quick "analysis classify" test_analysis_classify;

@@ -112,6 +112,84 @@ let test_bid_cache_invalidation () =
   Alcotest.(check int) "catalog change invalidates" 2 s.Seller.invalidations;
   Alcotest.(check int) "still no hit" 0 s.Seller.hits
 
+(* Sign once, size once: [respond] is [respond_signed] over
+   [Sig.of_ast], both entry points share one bid cache, and [reply_bytes]
+   is the offers' wire size whether they were priced now, replayed from
+   the cache, or repriced by the pricing layer. *)
+let test_sign_once_size_once () =
+  let federation = telecom_federation () in
+  let schema = federation.Qt_catalog.Federation.schema in
+  let node = List.hd federation.Qt_catalog.Federation.nodes in
+  let requests =
+    [
+      (revenue, 0.);
+      (revenue_query ~range:(100, 400) (), 0.);
+      (Qt_sim.Workload.telecom_customer_lookup ~custid:42, 0.);
+    ]
+  in
+  let signed =
+    List.map (fun (q, e) -> (q, Analysis.Sig.of_ast q, e)) requests
+  in
+  let n = List.length requests in
+  let check_offers what (a : Seller.response) (b : Seller.response) =
+    Alcotest.(check (list string))
+      what
+      (List.map offer_key a.Seller.offers)
+      (List.map offer_key b.Seller.offers)
+  in
+  let check_bytes what (r : Seller.response) =
+    Alcotest.(check int)
+      what
+      (List.fold_left
+         (fun acc (o : Offer.t) ->
+           acc + 64 + String.length (Analysis.to_string o.Offer.query))
+         0 r.Seller.offers)
+      r.Seller.reply_bytes
+  in
+  let config = Seller.default_config params in
+  let plain = Seller.respond config schema node ~requests in
+  Alcotest.(check bool) "some offers" true (plain.Seller.offers <> []);
+  check_offers "same offers uncached" plain
+    (Seller.respond_signed config schema node ~requests:signed);
+  check_bytes "cold bytes" plain;
+  let hit_through first second =
+    let cache = Seller.cache_create () in
+    let cold = first cache in
+    let warm = second cache in
+    let s = Seller.cache_stats cache in
+    Alcotest.(check int) "every request missed once" n s.Seller.misses;
+    Alcotest.(check int) "every request hit once" n s.Seller.hits;
+    check_offers "same offers cached" cold warm;
+    check_bytes "warm bytes" warm
+  in
+  let via_respond config cache =
+    Seller.respond ~cache config schema node ~requests
+  in
+  let via_signed config cache =
+    Seller.respond_signed ~cache config schema node ~requests:signed
+  in
+  hit_through (via_respond config) (via_signed config);
+  hit_through (via_signed config) (via_respond config);
+  let surge =
+    {
+      config with
+      Seller.pricing =
+        Some
+          {
+            Qt_pricing.Pricing.q_strategy = Qt_pricing.Pricing.Surge;
+            q_multiplier = 1.5;
+            q_markup = 0.;
+          };
+    }
+  in
+  let repriced = Seller.respond surge schema node ~requests in
+  Alcotest.(check bool)
+    "pricing repriced the offers" false
+    (List.map offer_key repriced.Seller.offers
+    = List.map offer_key plain.Seller.offers);
+  check_bytes "repriced bytes" repriced;
+  hit_through (via_signed surge) (via_respond surge)
+
 (* A trade served from a warm shared pool must reproduce the cold trade
    exactly — the cache may only change who does the arithmetic. *)
 let test_warm_trade_identical () =
@@ -205,6 +283,7 @@ let suite =
       quick "experiment numbers pinned by digest" test_experiment_digest;
       quick "bid cache replays offers" test_bid_cache_replays_offers;
       quick "bid cache invalidation" test_bid_cache_invalidation;
+      quick "sign once, size once" test_sign_once_size_once;
       quick "warm trade identical to cold" test_warm_trade_identical;
       quick "same-round request dedup" test_request_dedup;
       quick "standing-offer memo skips re-broadcast" test_standing_offer_memo;
