@@ -94,14 +94,16 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Run plan enumeration and wave pricing on $(docv) OCaml domains \
-           (default 1 = serial).  Purchases, plans and JSON output are \
-           byte-identical at any value; only wall-clock time changes.")
+          "Run plan enumeration and wave pricing on $(docv) OCaml domains, \
+           at least 1 (default 1 = serial).  Purchases, plans and JSON \
+           output are byte-identical at any value; only wall-clock time \
+           changes.")
 
 (* One pool per invocation, shared by buyer plan generation, seller
    pricing DP and market wave serving; joined before exit. *)
 let with_pool domains f =
-  if domains <= 1 then f None
+  if domains < 1 then invalid_arg "--domains must be at least 1";
+  if domains = 1 then f None
   else begin
     let pool = Qt_optimizer.Pool.create ~domains in
     Fun.protect

@@ -10,6 +10,7 @@ module Transport_des = Qt_runtime.Transport_des
 module Protocol = Qt_trading.Protocol
 module Strategy = Qt_trading.Strategy
 module Listx = Qt_util.Listx
+module Lru = Qt_util.Lru
 module Obs = Qt_obs.Obs
 
 type config = {
@@ -171,8 +172,63 @@ let c0 = 0.
    plan-generation pass. *)
 let plan_overhead = 1e-4
 
+(* One memo entry: steps B4 and B5/B6 for one (query, offer pool) input.
+   Plan generation and the predicates analyser are pure functions of the
+   query, the pool, the schema and the plan-generation settings, all of
+   which the entry keeps to validate a hit against.  Only the head of
+   [generate]'s candidate list is kept, as it is all the loop reads; the
+   proposals, with their signatures, are filled on first use. *)
+type memo_entry = {
+  m_query : Ast.t;
+  m_offers : Offer.t list;
+  m_schema : Qt_catalog.Schema.t;
+  m_params : Qt_cost.Params.t;
+  m_weights : Offer.weights;
+  m_mode : Plan_generator.mode;
+  m_best : Plan_generator.candidate option;
+  mutable m_proposals : (Ast.t * Analysis.Sig.t) list option;
+}
+
+type plan_memo = (int * int, memo_entry) Lru.t
+
+(* Entries one market keeps.  Each holds about 1.2k words of pool, plan
+   and proposals, and can keep offer ASTs alive after the bid caches drop
+   them, so the cap is sized by peak heap rather than by hit ratio. *)
+let plan_memo_entries = 256
+
+let plan_memo_create () : plan_memo =
+  Lru.create ~max_entries:plan_memo_entries ()
+
+let plan_memo_stats : plan_memo -> Lru.stats = Lru.stats
+
+(* The key only routes a lookup; [memo_valid] decides a hit. *)
+let memo_key q_sig (offers : Offer.t list) =
+  let mix h x = ((h * 31) + x) land max_int in
+  ( Analysis.Sig.id q_sig,
+    List.fold_left
+      (fun h (o : Offer.t) ->
+        mix
+          (mix
+             (mix (mix h o.seller) (Analysis.Sig.id o.query_sig))
+             (Analysis.Sig.id o.request_sig))
+          (Hashtbl.hash o.quoted))
+      0 offers )
+
+let same x y = x == y || compare x y = 0
+
+(* Exact by construction: the query is compared as an AST, not by
+   signature, since normalization sorts the select list and twins that
+   differ only in column order get different plans. *)
+let memo_valid config schema q offers e =
+  same e.m_query q
+  && e.m_schema == schema
+  && same e.m_params config.params
+  && same e.m_weights config.weights
+  && same e.m_mode config.mode
+  && List.equal same e.m_offers offers
+
 let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
-    ?(obs = Obs.disabled) ?obs_track config (federation : Federation.t)
+    ?plans ?(obs = Obs.disabled) ?obs_track config (federation : Federation.t)
     (q : Ast.t) =
   let wall_start = Sys.time () in
   let obs_track = Option.value ~default:buyer_id obs_track in
@@ -199,6 +255,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
   let caches =
     match caches with Some pool -> pool | None -> Seller.pool_create ()
   in
+  let plans = match plans with Some m -> m | None -> plan_memo_create () in
   (* Buyer-local CPU work advances the buyer's clock without traffic. *)
   let local_work dt = transport.account ~count:0 ~bytes_each:0 ~elapsed:dt in
   let account_nego ~count ~deepest_rounds =
@@ -285,21 +342,60 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         wall = !pricing_p.wall +. wall;
       }
   in
-  (* B4: one plan-generation pass over the current offer pool. *)
+  (* Each queued query carries its interned signature, computed exactly
+     once: here for the initial requests, with the memoized proposals for
+     the rest.  Everything downstream (dedup, the asked set, seller
+     caches, lots) keys on it, and sellers receive it with the query. *)
+  let q_sig = Analysis.Sig.of_ast q in
+  let queue =
+    ref
+      (match initial_requests with
+      | None -> [ (q, q_sig, c0) ]
+      | Some qs ->
+        List.map (fun query -> (query, Analysis.Sig.of_ast query, 0.)) qs)
+  in
+  (* B4: one plan-generation pass over the current offer pool, through
+     the memo.  A hit still charges the buyer's CPU time and emits its
+     span, so simulated time and traces do not depend on the memo.
+     Returns whether the best plan improved, and the pool's entry. *)
   let plan_pass () =
     let from = snap () in
-    local_work (plan_overhead *. float_of_int (List.length !pool));
-    let candidates =
-      Plan_generator.generate ~params:config.params ~weights:config.weights
-        ~mode:config.mode ~schema ~offers:!pool ?pool:config.pool q
+    let offers = !pool in
+    local_work (plan_overhead *. float_of_int (List.length offers));
+    let key = memo_key q_sig offers in
+    let entry =
+      match Lru.find plans key ~valid:(memo_valid config schema q offers) with
+      | Some e -> e
+      | None ->
+        let e =
+          {
+            m_query = q;
+            m_offers = offers;
+            m_schema = schema;
+            m_params = config.params;
+            m_weights = config.weights;
+            m_mode = config.mode;
+            m_best =
+              (match
+                 Plan_generator.generate ~params:config.params
+                   ~weights:config.weights ~mode:config.mode ~schema ~offers
+                   ?pool:config.pool q
+               with
+              | [] -> None
+              | c :: _ -> Some c);
+            m_proposals = None;
+          }
+        in
+        Lru.insert plans key e;
+        e
     in
     let improved =
-      match (candidates, !best) with
-      | [], _ -> false
-      | c :: _, None ->
+      match (entry.m_best, !best) with
+      | None, _ -> false
+      | Some c, None ->
         best := Some c;
         true
-      | c :: _, Some b ->
+      | Some c, Some b ->
         if Cost.response c.cost < Cost.response b.cost -. 1e-12 then begin
           best := Some c;
           true
@@ -312,18 +408,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       | Some c -> Cost.response c.Plan_generator.cost)
       :: !iteration_costs;
     record ~cat:"plan_gen" plan_p ~from ~sim_shift:0. ~wall_shift:0.;
-    improved
-  in
-  (* Each queued query carries its interned signature, computed exactly
-     once: here for the initial requests, at proposal time for the rest.
-     Everything downstream (dedup, memo, the asked set, seller caches,
-     lots) keys on it, and sellers receive it with the query. *)
-  let signed query estimate = (query, Analysis.Sig.of_ast query, estimate) in
-  let queue =
-    ref
-      (match initial_requests with
-      | None -> [ signed q c0 ]
-      | Some qs -> List.map (fun query -> signed query 0.) qs)
+    (improved, entry)
   in
   let iterations = ref 0 in
   let continue = ref true in
@@ -383,7 +468,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
          that would have been asked and no plan exists yet (a warm
          re-trade), still give the plan generator one pass. *)
       if !best = None && !pool <> [] then begin
-        ignore (plan_pass () : bool);
+        ignore (plan_pass () : bool * memo_entry);
         trace :=
           Printf.sprintf
             "iter %d: all requests covered by standing offers, planned from \
@@ -541,16 +626,28 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       negotiation_rounds := !negotiation_rounds + rounds;
       pool := !pool @ winners;
       (* B4: combine winning offers into candidate plans. *)
-      let improved = plan_pass () in
-      (* B5/B6: the predicates analyser proposes the next round's queries. *)
+      let improved, entry = plan_pass () in
+      (* B5/B6: the predicates analyser proposes the next round's queries,
+         once per memo entry; what was already asked depends on this
+         trade, so that filter runs after the memo. *)
       let plan_from = snap () in
-      let proposals = Buyer_analyser.enrich ~schema ~query:q ~offers:!pool in
+      let proposals =
+        match entry.m_proposals with
+        | Some p -> p
+        | None ->
+          let p =
+            List.map
+              (fun query -> (query, Analysis.Sig.of_ast query))
+              (Buyer_analyser.enrich ~schema ~query:q ~offers:!pool)
+          in
+          entry.m_proposals <- Some p;
+          p
+      in
       let fresh_queries =
         List.filter_map
-          (fun query ->
-            let ((_, s, _) as request) = signed query 0. in
+          (fun (query, s) ->
             if Hashtbl.mem asked (Analysis.Sig.id s) then None
-            else Some request)
+            else Some (query, s, 0.))
           proposals
       in
       record ~cat:"plan_gen" plan_p ~from:plan_from ~sim_shift:0. ~wall_shift:0.;

@@ -115,11 +115,23 @@ val add_phase_stats : phase_stats -> phase_stats -> phase_stats
 (** Field-wise sum, for accumulating breakdowns across repeated
     optimizations (e.g. a trade's admission retries). *)
 
+type plan_memo
+(** A bounded memo of the buyer's plan generation (B4) and predicates
+    analysis (B5/B6), shareable across trades on one federation. *)
+
+val plan_memo_create : unit -> plan_memo
+(** An empty memo holding at most a fixed number of entries, evicted
+    least-recently-used. *)
+
+val plan_memo_stats : plan_memo -> Qt_util.Lru.stats
+(** Hits, misses, invalidations and evictions so far. *)
+
 val optimize :
   ?standing:Offer.t list ->
   ?requests:Qt_sql.Ast.t list ->
   ?transport:Seller.response Qt_runtime.Transport.t ->
   ?caches:Seller.cache_pool ->
+  ?plans:plan_memo ->
   ?obs:Qt_obs.Obs.t ->
   ?obs_track:int ->
   config ->
@@ -153,6 +165,20 @@ val optimize :
     replay priced bids instead of re-running each local optimizer.  The
     default is a fresh pool per call, which leaves single-trade numbers
     exactly as uncached.
+
+    [plans] shares the buyer's plan memo across calls (see
+    {!plan_memo_create}): a plan-generation pass whose query and offer
+    pool repeat those of an earlier pass reuses that pass's best
+    candidate and, when asked, its analyser proposals, instead of
+    recomputing them.  The
+    pool is usually repeated by another trade of the same query, not by
+    this one.  A hit is exact: the stored query must equal [q] as an AST
+    (not merely by signature), the stored pool must equal the current one
+    structurally and in order, and the schema, params, weights and mode
+    must match, so results never depend on the memo.  A hit still charges
+    the pass's simulated CPU time and emits its [plan_gen] span, and the
+    per-trade filter of already-asked proposals still runs after it.
+    The default is a fresh memo per call.
 
     [obs] records the trade as structured spans (default: the no-op
     sink): a root [optimize] span on [obs_track] (default {!buyer_id}),

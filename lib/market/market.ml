@@ -278,6 +278,7 @@ type market = {
   federation : Federation.t;
   rt : Runtime.t;
   caches : Seller.cache_pool;
+  plans : Trader.plan_memo;  (* buyer plan memo, shared by all trades *)
   batcher : Batcher.t;
   admissions : (int, Admission.t) Hashtbl.t;
   completions : (int * Admission.handle) Event_queue.t;
@@ -518,8 +519,8 @@ let launch_fiber st tr ~drive =
   drive tr
     (Effect.Deep.match_with
        (fun () ->
-         Trader.optimize ~caches:st.caches ~transport ~obs:st.obs
-           ~obs_track:tr.t_buyer tcfg st.federation tr.t_query)
+         Trader.optimize ~caches:st.caches ~plans:st.plans ~transport
+           ~obs:st.obs ~obs_track:tr.t_buyer tcfg st.federation tr.t_query)
        () handler)
 
 (* ------------------------------------------------------------------- *)
@@ -858,6 +859,7 @@ let make_market ~obs cfg federation =
       federation;
       rt = Runtime.create ~obs ~params:cfg.trader.Trader.params ~seed:cfg.seed ();
       caches = Seller.pool_create ();
+      plans = Trader.plan_memo_create ();
       batcher = Batcher.create ~batching:cfg.batching;
       admissions = Hashtbl.create 16;
       completions = Event_queue.create ();
@@ -1380,6 +1382,8 @@ type finished = {
    stays a private argument here, not a configuration knob. *)
 let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     ?telemetry ?latency_domain cfg federation trades =
+  if cfg.max_admission_retries < 0 then
+    invalid_arg "Market: max_admission_retries must be non-negative";
   let st = make_market ~obs cfg federation in
   let seller_ids = List.sort compare (Federation.node_ids federation) in
   (* The shedding policy's input: the occupancy of the most saturated

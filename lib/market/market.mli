@@ -239,7 +239,8 @@ val run :
     with per-seller envelope message spans nested under them, admission
     decisions (admit/enqueue/reject/cancel) as instants on the deciding
     seller's track, and one [contract] span per completed contract from
-    service start to completion. *)
+    service start to completion.
+    @raise Invalid_argument on a negative [max_admission_retries]. *)
 
 val to_json : stats -> string
 (** Canonical single-line JSON rendering.  Contains no wall-clock or
@@ -390,8 +391,8 @@ val run_stream :
     expired or failed.  A query completes end-to-end when its last
     admitted contract finishes; it counts as a goodput {e hit} iff that
     happens by its deadline.
-    @raise Invalid_argument on an empty template pool or a non-positive
-    [latency_domain]. *)
+    @raise Invalid_argument on an empty template pool, a non-positive
+    [latency_domain] or a negative [base.max_admission_retries]. *)
 
 val stream_to_json : stream_stats -> string
 (** Canonical single-line JSON (aggregate; no per-trade list).  Same

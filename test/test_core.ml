@@ -831,6 +831,119 @@ let test_failover_import_chain_invalidated () =
             r.Plan.imports)
         (Plan.remote_leaves patched.Trader.plan))
 
+(* ------------------------------------------------------------------ *)
+(* Buyer plan memo                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let memo_federation = Qt_sim.Generator.telecom ~nodes:8 ()
+let memo_templates = Qt_sim.Workload.telecom_templates ~seed:11 ~count:12
+
+(* Everything an outcome reports except wall-clock time. *)
+let comparable (o : Trader.outcome) =
+  let phase (p : Trader.phase) = { p with Trader.wall = 0. } in
+  let ph = o.Trader.phases in
+  ( (o.Trader.plan, o.Trader.cost, o.Trader.purchased),
+    (o.Trader.trace, o.Trader.iteration_costs),
+    { o.Trader.stats with Trader.wall_time = 0. },
+    {
+      ph with
+      Trader.rfb = phase ph.Trader.rfb;
+      pricing = phase ph.Trader.pricing;
+      negotiation = phase ph.Trader.negotiation;
+      plan_gen = phase ph.Trader.plan_gen;
+    } )
+
+let trade_ok ?plans ?caches config q =
+  match Trader.optimize ?plans ?caches config memo_federation q with
+  | Ok o -> o
+  | Error e -> Alcotest.fail e
+
+(* Normalization sorts the select list, so template 0 and its
+   select-reversed twin share a signature but not a plan.  A memo hit
+   validated by signature would hand the twin template 0's plan. *)
+let test_plan_memo_select_twin () =
+  let t0 = List.hd memo_templates in
+  let twin = { t0 with Ast.select = List.rev t0.Ast.select } in
+  Alcotest.(check bool) "twins share a signature" true
+    (Analysis.Sig.equal (Analysis.Sig.of_ast t0) (Analysis.Sig.of_ast twin));
+  let config = Trader.default_config params in
+  let trade ?plans q =
+    trade_ok ?plans ~caches:(Seller.pool_create ()) config q
+  in
+  Alcotest.(check bool) "twins get different plans" false
+    ((trade t0).Trader.plan = (trade twin).Trader.plan);
+  let plans = Trader.plan_memo_create () in
+  ignore (trade ~plans t0 : Trader.outcome);
+  Alcotest.(check bool) "the twin's outcome ignores the memo" true
+    (comparable (trade ~plans twin) = comparable (trade twin))
+
+(* Warm re-trades that plan straight from standing offers, so the memo
+   key repeats.  A pool that agrees with a stored one on every keyed field
+   (seller, signatures, quote) but not on the offers' properties, or the
+   same pool under the select-reversed twin, must not share its entry. *)
+let test_plan_memo_pool_checked () =
+  let config = Trader.default_config params in
+  let t0 = List.hd memo_templates in
+  let twin = { t0 with Ast.select = List.rev t0.Ast.select } in
+  (* Every seller's bids for [t0] itself: they answer its signature, so
+     neither [t0] nor its twin is broadcast again. *)
+  let standing =
+    List.concat_map
+      (fun (n : Qt_catalog.Node.t) ->
+        (Seller.respond config.Trader.seller_template
+           memo_federation.Qt_catalog.Federation.schema n
+           ~requests:[ (t0, 0.) ])
+          .Seller.offers)
+      memo_federation.Qt_catalog.Federation.nodes
+  in
+  let larger =
+    List.map
+      (fun (o : Offer.t) ->
+        { o with Offer.props = { o.props with rows = 2. *. o.props.rows } })
+      standing
+  in
+  let warm ?plans q standing =
+    Result.map comparable
+      (Trader.optimize ?plans ~standing config memo_federation q)
+  in
+  (* [q] over [pool], through a memo that holds [t0] over [standing]. *)
+  let after_t0 q pool =
+    let plans = Trader.plan_memo_create () in
+    ignore (warm ~plans t0 standing);
+    warm ~plans q pool
+  in
+  Alcotest.(check bool) "the larger pool plans differently" false
+    (warm t0 standing = warm t0 larger);
+  Alcotest.(check bool) "the larger pool misses the memo" true
+    (after_t0 t0 larger = warm t0 larger);
+  Alcotest.(check bool) "the twin plans differently" false
+    (warm t0 standing = warm twin standing);
+  Alcotest.(check bool) "the twin misses the memo" true
+    (after_t0 twin standing = warm twin standing)
+
+(* Twelve templates traded twice over shared seller caches, with node 0's
+   load raised for the second pass: the memo must hit, and no outcome may
+   differ from the same run without it. *)
+let test_plan_memo_exact () =
+  let run plans =
+    let caches = Seller.pool_create () in
+    let config = Trader.default_config params in
+    let pass load_of =
+      List.map
+        (fun q ->
+          comparable (trade_ok ?plans ~caches { config with Trader.load_of } q))
+        memo_templates
+    in
+    let first = pass (fun _ -> 0.) in
+    first @ pass (fun node -> if node = 0 then 0.5 else 0.)
+  in
+  let plans = Trader.plan_memo_create () in
+  let memoized = run (Some plans) in
+  Alcotest.(check bool) "outcomes identical with and without the memo" true
+    (memoized = run None);
+  Alcotest.(check bool) "the memo hit" true
+    ((Trader.plan_memo_stats plans).Qt_util.Lru.hits > 0)
+
 let suite =
   ( "core",
     [
@@ -875,4 +988,8 @@ let suite =
         test_failover_multiple_simultaneous_failures;
       quick "failover import chain invalidated"
         test_failover_import_chain_invalidated;
+      quick "plan memo: select-order twin misses" test_plan_memo_select_twin;
+      quick "plan memo: pool checked beyond its key"
+        test_plan_memo_pool_checked;
+      quick "plan memo: shared memo changes no outcome" test_plan_memo_exact;
     ] )

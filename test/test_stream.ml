@@ -335,6 +335,21 @@ let test_stream_latency_domain_rejected () =
                federation ~templates [])))
     [ 0.; -5.; Float.nan ]
 
+(* A negative retry budget used to run exactly like a zero one. *)
+let test_stream_negative_retries_rejected () =
+  let federation = stream_federation () and templates = stream_templates () in
+  Alcotest.check_raises "negative admission retries rejected"
+    (Invalid_argument "Market: max_admission_retries must be non-negative")
+    (fun () ->
+      ignore
+        (Market.run_stream (scfg ~retries:(-1) ()) federation ~templates []));
+  Alcotest.check_raises "negative admission retries rejected in batch"
+    (Invalid_argument "Market: max_admission_retries must be non-negative")
+    (fun () ->
+      ignore
+        (Market.run (scfg ~retries:(-1) ()).Market.base federation
+           (Array.to_list templates)))
+
 (* ------------------------------------------------------------------ *)
 (* Stale completion events after cancellation (admission level)         *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +424,8 @@ let suite =
       quick "run_stream: empty template pool rejected" test_stream_empty_pool_rejected;
       quick "run_stream: non-positive latency domain rejected"
         test_stream_latency_domain_rejected;
+      quick "run_stream: negative admission retries rejected"
+        test_stream_negative_retries_rejected;
       quick "admission: stale completion after cancel is dropped"
         test_admission_stale_completion;
     ] )
