@@ -1042,29 +1042,29 @@ let r_market () =
             List.fold_left
               (fun acc (x : Market.seller_stats) ->
                 acc + x.Market.admission.Admission.rejected)
-              0 s.Market.sellers
+              0 s.Market.str_sellers
           in
           let mean_util =
             let us =
               List.map (fun (x : Market.seller_stats) -> x.Market.utilization)
-                s.Market.sellers
+                s.Market.str_sellers
             in
             List.fold_left ( +. ) 0. us /. float_of_int (List.length us)
           in
-          let b = s.Market.batcher in
+          let b = s.Market.str_batcher in
           Texttable.add_row t
             [
               string_of_int buyers;
               (if batching then "on" else "off");
-              Printf.sprintf "%d/%d" s.Market.completed buyers;
-              string_of_int s.Market.admission_retries;
+              Printf.sprintf "%d/%d" s.Market.str_completed buyers;
+              string_of_int s.Market.str_admission_retries;
               string_of_int b.Qt_market.Batcher.waves;
               string_of_int b.Qt_market.Batcher.sent_messages;
               string_of_int b.Qt_market.Batcher.unbatched_messages;
               string_of_int b.Qt_market.Batcher.bytes_saved;
               string_of_int rejections;
               Printf.sprintf "%.3f" mean_util;
-              fmt_cost s.Market.makespan;
+              fmt_cost s.Market.str_makespan;
             ];
           bench ~scenario:"market"
             [
@@ -1249,16 +1249,16 @@ let r_execsched () =
   in
   let tpch_static = run_tpch false in
   let tpch_feedback = run_tpch true in
-  let exec (s : Market.stats) = Option.get s.Market.exec in
-  let distinct_seller_sets (s : Market.stats) =
+  let exec (s : Market.stream_stats) = Option.get s.Market.str_exec in
+  let distinct_seller_sets (s : Market.stream_stats) =
     List.sort_uniq compare
       (List.map
          (fun (t : Market.trade_stats) ->
            List.sort_uniq compare (List.map fst t.Market.contracts))
-         s.Market.trades)
+         s.Market.str_trades)
     |> List.length
   in
-  let peak_node_busy (s : Market.stats) =
+  let peak_node_busy (s : Market.stream_stats) =
     List.fold_left
       (fun acc (n : Market.exec_node) ->
         if n.Market.en_node >= 0 then Float.max acc n.Market.en_busy else acc)
@@ -1271,18 +1271,18 @@ let r_execsched () =
         "trading"; "exec makespan"; "total";
       ]
   in
-  let row name (s : Market.stats) =
+  let row name (s : Market.stream_stats) =
     let e = exec s in
     Texttable.add_row t
       [
         name;
-        Printf.sprintf "%d/%d" s.Market.completed buyers;
+        Printf.sprintf "%d/%d" s.Market.str_completed buyers;
         string_of_int e.Market.tasks_run;
         string_of_int (distinct_seller_sets s);
         Printf.sprintf "%.4fs" (peak_node_busy s);
-        Printf.sprintf "%.4fs" s.Market.trading_makespan;
+        Printf.sprintf "%.4fs" s.Market.str_trading_makespan;
         Printf.sprintf "%.4fs" e.Market.exec_makespan;
-        Printf.sprintf "%.4fs" s.Market.makespan;
+        Printf.sprintf "%.4fs" s.Market.str_makespan;
       ]
   in
   row "static estimates" static;
@@ -1306,14 +1306,15 @@ let r_execsched () =
       ("static_seller_sets", Bench_json.I (distinct_seller_sets static));
       ("feedback_seller_sets", Bench_json.I (distinct_seller_sets feedback));
       ("tasks", Bench_json.I (exec feedback).Market.tasks_run);
-      ("static_trading_makespan", Bench_json.F static.Market.trading_makespan);
+      ( "static_trading_makespan",
+        Bench_json.F static.Market.str_trading_makespan );
       ( "feedback_trading_makespan",
-        Bench_json.F feedback.Market.trading_makespan );
+        Bench_json.F feedback.Market.str_trading_makespan );
       ("tpch_static_exec_makespan", Bench_json.F tsm);
       ("tpch_feedback_exec_makespan", Bench_json.F tfm);
       ("tpch_speedup", Bench_json.F (if tfm > 0. then tsm /. tfm else 0.));
       ("tpch_tasks", Bench_json.I (exec tpch_feedback).Market.tasks_run);
-      ("tpch_completed", Bench_json.I tpch_feedback.Market.completed);
+      ("tpch_completed", Bench_json.I tpch_feedback.Market.str_completed);
     ]
   in
   bench ~scenario:"execsched" (List.tl snapshot);
@@ -1716,13 +1717,13 @@ let r_optimizer () =
   let tpch_d4_s, tpch_d4 = run_tpch 4 in
   let tpch_identical = Market.to_json tpch_d1 = Market.to_json tpch_d4 in
   let t = Texttable.create [ "configuration"; "wall (s)"; "vs legacy"; "done" ] in
-  let row name s (st : Market.stats) =
+  let row name s (st : Market.stream_stats) =
     Texttable.add_row t
       [
         name;
         Printf.sprintf "%.3f" s;
         Printf.sprintf "%.2fx" (legacy_s /. s);
-        Printf.sprintf "%d/%d" st.Market.completed buyers;
+        Printf.sprintf "%d/%d" st.Market.str_completed buyers;
       ]
   in
   row "legacy string-list DP (seed)" legacy_s legacy_stats;
@@ -1731,7 +1732,7 @@ let r_optimizer () =
   Texttable.print t;
   Printf.printf
     "tpch arm: d1 %.3fs, d4 %.3fs, %d/%d done, byte-identical %b\n" tpch_d1_s
-    tpch_d4_s tpch_d4.Market.completed buyers tpch_identical;
+    tpch_d4_s tpch_d4.Market.str_completed buyers tpch_identical;
   let snapshot =
     [
       ("scenario", Bench_json.S "optimizer");
@@ -1744,11 +1745,11 @@ let r_optimizer () =
       ("speedup_d1_vs_legacy", Bench_json.F (if d1_s > 0. then legacy_s /. d1_s else 0.));
       ("identical_d1_d4", Bench_json.B identical);
       ("identical_legacy_d1", Bench_json.B legacy_identical);
-      ("completed", Bench_json.I d4.Market.completed);
+      ("completed", Bench_json.I d4.Market.str_completed);
       ("tpch_d1_wall_s", Bench_json.F tpch_d1_s);
       ("tpch_d4_wall_s", Bench_json.F tpch_d4_s);
       ("tpch_identical_d1_d4", Bench_json.B tpch_identical);
-      ("tpch_completed", Bench_json.I tpch_d4.Market.completed);
+      ("tpch_completed", Bench_json.I tpch_d4.Market.str_completed);
     ]
   in
   bench ~scenario:"optimizer" (List.tl snapshot);

@@ -243,6 +243,7 @@ let schema_queries schema ~count ~telecom =
 
 (* The batch subcommands' (workload, market) pool. *)
 let batch_queries schema ~count =
+  if count < 0 then invalid_arg "--count must be non-negative";
   schema_queries schema ~count ~telecom:(fun count ->
       List.init count (fun i ->
           Qt_sim.Workload.telecom_revenue_by_office
@@ -907,17 +908,18 @@ let run_market schema nodes partitions replicas count json trace metrics
             Printf.eprintf "trade %d: executed result diverges from oracle\n" trade;
             acc + 1
           end)
-        0 s.Market.results
+        0 s.Market.str_results
   in
   Option.iter (write_trace ~json obs) trace;
   Option.iter (fun path -> write_file path (Market.metrics_json s)) metrics;
   if json then print_endline (Market.to_json s)
   else begin
     Printf.printf "trades: %d completed, %d failed, %d admission retries\n"
-      s.Market.completed s.Market.failed s.Market.admission_retries;
+      s.Market.str_completed s.Market.str_failed s.Market.str_admission_retries;
     Printf.printf "makespan: %.4fs (trading %.4fs)   wire: %d messages, %.1f KiB\n"
-      s.Market.makespan s.Market.trading_makespan s.Market.wire_messages
-      (float_of_int s.Market.wire_bytes /. 1024.);
+      s.Market.str_makespan s.Market.str_trading_makespan
+      s.Market.str_wire_messages
+      (float_of_int s.Market.str_wire_bytes /. 1024.);
     Option.iter
       (fun (e : Market.exec_stats) ->
         Printf.printf
@@ -934,8 +936,8 @@ let run_market schema nodes partitions replicas count json trace metrics
                else string_of_int n.Market.en_node)
               n.Market.en_tasks n.Market.en_busy n.Market.en_utilization)
           e.Market.exec_nodes)
-      s.Market.exec;
-    let b = s.Market.batcher in
+      s.Market.str_exec;
+    let b = s.Market.str_batcher in
     Printf.printf
       "rfb batching (%s): %d waves, %d envelopes vs %d unbatched (%d messages \
        and %d bytes saved, %d duplicate signatures merged)\n"
@@ -944,9 +946,9 @@ let run_market schema nodes partitions replicas count json trace metrics
       b.Qt_market.Batcher.unbatched_messages
       b.Qt_market.Batcher.messages_saved b.Qt_market.Batcher.bytes_saved
       b.Qt_market.Batcher.dup_signatures_merged;
-    print_bid_cache s.Market.cache;
-    Option.iter print_qcache_stats s.Market.qcache;
-    Option.iter print_pricing_stats s.Market.pricing;
+    print_bid_cache s.Market.str_cache;
+    Option.iter print_qcache_stats s.Market.str_qcache;
+    Option.iter print_pricing_stats s.Market.str_pricing;
     List.iter
       (fun (x : Market.seller_stats) ->
         let a = x.Market.admission in
@@ -956,7 +958,7 @@ let run_market schema nodes partitions replicas count json trace metrics
              utilization %.3f\n"
             x.Market.seller a.Admission.admitted a.Admission.rejected
             a.Admission.peak_queue a.Admission.busy x.Market.utilization)
-      s.Market.sellers;
+      s.Market.str_sellers;
     List.iter
       (fun (t : Market.trade_stats) ->
         Printf.printf "  trade %d: %s in %d attempt%s, plan %.4fs, contracts [%s]\n"
@@ -974,7 +976,7 @@ let run_market schema nodes partitions replicas count json trace metrics
              (List.map
                 (fun (seller, work) -> Printf.sprintf "node %d: %.4fs" seller work)
                 t.Market.contracts)))
-      s.Market.trades
+      s.Market.str_trades
   end;
   if exec_failures > 0 then 1 else 0
 

@@ -28,6 +28,9 @@ module Result_cache = Qt_cache.Result_cache
 module Lru = Qt_util.Lru
 module Analysis = Qt_sql.Analysis
 module Pricing = Qt_pricing.Pricing
+module Sla = Qt_stream.Sla
+module Arrivals = Qt_stream.Arrivals
+module Shedding = Qt_stream.Shedding
 
 (* The market scheduler's own trace track: buyers occupy -(i+1), sellers
    the non-negative node ids, so a far-negative reserved id never
@@ -62,8 +65,7 @@ type config = {
          parallel (pricing only; all clock, wire and metrics accounting
          is replayed sequentially in envelope order, so results are
          byte-identical at any pool size).  Serving stays serial when
-         observability is enabled (span ids are emission-ordered) or
-         subcontracting is on (sellers then share bid caches). *)
+         observability is enabled (span ids are emission-ordered). *)
   pricing : Pricing.config option;
       (* Seller pricing layer (lib/pricing): strategy mix, surge
          multipliers and capacity reservations.  [None] (the default)
@@ -143,24 +145,61 @@ type exec_stats = {
   exec_nodes : exec_node list;
 }
 
-type stats = {
-  trades : trade_stats list;
-  sellers : seller_stats list;
-  batcher : Batcher.stats;
-  cache : Seller.cache_stats;
-  completed : int;
-  failed : int;
-  admission_retries : int;
-  trading_makespan : float;
-  makespan : float;
-  wire_messages : int;
-  wire_bytes : int;
-  offer_rtt : latency_summary;
-  queue_wait : latency_summary;
-  exec : exec_stats option;
-  qcache : Tier.stats option;
-  pricing : Pricing.stats option;
-  results : (int * Plan.t * Table.t) list;
+type telemetry_stats = {
+  tl_interval : float;
+  tl_ticks : int;
+  tl_points : Timeseries.point list;  (* every series point, in order *)
+  tl_rules : Slo.rule list;
+  tl_alerts : (Slo.alert * Flight_recorder.bundle) list;  (* firing order *)
+  tl_failures : Flight_recorder.bundle list;
+      (* debug bundles for the first few trade failures/expiries *)
+}
+
+type class_stats = {
+  cs_klass : Sla.klass;
+  cs_arrivals : int;
+  cs_completed : int;
+  cs_hits : int;
+  cs_shed : int;
+  cs_expired : int;
+  cs_failed : int;
+  cs_goodput : float;
+  cs_cache_hits : int;
+      (* Arrivals of this class served from the cache tier (statement or
+         result hits); 0 when the tier is off. *)
+  cs_cache_hit_rate : float;  (* cache hits / arrivals *)
+  cs_latency : latency_summary;
+}
+
+(* The one run report [run] and [run_stream] both return.  A stream
+   leaves the batch-only detail empty: [str_trades], [str_results] and
+   exec's per-trade rows. *)
+type stream_stats = {
+  str_arrivals : int;
+  str_completed : int;
+  str_hits : int;
+  str_shed : int;
+  str_expired : int;
+  str_failed : int;
+  str_goodput : float;
+  str_latency : latency_summary;
+  str_classes : class_stats list;
+  str_sellers : seller_stats list;
+  str_batcher : Batcher.stats;
+  str_cache : Seller.cache_stats;
+  str_admission_retries : int;
+  str_trading_makespan : float;
+  str_makespan : float;
+  str_wire_messages : int;
+  str_wire_bytes : int;
+  str_offer_rtt : latency_summary;
+  str_queue_wait : latency_summary;
+  str_exec : exec_stats option;
+  str_qcache : Tier.stats option;
+  str_pricing : Pricing.stats option;
+  str_telemetry : telemetry_stats option;
+  str_trades : trade_stats list;
+  str_results : (int * Plan.t * Table.t) list;
 }
 
 (* A trade fiber suspends here when it broadcasts an RFB: everything the
@@ -692,8 +731,7 @@ let serve_wave st trades waiting ~t_close ~drive =
      Envelopes sharing a seller share that seller's bid cache and must
      stay in service order, so the parallel unit is a seller's whole
      envelope group.  Serving stays serial when observability is on
-     (span ids are emission-ordered) or subcontracting is on (sellers
-     then price through each other's caches). *)
+     (span ids are emission-ordered). *)
   let env_arr = Array.of_list envelopes in
   let serve_env (e : Batcher.envelope) =
     List.filter_map
@@ -723,7 +761,6 @@ let serve_wave st trades waiting ~t_close ~drive =
     | Some p
       when Pool.domains p > 1
            && (not (Obs.enabled st.obs))
-           && (not st.cfg.trader.Trader.allow_subcontracting)
            && List.length groups > 1 ->
       Array.to_list (Pool.map p serve_group (Array.of_list groups))
     | Some _ | None -> List.map serve_group groups
@@ -891,51 +928,6 @@ let make_market ~obs cfg federation =
     (Federation.node_ids federation);
   st
 
-(* Execution totals of a run that executed plans, with the per-trade
-   rows the caller chose to keep. *)
-let exec_stats_of st ~exec_trades =
-  match (st.sched, st.cfg.execute) with
-  | Some sched, Some e ->
-    let es = Execsched.stats sched in
-    let node (n : Execsched.node_stats) =
-      let window = n.Execsched.ns_last_finish -. n.Execsched.ns_first_start in
-      let capacity = float_of_int e.workers *. window in
-      {
-        en_node = n.Execsched.ns_node;
-        en_tasks = n.Execsched.ns_tasks;
-        en_busy = n.Execsched.ns_busy;
-        en_utilization =
-          (if capacity > 0. then n.Execsched.ns_busy /. capacity else 0.);
-      }
-    in
-    Some
-      {
-        exec_makespan = es.Execsched.exec_makespan;
-        tasks_run = es.Execsched.tasks_run;
-        shared_results = es.Execsched.shared_results;
-        exec_trades;
-        exec_nodes = List.map node es.Execsched.exec_nodes;
-      }
-  | _ -> None
-
-(* End of everything: trading, extended to the last execution task. *)
-let makespan_of ~trading_makespan = function
-  | Some e -> Float.max trading_makespan e.exec_makespan
-  | None -> trading_makespan
-
-let seller_stats_of st ~horizon =
-  List.sort compare (Federation.node_ids st.federation)
-  |> List.map (fun id ->
-         let adm = admission_of st id in
-         let a = Admission.stats adm in
-         let capacity = float_of_int (Admission.slots adm) *. horizon in
-         {
-           seller = id;
-           admission = a;
-           utilization =
-             (if capacity > 0. then a.Admission.busy /. capacity else 0.);
-         })
-
 (* One end-of-run instant span summarising domain-pool activity.  Only
    the totals go in: jobs submitted and items executed are deterministic
    at a fixed pool size, while the per-slot split depends on scheduling
@@ -1061,10 +1053,65 @@ let exec_node_json (n : exec_node) =
   Printf.sprintf "{\"node\":%d,\"tasks\":%d,\"busy\":%s,\"utilization\":%s}"
     n.en_node n.en_tasks (jf n.en_busy) (jf n.en_utilization)
 
-let to_json (s : stats) =
+let json_list add f xs =
+  add "[";
+  List.iteri (fun i x -> if i > 0 then add ","; f x) xs;
+  add "]"
+
+(* The run-wide block both JSON renderings share, "sellers" through
+   "pricing".  [batch] adds the batch's own keys in their places: the
+   trade counts, the trading makespan and exec's per-trade rows. *)
+let add_run_wide_json b ~batch (s : stream_stats) =
+  let add = Buffer.add_string b in
+  let list f xs = json_list add f xs in
+  add ",\"sellers\":";
+  list (fun x -> add (seller_json x)) s.str_sellers;
+  add (",\"batcher\":" ^ batcher_json s.str_batcher);
+  add (",\"cache\":" ^ counts_json s.str_cache);
+  if batch then
+    add
+      (Printf.sprintf ",\"completed\":%d,\"failed\":%d" s.str_completed
+         s.str_failed);
+  add (Printf.sprintf ",\"admission_retries\":%d" s.str_admission_retries);
+  if batch then
+    add (Printf.sprintf ",\"trading_makespan\":%s" (jf s.str_trading_makespan));
+  add
+    (Printf.sprintf
+       ",\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
+       (jf s.str_makespan) s.str_wire_messages s.str_wire_bytes
+       (latency_json s.str_offer_rtt)
+       (latency_json s.str_queue_wait));
+  (match s.str_exec with
+  | None -> add ",\"exec\":null"
+  | Some e ->
+    add
+      (Printf.sprintf
+         ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d"
+         (jf e.exec_makespan) e.tasks_run e.shared_results);
+    if batch then begin
+      add ",\"trades\":";
+      list
+        (fun (t : exec_trade) ->
+          add
+            (Printf.sprintf
+               "{\"trade\":%d,\"rows\":%d,\"digest\":%d,\"finished_at\":%s}"
+               t.et_trade t.et_rows t.et_digest (jf t.et_finished_at)))
+        e.exec_trades
+    end;
+    add ",\"nodes\":";
+    list (fun n -> add (exec_node_json n)) e.exec_nodes;
+    add "}");
+  (match s.str_qcache with
+  | None -> ()
+  | Some q -> add (",\"qcache\":" ^ qcache_json q));
+  match s.str_pricing with
+  | None -> ()
+  | Some p -> add (",\"pricing\":" ^ pricing_json p)
+
+let to_json (s : stream_stats) =
   let b = Buffer.create 2048 in
   let add = Buffer.add_string b in
-  let list f xs = add "["; List.iteri (fun i x -> if i > 0 then add ","; f x) xs; add "]" in
+  let list f xs = json_list add f xs in
   add "{\"trades\":";
   list
     (fun (t : trade_stats) ->
@@ -1079,45 +1126,88 @@ let to_json (s : stats) =
           add (Printf.sprintf "{\"seller\":%d,\"work\":%s}" seller (jf work)))
         t.contracts;
       add "}")
-    s.trades;
-  add ",\"sellers\":";
-  list (fun (x : seller_stats) -> add (seller_json x)) s.sellers;
-  add (",\"batcher\":" ^ batcher_json s.batcher);
-  add (",\"cache\":" ^ counts_json s.cache);
-  add
-    (Printf.sprintf
-       ",\"completed\":%d,\"failed\":%d,\"admission_retries\":%d,\"trading_makespan\":%s,\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
-       s.completed s.failed s.admission_retries (jf s.trading_makespan)
-       (jf s.makespan) s.wire_messages s.wire_bytes (latency_json s.offer_rtt)
-       (latency_json s.queue_wait));
-  (match s.exec with
-  | None -> add ",\"exec\":null"
-  | Some e ->
-    add
-      (Printf.sprintf
-         ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d,\"trades\":"
-         (jf e.exec_makespan) e.tasks_run e.shared_results);
-    list
-      (fun (t : exec_trade) ->
-        add
-          (Printf.sprintf
-             "{\"trade\":%d,\"rows\":%d,\"digest\":%d,\"finished_at\":%s}"
-             t.et_trade t.et_rows t.et_digest (jf t.et_finished_at)))
-      e.exec_trades;
-    add ",\"nodes\":";
-    list (fun (n : exec_node) -> add (exec_node_json n)) e.exec_nodes;
-    add "}");
-  (match s.qcache with
-  | None -> ()
-  | Some q -> add (",\"qcache\":" ^ qcache_json q));
-  (match s.pricing with
-  | None -> ()
-  | Some p -> add (",\"pricing\":" ^ pricing_json p));
+    s.str_trades;
+  add_run_wide_json b ~batch:true s;
   add "}";
   Buffer.contents b
 
-(* Shared pieces of the flat metrics renderings: counters and gauges the
-   batch and stream reports have in common. *)
+(* Cache fields render only when the tier was on, keeping cache-off
+   stream JSON byte-identical to a cache-less build. *)
+let class_json ~qcache (c : class_stats) =
+  let cache_fields =
+    if qcache then
+      Printf.sprintf ",\"cache_hits\":%d,\"cache_hit_rate\":%s" c.cs_cache_hits
+        (jf c.cs_cache_hit_rate)
+    else ""
+  in
+  Printf.sprintf
+    "{\"class\":%S,\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s%s,\"latency\":%s}"
+    (Sla.to_string c.cs_klass) c.cs_arrivals c.cs_completed c.cs_hits c.cs_shed
+    c.cs_expired c.cs_failed (jf c.cs_goodput) cache_fields
+    (latency_json c.cs_latency)
+
+let alert_json ((al : Slo.alert), bundle) =
+  Printf.sprintf "{\"alert\":%s,\"bundle\":%s}" (Slo.alert_to_json al)
+    (Flight_recorder.bundle_to_json bundle)
+
+let stream_to_json (s : stream_stats) =
+  let b = Buffer.create 1024 in
+  let add = Buffer.add_string b in
+  let list f xs = json_list add f xs in
+  add
+    (Printf.sprintf
+       "{\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s,\"latency\":%s"
+       s.str_arrivals s.str_completed s.str_hits s.str_shed s.str_expired
+       s.str_failed (jf s.str_goodput) (latency_json s.str_latency));
+  add ",\"classes\":";
+  list (fun c -> add (class_json ~qcache:(s.str_qcache <> None) c)) s.str_classes;
+  add_run_wide_json b ~batch:false s;
+  (* Rendered only when telemetry was on, keeping telemetry-off stream
+     JSON byte-identical to a telemetry-less build.  The full point
+     series goes to the JSONL dump ([telemetry_jsonl]); this carries the
+     summary plus every alert with its flight-recorder bundle. *)
+  (match s.str_telemetry with
+  | None -> ()
+  | Some t ->
+    add
+      (Printf.sprintf
+         ",\"telemetry\":{\"interval\":%s,\"ticks\":%d,\"points\":%d,\"rules\":"
+         (jf t.tl_interval) t.tl_ticks (List.length t.tl_points));
+    list
+      (fun (r : Slo.rule) -> add (Printf.sprintf "%S" r.Slo.r_name))
+      t.tl_rules;
+    add ",\"alerts\":";
+    list (fun a -> add (alert_json a)) t.tl_alerts;
+    add ",\"failures\":";
+    list (fun bd -> add (Flight_recorder.bundle_to_json bd)) t.tl_failures;
+    add "}");
+  add "}";
+  Buffer.contents b
+
+(* The series dump: every scraped/derived point, then alert and failure
+   lines, one JSON object per line. *)
+let telemetry_jsonl (t : telemetry_stats) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      Buffer.add_string b (Timeseries.point_to_json p);
+      Buffer.add_char b '\n')
+    t.tl_points;
+  List.iter
+    (fun a ->
+      Buffer.add_string b (alert_json a);
+      Buffer.add_char b '\n')
+    t.tl_alerts;
+  List.iter
+    (fun bd ->
+      Buffer.add_string b
+        (Printf.sprintf "{\"failure\":%s}\n" (Flight_recorder.bundle_to_json bd)))
+    t.tl_failures;
+  Buffer.contents b
+
+(* Flat metrics renderings of a finished run — what [--metrics FILE]
+   writes.  Derived entirely from the report, so they share its
+   determinism; the registry sorts keys, so registration order is free. *)
 let metrics_c m name v = Metrics.incr ~by:v (Metrics.counter m name)
 let metrics_g m name v = Metrics.set (Metrics.gauge m name) v
 
@@ -1137,103 +1227,130 @@ let metrics_counts m prefix (c : Lru.stats) =
   metrics_c m (prefix ^ ".invalidations") c.invalidations;
   metrics_c m (prefix ^ ".evictions") c.evictions
 
-let metrics_exec m = function
-  | None -> ()
-  | Some e ->
-    metrics_c m "exec.tasks" e.tasks_run;
-    metrics_c m "exec.shared_results" e.shared_results;
-    metrics_g m "exec.makespan" e.exec_makespan;
-    List.iter
-      (fun (n : exec_node) ->
-        let p = Printf.sprintf "exec.node.%d." n.en_node in
-        metrics_c m (p ^ "tasks") n.en_tasks;
-        metrics_g m (p ^ "busy") n.en_busy;
-        metrics_g m (p ^ "utilization") n.en_utilization)
-      e.exec_nodes
-
-(* qcache.* metrics appear only when the tier was configured, keeping
-   cache-off metrics output identical to a cache-less build. *)
-let metrics_qcache m = function
-  | None -> ()
-  | Some (q : Tier.stats) ->
-    metrics_c m "qcache.stmt.hits" q.Tier.stmt.Statement_cache.hits;
-    metrics_c m "qcache.stmt.misses" q.Tier.stmt.Statement_cache.misses;
-    metrics_c m "qcache.stmt.invalidations"
-      q.Tier.stmt.Statement_cache.invalidations;
-    metrics_c m "qcache.stmt.evictions" q.Tier.stmt.Statement_cache.evictions;
-    metrics_c m "qcache.stmt.suppressed" q.Tier.stmt.Statement_cache.suppressed;
-    metrics_counts m "qcache.result" q.Tier.result;
-    metrics_c m "qcache.trades_avoided" q.Tier.trades_avoided;
-    metrics_c m "qcache.executions_avoided" q.Tier.executions_avoided;
-    metrics_c m "qcache.result_bytes" q.Tier.result_bytes_held;
-    metrics_g m "qcache.hit_revenue" q.Tier.hit_revenue
-
-(* pricing.* metrics appear only when the layer was configured, keeping
-   pricing-off metrics output identical to a pricing-less build. *)
-let metrics_pricing m = function
-  | None -> ()
-  | Some (p : Pricing.stats) ->
-    metrics_g m "pricing.revenue" p.Pricing.p_revenue;
-    metrics_g m "pricing.reservation_revenue" p.Pricing.p_reservation_revenue;
-    metrics_c m "pricing.surge_activations" p.Pricing.p_surge_activations;
-    metrics_c m "pricing.forced_flips" p.Pricing.p_forced_flips;
-    metrics_c m "pricing.reserved_sold" p.Pricing.p_reserved_sold;
-    metrics_c m "pricing.reserved_completed" p.Pricing.p_reserved_completed;
-    metrics_c m "pricing.reserved_refunded" p.Pricing.p_reserved_refunded;
-    metrics_g m "pricing.reservation_fill" p.Pricing.p_reservation_fill;
-    List.iter
-      (fun (x : Pricing.seller_stats) ->
-        let pre = Printf.sprintf "pricing.seller.%d." x.Pricing.ps_seller in
-        metrics_g m (pre ^ "revenue") x.Pricing.ps_revenue;
-        metrics_c m (pre ^ "surge_activations") x.Pricing.ps_surge_activations)
-      p.Pricing.p_sellers
-
-let metrics_shared m ~sellers ~(batcher : Batcher.stats) ~(cache : Seller.cache_stats) =
-  metrics_c m "batcher.waves" batcher.Batcher.waves;
-  metrics_c m "batcher.sent_messages" batcher.Batcher.sent_messages;
-  metrics_c m "batcher.sent_bytes" batcher.Batcher.sent_bytes;
-  metrics_c m "batcher.messages_saved" batcher.Batcher.messages_saved;
-  metrics_c m "batcher.bytes_saved" batcher.Batcher.bytes_saved;
-  metrics_c m "batcher.dup_signatures_merged" batcher.Batcher.dup_signatures_merged;
-  metrics_counts m "cache" cache;
+(* The run-wide metrics both renderings share; [prefix] ("market" or
+   "stream") names the run's own family. *)
+let metrics_run_wide m ~prefix (s : stream_stats) =
+  let c = metrics_c m and g = metrics_g m in
+  c (prefix ^ ".admission_retries") s.str_admission_retries;
+  c (prefix ^ ".wire_messages") s.str_wire_messages;
+  c (prefix ^ ".wire_bytes") s.str_wire_bytes;
+  g (prefix ^ ".makespan") s.str_makespan;
+  Option.iter
+    (fun e ->
+      c "exec.tasks" e.tasks_run;
+      c "exec.shared_results" e.shared_results;
+      g "exec.makespan" e.exec_makespan;
+      List.iter
+        (fun (n : exec_node) ->
+          let p = Printf.sprintf "exec.node.%d." n.en_node in
+          c (p ^ "tasks") n.en_tasks;
+          g (p ^ "busy") n.en_busy;
+          g (p ^ "utilization") n.en_utilization)
+        e.exec_nodes)
+    s.str_exec;
+  (* qcache.* and pricing.* appear only when the tier or the layer was
+     configured, keeping their off output identical to a build without
+     them. *)
+  Option.iter
+    (fun (q : Tier.stats) ->
+      let st = q.Tier.stmt in
+      c "qcache.stmt.hits" st.Statement_cache.hits;
+      c "qcache.stmt.misses" st.Statement_cache.misses;
+      c "qcache.stmt.invalidations" st.Statement_cache.invalidations;
+      c "qcache.stmt.evictions" st.Statement_cache.evictions;
+      c "qcache.stmt.suppressed" st.Statement_cache.suppressed;
+      metrics_counts m "qcache.result" q.Tier.result;
+      c "qcache.trades_avoided" q.Tier.trades_avoided;
+      c "qcache.executions_avoided" q.Tier.executions_avoided;
+      c "qcache.result_bytes" q.Tier.result_bytes_held;
+      g "qcache.hit_revenue" q.Tier.hit_revenue)
+    s.str_qcache;
+  Option.iter
+    (fun (p : Pricing.stats) ->
+      g "pricing.revenue" p.Pricing.p_revenue;
+      g "pricing.reservation_revenue" p.Pricing.p_reservation_revenue;
+      c "pricing.surge_activations" p.Pricing.p_surge_activations;
+      c "pricing.forced_flips" p.Pricing.p_forced_flips;
+      c "pricing.reserved_sold" p.Pricing.p_reserved_sold;
+      c "pricing.reserved_completed" p.Pricing.p_reserved_completed;
+      c "pricing.reserved_refunded" p.Pricing.p_reserved_refunded;
+      g "pricing.reservation_fill" p.Pricing.p_reservation_fill;
+      List.iter
+        (fun (x : Pricing.seller_stats) ->
+          let pre = Printf.sprintf "pricing.seller.%d." x.Pricing.ps_seller in
+          g (pre ^ "revenue") x.Pricing.ps_revenue;
+          c (pre ^ "surge_activations") x.Pricing.ps_surge_activations)
+        p.Pricing.p_sellers)
+    s.str_pricing;
+  let bt = s.str_batcher in
+  c "batcher.waves" bt.Batcher.waves;
+  c "batcher.sent_messages" bt.Batcher.sent_messages;
+  c "batcher.sent_bytes" bt.Batcher.sent_bytes;
+  c "batcher.messages_saved" bt.Batcher.messages_saved;
+  c "batcher.bytes_saved" bt.Batcher.bytes_saved;
+  c "batcher.dup_signatures_merged" bt.Batcher.dup_signatures_merged;
+  metrics_counts m "cache" s.str_cache;
   List.iter
     (fun (x : seller_stats) ->
       let p = Printf.sprintf "seller.%d." x.seller in
-      metrics_c m (p ^ "admitted") x.admission.Admission.admitted;
-      metrics_c m (p ^ "rejected") x.admission.Admission.rejected;
-      metrics_c m (p ^ "completed") x.admission.Admission.completed;
-      metrics_g m (p ^ "busy") x.admission.Admission.busy;
-      metrics_g m (p ^ "utilization") x.utilization)
-    sellers
+      c (p ^ "admitted") x.admission.Admission.admitted;
+      c (p ^ "rejected") x.admission.Admission.rejected;
+      c (p ^ "completed") x.admission.Admission.completed;
+      g (p ^ "busy") x.admission.Admission.busy;
+      g (p ^ "utilization") x.utilization)
+    s.str_sellers;
+  metrics_lat m "market.offer_rtt" s.str_offer_rtt;
+  metrics_lat m "market.queue_wait" s.str_queue_wait
 
-(* Flat metrics rendering of a finished run — what [--metrics FILE]
-   writes.  Derived entirely from [stats], so it shares its determinism. *)
-let metrics_json (s : stats) =
+let metrics_json (s : stream_stats) =
+  let m = Metrics.create () in
+  metrics_c m "market.trades" s.str_arrivals;
+  metrics_c m "market.completed" s.str_completed;
+  metrics_c m "market.failed" s.str_failed;
+  metrics_g m "market.trading_makespan" s.str_trading_makespan;
+  metrics_run_wide m ~prefix:"market" s;
+  Metrics.to_json m
+
+let stream_metrics_registry (s : stream_stats) =
   let m = Metrics.create () in
   let c = metrics_c m and g = metrics_g m in
-  c "market.trades" (List.length s.trades);
-  c "market.completed" s.completed;
-  c "market.failed" s.failed;
-  c "market.admission_retries" s.admission_retries;
-  c "market.wire_messages" s.wire_messages;
-  c "market.wire_bytes" s.wire_bytes;
-  g "market.trading_makespan" s.trading_makespan;
-  g "market.makespan" s.makespan;
-  metrics_exec m s.exec;
-  metrics_qcache m s.qcache;
-  metrics_pricing m s.pricing;
-  metrics_shared m ~sellers:s.sellers ~batcher:s.batcher ~cache:s.cache;
-  metrics_lat m "market.offer_rtt" s.offer_rtt;
-  metrics_lat m "market.queue_wait" s.queue_wait;
-  Metrics.to_json m
+  c "stream.arrivals" s.str_arrivals;
+  c "stream.completed" s.str_completed;
+  c "stream.hits" s.str_hits;
+  c "stream.shed" s.str_shed;
+  c "stream.expired" s.str_expired;
+  c "stream.failed" s.str_failed;
+  g "stream.goodput" s.str_goodput;
+  metrics_lat m "stream.latency" s.str_latency;
+  List.iter
+    (fun cl ->
+      let p = Printf.sprintf "stream.class.%s." (Sla.to_string cl.cs_klass) in
+      c (p ^ "arrivals") cl.cs_arrivals;
+      c (p ^ "completed") cl.cs_completed;
+      c (p ^ "hits") cl.cs_hits;
+      c (p ^ "shed") cl.cs_shed;
+      c (p ^ "expired") cl.cs_expired;
+      c (p ^ "failed") cl.cs_failed;
+      g (p ^ "goodput") cl.cs_goodput;
+      (* Per-class cache effectiveness: every cache hit is one trade the
+         class did not have to run.  Only rendered when the tier is on so
+         cache-off metrics match the pre-cache format. *)
+      if s.str_qcache <> None then begin
+        c (p ^ "cache_hits") cl.cs_cache_hits;
+        c (p ^ "trades_avoided") cl.cs_cache_hits;
+        g (p ^ "cache_hit_rate") cl.cs_cache_hit_rate
+      end;
+      metrics_lat m (p ^ "latency") cl.cs_latency)
+    s.str_classes;
+  metrics_run_wide m ~prefix:"stream" s;
+  m
+
+let stream_metrics_json (s : stream_stats) =
+  Metrics.to_json (stream_metrics_registry s)
 
 (* ------------------------------------------------------------------- *)
 (* Open-stream marketplace: continuous arrivals, SLA deadlines,
    cancellation and load shedding on top of the same wave scheduler. *)
-
-module Sla = Qt_stream.Sla
-module Arrivals = Qt_stream.Arrivals
-module Shedding = Qt_stream.Shedding
 
 (* Time-resolved telemetry over a stream run: a scrape tick every
    [scrape_interval] sim seconds is interleaved with the completion and
@@ -1290,57 +1407,6 @@ type stream_tel = {
   mutable tel_failures : Flight_recorder.bundle list;  (* newest first *)
 }
 
-type telemetry_stats = {
-  tl_interval : float;
-  tl_ticks : int;
-  tl_points : Timeseries.point list;  (* every series point, in order *)
-  tl_rules : Slo.rule list;
-  tl_alerts : (Slo.alert * Flight_recorder.bundle) list;  (* firing order *)
-  tl_failures : Flight_recorder.bundle list;
-      (* debug bundles for the first few trade failures/expiries *)
-}
-
-type class_stats = {
-  cs_klass : Sla.klass;
-  cs_arrivals : int;
-  cs_completed : int;
-  cs_hits : int;
-  cs_shed : int;
-  cs_expired : int;
-  cs_failed : int;
-  cs_goodput : float;
-  cs_cache_hits : int;
-      (* Arrivals of this class served from the cache tier (statement or
-         result hits); 0 when the tier is off. *)
-  cs_cache_hit_rate : float;  (* cache hits / arrivals *)
-  cs_latency : latency_summary;
-}
-
-type stream_stats = {
-  str_arrivals : int;
-  str_completed : int;
-  str_hits : int;
-  str_shed : int;
-  str_expired : int;
-  str_failed : int;
-  str_goodput : float;
-  str_latency : latency_summary;
-  str_classes : class_stats list;
-  str_sellers : seller_stats list;
-  str_batcher : Batcher.stats;
-  str_cache : Seller.cache_stats;
-  str_admission_retries : int;
-  str_makespan : float;
-  str_wire_messages : int;
-  str_wire_bytes : int;
-  str_offer_rtt : latency_summary;
-  str_queue_wait : latency_summary;
-  str_exec : exec_stats option;
-  str_qcache : Tier.stats option;
-  str_pricing : Pricing.stats option;
-  str_telemetry : telemetry_stats option;
-}
-
 (* Stream latencies outlive the default 10-second metrics domain (an
    overloaded queue can hold a batch query for minutes), so the
    end-to-end histograms use 10 ms buckets over a 1000-second span by
@@ -1358,7 +1424,7 @@ let stream_latency_histogram ?(domain = 1000.) metrics name =
    batch is a stream whose arrivals all land at t=0, with no deadlines,
    no shedding and no telemetry. *)
 
-(* What the driver leaves for a run's stats projection. *)
+(* What the driver leaves for [report_of]. *)
 type finished = {
   f_st : market;
   f_trades : trade array;
@@ -1995,116 +2061,78 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     f_trading_makespan = trading_makespan;
   }
 
-(* Buyer priority of every batch trade, read by the [Priority] and
-   [Proportional_share] arbitration policies. *)
-let batch_priority = 0
+(* Each executed trade's answer-table row and [(index, plan, table)],
+   in trade order.  Result-cache hits never reach the scheduler, but
+   their answers still belong in the results so callers can oracle them
+   against fresh execution. *)
+let executed st trades =
+  match st.sched with
+  | None -> ([], [])
+  | Some sched ->
+    Array.fold_right
+      (fun tr (ets, res) ->
+        match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
+        | Some table, Some plan ->
+          let et =
+            {
+              et_trade = tr.t_index;
+              et_rows = List.length table.Table.rows;
+              et_digest = table_digest table;
+              et_finished_at =
+                Option.value
+                  (Execsched.finished_at sched ~trade:tr.t_index)
+                  ~default:0.;
+            }
+          in
+          (et :: ets, (tr.t_index, plan, table) :: res)
+        | _ -> (
+          match (tr.t_cache_table, tr.t_plan) with
+          | Some table, Some plan -> (ets, (tr.t_index, plan, table) :: res)
+          | _ -> (ets, res)))
+      trades ([], [])
 
-let run ?(obs = Obs.disabled) cfg federation queries =
-  let trades =
-    Array.of_list
-      (List.mapi
-         (fun i q -> make_trade ~index:i ~priority:batch_priority q)
-         queries)
-  in
-  let f = drive_market ~obs ~exec_at_admission:true cfg federation trades in
-  let st = f.f_st and trading_makespan = f.f_trading_makespan in
+(* The run report, built from what the driver left.  Every arrival ends
+   exactly once — completed, shed, expired or failed — so the counts
+   partition the arrivals, overall and per class; a trade left with no
+   status breaks that law and fails the run.  [per_trade] keeps the
+   batch-only detail (the per-trade list, the executed answers and
+   exec's per-trade rows), which is not retained at stream scale. *)
+let report_of ~per_trade f =
+  let st = f.f_st and trades = f.f_trades in
+  Array.iter
+    (fun tr ->
+      if tr.t_status = None then
+        failwith
+          (Printf.sprintf "Market: trade %d ended with no status" tr.t_index))
+    trades;
   let exec_trades, results =
-    match st.sched with
-    | None -> ([], [])
-    | Some sched ->
-      Array.fold_right
-        (fun tr (ets, res) ->
-          match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
-          | Some table, Some plan ->
-            let et =
-              {
-                et_trade = tr.t_index;
-                et_rows = List.length table.Table.rows;
-                et_digest = table_digest table;
-                et_finished_at =
-                  Option.value
-                    (Execsched.finished_at sched ~trade:tr.t_index)
-                    ~default:0.;
-              }
-            in
-            (et :: ets, (tr.t_index, plan, table) :: res)
-          | _ -> (
-            (* Result-cache hits never reach the scheduler, but their
-               answers still belong in [results] so callers can oracle
-               them against fresh execution. *)
-            match (tr.t_cache_table, tr.t_plan) with
-            | Some table, Some plan -> (ets, (tr.t_index, plan, table) :: res)
-            | _ -> (ets, res)))
-        trades ([], [])
+    if per_trade then executed st trades else ([], [])
   in
-  let exec = exec_stats_of st ~exec_trades in
-  let trade_list =
-    Array.to_list
-      (Array.map
-         (fun tr ->
-           {
-             trade = tr.t_index;
-             status = Option.value tr.t_status ~default:No_plan;
-             attempts = tr.t_attempts;
-             rounds = tr.t_rounds;
-             plan_cost = tr.t_plan_cost;
-             messages = tr.t_messages;
-             bytes = tr.t_bytes;
-             sim_time = tr.t_finished_at;
-             contracts = tr.t_contracts;
-             phases = tr.t_phases;
-           })
-         trades)
+  let exec =
+    match (st.sched, st.cfg.execute) with
+    | Some sched, Some e ->
+      let es = Execsched.stats sched in
+      let node (n : Execsched.node_stats) =
+        let window = n.Execsched.ns_last_finish -. n.Execsched.ns_first_start in
+        let capacity = float_of_int e.workers *. window in
+        {
+          en_node = n.Execsched.ns_node;
+          en_tasks = n.Execsched.ns_tasks;
+          en_busy = n.Execsched.ns_busy;
+          en_utilization =
+            (if capacity > 0. then n.Execsched.ns_busy /. capacity else 0.);
+        }
+      in
+      Some
+        {
+          exec_makespan = es.Execsched.exec_makespan;
+          tasks_run = es.Execsched.tasks_run;
+          shared_results = es.Execsched.shared_results;
+          exec_trades;
+          exec_nodes = List.map node es.Execsched.exec_nodes;
+        }
+    | _ -> None
   in
-  let completed =
-    List.length (List.filter (fun t -> t.status = Completed) trade_list)
-  in
-  let wire = Runtime.stats st.rt in
-  {
-    trades = trade_list;
-    sellers = seller_stats_of st ~horizon:trading_makespan;
-    batcher = Batcher.stats st.batcher;
-    cache = Seller.pool_stats st.caches;
-    completed;
-    failed = List.length trade_list - completed;
-    admission_retries = st.retries;
-    trading_makespan;
-    makespan = makespan_of ~trading_makespan exec;
-    wire_messages = wire.Runtime.messages;
-    wire_bytes = wire.Runtime.bytes;
-    offer_rtt = summarize st.rtt;
-    queue_wait = summarize st.waits;
-    exec;
-    qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
-    pricing = Option.map Pricing.stats st.pstate;
-    results;
-  }
-
-let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
-  if Array.length templates = 0 then
-    invalid_arg "Market.run_stream: empty template pool";
-  if not (scfg.latency_domain > 0.) then
-    invalid_arg "Market.run_stream: latency_domain must be positive";
-  let trades =
-    Array.of_list arrivals
-    |> Array.mapi (fun i (a : Arrivals.arrival) ->
-           let spec = scfg.spec_of a.Arrivals.klass in
-           let deadline =
-             if spec.Sla.deadline = infinity then infinity
-             else a.Arrivals.at +. spec.Sla.deadline
-           in
-           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
-             ~index:i ~priority:spec.Sla.priority
-             templates.(a.Arrivals.template mod Array.length templates))
-  in
-  let f =
-    drive_market ~obs ~exec_at_admission:false ~shedding:scfg.shedding
-      ?telemetry:scfg.telemetry ~latency_domain:scfg.latency_domain scfg.base
-      federation trades
-  in
-  let st = f.f_st and trading_makespan = f.f_trading_makespan in
-  (* Per-trade answer tables are not kept at stream scale. *)
-  let exec = exec_stats_of st ~exec_trades:[] in
   let count pred =
     Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
   in
@@ -2158,6 +2186,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
   let arrivals, completed, hits, shed, expired, failed, goodput =
     bucket (fun _ -> true)
   in
+  let trading_makespan = f.f_trading_makespan in
   let wire = Runtime.stats st.rt in
   {
     str_arrivals = arrivals;
@@ -2169,11 +2198,30 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     str_goodput = goodput;
     str_latency = summarize f.f_lat_all;
     str_classes = classes;
-    str_sellers = seller_stats_of st ~horizon:trading_makespan;
+    str_sellers =
+      List.sort compare (Federation.node_ids st.federation)
+      |> List.map (fun id ->
+             let adm = admission_of st id in
+             let a = Admission.stats adm in
+             let capacity =
+               float_of_int (Admission.slots adm) *. trading_makespan
+             in
+             {
+               seller = id;
+               admission = a;
+               utilization =
+                 (if capacity > 0. then a.Admission.busy /. capacity else 0.);
+             });
     str_batcher = Batcher.stats st.batcher;
     str_cache = Seller.pool_stats st.caches;
     str_admission_retries = st.retries;
-    str_makespan = makespan_of ~trading_makespan exec;
+    str_trading_makespan = trading_makespan;
+    str_makespan =
+      (* End of everything: trading, extended to the last execution
+         task. *)
+      (match exec with
+      | Some e -> Float.max trading_makespan e.exec_makespan
+      | None -> trading_makespan);
     str_wire_messages = wire.Runtime.messages;
     str_wire_bytes = wire.Runtime.bytes;
     str_offer_rtt = summarize st.rtt;
@@ -2193,156 +2241,60 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
             tl_failures = List.rev t.tel_failures;
           })
         f.f_tel;
+    str_trades =
+      (if not per_trade then []
+       else
+         Array.to_list
+           (Array.map
+              (fun tr ->
+                {
+                  trade = tr.t_index;
+                  status = Option.get tr.t_status;
+                  attempts = tr.t_attempts;
+                  rounds = tr.t_rounds;
+                  plan_cost = tr.t_plan_cost;
+                  messages = tr.t_messages;
+                  bytes = tr.t_bytes;
+                  sim_time = tr.t_finished_at;
+                  contracts = tr.t_contracts;
+                  phases = tr.t_phases;
+                })
+              trades));
+    str_results = results;
   }
 
-(* Cache fields render only when the tier was on, keeping cache-off
-   stream JSON byte-identical to a cache-less build. *)
-let class_json ~qcache (c : class_stats) =
-  let cache_fields =
-    if qcache then
-      Printf.sprintf ",\"cache_hits\":%d,\"cache_hit_rate\":%s" c.cs_cache_hits
-        (jf c.cs_cache_hit_rate)
-    else ""
+(* Buyer priority of every batch trade, read by the [Priority] and
+   [Proportional_share] arbitration policies. *)
+let batch_priority = 0
+
+let run ?(obs = Obs.disabled) cfg federation queries =
+  let trades =
+    Array.of_list
+      (List.mapi
+         (fun i q -> make_trade ~index:i ~priority:batch_priority q)
+         queries)
   in
-  Printf.sprintf
-    "{\"class\":%S,\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s%s,\"latency\":%s}"
-    (Sla.to_string c.cs_klass) c.cs_arrivals c.cs_completed c.cs_hits c.cs_shed
-    c.cs_expired c.cs_failed (jf c.cs_goodput) cache_fields
-    (latency_json c.cs_latency)
+  drive_market ~obs ~exec_at_admission:true cfg federation trades
+  |> report_of ~per_trade:true
 
-let stream_to_json (s : stream_stats) =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  let list f xs =
-    add "[";
-    List.iteri (fun i x -> if i > 0 then add ","; f x) xs;
-    add "]"
+let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
+  if Array.length templates = 0 then
+    invalid_arg "Market.run_stream: empty template pool";
+  if not (scfg.latency_domain > 0.) then
+    invalid_arg "Market.run_stream: latency_domain must be positive";
+  let trades =
+    Array.of_list arrivals
+    |> Array.mapi (fun i (a : Arrivals.arrival) ->
+           let spec = scfg.spec_of a.Arrivals.klass in
+           let deadline =
+             if spec.Sla.deadline = infinity then infinity
+             else a.Arrivals.at +. spec.Sla.deadline
+           in
+           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
+             ~index:i ~priority:spec.Sla.priority
+             templates.(a.Arrivals.template mod Array.length templates))
   in
-  add
-    (Printf.sprintf
-       "{\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s,\"latency\":%s"
-       s.str_arrivals s.str_completed s.str_hits s.str_shed s.str_expired
-       s.str_failed (jf s.str_goodput) (latency_json s.str_latency));
-  add ",\"classes\":";
-  list (fun c -> add (class_json ~qcache:(s.str_qcache <> None) c)) s.str_classes;
-  add ",\"sellers\":";
-  list (fun x -> add (seller_json x)) s.str_sellers;
-  add (",\"batcher\":" ^ batcher_json s.str_batcher);
-  add (",\"cache\":" ^ counts_json s.str_cache);
-  add
-    (Printf.sprintf
-       ",\"admission_retries\":%d,\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
-       s.str_admission_retries (jf s.str_makespan) s.str_wire_messages
-       s.str_wire_bytes
-       (latency_json s.str_offer_rtt)
-       (latency_json s.str_queue_wait));
-  (match s.str_exec with
-  | None -> add ",\"exec\":null"
-  | Some e ->
-    add
-      (Printf.sprintf
-         ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d,\"nodes\":"
-         (jf e.exec_makespan) e.tasks_run e.shared_results);
-    list (fun n -> add (exec_node_json n)) e.exec_nodes;
-    add "}");
-  (match s.str_qcache with
-  | None -> ()
-  | Some q -> add (",\"qcache\":" ^ qcache_json q));
-  (match s.str_pricing with
-  | None -> ()
-  | Some p -> add (",\"pricing\":" ^ pricing_json p));
-  (* Rendered only when telemetry was on, keeping telemetry-off stream
-     JSON byte-identical to a telemetry-less build.  The full point
-     series goes to the JSONL dump ([telemetry_jsonl]); this carries the
-     summary plus every alert with its flight-recorder bundle. *)
-  (match s.str_telemetry with
-  | None -> ()
-  | Some t ->
-    add
-      (Printf.sprintf
-         ",\"telemetry\":{\"interval\":%s,\"ticks\":%d,\"points\":%d,\"rules\":"
-         (jf t.tl_interval) t.tl_ticks (List.length t.tl_points));
-    list
-      (fun (r : Slo.rule) -> add (Printf.sprintf "%S" r.Slo.r_name))
-      t.tl_rules;
-    add ",\"alerts\":";
-    list
-      (fun ((al : Slo.alert), bundle) ->
-        add
-          (Printf.sprintf "{\"alert\":%s,\"bundle\":%s}" (Slo.alert_to_json al)
-             (Flight_recorder.bundle_to_json bundle)))
-      t.tl_alerts;
-    add ",\"failures\":";
-    list (fun bd -> add (Flight_recorder.bundle_to_json bd)) t.tl_failures;
-    add "}");
-  add "}";
-  Buffer.contents b
-
-(* The series dump: every scraped/derived point, then alert and failure
-   lines, one JSON object per line. *)
-let telemetry_jsonl (t : telemetry_stats) =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun p ->
-      Buffer.add_string b (Timeseries.point_to_json p);
-      Buffer.add_char b '\n')
-    t.tl_points;
-  List.iter
-    (fun ((al : Slo.alert), bundle) ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"alert\":%s,\"bundle\":%s}\n" (Slo.alert_to_json al)
-           (Flight_recorder.bundle_to_json bundle)))
-    t.tl_alerts;
-  List.iter
-    (fun bd ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"failure\":%s}\n" (Flight_recorder.bundle_to_json bd)))
-    t.tl_failures;
-  Buffer.contents b
-
-let stream_metrics_registry (s : stream_stats) =
-  let m = Metrics.create () in
-  let c = metrics_c m and g = metrics_g m in
-  c "stream.arrivals" s.str_arrivals;
-  c "stream.completed" s.str_completed;
-  c "stream.hits" s.str_hits;
-  c "stream.shed" s.str_shed;
-  c "stream.expired" s.str_expired;
-  c "stream.failed" s.str_failed;
-  c "stream.admission_retries" s.str_admission_retries;
-  c "stream.wire_messages" s.str_wire_messages;
-  c "stream.wire_bytes" s.str_wire_bytes;
-  g "stream.goodput" s.str_goodput;
-  g "stream.makespan" s.str_makespan;
-  metrics_lat m "stream.latency" s.str_latency;
-  List.iter
-    (fun cl ->
-      let p = Printf.sprintf "stream.class.%s." (Sla.to_string cl.cs_klass) in
-      c (p ^ "arrivals") cl.cs_arrivals;
-      c (p ^ "completed") cl.cs_completed;
-      c (p ^ "hits") cl.cs_hits;
-      c (p ^ "shed") cl.cs_shed;
-      c (p ^ "expired") cl.cs_expired;
-      c (p ^ "failed") cl.cs_failed;
-      g (p ^ "goodput") cl.cs_goodput;
-      (* Per-class cache effectiveness: every cache hit is one trade the
-         class did not have to run.  Only rendered when the tier is on so
-         cache-off metrics match the pre-cache format. *)
-      if s.str_qcache <> None then begin
-        c (p ^ "cache_hits") cl.cs_cache_hits;
-        c (p ^ "trades_avoided") cl.cs_cache_hits;
-        g (p ^ "cache_hit_rate") cl.cs_cache_hit_rate
-      end;
-      metrics_lat m (p ^ "latency") cl.cs_latency)
-    s.str_classes;
-  metrics_exec m s.str_exec;
-  metrics_qcache m s.str_qcache;
-  metrics_pricing m s.str_pricing;
-  metrics_shared m ~sellers:s.str_sellers ~batcher:s.str_batcher
-    ~cache:s.str_cache;
-  metrics_lat m "market.offer_rtt" s.str_offer_rtt;
-  metrics_lat m "market.queue_wait" s.str_queue_wait;
-  m
-
-let stream_metrics_json (s : stream_stats) =
-  Metrics.to_json (stream_metrics_registry s)
+  drive_market ~obs ~exec_at_admission:false ~shedding:scfg.shedding
+    ?telemetry:scfg.telemetry ~latency_domain:scfg.latency_domain scfg.base
+    federation trades
+  |> report_of ~per_trade:false

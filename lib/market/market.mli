@@ -26,7 +26,7 @@
     Scheduling is fully deterministic: fibers start and resume in trade
     order, sellers are served in ascending id order, contract completions
     drain from a tie-broken event queue, and no wall-clock value reaches
-    {!stats} — the same (workload, config, seed) replays byte-for-byte,
+    {!stream_stats} — the same (workload, config, seed) replays byte-for-byte,
     which {!to_json} makes checkable. *)
 
 type exec_config = {
@@ -174,52 +174,102 @@ type exec_stats = {
   exec_nodes : exec_node list;  (** Ascending node id, active nodes only. *)
 }
 
-type stats = {
-  trades : trade_stats list;  (** By trade index. *)
-  sellers : seller_stats list;  (** Ascending seller id, every node. *)
-  batcher : Batcher.stats;
-  cache : Qt_core.Seller.cache_stats;  (** Pooled bid-cache counters. *)
-  completed : int;
-  failed : int;
-  admission_retries : int;  (** Re-optimizations forced by rejections. *)
-  trading_makespan : float;
+type class_stats = {
+  cs_klass : Qt_stream.Sla.klass;
+  cs_arrivals : int;
+  cs_completed : int;  (** Every contract completed (not canceled). *)
+  cs_hits : int;  (** Completed within the deadline — goodput numerator. *)
+  cs_shed : int;
+  cs_expired : int;
+  cs_failed : int;  (** [No_plan] + [Admission_failed]. *)
+  cs_goodput : float;  (** [hits / arrivals]; 0 with no arrivals. *)
+  cs_cache_hits : int;
+      (** Arrivals of this class served by the cache tier (statement or
+          result hits) — each one is a trade the class avoided.  0 when
+          the tier is off; rendered in JSON/metrics only when it is
+          on. *)
+  cs_cache_hit_rate : float;  (** [cache_hits / arrivals]. *)
+  cs_latency : latency_summary;
+      (** End-to-end (arrival to last contract completion) for completed
+          queries of this class. *)
+}
+
+type telemetry_stats = {
+  tl_interval : float;
+  tl_ticks : int;  (** Scrape ticks taken, including the final partial one. *)
+  tl_points : Qt_obs.Timeseries.point list;
+      (** Every scraped series point in emission order. *)
+  tl_rules : Qt_obs.Slo.rule list;
+  tl_alerts : (Qt_obs.Slo.alert * Qt_obs.Flight_recorder.bundle) list;
+      (** Fired burn-rate alerts in firing order, each with the debug
+          bundle captured at the firing tick. *)
+  tl_failures : Qt_obs.Flight_recorder.bundle list;
+      (** Bundles captured at trade failures/expiries (bounded). *)
+}
+
+type stream_stats = {
+  str_arrivals : int;  (** Every trade of the run, batch or stream. *)
+  str_completed : int;
+  str_hits : int;
+  str_shed : int;
+  str_expired : int;
+  str_failed : int;
+  str_goodput : float;
+  str_latency : latency_summary;  (** End-to-end, all classes. *)
+  str_classes : class_stats list;  (** In {!Qt_stream.Sla.all} order. *)
+  str_sellers : seller_stats list;
+  str_batcher : Batcher.stats;
+  str_cache : Qt_core.Seller.cache_stats;
+  str_admission_retries : int;  (** Re-optimizations forced by rejections. *)
+  str_trading_makespan : float;
       (** Virtual time when the last contract completed (or last trade
           ended, if later) — the marketplace's own horizon, execution
-          excluded. *)
-  makespan : float;
-      (** End of everything: [trading_makespan], extended to the last
-          execution-task completion when the run executes plans. *)
-  wire_messages : int;  (** Total messages on the shared runtime. *)
-  wire_bytes : int;
-  offer_rtt : latency_summary;
+          excluded.  Seller utilization is measured against it. *)
+  str_makespan : float;
+      (** Last event on the timeline: [str_trading_makespan], extended
+          to the last execution-task completion when the run executes
+          plans. *)
+  str_wire_messages : int;
+  str_wire_bytes : int;
+  str_offer_rtt : latency_summary;
       (** Offer round trips: RFB window close to each reply's arrival
           back at its buyer. *)
-  queue_wait : latency_summary;
+  str_queue_wait : latency_summary;
       (** Admission queue waits across all sellers: contract submission
           to service start (0 for immediate starts). *)
-  exec : exec_stats option;
-      (** Present when [config.execute] was set.  A batch plan is
-          submitted for execution when it is admitted. *)
-  qcache : Qt_cache.Tier.stats option;
+  str_exec : exec_stats option;  (** Present when [config.execute] was set. *)
+  str_qcache : Qt_cache.Tier.stats option;
       (** Cache-tier counters and hit revenue; present iff
           [config.qcache] was set. *)
-  pricing : Qt_pricing.Pricing.stats option;
+  str_pricing : Qt_pricing.Pricing.stats option;
       (** Per-seller revenue, surge activations and reservation fill;
           present iff [config.pricing] was set. *)
-  results : (int * Qt_optimizer.Plan.t * Qt_exec.Table.t) list;
+  str_telemetry : telemetry_stats option;
+      (** Present iff a stream's [telemetry] was set; scraped entirely on
+          the coordinator, so it is byte-identical at any [--domains]. *)
+  str_trades : trade_stats list;  (** By trade index. *)
+  str_results : (int * Qt_optimizer.Plan.t * Qt_exec.Table.t) list;
       (** Each executed trade's [(index, admitted plan, answer table)] —
           the parity tests' raw material.  Result-cache hits appear here
           too (with the plan that originally produced the answer), so an
-          oracle sweep over [results] also checks every cache-served
-          answer.  Not serialized by {!to_json}. *)
+          oracle sweep also checks every cache-served answer.  Not
+          serialized. *)
 }
+(** The one report {!run} and {!run_stream} both return.  Every arrival
+    ends exactly once: [arrivals = completed + shed + expired + failed],
+    overall and per class, and a trade left without an outcome fails the
+    run with [Failure] naming it.  A batch has no shed or expired
+    trades, no classes and no telemetry.  Only a batch fills
+    [str_trades], [str_results] and [str_exec]'s [exec_trades]; a stream
+    leaves them empty, as per-trade rows and answer tables are not
+    retained at stream scale. *)
 
 val run :
   ?obs:Qt_obs.Obs.t ->
   config ->
   Qt_catalog.Federation.t ->
   Qt_sql.Ast.t list ->
-  stats
+  stream_stats
 (** Trade every query concurrently — query [i] is trade [i] on buyer
     node [-(i+1)] — and run the market until all trades have ended and
     all admitted contracts completed.
@@ -239,18 +289,21 @@ val run :
     with per-seller envelope message spans nested under them, admission
     decisions (admit/enqueue/reject/cancel) as instants on the deciding
     seller's track, and one [contract] span per completed contract from
-    service start to completion.
+    service start to completion.  Returns the same record as
+    {!run_stream}, with the batch-only fields filled.
     @raise Invalid_argument on a negative [max_admission_retries]. *)
 
-val to_json : stats -> string
-(** Canonical single-line JSON rendering.  Contains no wall-clock or
-    process-local values, so two same-seed runs yield identical strings
-    — the determinism check used by tests and [bench market].  Each
-    trade carries its per-phase breakdown (wall time excluded). *)
+val to_json : stream_stats -> string
+(** Canonical single-line JSON rendering of a batch report.  Contains no
+    wall-clock or process-local values, so two same-seed runs yield
+    identical strings — the determinism check used by tests and [bench
+    market].  Adds [trades] (each with its per-phase breakdown, wall time
+    excluded), [completed], [failed], [trading_makespan] and
+    [exec.trades] to the keys it shares with {!stream_to_json}. *)
 
-val metrics_json : stats -> string
-(** Flat metrics-registry rendering of the same run (keys sorted) — what
-    [qtsim market --metrics FILE] writes. *)
+val metrics_json : stream_stats -> string
+(** Flat metrics-registry rendering of a batch report (keys sorted) —
+    what [qtsim market --metrics FILE] writes. *)
 
 (** {1 Open-stream marketplace}
 
@@ -306,76 +359,6 @@ type stream_config = {
 val default_stream_config : Qt_cost.Params.t -> stream_config
 (** {!default_config} with [Priority] admission arbitration and
     concurrency 32, default SLA specs, no shedding, no telemetry. *)
-
-type class_stats = {
-  cs_klass : Qt_stream.Sla.klass;
-  cs_arrivals : int;
-  cs_completed : int;  (** Every contract completed (not canceled). *)
-  cs_hits : int;  (** Completed within the deadline — goodput numerator. *)
-  cs_shed : int;
-  cs_expired : int;
-  cs_failed : int;  (** [No_plan] + [Admission_failed]. *)
-  cs_goodput : float;  (** [hits / arrivals]; 0 with no arrivals. *)
-  cs_cache_hits : int;
-      (** Arrivals of this class served by the cache tier (statement or
-          result hits) — each one is a trade the class avoided.  0 when
-          the tier is off; rendered in JSON/metrics only when it is
-          on. *)
-  cs_cache_hit_rate : float;  (** [cache_hits / arrivals]. *)
-  cs_latency : latency_summary;
-      (** End-to-end (arrival to last contract completion) for completed
-          queries of this class. *)
-}
-
-type telemetry_stats = {
-  tl_interval : float;
-  tl_ticks : int;  (** Scrape ticks taken, including the final partial one. *)
-  tl_points : Qt_obs.Timeseries.point list;
-      (** Every scraped series point in emission order. *)
-  tl_rules : Qt_obs.Slo.rule list;
-  tl_alerts : (Qt_obs.Slo.alert * Qt_obs.Flight_recorder.bundle) list;
-      (** Fired burn-rate alerts in firing order, each with the debug
-          bundle captured at the firing tick. *)
-  tl_failures : Qt_obs.Flight_recorder.bundle list;
-      (** Bundles captured at trade failures/expiries (bounded). *)
-}
-
-type stream_stats = {
-  str_arrivals : int;
-  str_completed : int;
-  str_hits : int;
-  str_shed : int;
-  str_expired : int;
-  str_failed : int;
-  str_goodput : float;
-  str_latency : latency_summary;  (** End-to-end, all classes. *)
-  str_classes : class_stats list;  (** In {!Qt_stream.Sla.all} order. *)
-  str_sellers : seller_stats list;
-  str_batcher : Batcher.stats;
-  str_cache : Qt_core.Seller.cache_stats;
-  str_admission_retries : int;
-  str_makespan : float;
-      (** Last event on the timeline: trading, contracts and (when
-          executing) execution tasks. *)
-  str_wire_messages : int;
-  str_wire_bytes : int;
-  str_offer_rtt : latency_summary;
-  str_queue_wait : latency_summary;
-  str_exec : exec_stats option;
-      (** Aggregate only ([exec_trades] is empty): per-trade answer
-          tables are not retained at stream scale.  Execution of a
-          trade's plan is submitted when its last contract completes, so
-          canceled trades never reach the execution scheduler. *)
-  str_qcache : Qt_cache.Tier.stats option;
-      (** Cache-tier counters and hit revenue; present iff
-          [base.qcache] was set. *)
-  str_pricing : Qt_pricing.Pricing.stats option;
-      (** Per-seller revenue, surge activations and reservation fill;
-          present iff [base.pricing] was set. *)
-  str_telemetry : telemetry_stats option;
-      (** Present iff [telemetry] was set; scraped entirely on the
-          coordinator, so it is byte-identical at any [--domains]. *)
-}
 
 val run_stream :
   ?obs:Qt_obs.Obs.t ->

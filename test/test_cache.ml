@@ -155,11 +155,11 @@ let market_config ?qcache ?execute () =
     qcache;
   }
 
-let trade_summaries (s : Market.stats) =
+let trade_summaries (s : Market.stream_stats) =
   List.map
     (fun (t : Market.trade_stats) ->
       (t.Market.status, t.Market.plan_cost, t.Market.contracts))
-    s.Market.trades
+    s.Market.str_trades
 
 let test_market_no_hit_neutrality () =
   (* All-distinct queries, zero lookup latency: the cache observes every
@@ -173,13 +173,13 @@ let test_market_no_hit_neutrality () =
   let on = Market.run (market_config ~qcache:q ()) federation queries in
   Alcotest.(check bool) "same trades, costs and contracts" true
     (trade_summaries off = trade_summaries on);
-  Alcotest.(check (float 1e-9)) "same makespan" off.Market.makespan
-    on.Market.makespan;
-  let qs = Option.get on.Market.qcache in
+  Alcotest.(check (float 1e-9)) "same makespan" off.Market.str_makespan
+    on.Market.str_makespan;
+  let qs = Option.get on.Market.str_qcache in
   Alcotest.(check int) "no statement hits" 0 qs.Tier.stmt.Statement_cache.hits;
   Alcotest.(check int) "no trades avoided" 0 qs.Tier.trades_avoided
 
-let oracle_check federation queries (s : Market.stats) =
+let oracle_check federation queries (s : Market.stream_stats) =
   let store =
     Qt_exec.Store.generate ~seed:Market.default_exec.Market.store_seed federation
   in
@@ -189,7 +189,7 @@ let oracle_check federation queries (s : Market.stats) =
       let oracle = Qt_exec.Naive.run_global store (List.nth queries trade) in
       if not (tables_equal_po table oracle) then
         Alcotest.failf "trade %d: cache-served answer diverges from oracle" trade)
-    s.Market.results
+    s.Market.str_results
 
 let test_market_result_hits_oracle_checked () =
   (* Warm the tier with one executed run, then re-run the same queries:
@@ -205,20 +205,20 @@ let test_market_result_hits_oracle_checked () =
   let _warm = Market.run config federation queries in
   let before = Tier.stats q in
   let s = Market.run config federation queries in
-  Alcotest.(check int) "all complete" 3 s.Market.completed;
-  let qs = Option.get s.Market.qcache in
+  Alcotest.(check int) "all complete" 3 s.Market.str_completed;
+  let qs = Option.get s.Market.str_qcache in
   Alcotest.(check int) "every trade is a result hit" 3
     (qs.Tier.result.Result_cache.hits - before.Tier.result.Result_cache.hits);
   Alcotest.(check int) "three executions avoided" 3
     (qs.Tier.executions_avoided - before.Tier.executions_avoided);
   Alcotest.(check bool) "discounted revenue settled" true
     (qs.Tier.hit_revenue > before.Tier.hit_revenue);
-  (match s.Market.exec with
+  (match s.Market.str_exec with
   | Some e -> Alcotest.(check int) "nothing executed on a full-hit run" 0
       e.Market.tasks_run
   | None -> Alcotest.fail "execution stats expected");
   Alcotest.(check int) "all answers still delivered" 3
-    (List.length s.Market.results);
+    (List.length s.Market.str_results);
   oracle_check federation queries s
 
 let test_market_statement_hits () =
@@ -233,14 +233,14 @@ let test_market_statement_hits () =
   let q = tier () in
   let config = { (market_config ~qcache:q ()) with Market.concurrency = 1 } in
   let s = Market.run config federation queries in
-  Alcotest.(check int) "all complete" 4 s.Market.completed;
-  let qs = Option.get s.Market.qcache in
+  Alcotest.(check int) "all complete" 4 s.Market.str_completed;
+  let qs = Option.get s.Market.str_qcache in
   Alcotest.(check int) "two statement hits" 2 qs.Tier.stmt.Statement_cache.hits;
   Alcotest.(check int) "two trades avoided" 2 qs.Tier.trades_avoided;
   Alcotest.(check int) "first insert suppressed" 1
     qs.Tier.stmt.Statement_cache.suppressed;
   let costs =
-    List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) s.Market.trades
+    List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) s.Market.str_trades
   in
   (* The cached entry records the second (admitting) trade's plan, so
      every hit re-admits at that cost. *)
@@ -275,12 +275,12 @@ let test_stale_hit_impossible () =
   Alcotest.(check bool) "warm run cached results" true
     (warm_stats.Tier.result_bytes_held > 0);
   let s = Market.run config fed_b queries in
-  let qs = Option.get s.Market.qcache in
+  let qs = Option.get s.Market.str_qcache in
   Alcotest.(check bool) "epoch change invalidated the cached answer" true
     (qs.Tier.result.Result_cache.invalidations
     > warm_stats.Tier.result.Result_cache.invalidations);
   (* The second run's answers are all fresh under B's data. *)
-  Alcotest.(check int) "all complete on B" 3 s.Market.completed;
+  Alcotest.(check int) "all complete on B" 3 s.Market.str_completed;
   let store =
     Qt_exec.Store.generate ~seed:Market.default_exec.Market.store_seed fed_b
   in
@@ -290,7 +290,7 @@ let test_stale_hit_impossible () =
       let oracle = Qt_exec.Naive.run_global store (List.nth queries trade) in
       if not (tables_equal_po table oracle) then
         Alcotest.failf "trade %d: stale answer served after catalog change" trade)
-    s.Market.results
+    s.Market.str_results
 
 let test_shared_beats_client_on_repeats () =
   (* Same repeated workload, client-placement cold misses multiply: eight
@@ -305,7 +305,7 @@ let test_shared_beats_client_on_repeats () =
     let q = tier ~placement () in
     let config = { (market_config ~qcache:q ()) with Market.concurrency = 1 } in
     let s = Market.run config federation queries in
-    Option.get s.Market.qcache
+    Option.get s.Market.str_qcache
   in
   let shared = run Tier.Shared and client = run Tier.Client in
   (* Not necessarily all 7: the require-repeat filter spends the first

@@ -38,8 +38,8 @@ let exec_queries n =
       let lo = i mod 2 * 200 in
       revenue_query ~range:(lo, lo + 199) ())
 
-let exec_stats (s : Market.stats) =
-  match s.Market.exec with
+let exec_stats (s : Market.stream_stats) =
+  match s.Market.str_exec with
   | Some e -> e
   | None -> Alcotest.fail "expected exec stats on an executing run"
 
@@ -51,9 +51,9 @@ let tables_identical (a : Table.t) (b : Table.t) =
 let test_parity_with_serial_engine () =
   let federation = exec_federation () in
   let s = Market.run (exec_config ()) federation (exec_queries 4) in
-  Alcotest.(check int) "all trades completed" 4 s.Market.completed;
+  Alcotest.(check int) "all trades completed" 4 s.Market.str_completed;
   Alcotest.(check int) "every trade executed" 4
-    (List.length s.Market.results);
+    (List.length s.Market.str_results);
   let store = Store.generate ~seed:Market.default_exec.Market.store_seed federation in
   Naive.materialize_views store federation;
   List.iter
@@ -66,7 +66,7 @@ let test_parity_with_serial_engine () =
       Alcotest.(check bool)
         (Printf.sprintf "trade %d matches the oracle" trade)
         true (tables_equal_po table oracle))
-    s.Market.results
+    s.Market.str_results
 
 let test_determinism () =
   let run () = Market.run (exec_config ()) (exec_federation ()) (exec_queries 4) in
@@ -76,7 +76,7 @@ let test_determinism () =
   let e = exec_stats a in
   Alcotest.(check bool) "tasks ran" true (e.Market.tasks_run > 0);
   Alcotest.(check bool) "execution extends the timeline" true
-    (a.Market.makespan >= a.Market.trading_makespan)
+    (a.Market.str_makespan >= a.Market.str_trading_makespan)
 
 let test_shared_results () =
   (* Two byte-identical queries: with feedback off both trades buy the
@@ -97,7 +97,7 @@ let test_shared_results () =
   Alcotest.(check bool) "sharing skips that many tasks" true
     (es.Market.tasks_run < eu.Market.tasks_run);
   (* Shared answers are the same answers. *)
-  let digests (s : Market.stats) =
+  let digests (s : Market.stream_stats) =
     List.map
       (fun (e : Market.exec_trade) -> (e.Market.et_trade, e.Market.et_digest))
       (exec_stats s).Market.exec_trades
@@ -124,13 +124,13 @@ let test_feedback_steers_execution () =
     Market.run (exec_config ~concurrency:1 ~exec_feedback ()) federation queries
   in
   let static = run false and feedback = run true in
-  Alcotest.(check int) "static: all completed" 4 static.Market.completed;
-  Alcotest.(check int) "feedback: all completed" 4 feedback.Market.completed;
-  let sellers_of (s : Market.stats) =
+  Alcotest.(check int) "static: all completed" 4 static.Market.str_completed;
+  Alcotest.(check int) "feedback: all completed" 4 feedback.Market.str_completed;
+  let sellers_of (s : Market.stream_stats) =
     List.map
       (fun (t : Market.trade_stats) ->
         List.sort_uniq compare (List.map fst t.Market.contracts))
-      s.Market.trades
+      s.Market.str_trades
   in
   (match sellers_of static with
   | first :: rest ->
@@ -142,7 +142,7 @@ let test_feedback_steers_execution () =
     Alcotest.(check bool) "feedback steers a later trade elsewhere" true
       (List.exists (( <> ) first) rest)
   | [] -> Alcotest.fail "no trades");
-  let em (s : Market.stats) = (exec_stats s).Market.exec_makespan in
+  let em (s : Market.stream_stats) = (exec_stats s).Market.exec_makespan in
   Alcotest.(check bool)
     (Printf.sprintf "feedback reduces exec makespan (%.4f < %.4f)"
        (em feedback) (em static))
@@ -154,12 +154,12 @@ let test_feedback_steers_execution () =
 let test_makespan_covers_trading_and_exec () =
   let s = Market.run (exec_config ()) (exec_federation ()) (exec_queries 3) in
   let e = exec_stats s in
-  Alcotest.(check int) "no failures" 0 s.Market.failed;
+  Alcotest.(check int) "no failures" 0 s.Market.str_failed;
   Alcotest.(check bool) "exec makespan reported" true (e.Market.exec_makespan > 0.);
   Alcotest.(check (float 1e-9))
     "makespan = max(trading, exec)"
-    (Float.max s.Market.trading_makespan e.Market.exec_makespan)
-    s.Market.makespan
+    (Float.max s.Market.str_trading_makespan e.Market.exec_makespan)
+    s.Market.str_makespan
 
 let test_exec_spans_on_sim_clock () =
   let obs = Qt_obs.Obs.create () in
@@ -178,7 +178,7 @@ let test_exec_spans_on_sim_clock () =
   List.iter
     (fun (sp : Qt_obs.Obs.span) ->
       Alcotest.(check bool) "span within the run" true
-        (sp.Qt_obs.Obs.t0 >= 0. && sp.Qt_obs.Obs.t1 <= s.Market.makespan +. 1e-9))
+        (sp.Qt_obs.Obs.t0 >= 0. && sp.Qt_obs.Obs.t1 <= s.Market.str_makespan +. 1e-9))
     exec_spans
 
 let suite =

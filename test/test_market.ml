@@ -131,8 +131,8 @@ let market_queries n =
       let lo = i mod 2 * 200 in
       revenue_query ~range:(lo, lo + 199) ())
 
-let contracts_of (s : Market.stats) =
-  List.map (fun (t : Market.trade_stats) -> t.Market.contracts) s.Market.trades
+let contracts_of (s : Market.stream_stats) =
+  List.map (fun (t : Market.trade_stats) -> t.Market.contracts) s.Market.str_trades
 
 let test_market_determinism () =
   let config =
@@ -162,14 +162,14 @@ let test_market_contention_steers () =
   in
   let queries = [ revenue_query ~range:(0, 199) (); revenue_query ~range:(0, 199) () ] in
   let s = Market.run config (market_federation ()) queries in
-  Alcotest.(check int) "both trades complete" 2 s.Market.completed;
+  Alcotest.(check int) "both trades complete" 2 s.Market.str_completed;
   Alcotest.(check bool) "a rejection was issued" true
     (List.exists
        (fun (x : Market.seller_stats) -> x.Market.admission.Admission.rejected > 0)
-       s.Market.sellers);
+       s.Market.str_sellers);
   Alcotest.(check bool) "the spilled trade retried" true
-    (s.Market.admission_retries >= 1);
-  (match s.Market.trades with
+    (s.Market.str_admission_retries >= 1);
+  (match s.Market.str_trades with
   | [ t0; t1 ] ->
     let sellers t =
       List.map fst t.Market.contracts |> List.sort_uniq compare
@@ -182,7 +182,7 @@ let test_market_contention_steers () =
   | _ -> Alcotest.fail "expected exactly two trades");
   (* Load moved through the admission layer invalidates cached bids. *)
   Alcotest.(check bool) "admission load invalidated cached bids" true
-    (s.Market.cache.Seller.invalidations > 0)
+    (s.Market.str_cache.Seller.invalidations > 0)
 
 let test_market_batching_parity () =
   (* With capacity to spare and zero pricing load per contract, batching
@@ -210,17 +210,17 @@ let test_market_batching_parity () =
     (contracts_of on);
   Alcotest.(check (list (float 1e-9)))
     "identical plan costs"
-    (List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) off.Market.trades)
-    (List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) on.Market.trades);
-  let sent (s : Market.stats) = s.Market.batcher.Batcher.sent_messages in
-  let unbatched (s : Market.stats) = s.Market.batcher.Batcher.unbatched_messages in
+    (List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) off.Market.str_trades)
+    (List.map (fun (t : Market.trade_stats) -> t.Market.plan_cost) on.Market.str_trades);
+  let sent (s : Market.stream_stats) = s.Market.str_batcher.Batcher.sent_messages in
+  let unbatched (s : Market.stream_stats) = s.Market.str_batcher.Batcher.unbatched_messages in
   Alcotest.(check int) "unbatched baseline equal in both modes" (unbatched off)
     (unbatched on);
   Alcotest.(check bool) "batching sends fewer envelopes" true
     (sent on < unbatched on);
   Alcotest.(check int) "batching off sends the baseline" (unbatched off) (sent off);
   Alcotest.(check bool) "duplicate signatures merged" true
-    (on.Market.batcher.Batcher.dup_signatures_merged > 0)
+    (on.Market.str_batcher.Batcher.dup_signatures_merged > 0)
 
 let test_market_concurrency_cap () =
   (* A concurrency cap of 1 serializes the market: every trade still
@@ -230,9 +230,9 @@ let test_market_concurrency_cap () =
     { (Market.default_config params) with Market.concurrency = 1 }
   in
   let s = Market.run config (market_federation ()) (market_queries 3) in
-  Alcotest.(check int) "all complete serialized" 3 s.Market.completed;
+  Alcotest.(check int) "all complete serialized" 3 s.Market.str_completed;
   Alcotest.(check int) "no cross-trade merging possible" 0
-    s.Market.batcher.Batcher.messages_saved
+    s.Market.str_batcher.Batcher.messages_saved
 
 let suite =
   ( "market",

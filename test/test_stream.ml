@@ -350,6 +350,85 @@ let test_stream_negative_retries_rejected () =
         (Market.run (scfg ~retries:(-1) ()).Market.base federation
            (Array.to_list templates)))
 
+(* Every arrival ends exactly once, on the one report both runs return,
+   with the shared cache tier, surge pricing and execution all on.  A
+   batch fills the per-trade detail; a stream leaves it empty. *)
+let test_report_accounting_law () =
+  let federation = stream_federation () in
+  let templates =
+    Array.of_list
+      (Qt_sim.Workload.random_chain_queries ~seed:5 ~count:16 ~relations:2
+         ~max_joins:1)
+  in
+  (* A fresh cache tier per run: a shared one would carry the batch's
+     entries into the stream. *)
+  let base () =
+    {
+      (scfg ~slots:1 ~queue:2 ()).Market.base with
+      Market.qcache =
+        Some (Qt_cache.Tier.create Qt_cache.Tier.default_config);
+      pricing =
+        Some
+          {
+            Qt_pricing.Pricing.default_config with
+            Qt_pricing.Pricing.mix =
+              Qt_pricing.Pricing.uniform_mix Qt_pricing.Pricing.Surge;
+          };
+      execute = Some Market.default_exec;
+    }
+  in
+  let batch = Market.run (base ()) federation (Array.to_list templates) in
+  accounting_identity batch;
+  Alcotest.(check int) "batch: 16 arrivals" 16 batch.Market.str_arrivals;
+  Alcotest.(check int) "batch: one row per trade" 16
+    (List.length batch.Market.str_trades);
+  Alcotest.(check bool) "batch: some trades fail" true
+    (batch.Market.str_failed > 0);
+  Alcotest.(check int) "batch: nothing shed or expired" 0
+    (batch.Market.str_shed + batch.Market.str_expired);
+  Alcotest.(check int) "batch: every completion is a hit"
+    batch.Market.str_completed batch.Market.str_hits;
+  Alcotest.(check bool) "batch: executed answers kept" true
+    (batch.Market.str_results <> []);
+  let arrivals =
+    Arrivals.generate ~seed:13
+      ~process:(Arrivals.Poisson { rate = 20. })
+      ~horizon:(Arrivals.Count 80) ~templates:(Array.length templates)
+      ~theta:0.9 ~mix:Sla.default_mix
+  in
+  (* Sub-millisecond interactive deadlines and a hair-trigger shedding
+     threshold make the stream shed and expire as well as complete; the
+     batch above has failures. *)
+  let spec_of k =
+    let s = Sla.default_spec k in
+    if k = Sla.Interactive then { s with Sla.deadline = 0.0005 } else s
+  in
+  let stream =
+    Market.run_stream
+      {
+        (scfg ~spec_of ~shedding:(Shedding.Occupancy 0.01) ()) with
+        Market.base = base ();
+      }
+      federation ~templates arrivals
+  in
+  accounting_identity stream;
+  Alcotest.(check int) "stream: classes partition the arrivals"
+    stream.Market.str_arrivals
+    (List.fold_left
+       (fun acc (c : Market.class_stats) -> acc + c.Market.cs_arrivals)
+       0 stream.Market.str_classes);
+  Alcotest.(check bool) "stream: completes, sheds and expires" true
+    (stream.Market.str_completed > 0
+    && stream.Market.str_shed > 0
+    && stream.Market.str_expired > 0);
+  Alcotest.(check bool) "stream: the cache tier served some" true
+    ((Option.get stream.Market.str_qcache).Qt_cache.Tier.trades_avoided > 0);
+  Alcotest.(check int) "stream: no per-trade rows" 0
+    (List.length stream.Market.str_trades
+    + List.length stream.Market.str_results);
+  Alcotest.(check int) "stream: no per-trade exec rows" 0
+    (List.length (Option.get stream.Market.str_exec).Market.exec_trades)
+
 (* ------------------------------------------------------------------ *)
 (* Stale completion events after cancellation (admission level)         *)
 (* ------------------------------------------------------------------ *)
@@ -426,6 +505,8 @@ let suite =
         test_stream_latency_domain_rejected;
       quick "run_stream: negative admission retries rejected"
         test_stream_negative_retries_rejected;
+      quick "report: every arrival ends exactly once, batch and stream"
+        test_report_accounting_law;
       quick "admission: stale completion after cancel is dropped"
         test_admission_stale_completion;
     ] )
