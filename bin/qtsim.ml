@@ -1024,6 +1024,9 @@ let run_stream schema nodes partitions replicas rate process burst_on burst_off
   let module Arrivals = Qt_stream.Arrivals in
   let module Shedding = Qt_stream.Shedding in
   let ok_or_fail = function Ok v -> v | Error msg -> failwith msg in
+  if templates < 1 then invalid_arg "--templates must be positive";
+  if replay = None && duration = None && queries < 1 then
+    invalid_arg "--queries must be positive";
   let federation = build_federation schema nodes partitions replicas false in
   let template_pool =
     schema_queries schema ~count:templates ~telecom:(fun count ->

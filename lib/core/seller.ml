@@ -99,7 +99,25 @@ let completeness_of schema (q : Ast.t) subset coverage =
         else acc *. Float.min 1. (float_of_int cw /. float_of_int rw))
     1. subset
 
-let offer_of_partial config schema (node : Node.t) ~request ~request_sig
+(* --- load-free candidates ---------------------------------------------
+
+   Pricing a request splits in two (Sections 3.4 and 3.7): rewriting it to
+   the local fragments and running the modified DP reads only the node's
+   catalog and the cost parameters, while valuing the result reads its
+   live load and strategy.  A candidate is one offer from the first step:
+   [c_offer] holds every field that does not depend on load, and
+   {!finish} fills in the times, price and quotes. *)
+
+type candidate = {
+  c_offer : Offer.t;
+      (** Load-free fields; [props.total_time], [first_row_time], [price],
+          [quoted] and [true_cost] are placeholders. *)
+  c_exec : float;  (** [Cost.response] of producing the answer locally. *)
+  c_transfer : float;  (** [Cost.response] of shipping it to the buyer. *)
+  c_purchase : float;  (** Subcontracted purchases folded into the quote. *)
+}
+
+let candidate_of_partial config schema (node : Node.t) ~request ~request_sig
     ?(purchase_cost = 0.) ?(imports = []) (variant : Localize.t) env
     (partial : Dp.partial) =
   let coverage =
@@ -114,43 +132,41 @@ let offer_of_partial config schema (node : Node.t) ~request ~request_sig
   in
   let row_bytes = Estimate.select_width env partial.query in
   let transfer = Model.transfer config.params ~rows:partial.rows ~row_bytes in
-  (* Contention: a loaded node honestly needs longer to produce the same
-     answer, so even truthful quotes rise with load. *)
-  let contention = 1. +. Float.max 0. config.load in
-  let total_time =
-    (contention *. Cost.response partial.cost)
-    +. Cost.response transfer +. purchase_cost
-  in
   let completeness = completeness_of schema request partial.subset coverage in
-  let delivered_mb = partial.rows *. float_of_int row_bytes /. 1e6 in
   let props =
     {
-      Offer.total_time;
-      first_row_time = config.params.Qt_cost.Params.net_latency +. (0.05 *. total_time);
+      Offer.total_time = 0.;
+      first_row_time = 0.;
       rows = partial.rows;
       row_bytes;
       freshness = 1.0;
       completeness;
-      price = config.price_per_mb *. delivered_mb;
+      price = 0.;
     }
   in
   {
-    Offer.seller = node.node_id;
-    request_sig;
-    query = partial.query;
-    query_sig = Analysis.Sig.of_ast partial.query;
-    answers = partial.query;
-    subset = partial.subset;
-    coverage;
-    props;
-    quoted = Strategy.initial_quote config.strategy ~load:config.load ~true_cost:total_time;
-    true_cost = total_time;
-    via_view = None;
-    rename = None;
-    imports;
+    c_offer =
+      {
+        Offer.seller = node.node_id;
+        request_sig;
+        query = partial.query;
+        query_sig = Analysis.Sig.of_ast partial.query;
+        answers = partial.query;
+        subset = partial.subset;
+        coverage;
+        props;
+        quoted = 0.;
+        true_cost = 0.;
+        via_view = None;
+        rename = None;
+        imports;
+      };
+    c_exec = Cost.response partial.cost;
+    c_transfer = Cost.response transfer;
+    c_purchase = purchase_cost;
   }
 
-let view_offers config schema (node : Node.t) ~request ~request_sig =
+let view_candidates config schema (node : Node.t) ~request ~request_sig =
   if not config.use_views then []
   else if
     (* Whole-row witnesses cannot be reconstructed from a view. *)
@@ -202,10 +218,6 @@ let view_offers config schema (node : Node.t) ~request ~request_sig =
           let transfer =
             Model.transfer config.params ~rows:rw.out_rows ~row_bytes:rw.out_row_bytes
           in
-          let contention = 1. +. Float.max 0. config.load in
-          let total_time =
-            (contention *. Cost.response exec) +. Cost.response transfer
-          in
           let subset = List.sort String.compare (Analysis.aliases request) in
           let coverage =
             List.map
@@ -214,37 +226,70 @@ let view_offers config schema (node : Node.t) ~request ~request_sig =
           in
           let props =
             {
-              Offer.total_time;
-              first_row_time =
-                config.params.Qt_cost.Params.net_latency +. (0.05 *. total_time);
+              Offer.total_time = 0.;
+              first_row_time = 0.;
               rows = rw.out_rows;
               row_bytes = rw.out_row_bytes;
               freshness = 0.9;
               completeness = 1.0;
-              price =
-                config.price_per_mb *. rw.out_rows
-                *. float_of_int rw.out_row_bytes /. 1e6;
+              price = 0.;
             }
           in
           Some
             {
-              Offer.seller = node.node_id;
-              request_sig;
-              query = cq;
-              query_sig = Analysis.Sig.of_ast cq;
-              answers = request;
-              subset;
-              coverage;
-              props;
-              quoted =
-                Strategy.initial_quote config.strategy ~load:config.load
-                  ~true_cost:total_time;
-              true_cost = total_time;
-              via_view = Some view.view_name;
-              rename = Some (request_output_cols request);
-              imports = [];
+              c_offer =
+                {
+                  Offer.seller = node.node_id;
+                  request_sig;
+                  query = cq;
+                  query_sig = Analysis.Sig.of_ast cq;
+                  answers = request;
+                  subset;
+                  coverage;
+                  props;
+                  quoted = 0.;
+                  true_cost = 0.;
+                  via_view = Some view.view_name;
+                  rename = Some (request_output_cols request);
+                  imports = [];
+                };
+              c_exec = Cost.response exec;
+              c_transfer = Cost.response transfer;
+              c_purchase = 0.;
             })
       node.views
+
+(* Value one candidate under the live load and strategy.  Float addition
+   and multiplication do not associate, so each offer kind keeps its own
+   order, which the goldens pin to the bit: a fragment offer adds its
+   purchase last and scales delivered megabytes, a view offer adds no
+   purchase and multiplies left to right. *)
+let finish_offer config { c_offer = o; c_exec; c_transfer; c_purchase } =
+  (* Contention: a loaded node honestly needs longer to produce the same
+     answer, so even truthful quotes rise with load. *)
+  let contention = 1. +. Float.max 0. config.load in
+  let rows = o.props.rows and row_bytes = float_of_int o.props.row_bytes in
+  let total_time, price =
+    match o.via_view with
+    | None ->
+      ( (contention *. c_exec) +. c_transfer +. c_purchase,
+        config.price_per_mb *. (rows *. row_bytes /. 1e6) )
+    | Some _ ->
+      ( (contention *. c_exec) +. c_transfer,
+        config.price_per_mb *. rows *. row_bytes /. 1e6 )
+  in
+  {
+    o with
+    Offer.props =
+      {
+        o.props with
+        total_time;
+        first_row_time = config.params.Qt_cost.Params.net_latency +. (0.05 *. total_time);
+        price;
+      };
+    quoted = Strategy.initial_quote config.strategy ~load:config.load ~true_cost:total_time;
+    true_cost = total_time;
+  }
 
 let partition_attr schema (q : Ast.t) alias =
   Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
@@ -352,183 +397,187 @@ let subcontract config schema (request : Ast.t) (variant : Localize.t) =
       | [] | _ :: _ :: _ -> None
     end
 
-(* Price one request from scratch: localize, enumerate with the local
-   optimizer, subcontract gaps, match views, filter/dedup/rank.  Returns
-   the ranked offers together with the number of candidate partials the
-   optimizer considered (the unit the seller's processing time is charged
-   in). *)
-let price_request config schema (node : Node.t) ~request ~request_sig
-    ~buyer_estimate =
+(* The load-free step of pricing one request: localize, clip to
+   capabilities, enumerate with the local optimizer, subcontract gaps and
+   match views.  Returns the candidates together with the number of
+   candidate partials the optimizer considered (the unit the seller's
+   processing time is charged in).  Reads the live market only through
+   [config.market]; everything else depends on the request, the catalog,
+   [params] and [use_views]. *)
+let candidates config schema (node : Node.t) ~request ~request_sig =
   let considered = ref 0 in
-  let offers =
-        let caps = node.capabilities in
-        let variants = Localize.localize schema node request in
-        (* Capability clipping: a node that cannot sort offers the
-           unsorted answer (the buyer re-sorts); one that cannot aggregate
-           offers the plain rows under the localized shape. *)
-        let variants =
-          List.map
-            (fun (variant : Localize.t) ->
-              let q = variant.query in
-              let q =
-                if q.Ast.order_by <> [] && not caps.Node.can_sort then
-                  { q with Ast.order_by = [] }
-                else q
-              in
-              let q =
-                if
-                  (Analysis.has_aggregate q || q.Ast.group_by <> [])
-                  && not caps.Node.can_aggregate
-                then Analysis.restrict q (Analysis.aliases q)
-                else q
-              in
-              { variant with Localize.query = q })
-            variants
+  let caps = node.capabilities in
+  let variants = Localize.localize schema node request in
+  (* Capability clipping: a node that cannot sort offers the unsorted
+     answer (the buyer re-sorts); one that cannot aggregate offers the
+     plain rows under the localized shape. *)
+  let variants =
+    List.map
+      (fun (variant : Localize.t) ->
+        let q = variant.query in
+        let q =
+          if q.Ast.order_by <> [] && not caps.Node.can_sort then
+            { q with Ast.order_by = [] }
+          else q
         in
-        let within_capabilities (p : Qt_optimizer.Dp.partial) =
-          Qt_optimizer.Bitset.card p.mask <= caps.Node.max_join_relations
-          && (caps.Node.can_aggregate
-             || not (Analysis.has_aggregate p.query || p.query.Ast.group_by <> []))
-          && (caps.Node.can_sort || p.query.Ast.order_by = [])
+        let q =
+          if
+            (Analysis.has_aggregate q || q.Ast.group_by <> [])
+            && not caps.Node.can_aggregate
+          then Analysis.restrict q (Analysis.aliases q)
+          else q
         in
-        (* The per-variant pipeline: estimate, enumerate with the local
-           optimizer, clip to capabilities, turn partials into offers. *)
-        let variant_offers ?(purchase_cost = 0.) ?(imports = [])
-            ?(keep = fun (_ : Qt_optimizer.Dp.partial) -> true)
-            (variant : Localize.t) =
-          let key_ranges =
-            List.filter_map
-              (fun (alias, (f : Fragment.t)) ->
-                match
-                  Option.bind (Schema.find_relation schema f.rel) (fun rel ->
-                      rel.Schema.partition_key)
-                with
-                | None -> None
-                | Some key ->
-                  let required = Localize.required_range schema request alias in
-                  Some (alias, (key, Interval.inter f.range required)))
-              variant.base
-          in
-          let env =
-            Estimate.env_of_fragments ~key_ranges schema variant.query
-              variant.base_rows
-          in
-          let base alias =
-            match List.assoc_opt alias variant.base with
-            | None -> None
-            | Some (f : Fragment.t) ->
-              let rel = Schema.find_relation_exn schema f.rel in
-              Some
-                (Plan.Scan
-                   {
-                     Plan.alias;
-                     rel = f.rel;
-                     range = f.range;
-                     scan_rows =
-                       Option.value ~default:1. (List.assoc_opt alias variant.base_rows);
-                     row_bytes = rel.row_bytes;
-                     node = node.node_id;
-                   })
-          in
-          let dp =
-            if config.legacy_dp then
-              Qt_optimizer.Dp_legacy.optimize ~params:config.params
-                ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor ~env ~base
-                variant.query
-            else
-              Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
-                ~io_factor:node.io_factor ?pool:config.pool ~env ~base
-                variant.query
-          in
-          let candidates =
-            dp.partials
-            @ (match dp.best with
-              | Some best
-                when not
-                       (List.exists
-                          (fun (p : Dp.partial) -> Ast.equal p.query best.query)
-                          dp.partials) ->
-                [ best ]
-              | Some _ | None -> [])
-          in
-          let candidates =
-            List.filter (fun p -> within_capabilities p && keep p) candidates
-          in
-          considered := !considered + List.length candidates;
-          List.map
-            (offer_of_partial config schema node ~request ~request_sig ~purchase_cost
-               ~imports variant env)
-            candidates
-        in
-        let from_fragments = List.concat_map (fun v -> variant_offers v) variants in
-        (* Subcontracting: complete a partially-covered variant by buying
-           the missing ranges from third nodes, then offer the pieces that
-           span the completed alias. *)
-        let from_subcontracts =
-          if config.market = None then []
-          else
-            List.concat_map
-              (fun variant ->
-                match subcontract config schema request variant with
-                | None -> []
-                | Some (augmented, purchase_cost, imports, gap_alias, _) ->
-                  variant_offers ~purchase_cost ~imports
-                    ~keep:(fun p -> List.mem gap_alias p.Qt_optimizer.Dp.subset)
-                    augmented)
-              variants
-        in
-        let from_views =
-          if caps.Node.can_aggregate then
-            view_offers config schema node ~request ~request_sig
-          else []
-        in
-        considered := !considered + List.length from_views;
-        let offers = from_fragments @ from_subcontracts @ from_views in
-        (* Strategy filter: don't bother offering a complete answer that is
-           far above what the buyer announced it values the query at. *)
-        let offers =
-          List.filter
-            (fun (o : Offer.t) ->
-              buyer_estimate <= 0.
-              || o.props.completeness < 1.
-              || o.quoted <= 5. *. buyer_estimate)
-            offers
-        in
-        (* Deduplicate identical offered queries, keeping the cheapest. *)
-        let deduped =
-          List.filter_map
-            (fun (_, group) ->
-              Listx.min_by (fun (o : Offer.t) -> o.props.total_time) group)
-            (Listx.group_by
-               (fun (o : Offer.t) -> Analysis.Sig.id o.query_sig)
-               offers)
-        in
-        let ranked =
-          List.sort
-            (fun (a : Offer.t) (b : Offer.t) ->
-              let c = Float.compare b.props.completeness a.props.completeness in
-              if c <> 0 then c else Float.compare a.props.total_time b.props.total_time)
-            deduped
-        in
-        Listx.take config.max_offers_per_request ranked
+        { variant with Localize.query = q })
+      variants
   in
-  (* Price-function layer: strategy multiplier plus the arbitrage-free
-     monotone repair over the whole batch (a contained offer never
-     prices above an offer that determines it). *)
-  let offers =
-    match config.pricing with
-    | None -> offers
-    | Some _ when offers = [] -> offers
-    | Some q ->
-      let arr = Array.of_list offers in
-      let priced = Array.map (fun (o : Offer.t) -> (o.Offer.query, o.quoted)) arr in
-      let adjusted = Pricing.reprice q priced in
-      Array.to_list
-        (Array.mapi (fun i (o : Offer.t) -> { o with Offer.quoted = adjusted.(i) }) arr)
+  let within_capabilities (p : Qt_optimizer.Dp.partial) =
+    Qt_optimizer.Bitset.card p.mask <= caps.Node.max_join_relations
+    && (caps.Node.can_aggregate
+       || not (Analysis.has_aggregate p.query || p.query.Ast.group_by <> []))
+    && (caps.Node.can_sort || p.query.Ast.order_by = [])
   in
-  (offers, !considered)
+  (* The per-variant pipeline: estimate, enumerate with the local
+     optimizer, clip to capabilities, turn partials into candidates. *)
+  let variant_candidates ?(purchase_cost = 0.) ?(imports = [])
+      ?(keep = fun (_ : Qt_optimizer.Dp.partial) -> true)
+      (variant : Localize.t) =
+    let key_ranges =
+      List.filter_map
+        (fun (alias, (f : Fragment.t)) ->
+          match
+            Option.bind (Schema.find_relation schema f.rel) (fun rel ->
+                rel.Schema.partition_key)
+          with
+          | None -> None
+          | Some key ->
+            let required = Localize.required_range schema request alias in
+            Some (alias, (key, Interval.inter f.range required)))
+        variant.base
+    in
+    let env =
+      Estimate.env_of_fragments ~key_ranges schema variant.query
+        variant.base_rows
+    in
+    let base alias =
+      match List.assoc_opt alias variant.base with
+      | None -> None
+      | Some (f : Fragment.t) ->
+        let rel = Schema.find_relation_exn schema f.rel in
+        Some
+          (Plan.Scan
+             {
+               Plan.alias;
+               rel = f.rel;
+               range = f.range;
+               scan_rows =
+                 Option.value ~default:1. (List.assoc_opt alias variant.base_rows);
+               row_bytes = rel.row_bytes;
+               node = node.node_id;
+             })
+    in
+    let dp =
+      if config.legacy_dp then
+        Qt_optimizer.Dp_legacy.optimize ~params:config.params
+          ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor ~env ~base
+          variant.query
+      else
+        Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
+          ~io_factor:node.io_factor ?pool:config.pool ~env ~base variant.query
+    in
+    let partials =
+      dp.partials
+      @ (match dp.best with
+        | Some best
+          when not
+                 (List.exists
+                    (fun (p : Dp.partial) -> Ast.equal p.query best.query)
+                    dp.partials) ->
+          [ best ]
+        | Some _ | None -> [])
+    in
+    let partials =
+      List.filter (fun p -> within_capabilities p && keep p) partials
+    in
+    considered := !considered + List.length partials;
+    List.map
+      (candidate_of_partial config schema node ~request ~request_sig
+         ~purchase_cost ~imports variant env)
+      partials
+  in
+  let from_fragments = List.concat_map (fun v -> variant_candidates v) variants in
+  (* Subcontracting: complete a partially-covered variant by buying the
+     missing ranges from third nodes, then offer the pieces that span the
+     completed alias. *)
+  let from_subcontracts =
+    if config.market = None then []
+    else
+      List.concat_map
+        (fun variant ->
+          match subcontract config schema request variant with
+          | None -> []
+          | Some (augmented, purchase_cost, imports, gap_alias, _) ->
+            variant_candidates ~purchase_cost ~imports
+              ~keep:(fun p -> List.mem gap_alias p.Qt_optimizer.Dp.subset)
+              augmented)
+        variants
+  in
+  let from_views =
+    if caps.Node.can_aggregate then
+      view_candidates config schema node ~request ~request_sig
+    else []
+  in
+  considered := !considered + List.length from_views;
+  (from_fragments @ from_subcontracts @ from_views, !considered)
 
-(* --- seller-side bid cache (tentpole) --------------------------------
+(* The load-dependent step: value every candidate under the live load and
+   strategy, drop complete answers far above the buyer's estimate,
+   dedup, rank, take, and run the price-function layer. *)
+let finish config ~buyer_estimate candidates =
+  let offers = List.map (finish_offer config) candidates in
+  (* Strategy filter: don't bother offering a complete answer that is far
+     above what the buyer announced it values the query at. *)
+  let offers =
+    List.filter
+      (fun (o : Offer.t) ->
+        buyer_estimate <= 0.
+        || o.props.completeness < 1.
+        || o.quoted <= 5. *. buyer_estimate)
+      offers
+  in
+  (* Deduplicate identical offered queries, keeping the cheapest. *)
+  let deduped =
+    List.filter_map
+      (fun (_, group) ->
+        Listx.min_by (fun (o : Offer.t) -> o.props.total_time) group)
+      (Listx.group_by (fun (o : Offer.t) -> Analysis.Sig.id o.query_sig) offers)
+  in
+  let ranked =
+    List.sort
+      (fun (a : Offer.t) (b : Offer.t) ->
+        let c = Float.compare b.props.completeness a.props.completeness in
+        if c <> 0 then c else Float.compare a.props.total_time b.props.total_time)
+      deduped
+  in
+  let offers = Listx.take config.max_offers_per_request ranked in
+  (* Price-function layer: strategy multiplier plus the arbitrage-free
+     monotone repair over the whole batch (a contained offer never prices
+     above an offer that determines it). *)
+  match config.pricing with
+  | None -> offers
+  | Some _ when offers = [] -> offers
+  | Some q ->
+    let arr = Array.of_list offers in
+    let priced = Array.map (fun (o : Offer.t) -> (o.Offer.query, o.quoted)) arr in
+    let adjusted = Pricing.reprice q priced in
+    Array.to_list
+      (Array.mapi (fun i (o : Offer.t) -> { o with Offer.quoted = adjusted.(i) }) arr)
+
+(* Price one request from scratch: both steps, no memo. *)
+let price_request config schema node ~request ~request_sig ~buyer_estimate =
+  let cands, considered = candidates config schema node ~request ~request_sig in
+  (finish config ~buyer_estimate cands, considered)
+
+(* --- seller-side bid cache and candidate memo -----------------------
 
    Pricing a request is the expensive seller-side step (a full DP
    enumeration per localization variant).  Requests are keyed by their
@@ -536,12 +585,16 @@ let price_request config schema (node : Node.t) ~request ~request_sig
    offers are replayed only while the conditions they were priced under
    still hold: same load, strategy, pricing knobs and an unchanged local
    catalog.  Anything else invalidates the entry — autonomy means a
-   seller must never quote from a stale picture of itself. *)
+   seller must never quote from a stale picture of itself.
+
+   Under the bid cache sits the candidate memo: the load-free step's
+   result per request, valid while the request, catalog, [params] and
+   [use_views] are unchanged.  A bid-cache miss after a load change then
+   only re-runs {!finish}. *)
 
 type cache_entry = {
   e_offers : Offer.t list;
   e_bytes : int;  (** [offers_bytes e_offers]. *)
-  e_considered : int;  (** Candidates the cold pricing run enumerated. *)
   e_load : float;
   e_strategy : Strategy.t;
   e_price_per_mb : float;
@@ -552,12 +605,27 @@ type cache_entry = {
   e_catalog : int;  (** Catalog fingerprint at pricing time. *)
 }
 
+type memo_entry = {
+  m_request : Ast.t;
+      (** The request itself: select-order twins share a signature id but
+          not their candidates. *)
+  m_candidates : candidate list;
+  m_considered : int;  (** Charged again on every bid-cache miss. *)
+  m_use_views : bool;
+  m_params : Qt_cost.Params.t;
+  m_catalog : int;
+}
+
 let default_cache_entries = 4096
 
-(* Key: (interned request signature id, buyer estimate).  Long workload
-   streams with many distinct signatures must not grow the pool without
-   bound: at capacity, the least-recently-used entry makes room. *)
-type cache = (int * float, cache_entry) Lru.t
+(* Bids keyed by (interned request signature id, buyer estimate), the
+   memo by the signature id alone.  Long workload streams with many
+   distinct signatures must not grow either without bound: at capacity,
+   the least-recently-used entry makes room. *)
+type cache = {
+  bids : (int * float, cache_entry) Lru.t;
+  memo : (int, memo_entry) Lru.t;
+}
 
 type cache_stats = Lru.stats = {
   hits : int;
@@ -566,10 +634,10 @@ type cache_stats = Lru.stats = {
   evictions : int;
 }
 
-let cache_create ?(max_entries = default_cache_entries) () : cache =
-  Lru.create ~max_entries ()
+let cache_create ?(max_entries = default_cache_entries) () =
+  { bids = Lru.create ~max_entries (); memo = Lru.create ~max_entries () }
 
-let cache_stats = Lru.stats
+let cache_stats c = Lru.stats c.bids
 
 (* Structural digest of everything pricing reads from the node's catalog;
    shared with the federation cache tier via [Node.fingerprint]. *)
@@ -584,6 +652,30 @@ let entry_valid config ~fingerprint e =
   && e.e_max_offers = config.max_offers_per_request
   && e.e_params = config.params
   && e.e_catalog = fingerprint
+
+let memo_valid config ~fingerprint ~request m =
+  m.m_catalog = fingerprint
+  && m.m_use_views = config.use_views
+  && m.m_params = config.params
+  && Ast.equal m.m_request request
+
+(* The load-free step through the memo. *)
+let memo_candidates memo config schema node ~request ~request_sig ~fingerprint =
+  let key = Analysis.Sig.id request_sig in
+  match Lru.find memo key ~valid:(memo_valid config ~fingerprint ~request) with
+  | Some m -> (m.m_candidates, m.m_considered)
+  | None ->
+    let cands, considered = candidates config schema node ~request ~request_sig in
+    Lru.insert memo key
+      {
+        m_request = request;
+        m_candidates = cands;
+        m_considered = considered;
+        m_use_views = config.use_views;
+        m_params = config.params;
+        m_catalog = fingerprint;
+      };
+    (cands, considered)
 
 type cache_pool = { pool_max : int; pool_caches : (int, cache) Hashtbl.t }
 
@@ -609,34 +701,37 @@ let pool_stats (pool : cache_pool) =
 let offer_overhead = 5e-4
 
 let respond_signed ?cache config schema (node : Node.t) ~requests =
-  (* Only cache-miss requests cost pricing work; a batch served entirely
-     from cache still pays the single-request floor, so the cold path is
-     charged exactly as before the cache existed. *)
+  (* Only bid-cache-miss requests cost pricing work, memo hit or not; a
+     batch served entirely from the bid cache still pays the
+     single-request floor, so the cold path is charged exactly as before
+     either cache existed. *)
   let total_considered = ref 0 in
+  let charge (offers, considered) =
+    total_considered := !total_considered + considered;
+    (offers, offers_bytes offers)
+  in
   (* Under subcontracting the offers depend on what the rest of the market
-     answers right now, which the key cannot capture — bypass the cache. *)
+     answers right now, which no key can capture — bypass both caches. *)
   let cacheable = config.market = None in
   let serve (request, request_sig, buyer_estimate) =
-    let price () =
-      let offers, considered =
-        price_request config schema node ~request ~request_sig ~buyer_estimate
-      in
-      total_considered := !total_considered + considered;
-      (offers, considered, offers_bytes offers)
-    in
     match cache with
     | Some c when cacheable -> (
       let key = (Analysis.Sig.id request_sig, buyer_estimate) in
       let fingerprint = catalog_fingerprint node in
-      match Lru.find c key ~valid:(entry_valid config ~fingerprint) with
+      match Lru.find c.bids key ~valid:(entry_valid config ~fingerprint) with
       | Some e -> (e.e_offers, e.e_bytes)
       | None ->
-        let offers, considered, bytes = price () in
-        Lru.insert c key
+        let cands, considered =
+          memo_candidates c.memo config schema node ~request ~request_sig
+            ~fingerprint
+        in
+        let offers, bytes =
+          charge (finish config ~buyer_estimate cands, considered)
+        in
+        Lru.insert c.bids key
           {
             e_offers = offers;
             e_bytes = bytes;
-            e_considered = considered;
             e_load = config.load;
             e_strategy = config.strategy;
             e_price_per_mb = config.price_per_mb;
@@ -648,8 +743,8 @@ let respond_signed ?cache config schema (node : Node.t) ~requests =
           };
         (offers, bytes))
     | _ ->
-      let offers, _, bytes = price () in
-      (offers, bytes)
+      charge
+        (price_request config schema node ~request ~request_sig ~buyer_estimate)
   in
   let served = List.map serve requests in
   {

@@ -75,11 +75,21 @@ type cache
     subcontracting is enabled bypass the cache entirely (their offers
     depend on the live market, which the key cannot capture).
 
-    Capacity is bounded: the cache is a {!Qt_util.Lru}, so at
-    [max_entries] the least-recently-used entry is evicted and long
-    workload streams with many distinct signatures cannot grow it without
-    bound.  Eviction order — and therefore whole runs — is
-    deterministic. *)
+    Under the bids sits a candidate memo: the load-free half of pricing
+    (localization, the local DP, view rewrites, each candidate's costs
+    and coverage), routed by signature id and valid while the request is
+    {!Qt_sql.Ast.equal} to the stored one and the catalog fingerprint,
+    cost params and [use_views] are unchanged.  A bid-cache miss that
+    hits the memo re-values the candidates under the live load,
+    strategy and prices without re-running the DP.  Offers, reply bytes
+    and [processing_time] are exactly those of a cold seller: every
+    bid-cache miss is charged the memo entry's candidate count.
+    {!cache_stats} counts the bids only.
+
+    Capacity is bounded: both are {!Qt_util.Lru}s, so at [max_entries]
+    the least-recently-used entry is evicted and long workload streams
+    with many distinct signatures cannot grow them without bound.
+    Eviction order — and therefore whole runs — is deterministic. *)
 
 type cache_stats = Qt_util.Lru.stats = {
   hits : int;
@@ -89,7 +99,8 @@ type cache_stats = Qt_util.Lru.stats = {
 }
 
 val cache_create : ?max_entries:int -> unit -> cache
-(** [max_entries] defaults to a generous 4096 per node.
+(** [max_entries] bounds the bids and the memo alike; it defaults to a
+    generous 4096 per node.
     @raise Invalid_argument if [max_entries < 1]. *)
 
 val cache_stats : cache -> cache_stats
@@ -122,7 +133,7 @@ val respond :
 
     With [?cache], previously priced requests are replayed without
     re-running the local optimizer, and [processing_time] charges only
-    the cache-miss requests (a batch answered entirely from cache costs
+    the bid-cache-miss requests (a batch answered entirely from cache costs
     the single-request floor).  Signs each request with
     {!Qt_sql.Analysis.Sig.of_ast}, then calls {!respond_signed}. *)
 

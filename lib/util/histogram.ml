@@ -1,14 +1,35 @@
 (* part of qt_util *)
 
-type t = { lo : int; hi : int; counts : float array }
+(* [counts] holds buckets [0, Array.length counts) of [n]; the rest have
+   never been written and count 0.  Every reader goes through [count] or
+   a run over [counts], where a missing bucket would add exactly [+0.],
+   so growing lazily changes no result. *)
+type t = { lo : int; hi : int; n : int; mutable counts : float array }
+
+(* First allocation: at least 256 words whenever it can grow, so the
+   array and each doubling go straight to the major heap and [add]
+   allocates no minor words. *)
+let initial_buckets = 1024
 
 let create ~lo ~hi ~buckets =
   if hi < lo then invalid_arg "Histogram.create: empty domain";
   if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
-  { lo; hi; counts = Array.make (min buckets (hi - lo + 1)) 0. }
+  let n = min buckets (hi - lo + 1) in
+  { lo; hi; n; counts = Array.make (min n initial_buckets) 0. }
 
-let bucket_count t = Array.length t.counts
+let bucket_count t = t.n
 let domain t = Interval.make t.lo t.hi
+
+let count t b = if b < Array.length t.counts then t.counts.(b) else 0.
+
+(* Make bucket [b] writable, doubling the allocation as needed. *)
+let reserve t b =
+  let len = Array.length t.counts in
+  if b >= len then begin
+    let grown = Array.make (min t.n (max (b + 1) (2 * len))) 0. in
+    Array.blit t.counts 0 grown 0 len;
+    t.counts <- grown
+  end
 
 let width t = t.hi - t.lo + 1
 
@@ -26,6 +47,7 @@ let bucket_of t v =
 
 let add t v =
   let b = bucket_of t v in
+  reserve t b;
   t.counts.(b) <- t.counts.(b) +. 1.
 
 let of_values ~lo ~hi ~buckets values =
@@ -36,6 +58,7 @@ let of_values ~lo ~hi ~buckets values =
 let uniform ~lo ~hi ~buckets ~total =
   let t = create ~lo ~hi ~buckets in
   let n = bucket_count t in
+  reserve t (n - 1);
   (* Allocate proportionally to each bucket's value span so boundary
      buckets of uneven splits stay consistent. *)
   for b = 0 to n - 1 do
@@ -65,6 +88,7 @@ let zipf ~lo ~hi ~buckets ~total ~theta =
       else ((Float.pow r (1. -. theta)) -. 1.) /. (1. -. theta) +. 1.
     in
     let nb = bucket_count t in
+    reserve t (nb - 1);
     for b = 0 to nb - 1 do
       let rank_lo = float_of_int (b * n / nb) in
       let rank_hi = float_of_int ((b + 1) * n / nb) in
@@ -162,7 +186,7 @@ let sample t rng =
   let rec go b acc =
     if b >= n - 1 then b
     else
-      let acc = acc +. t.counts.(b) in
+      let acc = acc +. count t b in
       if target < acc then b else go (b + 1) acc
   in
   let b = go 0 0. in

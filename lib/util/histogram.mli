@@ -10,7 +10,9 @@
 type t
 
 val create : lo:int -> hi:int -> buckets:int -> t
-(** All-zero histogram over the closed domain [lo, hi].
+(** All-zero histogram over the closed domain [lo, hi].  Storage grows
+    with the highest bucket written, not with [buckets]: a 100,000-bucket
+    latency histogram that only sees short latencies stays small.
     @raise Invalid_argument if the domain is empty or [buckets <= 0]. *)
 
 val of_values : lo:int -> hi:int -> buckets:int -> int list -> t

@@ -944,6 +944,93 @@ let test_plan_memo_exact () =
   Alcotest.(check bool) "the memo hit" true
     ((Trader.plan_memo_stats plans).Qt_util.Lru.hits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Seller candidate memo                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The memo federation with per-customer revenue views, and a request
+   they answer, so view offers (priced in their own float order) are
+   replayed too. *)
+let viewed_federation = Qt_sim.Generator.telecom ~nodes:8 ~with_views:true ()
+let viewed_schema = viewed_federation.Qt_catalog.Federation.schema
+
+let revenue_per_customer =
+  parse
+    "SELECT il.custid, SUM(il.charge) FROM invoiceline il WHERE il.custid \
+     BETWEEN 0 AND 499 GROUP BY il.custid"
+
+(* Equal down to the bits of every float, which [=] is not (0. = -0.). *)
+let same_bits a b =
+  Marshal.to_string a [ Marshal.No_sharing ]
+  = Marshal.to_string b [ Marshal.No_sharing ]
+
+(* A cache warmed at one setting must answer another setting exactly as a
+   cold seller would: the memo replays only the load-free step, and
+   [finish] re-values it under the new load, strategy and prices. *)
+let test_seller_memo_warm_equals_cold () =
+  let base = Seller.default_config params in
+  let hot =
+    {
+      base with
+      Seller.load = 2.5;
+      strategy = Strategy.default_competitive;
+      pricing =
+        Some
+          {
+            Qt_pricing.Pricing.q_strategy = Qt_pricing.Pricing.Surge;
+            q_multiplier = 2.;
+            q_markup = 0.25;
+          };
+      price_per_mb = 3.;
+    }
+  in
+  let views = ref 0 in
+  List.iter
+    (fun (node : Qt_catalog.Node.t) ->
+      List.iter
+        (fun q ->
+          let respond ~cache config estimate =
+            Seller.respond ~cache config viewed_schema node
+              ~requests:[ (q, estimate) ]
+          in
+          let cache = Seller.cache_create () in
+          ignore (respond ~cache base 0. : Seller.response);
+          let warm = respond ~cache hot 0.1 in
+          let cold = respond ~cache:(Seller.cache_create ()) hot 0.1 in
+          views :=
+            !views
+            + List.length
+                (List.filter (fun (o : Offer.t) -> o.via_view <> None) cold.offers);
+          Alcotest.(check bool) "warm response is the cold one" true
+            (same_bits warm cold))
+        (revenue_per_customer :: memo_templates))
+    viewed_federation.Qt_catalog.Federation.nodes;
+  Alcotest.(check bool) "view offers replayed" true (!views > 0)
+
+(* Select-order twins share a signature id, so they share a memo slot:
+   with a load change between them (the bid cache misses), each must
+   still get exactly the offers a cold seller makes for it. *)
+let test_seller_memo_select_twin () =
+  let t0 = List.hd memo_templates in
+  let twin = { t0 with Ast.select = List.rev t0.Ast.select } in
+  let at load = { (Seller.default_config params) with Seller.load } in
+  let differ = ref false in
+  List.iter
+    (fun (node : Qt_catalog.Node.t) ->
+      let respond ?cache q load =
+        Seller.respond ?cache (at load) viewed_schema node ~requests:[ (q, 0.) ]
+      in
+      let cache = Seller.cache_create () in
+      List.iter
+        (fun (q, load) ->
+          let cold = respond q load in
+          Alcotest.(check bool) "shared cache answers as a cold seller" true
+            (same_bits (respond ~cache q load) cold))
+        [ (t0, 0.); (twin, 1.5); (t0, 0.); (twin, 1.5) ];
+      if not (same_bits (respond t0 0.) (respond twin 0.)) then differ := true)
+    viewed_federation.Qt_catalog.Federation.nodes;
+  Alcotest.(check bool) "twins get different offers" true !differ
+
 let suite =
   ( "core",
     [
@@ -992,4 +1079,7 @@ let suite =
       quick "plan memo: pool checked beyond its key"
         test_plan_memo_pool_checked;
       quick "plan memo: shared memo changes no outcome" test_plan_memo_exact;
+      quick "seller memo: warm cache answers as cold"
+        test_seller_memo_warm_equals_cold;
+      quick "seller memo: select-order twin misses" test_seller_memo_select_twin;
     ] )

@@ -197,6 +197,94 @@ let prop_histogram_mass_additive =
       let right = Histogram.mass_in h (Interval.make (split + 1) 999) in
       Float.abs (left +. right -. Histogram.total h) < 1e-6)
 
+(* A histogram allocates buckets only up to the highest one written.  The
+   model is a dense array over every bucket, read by the textbook
+   definitions; every result must match it to the bit. *)
+let prop_histogram_lazy_matches_dense =
+  let gen =
+    QCheck2.Gen.(
+      let* lo = int_range (-50) 50 in
+      let* n = int_range 1 100_000 in
+      let* extra = int_range 0 1000 in
+      let hi = lo + n + extra - 1 in
+      (* Values mostly well below [hi], so the allocation stays short. *)
+      let* reach = int_range lo hi in
+      let* values = list_size (int_range 0 300) (int_range (lo - 10) (reach + 10)) in
+      let* ps = list_size (return 6) (float_range 0. 1.) in
+      let* cuts = list_size (return 6) (pair (int_range (lo - 20) (hi + 20)) (int_range (lo - 20) (hi + 20))) in
+      return (lo, hi, n, values, ps, cuts))
+  in
+  let print (lo, hi, n, values, _, _) =
+    Printf.sprintf "[%d, %d], %d buckets, %d values" lo hi n (List.length values)
+  in
+  QCheck2.Test.make ~name:"lazily grown histogram matches a dense model" ~count:200
+    ~print gen (fun (lo, hi, n, values, ps, cuts) ->
+      let h = Histogram.create ~lo ~hi ~buckets:n in
+      List.iter (Histogram.add h) values;
+      let width = hi - lo + 1 in
+      let b_lo b = lo + (b * width / n) in
+      let b_hi b = Int.max (b_lo b) (lo + (((b + 1) * width / n) - 1)) in
+      let dense = Array.make n 0. in
+      List.iter
+        (fun v ->
+          let b = Int.min (n - 1) ((Int.max lo (Int.min hi v) - lo) * n / width) in
+          dense.(b) <- dense.(b) +. 1.)
+        values;
+      let total = Array.fold_left ( +. ) 0. dense in
+      let percentile p =
+        let target = p *. total in
+        if total <= 0. then float_of_int lo
+        else begin
+          let rec first b acc =
+            let acc = acc +. dense.(b) in
+            if acc >= target && dense.(b) > 0. then b else first (b + 1) acc
+          in
+          let b = first 0 0. in
+          let before = ref 0. in
+          for j = b - 1 downto 0 do
+            before := !before +. dense.(j)
+          done;
+          let frac = Float.max 0. (Float.min 1. ((target -. !before) /. dense.(b))) in
+          float_of_int (b_lo b) +. (frac *. float_of_int (b_hi b - b_lo b))
+        end
+      in
+      let mass_in c_lo c_hi =
+        let acc = ref 0. in
+        Array.iteri
+          (fun b c ->
+            let o_lo = Int.max (b_lo b) c_lo and o_hi = Int.min (b_hi b) c_hi in
+            if o_lo <= o_hi then
+              acc :=
+                !acc
+                +. c
+                   *. (float_of_int (o_hi - o_lo + 1)
+                      /. float_of_int (b_hi b - b_lo b + 1)))
+          dense;
+        !acc
+      in
+      let nonzero = ref [] in
+      Histogram.iter_nonzero (fun b c -> nonzero := (b, c) :: !nonzero) h;
+      let dense_nonzero = ref [] in
+      Array.iteri (fun b c -> if c <> 0. then dense_nonzero := (b, c) :: !dense_nonzero) dense;
+      let bits = Int64.bits_of_float in
+      let fail what = QCheck2.Test.fail_reportf "%s differs" what in
+      if Histogram.bucket_count h <> n then fail "bucket_count";
+      if bits (Histogram.total h) <> bits total then fail "total";
+      List.iter
+        (fun p ->
+          if bits (Histogram.percentile h p) <> bits (percentile p) then
+            fail (Printf.sprintf "percentile %g" p))
+        ps;
+      List.iter
+        (fun (a, b) ->
+          let c_lo = Int.min a b and c_hi = Int.max a b in
+          let expected = mass_in (Int.max lo c_lo) (Int.min hi c_hi) in
+          if bits (Histogram.mass_in h (Interval.make c_lo c_hi)) <> bits expected then
+            fail (Printf.sprintf "mass_in [%d, %d]" c_lo c_hi))
+        cuts;
+      if !nonzero <> !dense_nonzero then fail "iter_nonzero";
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Listx                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -363,6 +451,7 @@ let suite =
       quick "histogram zipf skew" test_histogram_zipf_skew;
       quick "histogram sample" test_histogram_sample;
       QCheck_alcotest.to_alcotest prop_histogram_mass_additive;
+      QCheck_alcotest.to_alcotest prop_histogram_lazy_matches_dense;
       QCheck_alcotest.to_alcotest prop_lru_matches_model;
       quick "listx basics" test_listx_basics;
       quick "listx group_by" test_listx_group_by;
