@@ -513,6 +513,9 @@ let market_config_term ~concurrency ~policy ~execute_doc =
     let module Admission = Qt_market.Admission in
     let module Tier = Qt_cache.Tier in
     let module Pricing = Qt_pricing.Pricing in
+    if slots < 1 then invalid_arg "--slots must be positive";
+    if queue < 0 then invalid_arg "--queue must be non-negative";
+    if concurrency < 0 then invalid_arg "--concurrency must be non-negative";
     let params = params_of_profile profile in
     let policy =
       match Admission.policy_of_string policy with

@@ -92,6 +92,7 @@ let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
       (* Same estimation conventions as the buyer plan generator: block
          rows already reflect the query's key restrictions, so range
          conjuncts must not be charged a second time. *)
+      let ranges = Qt_rewrite.Localize.required_ranges schema q in
       let key_ranges =
         List.filter_map
           (fun alias ->
@@ -100,8 +101,7 @@ let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
             | Some rel_name ->
               Option.bind (Schema.find_relation schema rel_name) (fun rel ->
                   Option.map
-                    (fun key ->
-                      (alias, (key, Qt_rewrite.Localize.required_range schema q alias)))
+                    (fun key -> (alias, (key, Qt_rewrite.Localize.range_of ranges alias)))
                     rel.Schema.partition_key))
           aliases
       in
@@ -130,7 +130,9 @@ let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
     (match build tree with
     | Error e -> Result.Error e
     | Ok joined ->
-      let finalized = Dp.finalize ~params ~env q joined in
+      let finalized =
+        Dp.finalize ~params ~env ~parts:(Plan.cost_parts params joined) q joined
+      in
       let true_cost = Common.recost ~params ~true_offers finalized.Dp.plan in
       Ok
         {

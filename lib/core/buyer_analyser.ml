@@ -14,8 +14,8 @@ let partition_attr schema (q : Ast.t) alias =
 
 (* Distinct coverage ranges observed for an alias across the offer pool,
    clipped to the query's required range. *)
-let observed_ranges schema (q : Ast.t) offers alias =
-  let required = Localize.required_range schema q alias in
+let observed_ranges ranges offers alias =
+  let required = Localize.range_of ranges alias in
   let ranges =
     List.filter_map
       (fun (o : Offer.t) ->
@@ -30,7 +30,7 @@ let observed_ranges schema (q : Ast.t) offers alias =
   Listx.dedup Interval.equal ranges
 
 (* Family 1: two-phase aggregation piece queries. *)
-let aggregation_pieces schema (q : Ast.t) offers =
+let aggregation_pieces schema ranges (q : Ast.t) offers =
   match Plan_generator.rollup_items q with
   | None -> []
   | Some _ ->
@@ -42,12 +42,12 @@ let aggregation_pieces schema (q : Ast.t) offers =
           List.map
             (fun range ->
               Analysis.add_range { q with Ast.order_by = [] } attr range)
-            (observed_ranges schema q offers alias))
+            (observed_ranges ranges offers alias))
       (Analysis.aliases q)
 
 (* Family 2: trimmed ranges that turn overlapping coverage into disjoint
    pieces — the restrictions "which eliminate the redundancy". *)
-let redundancy_restrictions schema (q : Ast.t) offers =
+let redundancy_restrictions schema ranges (q : Ast.t) offers =
   let spj (o : Offer.t) = not (Analysis.has_aggregate o.query) in
   let spj_offers = List.filter spj offers in
   let groups = Listx.group_by (fun (o : Offer.t) -> o.subset) spj_offers in
@@ -58,10 +58,10 @@ let redundancy_restrictions schema (q : Ast.t) offers =
           match partition_attr schema q alias with
           | None -> []
           | Some attr ->
-            let ranges = observed_ranges schema q group alias in
+            let observed = observed_ranges ranges group alias in
             let overlapping_pairs =
               List.filter (fun (a, b) -> Interval.overlaps a b && not (Interval.equal a b))
-                (Listx.pairs ranges)
+                (Listx.pairs observed)
             in
             List.concat_map
               (fun (a, b) ->
@@ -97,10 +97,16 @@ let subset_requests (q : Ast.t) offers =
     List.map (Analysis.restrict q) missing
   end
 
+let proposals ~schema ~query ~offers =
+  let ranges = Localize.required_ranges schema query in
+  aggregation_pieces schema ranges query offers
+  @ redundancy_restrictions schema ranges query offers
+  @ subset_requests query offers
+
+(* Deduplicated by [Analysis.equal_semantic], with each proposal
+   normalized once rather than once per comparison. *)
 let enrich ~schema ~query ~offers =
-  let proposals =
-    aggregation_pieces schema query offers
-    @ redundancy_restrictions schema query offers
-    @ subset_requests query offers
-  in
-  Listx.dedup (fun a b -> Analysis.equal_semantic a b) proposals
+  proposals ~schema ~query ~offers
+  |> List.map (fun p -> (Analysis.normalize p, p))
+  |> Listx.dedup (fun (a, _) (b, _) -> Ast.equal a b)
+  |> List.map snd

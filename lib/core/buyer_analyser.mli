@@ -17,10 +17,20 @@
       original query, which sellers answer more cheaply than the full
       query. *)
 
+val proposals :
+  schema:Qt_catalog.Schema.t ->
+  query:Qt_sql.Ast.t ->
+  offers:Offer.t list ->
+  Qt_sql.Ast.t list
+(** Every query of the three families, in family order, before
+    deduplication. *)
+
 val enrich :
   schema:Qt_catalog.Schema.t ->
   query:Qt_sql.Ast.t ->
   offers:Offer.t list ->
   Qt_sql.Ast.t list
-(** New candidate queries (not yet deduplicated against previously asked
-    ones — the buyer loop does that by signature). *)
+(** New candidate queries: {!proposals} keeping the first of each class
+    under {!Qt_sql.Analysis.equal_semantic}, in order (not yet
+    deduplicated against previously asked ones — the buyer loop does that
+    by signature). *)

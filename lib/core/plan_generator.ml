@@ -53,13 +53,12 @@ let is_agg_shaped (q : Ast.t) (o : Offer.t) =
   && set_equal_items o.answers.Ast.select q.select
   && set_equal_attrs o.answers.Ast.group_by q.group_by
 
-let covers_fully schema q (o : Offer.t) subset =
+let covers_fully ranges (o : Offer.t) subset =
   List.for_all
     (fun alias ->
       match List.assoc_opt alias o.coverage with
       | None -> false
-      | Some covered ->
-        Interval.contains covered (Localize.required_range schema q alias))
+      | Some covered -> Interval.contains covered (Localize.range_of ranges alias))
     subset
 
 let remote_of_offer weights (o : Offer.t) =
@@ -110,13 +109,12 @@ let tile weights ~required pieces =
   Option.map snd (solve required.Interval.lo)
 
 (* Aliases an offer restricts below the query's requirement. *)
-let restricted_aliases schema q (o : Offer.t) =
+let restricted_aliases ranges (o : Offer.t) =
   List.filter
     (fun alias ->
       match List.assoc_opt alias o.coverage with
       | None -> true
-      | Some covered ->
-        not (Interval.contains covered (Localize.required_range schema q alias)))
+      | Some covered -> not (Interval.contains covered (Localize.range_of ranges alias)))
     o.subset
 
 let partition_key_attr schema (q : Ast.t) alias =
@@ -171,10 +169,10 @@ let keys_eq_connected schema (q : Ast.t) restricted =
    with the same restricted-alias group whose tiles disjointly cover the
    intersection of those aliases' required ranges reconstructs the
    unrestricted result exactly. *)
-let piece_info schema q subset (o : Offer.t) =
+let piece_info schema q ranges subset (o : Offer.t) =
   if List.sort String.compare o.subset <> List.sort String.compare subset then None
   else
-    match restricted_aliases schema q o with
+    match restricted_aliases ranges o with
     | [] -> None (* complete offer: a single block, not a union piece *)
     | restricted ->
       if not (keys_eq_connected schema q restricted) then None
@@ -191,8 +189,7 @@ let piece_info schema q subset (o : Offer.t) =
         else
           let target =
             List.fold_left
-              (fun acc alias ->
-                Interval.inter acc (Localize.required_range schema q alias))
+              (fun acc alias -> Interval.inter acc (Localize.range_of ranges alias))
               Interval.full restricted
           in
           let group_key = String.concat "," (List.sort String.compare restricted) in
@@ -201,10 +198,11 @@ let piece_info schema q subset (o : Offer.t) =
 
 (* Union blocks for a subset: group usable pieces by their restricted-alias
    set and tile the group's target range with disjoint pieces. *)
-let union_blocks weights schema q subset offers =
+let union_blocks weights schema q ranges subset offers =
   let pieces =
     List.filter_map
-      (fun o -> Option.map (fun (g, c, t) -> (o, g, c, t)) (piece_info schema q subset o))
+      (fun o ->
+        Option.map (fun (g, c, t) -> (o, g, c, t)) (piece_info schema q ranges subset o))
       offers
   in
   let by_group = Listx.group_by (fun (_, g, _, _) -> g) pieces in
@@ -255,6 +253,7 @@ let maybe_sort (q : Ast.t) plan =
   else Plan.Sort { input = plan; keys = q.order_by; rows = Plan.rows plan }
 
 let singleton_blocks ~params ~weights ~schema ~offers (q : Ast.t) =
+  let ranges = Localize.required_ranges schema q in
   let singles =
     List.filter
       (fun (o : Offer.t) ->
@@ -267,11 +266,11 @@ let singleton_blocks ~params ~weights ~schema ~offers (q : Ast.t) =
       let full =
         List.filter_map
           (fun (o : Offer.t) ->
-            if covers_fully schema q o [ alias ] then Some (remote_of_offer weights o)
+            if covers_fully ranges o [ alias ] then Some (remote_of_offer weights o)
             else None)
           mine
       in
-      let unions = union_blocks weights schema q [ alias ] mine in
+      let unions = union_blocks weights schema q ranges [ alias ] mine in
       Option.map
         (fun plan -> (alias, plan))
         (Listx.min_by (fun p -> Cost.response (Plan.cost params p)) (full @ unions)))
@@ -283,12 +282,15 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
   let ctx = Bitset.make aliases in
   let abit a = Bitset.bit ctx a in
   let agg_shaped, spj_offers = List.partition (is_agg_shaped q) offers in
+  (* Coverage checks, union tiling and estimation all read the query's
+     key ranges; derive them once. *)
+  let ranges = Localize.required_ranges schema q in
   (* --- direct final answers -------------------------------------- *)
   let full_subset = List.sort String.compare aliases in
   let final_answers =
     List.filter
       (fun (o : Offer.t) ->
-        o.subset = full_subset && covers_fully schema q o full_subset)
+        o.subset = full_subset && covers_fully ranges o full_subset)
       agg_shaped
   in
   let final_candidates =
@@ -315,7 +317,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
           (fun (o : Offer.t) ->
             Option.map
               (fun (g, c, t) -> (o, g, c, t))
-              (piece_info schema q full_subset o))
+              (piece_info schema q ranges full_subset o))
           agg_shaped
       in
       let by_axis = Listx.group_by (fun (_, g, _, _) -> g) pieces in
@@ -373,13 +375,15 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
   let by_subset =
     Listx.group_by (fun (o : Offer.t) -> key o.subset) spj_offers
   in
-  (* Each block is stored with its cost: enumeration compares and prunes
-     blocks many times, and recosting a whole sub-plan per comparison is
-     where the generator used to spend its time.  Keys are alias bitsets
-     over the query's own universe; offer subsets mentioning a foreign
-     alias could never be joined into the enumeration anyway and are
-     skipped. *)
-  let block_table : (Plan.t * Cost.t) Bitset.table = Bitset.table_create ctx in
+  (* Each block is stored with its [(local, remote)] cost pair and total:
+     enumeration compares and prunes blocks many times, and a join of two
+     blocks is costed from their pairs without re-walking either.  Keys
+     are alias bitsets over the query's own universe; offer subsets
+     mentioning a foreign alias could never be joined into the
+     enumeration anyway and are skipped. *)
+  let block_table : (Plan.t * (Cost.t * Cost.t) * Cost.t) Bitset.table =
+    Bitset.table_create ctx
+  in
   let mask_of subset =
     List.fold_left
       (fun acc a ->
@@ -392,10 +396,11 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
     match mask_of subset with
     | None -> ()
     | Some m -> (
-      let cost = Plan.cost params plan in
+      let pair = Plan.cost_parts params plan in
+      let cost = Plan.total pair in
       match Bitset.table_get block_table m with
-      | Some (_, existing) when Cost.compare existing cost <= 0 -> ()
-      | Some _ | None -> Bitset.table_set block_table m (plan, cost))
+      | Some (_, _, existing) when Cost.compare existing cost <= 0 -> ()
+      | Some _ | None -> Bitset.table_set block_table m (plan, pair, cost))
   in
   List.iter
     (fun (_, group) ->
@@ -406,11 +411,11 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
         (* Blocks from single fully-covering offers. *)
         List.iter
           (fun (o : Offer.t) ->
-            if covers_fully schema q o subset then
+            if covers_fully ranges o subset then
               consider subset (remote_of_offer weights o))
           group;
         (* Blocks from partition-disjoint unions. *)
-        List.iter (consider subset) (union_blocks weights schema q subset group))
+        List.iter (consider subset) (union_blocks weights schema q ranges subset group))
     by_subset;
   (* Estimation environment for join results: singleton block rows where
      known, schema cardinalities otherwise. *)
@@ -419,7 +424,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
       List.map
         (fun alias ->
           match Bitset.table_get block_table (abit alias) with
-          | Some (plan, _) -> (alias, Plan.rows plan)
+          | Some (plan, _, _) -> (alias, Plan.rows plan)
           | None -> (
             match Analysis.relation_of_alias q alias with
             | Some rel -> (
@@ -434,7 +439,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
         (fun alias ->
           Option.map
             (fun (key : Ast.attr) ->
-              (alias, (key.Ast.name, Localize.required_range schema q alias)))
+              (alias, (key.Ast.name, Localize.range_of ranges alias)))
             (partition_key_attr schema q alias))
         aliases
     in
@@ -444,6 +449,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
   let conn_preds = connecting_preds ctx q in
   let adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.Ast.where) in
   let from_bits = List.map abit aliases in
+  let row_facts = Estimate.rows_table env q (Bitset.to_list ctx (Bitset.full ctx)) in
   (* Best plan for one subset: the pre-built block (one offer or a union)
      competes against every join split of smaller blocks.  Reads only
      strictly smaller memo entries plus its own pre-installed block, so a
@@ -452,7 +458,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
   let compute_subset smask =
     let first_bit = Bitset.lowest_bit smask in
     let rest_mask = smask land lnot first_bit in
-    let out_rows = lazy (Estimate.subset_rows env q (Bitset.to_list ctx smask)) in
+    let out_rows = Estimate.table_subset_rows row_facts smask in
     let candidates = ref [] in
     (match Bitset.table_get block_table smask with
     | Some block -> candidates := [ block ]
@@ -461,7 +467,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
       (fun right ->
         let left = smask land lnot right in
         match (Bitset.table_get block_table left, Bitset.table_get block_table right) with
-        | Some (lp, _), Some (rp, _) ->
+        | Some (lp, lpair, _), Some (rp, rpair, _) ->
           let preds =
             List.filter_map
               (fun (p, pm) ->
@@ -471,27 +477,26 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
               conn_preds
           in
           if preds <> [] then begin
-            let out_rows = Lazy.force out_rows in
-            let hash_build, hash_probe =
-              if Plan.rows lp <= Plan.rows rp then (lp, rp) else (rp, lp)
+            let join algo build bpair probe ppair =
+              let pair =
+                Plan.join_cost params ~algo ~build ~probe ~preds ~rows:out_rows
+                  bpair ppair
+              in
+              ( Plan.Join { algo; build; probe; preds; rows = out_rows },
+                pair,
+                Plan.total pair )
             in
-            let costed plan = (plan, Plan.cost params plan) in
-            candidates :=
-              costed
-                (Plan.Join
-                   { algo = Plan.Hash; build = hash_build;
-                     probe = hash_probe; preds; rows = out_rows })
-              :: costed
-                   (Plan.Join
-                      { algo = Plan.Sort_merge; build = lp; probe = rp;
-                        preds; rows = out_rows })
-              :: !candidates
+            let hash =
+              if Plan.rows lp <= Plan.rows rp then join Plan.Hash lp lpair rp rpair
+              else join Plan.Hash rp rpair lp lpair
+            in
+            candidates := hash :: join Plan.Sort_merge lp lpair rp rpair :: !candidates
           end
         | None, _ | _, None -> ())
       (Bitset.nonempty_submasks rest_mask);
     Option.map
       (fun best -> (smask, best))
-      (Listx.min_by (fun (_, c) -> Cost.response c) !candidates)
+      (Listx.min_by (fun (_, _, c) -> Cost.response c) !candidates)
   in
   let levels : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   Hashtbl.replace levels 1
@@ -521,7 +526,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
     | Some (k, m) when size = k && List.length built > m ->
       let cost_of smask =
         match Bitset.table_get block_table smask with
-        | Some (_, c) -> c
+        | Some (_, _, c) -> c
         | None -> Cost.make ~net:infinity ()
       in
       let ranked =
@@ -541,8 +546,8 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
   let joined_candidate =
     match Bitset.table_get block_table (Bitset.full ctx) with
     | None -> []
-    | Some (plan, _) ->
-      let finalized = Dp.finalize ~params ~env q plan in
+    | Some (plan, parts, _) ->
+      let finalized = Dp.finalize ~params ~env ~parts q plan in
       [
         {
           plan = finalized.Dp.plan;

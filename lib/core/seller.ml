@@ -87,10 +87,10 @@ let request_output_cols (q : Ast.t) =
       | Ast.Sel_agg _ -> [ ("", View_match.output_name item) ])
     q.Ast.select
 
-let completeness_of schema (q : Ast.t) subset coverage =
+let completeness_of ranges subset coverage =
   List.fold_left
     (fun acc alias ->
-      let required = Localize.required_range schema q alias in
+      let required = Localize.range_of ranges alias in
       match List.assoc_opt alias coverage with
       | None -> acc
       | Some covered ->
@@ -117,7 +117,7 @@ type candidate = {
   c_purchase : float;  (** Subcontracted purchases folded into the quote. *)
 }
 
-let candidate_of_partial config schema (node : Node.t) ~request ~request_sig
+let candidate_of_partial config (node : Node.t) ~ranges ~request_sig
     ?(purchase_cost = 0.) ?(imports = []) (variant : Localize.t) env
     (partial : Dp.partial) =
   let coverage =
@@ -126,13 +126,12 @@ let candidate_of_partial config schema (node : Node.t) ~request ~request_sig
         match List.assoc_opt alias variant.base with
         | None -> None
         | Some (f : Fragment.t) ->
-          let required = Localize.required_range schema request alias in
-          Some (alias, Interval.inter f.range required))
+          Some (alias, Interval.inter f.range (Localize.range_of ranges alias)))
       partial.subset
   in
   let row_bytes = Estimate.select_width env partial.query in
   let transfer = Model.transfer config.params ~rows:partial.rows ~row_bytes in
-  let completeness = completeness_of schema request partial.subset coverage in
+  let completeness = completeness_of ranges partial.subset coverage in
   let props =
     {
       Offer.total_time = 0.;
@@ -166,7 +165,7 @@ let candidate_of_partial config schema (node : Node.t) ~request ~request_sig
     c_purchase = purchase_cost;
   }
 
-let view_candidates config schema (node : Node.t) ~request ~request_sig =
+let view_candidates config schema (node : Node.t) ~ranges ~request ~request_sig =
   if not config.use_views then []
   else if
     (* Whole-row witnesses cannot be reconstructed from a view. *)
@@ -221,7 +220,7 @@ let view_candidates config schema (node : Node.t) ~request ~request_sig =
           let subset = List.sort String.compare (Analysis.aliases request) in
           let coverage =
             List.map
-              (fun alias -> (alias, Localize.required_range schema request alias))
+              (fun alias -> (alias, Localize.range_of ranges alias))
               subset
           in
           let props =
@@ -302,7 +301,7 @@ let partition_attr schema (q : Ast.t) alias =
    covers exactly one of them partially, try to buy the missing key ranges
    from third nodes and offer the complete answer.  Returns the augmented
    variant together with the total purchase cost and the imports. *)
-let subcontract config schema (request : Ast.t) (variant : Localize.t) =
+let subcontract config schema ~ranges (request : Ast.t) (variant : Localize.t) =
   match config.market with
   | None -> None
   | Some market ->
@@ -312,7 +311,7 @@ let subcontract config schema (request : Ast.t) (variant : Localize.t) =
       let gapped =
         List.filter_map
           (fun (alias, (f : Fragment.t)) ->
-            let required = Localize.required_range schema request alias in
+            let required = Localize.range_of ranges alias in
             let own = Interval.inter f.range required in
             match Interval.subtract required own with
             | [] -> None
@@ -321,7 +320,7 @@ let subcontract config schema (request : Ast.t) (variant : Localize.t) =
       in
       match gapped with
       | [ (alias, own_fragment, own_range, gaps) ] -> (
-        let required = Localize.required_range schema request alias in
+        let required = Localize.range_of ranges alias in
         match partition_attr schema request alias with
         | None -> None
         | Some key_attr ->
@@ -368,8 +367,7 @@ let subcontract config schema (request : Ast.t) (variant : Localize.t) =
                     | None -> acc
                     | Some attr ->
                       Analysis.add_range acc attr
-                        (Interval.inter f.range
-                           (Localize.required_range schema request a)))
+                        (Interval.inter f.range (Localize.range_of ranges a)))
                 request variant.base
             in
             let base =
@@ -407,7 +405,9 @@ let subcontract config schema (request : Ast.t) (variant : Localize.t) =
 let candidates config schema (node : Node.t) ~request ~request_sig =
   let considered = ref 0 in
   let caps = node.capabilities in
-  let variants = Localize.localize schema node request in
+  (* Every step below reads the request's key ranges; derive them once. *)
+  let ranges = Localize.required_ranges schema request in
+  let variants = Localize.localize ~ranges schema node request in
   (* Capability clipping: a node that cannot sort offers the unsorted
      answer (the buyer re-sorts); one that cannot aggregate offers the
      plain rows under the localized shape. *)
@@ -450,8 +450,7 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
           with
           | None -> None
           | Some key ->
-            let required = Localize.required_range schema request alias in
-            Some (alias, (key, Interval.inter f.range required)))
+            Some (alias, (key, Interval.inter f.range (Localize.range_of ranges alias))))
         variant.base
     in
     let env =
@@ -500,8 +499,8 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
     in
     considered := !considered + List.length partials;
     List.map
-      (candidate_of_partial config schema node ~request ~request_sig
-         ~purchase_cost ~imports variant env)
+      (candidate_of_partial config node ~ranges ~request_sig ~purchase_cost
+         ~imports variant env)
       partials
   in
   let from_fragments = List.concat_map (fun v -> variant_candidates v) variants in
@@ -513,7 +512,7 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
     else
       List.concat_map
         (fun variant ->
-          match subcontract config schema request variant with
+          match subcontract config schema ~ranges request variant with
           | None -> []
           | Some (augmented, purchase_cost, imports, gap_alias, _) ->
             variant_candidates ~purchase_cost ~imports
@@ -523,7 +522,7 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
   in
   let from_views =
     if caps.Node.can_aggregate then
-      view_candidates config schema node ~request ~request_sig
+      view_candidates config schema node ~ranges ~request ~request_sig
     else []
   in
   considered := !considered + List.length from_views;
@@ -713,38 +712,41 @@ let respond_signed ?cache config schema (node : Node.t) ~requests =
   (* Under subcontracting the offers depend on what the rest of the market
      answers right now, which no key can capture — bypass both caches. *)
   let cacheable = config.market = None in
-  let serve (request, request_sig, buyer_estimate) =
+  let serve =
     match cache with
-    | Some c when cacheable -> (
-      let key = (Analysis.Sig.id request_sig, buyer_estimate) in
+    | Some c when cacheable ->
+      (* The catalog cannot change while one batch is priced. *)
       let fingerprint = catalog_fingerprint node in
-      match Lru.find c.bids key ~valid:(entry_valid config ~fingerprint) with
-      | Some e -> (e.e_offers, e.e_bytes)
-      | None ->
-        let cands, considered =
-          memo_candidates c.memo config schema node ~request ~request_sig
-            ~fingerprint
-        in
-        let offers, bytes =
-          charge (finish config ~buyer_estimate cands, considered)
-        in
-        Lru.insert c.bids key
-          {
-            e_offers = offers;
-            e_bytes = bytes;
-            e_load = config.load;
-            e_strategy = config.strategy;
-            e_price_per_mb = config.price_per_mb;
-            e_use_views = config.use_views;
-            e_max_offers = config.max_offers_per_request;
-            e_params = config.params;
-            e_pricing = config.pricing;
-            e_catalog = fingerprint;
-          };
-        (offers, bytes))
+      fun (request, request_sig, buyer_estimate) -> (
+        let key = (Analysis.Sig.id request_sig, buyer_estimate) in
+        match Lru.find c.bids key ~valid:(entry_valid config ~fingerprint) with
+        | Some e -> (e.e_offers, e.e_bytes)
+        | None ->
+          let cands, considered =
+            memo_candidates c.memo config schema node ~request ~request_sig
+              ~fingerprint
+          in
+          let offers, bytes =
+            charge (finish config ~buyer_estimate cands, considered)
+          in
+          Lru.insert c.bids key
+            {
+              e_offers = offers;
+              e_bytes = bytes;
+              e_load = config.load;
+              e_strategy = config.strategy;
+              e_price_per_mb = config.price_per_mb;
+              e_use_views = config.use_views;
+              e_max_offers = config.max_offers_per_request;
+              e_params = config.params;
+              e_pricing = config.pricing;
+              e_catalog = fingerprint;
+            };
+          (offers, bytes))
     | _ ->
-      charge
-        (price_request config schema node ~request ~request_sig ~buyer_estimate)
+      fun (request, request_sig, buyer_estimate) ->
+        charge
+          (price_request config schema node ~request ~request_sig ~buyer_estimate)
   in
   let served = List.map serve requests in
   {

@@ -17,23 +17,30 @@ type result = { partials : partial list; best : partial option }
 
 (* Top-level query semantics on top of a joined-rows plan.  The final Sort
    is skipped when the plan's output order already satisfies the ORDER BY
-   (interesting orders). *)
-let finalize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ~env (q : Ast.t) plan =
+   (interesting orders).  Each added operator is costed from its input's
+   pair, starting from the joined plan's [parts]. *)
+let finalize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ~env ~parts (q : Ast.t)
+    plan =
+  let over input node = (node, Plan.unary_cost params ~cpu_factor ~io_factor node input) in
   let out_rows = Estimate.output_rows env q in
-  let with_agg =
-    if q.group_by <> [] || Analysis.has_aggregate q then
-      Plan.Aggregate { input = plan; group_by = q.group_by; select = q.select; rows = out_rows }
-    else Plan.Project { input = plan; select = q.select; rows = Plan.rows plan }
+  let with_agg, agg_parts =
+    over parts
+      (if q.group_by <> [] || Analysis.has_aggregate q then
+         Plan.Aggregate
+           { input = plan; group_by = q.group_by; select = q.select; rows = out_rows }
+       else Plan.Project { input = plan; select = q.select; rows = Plan.rows plan })
   in
-  let with_distinct =
+  let with_distinct, distinct_parts =
     if q.distinct && not (q.group_by <> [] || Analysis.has_aggregate q) then
-      Plan.Distinct { input = with_agg; rows = out_rows }
-    else with_agg
+      over agg_parts (Plan.Distinct { input = with_agg; rows = out_rows })
+    else (with_agg, agg_parts)
   in
-  let with_sort =
+  let with_sort, sort_parts =
     if q.order_by <> [] && not (Plan.satisfies_order with_distinct q.order_by) then
-      Plan.Sort { input = with_distinct; keys = q.order_by; rows = Plan.rows with_distinct }
-    else with_distinct
+      over distinct_parts
+        (Plan.Sort
+           { input = with_distinct; keys = q.order_by; rows = Plan.rows with_distinct })
+    else (with_distinct, distinct_parts)
   in
   let subset = List.sort String.compare (Analysis.aliases q) in
   {
@@ -42,7 +49,7 @@ let finalize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ~env (q : Ast.t) pla
     query = q;
     plan = with_sort;
     rows = Plan.rows with_sort;
-    cost = Plan.cost params ~cpu_factor ~io_factor with_sort;
+    cost = Plan.total sort_parts;
   }
 
 (* Join algorithms applicable to a predicate set: hash and sort-merge need
@@ -60,31 +67,33 @@ let algos_for preds =
 let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
     ~(base : string -> Plan.t option) (q : Ast.t) =
   let aliases = Analysis.aliases q in
-  let plan_cost p = Plan.cost params ~cpu_factor ~io_factor p in
-  (* Level 1: access path plus local selections. *)
-  let level1 =
-    List.filter_map
-      (fun alias ->
-        match base alias with
-        | None -> None
-        | Some access ->
-          let local_preds =
-            List.filter (fun p -> Analysis.predicate_aliases p = [ alias ]) q.where
-          in
-          let rows = Estimate.alias_rows env q alias in
-          let plan =
-            if local_preds = [] then access
-            else Plan.Filter { input = access; preds = local_preds; rows }
-          in
-          Some (alias, plan))
-      aliases
+  let parts p = Plan.cost_parts params ~cpu_factor ~io_factor p in
+  let access_paths =
+    List.filter_map (fun alias -> Option.map (fun a -> (alias, a)) (base alias)) aliases
   in
-  let available = List.map fst level1 in
+  let available = List.map fst access_paths in
   let n = List.length available in
   (* Alias universe interned once: subsets, memo keys and predicate
      coverage all become machine-word bit operations from here on. *)
   let ctx = Bitset.make available in
   let abit a = Bitset.bit ctx a in
+  (* Alias rows and join selectivities, derived once for every subset. *)
+  let row_facts = Estimate.rows_table env q (Bitset.to_list ctx (Bitset.full ctx)) in
+  (* Level 1: access path plus local selections. *)
+  let level1 =
+    List.map
+      (fun (alias, access) ->
+        let local_preds =
+          List.filter (fun p -> Analysis.predicate_aliases p = [ alias ]) q.where
+        in
+        let rows = Estimate.table_alias_rows row_facts alias in
+        let plan =
+          if local_preds = [] then access
+          else Plan.Filter { input = access; preds = local_preds; rows }
+        in
+        (alias, plan))
+      access_paths
+  in
   (* Join predicates with every referenced alias available, paired with
      their alias masks, in WHERE order.  A predicate mentioning an
      unavailable alias can never be fully covered by a subset of the
@@ -107,15 +116,22 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
       q.where
   in
   let adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.where) in
-  (* Two memo slots per subset, each carrying the plan's cost so neither
-     candidate selection nor IDP pruning ever re-derives [Plan.cost]: the
-     cheapest plan, and (when different and not dominated) the cheapest
-     plan with a sorted output, kept because a downstream merge join or
-     ORDER BY may redeem its extra cost. *)
-  let table : (Plan.t * Cost.t) Bitset.table = Bitset.table_create ctx in
-  let ordered : (Plan.t * Cost.t) Bitset.table = Bitset.table_create ctx in
+  (* Two memo slots per subset, each carrying the plan's [(local, remote)]
+     cost pair and its total, so a join candidate is costed from its
+     inputs' pairs in O(1) and neither candidate selection nor IDP pruning
+     ever re-walks a plan: the cheapest plan, and (when different and not
+     dominated) the cheapest plan with a sorted output, kept because a
+     downstream merge join or ORDER BY may redeem its extra cost. *)
+  let table : (Plan.t * (Cost.t * Cost.t) * Cost.t) Bitset.table =
+    Bitset.table_create ctx
+  in
+  let ordered : (Plan.t * (Cost.t * Cost.t) * Cost.t) Bitset.table =
+    Bitset.table_create ctx
+  in
   List.iter
-    (fun (alias, plan) -> Bitset.table_set table (abit alias) (plan, plan_cost plan))
+    (fun (alias, plan) ->
+      let pair = parts plan in
+      Bitset.table_set table (abit alias) (plan, pair, Plan.total pair))
     level1;
   let connecting left right union =
     List.filter_map
@@ -137,48 +153,51 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
      computed concurrently; the caller merges results in enumeration
      order, which keeps output byte-identical at any domain count. *)
   let compute_subset smask =
-    let sorted_subset = Bitset.to_list ctx smask in
     let first_bit = Bitset.lowest_bit smask in
     let rest_mask = smask land lnot first_bit in
-    let out_rows = lazy (Estimate.subset_rows env q sorted_subset) in
+    let out_rows = Estimate.table_subset_rows row_facts smask in
     let candidates = ref [] in
     List.iter
       (fun right ->
         let left = smask land lnot right in
         let preds = connecting left right smask in
         if preds <> [] then begin
-          let out_rows = Lazy.force out_rows in
+          let join algo build bpair probe ppair =
+            let pair =
+              Plan.join_cost params ~cpu_factor ~io_factor ~algo ~build ~probe ~preds
+                ~rows:out_rows bpair ppair
+            in
+            (Plan.Join { algo; build; probe; preds; rows = out_rows }, pair, Plan.total pair)
+          in
           List.iter
-            (fun (lp, _) ->
+            (fun (lp, lpair, _) ->
               List.iter
-                (fun (rp, _) ->
+                (fun (rp, rpair, _) ->
                   List.iter
                     (fun algo ->
-                      let build, probe =
+                      (* A hash join builds on the smaller input. *)
+                      let candidate =
                         match algo with
-                        | Plan.Hash ->
-                          if Plan.rows lp <= Plan.rows rp then (lp, rp)
-                          else (rp, lp)
-                        | Plan.Sort_merge | Plan.Nested_loop -> (lp, rp)
+                        | Plan.Hash when not (Plan.rows lp <= Plan.rows rp) ->
+                          join algo rp rpair lp lpair
+                        | Plan.Hash | Plan.Sort_merge | Plan.Nested_loop ->
+                          join algo lp lpair rp rpair
                       in
-                      let plan =
-                        Plan.Join { algo; build; probe; preds; rows = out_rows }
-                      in
-                      candidates := (plan, plan_cost plan) :: !candidates)
+                      candidates := candidate :: !candidates)
                     (algos_for preds))
                 (inputs_for right))
             (inputs_for left)
         end)
       (Bitset.nonempty_submasks rest_mask);
-    match Listx.min_by (fun (_, c) -> Cost.response c) !candidates with
-    | Some (best_plan, _ as best) ->
+    match Listx.min_by (fun (_, _, c) -> Cost.response c) !candidates with
+    | Some ((best_plan, _, _) as best) ->
       (* Retain the cheapest order-producing alternative when the overall
          winner is unordered. *)
       let ordered_candidates =
-        List.filter (fun (p, _) -> Plan.output_order p <> []) !candidates
+        List.filter (fun (p, _, _) -> Plan.output_order p <> []) !candidates
       in
       let ord =
-        match Listx.min_by (fun (_, c) -> Cost.response c) ordered_candidates with
+        match Listx.min_by (fun (_, _, c) -> Cost.response c) ordered_candidates with
         | Some op when Plan.output_order best_plan = [] -> Some op
         | Some _ | None -> None
       in
@@ -216,7 +235,7 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
     | Some (k, m) when size = k && List.length built > m ->
       let response_of smask =
         match Bitset.table_get table smask with
-        | Some (_, c) -> Cost.response c
+        | Some (_, _, c) -> Cost.response c
         | None -> infinity
       in
       let ranked =
@@ -238,7 +257,7 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
   let partial_of smask =
     match Bitset.table_get table smask with
     | None -> None
-    | Some (plan, _) ->
+    | Some (plan, pair, _) ->
       let subset = Bitset.to_list ctx smask in
       let restricted = Analysis.restrict q subset in
       let projected =
@@ -251,7 +270,7 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
           query = restricted;
           plan = projected;
           rows = Plan.rows projected;
-          cost = plan_cost projected;
+          cost = Plan.total (Plan.unary_cost params ~cpu_factor ~io_factor projected pair);
         }
   in
   let partials =
@@ -267,7 +286,8 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ~env
     else
       let finalized =
         List.map
-          (fun (plan, _) -> finalize ~params ~cpu_factor ~io_factor ~env q plan)
+          (fun (plan, parts, _) ->
+            finalize ~params ~cpu_factor ~io_factor ~env ~parts q plan)
           (inputs_for (Bitset.full ctx))
       in
       Listx.min_by (fun p -> Cost.response p.cost) finalized

@@ -64,13 +64,16 @@ val finalize :
   ?cpu_factor:float ->
   ?io_factor:float ->
   env:Qt_stats.Estimate.env ->
+  parts:Qt_cost.Cost.t * Qt_cost.Cost.t ->
   Qt_sql.Ast.t ->
   Plan.t ->
   partial
 (** Wrap a plan that already produces the joined rows of all aliases of the
     query with the query's top-level semantics (aggregate / distinct / sort
-    / project), returning it as a full-cover partial.  Shared by the seller
-    optimizer and the buyer plan generator. *)
+    / project), returning it as a full-cover partial.  [parts] is the
+    plan's {!Plan.cost_parts} pair, from which the added operators are
+    costed.  Shared by the seller optimizer and the buyer plan
+    generator. *)
 
 val algos_for : Qt_sql.Ast.predicate list -> Plan.join_algo list
 (** Join algorithms applicable to a predicate set: hash and sort-merge

@@ -170,7 +170,10 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ~env
     else
       let finalized =
         List.map
-          (fun plan -> Dp.finalize ~params ~cpu_factor ~io_factor ~env q plan)
+          (fun plan ->
+            Dp.finalize ~params ~cpu_factor ~io_factor ~env
+              ~parts:(Plan.cost_parts params ~cpu_factor ~io_factor plan)
+              q plan)
           (inputs_for (key full))
       in
       Listx.min_by (fun (p : Dp.partial) -> Cost.response p.cost) finalized

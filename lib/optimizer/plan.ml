@@ -104,67 +104,75 @@ let satisfies_order plan keys =
   | (_ :: _ : (Ast.attr * Ast.order) list) -> false
 
 (* Response-time model: local work is sequential; all remote answers are
-   requested at once, so the remote component is the max quoted cost. *)
-let cost params ?(cpu_factor = 1.0) ?(io_factor = 1.0) plan =
+   requested at once, so the remote component is the max quoted cost.
+   Every operator's cost is a [(local, remote)] pair built from its
+   children's pairs; [cost] adds the root's two halves. *)
+let join_cost params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ~algo ~build ~probe
+    ~preds ~rows:out_rows (l_local, l_remote) (r_local, r_remote) =
+  let row_bytes = max (width build) (width probe) in
+  let join_cost =
+    match algo with
+    | Hash ->
+      Model.hash_join params ~cpu_factor ~io_factor ~row_bytes
+        ~build_rows:(rows build) ~probe_rows:(rows probe) ~out_rows ()
+    | Sort_merge ->
+      let key = merge_key_attrs preds in
+      let sorted side =
+        match (output_order side, key) with
+        | o :: _, [ ka; kb ] -> Ast.equal_attr o ka || Ast.equal_attr o kb
+        | _, _ -> false
+      in
+      Model.sort_merge_join params ~cpu_factor ~io_factor ~row_bytes
+        ~left_sorted:(sorted build) ~right_sorted:(sorted probe)
+        ~left_rows:(rows build) ~right_rows:(rows probe) ~out_rows ()
+    | Nested_loop ->
+      Model.nested_loop_join params ~cpu_factor ~outer_rows:(rows build)
+        ~inner_rows:(rows probe) ~out_rows ()
+  in
+  (Cost.add (Cost.add l_local r_local) join_cost, Cost.par l_remote r_remote)
+
+let unary_cost params ?(cpu_factor = 1.0) ?(io_factor = 1.0) plan (local, remote) =
+  let op =
+    match plan with
+    | Filter f -> Model.filter params ~cpu_factor ~rows:(rows f.input) ()
+    | Project p -> Model.filter params ~cpu_factor ~rows:p.rows ()
+    | Sort s ->
+      Model.external_sort params ~cpu_factor ~io_factor ~row_bytes:(width s.input)
+        ~rows:(rows s.input) ()
+    | Aggregate a ->
+      Model.aggregate params ~cpu_factor ~rows:(rows a.input) ~groups:a.rows ()
+    | Distinct d -> Model.sort params ~cpu_factor ~rows:(rows d.input) ()
+    | Scan _ | Join _ | Union _ | Remote _ -> invalid_arg "Plan.unary_cost"
+  in
+  (Cost.add local op, remote)
+
+let cost_parts params ?(cpu_factor = 1.0) ?(io_factor = 1.0) plan =
   let rec go plan =
     match plan with
     | Scan s ->
       ( Model.scan params ~io_factor ~rows:s.scan_rows ~row_bytes:s.row_bytes (),
         Cost.zero )
-    | Filter f ->
-      let local, remote = go f.input in
-      let input_rows = rows f.input in
-      (Cost.add local (Model.filter params ~cpu_factor ~rows:input_rows ()), remote)
+    | Filter { input; _ } | Project { input; _ } | Sort { input; _ }
+    | Aggregate { input; _ } | Distinct { input; _ } ->
+      unary_cost params ~cpu_factor ~io_factor plan (go input)
     | Join j ->
-      let l_local, l_remote = go j.build in
-      let r_local, r_remote = go j.probe in
-      let row_bytes = max (width j.build) (width j.probe) in
-      let join_cost =
-        match j.algo with
-        | Hash ->
-          Model.hash_join params ~cpu_factor ~io_factor ~row_bytes
-            ~build_rows:(rows j.build) ~probe_rows:(rows j.probe) ~out_rows:j.rows ()
-        | Sort_merge ->
-          let key = merge_key_attrs j.preds in
-          let sorted side =
-            match (output_order side, key) with
-            | o :: _, [ ka; kb ] -> Ast.equal_attr o ka || Ast.equal_attr o kb
-            | _, _ -> false
-          in
-          Model.sort_merge_join params ~cpu_factor ~io_factor ~row_bytes
-            ~left_sorted:(sorted j.build) ~right_sorted:(sorted j.probe)
-            ~left_rows:(rows j.build) ~right_rows:(rows j.probe) ~out_rows:j.rows ()
-        | Nested_loop ->
-          Model.nested_loop_join params ~cpu_factor ~outer_rows:(rows j.build)
-            ~inner_rows:(rows j.probe) ~out_rows:j.rows ()
-      in
-      (Cost.add (Cost.add l_local r_local) join_cost, Cost.par l_remote r_remote)
+      let build_parts = go j.build in
+      let probe_parts = go j.probe in
+      join_cost params ~cpu_factor ~io_factor ~algo:j.algo ~build:j.build
+        ~probe:j.probe ~preds:j.preds ~rows:j.rows build_parts probe_parts
     | Union u ->
       let parts = List.map go u.inputs in
       let local = Cost.sum (List.map fst parts) in
       let remote = List.fold_left (fun acc (_, r) -> Cost.par acc r) Cost.zero parts in
       (Cost.add local (Model.union params ~cpu_factor ~rows:u.rows ()), remote)
-    | Project p ->
-      let local, remote = go p.input in
-      (Cost.add local (Model.filter params ~cpu_factor ~rows:p.rows ()), remote)
-    | Sort s ->
-      let local, remote = go s.input in
-      ( Cost.add local
-          (Model.external_sort params ~cpu_factor ~io_factor
-             ~row_bytes:(width s.input) ~rows:(rows s.input) ()),
-        remote )
-    | Aggregate a ->
-      let local, remote = go a.input in
-      ( Cost.add local
-          (Model.aggregate params ~cpu_factor ~rows:(rows a.input) ~groups:a.rows ()),
-        remote )
-    | Distinct d ->
-      let local, remote = go d.input in
-      (Cost.add local (Model.sort params ~cpu_factor ~rows:(rows d.input) ()), remote)
     | Remote r -> (Cost.zero, r.delivered_cost)
   in
-  let local, remote = go plan in
-  Cost.add local remote
+  go plan
+
+let total (local, remote) = Cost.add local remote
+
+let cost params ?cpu_factor ?io_factor plan =
+  total (cost_parts params ?cpu_factor ?io_factor plan)
 
 let rec remote_leaves = function
   | Scan _ -> []

@@ -90,6 +90,48 @@ val cost :
     parallel, so their contribution is the {e maximum} of the quoted
     delivered costs. *)
 
+val cost_parts :
+  Qt_cost.Params.t ->
+  ?cpu_factor:float ->
+  ?io_factor:float ->
+  t ->
+  Qt_cost.Cost.t * Qt_cost.Cost.t
+(** The [(local, remote)] pair {!cost} sums: sequential work at the
+    plan's owner, and the parallel fetch of its [Remote] leaves. *)
+
+val join_cost :
+  Qt_cost.Params.t ->
+  ?cpu_factor:float ->
+  ?io_factor:float ->
+  algo:join_algo ->
+  build:t ->
+  probe:t ->
+  preds:Qt_sql.Ast.predicate list ->
+  rows:float ->
+  Qt_cost.Cost.t * Qt_cost.Cost.t ->
+  Qt_cost.Cost.t * Qt_cost.Cost.t ->
+  Qt_cost.Cost.t * Qt_cost.Cost.t
+(** [join_cost params ~algo ~build ~probe ~preds ~rows b p] is the
+    {!cost_parts} pair of the [Join] node with those fields, given [b]
+    and [p], the pairs of [build] and [probe].  This is the one join
+    formula: {!cost} uses it, and the join enumerators cost a candidate
+    from their memoized child pairs without re-walking the subtrees. *)
+
+val unary_cost :
+  Qt_cost.Params.t ->
+  ?cpu_factor:float ->
+  ?io_factor:float ->
+  t ->
+  Qt_cost.Cost.t * Qt_cost.Cost.t ->
+  Qt_cost.Cost.t * Qt_cost.Cost.t
+(** [unary_cost params node p] is the {!cost_parts} pair of a one-input
+    node ([Filter], [Project], [Sort], [Aggregate] or [Distinct]) whose
+    input has the pair [p]; the operator formula {!cost} itself uses.
+    @raise Invalid_argument on any other node. *)
+
+val total : Qt_cost.Cost.t * Qt_cost.Cost.t -> Qt_cost.Cost.t
+(** Sum of a {!cost_parts} pair: [cost p = total (cost_parts p)]. *)
+
 val remote_leaves : t -> remote list
 val scan_leaves : t -> scan list
 

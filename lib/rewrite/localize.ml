@@ -32,17 +32,63 @@ let required_range schema (q : Ast.t) alias =
         Interval.inter (Schema.key_range rel)
           (Analysis.range_of_closure q { Ast.rel = alias; name = key })))
 
+type ranges = (string * Interval.t) list
+
+(* [required_range] of every alias.  The aliases whose keys are equi-joined
+   share one closure, whose range is computed once: interval intersection
+   is exact and does not depend on order, so each alias gets the very
+   interval [required_range] gives. *)
+let required_ranges schema (q : Ast.t) =
+  let classes = ref [] in
+  let closure_range attr =
+    match
+      List.find_opt (fun (members, _) -> List.exists (Ast.equal_attr attr) members) !classes
+    with
+    | Some (_, range) -> range
+    | None ->
+      let members = Analysis.equiv_attrs q attr in
+      let range =
+        List.fold_left
+          (fun acc a -> Interval.inter acc (Analysis.range_of q a))
+          Interval.full members
+      in
+      classes := (members, range) :: !classes;
+      range
+  in
+  List.map
+    (fun alias ->
+      let range =
+        match Analysis.relation_of_alias q alias with
+        | None -> Interval.full
+        | Some rel_name -> (
+          match Schema.find_relation schema rel_name with
+          | None -> Interval.full
+          | Some rel -> (
+            match rel.partition_key with
+            | None -> Interval.full
+            | Some key ->
+              Interval.inter (Schema.key_range rel)
+                (closure_range { Ast.rel = alias; name = key })))
+      in
+      (alias, range))
+    (Analysis.aliases q)
+
+(* An alias outside the query has no relation, so [required_range] is
+   full for it too. *)
+let range_of (ranges : ranges) alias =
+  match List.assoc_opt alias ranges with Some r -> r | None -> Interval.full
+
 let partition_attr schema (q : Ast.t) alias =
   Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
       Option.bind (Schema.find_relation schema rel_name) (fun rel ->
           Option.map (fun key -> { Ast.rel = alias; name = key }) rel.partition_key))
 
-let localize ?(max_variants = 16) schema node (q : Ast.t) =
+let localize ?(max_variants = 16) ~ranges schema node (q : Ast.t) =
   let candidates_for alias =
     match Analysis.relation_of_alias q alias with
     | None -> []
     | Some rel_name ->
-      let required = required_range schema q alias in
+      let required = range_of ranges alias in
       if Interval.is_empty required then []
       else
         List.filter_map

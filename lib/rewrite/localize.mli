@@ -13,6 +13,9 @@
     fragment per alias yields a separate localized query, each of which the
     seller prices and offers independently. *)
 
+type ranges
+(** {!required_range} of every alias of one query, derived once. *)
+
 type t = {
   query : Qt_sql.Ast.t;
       (** Rewritten query, answerable entirely from the chosen local
@@ -26,13 +29,15 @@ type t = {
 
 val localize :
   ?max_variants:int ->
+  ranges:ranges ->
   Qt_catalog.Schema.t ->
   Qt_catalog.Node.t ->
   Qt_sql.Ast.t ->
   t list
 (** All localized variants (at most [max_variants], default 16), most
     complete first: variants retaining more aliases, then more rows, come
-    first.  The empty list means the node holds nothing relevant. *)
+    first.  The empty list means the node holds nothing relevant.
+    [ranges] is [required_ranges schema q]. *)
 
 val retained_aliases : t -> string list
 
@@ -42,3 +47,11 @@ val required_range :
     relation's key range intersected with the query's own restrictions
     ({!Qt_util.Interval.full} for unpartitioned relations).  Sellers use it
     to clip fragments; buyers use it to check offer coverage. *)
+
+val required_ranges : Qt_catalog.Schema.t -> Qt_sql.Ast.t -> ranges
+(** {!required_range} for each alias of the query.  Callers that look up
+    key ranges inside a loop derive them once per query with this. *)
+
+val range_of : ranges -> string -> Qt_util.Interval.t
+(** [range_of (required_ranges schema q) alias = required_range schema q
+    alias], also for an alias outside the query ({!Qt_util.Interval.full}). *)

@@ -154,6 +154,67 @@ let subset_rows env q subset =
   let sel = List.fold_left (fun acc p -> acc *. selectivity env q p) 1. join_preds in
   Float.max 1e-6 (base *. sel)
 
+(* [subset_rows] for every subset of one enumeration, from facts derived
+   once: each alias's rows and each join conjunct's selectivity and alias
+   mask.  A subset's rows multiply the same factors in the same order as
+   [subset_rows] (aliases in universe order, then conjuncts in WHERE
+   order), so the result is bit-identical. *)
+type rows_table = {
+  universe : string array;
+  alias_rows_at : float array;  (* by universe position = bit index *)
+  join_masks : int array;
+  join_sels : float array;
+}
+
+let position universe alias =
+  let rec go i =
+    if i = Array.length universe then None
+    else if universe.(i) = alias then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let rows_table env q universe =
+  let universe = Array.of_list universe in
+  let joins =
+    List.filter_map
+      (fun p ->
+        let als = Analysis.predicate_aliases p in
+        if List.length als > 1 then
+          let rec mask_of acc = function
+            | [] -> Some (acc, selectivity env q p)
+            | a :: rest -> (
+              match position universe a with
+              | Some i -> mask_of (acc lor (1 lsl i)) rest
+              | None -> None)
+          in
+          mask_of 0 als
+        else None)
+      q.Ast.where
+  in
+  {
+    universe;
+    alias_rows_at = Array.map (alias_rows env q) universe;
+    join_masks = Array.of_list (List.map fst joins);
+    join_sels = Array.of_list (List.map snd joins);
+  }
+
+let table_alias_rows t alias =
+  match position t.universe alias with
+  | Some i -> t.alias_rows_at.(i)
+  | None -> invalid_arg "Estimate.table_alias_rows"
+
+let table_subset_rows t mask =
+  let base = ref 1. in
+  for i = 0 to Array.length t.alias_rows_at - 1 do
+    if mask land (1 lsl i) <> 0 then base := !base *. t.alias_rows_at.(i)
+  done;
+  let sel = ref 1. in
+  for j = 0 to Array.length t.join_masks - 1 do
+    if t.join_masks.(j) land lnot mask = 0 then sel := !sel *. t.join_sels.(j)
+  done;
+  Float.max 1e-6 (!base *. !sel)
+
 let output_rows env q =
   let joined = subset_rows env q (Analysis.aliases q) in
   if q.Ast.group_by <> [] then

@@ -47,6 +47,25 @@ val subset_rows : env -> Qt_sql.Ast.t -> string list -> float
 (** Estimated cardinality of the join of the given aliases under all WHERE
     conjuncts local to the subset. *)
 
+type rows_table
+(** The row facts one join enumeration reads again and again, derived
+    once: per alias its {!alias_rows}, per join conjunct its
+    {!selectivity}. *)
+
+val rows_table : env -> Qt_sql.Ast.t -> string list -> rows_table
+(** [rows_table env q universe]: alias [i] of [universe] is bit [i] of a
+    subset mask.  Join conjuncts mentioning an alias outside [universe]
+    are left out, as no subset covers them. *)
+
+val table_alias_rows : rows_table -> string -> float
+(** [alias_rows env q alias] for an alias of the universe.
+    @raise Invalid_argument for any other alias. *)
+
+val table_subset_rows : rows_table -> int -> float
+(** [subset_rows env q subset] for the subset with that mask, listed in
+    universe order: the same factors multiplied in the same order, so the
+    float is bit-identical. *)
+
 val output_rows : env -> Qt_sql.Ast.t -> float
 (** Cardinality of the full query result, accounting for GROUP BY and
     DISTINCT collapse. *)

@@ -119,6 +119,10 @@ let test_cost_pp () =
 (* Localize caps and trader bounds                                      *)
 (* ------------------------------------------------------------------ *)
 
+let localize ?max_variants schema node q =
+  Localize.localize ?max_variants ~ranges:(Localize.required_ranges schema q) schema
+    node q
+
 let test_localize_max_variants () =
   let node =
     Qt_catalog.Node.make ~id:77 ~name:"many"
@@ -130,9 +134,9 @@ let test_localize_max_variants () =
       ()
   in
   let q = parse "SELECT c.custname FROM customer c" in
-  let all = Localize.localize schema node q in
+  let all = localize schema node q in
   Alcotest.(check int) "six variants" 6 (List.length all);
-  let capped = Localize.localize ~max_variants:2 schema node q in
+  let capped = localize ~max_variants:2 schema node q in
   Alcotest.(check int) "capped" 2 (List.length capped)
 
 let test_trader_single_iteration () =

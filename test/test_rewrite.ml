@@ -21,6 +21,9 @@ let node_with ~id fragments = Node.make ~id ~name:"test" ~fragments ()
 
 let frag rel lo hi rows = Fragment.make ~rel ~range:(Interval.make lo hi) ~rows
 
+let localize schema node q =
+  Localize.localize ~ranges:(Localize.required_ranges schema q) schema node q
+
 (* The paper's Myconos example: the node holds the whole invoiceline table
    but only one partition of customer; the rewrite must keep the full
    query shape and add the partition restriction. *)
@@ -28,7 +31,7 @@ let test_localize_myconos () =
   let node =
     node_with ~id:9 [ frag "invoiceline" 0 799 4000; frag "customer" 0 399 400 ]
   in
-  match Localize.localize schema node revenue with
+  match localize schema node revenue with
   | [ v ] ->
     Alcotest.(check (list string)) "keeps both aliases" [ "c"; "il" ]
       (Localize.retained_aliases v);
@@ -43,7 +46,7 @@ let test_localize_myconos () =
 
 let test_localize_drops_missing_relation () =
   let node = node_with ~id:9 [ frag "customer" 0 399 400 ] in
-  match Localize.localize schema node revenue with
+  match localize schema node revenue with
   | [ v ] ->
     Alcotest.(check (list string)) "only customer" [ "c" ]
       (Localize.retained_aliases v);
@@ -57,7 +60,7 @@ let test_localize_drops_missing_relation () =
 let test_localize_nothing_relevant () =
   let node = node_with ~id:9 [] in
   Alcotest.(check int) "no variants" 0
-    (List.length (Localize.localize schema node revenue))
+    (List.length (localize schema node revenue))
 
 let test_localize_disjoint_from_request () =
   (* Node's slice does not intersect the requested range at all. *)
@@ -65,14 +68,14 @@ let test_localize_disjoint_from_request () =
   let q =
     parse "SELECT c.custname FROM customer c WHERE c.custid BETWEEN 0 AND 99"
   in
-  Alcotest.(check int) "no variants" 0 (List.length (Localize.localize schema node q))
+  Alcotest.(check int) "no variants" 0 (List.length (localize schema node q))
 
 let test_localize_clips_to_request () =
   let node = node_with ~id:9 [ frag "customer" 0 399 400 ] in
   let q =
     parse "SELECT c.custname FROM customer c WHERE c.custid BETWEEN 200 AND 599"
   in
-  match Localize.localize schema node q with
+  match localize schema node q with
   | [ v ] ->
     let r = Analysis.range_of v.query { Ast.rel = "c"; name = "custid" } in
     Alcotest.(check bool) "clipped" true (Interval.equal r (Interval.make 200 399));
@@ -84,7 +87,7 @@ let test_localize_multi_fragment_variants () =
     node_with ~id:9 [ frag "customer" 0 199 200; frag "customer" 600 799 200 ]
   in
   let q = parse "SELECT c.custname FROM customer c" in
-  let vs = Localize.localize schema node q in
+  let vs = localize schema node q in
   Alcotest.(check int) "one variant per fragment" 2 (List.length vs);
   let ranges =
     List.map
@@ -103,7 +106,7 @@ let test_localize_unpartitioned_relation () =
     node_with ~id:1 [ Fragment.make ~rel:"lookup" ~range:Interval.full ~rows:50 ]
   in
   let q = parse "SELECT l.x FROM lookup l" in
-  match Localize.localize schema2 node q with
+  match localize schema2 node q with
   | [ v ] ->
     Alcotest.(check int) "no restriction added" 0 (List.length v.query.Ast.where)
   | vs -> Alcotest.failf "expected 1 variant, got %d" (List.length vs)
