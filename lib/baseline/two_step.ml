@@ -131,7 +131,9 @@ let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
     | Error e -> Result.Error e
     | Ok joined ->
       let finalized =
-        Dp.finalize ~params ~env ~parts:(Plan.cost_parts params joined) q joined
+        Dp.finalize ~params
+          ~out_rows:(lazy (Estimate.output_rows env q))
+          ~parts:(Plan.cost_parts params joined) q joined
       in
       let true_cost = Common.recost ~params ~true_offers finalized.Dp.plan in
       Ok

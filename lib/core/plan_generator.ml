@@ -312,6 +312,8 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
     match rollup_items q with
     | None -> []
     | Some _ ->
+      (* Every axis rolls up to the same output rows. *)
+      let out_rows = lazy (Estimate.output_rows (Estimate.env_of_schema schema q) q) in
       let pieces =
         List.filter_map
           (fun (o : Offer.t) ->
@@ -336,8 +338,6 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
                 Listx.sum_by (fun (o : Offer.t) -> o.props.rows) winners
               in
               let union = Plan.Union { inputs; rows = union_rows } in
-              let env = Estimate.env_of_schema schema q in
-              let out_rows = Estimate.output_rows env q in
               let roll_select =
                 List.map
                   (fun item ->
@@ -356,7 +356,12 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
               in
               let rolled =
                 Plan.Aggregate
-                  { input = union; group_by = q.group_by; select = roll_select; rows = out_rows }
+                  {
+                    input = union;
+                    group_by = q.group_by;
+                    select = roll_select;
+                    rows = Lazy.force out_rows;
+                  }
               in
               let plan = maybe_sort q rolled in
               Some
@@ -547,7 +552,9 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
     match Bitset.table_get block_table (Bitset.full ctx) with
     | None -> []
     | Some (plan, parts, _) ->
-      let finalized = Dp.finalize ~params ~env ~parts q plan in
+      let finalized =
+        Dp.finalize ~params ~out_rows:(lazy (Estimate.output_rows env q)) ~parts q plan
+      in
       [
         {
           plan = finalized.Dp.plan;

@@ -117,7 +117,7 @@ type candidate = {
   c_purchase : float;  (** Subcontracted purchases folded into the quote. *)
 }
 
-let candidate_of_partial config (node : Node.t) ~ranges ~request_sig
+let candidate_of_partial config (node : Node.t) ~ranges ~request_sig ~sig_of
     ?(purchase_cost = 0.) ?(imports = []) (variant : Localize.t) env
     (partial : Dp.partial) =
   let coverage =
@@ -149,7 +149,7 @@ let candidate_of_partial config (node : Node.t) ~ranges ~request_sig
         Offer.seller = node.node_id;
         request_sig;
         query = partial.query;
-        query_sig = Analysis.Sig.of_ast partial.query;
+        query_sig = sig_of partial.query;
         answers = partial.query;
         subset = partial.subset;
         coverage;
@@ -220,7 +220,7 @@ let view_candidates config schema (node : Node.t) ~ranges ~request ~request_sig 
           let subset = List.sort String.compare (Analysis.aliases request) in
           let coverage =
             List.map
-              (fun alias -> (alias, Localize.range_of ranges alias))
+              (fun alias -> (alias, Localize.range_of (Lazy.force ranges) alias))
               subset
           in
           let props =
@@ -401,13 +401,26 @@ let subcontract config schema ~ranges (request : Ast.t) (variant : Localize.t) =
    candidate partials the optimizer considered (the unit the seller's
    processing time is charged in).  Reads the live market only through
    [config.market]; everything else depends on the request, the catalog,
-   [params] and [use_views]. *)
-let candidates config schema (node : Node.t) ~request ~request_sig =
+   [params] and [use_views].  [memo] is the node's sub-plan memo with its
+   catalog fingerprint; [sig_of] signs each partial's query. *)
+let candidates ?memo ?(sig_of = Analysis.Sig.of_ast) config schema (node : Node.t)
+    ~request ~request_sig =
   let considered = ref 0 in
   let caps = node.capabilities in
-  (* Every step below reads the request's key ranges; derive them once. *)
-  let ranges = Localize.required_ranges schema request in
-  let variants = Localize.localize ~ranges schema node request in
+  (* Every step below reads the request's key ranges; derive them once,
+     and only when some step runs. *)
+  let ranges = lazy (Localize.required_ranges schema request) in
+  (* A node holding no fragment of any relation the request names has no
+     variant: skip the ranges and the rewrite. *)
+  let variants =
+    if
+      List.exists
+        (fun (r : Ast.table_ref) ->
+          List.exists (fun (f : Fragment.t) -> f.rel = r.relation) node.fragments)
+        request.Ast.from
+    then Localize.localize ~ranges:(Lazy.force ranges) schema node request
+    else []
+  in
   (* Capability clipping: a node that cannot sort offers the unsorted
      answer (the buyer re-sorts); one that cannot aggregate offers the
      plain rows under the localized shape. *)
@@ -441,6 +454,7 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
   let variant_candidates ?(purchase_cost = 0.) ?(imports = [])
       ?(keep = fun (_ : Qt_optimizer.Dp.partial) -> true)
       (variant : Localize.t) =
+    let ranges = Lazy.force ranges in
     let key_ranges =
       List.filter_map
         (fun (alias, (f : Fragment.t)) ->
@@ -481,7 +495,7 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
           variant.query
       else
         Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
-          ~io_factor:node.io_factor ?pool:config.pool ~env ~base variant.query
+          ~io_factor:node.io_factor ?pool:config.pool ?memo ~env ~base variant.query
     in
     let partials =
       dp.partials
@@ -499,7 +513,7 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
     in
     considered := !considered + List.length partials;
     List.map
-      (candidate_of_partial config node ~ranges ~request_sig ~purchase_cost
+      (candidate_of_partial config node ~ranges ~request_sig ~sig_of ~purchase_cost
          ~imports variant env)
       partials
   in
@@ -512,7 +526,9 @@ let candidates config schema (node : Node.t) ~request ~request_sig =
     else
       List.concat_map
         (fun variant ->
-          match subcontract config schema ~ranges request variant with
+          match
+            subcontract config schema ~ranges:(Lazy.force ranges) request variant
+          with
           | None -> []
           | Some (augmented, purchase_cost, imports, gap_alias, _) ->
             variant_candidates ~purchase_cost ~imports
@@ -589,7 +605,14 @@ let price_request config schema node ~request ~request_sig ~buyer_estimate =
    Under the bid cache sits the candidate memo: the load-free step's
    result per request, valid while the request, catalog, [params] and
    [use_views] are unchanged.  A bid-cache miss after a load change then
-   only re-runs {!finish}. *)
+   only re-runs {!finish}.
+
+   Under the candidate memo sits the sub-plan memo ([Dp.memo]): distinct
+   requests priced at one seller share most of their DP subsets (the same
+   fragments joined under the same conjuncts), and a candidate-memo miss
+   re-uses every subset an earlier request already built.  Beside it, the
+   signatures of the partials' restricted queries, which recur across
+   requests too. *)
 
 type cache_entry = {
   e_offers : Offer.t list;
@@ -617,13 +640,23 @@ type memo_entry = {
 
 let default_cache_entries = 4096
 
+(* Capacity of a seller's sub-plan memo and of its signature table.  A
+   seller of the 1000-arrival chain-6 stream meets at most 35 distinct
+   joined subsets, one of the default 10k telecom stream at most 10; the
+   bound keeps a long stream of distinct requests, and the LRU's linear
+   eviction scan, small. *)
+let subplan_entries = 1024
+
 (* Bids keyed by (interned request signature id, buyer estimate), the
-   memo by the signature id alone.  Long workload streams with many
-   distinct signatures must not grow either without bound: at capacity,
-   the least-recently-used entry makes room. *)
+   memo by the signature id alone, signatures by a hash of the restricted
+   query, validated with [Ast.equal].  Long workload streams with many
+   distinct signatures must not grow any of them without bound: at
+   capacity, the least-recently-used entry makes room. *)
 type cache = {
   bids : (int * float, cache_entry) Lru.t;
   memo : (int, memo_entry) Lru.t;
+  subplans : Dp.memo;
+  sigs : (int, Ast.t * Analysis.Sig.t) Lru.t;
 }
 
 type cache_stats = Lru.stats = {
@@ -634,9 +667,25 @@ type cache_stats = Lru.stats = {
 }
 
 let cache_create ?(max_entries = default_cache_entries) () =
-  { bids = Lru.create ~max_entries (); memo = Lru.create ~max_entries () }
+  {
+    bids = Lru.create ~max_entries ();
+    memo = Lru.create ~max_entries ();
+    subplans = Dp.memo_create ~max_entries:subplan_entries;
+    sigs = Lru.create ~max_entries:subplan_entries ();
+  }
 
 let cache_stats c = Lru.stats c.bids
+let subplan_stats c = Dp.memo_stats c.subplans
+
+(* [Analysis.Sig.of_ast q] through the signature table. *)
+let cached_sig sigs (q : Ast.t) =
+  let key = Hashtbl.hash_param 64 256 q in
+  match Lru.find sigs key ~valid:(fun (seen, _) -> Ast.equal seen q) with
+  | Some (_, s) -> s
+  | None ->
+    let s = Analysis.Sig.of_ast q in
+    Lru.insert sigs key (q, s);
+    s
 
 (* Structural digest of everything pricing reads from the node's catalog;
    shared with the federation cache tier via [Node.fingerprint]. *)
@@ -658,14 +707,18 @@ let memo_valid config ~fingerprint ~request m =
   && m.m_params = config.params
   && Ast.equal m.m_request request
 
-(* The load-free step through the memo. *)
-let memo_candidates memo config schema node ~request ~request_sig ~fingerprint =
+(* The load-free step through the memo, pricing a miss through the
+   sub-plan memo and the signature table. *)
+let memo_candidates c config schema node ~request ~request_sig ~fingerprint =
   let key = Analysis.Sig.id request_sig in
-  match Lru.find memo key ~valid:(memo_valid config ~fingerprint ~request) with
+  match Lru.find c.memo key ~valid:(memo_valid config ~fingerprint ~request) with
   | Some m -> (m.m_candidates, m.m_considered)
   | None ->
-    let cands, considered = candidates config schema node ~request ~request_sig in
-    Lru.insert memo key
+    let cands, considered =
+      candidates ~memo:(c.subplans, fingerprint) ~sig_of:(cached_sig c.sigs) config
+        schema node ~request ~request_sig
+    in
+    Lru.insert c.memo key
       {
         m_request = request;
         m_candidates = cands;
@@ -723,7 +776,7 @@ let respond_signed ?cache config schema (node : Node.t) ~requests =
         | Some e -> (e.e_offers, e.e_bytes)
         | None ->
           let cands, considered =
-            memo_candidates c.memo config schema node ~request ~request_sig
+            memo_candidates c config schema node ~request ~request_sig
               ~fingerprint
           in
           let offers, bytes =

@@ -86,7 +86,15 @@ type cache
     bid-cache miss is charged the memo entry's candidate count.
     {!cache_stats} counts the bids only.
 
-    Capacity is bounded: both are {!Qt_util.Lru}s, so at [max_entries]
+    A candidate-memo miss prices through the sub-plan memo
+    ({!Qt_optimizer.Dp.memo}, stamped with the catalog fingerprint):
+    every DP subset an earlier request at this node already built under
+    the same [params] and catalog is reused instead of enumerated, so
+    distinct requests over the same fragments share their sub-plans.
+    The partials' signatures are reused the same way, validated with
+    {!Qt_sql.Ast.equal}.  Neither changes any result.
+
+    Capacity is bounded: all four are {!Qt_util.Lru}s, so at capacity
     the least-recently-used entry is evicted and long workload streams
     with many distinct signatures cannot grow them without bound.
     Eviction order — and therefore whole runs — is deterministic. *)
@@ -100,10 +108,14 @@ type cache_stats = Qt_util.Lru.stats = {
 
 val cache_create : ?max_entries:int -> unit -> cache
 (** [max_entries] bounds the bids and the memo alike; it defaults to a
-    generous 4096 per node.
+    generous 4096 per node.  The sub-plan memo and the signature table
+    hold at most 1024 entries each.
     @raise Invalid_argument if [max_entries < 1]. *)
 
 val cache_stats : cache -> cache_stats
+
+val subplan_stats : cache -> cache_stats
+(** Counters of the cache's sub-plan memo ({!Qt_optimizer.Dp.memo}). *)
 
 type cache_pool
 (** One cache per seller node, created on demand — what a trading session

@@ -41,12 +41,32 @@ type result = {
           disconnected. *)
 }
 
+type memo
+(** A sub-plan memo: one subset's two table entries (its best plan and
+    its best ordered plan, or "no plan"), reused by later enumerations
+    that meet the same subset.  The key of a subset is, for each of its
+    aliases in rank order, the alias, its level-1 plan (access path plus
+    local filter) and its row estimate; for each join conjunct wholly
+    inside it, in WHERE order, the conjunct and its selectivity; and the
+    cpu and io factors.  Every fact the subset's enumeration reads is a
+    function of that key and [params], so a hit returns exactly what the
+    enumeration would build.  Entries are valid only under the [params]
+    and catalog stamp they were stored with.  The memo is a
+    {!Qt_util.Lru} keyed on a hash of the key; the full key is compared on
+    every hit. *)
+
+val memo_create : max_entries:int -> memo
+(** @raise Invalid_argument if [max_entries < 1]. *)
+
+val memo_stats : memo -> Qt_util.Lru.stats
+
 val optimize :
   params:Qt_cost.Params.t ->
   ?cpu_factor:float ->
   ?io_factor:float ->
   ?prune:int * int ->
   ?pool:Pool.t ->
+  ?memo:memo * int ->
   env:Qt_stats.Estimate.env ->
   base:(string -> Plan.t option) ->
   Qt_sql.Ast.t ->
@@ -57,13 +77,29 @@ val optimize :
     baselines — or [None] if the alias is unavailable, in which case
     partials simply avoid it.  [prune = (k, m)] enables IDP(k,m).
     [pool] parallelizes each DP level's subset enumeration across its
-    domains; results are identical to the serial path. *)
+    domains; results are identical to the serial path.
+
+    [memo = (m, catalog)] looks every subset up in [m] before building it
+    and stores what it builds, stamped with [catalog] (a fingerprint of
+    whatever the caller's access paths come from) and [params]; a stamp
+    mismatch is a miss.  Lookups and inserts run on the calling domain in
+    enumeration order, and only misses go to [pool], so results and the
+    memo's contents are the same at any domain count.  The result is
+    identical to a run without the memo.  An IDP run ([prune]) bypasses
+    the memo. *)
+
+val restrictor : Bitset.ctx -> Qt_sql.Ast.t -> int -> Qt_sql.Ast.t
+(** [restrictor ctx q] derives alias masks of [q]'s FROM items, WHERE
+    conjuncts and needed columns once; the function it returns maps a
+    mask of [ctx] to [Analysis.restrict q (Bitset.to_list ctx mask)],
+    the identical [Ast.t].  {!optimize} builds its partials' queries this
+    way. *)
 
 val finalize :
   params:Qt_cost.Params.t ->
   ?cpu_factor:float ->
   ?io_factor:float ->
-  env:Qt_stats.Estimate.env ->
+  out_rows:float Lazy.t ->
   parts:Qt_cost.Cost.t * Qt_cost.Cost.t ->
   Qt_sql.Ast.t ->
   Plan.t ->
@@ -72,8 +108,10 @@ val finalize :
     query with the query's top-level semantics (aggregate / distinct / sort
     / project), returning it as a full-cover partial.  [parts] is the
     plan's {!Plan.cost_parts} pair, from which the added operators are
-    costed.  Shared by the seller optimizer and the buyer plan
-    generator. *)
+    costed.  [out_rows] is the query's {!Qt_stats.Estimate.output_rows};
+    only an Aggregate or a Distinct forces it, so a caller finalizing
+    several plans of one query derives it at most once.  Shared by the
+    seller optimizer and the buyer plan generator. *)
 
 val algos_for : Qt_sql.Ast.predicate list -> Plan.join_algo list
 (** Join algorithms applicable to a predicate set: hash and sort-merge

@@ -171,7 +171,8 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ~env
       let finalized =
         List.map
           (fun plan ->
-            Dp.finalize ~params ~cpu_factor ~io_factor ~env
+            Dp.finalize ~params ~cpu_factor ~io_factor
+              ~out_rows:(lazy (Estimate.output_rows env q))
               ~parts:(Plan.cost_parts params ~cpu_factor ~io_factor plan)
               q plan)
           (inputs_for (key full))

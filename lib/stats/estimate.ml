@@ -134,22 +134,35 @@ let selectivity env q pred =
   in
   clamp sel
 
-let alias_rows env q alias =
+(* [where_aliases] pairs each WHERE conjunct with its alias list, in WHERE
+   order, so a caller deriving several aliases' rows lists them once. *)
+let alias_rows_of env q where_aliases alias =
   let base = base_of env alias in
-  let local_preds =
-    List.filter (fun p -> Analysis.predicate_aliases p = [ alias ]) q.Ast.where
+  let sel =
+    List.fold_left
+      (fun acc (p, als) ->
+        match als with [ a ] when a = alias -> acc *. selectivity env q p | _ -> acc)
+      1. where_aliases
   in
-  let sel = List.fold_left (fun acc p -> acc *. selectivity env q p) 1. local_preds in
   Float.max 1e-6 (base *. sel)
 
+let where_aliases (q : Ast.t) =
+  List.map (fun p -> (p, Analysis.predicate_aliases p)) q.where
+
+let alias_rows env q alias = alias_rows_of env q (where_aliases q) alias
+
 let subset_rows env q subset =
-  let base = List.fold_left (fun acc a -> acc *. alias_rows env q a) 1. subset in
+  let where_aliases = where_aliases q in
+  let base =
+    List.fold_left (fun acc a -> acc *. alias_rows_of env q where_aliases a) 1. subset
+  in
   let join_preds =
-    List.filter
-      (fun p ->
-        let als = Analysis.predicate_aliases p in
-        List.length als > 1 && List.for_all (fun a -> List.mem a subset) als)
-      q.Ast.where
+    List.filter_map
+      (fun (p, als) ->
+        if List.length als > 1 && List.for_all (fun a -> List.mem a subset) als then
+          Some p
+        else None)
+      where_aliases
   in
   let sel = List.fold_left (fun acc p -> acc *. selectivity env q p) 1. join_preds in
   Float.max 1e-6 (base *. sel)
@@ -162,6 +175,7 @@ let subset_rows env q subset =
 type rows_table = {
   universe : string array;
   alias_rows_at : float array;  (* by universe position = bit index *)
+  join_preds : Ast.predicate array;
   join_masks : int array;
   join_sels : float array;
 }
@@ -176,13 +190,13 @@ let position universe alias =
 
 let rows_table env q universe =
   let universe = Array.of_list universe in
+  let where_aliases = where_aliases q in
   let joins =
     List.filter_map
-      (fun p ->
-        let als = Analysis.predicate_aliases p in
+      (fun (p, als) ->
         if List.length als > 1 then
           let rec mask_of acc = function
-            | [] -> Some (acc, selectivity env q p)
+            | [] -> Some (p, acc, selectivity env q p)
             | a :: rest -> (
               match position universe a with
               | Some i -> mask_of (acc lor (1 lsl i)) rest
@@ -190,14 +204,19 @@ let rows_table env q universe =
           in
           mask_of 0 als
         else None)
-      q.Ast.where
+      where_aliases
   in
   {
     universe;
-    alias_rows_at = Array.map (alias_rows env q) universe;
-    join_masks = Array.of_list (List.map fst joins);
-    join_sels = Array.of_list (List.map snd joins);
+    alias_rows_at = Array.map (alias_rows_of env q where_aliases) universe;
+    join_preds = Array.of_list (List.map (fun (p, _, _) -> p) joins);
+    join_masks = Array.of_list (List.map (fun (_, m, _) -> m) joins);
+    join_sels = Array.of_list (List.map (fun (_, _, s) -> s) joins);
   }
+
+let table_joins t =
+  List.init (Array.length t.join_preds) (fun j ->
+      (t.join_preds.(j), t.join_masks.(j), t.join_sels.(j)))
 
 let table_alias_rows t alias =
   match position t.universe alias with

@@ -61,6 +61,11 @@ val table_alias_rows : rows_table -> string -> float
 (** [alias_rows env q alias] for an alias of the universe.
     @raise Invalid_argument for any other alias. *)
 
+val table_joins : rows_table -> (Qt_sql.Ast.predicate * int * float) list
+(** The join conjuncts (two or more aliases) whose aliases all lie in the
+    universe, in WHERE order, each with its alias mask and
+    {!selectivity}. *)
+
 val table_subset_rows : rows_table -> int -> float
 (** [subset_rows env q subset] for the subset with that mask, listed in
     universe order: the same factors multiplied in the same order, so the

@@ -18,11 +18,22 @@ module Federation = Qt_catalog.Federation
 module Offer = Qt_core.Offer
 module Seller = Qt_core.Seller
 module Buyer_analyser = Qt_core.Buyer_analyser
+module Dp = Qt_optimizer.Dp
+module Pool = Qt_optimizer.Pool
+module Lru = Qt_util.Lru
+module Node = Qt_catalog.Node
+module Fragment = Qt_catalog.Fragment
 
 let quick = Helpers.quick
 let params = Qt_cost.Params.default
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Same structure and same float bits. *)
+let marshal_equal a b =
+  String.equal
+    (Marshal.to_string a [ Marshal.No_sharing ])
+    (Marshal.to_string b [ Marshal.No_sharing ])
 
 let same_cost (a : Cost.t) (b : Cost.t) =
   same_float a.cpu b.cpu && same_float a.io b.io && same_float a.net b.net
@@ -319,6 +330,274 @@ let test_enrich_dedup () =
     (Lazy.force cases);
   Alcotest.(check bool) "some proposal lists had duplicates" true (!deduped > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Partials restricted from masks                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every subset of the query's aliases, and of all but one of them (an
+   alias without an access path drops out of a seller's universe). *)
+let test_restrictor () =
+  List.iter
+    (fun (name, fed, templates) ->
+      List.iter
+        (fun q ->
+          let aliases = Analysis.aliases q in
+          let check universe =
+            let ctx = Bitset.make universe in
+            let restrict = Dp.restrictor ctx q in
+            for mask = 1 to Bitset.full ctx do
+              let want = Analysis.restrict q (Bitset.to_list ctx mask) in
+              let got = restrict mask in
+              if not (Ast.equal want got && marshal_equal want got) then
+                Alcotest.failf "%s: %s: restricted to {%s}: %s, want %s" name
+                  (Analysis.to_string q)
+                  (String.concat "," (Bitset.to_list ctx mask))
+                  (Analysis.to_string got) (Analysis.to_string want)
+            done
+          in
+          check aliases;
+          match aliases with _ :: (_ :: _ as rest) -> check rest | [] | [ _ ] -> ())
+        (queries_of fed templates))
+    (Lazy.force cases)
+
+(* ------------------------------------------------------------------ *)
+(* The seller's sub-plan memo                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A seller's DP inputs for one localized variant: fragment scans, and
+   fragment rows with the key range each spans. *)
+let dp_inputs schema (node : Node.t) q =
+  let ranges = Localize.required_ranges schema q in
+  List.map
+    (fun (v : Localize.t) ->
+      let key_ranges =
+        List.map
+          (fun (alias, (f : Fragment.t)) ->
+            (alias, ("id", Interval.inter f.range (Localize.range_of ranges alias))))
+          v.base
+      in
+      let env = Estimate.env_of_fragments ~key_ranges schema v.query v.base_rows in
+      let base alias =
+        Option.map
+          (fun (f : Fragment.t) ->
+            Plan.Scan
+              {
+                Plan.alias;
+                rel = f.rel;
+                range = f.range;
+                scan_rows = List.assoc alias v.base_rows;
+                row_bytes = 40;
+                node = node.node_id;
+              })
+          (List.assoc_opt alias v.base)
+      in
+      (env, base, v.query))
+    (Localize.localize ~ranges schema node q)
+
+(* Each template's proposals: the pieces a buyer asks for after the first
+   round, which a seller then prices next to the templates. *)
+let with_proposals fed templates =
+  let schema = fed.Federation.schema in
+  List.map
+    (fun query ->
+      let offers =
+        List.concat_map
+          (fun node ->
+            (Seller.respond (Seller.default_config params) schema node
+               ~requests:[ (query, 0.) ])
+              .Seller.offers)
+          fed.Federation.nodes
+      in
+      query :: Buyer_analyser.proposals ~schema ~query ~offers)
+    templates
+
+let first_nodes k (fed : Federation.t) = Listx.take k fed.Federation.nodes
+
+(* Dp.optimize through a memo warmed on every other template and their
+   proposals at the same node gives a fresh run's result. *)
+let test_memo_dp ?pool () =
+  let hits = ref 0 in
+  List.iter
+    (fun (name, fed, templates) ->
+      let schema = fed.Federation.schema in
+      let groups = with_proposals fed templates in
+      List.iter
+        (fun (node : Node.t) ->
+          let run ?memo (env, base, q) =
+            Dp.optimize ~params ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor
+              ?pool ?memo ~env ~base q
+          in
+          List.iteri
+            (fun i _ ->
+              let memo = Dp.memo_create ~max_entries:4096 in
+              List.iteri
+                (fun j other ->
+                  if j <> i then
+                    List.iter
+                      (fun q ->
+                        List.iter
+                          (fun input -> ignore (run ~memo:(memo, 0) input))
+                          (dp_inputs schema node q))
+                      other)
+                groups;
+              let warm = (Dp.memo_stats memo).Lru.hits in
+              List.iter
+                (fun input ->
+                  let _, _, q = input in
+                  if not (marshal_equal (run ~memo:(memo, 0) input) (run input)) then
+                    Alcotest.failf "%s: node %d: %s differs through the memo" name
+                      node.node_id (Analysis.to_string q))
+                (dp_inputs schema node (List.nth templates i));
+              hits := !hits + (Dp.memo_stats memo).Lru.hits - warm)
+            groups)
+        (first_nodes 3 fed))
+    (Lazy.force cases);
+  Alcotest.(check bool) "the templates hit the memo" true (!hits > 0)
+
+(* Seller.respond through a cache warmed the same way gives a cold
+   seller's response.  Warm requests with the query's own signature are
+   left out: the bid cache would answer the query, and a bid-cache hit is
+   charged less processing time than a cold seller by design. *)
+let same_sig a b = Analysis.Sig.equal (Analysis.Sig.of_ast a) (Analysis.Sig.of_ast b)
+
+let test_memo_respond ?pool () =
+  let hits = ref 0 in
+  List.iter
+    (fun (name, fed, templates) ->
+      let schema = fed.Federation.schema in
+      let config = { (Seller.default_config params) with Seller.pool } in
+      let groups = with_proposals fed templates in
+      List.iter
+        (fun (node : Node.t) ->
+          List.iteri
+            (fun i _ ->
+              let query = List.nth templates i in
+              let cache = Seller.cache_create () in
+              List.iteri
+                (fun j other ->
+                  if j <> i then
+                    ignore
+                      (Seller.respond ~cache config schema node
+                         ~requests:
+                           (List.filter_map
+                              (fun q -> if same_sig q query then None else Some (q, 0.))
+                              other)))
+                groups;
+              let respond ?cache () =
+                Seller.respond ?cache config schema node ~requests:[ (query, 0.) ]
+              in
+              let cached = respond ~cache () and fresh = respond () in
+              if not (marshal_equal cached fresh) then
+                Alcotest.failf "%s: node %d: %s: response differs through the memo" name
+                  node.node_id (Analysis.to_string query);
+              hits := !hits + (Seller.subplan_stats cache).Seller.hits)
+            groups)
+        (first_nodes 3 fed))
+    (Lazy.force cases);
+  Alcotest.(check bool) "the sub-plan memo was hit" true (!hits > 0)
+
+let with_pool f () =
+  let pool = Pool.create ~domains:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f ?pool:(Some pool) ())
+
+(* Hand-made inputs over the chain schema: three relations joined on their
+   keys, every alias a full 600-row scan. *)
+let chain_fed = lazy (Helpers.chain_federation ~relations:3 ())
+
+let chain_inputs ?(key_ranges = []) sql =
+  let fed = Lazy.force chain_fed in
+  let q = Helpers.parse sql in
+  let base_rows = List.map (fun a -> (a, 600.)) (Analysis.aliases q) in
+  let env = Estimate.env_of_fragments ~key_ranges fed.Federation.schema q base_rows in
+  let base alias =
+    Option.map
+      (fun rel ->
+        Plan.Scan
+          {
+            Plan.alias;
+            rel;
+            range = Interval.full;
+            scan_rows = 600.;
+            row_bytes = 40;
+            node = 0;
+          })
+      (Analysis.relation_of_alias q alias)
+  in
+  (env, base, q)
+
+let chain_sql =
+  "SELECT a.val, c.val FROM r0 a, r1 b, r2 c WHERE a.id = b.id AND b.id = c.id"
+
+(* Pairs of runs that share every alias name and scan but differ in one key
+   part: the second run of each pair, through a memo the first one filled,
+   must give a fresh run's result. *)
+let test_memo_key_parts () =
+  let narrowed =
+    List.map (fun a -> (a, ("id", Interval.make 0 99))) [ "a"; "b"; "c" ]
+  in
+  let pair_sql where = "SELECT a.val FROM r0 a, r1 b WHERE " ^ where in
+  let pairs =
+    [
+      ( "selectivity",
+        (chain_inputs chain_sql, 1.),
+        (chain_inputs ~key_ranges:narrowed chain_sql, 1.) );
+      ( "WHERE order",
+        (chain_inputs (pair_sql "a.id = b.id AND a.tag = b.tag"), 1.),
+        (chain_inputs (pair_sql "a.tag = b.tag AND a.id = b.id"), 1.) );
+      ("cpu factor", (chain_inputs chain_sql, 1.), (chain_inputs chain_sql, 4.));
+    ]
+  in
+  List.iter
+    (fun (part, (first, cpu1), (second, cpu2)) ->
+      let run ?memo ((env, base, q), cpu_factor) =
+        Dp.optimize ~params ~cpu_factor ?memo ~env ~base q
+      in
+      let memo = Dp.memo_create ~max_entries:64 in
+      ignore (run ~memo:(memo, 0) (first, cpu1));
+      let fresh = run (second, cpu2) in
+      if marshal_equal (run (first, cpu1)) fresh then
+        Alcotest.failf "%s: the two runs do not differ" part;
+      if not (marshal_equal (run ~memo:(memo, 0) (second, cpu2)) fresh) then
+        Alcotest.failf "%s: the memo answered a run differing in it" part)
+    pairs
+
+(* A change of params or of the catalog stamp misses every subset. *)
+let test_memo_invalidation () =
+  let input = chain_inputs chain_sql in
+  let run ?memo ~params (env, base, q) = Dp.optimize ~params ?memo ~env ~base q in
+  let memo = Dp.memo_create ~max_entries:64 in
+  ignore (run ~memo:(memo, 1) ~params input);
+  let hits () = (Dp.memo_stats memo).Lru.hits in
+  ignore (run ~memo:(memo, 1) ~params input);
+  Alcotest.(check bool) "same stamp hits" true (hits () > 0);
+  let before = hits () in
+  let lan = Qt_cost.Params.lan in
+  if not (marshal_equal (run ~memo:(memo, 1) ~params:lan input) (run ~params:lan input))
+  then Alcotest.fail "params change: differs from a fresh run";
+  Alcotest.(check int) "params change misses" before (hits ());
+  ignore (run ~memo:(memo, 2) ~params input);
+  Alcotest.(check int) "catalog change misses" before (hits ());
+  (* Through a seller: a new view changes the node's catalog fingerprint
+     but no DP key, so only the stamp can make the memo miss. *)
+  let fed = Lazy.force chain_fed in
+  let schema = fed.Federation.schema in
+  let node = List.hd fed.Federation.nodes in
+  let query = Helpers.parse chain_sql in
+  let config = Seller.default_config params in
+  let respond cache node =
+    ignore (Seller.respond ~cache config schema node ~requests:[ (query, 0.) ])
+  in
+  let cache = Seller.cache_create () in
+  respond cache node;
+  let cold = Seller.subplan_stats cache in
+  let view =
+    Qt_catalog.View.make ~row_bytes:8 ~name:"v_extra"
+      ~definition:(Helpers.parse "SELECT a.val FROM r0 a") ~rows:10 ()
+  in
+  respond cache { node with Node.views = view :: node.Node.views };
+  Alcotest.(check int) "catalog change: no hit beyond a cold seller's"
+    (2 * cold.Seller.hits) (Seller.subplan_stats cache).Seller.hits
+
 let suite =
   ( "derived",
     [
@@ -326,4 +605,12 @@ let suite =
       quick "required ranges = required range" test_required_ranges;
       quick "rows table = subset rows" test_rows_table;
       quick "enrich = equal_semantic dedup" test_enrich_dedup;
+      quick "mask-built restriction = restrict" test_restrictor;
+      quick "dp through a warmed memo = fresh" (fun () -> test_memo_dp ());
+      quick "dp through a warmed memo = fresh, 2 domains" (with_pool test_memo_dp);
+      quick "respond through a warmed memo = fresh" (fun () -> test_memo_respond ());
+      quick "respond through a warmed memo = fresh, 2 domains"
+        (with_pool test_memo_respond);
+      quick "memo key parts: selectivity, WHERE order, cpu factor" test_memo_key_parts;
+      quick "params or catalog change misses the memo" test_memo_invalidation;
     ] )
