@@ -97,16 +97,16 @@ let subset_requests (q : Ast.t) offers =
     List.map (Analysis.restrict q) missing
   end
 
-let proposals ~schema ~query ~offers =
-  let ranges = Localize.required_ranges schema query in
+let proposals ~schema ~ranges ~query ~offers =
   aggregation_pieces schema ranges query offers
   @ redundancy_restrictions schema ranges query offers
   @ subset_requests query offers
 
 (* Deduplicated by [Analysis.equal_semantic], with each proposal
-   normalized once rather than once per comparison. *)
-let enrich ~schema ~query ~offers =
-  proposals ~schema ~query ~offers
+   normalized once rather than once per comparison; the survivors are
+   signed from that same normal form. *)
+let enrich ~schema ~ranges ~query ~offers =
+  proposals ~schema ~ranges ~query ~offers
   |> List.map (fun p -> (Analysis.normalize p, p))
   |> Listx.dedup (fun (a, _) (b, _) -> Ast.equal a b)
-  |> List.map snd
+  |> List.map (fun (n, p) -> (p, Analysis.Sig.of_normal n))

@@ -19,18 +19,22 @@
 
 val proposals :
   schema:Qt_catalog.Schema.t ->
+  ranges:Qt_rewrite.Localize.ranges ->
   query:Qt_sql.Ast.t ->
   offers:Offer.t list ->
   Qt_sql.Ast.t list
 (** Every query of the three families, in family order, before
-    deduplication. *)
+    deduplication.  [ranges] is [Localize.required_ranges schema query]. *)
 
 val enrich :
   schema:Qt_catalog.Schema.t ->
+  ranges:Qt_rewrite.Localize.ranges ->
   query:Qt_sql.Ast.t ->
   offers:Offer.t list ->
-  Qt_sql.Ast.t list
-(** New candidate queries: {!proposals} keeping the first of each class
-    under {!Qt_sql.Analysis.equal_semantic}, in order (not yet
-    deduplicated against previously asked ones — the buyer loop does that
-    by signature). *)
+  (Qt_sql.Ast.t * Qt_sql.Analysis.Sig.t) list
+(** New candidate queries with their signatures: {!proposals} keeping the
+    first of each class under {!Qt_sql.Analysis.equal_semantic}, in order
+    (not yet deduplicated against previously asked ones — the buyer loop
+    does that by signature).  Each signature is interned from the normal
+    form the dedup computed, and equals [Analysis.Sig.of_ast] of its
+    query. *)

@@ -34,32 +34,168 @@ let rollup_items (q : Ast.t) =
   else Some q.select
 
 (* ------------------------------------------------------------------ *)
+(* Per-trade query facts                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A block is stored with its [(local, remote)] cost pair and total:
+   enumeration compares and prunes blocks many times, and a join of two
+   blocks is costed from their pairs without re-walking either. *)
+type block = Plan.t * (Cost.t * Cost.t) * Cost.t
+
+(* How an offer can participate in a disjoint UNION ALL.
+
+   A piece restricts one or more aliases to key sub-ranges.  When several
+   are restricted, their partition keys must be transitively linked by
+   equality join predicates (co-partitioned join): every delivered join
+   row then has its key inside the {e intersection} of the restricted
+   coverages, so that intersection is the piece's tile.  A set of pieces
+   with the same restricted-alias group whose tiles disjointly cover the
+   intersection of those aliases' required ranges reconstructs the
+   unrestricted result exactly. *)
+type piece = {
+  restricted : int;  (* mask of the aliases restricted below the query's range *)
+  common : Interval.t;  (* the piece's tile *)
+  target : Interval.t;  (* what its group's tiles must cover *)
+}
+
+(* Everything the generator reads of one offer, derived once per trade. *)
+type facts = {
+  offer : Offer.t;
+  agg_shaped : bool;
+      (* answer already shaped like the full query result (aggregation
+         computed at the seller) *)
+  mask : int option;  (* alias subset; [None] when it names a foreign alias *)
+  final : bool;  (* an agg-shaped answer to the whole query *)
+  full : block option;  (* the offer alone, when it fully covers its subset *)
+  piece : piece option;
+}
+
+type state = {
+  query : Ast.t;
+  schema : Schema.t;
+  params : Qt_cost.Params.t;
+  weights : Offer.weights;
+  aliases : string list;  (* FROM order *)
+  ctx : Bitset.ctx;
+  full_subset : string list;  (* sorted *)
+  ranges : Localize.ranges;
+  key_adj : int array;
+      (* alias -> aliases whose partition key it equals in a WHERE
+         conjunct: the co-partitioning relation of union pieces *)
+  key_ranges : (string * (string * Interval.t)) list;
+  schema_rows : float list;  (* per alias, FROM order: rows without a block *)
+  agg_query : bool;
+  select_set : Ast.select_item list;
+  group_by_set : Ast.attr list;
+  conn_preds : (Ast.predicate * int) list;
+  adj : int array;
+  from_bits : int list;
+  rollup_rows : float Lazy.t;  (* output rows every two-phase axis rolls up to *)
+  mutable classified : facts list;  (* the last pool, classified in order *)
+}
+
+let partition_key_attr schema (q : Ast.t) alias =
+  Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
+      Option.bind (Schema.find_relation schema rel_name) (fun rel ->
+          Option.map
+            (fun key -> { Ast.rel = alias; name = key })
+            rel.Schema.partition_key))
+
+(* Join predicates fully interned in [ctx], with their alias masks, in
+   WHERE order — the bitset equivalent of the legacy [connecting]
+   membership scans (a predicate referencing an alias outside the
+   universe can never be fully covered, so it is excluded up front). *)
+let connecting_preds ctx (q : Ast.t) =
+  List.filter_map
+    (fun p ->
+      let als = Analysis.predicate_aliases p in
+      if List.length als > 1 then
+        let rec mask_of acc = function
+          | [] -> Some acc
+          | a :: rest -> (
+            match Bitset.bit_opt ctx a with
+            | Some b -> mask_of (acc lor b) rest
+            | None -> None)
+        in
+        Option.map (fun m -> (p, m)) (mask_of 0 als)
+      else None)
+    q.Ast.where
+
+let create ~params ~weights ~schema (q : Ast.t) =
+  let aliases = Analysis.aliases q in
+  let ctx = Bitset.make aliases in
+  let ranges = Localize.required_ranges schema q in
+  let keys = List.map (fun a -> (a, partition_key_attr schema q a)) aliases in
+  (* An edge joins two aliases when a conjunct equates their partition
+     keys, in either order. *)
+  let key_alias (x : Ast.attr) =
+    match List.assoc_opt x.Ast.rel keys with
+    | Some (Some key) when Ast.equal_attr key x -> Some x.Ast.rel
+    | Some _ | None -> None
+  in
+  let key_edges =
+    List.filter_map
+      (function
+        | Ast.Cmp (Ast.Eq, Ast.Col x, Ast.Col y) -> (
+          match (key_alias x, key_alias y) with
+          | Some a, Some b -> Some [ a; b ]
+          | None, _ | _, None -> None)
+        | Ast.Cmp _ | Ast.Between _ -> None)
+      q.Ast.where
+  in
+  let sort_items = List.sort_uniq Ast.compare_select_item in
+  let sort_attrs = List.sort_uniq Ast.compare_attr in
+  {
+    query = q;
+    schema;
+    params;
+    weights;
+    aliases;
+    ctx;
+    full_subset = List.sort String.compare aliases;
+    ranges;
+    key_adj = Bitset.adjacency ctx key_edges;
+    key_ranges =
+      List.filter_map
+        (fun (alias, key) ->
+          Option.map
+            (fun (key : Ast.attr) ->
+              (alias, (key.Ast.name, Localize.range_of ranges alias)))
+            key)
+        keys;
+    schema_rows =
+      List.map
+        (fun alias ->
+          match Analysis.relation_of_alias q alias with
+          | Some rel -> (
+            match Schema.find_relation schema rel with
+            | Some r -> float_of_int r.cardinality
+            | None -> 1000.)
+          | None -> 1000.)
+        aliases;
+    agg_query = Analysis.has_aggregate q || q.group_by <> [];
+    select_set = sort_items q.select;
+    group_by_set = sort_attrs q.group_by;
+    conn_preds = connecting_preds ctx q;
+    adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.Ast.where);
+    from_bits = List.map (Bitset.bit ctx) aliases;
+    rollup_rows = lazy (Estimate.output_rows (Estimate.env_of_schema schema q) q);
+    classified = [];
+  }
+
+let required_ranges st = st.ranges
+
+let keys_connected st aliases =
+  Bitset.connected st.key_adj (Bitset.of_list st.ctx aliases)
+
+(* ------------------------------------------------------------------ *)
 (* Offer classification                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let set_equal_items a b =
-  let sa = List.sort_uniq Ast.compare_select_item a
-  and sb = List.sort_uniq Ast.compare_select_item b in
-  List.length sa = List.length sb && List.for_all2 Ast.equal_select_item sa sb
-
-let set_equal_attrs a b =
-  let sa = List.sort_uniq Ast.compare_attr a and sb = List.sort_uniq Ast.compare_attr b in
-  List.length sa = List.length sb && List.for_all2 Ast.equal_attr sa sb
-
-(* Offers whose answer is already shaped like the full query result
-   (aggregation computed at the seller). *)
-let is_agg_shaped (q : Ast.t) (o : Offer.t) =
-  (Analysis.has_aggregate q || q.group_by <> [])
-  && set_equal_items o.answers.Ast.select q.select
-  && set_equal_attrs o.answers.Ast.group_by q.group_by
-
-let covers_fully ranges (o : Offer.t) subset =
-  List.for_all
-    (fun alias ->
-      match List.assoc_opt alias o.coverage with
-      | None -> false
-      | Some covered -> Interval.contains covered (Localize.range_of ranges alias))
-    subset
+let set_equal compare sorted xs =
+  let xs = List.sort_uniq compare xs in
+  List.length xs = List.length sorted
+  && List.for_all2 (fun a b -> compare a b = 0) xs sorted
 
 let remote_of_offer weights (o : Offer.t) =
   Plan.Remote
@@ -72,6 +208,83 @@ let remote_of_offer weights (o : Offer.t) =
       rename = o.rename;
       imports = o.imports;
     }
+
+(* Aliases an offer restricts below the query's requirement. *)
+let restricted_aliases ranges (o : Offer.t) =
+  List.filter
+    (fun alias ->
+      match List.assoc_opt alias o.coverage with
+      | None -> true
+      | Some covered -> not (Interval.contains covered (Localize.range_of ranges alias)))
+    o.subset
+
+let piece_of st restricted (o : Offer.t) =
+  let mask = Bitset.of_list st.ctx restricted in
+  if not (Bitset.connected st.key_adj mask) then None
+  else
+    let common =
+      List.fold_left
+        (fun acc alias ->
+          match List.assoc_opt alias o.coverage with
+          | Some r -> Interval.inter acc r
+          | None -> Interval.empty)
+        Interval.full restricted
+    in
+    if Interval.is_empty common then None
+    else
+      let target =
+        List.fold_left
+          (fun acc alias -> Interval.inter acc (Localize.range_of st.ranges alias))
+          Interval.full restricted
+      in
+      Some { restricted = mask; common; target }
+
+let classify st (o : Offer.t) =
+  let agg_shaped =
+    st.agg_query
+    && set_equal Ast.compare_select_item st.select_set o.answers.Ast.select
+    && set_equal Ast.compare_attr st.group_by_set o.answers.Ast.group_by
+  in
+  let mask =
+    List.fold_left
+      (fun acc a ->
+        match (acc, Bitset.bit_opt st.ctx a) with
+        | Some m, Some b -> Some (m lor b)
+        | _ -> None)
+      (Some 0) o.subset
+  in
+  let facts =
+    { offer = o; agg_shaped; mask; final = false; full = None; piece = None }
+  in
+  (* An offer naming a foreign alias is neither a final answer nor a
+     block the enumeration could join. *)
+  match mask with
+  | None -> facts
+  | Some _ -> (
+    match restricted_aliases st.ranges o with
+    | [] ->
+      let plan = remote_of_offer st.weights o in
+      let pair = Plan.cost_parts st.params plan in
+      {
+        facts with
+        final = agg_shaped && o.subset = st.full_subset;
+        full = Some (plan, pair, Plan.total pair);
+      }
+    | restricted -> { facts with piece = piece_of st restricted o })
+
+(* The pool only grows within a trade, so the longest prefix of offers
+   physically equal to the last pool's keeps its facts; only the tail is
+   classified.  A crash-filtered pool keeps the prefix before its first
+   dropped offer. *)
+let classify_pool st offers =
+  let rec go acc old offers =
+    match (old, offers) with
+    | f :: old, o :: offers when f.offer == o -> go (f :: acc) old offers
+    | _, offers -> List.rev_append acc (List.map (classify st) offers)
+  in
+  let facts = go [] st.classified offers in
+  st.classified <- facts;
+  facts
 
 (* ------------------------------------------------------------------ *)
 (* Union tiling                                                         *)
@@ -108,236 +321,119 @@ let tile weights ~required pieces =
   in
   Option.map snd (solve required.Interval.lo)
 
-(* Aliases an offer restricts below the query's requirement. *)
-let restricted_aliases ranges (o : Offer.t) =
-  List.filter
-    (fun alias ->
-      match List.assoc_opt alias o.coverage with
-      | None -> true
-      | Some covered -> not (Interval.contains covered (Localize.range_of ranges alias)))
-    o.subset
+(* The offers of one restricted-alias group whose tiles disjointly cover
+   the group's target most cheaply — when that takes several pieces. *)
+let union_winners weights group =
+  match group with
+  | [] -> None
+  | (_, first) :: _ ->
+    if Interval.equal first.target Interval.full then None
+    else
+      match
+        tile weights ~required:first.target
+          (List.map (fun (f, p) -> (f.offer, p.common)) group)
+      with
+      | Some (_ :: _ :: _ as winners) -> Some winners
+      | Some _ | None -> None
 
-let partition_key_attr schema (q : Ast.t) alias =
-  Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
-      Option.bind (Schema.find_relation schema rel_name) (fun rel ->
-          Option.map
-            (fun key -> { Ast.rel = alias; name = key })
-            rel.Schema.partition_key))
+let union_of weights winners =
+  let inputs = List.map (remote_of_offer weights) winners in
+  let rows = Listx.sum_by (fun (o : Offer.t) -> o.props.rows) winners in
+  Plan.Union { inputs; rows }
 
-(* A UNION ALL over offers restricting {e several} aliases is only correct
-   when the restricted aliases' partition keys are transitively connected
-   by equality join predicates (co-partitioned join): then every joined
-   row lands in exactly one piece.  Check that connectivity. *)
-let keys_eq_connected schema (q : Ast.t) restricted =
-  match restricted with
-  | [] | [ _ ] -> true
-  | seed :: _ ->
-    let key_of alias = partition_key_attr schema q alias in
-    let edge a b =
-      match (key_of a, key_of b) with
-      | Some ka, Some kb ->
-        List.exists
-          (fun p ->
-            match p with
-            | Ast.Cmp (Ast.Eq, Ast.Col x, Ast.Col y) ->
-              (Ast.equal_attr x ka && Ast.equal_attr y kb)
-              || (Ast.equal_attr x kb && Ast.equal_attr y ka)
-            | Ast.Cmp _ | Ast.Between _ -> false)
-          q.Ast.where
-      | None, _ | _, None -> false
-    in
-    let rec bfs visited frontier =
-      match frontier with
-      | [] -> visited
-      | x :: rest ->
-        if List.mem x visited then bfs visited rest
-        else
-          bfs (x :: visited)
-            (List.filter (fun y -> edge x y && not (List.mem y visited)) restricted
-            @ rest)
-    in
-    let reached = bfs [] [ seed ] in
-    List.for_all (fun a -> List.mem a reached) restricted
-
-(* How an offer can participate in a disjoint UNION ALL, if at all.
-
-   A piece restricts one or more aliases to key sub-ranges.  When several
-   are restricted, their partition keys must be transitively linked by
-   equality join predicates (co-partitioned join): every delivered join
-   row then has its key inside the {e intersection} of the restricted
-   coverages, so that intersection is the piece's tile.  A set of pieces
-   with the same restricted-alias group whose tiles disjointly cover the
-   intersection of those aliases' required ranges reconstructs the
-   unrestricted result exactly. *)
-let piece_info schema q ranges subset (o : Offer.t) =
-  if List.sort String.compare o.subset <> List.sort String.compare subset then None
-  else
-    match restricted_aliases ranges o with
-    | [] -> None (* complete offer: a single block, not a union piece *)
-    | restricted ->
-      if not (keys_eq_connected schema q restricted) then None
-      else begin
-        let common =
-          List.fold_left
-            (fun acc alias ->
-              match List.assoc_opt alias o.coverage with
-              | Some r -> Interval.inter acc r
-              | None -> Interval.empty)
-            Interval.full restricted
-        in
-        if Interval.is_empty common then None
-        else
-          let target =
-            List.fold_left
-              (fun acc alias -> Interval.inter acc (Localize.range_of ranges alias))
-              Interval.full restricted
-          in
-          let group_key = String.concat "," (List.sort String.compare restricted) in
-          Some (group_key, common, target)
-      end
-
-(* Union blocks for a subset: group usable pieces by their restricted-alias
-   set and tile the group's target range with disjoint pieces. *)
-let union_blocks weights schema q ranges subset offers =
-  let pieces =
-    List.filter_map
-      (fun o ->
-        Option.map (fun (g, c, t) -> (o, g, c, t)) (piece_info schema q ranges subset o))
-      offers
-  in
-  let by_group = Listx.group_by (fun (_, g, _, _) -> g) pieces in
-  List.filter_map
-    (fun ((_ : string), group) ->
-      match group with
-      | [] -> None
-      | (_, _, _, target) :: _ ->
-        if Interval.equal target Interval.full then None
-        else
-          let tiles = List.map (fun (o, _, common, _) -> (o, common)) group in
-          (match tile weights ~required:target tiles with
-          | Some winners when List.length winners > 1 ->
-            let inputs = List.map (remote_of_offer weights) winners in
-            let rows = Listx.sum_by (fun (o : Offer.t) -> o.props.rows) winners in
-            Some (Plan.Union { inputs; rows })
-          | Some _ | None -> None))
-    by_group
+let pieces_of facts =
+  List.filter_map (fun f -> Option.map (fun p -> (f, p)) f.piece) facts
 
 (* ------------------------------------------------------------------ *)
 (* Candidate generation                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let key subset = String.concat "|" (List.sort String.compare subset)
-
-(* Join predicates fully interned in [ctx], with their alias masks, in
-   WHERE order — the bitset equivalent of the legacy [connecting]
-   membership scans (a predicate referencing an alias outside the
-   universe can never be fully covered, so it is excluded up front). *)
-let connecting_preds ctx (q : Ast.t) =
-  List.filter_map
-    (fun p ->
-      let als = Analysis.predicate_aliases p in
-      if List.length als > 1 then
-        let rec mask_of acc = function
-          | [] -> Some acc
-          | a :: rest -> (
-            match Bitset.bit_opt ctx a with
-            | Some b -> mask_of (acc lor b) rest
-            | None -> None)
-        in
-        Option.map (fun m -> (p, m)) (mask_of 0 als)
-      else None)
-    q.Ast.where
 
 let maybe_sort (q : Ast.t) plan =
   if q.order_by = [] || Plan.satisfies_order plan q.order_by then plan
   else Plan.Sort { input = plan; keys = q.order_by; rows = Plan.rows plan }
 
 let singleton_blocks ~params ~weights ~schema ~offers (q : Ast.t) =
-  let ranges = Localize.required_ranges schema q in
+  let st = create ~params ~weights ~schema q in
   let singles =
     List.filter
-      (fun (o : Offer.t) ->
-        List.length o.subset = 1 && not (Analysis.has_aggregate o.query))
-      offers
+      (fun f ->
+        List.length f.offer.Offer.subset = 1
+        && not (Analysis.has_aggregate f.offer.Offer.query))
+      (classify_pool st offers)
   in
   List.filter_map
     (fun alias ->
-      let mine = List.filter (fun (o : Offer.t) -> o.subset = [ alias ]) singles in
+      let bit = Some (Bitset.bit st.ctx alias) in
+      let mine = List.filter (fun f -> f.mask = bit) singles in
       let full =
         List.filter_map
-          (fun (o : Offer.t) ->
-            if covers_fully ranges o [ alias ] then Some (remote_of_offer weights o)
-            else None)
+          (fun f -> Option.map (fun (plan, _, cost) -> (plan, cost)) f.full)
           mine
       in
-      let unions = union_blocks weights schema q ranges [ alias ] mine in
+      let unions =
+        List.filter_map
+          (fun (_, group) ->
+            Option.map
+              (fun winners ->
+                let plan = union_of weights winners in
+                (plan, Plan.cost params plan))
+              (union_winners weights group))
+          (Listx.group_by (fun (_, p) -> p.restricted) (pieces_of mine))
+      in
       Option.map
-        (fun plan -> (alias, plan))
-        (Listx.min_by (fun p -> Cost.response (Plan.cost params p)) (full @ unions)))
-    (Analysis.aliases q)
+        (fun (plan, _) -> (alias, plan))
+        (Listx.min_by (fun (_, c) -> Cost.response c) (full @ unions)))
+    st.aliases
 
-let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
-  let aliases = Analysis.aliases q in
-  let n = List.length aliases in
-  let ctx = Bitset.make aliases in
-  let abit a = Bitset.bit ctx a in
-  let agg_shaped, spj_offers = List.partition (is_agg_shaped q) offers in
-  (* Coverage checks, union tiling and estimation all read the query's
-     key ranges; derive them once. *)
-  let ranges = Localize.required_ranges schema q in
-  (* --- direct final answers -------------------------------------- *)
-  let full_subset = List.sort String.compare aliases in
-  let final_answers =
-    List.filter
-      (fun (o : Offer.t) ->
-        o.subset = full_subset && covers_fully ranges o full_subset)
-      agg_shaped
+let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
+  let st =
+    match state with
+    | None -> create ~params ~weights ~schema q
+    | Some st ->
+      if
+        st.query == q && st.schema == schema && st.params == params
+        && st.weights == weights
+      then st
+      else invalid_arg "Plan_generator.generate: state made for another query"
   in
+  let aliases = st.aliases in
+  let n = List.length aliases in
+  let ctx = st.ctx in
+  let abit a = Bitset.bit ctx a in
+  let facts = classify_pool st offers in
+  (* --- direct final answers -------------------------------------- *)
   let final_candidates =
-    List.map
-      (fun (o : Offer.t) ->
-        let plan =
-          let leaf = remote_of_offer weights o in
-          if o.answers.Ast.order_by = q.order_by then leaf else maybe_sort q leaf
-        in
-        {
-          plan;
-          cost = Plan.cost params plan;
-          description = Printf.sprintf "final-answer@node%d" o.seller;
-        })
-      final_answers
+    List.filter_map
+      (fun f ->
+        match f.full with
+        | Some (leaf, _, total) when f.final ->
+          let o = f.offer in
+          let plan =
+            if o.answers.Ast.order_by = q.order_by then leaf else maybe_sort q leaf
+          in
+          Some
+            {
+              plan;
+              cost = (if plan == leaf then total else Plan.cost params plan);
+              description = Printf.sprintf "final-answer@node%d" o.seller;
+            }
+        | Some _ | None -> None)
+      facts
   in
   (* --- two-phase aggregation ------------------------------------- *)
   let two_phase_candidates =
     match rollup_items q with
     | None -> []
     | Some _ ->
-      (* Every axis rolls up to the same output rows. *)
-      let out_rows = lazy (Estimate.output_rows (Estimate.env_of_schema schema q) q) in
+      let full_mask = Some (Bitset.full ctx) in
       let pieces =
-        List.filter_map
-          (fun (o : Offer.t) ->
-            Option.map
-              (fun (g, c, t) -> (o, g, c, t))
-              (piece_info schema q ranges full_subset o))
-          agg_shaped
+        pieces_of
+          (List.filter (fun f -> f.agg_shaped && f.mask = full_mask) facts)
       in
-      let by_axis = Listx.group_by (fun (_, g, _, _) -> g) pieces in
       List.filter_map
-        (fun (x, group) ->
-          match group with
-          | [] -> None
-          | (_, _, _, required) :: _ ->
-          if Interval.equal required Interval.full then None
-          else begin
-            let tiles = List.map (fun (o, _, c, _) -> (o, c)) group in
-            match tile weights ~required tiles with
-            | Some winners when List.length winners > 1 ->
-              let inputs = List.map (remote_of_offer weights) winners in
-              let union_rows =
-                Listx.sum_by (fun (o : Offer.t) -> o.props.rows) winners
-              in
-              let union = Plan.Union { inputs; rows = union_rows } in
+        (fun (axis, group) ->
+          Option.map
+            (fun winners ->
               let roll_select =
                 List.map
                   (fun item ->
@@ -357,103 +453,72 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool (q : Ast.t) =
               let rolled =
                 Plan.Aggregate
                   {
-                    input = union;
+                    input = union_of weights winners;
                     group_by = q.group_by;
                     select = roll_select;
-                    rows = Lazy.force out_rows;
+                    rows = Lazy.force st.rollup_rows;
                   }
               in
               let plan = maybe_sort q rolled in
-              Some
-                {
-                  plan;
-                  cost = Plan.cost params plan;
-                  description =
-                    Printf.sprintf "two-phase-aggregate(%d pieces on %s)"
-                      (List.length winners) x;
-                }
-            | Some _ | None -> None
-          end)
-        by_axis
+              {
+                plan;
+                cost = Plan.cost params plan;
+                description =
+                  Printf.sprintf "two-phase-aggregate(%d pieces on %s)"
+                    (List.length winners)
+                    (String.concat "," (Bitset.to_list ctx axis));
+              })
+            (union_winners weights group))
+        (Listx.group_by (fun (_, p) -> p.restricted) pieces)
   in
   (* --- SPJ block table + join enumeration ------------------------- *)
-  let by_subset =
-    Listx.group_by (fun (o : Offer.t) -> key o.subset) spj_offers
-  in
-  (* Each block is stored with its [(local, remote)] cost pair and total:
-     enumeration compares and prunes blocks many times, and a join of two
-     blocks is costed from their pairs without re-walking either.  Keys
-     are alias bitsets over the query's own universe; offer subsets
+  (* Keys are alias bitsets over the query's own universe; offer subsets
      mentioning a foreign alias could never be joined into the
-     enumeration anyway and are skipped. *)
-  let block_table : (Plan.t * (Cost.t * Cost.t) * Cost.t) Bitset.table =
-    Bitset.table_create ctx
-  in
-  let mask_of subset =
-    List.fold_left
-      (fun acc a ->
-        match (acc, Bitset.bit_opt ctx a) with
-        | Some m, Some b -> Some (m lor b)
-        | _ -> None)
-      (Some 0) subset
-  in
-  let consider subset plan =
-    match mask_of subset with
-    | None -> ()
-    | Some m -> (
-      let pair = Plan.cost_parts params plan in
-      let cost = Plan.total pair in
-      match Bitset.table_get block_table m with
-      | Some (_, _, existing) when Cost.compare existing cost <= 0 -> ()
-      | Some _ | None -> Bitset.table_set block_table m (plan, pair, cost))
+     enumeration anyway and are skipped.  Per subset, single fully
+     covering offers compete first, in pool order, then unions in
+     first-appearance order of their restricted-alias group; the first of
+     equal-cost blocks wins. *)
+  let spj = List.filter (fun f -> (not f.agg_shaped) && f.mask <> None) facts in
+  let block_table : block Bitset.table = Bitset.table_create ctx in
+  let consider m ((_, _, cost) as block) =
+    match Bitset.table_get block_table m with
+    | Some (_, _, existing) when Cost.compare existing cost <= 0 -> ()
+    | Some _ | None -> Bitset.table_set block_table m block
   in
   List.iter
-    (fun (_, group) ->
-      match group with
-      | [] -> ()
-      | (first : Offer.t) :: _ ->
-        let subset = first.subset in
-        (* Blocks from single fully-covering offers. *)
-        List.iter
-          (fun (o : Offer.t) ->
-            if covers_fully ranges o subset then
-              consider subset (remote_of_offer weights o))
-          group;
-        (* Blocks from partition-disjoint unions. *)
-        List.iter (consider subset) (union_blocks weights schema q ranges subset group))
-    by_subset;
+    (fun f ->
+      match (f.mask, f.full) with
+      | Some m, Some block -> consider m block
+      | _, _ -> ())
+    spj;
+  List.iter
+    (fun ((m, _), group) ->
+      match union_winners weights group with
+      | Some winners ->
+        let plan = union_of weights winners in
+        let pair = Plan.cost_parts params plan in
+        consider m (plan, pair, Plan.total pair)
+      | None -> ())
+    (Listx.group_by
+       (fun (f, p) -> (Option.get f.mask, p.restricted))
+       (pieces_of spj));
   (* Estimation environment for join results: singleton block rows where
      known, schema cardinalities otherwise. *)
   let env =
     let base_rows =
-      List.map
-        (fun alias ->
+      List.map2
+        (fun alias schema_rows ->
           match Bitset.table_get block_table (abit alias) with
           | Some (plan, _, _) -> (alias, Plan.rows plan)
-          | None -> (
-            match Analysis.relation_of_alias q alias with
-            | Some rel -> (
-              match Schema.find_relation schema rel with
-              | Some r -> (alias, float_of_int r.cardinality)
-              | None -> (alias, 1000.))
-            | None -> (alias, 1000.)))
-        aliases
+          | None -> (alias, schema_rows))
+        aliases st.schema_rows
     in
-    let key_ranges =
-      List.filter_map
-        (fun alias ->
-          Option.map
-            (fun (key : Ast.attr) ->
-              (alias, (key.Ast.name, Localize.range_of ranges alias)))
-            (partition_key_attr schema q alias))
-        aliases
-    in
-    Estimate.env_of_fragments ~key_ranges schema q base_rows
+    Estimate.env_of_fragments ~key_ranges:st.key_ranges schema q base_rows
   in
   let prune = match mode with Mode_dp -> None | Mode_idp (k, m) -> Some (k, m) in
-  let conn_preds = connecting_preds ctx q in
-  let adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.Ast.where) in
-  let from_bits = List.map abit aliases in
+  let conn_preds = st.conn_preds in
+  let adj = st.adj in
+  let from_bits = st.from_bits in
   let row_facts = Estimate.rows_table env q (Bitset.to_list ctx (Bitset.full ctx)) in
   (* Best plan for one subset: the pre-built block (one offer or a union)
      competes against every join split of smaller blocks.  Reads only

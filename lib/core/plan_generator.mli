@@ -28,6 +28,33 @@ type candidate = {
   description : string;  (** Human-readable shape, for traces/examples. *)
 }
 
+type state
+(** One trade's facts about its query, derived once: the alias universe,
+    the required key ranges, each alias's partition key and which keys
+    the WHERE clause equates, the sorted select and group-by lists offers
+    are compared against, and the join graph.  It also keeps the facts of
+    every offer of the last pool it saw (its subset mask, whether it is
+    shaped like the final answer, its full-cover block or its union-piece
+    group and tiles): a later pool that extends that one, as each trading
+    round's pool does, is classified only past their longest physically
+    equal ([==]) prefix. *)
+
+val create :
+  params:Qt_cost.Params.t ->
+  weights:Offer.weights ->
+  schema:Qt_catalog.Schema.t ->
+  Qt_sql.Ast.t ->
+  state
+
+val required_ranges : state -> Qt_rewrite.Localize.ranges
+(** [Localize.required_ranges schema q], derived at {!create}. *)
+
+val keys_connected : state -> string list -> bool
+(** Whether the aliases' partition keys are transitively linked by
+    equality conjuncts of the query (true for one alias, false for none):
+    the condition under which offers restricting all of them can be
+    stitched into one disjoint union. *)
+
 val generate :
   params:Qt_cost.Params.t ->
   weights:Offer.weights ->
@@ -35,12 +62,18 @@ val generate :
   schema:Qt_catalog.Schema.t ->
   offers:Offer.t list ->
   ?pool:Qt_optimizer.Pool.t ->
+  ?state:state ->
   Qt_sql.Ast.t ->
   candidate list
 (** Candidate plans for the query, cheapest first; empty when the offer
     pool cannot cover the query (step B8's abort condition).  [pool]
     parallelizes the block join enumeration per DP level; the candidate
-    list is identical to the serial path at any domain count. *)
+    list is identical to the serial path at any domain count.  [state]
+    carries the query's and the offers' facts across the calls of one
+    trade; it must come from {!create} with the same (physically equal)
+    [params], [weights], [schema] and query, or [Invalid_argument] is
+    raised.  Without it a fresh state is made, and the candidate list is
+    the same either way. *)
 
 val singleton_blocks :
   params:Qt_cost.Params.t ->

@@ -354,6 +354,13 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       | Some qs ->
         List.map (fun query -> (query, Analysis.Sig.of_ast query, 0.)) qs)
   in
+  (* The trade's query and offer facts, shared by every plan-generation
+     pass and the predicates analyser; made on the first memo miss. *)
+  let trade_facts =
+    lazy
+      (Plan_generator.create ~params:config.params ~weights:config.weights ~schema
+         q)
+  in
   (* B4: one plan-generation pass over the current offer pool, through
      the memo.  A hit still charges the buyer's CPU time and emits its
      span, so simulated time and traces do not depend on the memo.
@@ -379,7 +386,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
               (match
                  Plan_generator.generate ~params:config.params
                    ~weights:config.weights ~mode:config.mode ~schema ~offers
-                   ?pool:config.pool q
+                   ?pool:config.pool ~state:(Lazy.force trade_facts) q
                with
               | [] -> None
               | c :: _ -> Some c);
@@ -636,9 +643,9 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         | Some p -> p
         | None ->
           let p =
-            List.map
-              (fun query -> (query, Analysis.Sig.of_ast query))
-              (Buyer_analyser.enrich ~schema ~query:q ~offers:!pool)
+            Buyer_analyser.enrich ~schema
+              ~ranges:(Plan_generator.required_ranges (Lazy.force trade_facts))
+              ~query:q ~offers:!pool
           in
           entry.m_proposals <- Some p;
           p

@@ -294,6 +294,7 @@ module Sig = struct
     s
 
   let of_ast q = intern (signature q)
+  let of_normal n = intern (to_string n)
   let id s = s.id
   let to_string s = s.repr
   let equal a b = a.id = b.id

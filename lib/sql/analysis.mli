@@ -109,6 +109,11 @@ module Sig : sig
   val of_ast : Ast.t -> t
   (** [intern (signature q)] — normalize, serialize, intern. *)
 
+  val of_normal : Ast.t -> t
+  (** [intern (to_string n)] for a query already in normal form: equal to
+      {!of_ast} of every query whose {!normalize} is [n], without
+      normalizing again. *)
+
   val intern : string -> t
   (** Intern an already-computed signature string. *)
 

@@ -21,15 +21,25 @@ let dedup equal xs =
   in
   go [] xs
 
+(* One hashtable pass; each group's members accumulate reversed in a
+   ref, and the groups themselves are listed in first-appearance order. *)
 let group_by key xs =
-  let rec insert groups k x =
-    match groups with
-    | [] -> [ (k, [ x ]) ]
-    | (k', members) :: rest ->
-      if k = k' then (k', x :: members) :: rest else (k', members) :: insert rest k x
+  let index = Hashtbl.create 8 in
+  let groups =
+    List.fold_left
+      (fun groups x ->
+        let k = key x in
+        match Hashtbl.find_opt index k with
+        | Some members ->
+          members := x :: !members;
+          groups
+        | None ->
+          let members = ref [ x ] in
+          Hashtbl.add index k members;
+          (k, members) :: groups)
+      [] xs
   in
-  let grouped = List.fold_left (fun groups x -> insert groups (key x) x) [] xs in
-  List.map (fun (k, members) -> (k, List.rev members)) grouped
+  List.rev_map (fun (k, members) -> (k, List.rev !members)) groups
 
 let min_by score = function
   | [] -> None

@@ -12,8 +12,11 @@ val dedup : ('a -> 'a -> bool) -> 'a list -> 'a list
 (** Remove duplicates under the given equality, keeping first occurrences. *)
 
 val group_by : ('a -> 'k) -> 'a list -> ('k * 'a list) list
-(** Group elements by key (polymorphic equality on keys); group order follows
-    first appearance, element order is preserved within groups. *)
+(** Group elements by key in one pass over a hashtable.  Groups are listed
+    in the order their keys first appear, each paired with that first key
+    and holding its members in input order.  Keys are hashed with
+    [Hashtbl.hash] and compared structurally ([compare k k' = 0]), so they
+    must not contain functional values; two NaN floats share a group. *)
 
 val min_by : ('a -> float) -> 'a list -> 'a option
 (** Element minimizing the score, or [None] on the empty list. *)

@@ -255,7 +255,10 @@ let test_singleton_blocks () =
 
 let test_analyser_proposes_agg_pieces () =
   let offers = collect_offers revenue in
-  let proposals = Buyer_analyser.enrich ~schema ~query:revenue ~offers in
+  let ranges = Qt_rewrite.Localize.required_ranges schema revenue in
+  let proposals =
+    List.map fst (Buyer_analyser.enrich ~schema ~ranges ~query:revenue ~offers)
+  in
   Alcotest.(check bool) "proposes queries" true (proposals <> []);
   (* At least one proposal is an aggregate piece restricted to a partition
      range. *)
@@ -278,7 +281,10 @@ let test_analyser_no_pieces_for_avg () =
       "SELECT AVG(il.charge) FROM customer c, invoiceline il WHERE c.custid = il.custid"
   in
   let offers = collect_offers avg in
-  let proposals = Buyer_analyser.enrich ~schema ~query:avg ~offers in
+  let ranges = Qt_rewrite.Localize.required_ranges schema avg in
+  let proposals =
+    List.map fst (Buyer_analyser.enrich ~schema ~ranges ~query:avg ~offers)
+  in
   List.iter
     (fun q ->
       if Analysis.has_aggregate q then Alcotest.fail "AVG piece proposed")

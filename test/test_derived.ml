@@ -1,8 +1,8 @@
 (* The optimizers derive some facts once per call instead of inside their
    inner loops: join costs from the children's cost pairs, every alias's
-   required key range, the rows of every DP subset, and normalized
-   proposals.  Each rewrite must give exactly what the code it replaced
-   gave, to the bit. *)
+   required key range, the rows of every DP subset, normalized proposals,
+   and each offer's classification once per trade.  Each rewrite must give
+   exactly what the code it replaced gave, to the bit. *)
 
 module Ast = Qt_sql.Ast
 module Analysis = Qt_sql.Analysis
@@ -18,6 +18,7 @@ module Federation = Qt_catalog.Federation
 module Offer = Qt_core.Offer
 module Seller = Qt_core.Seller
 module Buyer_analyser = Qt_core.Buyer_analyser
+module Plan_generator = Qt_core.Plan_generator
 module Dp = Qt_optimizer.Dp
 module Pool = Qt_optimizer.Pool
 module Lru = Qt_util.Lru
@@ -319,13 +320,21 @@ let test_enrich_dedup () =
               fed.Federation.nodes
           in
           let offers = offers @ List.map shifted offers in
-          let proposals = Buyer_analyser.proposals ~schema ~query ~offers in
+          let ranges = Localize.required_ranges schema query in
+          let proposals = Buyer_analyser.proposals ~schema ~ranges ~query ~offers in
           let want = Listx.dedup Analysis.equal_semantic proposals in
-          let got = Buyer_analyser.enrich ~schema ~query ~offers in
+          let got = Buyer_analyser.enrich ~schema ~ranges ~query ~offers in
           if List.length want < List.length proposals then incr deduped;
-          if not (List.equal Ast.equal want got) then
+          if not (List.equal Ast.equal want (List.map fst got)) then
             Alcotest.failf "%s: %s: enrich differs from the equal_semantic dedup" name
-              (Analysis.to_string query))
+              (Analysis.to_string query);
+          List.iter
+            (fun (p, s) ->
+              if not (Analysis.Sig.equal s (Analysis.Sig.of_ast p)) then
+                Alcotest.failf "%s: %s: signed %s, want %s" name (Analysis.to_string p)
+                  (Analysis.Sig.to_string s)
+                  (Analysis.Sig.to_string (Analysis.Sig.of_ast p)))
+            got)
         templates)
     (Lazy.force cases);
   Alcotest.(check bool) "some proposal lists had duplicates" true (!deduped > 0)
@@ -408,7 +417,10 @@ let with_proposals fed templates =
               .Seller.offers)
           fed.Federation.nodes
       in
-      query :: Buyer_analyser.proposals ~schema ~query ~offers)
+      query
+      :: Buyer_analyser.proposals ~schema
+           ~ranges:(Localize.required_ranges schema query)
+           ~query ~offers)
     templates
 
 let first_nodes k (fed : Federation.t) = Listx.take k fed.Federation.nodes
@@ -598,6 +610,227 @@ let test_memo_invalidation () =
   Alcotest.(check int) "catalog change: no hit beyond a cold seller's"
     (2 * cold.Seller.hits) (Seller.subplan_stats cache).Seller.hits
 
+(* ------------------------------------------------------------------ *)
+(* Buyer offer facts once per trade                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Listx.group_by] as it was before it became one hashtable pass. *)
+let group_by_quadratic key xs =
+  let rec insert groups k x =
+    match groups with
+    | [] -> [ (k, [ x ]) ]
+    | (k', members) :: rest ->
+      if k = k' then (k', x :: members) :: rest else (k', members) :: insert rest k x
+  in
+  let grouped = List.fold_left (fun groups x -> insert groups (key x) x) [] xs in
+  List.map (fun (k, members) -> (k, List.rev members)) grouped
+
+(* Members carry their input position, so member order is checked too. *)
+let prop_group_by name key_gen =
+  QCheck2.Test.make ~name:("group_by = quadratic grouping, " ^ name) ~count:300
+    QCheck2.Gen.(list_size (int_range 0 40) key_gen)
+    (fun keys ->
+      let xs = List.mapi (fun i k -> (k, i)) keys in
+      Listx.group_by fst xs = group_by_quadratic fst xs)
+
+let prop_group_by_int = prop_group_by "int keys" QCheck2.Gen.(int_range 0 6)
+
+let prop_group_by_strings =
+  prop_group_by "string-list keys"
+    QCheck2.Gen.(list_size (int_range 0 3) (oneofl [ "a"; "b"; "c" ]))
+
+(* The list BFS that decided union-piece key connectivity before masks. *)
+let keys_eq_connected_bfs schema (q : Ast.t) restricted =
+  match restricted with
+  | [] | [ _ ] -> true
+  | seed :: _ ->
+    let key_of alias =
+      Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
+          Option.bind (Qt_catalog.Schema.find_relation schema rel_name) (fun rel ->
+              Option.map
+                (fun key -> { Ast.rel = alias; name = key })
+                rel.Qt_catalog.Schema.partition_key))
+    in
+    let edge a b =
+      match (key_of a, key_of b) with
+      | Some ka, Some kb ->
+        List.exists
+          (fun p ->
+            match p with
+            | Ast.Cmp (Ast.Eq, Ast.Col x, Ast.Col y) ->
+              (Ast.equal_attr x ka && Ast.equal_attr y kb)
+              || (Ast.equal_attr x kb && Ast.equal_attr y ka)
+            | Ast.Cmp _ | Ast.Between _ -> false)
+          q.Ast.where
+      | None, _ | _, None -> false
+    in
+    let rec bfs visited frontier =
+      match frontier with
+      | [] -> visited
+      | x :: rest ->
+        if List.mem x visited then bfs visited rest
+        else
+          bfs (x :: visited)
+            (List.filter (fun y -> edge x y && not (List.mem y visited)) restricted
+            @ rest)
+    in
+    let reached = bfs [] [ seed ] in
+    List.for_all (fun a -> List.mem a reached) restricted
+
+let test_keys_connected () =
+  let linked = ref 0 and split = ref 0 in
+  List.iter
+    (fun (name, fed, templates) ->
+      let schema = fed.Federation.schema in
+      List.iter
+        (fun q ->
+          let st =
+            Plan_generator.create ~params ~weights:Offer.default_weights ~schema q
+          in
+          List.iter
+            (fun subset ->
+              let want = keys_eq_connected_bfs schema q subset in
+              if List.length subset > 1 then if want then incr linked else incr split;
+              if Plan_generator.keys_connected st subset <> want then
+                Alcotest.failf "%s: %s: keys of {%s}: connected %b, want %b" name
+                  (Analysis.to_string q) (String.concat "," subset) (not want) want)
+            (Listx.nonempty_subsets (Analysis.aliases q)))
+        templates)
+    (Lazy.force cases);
+  Alcotest.(check bool) "linked and split key sets both occur" true
+    (!linked > 0 && !split > 0)
+
+(* The pools of one trade: the first round's offers, then the offers for
+   the analyser's proposals appended, then a crash of the first node
+   (which drops the pool's head), then another round appended. *)
+let trade_pools (fed : Federation.t) query =
+  let schema = fed.Federation.schema in
+  let ranges = Localize.required_ranges schema query in
+  let respond queries =
+    List.concat_map
+      (fun node ->
+        (Seller.respond (Seller.default_config params) schema node
+           ~requests:(List.map (fun q -> (q, 0.)) queries))
+          .Seller.offers)
+      fed.Federation.nodes
+  in
+  let next pool =
+    respond (List.map fst (Buyer_analyser.enrich ~schema ~ranges ~query ~offers:pool))
+  in
+  let first = respond [ query ] in
+  let second = first @ next first in
+  let crashed =
+    Offer.surviving ~failed:[ (List.hd fed.Federation.nodes).Node.node_id ] second
+  in
+  [ first; second; crashed; crashed @ next crashed ]
+
+let rec has_union = function
+  | Plan.Union _ -> true
+  | Plan.Filter { input; _ }
+  | Plan.Project { input; _ }
+  | Plan.Sort { input; _ }
+  | Plan.Aggregate { input; _ }
+  | Plan.Distinct { input; _ } ->
+    has_union input
+  | Plan.Join { build; probe; _ } -> has_union build || has_union probe
+  | Plan.Scan _ | Plan.Remote _ -> false
+
+(* One state fed a trade's growing pools gives, at every round, what a
+   stateless call gives on the same pool. *)
+let test_generate_state ?pool () =
+  let unions = ref 0 in
+  List.iter
+    (fun (name, fed, templates) ->
+      let schema = fed.Federation.schema in
+      List.iter
+        (fun query ->
+          let pools = trade_pools fed query in
+          List.iter
+            (fun mode ->
+              let state =
+                Plan_generator.create ~params ~weights:Offer.default_weights ~schema
+                  query
+              in
+              List.iteri
+                (fun round offers ->
+                  let generate ?state () =
+                    Plan_generator.generate ~params ~weights:Offer.default_weights ~mode
+                      ~schema ~offers ?pool ?state query
+                  in
+                  let warm = generate ~state () in
+                  if not (marshal_equal warm (generate ())) then
+                    Alcotest.failf "%s: %s: round %d differs through the state" name
+                      (Analysis.to_string query) (round + 1);
+                  List.iter
+                    (fun (c : Plan_generator.candidate) ->
+                      if has_union c.plan then incr unions)
+                    warm)
+                pools)
+            [ Plan_generator.Mode_dp; Plan_generator.Mode_idp (2, 5) ])
+        templates)
+    (Lazy.force cases);
+  Alcotest.(check bool) "some candidates stitch unions" true (!unions > 0)
+
+(* Union pieces group by the set of aliases they restrict: a piece that
+   restricts [a] alone and one that restricts both co-partitioned aliases
+   tile separately, even when their tiles would fit together. *)
+let test_piece_groups () =
+  let fed = Lazy.force chain_fed in
+  let schema = fed.Federation.schema in
+  let q =
+    Helpers.parse
+      "SELECT a.val, b.val FROM r0 a, r1 b WHERE a.id = b.id AND a.id BETWEEN 0 AND 599"
+  in
+  let s = Analysis.Sig.of_ast q in
+  let half = Interval.make 0 299 and rest = Interval.make 300 599 in
+  let piece seller coverage : Offer.t =
+    {
+      seller;
+      request_sig = s;
+      query = q;
+      query_sig = s;
+      answers = q;
+      subset = [ "a"; "b" ];
+      coverage;
+      props =
+        {
+          Offer.total_time = 1.;
+          first_row_time = 0.1;
+          rows = 300.;
+          row_bytes = 16;
+          freshness = 1.;
+          completeness = 0.5;
+          price = 0.;
+        };
+      quoted = 1.;
+      true_cost = 1.;
+      via_view = None;
+      rename = None;
+      imports = [];
+    }
+  in
+  let a_low = piece 1 [ ("a", half); ("b", Interval.full) ]
+  and both_high = piece 2 [ ("a", rest); ("b", rest) ]
+  and a_high = piece 3 [ ("a", rest); ("b", Interval.full) ] in
+  let generate offers =
+    Plan_generator.generate ~params ~weights:Offer.default_weights
+      ~mode:Plan_generator.Mode_dp ~schema ~offers q
+  in
+  Alcotest.(check int) "no union across restricted sets" 0
+    (List.length (generate [ a_low; both_high ]));
+  let rec union_sellers = function
+    | Plan.Union { inputs; _ } ->
+      List.filter_map
+        (function Plan.Remote r -> Some r.Plan.seller | _ -> None)
+        inputs
+    | Plan.Project { input; _ } | Plan.Sort { input; _ } -> union_sellers input
+    | _ -> []
+  in
+  match generate [ a_low; both_high; a_high ] with
+  | [ c ] ->
+    Alcotest.(check (list int)) "the [a] pieces tile" [ 1; 3 ] (union_sellers c.plan)
+  | cs -> Alcotest.failf "%d candidates, want 1" (List.length cs)
+
 let suite =
   ( "derived",
     [
@@ -613,4 +846,11 @@ let suite =
         (with_pool test_memo_respond);
       quick "memo key parts: selectivity, WHERE order, cpu factor" test_memo_key_parts;
       quick "params or catalog change misses the memo" test_memo_invalidation;
+      QCheck_alcotest.to_alcotest prop_group_by_int;
+      QCheck_alcotest.to_alcotest prop_group_by_strings;
+      quick "key connectivity from masks = bfs" test_keys_connected;
+      quick "generate through one state = stateless" (fun () -> test_generate_state ());
+      quick "generate through one state = stateless, 2 domains"
+        (with_pool test_generate_state);
+      quick "union pieces group by restricted aliases" test_piece_groups;
     ] )
