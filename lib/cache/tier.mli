@@ -21,9 +21,6 @@
 
 type placement = Client | Shared
 
-val placement_name : placement -> string
-(** ["client"] / ["shared"] — the JSON spelling. *)
-
 type config = {
   placement : placement;
   clients : int;  (** Client-side cache instances (ignored for Shared). *)
@@ -63,7 +60,6 @@ val credit : t -> seller:int -> float -> unit
 val revenue : t -> (int * float) list
 (** Per-seller hit revenue, sorted by node id. *)
 
-val revenue_total : t -> float
 val bytes_held : t -> int
 
 type stats = {

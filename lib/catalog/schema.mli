@@ -41,7 +41,6 @@ val create : relation list -> t
 val relations : t -> relation list
 val find_relation : t -> string -> relation option
 val find_relation_exn : t -> string -> relation
-val find_attribute : relation -> string -> attribute option
 val find_attribute_exn : relation -> string -> attribute
 
 val attribute_of : t -> rel:string -> attr:string -> attribute option
@@ -64,5 +63,4 @@ val mk_relation :
   string ->
   relation
 
-val pp_relation : Format.formatter -> relation -> unit
 val pp : Format.formatter -> t -> unit

@@ -5,13 +5,6 @@ module Interval = Qt_util.Interval
 module Listx = Qt_util.Listx
 module Localize = Qt_rewrite.Localize
 
-let partition_attr schema (q : Ast.t) alias =
-  Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
-      Option.bind (Schema.find_relation schema rel_name) (fun rel ->
-          Option.map
-            (fun key -> { Ast.rel = alias; name = key })
-            rel.Schema.partition_key))
-
 (* Distinct coverage ranges observed for an alias across the offer pool,
    clipped to the query's required range. *)
 let observed_ranges ranges offers alias =
@@ -36,7 +29,7 @@ let aggregation_pieces schema ranges (q : Ast.t) offers =
   | Some _ ->
     List.concat_map
       (fun alias ->
-        match partition_attr schema q alias with
+        match Localize.partition_attr schema q alias with
         | None -> []
         | Some attr ->
           List.map
@@ -55,7 +48,7 @@ let redundancy_restrictions schema ranges (q : Ast.t) offers =
     (fun (subset, group) ->
       List.concat_map
         (fun alias ->
-          match partition_attr schema q alias with
+          match Localize.partition_attr schema q alias with
           | None -> []
           | Some attr ->
             let observed = observed_ranges ranges group alias in

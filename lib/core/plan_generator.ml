@@ -94,13 +94,6 @@ type state = {
   mutable classified : facts list;  (* the last pool, classified in order *)
 }
 
-let partition_key_attr schema (q : Ast.t) alias =
-  Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
-      Option.bind (Schema.find_relation schema rel_name) (fun rel ->
-          Option.map
-            (fun key -> { Ast.rel = alias; name = key })
-            rel.Schema.partition_key))
-
 (* Join predicates fully interned in [ctx], with their alias masks, in
    WHERE order — the bitset equivalent of the legacy [connecting]
    membership scans (a predicate referencing an alias outside the
@@ -125,7 +118,7 @@ let create ~params ~weights ~schema (q : Ast.t) =
   let aliases = Analysis.aliases q in
   let ctx = Bitset.make aliases in
   let ranges = Localize.required_ranges schema q in
-  let keys = List.map (fun a -> (a, partition_key_attr schema q a)) aliases in
+  let keys = List.map (fun a -> (a, Localize.partition_attr schema q a)) aliases in
   (* An edge joins two aliases when a conjunct equates their partition
      keys, in either order. *)
   let key_alias (x : Ast.attr) =

@@ -290,13 +290,6 @@ let finish_offer config { c_offer = o; c_exec; c_transfer; c_purchase } =
     true_cost = total_time;
   }
 
-let partition_attr schema (q : Ast.t) alias =
-  Option.bind (Analysis.relation_of_alias q alias) (fun rel_name ->
-      Option.bind (Schema.find_relation schema rel_name) (fun rel ->
-          Option.map
-            (fun key -> { Ast.rel = alias; name = key })
-            rel.Schema.partition_key))
-
 (* Subcontracting: when a variant retains every alias of the request but
    covers exactly one of them partially, try to buy the missing key ranges
    from third nodes and offer the complete answer.  Returns the augmented
@@ -321,7 +314,7 @@ let subcontract config schema ~ranges (request : Ast.t) (variant : Localize.t) =
       match gapped with
       | [ (alias, own_fragment, own_range, gaps) ] -> (
         let required = Localize.range_of ranges alias in
-        match partition_attr schema request alias with
+        match Localize.partition_attr schema request alias with
         | None -> None
         | Some key_attr ->
           let buy gap =
@@ -363,7 +356,7 @@ let subcontract config schema ~ranges (request : Ast.t) (variant : Localize.t) =
                 (fun acc (a, (f : Fragment.t)) ->
                   if a = alias then acc
                   else
-                    match partition_attr schema request a with
+                    match Localize.partition_attr schema request a with
                     | None -> acc
                     | Some attr ->
                       Analysis.add_range acc attr

@@ -37,6 +37,3 @@ val aggregate :
 val distinct : Table.t -> Table.t
 
 val sort : Table.t -> (Qt_sql.Ast.attr * Qt_sql.Ast.order) list -> Table.t
-
-val agg_output_col : Qt_sql.Ast.select_item -> Table.col
-(** Column naming rule shared by every producer of aggregate outputs. *)

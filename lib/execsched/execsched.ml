@@ -390,7 +390,6 @@ let result t ~trade =
       Option.map (fun table -> Engine.apply_rename table root.d_rename) producer.t_table
 
 let finished_at t ~trade = Hashtbl.find_opt t.finished_trades trade
-let unfinished t = t.submitted - t.completed
 
 let stats t =
   let exec_nodes =

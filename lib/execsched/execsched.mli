@@ -121,7 +121,4 @@ val set_on_result :
 val finished_at : t -> trade:int -> float option
 (** Virtual completion time of the trade's last task. *)
 
-val unfinished : t -> int
-(** Tasks submitted but not yet completed (0 after a full drain). *)
-
 val stats : t -> stats

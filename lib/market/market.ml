@@ -145,14 +145,13 @@ type exec_stats = {
   exec_nodes : exec_node list;
 }
 
-type telemetry_stats = {
+type telemetry_stats = Telemetry.stats = {
   tl_interval : float;
   tl_ticks : int;
-  tl_points : Timeseries.point list;  (* every series point, in order *)
+  tl_points : Timeseries.point list;
   tl_rules : Slo.rule list;
-  tl_alerts : (Slo.alert * Flight_recorder.bundle) list;  (* firing order *)
+  tl_alerts : (Slo.alert * Flight_recorder.bundle) list;
   tl_failures : Flight_recorder.bundle list;
-      (* debug bundles for the first few trade failures/expiries *)
 }
 
 type class_stats = {
@@ -201,6 +200,38 @@ type stream_stats = {
   str_trades : trade_stats list;
   str_results : (int * Plan.t * Table.t) list;
 }
+
+(* Time-resolved telemetry over a stream run; see {!Telemetry}. *)
+type telemetry_config = {
+  scrape_interval : float;  (* sim seconds between scrape ticks *)
+  slo_rules : Slo.rule list;
+}
+
+let default_telemetry = { scrape_interval = 1.0; slo_rules = [] }
+
+type stream_config = {
+  base : config;
+  spec_of : Sla.klass -> Sla.spec;
+  shedding : Shedding.policy;
+  telemetry : telemetry_config option;
+  latency_domain : float;
+      (* end-to-end latency histogram domain, sim seconds *)
+}
+
+let default_stream_config params =
+  {
+    base =
+      {
+        (default_config params) with
+        admission =
+          { Admission.default_config with Admission.policy = Admission.Priority };
+        concurrency = 32;
+      };
+    spec_of = Sla.default_spec;
+    shedding = Shedding.Keep_all;
+    telemetry = None;
+    latency_domain = 1000.;
+  }
 
 (* A trade fiber suspends here when it broadcasts an RFB: everything the
    scheduler needs to merge the round into a wave and serve it. *)
@@ -321,6 +352,7 @@ type market = {
   batcher : Batcher.t;
   admissions : (int, Admission.t) Hashtbl.t;
   completions : (int * Admission.handle) Event_queue.t;
+  seller_ids : int list;  (* the federation's nodes, ascending *)
   sched : Execsched.t option;  (* plan execution, when [cfg.execute] is set *)
   qcache : qcache_state option;
   pstate : Pricing.t option;  (* pricing layer state, when [cfg.pricing] is set *)
@@ -330,10 +362,9 @@ type market = {
   metrics : Metrics.t;
   rtt : Metrics.histo;  (* offer round trips, RFB window close -> reply *)
   waits : Metrics.histo;  (* admission queue waits, all sellers *)
-  mutable on_reject : int -> int -> float -> unit;
-      (* Called as [(trade, seller, time)] when a seller rejects a
-         contract submission; the stream telemetry's flight recorder
-         hooks here.  Runs on the coordinator only. *)
+  lat_all : Metrics.histo;  (* end-to-end latency, all classes *)
+  lat_class : (Sla.klass * Metrics.histo) list;  (* ... and per class *)
+  tel : Telemetry.t option;  (* stream telemetry, when configured *)
 }
 
 let admission_of st node =
@@ -505,7 +536,9 @@ let try_admit st tr ~now works =
       with
       | Admission.Rejected ->
         decision_instant "reject" seller work;
-        st.on_reject tr.t_index seller now;
+        (match st.tel with
+        | Some t -> Telemetry.reject t ~trade:tr.t_index ~seller ~at:now
+        | None -> ());
         List.iter
           (fun s ->
             decision_instant "cancel" s 0.;
@@ -597,12 +630,12 @@ let qcache_probe st tr =
 
 (* Deliver a cached answer: the trade completes with no contracts and no
    execution, and the original suppliers settle the arbitrage-free
-   fraction of their fresh-trade work as hit revenue. *)
+   fraction of their fresh-trade work as hit revenue.  Returns the
+   delivery time, at which the caller settles the trade. *)
 let qcache_serve_result st q tr (e : Result_cache.entry) ~now =
   let transit = Runtime.one_way st.rt ~bytes:e.Result_cache.bytes in
   if transit > 0. then Runtime.advance st.rt ~node:tr.t_buyer transit;
   let now = Float.max now (Runtime.node_clock st.rt tr.t_buyer) in
-  tr.t_status <- Some Completed;
   tr.t_plan_cost <- e.Result_cache.plan_cost;
   tr.t_contracts <- [];
   tr.t_finished_at <- now;
@@ -682,7 +715,7 @@ let update_surge st =
       (fun id ->
         Pricing.observe_occupancy p ~seller:id
           ~occupancy:(Admission.occupancy (admission_of st id)))
-      (List.sort compare (Federation.node_ids st.federation))
+      st.seller_ids
 
 (* Serve one closed wave: coalesce the suspended broadcasts into
    per-seller envelopes, serve each envelope's trades back-to-back on
@@ -854,9 +887,11 @@ let rec poison_fiber tr ~drive (req : round_request) k =
   | Finished _ as step -> drive tr step
 
 (* Shared marketplace construction: metrics registry, optional execution
-   scheduler over a freshly materialized store, runtime, and one
-   admission controller per federation node. *)
-let make_market ~obs cfg federation =
+   scheduler over a freshly materialized store, runtime, one admission
+   controller per federation node, the end-to-end latency histograms and
+   the stream telemetry. *)
+let make_market ~obs scfg federation =
+  let cfg = scfg.base in
   let metrics = Metrics.create () in
   let sched =
     match cfg.execute with
@@ -890,6 +925,33 @@ let make_market ~obs cfg federation =
         }
   in
   let pstate = Option.map Pricing.create cfg.pricing in
+  let seller_ids = List.sort compare (Federation.node_ids federation) in
+  let waits = Metrics.histogram metrics "market.queue_wait" in
+  let admissions = Hashtbl.create 16 in
+  List.iter
+    (fun id -> Hashtbl.replace admissions id (Admission.create ~waits cfg.admission))
+    seller_ids;
+  (* Stream latencies outlive the default 10-second metrics domain (an
+     overloaded queue can hold a batch query for minutes), so the
+     end-to-end histograms use 10 ms buckets over a 1000-second span by
+     default.  The domain is configurable for long-tail batch workloads;
+     past 1000 s the bucket count caps at 100k and the buckets widen
+     proportionally, keeping memory constant. *)
+  let latency name =
+    let scale = 1e4 in
+    let hi = max 99 (int_of_float (scfg.latency_domain *. scale) - 1) in
+    let buckets = min 100_000 ((hi + 1) / 100) in
+    Metrics.histogram ~hi ~buckets ~scale metrics ("stream.latency." ^ name)
+  in
+  let tel =
+    Option.map
+      (fun tc ->
+        Telemetry.create ~interval:tc.scrape_interval ~rules:tc.slo_rules metrics
+          ~market_track
+          ~sellers:(List.map (fun id -> (id, Hashtbl.find admissions id)) seller_ids)
+          ~cached:(qcache <> None) ~pricing:pstate)
+      scfg.telemetry
+  in
   let st =
     {
       cfg;
@@ -898,8 +960,9 @@ let make_market ~obs cfg federation =
       caches = Seller.pool_create ();
       plans = Trader.plan_memo_create ();
       batcher = Batcher.create ~batching:cfg.batching;
-      admissions = Hashtbl.create 16;
+      admissions;
       completions = Event_queue.create ();
+      seller_ids;
       sched;
       qcache;
       pstate;
@@ -908,8 +971,10 @@ let make_market ~obs cfg federation =
       obs;
       metrics;
       rtt = Metrics.histogram metrics "market.offer_rtt";
-      waits = Metrics.histogram metrics "market.queue_wait";
-      on_reject = (fun _ _ _ -> ());
+      waits;
+      lat_all = latency "all";
+      lat_class = List.map (fun k -> (k, latency (Sla.to_string k))) Sla.all;
+      tel;
     }
   in
   Obs.track_name obs market_track "market";
@@ -917,7 +982,6 @@ let make_market ~obs cfg federation =
     (fun id ->
       Obs.track_name obs id (Printf.sprintf "node %d" id);
       Runtime.register st.rt id;
-      ignore (admission_of st id : Admission.t);
       (* Pre-create the per-node bid cache and pricing state: parallel
          envelope serving must never race two sellers through a lazy
          constructor. *)
@@ -1349,95 +1413,117 @@ let stream_metrics_json (s : stream_stats) =
   Metrics.to_json (stream_metrics_registry s)
 
 (* ------------------------------------------------------------------- *)
-(* Open-stream marketplace: continuous arrivals, SLA deadlines,
-   cancellation and load shedding on top of the same wave scheduler. *)
-
-(* Time-resolved telemetry over a stream run: a scrape tick every
-   [scrape_interval] sim seconds is interleaved with the completion and
-   deadline event streams; each tick samples the live metrics registry
-   into a {!Timeseries}, evaluates the SLO burn-rate rules, and records
-   into the flight recorder.  Scraping is read-only — it never advances
-   the market clock or any sim state — so a telemetry-on run follows
-   exactly the trajectory of the same run with telemetry off, and the
-   whole thing stays on the coordinator so [--domains N] output is
-   byte-identical at any N. *)
-type telemetry_config = {
-  scrape_interval : float;  (* sim seconds between scrape ticks *)
-  slo_rules : Slo.rule list;
-}
-
-let default_telemetry = { scrape_interval = 1.0; slo_rules = [] }
-
-(* Per-node flight-recorder ring size: recent span entries kept for
-   debug bundles. *)
-let flight_capacity = 32
-
-type stream_config = {
-  base : config;
-  spec_of : Sla.klass -> Sla.spec;
-  shedding : Shedding.policy;
-  telemetry : telemetry_config option;
-  latency_domain : float;
-      (* end-to-end latency histogram domain, sim seconds *)
-}
-
-let default_stream_config params =
-  {
-    base =
-      {
-        (default_config params) with
-        admission =
-          { Admission.default_config with Admission.policy = Admission.Priority };
-        concurrency = 32;
-      };
-    spec_of = Sla.default_spec;
-    shedding = Shedding.Keep_all;
-    telemetry = None;
-    latency_domain = 1000.;
-  }
-
-(* Live per-run telemetry state; internal to the market loop. *)
-type stream_tel = {
-  tel_cfg : telemetry_config;
-  tel_ts : Timeseries.t;
-  tel_slo : Slo.t;
-  tel_fr : Flight_recorder.t;
-  mutable tel_alerts : (Slo.alert * Flight_recorder.bundle) list;
-      (* newest first *)
-  mutable tel_failures : Flight_recorder.bundle list;  (* newest first *)
-}
-
-(* Stream latencies outlive the default 10-second metrics domain (an
-   overloaded queue can hold a batch query for minutes), so the
-   end-to-end histograms use 10 ms buckets over a 1000-second span by
-   default.  The domain is configurable for long-tail batch workloads;
-   past 1000 s the bucket count caps at 100k and the buckets widen
-   proportionally, keeping memory constant. *)
-let stream_latency_histogram ?(domain = 1000.) metrics name =
-  let scale = 1e4 in
-  let hi = max 99 (int_of_float (domain *. scale) - 1) in
-  let buckets = min 100_000 ((hi + 1) / 100) in
-  Metrics.histogram ~hi ~buckets ~scale metrics name
-
-(* ------------------------------------------------------------------- *)
 (* The market loop.  Batch [run] and [run_stream] share one driver: a
    batch is a stream whose arrivals all land at t=0, with no deadlines,
    no shedding and no telemetry. *)
 
+(* The shedding policy's input: the occupancy of the most saturated
+   seller.  Under skewed template popularity load concentrates on a few
+   hot sellers, so a federation-wide average would stay low while the
+   bottleneck queue overflows; the max tracks the queue that actually
+   dooms deadlines. *)
+let occupancy st =
+  List.fold_left
+    (fun acc id -> Float.max acc (Admission.occupancy (admission_of st id)))
+    0. st.seller_ids
+
+let stream_instant st tr ~at name =
+  if Obs.enabled st.obs then
+    ignore
+      (Obs.instant st.obs ~cat:"stream" ~name ~track:tr.t_buyer
+         ~attrs:[ ("trade", Obs.Int tr.t_index) ]
+         ~at ()
+        : int)
+
+(* Every trade ends here, exactly once: shed at the door, expired at its
+   deadline, failed (no plan, or admission refused past its retries) or
+   completed (its last contract finished, its plan was empty, or the
+   result cache answered it).  A completion writes [t_completed_at] and
+   records its end-to-end latency; its trading end [t_finished_at] was
+   written when it was admitted or served.  Every other ending writes
+   [t_finished_at], and a shed or expired trade gets its [stream]
+   instant.  A second settle of one trade breaks the exactly-once law
+   and fails the run. *)
+let settle st tr (outcome : Telemetry.outcome) ~at =
+  if tr.t_status <> None then
+    failwith (Printf.sprintf "Market: trade %d settled twice" tr.t_index);
+  (match outcome with
+  | Telemetry.Completed -> (
+    tr.t_status <- Some Completed;
+    tr.t_completed_at <- at;
+    let lat = at -. tr.t_arrival in
+    Metrics.observe st.lat_all lat;
+    match tr.t_klass with
+    | Some k -> Metrics.observe (List.assoc k st.lat_class) lat
+    | None -> ())
+  | Telemetry.Shed ->
+    tr.t_status <- Some Shed;
+    tr.t_finished_at <- at;
+    stream_instant st tr ~at "shed"
+  | Telemetry.Expired ->
+    tr.t_status <- Some Expired;
+    tr.t_finished_at <- at;
+    stream_instant st tr ~at "expired"
+  | Telemetry.No_plan ->
+    tr.t_status <- Some No_plan;
+    tr.t_finished_at <- at
+  | Telemetry.Admission_failed _ ->
+    tr.t_status <- Some Admission_failed;
+    tr.t_finished_at <- at);
+  match st.tel with
+  | Some t ->
+    Telemetry.settle t ~trade:tr.t_index ~node:tr.t_buyer ~klass:tr.t_klass
+      ~arrival:tr.t_arrival ~deadline:tr.t_deadline ~at outcome
+  | None -> ()
+
+(* A contract of [tr] completed at [seller]: the seller's credited
+   revenue is final and a reserved trade's fill rate advances. *)
+let note_seller_done st tr seller =
+  match st.pstate with
+  | None -> ()
+  | Some p ->
+    if not (List.mem seller tr.t_done) then begin
+      tr.t_done <- seller :: tr.t_done;
+      if tr.t_reserved then Pricing.reserve_completed p ~seller
+    end
+
+(* Withdraw an expiring trade's admitted contracts through the admission
+   cancel path: their already-scheduled completion events turn stale and
+   the [is_active] guard in [fire_completion] skips them.  Sellers whose
+   contracts were withdrawn give the price back, and a reserved trade's
+   premium is returned with them — the buyer only pays for reservations
+   that deliver. *)
+let withdraw st tr ~now =
+  List.iter
+    (fun (seller, _) ->
+      let promoted =
+        Admission.cancel (admission_of st seller) ~now ~trade:tr.t_index
+      in
+      schedule_promoted st seller ~now promoted)
+    tr.t_contracts;
+  (match st.pstate with
+  | None -> ()
+  | Some p ->
+    let premium_rate = (Pricing.config p).Pricing.reserve_premium in
+    List.iter
+      (fun (seller, price) ->
+        if not (List.mem seller tr.t_done) then begin
+          Pricing.debit p ~seller price;
+          if tr.t_reserved then
+            Pricing.reserve_refund p ~seller ~premium:(premium_rate *. price)
+        end)
+      tr.t_prices);
+  tr.t_pending <- 0
+
 (* What the driver leaves for [report_of]. *)
-type finished = {
-  f_st : market;
-  f_trades : trade array;
-  f_tel : stream_tel option;
-  f_lat_all : Metrics.histo;  (* end-to-end latency, all classes *)
-  f_lat_class : Sla.klass -> Metrics.histo;
-  f_trading_makespan : float;
-}
+type finished = { f_st : market; f_trades : trade array; f_trading_makespan : float }
 
 (* Run [trades] (in arrival order) to completion: release each at its
    arrival time, shed or queue it, trade queued ones concurrently under
    [cfg.concurrency], enforce deadlines, and drain every contract,
-   deadline, scrape tick and execution task.
+   deadline, scrape tick and execution task.  A trade is admitted (its
+   contracts placed) before it ends: it settles as completed when its
+   last contract finishes, or expires if its deadline comes first.
 
    [exec_at_admission] is the one rule batch and stream runs do not
    share.  Batch hands an admitted plan to the execution scheduler at
@@ -1446,152 +1532,22 @@ type finished = {
    batch has no deadlines, so either rule is sound there, but moving
    execution changes every pinned batch [--execute] output; the rule
    stays a private argument here, not a configuration knob. *)
-let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
-    ?telemetry ?latency_domain cfg federation trades =
+let drive_market ~obs ~exec_at_admission scfg federation trades =
+  let cfg = scfg.base in
   if cfg.max_admission_retries < 0 then
     invalid_arg "Market: max_admission_retries must be non-negative";
-  let st = make_market ~obs cfg federation in
-  let seller_ids = List.sort compare (Federation.node_ids federation) in
-  (* The shedding policy's input: the occupancy of the most saturated
-     seller.  Under skewed template popularity load concentrates on a
-     few hot sellers, so a federation-wide average would stay low while
-     the bottleneck queue overflows; the max tracks the queue that
-     actually dooms deadlines. *)
-  let occupancy () =
-    List.fold_left
-      (fun acc id -> Float.max acc (Admission.occupancy (admission_of st id)))
-      0. seller_ids
-  in
-  (* ---- telemetry state --------------------------------------------- *)
-  (* All of it lives on the coordinator and is read-only with respect to
-     the sim: the live counters below are registered in [st.metrics]
-     (which no existing output serializes), and scrape ticks never touch
-     [st.mclock].  With [telemetry = None] every handle is [None]
-     and every hook below is a no-op, so telemetry-off runs are
-     byte-for-byte unchanged. *)
-  let tel =
-    Option.map
-      (fun tc ->
-        {
-          tel_cfg = tc;
-          tel_ts = Timeseries.create ~interval:tc.scrape_interval st.metrics;
-          tel_slo = Slo.create tc.slo_rules;
-          tel_fr = Flight_recorder.create ~capacity:flight_capacity;
-          tel_alerts = [];
-          tel_failures = [];
-        })
-      telemetry
-  in
-  let tel_counter name =
-    Option.map (fun _ -> Metrics.counter st.metrics name) tel
-  in
-  let tel_gauge name =
-    Option.map (fun _ -> Metrics.gauge st.metrics name) tel
-  in
-  let tincr c = Option.iter (fun c -> Metrics.incr c) c in
-  let c_arrivals = tel_counter "stream.arrivals"
-  and c_hits = tel_counter "stream.hits"
-  and c_completed = tel_counter "stream.completed"
-  and c_shed = tel_counter "stream.shed"
-  and c_expired = tel_counter "stream.expired"
-  and c_failed = tel_counter "stream.failed"
-  and c_cache_hits = tel_counter "stream.cache_hits" in
-  let class_counters suffix =
-    List.map
-      (fun k ->
-        ( k,
-          tel_counter
-            (Printf.sprintf "stream.class.%s.%s" (Sla.to_string k) suffix) ))
-      Sla.all
-  in
-  let cc_arrivals = class_counters "arrivals"
-  and cc_hits = class_counters "hits"
-  and cc_expired = class_counters "expired" in
-  let class_incr tbl k = tincr (List.assoc k tbl) in
-  let g_occupancy = tel_gauge "stream.occupancy" in
-  let seller_gauges =
-    match tel with
-    | None -> []
-    | Some _ ->
-      List.map
-        (fun id ->
-          ( id,
-            ( Metrics.gauge st.metrics (Printf.sprintf "seller.%d.occupancy" id),
-              Metrics.gauge st.metrics (Printf.sprintf "seller.%d.load" id),
-              Metrics.gauge st.metrics (Printf.sprintf "seller.%d.revenue" id)
-            ) ))
-        seller_ids
-  in
-  let fr_record ~time ~node ~kind ~detail =
-    Option.iter
-      (fun t -> Flight_recorder.record t.tel_fr ~time ~node ~kind ~detail)
-      tel
-  in
-  (* Debug bundles for the first few hard failures: enough to diagnose,
-     bounded so a total collapse cannot flood the output. *)
-  let max_failure_bundles = 3 in
-  let fr_failure ~time ~reason =
-    Option.iter
-      (fun t ->
-        if List.length t.tel_failures < max_failure_bundles then
-          t.tel_failures <-
-            Flight_recorder.bundle t.tel_fr ~time ~reason
-              ~metrics:(Metrics.to_json st.metrics)
-            :: t.tel_failures)
-      tel
-  in
+  let st = make_market ~obs scfg federation in
   Array.iter
     (fun tr ->
       Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
       Runtime.register st.rt tr.t_buyer)
     trades;
   qcache_install_exec_hook st trades;
-  let lat_all =
-    stream_latency_histogram ?domain:latency_domain st.metrics
-      "stream.latency.all"
-  in
-  let lat_class =
-    let tbl =
-      List.map
-        (fun k ->
-          ( k,
-            stream_latency_histogram ?domain:latency_domain st.metrics
-              ("stream.latency." ^ Sla.to_string k) ))
-        Sla.all
-    in
-    fun k -> List.assoc k tbl
-  in
-  (* Every full completion funnels through here (last contract, empty
-     plans, cache-served results alike), so it doubles as the telemetry
-     completion/hit count site. *)
-  let note_completed tr t =
-    tr.t_completed_at <- t;
-    let lat = t -. tr.t_arrival in
-    Metrics.observe lat_all lat;
-    tincr c_completed;
-    if t <= tr.t_deadline then begin
-      tincr c_hits;
-      Option.iter (class_incr cc_hits) tr.t_klass
-    end;
-    fr_record ~time:t ~node:tr.t_buyer ~kind:"complete"
-      ~detail:(Printf.sprintf "trade=%d lat=%.3fs" tr.t_index lat);
-    match tr.t_klass with
-    | Some k -> Metrics.observe (lat_class k) lat
-    | None -> ()
-  in
   let deadlines : int Event_queue.t = Event_queue.create () in
   let ready = Queue.create () in
   let parked = ref [] in
   let running = ref 0 in
   let next = ref 0 in
-  let stream_instant tr ~at name =
-    if Obs.enabled st.obs then
-      ignore
-        (Obs.instant st.obs ~cat:"stream" ~name ~track:tr.t_buyer
-           ~attrs:[ ("trade", Obs.Int tr.t_index) ]
-           ~at ()
-          : int)
-  in
   let submit_exec tr ~at =
     match (st.sched, tr.t_plan) with
     | Some sched, Some plan ->
@@ -1600,218 +1556,42 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
   in
   (* The trade's last contract completed (or it had none). *)
   let contracts_done tr t =
-    note_completed tr t;
+    settle st tr Telemetry.Completed ~at:t;
     if not exec_at_admission then submit_exec tr ~at:t
   in
   (* End-to-end accounting at contract completion, from
-     [fire_completion], so it also runs for promotions and late drains. *)
+     [fire_completion], so it also runs for promotions and late drains.
+     The pricing bookkeeping runs first, so deadline refunds can tell
+     completed sellers apart. *)
   let on_complete ti ~seller t =
     let tr = trades.(ti) in
-    (* Pricing bookkeeping: the seller's contract for this trade
-       completed, so its credited revenue is final and a reserved
-       trade's fill rate advances.  Runs before the pending-count step
-       so deadline refunds (below) can tell completed sellers apart. *)
-    (match st.pstate with
-    | None -> ()
-    | Some p ->
-      if not (List.mem seller tr.t_done) then begin
-        tr.t_done <- seller :: tr.t_done;
-        if tr.t_reserved then Pricing.reserve_completed p ~seller
-      end);
-    if tr.t_status = Some Completed && tr.t_pending > 0 then begin
+    note_seller_done st tr seller;
+    if tr.t_pending > 0 then begin
       tr.t_pending <- tr.t_pending - 1;
       if tr.t_pending = 0 then contracts_done tr t
     end
   in
-  if tel <> None then
-    st.on_reject <-
-      (fun ti seller t ->
-        fr_record ~time:t ~node:seller ~kind:"reject"
-          ~detail:(Printf.sprintf "trade=%d" ti));
   (* An SLA deadline fires: a trade still trading, or holding
-     uncompleted contracts, expires.  In-flight contracts are withdrawn
-     through the admission cancel path — their already-scheduled
-     completion events turn stale and the [is_active] guard in
-     [fire_completion] skips them. *)
+     uncompleted contracts, expires. *)
   let fire_deadline i d =
     let tr = trades.(i) in
-    let expire () =
+    if tr.t_status = None then begin
+      if tr.t_pending > 0 then withdraw st tr ~now:d;
       st.mclock <- Float.max st.mclock d;
-      tr.t_status <- Some Expired;
-      tr.t_finished_at <- d;
-      stream_instant tr ~at:d "expired";
-      tincr c_expired;
-      Option.iter (class_incr cc_expired) tr.t_klass;
-      fr_record ~time:d ~node:tr.t_buyer ~kind:"expire"
-        ~detail:(Printf.sprintf "trade=%d deadline=%.3fs" tr.t_index tr.t_deadline);
-      fr_failure ~time:d ~reason:(Printf.sprintf "trade %d expired" tr.t_index)
-    in
-    match tr.t_status with
-    | Some Completed when tr.t_pending > 0 ->
-      List.iter
-        (fun (seller, _) ->
-          let promoted =
-            Admission.cancel (admission_of st seller) ~now:d ~trade:i
-          in
-          schedule_promoted st seller ~now:d promoted)
-        tr.t_contracts;
-      (* Cancellation refunds: sellers whose contracts were withdrawn
-         give the price back, and a reserved trade's premium is returned
-         with them — the buyer only pays for reservations that deliver. *)
-      (match st.pstate with
-      | None -> ()
-      | Some p ->
-        let premium_rate = (Pricing.config p).Pricing.reserve_premium in
-        List.iter
-          (fun (seller, price) ->
-            if not (List.mem seller tr.t_done) then begin
-              Pricing.debit p ~seller price;
-              if tr.t_reserved then
-                Pricing.reserve_refund p ~seller
-                  ~premium:(premium_rate *. price)
-            end)
-          tr.t_prices);
-      tr.t_pending <- 0;
-      expire ()
-    | None -> expire ()
-    | Some _ -> ()
-  in
-  (* One scrape tick: refresh the sampled gauges, scrape the registry
-     into the series, derive the windowed goodput / cache-hit-rate
-     series, evaluate the SLO rules on this window, and bundle any alert
-     that fires.  Strictly read-only with respect to the sim —
-     [st.mclock] and the event queues are never touched. *)
-  let scrape_tick t ~now =
-    let ts = t.tel_ts in
-    let occ = occupancy () in
-    Option.iter (fun g -> Metrics.set g occ) g_occupancy;
-    List.iter
-      (fun (id, (g_occ, g_load, g_rev)) ->
-        let adm = admission_of st id in
-        Metrics.set g_occ (Admission.occupancy adm);
-        Metrics.set g_load (Admission.offered_load adm);
-        Metrics.set g_rev (Admission.stats adm).Admission.busy)
-      seller_gauges;
-    Timeseries.scrape ts ~now;
-    let arr_w = Timeseries.window_delta ts "stream.arrivals" in
-    let hits_w = Timeseries.window_delta ts "stream.hits" in
-    let goodput_w = if arr_w > 0. then hits_w /. arr_w else 1. in
-    Timeseries.push ts ~now "stream.goodput" goodput_w;
-    let cache_w =
-      if st.qcache = None then None
-      else
-        Some
-          (if arr_w > 0. then
-             Timeseries.window_delta ts "stream.cache_hits" /. arr_w
-           else 0.)
-    in
-    Option.iter
-      (fun v -> Timeseries.push ts ~now "stream.cache_hit_rate" v)
-      cache_w;
-    fr_record ~time:now ~node:market_track ~kind:"scrape"
-      ~detail:
-        (Printf.sprintf "arrivals=%.0f goodput=%.3f occupancy=%.3f" arr_w
-           goodput_w occ);
-    let violated r value =
-      match r.Slo.r_cmp with
-      | Slo.Lt -> value >= r.Slo.r_threshold
-      | Slo.Gt -> value <= r.Slo.r_threshold
-    in
-    (* A rule's window error rate.  Latency rules: the violating fraction
-       of the window's outcomes (expiries count as violations for
-       upper-bound rules; a window whose quantile meets the objective
-       contributes no error).  Goodput / occupancy / cache-hit rules:
-       binary — the window either meets the objective or burns. *)
-    let error_rate (r : Slo.rule) =
-      let subject_class = Sla.of_string r.Slo.r_subject in
-      match r.Slo.r_metric with
-      | Slo.P50 | Slo.P95 | Slo.P99 -> (
-        let hname =
-          match subject_class with
-          | Some k -> "stream.latency." ^ Sla.to_string k
-          | None -> "stream.latency.all"
-        in
-        let expired_w =
-          match subject_class with
-          | Some k ->
-            Timeseries.window_delta ts
-              (Printf.sprintf "stream.class.%s.expired" (Sla.to_string k))
-          | None -> Timeseries.window_delta ts "stream.expired"
-        in
-        match Timeseries.window_above ts hname r.Slo.r_threshold with
-        | None -> 0.
-        | Some (above, total) ->
-          let viol, denom =
-            match r.Slo.r_cmp with
-            | Slo.Lt -> (above +. expired_w, total +. expired_w)
-            | Slo.Gt -> (total -. above, total)
-          in
-          if denom <= 0. then 0.
-          else
-            let suffix =
-              match r.Slo.r_metric with
-              | Slo.P50 -> ".p50"
-              | Slo.P99 -> ".p99"
-              | _ -> ".p95"
-            in
-            let quantile_violates =
-              if total > 0. then
-                match Timeseries.last ts (hname ^ suffix) with
-                | Some q -> violated r q
-                | None -> false
-              else expired_w > 0.
-            in
-            if quantile_violates then viol /. denom else 0.)
-      | Slo.Goodput ->
-        if arr_w <= 0. then 0. else if violated r goodput_w then 1. else 0.
-      | Slo.Occupancy -> if violated r occ then 1. else 0.
-      | Slo.Cache_hit -> (
-        match cache_w with
-        | None -> if violated r 0. then 1. else 0.
-        | Some v ->
-          if arr_w <= 0. then 0. else if violated r v then 1. else 0.)
-    in
-    List.iter
-      (fun (al : Slo.alert) ->
-        let b =
-          Flight_recorder.bundle t.tel_fr ~time:now
-            ~reason:al.Slo.al_rule.Slo.r_name
-            ~metrics:(Metrics.to_json st.metrics)
-        in
-        t.tel_alerts <- (al, b) :: t.tel_alerts)
-      (Slo.observe t.tel_slo ~now ~error_rate);
-    (* Telemetry loop closure (--slo-surge): while any burn-rate rule is
-       firing, every seller is forced into surge pricing; the force
-       clears when the alerts re-arm.  Transitions happen only here — a
-       scrape tick on the coordinator — so they are deterministic on the
-       shared timeline, and each edge is recorded in the flight
-       recorder. *)
-    (match st.pstate with
-    | Some p when (Pricing.config p).Pricing.slo_surge ->
-      let firing = Slo.firing t.tel_slo in
-      if firing <> Pricing.forced p then begin
-        Pricing.set_forced p firing;
-        fr_record ~time:now ~node:market_track
-          ~kind:(if firing then "surge_forced" else "surge_cleared")
-          ~detail:
-            (if firing then "slo alert firing: sellers forced into surge"
-             else "slo alerts re-armed: forced surge cleared")
-      end
-    | Some _ | None -> ())
-  in
-  let tel_next () =
-    match tel with Some t -> Timeseries.next_tick t.tel_ts | None -> infinity
+      settle st tr Telemetry.Expired ~at:d
+    end
   in
   (* Advance contract completions, deadline expiries and scrape ticks
      together in time order (completions win ties: finishing exactly at
      the deadline counts; events at a tick's exact time land in that
      tick's window), then settle execution up to the same point, so
      backlog-derived load is current whenever a pricing round reads
-     it. *)
+     it.  Scrape ticks are read-only: they never touch [st.mclock] or
+     an event queue. *)
   let rec drain_events ~upto =
     let tc = Event_queue.peek_time st.completions in
     let td = Event_queue.peek_time deadlines in
-    let tk = tel_next () in
+    let tk = match st.tel with Some t -> Telemetry.next_tick t | None -> infinity in
     let completion_first =
       match (tc, td) with
       | Some t, Some d -> t <= d && t <= upto && t <= tk
@@ -1837,7 +1617,9 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
            remain, so the drain cannot tick forever. *)
         if tk <= upto && (Float.is_finite upto || tc <> None || td <> None)
         then begin
-          Option.iter (fun t -> scrape_tick t ~now:tk) tel;
+          Option.iter
+            (fun t -> Telemetry.tick t ~now:tk ~occupancy:(occupancy st))
+            st.tel;
           drain_events ~upto
         end
   in
@@ -1847,8 +1629,7 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     | Some sched -> Execsched.drain sched ~upto
     | None -> ()
   in
-  let complete_admitted tr ~now ~plan ~plan_cost works =
-    tr.t_status <- Some Completed;
+  let admitted tr ~now ~plan ~plan_cost works =
     tr.t_plan_cost <- plan_cost;
     tr.t_contracts <- works;
     tr.t_finished_at <- now;
@@ -1863,31 +1644,22 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     st.mclock <- Float.max st.mclock now;
     (* The drain fired every deadline up to [now]: an expired trade is
        too late to admit, and a live one is still inside its deadline. *)
-    if tr.t_status <> Some Expired then begin
+    if tr.t_status = None then begin
       let works = by_seller (fun o -> o.Offer.true_cost) outcome in
       if st.pstate <> None then
         tr.t_prices <- by_seller (fun o -> o.Offer.quoted) outcome;
+      let plan_cost = Cost.response outcome.Trader.cost in
       match try_admit st tr ~now works with
       | Ok () ->
-        qcache_note_traded st tr ~plan:outcome.Trader.plan
-          ~plan_cost:(Cost.response outcome.Trader.cost) works;
-        complete_admitted tr ~now ~plan:outcome.Trader.plan
-          ~plan_cost:(Cost.response outcome.Trader.cost) works
+        qcache_note_traded st tr ~plan:outcome.Trader.plan ~plan_cost works;
+        admitted tr ~now ~plan:outcome.Trader.plan ~plan_cost works
       | Error seller ->
         if tr.t_attempts <= cfg.max_admission_retries then begin
           st.retries <- st.retries + 1;
           penalize tr seller rejection_penalty;
           Queue.add tr.t_index ready
         end
-        else begin
-          tr.t_status <- Some Admission_failed;
-          tr.t_finished_at <- now;
-          tincr c_failed;
-          fr_record ~time:now ~node:tr.t_buyer ~kind:"admission_failed"
-            ~detail:(Printf.sprintf "trade=%d seller=%d" tr.t_index seller);
-          fr_failure ~time:now
-            ~reason:(Printf.sprintf "trade %d admission failed" tr.t_index)
-        end
+        else settle st tr (Telemetry.Admission_failed seller) ~at:now
     end
   in
   let drive tr step =
@@ -1897,22 +1669,15 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
       parked := (tr.t_index, req, k) :: !parked
     | Finished res -> (
       decr running;
-      match tr.t_status with
-      | Some Expired -> ()  (* poisoned mid-optimization; already counted *)
-      | _ -> (
+      (* A fiber poisoned mid-optimization finishes an expired trade. *)
+      if tr.t_status = None then
         match res with
         | Ok outcome ->
           tr.t_phases <- Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
           handle_ok tr outcome
         | Error _ ->
-          tr.t_status <- Some No_plan;
-          tr.t_finished_at <-
-            Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock;
-          tincr c_failed;
-          fr_record ~time:tr.t_finished_at ~node:tr.t_buyer ~kind:"no_plan"
-            ~detail:(Printf.sprintf "trade=%d" tr.t_index);
-          fr_failure ~time:tr.t_finished_at
-            ~reason:(Printf.sprintf "trade %d found no plan" tr.t_index)))
+          settle st tr Telemetry.No_plan
+            ~at:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock))
   in
   (* Probe the cache tier before spending a fiber on an arrival.  A
      result hit completes the trade outright; a statement hit goes
@@ -1937,10 +1702,10 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
       if tr.t_status <> None then true  (* expired during the drain *)
       else begin
         tr.t_attempts <- tr.t_attempts + 1;
-        tincr c_cache_hits;
+        Option.iter Telemetry.cache_hit st.tel;
         let now = qcache_serve_result st q tr e ~now in
         st.mclock <- Float.max st.mclock now;
-        note_completed tr now;
+        settle st tr Telemetry.Completed ~at:now;
         true
       end
     | `Stmt (q, e) -> (
@@ -1956,9 +1721,9 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
         | Ok () ->
           tr.t_attempts <- tr.t_attempts + 1;
           tr.t_cache_hit <- Some Cache_stmt;
-          tincr c_cache_hits;
+          Option.iter Telemetry.cache_hit st.tel;
           Tier.note_trade_avoided q.q_tier;
-          complete_admitted tr ~now ~plan:e.Statement_cache.plan
+          admitted tr ~now ~plan:e.Statement_cache.plan
             ~plan_cost:e.Statement_cache.plan_cost e.Statement_cache.contracts;
           true
         | Error _ -> false
@@ -1971,17 +1736,10 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     while !next < Array.length trades && trades.(!next).t_arrival <= st.mclock do
       let tr = trades.(!next) in
       incr next;
-      stream_instant tr ~at:tr.t_arrival "arrive";
-      tincr c_arrivals;
-      Option.iter (class_incr cc_arrivals) tr.t_klass;
-      if Shedding.sheds shedding ~occupancy:(occupancy ()) then begin
-        tr.t_status <- Some Shed;
-        tr.t_finished_at <- tr.t_arrival;
-        stream_instant tr ~at:tr.t_arrival "shed";
-        tincr c_shed;
-        fr_record ~time:tr.t_arrival ~node:tr.t_buyer ~kind:"shed"
-          ~detail:(Printf.sprintf "trade=%d" tr.t_index)
-      end
+      stream_instant st tr ~at:tr.t_arrival "arrive";
+      (match st.tel with Some t -> Telemetry.arrive t tr.t_klass | None -> ());
+      if Shedding.sheds scfg.shedding ~occupancy:(occupancy st) then
+        settle st tr Telemetry.Shed ~at:tr.t_arrival
       else begin
         Queue.add tr.t_index ready;
         if tr.t_deadline < infinity then
@@ -1994,7 +1752,7 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
     while !running < cap && not (Queue.is_empty ready) do
       let tr = trades.(Queue.pop ready) in
       (* Trades that expired while waiting for a fiber are skipped —
-         they were already accounted by their deadline event. *)
+         they were already settled by their deadline event. *)
       if tr.t_status = None then
         if not (try_cache tr) then begin
           incr running;
@@ -2040,26 +1798,11 @@ let drive_market ~obs ~exec_at_admission ?(shedding = Shedding.Keep_all)
       (fun acc tr -> Float.max acc (Float.max tr.t_finished_at tr.t_completed_at))
       st.mclock trades
   in
-  (* The series' final, possibly partial window: scrape once at the end
-     of trading unless the last whole-interval tick already landed
-     there. *)
   Option.iter
-    (fun t ->
-      let last_tick =
-        Timeseries.next_tick t.tel_ts -. Timeseries.interval t.tel_ts
-      in
-      if trading_makespan > last_tick then
-        scrape_tick t ~now:trading_makespan)
-    tel;
+    (fun t -> Telemetry.finish t ~at:trading_makespan ~occupancy:(occupancy st))
+    st.tel;
   emit_pool_span obs cfg.pool ~at:trading_makespan;
-  {
-    f_st = st;
-    f_trades = trades;
-    f_tel = tel;
-    f_lat_all = lat_all;
-    f_lat_class = lat_class;
-    f_trading_makespan = trading_makespan;
-  }
+  { f_st = st; f_trades = trades; f_trading_makespan = trading_makespan }
 
 (* Each executed trade's answer-table row and [(index, plan, table)],
    in trade order.  Result-cache hits never reach the scheduler, but
@@ -2091,19 +1834,60 @@ let executed st trades =
           | _ -> (ets, res)))
       trades ([], [])
 
-(* The run report, built from what the driver left.  Every arrival ends
-   exactly once — completed, shed, expired or failed — so the counts
-   partition the arrivals, overall and per class; a trade left with no
-   status breaks that law and fails the run.  [per_trade] keeps the
-   batch-only detail (the per-trade list, the executed answers and
-   exec's per-trade rows), which is not retained at stream scale. *)
+(* How the trades of one bucket (the whole run, or one class) ended. *)
+type tally = {
+  mutable n_arrivals : int;
+  mutable n_completed : int;
+  mutable n_hits : int;
+  mutable n_shed : int;
+  mutable n_expired : int;
+  mutable n_failed : int;
+  mutable n_cache_hits : int;
+}
+
+let new_tally () =
+  {
+    n_arrivals = 0;
+    n_completed = 0;
+    n_hits = 0;
+    n_shed = 0;
+    n_expired = 0;
+    n_failed = 0;
+    n_cache_hits = 0;
+  }
+
+(* Every arrival ends exactly once — completed, shed, expired or failed —
+   so the counts partition the arrivals; a trade left with no status
+   breaks that law and fails the run. *)
+let tally_trade n tr =
+  n.n_arrivals <- n.n_arrivals + 1;
+  (match tr.t_status with
+  | Some Completed ->
+    n.n_completed <- n.n_completed + 1;
+    if tr.t_completed_at <= tr.t_deadline then n.n_hits <- n.n_hits + 1
+  | Some Shed -> n.n_shed <- n.n_shed + 1
+  | Some Expired -> n.n_expired <- n.n_expired + 1
+  | Some (No_plan | Admission_failed) -> n.n_failed <- n.n_failed + 1
+  | None ->
+    failwith (Printf.sprintf "Market: trade %d ended with no status" tr.t_index));
+  if tr.t_cache_hit <> None then n.n_cache_hits <- n.n_cache_hits + 1
+
+let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
+
+(* The run report, built from what the driver left, counting outcomes in
+   one pass over the trades.  [per_trade] keeps the batch-only detail
+   (the per-trade list, the executed answers and exec's per-trade rows),
+   which is not retained at stream scale. *)
 let report_of ~per_trade f =
   let st = f.f_st and trades = f.f_trades in
+  let all = new_tally () in
+  let by_class = List.map (fun k -> (k, new_tally ())) Sla.all in
   Array.iter
     (fun tr ->
-      if tr.t_status = None then
-        failwith
-          (Printf.sprintf "Market: trade %d ended with no status" tr.t_index))
+      tally_trade all tr;
+      match tr.t_klass with
+      | Some k -> tally_trade (List.assoc k by_class) tr
+      | None -> ())
     trades;
   let exec_trades, results =
     if per_trade then executed st trades else ([], [])
@@ -2133,85 +1917,48 @@ let report_of ~per_trade f =
         }
     | _ -> None
   in
-  let count pred =
-    Array.fold_left (fun acc tr -> if pred tr then acc + 1 else acc) 0 trades
-  in
-  let is_hit tr =
-    tr.t_status = Some Completed && tr.t_completed_at <= tr.t_deadline
-  in
-  let bucket pred =
-    let arrivals = count pred in
-    let completed = count (fun tr -> pred tr && tr.t_status = Some Completed) in
-    let hits = count (fun tr -> pred tr && is_hit tr) in
-    let shed = count (fun tr -> pred tr && tr.t_status = Some Shed) in
-    let expired = count (fun tr -> pred tr && tr.t_status = Some Expired) in
-    let failed =
-      count (fun tr ->
-          pred tr
-          && (tr.t_status = Some No_plan || tr.t_status = Some Admission_failed))
-    in
-    let goodput =
-      if arrivals = 0 then 0. else float_of_int hits /. float_of_int arrivals
-    in
-    (arrivals, completed, hits, shed, expired, failed, goodput)
-  in
-  let cache_hits_of pred =
-    count (fun tr -> pred tr && tr.t_cache_hit <> None)
-  in
   let classes =
     List.map
-      (fun k ->
-        let pred tr = tr.t_klass = Some k in
-        let arrivals, completed, hits, shed, expired, failed, goodput =
-          bucket pred
-        in
-        let cache_hits = cache_hits_of pred in
+      (fun (k, n) ->
         {
           cs_klass = k;
-          cs_arrivals = arrivals;
-          cs_completed = completed;
-          cs_hits = hits;
-          cs_shed = shed;
-          cs_expired = expired;
-          cs_failed = failed;
-          cs_goodput = goodput;
-          cs_cache_hits = cache_hits;
-          cs_cache_hit_rate =
-            (if arrivals = 0 then 0.
-             else float_of_int cache_hits /. float_of_int arrivals);
-          cs_latency = summarize (f.f_lat_class k);
+          cs_arrivals = n.n_arrivals;
+          cs_completed = n.n_completed;
+          cs_hits = n.n_hits;
+          cs_shed = n.n_shed;
+          cs_expired = n.n_expired;
+          cs_failed = n.n_failed;
+          cs_goodput = ratio n.n_hits n.n_arrivals;
+          cs_cache_hits = n.n_cache_hits;
+          cs_cache_hit_rate = ratio n.n_cache_hits n.n_arrivals;
+          cs_latency = summarize (List.assoc k st.lat_class);
         })
-      Sla.all
-  in
-  let arrivals, completed, hits, shed, expired, failed, goodput =
-    bucket (fun _ -> true)
+      by_class
   in
   let trading_makespan = f.f_trading_makespan in
   let wire = Runtime.stats st.rt in
   {
-    str_arrivals = arrivals;
-    str_completed = completed;
-    str_hits = hits;
-    str_shed = shed;
-    str_expired = expired;
-    str_failed = failed;
-    str_goodput = goodput;
-    str_latency = summarize f.f_lat_all;
+    str_arrivals = all.n_arrivals;
+    str_completed = all.n_completed;
+    str_hits = all.n_hits;
+    str_shed = all.n_shed;
+    str_expired = all.n_expired;
+    str_failed = all.n_failed;
+    str_goodput = ratio all.n_hits all.n_arrivals;
+    str_latency = summarize st.lat_all;
     str_classes = classes;
     str_sellers =
-      List.sort compare (Federation.node_ids st.federation)
-      |> List.map (fun id ->
-             let adm = admission_of st id in
-             let a = Admission.stats adm in
-             let capacity =
-               float_of_int (Admission.slots adm) *. trading_makespan
-             in
-             {
-               seller = id;
-               admission = a;
-               utilization =
-                 (if capacity > 0. then a.Admission.busy /. capacity else 0.);
-             });
+      List.map
+        (fun id ->
+          let adm = admission_of st id in
+          let a = Admission.stats adm in
+          let capacity = float_of_int (Admission.slots adm) *. trading_makespan in
+          {
+            seller = id;
+            admission = a;
+            utilization = (if capacity > 0. then a.Admission.busy /. capacity else 0.);
+          })
+        st.seller_ids;
     str_batcher = Batcher.stats st.batcher;
     str_cache = Seller.pool_stats st.caches;
     str_admission_retries = st.retries;
@@ -2229,18 +1976,7 @@ let report_of ~per_trade f =
     str_exec = exec;
     str_qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
     str_pricing = Option.map Pricing.stats st.pstate;
-    str_telemetry =
-      Option.map
-        (fun t ->
-          {
-            tl_interval = t.tel_cfg.scrape_interval;
-            tl_ticks = Timeseries.ticks t.tel_ts;
-            tl_points = Timeseries.points t.tel_ts;
-            tl_rules = Slo.rules t.tel_slo;
-            tl_alerts = List.rev t.tel_alerts;
-            tl_failures = List.rev t.tel_failures;
-          })
-        f.f_tel;
+    str_telemetry = Option.map Telemetry.stats st.tel;
     str_trades =
       (if not per_trade then []
        else
@@ -2267,6 +2003,17 @@ let report_of ~per_trade f =
    [Proportional_share] arbitration policies. *)
 let batch_priority = 0
 
+(* The stream settings a batch runs under: no shedding, no telemetry and
+   the default latency domain. *)
+let batch_stream cfg =
+  {
+    base = cfg;
+    spec_of = Sla.default_spec;
+    shedding = Shedding.Keep_all;
+    telemetry = None;
+    latency_domain = 1000.;
+  }
+
 let run ?(obs = Obs.disabled) cfg federation queries =
   let trades =
     Array.of_list
@@ -2274,7 +2021,7 @@ let run ?(obs = Obs.disabled) cfg federation queries =
          (fun i q -> make_trade ~index:i ~priority:batch_priority q)
          queries)
   in
-  drive_market ~obs ~exec_at_admission:true cfg federation trades
+  drive_market ~obs ~exec_at_admission:true (batch_stream cfg) federation trades
   |> report_of ~per_trade:true
 
 let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
@@ -2294,7 +2041,12 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
              ~index:i ~priority:spec.Sla.priority
              templates.(a.Arrivals.template mod Array.length templates))
   in
-  drive_market ~obs ~exec_at_admission:false ~shedding:scfg.shedding
-    ?telemetry:scfg.telemetry ~latency_domain:scfg.latency_domain scfg.base
-    federation trades
+  drive_market ~obs ~exec_at_admission:false scfg federation trades
   |> report_of ~per_trade:false
+
+module Private = struct
+  let settle_fresh cfg federation query outcomes =
+    let st = make_market ~obs:Obs.disabled (batch_stream cfg) federation in
+    let tr = make_trade ~index:0 ~priority:batch_priority query in
+    List.iter (fun outcome -> settle st tr outcome ~at:0.) outcomes
+end

@@ -105,7 +105,9 @@ val default_config : Qt_cost.Params.t -> config
     concurrency, 2 retries, seed 7, no execution. *)
 
 type status =
-  | Completed  (** Planned and every contract admitted. *)
+  | Completed
+      (** Planned, admitted and every contract completed, or answered
+          from the result cache. *)
   | No_plan  (** The trading loop ended with no candidate plan. *)
   | Admission_failed  (** Rejected on every allowed attempt. *)
   | Shed
@@ -194,7 +196,7 @@ type class_stats = {
           queries of this class. *)
 }
 
-type telemetry_stats = {
+type telemetry_stats = Telemetry.stats = {
   tl_interval : float;
   tl_ticks : int;  (** Scrape ticks taken, including the final partial one. *)
   tl_points : Qt_obs.Timeseries.point list;
@@ -395,3 +397,13 @@ val telemetry_jsonl : telemetry_stats -> string
     scraped point, then one [{"alert":..,"bundle":..}] line per fired
     alert, then one [{"failure":..}] line per failure bundle.  What
     [qtsim stream --series FILE] writes. *)
+
+(**/**)
+
+(** Test access to the settle path; not part of the API. *)
+module Private : sig
+  val settle_fresh :
+    config -> Qt_catalog.Federation.t -> Qt_sql.Ast.t -> Telemetry.outcome list -> unit
+  (** End one fresh trade of a new market once per outcome, in order.
+      @raise Failure on the second: a trade ends exactly once. *)
+end

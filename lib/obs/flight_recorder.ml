@@ -72,21 +72,8 @@ let bundle t ~time ~reason ~metrics =
   in
   { b_time = time; b_reason = reason; b_entries = entries; b_metrics = metrics }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jf x = Printf.sprintf "%.6g" x
+let escape = Qt_util.Json_min.escape
 
 let entry_to_json e =
   Printf.sprintf "{\"t\":%s,\"node\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"

@@ -110,8 +110,6 @@ type phase_sum = {
   ps_wall : float;
 }
 
-val zero_phase_sum : phase_sum
-
 val phase_sum : t -> cat:string -> ?track:int -> unit -> phase_sum
 (** Sum the phase attributes ([messages], [bytes], [cache_hits],
     [cache_misses], [sim]) and wall time of every span in [cat]
@@ -120,4 +118,3 @@ val phase_sum : t -> cat:string -> ?track:int -> unit -> phase_sum
     asserted by the obs test suite. *)
 
 val attr_int : (string * value) list -> string -> int
-val attr_float : (string * value) list -> string -> float

@@ -22,14 +22,6 @@ let default_fast = 5
 let default_slow = 30
 let default_factor = 6.
 
-let metric_to_string = function
-  | P50 -> "p50"
-  | P95 -> "p95"
-  | P99 -> "p99"
-  | Goodput -> "goodput"
-  | Occupancy -> "occupancy"
-  | Cache_hit -> "cache_hit"
-
 let metric_of_string = function
   | "p50" -> Some P50
   | "p95" -> Some P95
@@ -251,23 +243,10 @@ let alerts t = List.rev t.st_alerts
 
 let jf x = Printf.sprintf "%.6g" x
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let alert_to_json al =
   Printf.sprintf
     "{\"rule\":\"%s\",\"t\":%s,\"severity\":\"%s\",\"burn_fast\":%s,\"burn_slow\":%s,\"window_error\":%s,\"suppressed\":%d}"
-    (escape al.al_rule.r_name) (jf al.al_time)
+    (Qt_util.Json_min.escape al.al_rule.r_name) (jf al.al_time)
     (severity_to_string al.al_severity)
     (jf al.al_burn_fast)
     (jf al.al_burn_slow)

@@ -41,8 +41,6 @@ val parse : string -> (rule, string) result
     [<subject>:<metric><cmp><threshold>:budget=<b>[:fast=N][:slow=N][:factor=F][:dedup=N]]
     — e.g. [interactive:p95<5:budget=0.01]. *)
 
-val metric_to_string : metric -> string
-
 type severity =
   | Warn
   | Critical

@@ -158,20 +158,6 @@ let points t = List.rev t.ts_points
 
 let jf x = Printf.sprintf "%.6g" x
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let point_to_json p =
   Printf.sprintf "{\"t\":%s,\"series\":\"%s\",\"value\":%s}" (jf p.pt_time)
-    (escape p.pt_series) (jf p.pt_value)
+    (Qt_util.Json_min.escape p.pt_series) (jf p.pt_value)

@@ -21,8 +21,6 @@ type strategy =
           still clipped by the arbitrage-free repair. *)
 
 val strategy_to_string : strategy -> string
-val strategy_of_string : string -> (strategy, string) result
-
 type mix = {
   mix_default : strategy;
   mix_overrides : (int * strategy) list;  (** node id -> strategy *)
@@ -57,7 +55,6 @@ val default_config : config
 (** All-[Cost_plus] mix, multiplier 2.0, watermarks 0.9/0.5, markup
     0.25, no SLO coupling, no reservations. *)
 
-val strategy_for : config -> int -> strategy
 val reserves : config -> priority:int -> bool
 
 (** {1 Quotes} *)

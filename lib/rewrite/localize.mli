@@ -27,6 +27,12 @@ type t = {
           the [base_rows] environment for the local optimizer. *)
 }
 
+val partition_attr :
+  Qt_catalog.Schema.t -> Qt_sql.Ast.t -> string -> Qt_sql.Ast.attr option
+(** The partition-key attribute of [alias]'s relation in the query, named
+    by [alias]; [None] for an alias outside the query or an unpartitioned
+    relation. *)
+
 val localize :
   ?max_variants:int ->
   ranges:ranges ->

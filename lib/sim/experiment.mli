@@ -13,9 +13,6 @@ type metrics = {
   wall_ms : float;  (** Real CPU time of the optimizer run. *)
 }
 
-val of_trader : string -> Qt_core.Trader.stats -> metrics
-val of_baseline : string -> Qt_baseline.Common.stats -> metrics
-
 val run_qt :
   ?config:Qt_core.Trader.config ->
   params:Qt_cost.Params.t ->

@@ -214,22 +214,24 @@ let rename_aliases mapping (q : Ast.t) =
     order_by = List.map (fun (a, o) -> (ren_attr a, o)) q.order_by;
   }
 
+let is_range_conjunct = function
+  | Ast.Between _ -> true
+  | Ast.Cmp (op, Ast.Col _, Ast.Lit (Ast.L_int _))
+  | Ast.Cmp (op, Ast.Lit (Ast.L_int _), Ast.Col _) -> (
+    match op with
+    | Ast.Ne -> false
+    | Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> true)
+  | Ast.Cmp _ -> false
+
+let range_attr = function
+  | Ast.Between (a, _, _) -> Some a
+  | Ast.Cmp (_, Ast.Col a, Ast.Lit (Ast.L_int _)) -> Some a
+  | Ast.Cmp (_, Ast.Lit (Ast.L_int _), Ast.Col a) -> Some a
+  | Ast.Cmp _ -> None
+
 let normalize (q : Ast.t) =
   (* Merge all range conjuncts on the same attribute into one Between, keep
      other conjuncts as-is, then sort every clause. *)
-  let is_range_conjunct = function
-    | Ast.Between _ -> true
-    | Ast.Cmp (op, Ast.Col _, Ast.Lit (Ast.L_int _))
-    | Ast.Cmp (op, Ast.Lit (Ast.L_int _), Ast.Col _) ->
-      (match op with Ast.Ne -> false | Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> true)
-    | Ast.Cmp _ -> false
-  in
-  let range_attr = function
-    | Ast.Between (a, _, _) -> Some a
-    | Ast.Cmp (_, Ast.Col a, Ast.Lit (Ast.L_int _)) -> Some a
-    | Ast.Cmp (_, Ast.Lit (Ast.L_int _), Ast.Col a) -> Some a
-    | Ast.Cmp _ -> None
-  in
   let ranged, others =
     List.partition (fun p -> is_range_conjunct p && range_attr p <> None) q.where
   in

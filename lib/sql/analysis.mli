@@ -18,14 +18,8 @@ val attrs_of_select_item : Ast.select_item -> Ast.attr list
 val predicate_aliases : Ast.predicate -> string list
 (** Aliases a predicate mentions (deduplicated). *)
 
-val is_join_predicate : Ast.predicate -> bool
-(** True when the predicate relates two distinct aliases. *)
-
 val join_predicates : Ast.t -> Ast.predicate list
 val selection_predicates : Ast.t -> Ast.predicate list
-
-val predicates_over : Ast.t -> string list -> Ast.predicate list
-(** WHERE conjuncts mentioning only the given aliases. *)
 
 val has_aggregate : Ast.t -> bool
 
@@ -75,6 +69,13 @@ val rename_aliases : (string * string) list -> Ast.t -> Ast.t
     attributes) through [mapping]; aliases absent from the mapping are kept
     unchanged.  Used by the view matcher to align a view definition with a
     requested query. *)
+
+val is_range_conjunct : Ast.predicate -> bool
+(** A [BETWEEN], or a comparison other than [<>] of a column against an
+    integer literal: the conjuncts {!normalize} merges per attribute. *)
+
+val range_attr : Ast.predicate -> Ast.attr option
+(** The column a range conjunct constrains. *)
 
 val normalize : Ast.t -> Ast.t
 (** Canonical form: FROM, WHERE, SELECT and GROUP BY sorted, redundant

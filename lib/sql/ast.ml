@@ -101,8 +101,6 @@ let compare_select_item a b =
   | Sel_col _, Sel_agg _ -> -1
   | Sel_agg _, Sel_col _ -> 1
 
-let equal_select_item a b = compare_select_item a b = 0
-
 let compare_table_ref a b =
   let c = String.compare a.relation b.relation in
   if c <> 0 then c else String.compare a.alias b.alias
@@ -272,7 +270,5 @@ let printer add ppf x =
   add b x;
   Format.pp_print_string ppf (Buffer.contents b)
 
-let pp_attr = printer add_attr
-let pp_literal = printer add_literal
 let pp_predicate = printer add_predicate
 let pp ppf q = Format.pp_print_string ppf (to_string q)

@@ -78,12 +78,10 @@ val eq_const : attr -> literal -> predicate
     Structural; all list orders are significant here — use
     {!Analysis.normalize} before comparing queries for semantic identity. *)
 
-val compare_literal : literal -> literal -> int
 val equal_attr : attr -> attr -> bool
 val compare_attr : attr -> attr -> int
 val equal_predicate : predicate -> predicate -> bool
 val compare_predicate : predicate -> predicate -> int
-val equal_select_item : select_item -> select_item -> bool
 val compare_select_item : select_item -> select_item -> int
 val compare_table_ref : table_ref -> table_ref -> int
 val equal : t -> t -> bool
@@ -95,8 +93,6 @@ val to_string : t -> string
     significant digits that give back the same float, and always as a
     float ([5.0], not [5]). *)
 
-val pp_attr : Format.formatter -> attr -> unit
-val pp_literal : Format.formatter -> literal -> unit
 val pp_predicate : Format.formatter -> predicate -> unit
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}'s text; the [pp_*] printers above write the same

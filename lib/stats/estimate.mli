@@ -78,9 +78,6 @@ val output_rows : env -> Qt_sql.Ast.t -> float
 val select_width : env -> Qt_sql.Ast.t -> int
 (** Estimated bytes per output row of the query's SELECT list. *)
 
-val attr_width : Qt_catalog.Schema.attribute -> int
-(** Bytes to encode one value of the attribute. *)
-
 val distinct_of : env -> Qt_sql.Ast.t -> Qt_sql.Ast.attr -> float
 (** Estimated distinct values of an attribute within the query, capped by
     the alias's row count. *)

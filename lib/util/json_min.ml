@@ -160,3 +160,18 @@ let field obj key = match obj with Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let str v = match v with String s -> Some s | _ -> None
 let num v = match v with Num f -> Some f | _ -> None
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b

@@ -29,3 +29,8 @@ val field : t -> string -> t option
 
 val str : t -> string option
 val num : t -> float option
+
+val escape : string -> string
+(** [s] as the body of a JSON string literal, for the hand-written
+    serializers: quotes, backslashes, newlines and tabs escaped, other
+    control characters as [\u00XX]. *)

@@ -2,24 +2,9 @@ module Ast = Qt_sql.Ast
 module Analysis = Qt_sql.Analysis
 module Interval = Qt_util.Interval
 
-let is_range_conjunct = function
-  | Ast.Between _ -> true
-  | Ast.Cmp (op, Ast.Col _, Ast.Lit (Ast.L_int _))
-  | Ast.Cmp (op, Ast.Lit (Ast.L_int _), Ast.Col _) -> (
-    match op with
-    | Ast.Ne -> false
-    | Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> true)
-  | Ast.Cmp _ -> false
-
-let range_attr = function
-  | Ast.Between (a, _, _) -> Some a
-  | Ast.Cmp (_, Ast.Col a, Ast.Lit (Ast.L_int _)) -> Some a
-  | Ast.Cmp (_, Ast.Lit (Ast.L_int _), Ast.Col a) -> Some a
-  | Ast.Cmp _ -> None
-
 let conjunct_implied ~by q_ctx p =
-  if is_range_conjunct p then
-    match range_attr p with
+  if Analysis.is_range_conjunct p then
+    match Analysis.range_attr p with
     | Some a ->
       (* q guarantees p iff q's allowed range for the attribute lies inside
          the range p allows. *)

@@ -24,5 +24,3 @@ val residual :
 (** Conjuncts of [of_.where] that [given.where] does not already
     guarantee — the compensation filters to apply on top of a view. *)
 
-val is_range_conjunct : Qt_sql.Ast.predicate -> bool
-val range_attr : Qt_sql.Ast.predicate -> Qt_sql.Ast.attr option

@@ -5,6 +5,9 @@
 
 module Market = Qt_market.Market
 module Admission = Qt_market.Admission
+module Telemetry = Qt_market.Telemetry
+module Shedding = Qt_stream.Shedding
+module Tier = Qt_cache.Tier
 module Sla = Qt_stream.Sla
 module Arrivals = Qt_stream.Arrivals
 module Metrics = Qt_obs.Metrics
@@ -689,6 +692,91 @@ let test_latency_domain () =
   Alcotest.(check int) "completions unchanged" a.Market.str_completed
     c.Market.str_completed
 
+(* A counter's [.rate] series integrated over its scrape windows: every
+   point is one window's delta over the scrape interval, so the sum of
+   rate x interval recovers the counter's final value. *)
+let integrated (tel : Market.telemetry_stats) counter =
+  let series = counter ^ ".rate" in
+  List.fold_left
+    (fun acc (p : Timeseries.point) ->
+      if p.Timeseries.pt_series = series then
+        acc +. (p.Timeseries.pt_value *. tel.Market.tl_interval)
+      else acc)
+    0. tel.Market.tl_points
+  |> Float.round |> int_of_float
+
+(* The live telemetry counters and the end-of-run report count the same
+   endings: each trade is settled once, and both read that one event.
+   The run sheds at full occupancy, expires on tenth-length deadlines,
+   fails on a fifth template over a relation no node holds, and hits the
+   shared statement cache on the repeated ones. *)
+let test_stream_telemetry_matches_report () =
+  let base = telemetry_scfg () in
+  let scfg =
+    {
+      base with
+      Market.base =
+        {
+          base.Market.base with
+          Market.max_admission_retries = 0;
+          qcache = Some (Tier.create Tier.default_config);
+        };
+      shedding = Shedding.Occupancy 1.0;
+      spec_of =
+        (fun k ->
+          let spec = Sla.default_spec k in
+          { spec with Sla.deadline = spec.Sla.deadline /. 10. });
+    }
+  in
+  let arrivals =
+    Arrivals.generate ~seed:13
+      ~process:(Arrivals.Poisson { rate = 20. })
+      ~horizon:(Arrivals.Count 400) ~templates:5 ~theta:0.9 ~mix:Sla.default_mix
+  in
+  let templates =
+    Array.append (stream_templates ()) [| parse "SELECT n.a FROM nowhere n" |]
+  in
+  let s = Market.run_stream scfg (stream_federation ()) ~templates arrivals in
+  let tel = Option.get s.Market.str_telemetry in
+  let classes = s.Market.str_classes in
+  let cache_hits =
+    List.fold_left (fun acc c -> acc + c.Market.cs_cache_hits) 0 classes
+  in
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) (what ^ " happen") true (n > 0))
+    [
+      ("completions", s.Market.str_completed);
+      ("sheds", s.Market.str_shed);
+      ("expiries", s.Market.str_expired);
+      ("failures", s.Market.str_failed);
+      ("cache hits", cache_hits);
+    ];
+  let check name want = Alcotest.(check int) name want (integrated tel name) in
+  check "stream.arrivals" s.Market.str_arrivals;
+  check "stream.completed" s.Market.str_completed;
+  check "stream.hits" s.Market.str_hits;
+  check "stream.shed" s.Market.str_shed;
+  check "stream.expired" s.Market.str_expired;
+  check "stream.failed" s.Market.str_failed;
+  check "stream.cache_hits" cache_hits;
+  List.iter
+    (fun (c : Market.class_stats) ->
+      let p = "stream.class." ^ Sla.to_string c.Market.cs_klass in
+      check (p ^ ".arrivals") c.Market.cs_arrivals;
+      check (p ^ ".hits") c.Market.cs_hits;
+      check (p ^ ".expired") c.Market.cs_expired)
+    classes
+
+let test_settle_twice_fails () =
+  let cfg = Market.default_config params in
+  let federation = stream_federation () in
+  let query = (stream_templates ()).(0) in
+  Market.Private.settle_fresh cfg federation query [ Telemetry.Completed ];
+  Alcotest.check_raises "a second settle fails the run"
+    (Failure "Market: trade 0 settled twice") (fun () ->
+      Market.Private.settle_fresh cfg federation query
+        [ Telemetry.Shed; Telemetry.Expired ])
+
 let suite =
   ( "telemetry",
     [
@@ -714,4 +802,7 @@ let suite =
       quick "run_stream: telemetry off leaves output byte-identical"
         test_stream_telemetry_off_identity;
       quick "run_stream: latency histogram domain" test_latency_domain;
+      quick "run_stream: telemetry counters integrate to the report"
+        test_stream_telemetry_matches_report;
+      quick "settle: a trade ends exactly once" test_settle_twice_fails;
     ] )
