@@ -1609,19 +1609,19 @@ let r_telemetry () =
     first_alert_t s.Market.str_makespan first_bundle_entries
 
 (* ------------------------------------------------------------------ *)
-(* R-optimizer: bitset DP core + domain pool vs the legacy enumeration  *)
+(* R-optimizer: the bitset DP core at --domains 1 vs 4                   *)
 (* ------------------------------------------------------------------ *)
 
 let r_optimizer () =
   heading "R-optimizer"
-    "market optimize wall-clock: legacy string-list DP (serial seed) vs the \
-     bitset core at --domains 1/4, BENCH_optimizer.json";
+    "market optimize wall-clock: the bitset core at --domains 1/4, \
+     BENCH_optimizer.json";
   let module Market = Qt_market.Market in
   let module Pool = Qt_optimizer.Pool in
   (* Join-heavy chain queries over a replicated federation: every trade
      runs the buyer plan generator per RFB round and every seller prices
      per coalesced request, so optimizer enumeration dominates the wall
-     clock — exactly the path the bitset refactor targets. *)
+     clock. *)
   let relations = 8 in
   let buyers = 8 in
   let federation =
@@ -1640,19 +1640,14 @@ let r_optimizer () =
           ~select_fraction:(0.5 +. (0.06 *. float_of_int i))
           ~aggregate:(i mod 2 = 0) ~relations ())
   in
-  let config ~legacy pool =
+  let config pool =
     {
       (Market.default_config params) with
       Market.trader =
         {
           (Trader.default_config params) with
           Trader.pool;
-          seller_template =
-            {
-              (Seller.default_config params) with
-              Seller.pool;
-              legacy_dp = legacy;
-            };
+          seller_template = { (Seller.default_config params) with Seller.pool };
         };
       pool;
     }
@@ -1664,69 +1659,47 @@ let r_optimizer () =
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
-  let run ~legacy domains =
-    if domains <= 1 then
-      wall (fun () -> Market.run (config ~legacy None) federation queries)
+  let run federation queries domains =
+    if domains <= 1 then wall (fun () -> Market.run (config None) federation queries)
     else begin
       let p = Pool.create ~domains in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown p)
-        (fun () ->
-          wall (fun () -> Market.run (config ~legacy (Some p)) federation queries))
+        (fun () -> wall (fun () -> Market.run (config (Some p)) federation queries))
     end
   in
-  (* Warm-up, then median of 3 per configuration: the gate below is a
-     ratio of wall clocks and must not flap on scheduler noise. *)
-  ignore (run ~legacy:false 1);
+  (* Warm-up, then median of 3 per configuration, so the recorded wall
+     clocks do not flap on scheduler noise. *)
+  ignore (run federation queries 1);
   let median3 f =
     let runs = List.init 3 (fun _ -> f ()) in
     let sorted = List.sort (fun (a, _) (b, _) -> compare a b) runs in
     List.nth sorted 1
   in
-  let legacy_s, legacy_stats = median3 (fun () -> run ~legacy:true 1) in
-  let d1_s, d1 = median3 (fun () -> run ~legacy:false 1) in
-  let d4_s, d4 = median3 (fun () -> run ~legacy:false 4) in
+  let d1_s, d1 = median3 (fun () -> run federation queries 1) in
+  let d4_s, d4 = median3 (fun () -> run federation queries 4) in
   let identical = Market.to_json d1 = Market.to_json d4 in
-  let legacy_identical = Market.to_json legacy_stats = Market.to_json d1 in
-  let speedup = if d4_s > 0. then legacy_s /. d4_s else 0. in
   (* The same engine over the TPC-H schema: the joins are shallower, so
-     this arm gates determinism (d1 vs d4 byte-identity on a different
-     catalog shape) rather than speedup. *)
+     this arm gates determinism (d1 vs d4 byte-identity) on a different
+     catalog shape. *)
   let tpch_federation =
     Generator.tpch ~nodes:8
       ~placement:{ Generator.partitions = 4; replicas = 2 }
       ()
   in
   let tpch_queries = Workload.tpch_templates ~seed:11 ~count:buyers in
-  let run_tpch domains =
-    if domains <= 1 then
-      wall (fun () ->
-          Market.run (config ~legacy:false None) tpch_federation tpch_queries)
-    else begin
-      let p = Pool.create ~domains in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown p)
-        (fun () ->
-          wall (fun () ->
-              Market.run
-                (config ~legacy:false (Some p))
-                tpch_federation tpch_queries))
-    end
-  in
-  let tpch_d1_s, tpch_d1 = run_tpch 1 in
-  let tpch_d4_s, tpch_d4 = run_tpch 4 in
+  let tpch_d1_s, tpch_d1 = run tpch_federation tpch_queries 1 in
+  let tpch_d4_s, tpch_d4 = run tpch_federation tpch_queries 4 in
   let tpch_identical = Market.to_json tpch_d1 = Market.to_json tpch_d4 in
-  let t = Texttable.create [ "configuration"; "wall (s)"; "vs legacy"; "done" ] in
+  let t = Texttable.create [ "configuration"; "wall (s)"; "done" ] in
   let row name s (st : Market.stream_stats) =
     Texttable.add_row t
       [
         name;
         Printf.sprintf "%.3f" s;
-        Printf.sprintf "%.2fx" (legacy_s /. s);
         Printf.sprintf "%d/%d" st.Market.str_completed buyers;
       ]
   in
-  row "legacy string-list DP (seed)" legacy_s legacy_stats;
   row "bitset core, domains=1" d1_s d1;
   row "bitset core, domains=4" d4_s d4;
   Texttable.print t;
@@ -1738,13 +1711,9 @@ let r_optimizer () =
       ("scenario", Bench_json.S "optimizer");
       ("relations", Bench_json.I relations);
       ("buyers", Bench_json.I buyers);
-      ("legacy_wall_s", Bench_json.F legacy_s);
       ("d1_wall_s", Bench_json.F d1_s);
       ("d4_wall_s", Bench_json.F d4_s);
-      ("speedup_d4_vs_legacy", Bench_json.F speedup);
-      ("speedup_d1_vs_legacy", Bench_json.F (if d1_s > 0. then legacy_s /. d1_s else 0.));
       ("identical_d1_d4", Bench_json.B identical);
-      ("identical_legacy_d1", Bench_json.B legacy_identical);
       ("completed", Bench_json.I d4.Market.str_completed);
       ("tpch_d1_wall_s", Bench_json.F tpch_d1_s);
       ("tpch_d4_wall_s", Bench_json.F tpch_d4_s);
@@ -1760,26 +1729,15 @@ let r_optimizer () =
       "FAIL: market stats differ between domains=1 and domains=4\n";
     exit 1
   end;
-  if not legacy_identical then begin
-    Printf.printf "FAIL: bitset core changed results vs the legacy DP\n";
-    exit 1
-  end;
   if not tpch_identical then begin
     Printf.printf
       "FAIL: tpch market stats differ between domains=1 and domains=4\n";
     exit 1
   end;
-  if speedup < 3.0 then begin
-    Printf.printf
-      "FAIL: domains=4 speedup %.2fx < 3x over the serial seed (%.3fs -> %.3fs)\n"
-      speedup legacy_s d4_s;
-    exit 1
-  end
-  else
-    Printf.printf
-      "PASS: market optimize wall clock cut %.3fs -> %.3fs (%.2fx >= 3x), \
-       results byte-identical across pool sizes\n"
-      legacy_s d4_s speedup
+  Printf.printf
+    "PASS: market optimize %.3fs at domains=1, %.3fs at domains=4, results \
+     byte-identical across pool sizes\n"
+    d1_s d4_s
 
 (* ------------------------------------------------------------------ *)
 (* R-cache: result/statement cache tier, off vs client vs shared        *)

@@ -57,11 +57,6 @@ val note_execution_avoided : t -> unit
 val credit : t -> seller:int -> float -> unit
 (** Settle discounted hit revenue into a seller's ledger. *)
 
-val revenue : t -> (int * float) list
-(** Per-seller hit revenue, sorted by node id. *)
-
-val bytes_held : t -> int
-
 type stats = {
   placement : string;
   stmt : Statement_cache.stats;

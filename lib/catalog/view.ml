@@ -8,6 +8,3 @@ type t = {
 let make ?(row_bytes = 50) ~name ~definition ~rows () =
   if rows < 0 then invalid_arg "View.make: negative rows";
   { view_name = name; definition; rows; row_bytes }
-
-let pp ppf t =
-  Format.fprintf ppf "%s := %a (%d rows)" t.view_name Qt_sql.Ast.pp t.definition t.rows

@@ -13,5 +13,3 @@ type t = {
 
 val make :
   ?row_bytes:int -> name:string -> definition:Qt_sql.Ast.t -> rows:int -> unit -> t
-
-val pp : Format.formatter -> t -> unit

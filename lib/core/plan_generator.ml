@@ -561,19 +561,14 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
       (fun best -> (smask, best))
       (Listx.min_by (fun (_, _, c) -> Cost.response c) !candidates)
   in
-  let levels : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.replace levels 1
-    (List.filter (fun a -> Bitset.table_get block_table (abit a) <> None) aliases
-    |> List.map abit);
   for size = 2 to n do
     let subsets =
       List.filter (Bitset.connected adj) (Bitset.subsets_of_size size from_bits)
     in
     let computed =
       match pool with
-      | Some p when Pool.domains p > 1 && List.length subsets > 1 ->
-        Array.to_list (Pool.map p compute_subset (Array.of_list subsets))
-      | Some _ | None -> List.map compute_subset subsets
+      | Some p -> Array.to_list (Pool.map p compute_subset (Array.of_list subsets))
+      | None -> List.map compute_subset subsets
     in
     let built =
       List.filter_map
@@ -584,7 +579,6 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
             Some smask)
         computed
     in
-    Hashtbl.replace levels size built;
     match prune with
     | Some (k, m) when size = k && List.length built > m ->
       let cost_of smask =
@@ -602,8 +596,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
         (fun smask ->
           if not (Hashtbl.mem keep_set smask) then
             Bitset.table_remove block_table smask)
-        built;
-      Hashtbl.replace levels size keep
+        built
     | Some _ | None -> ()
   done;
   let joined_candidate =

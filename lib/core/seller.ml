@@ -27,10 +27,6 @@ type config = {
       (* Domain pool for parallel DP level enumeration while pricing;
          [None] (or a 1-domain pool) keeps the serial path.  Not part of
          bid-cache validity: the pool never changes results. *)
-  legacy_dp : bool;
-      (* Price with the frozen pre-bitset enumeration ([Dp_legacy]).
-         Bench-only knob for measuring the seed-equivalent baseline;
-         results are oracle-identical to the bitset core. *)
   market : (Ast.t -> Offer.t list) option;
       (* Subcontracting (Section 3.5's deferred extension): a way to ask
          the rest of the federation for pieces this node is missing.  The
@@ -53,7 +49,6 @@ let default_config params =
     use_views = true;
     price_per_mb = 0.;
     pool = None;
-    legacy_dp = false;
     market = None;
     pricing = None;
   }
@@ -482,13 +477,8 @@ let candidates ?memo ?(sig_of = Analysis.Sig.of_ast) config schema (node : Node.
              })
     in
     let dp =
-      if config.legacy_dp then
-        Qt_optimizer.Dp_legacy.optimize ~params:config.params
-          ~cpu_factor:node.cpu_factor ~io_factor:node.io_factor ~env ~base
-          variant.query
-      else
-        Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
-          ~io_factor:node.io_factor ?pool:config.pool ?memo ~env ~base variant.query
+      Dp.optimize ~params:config.params ~cpu_factor:node.cpu_factor
+        ~io_factor:node.io_factor ?pool:config.pool ?memo ~env ~base variant.query
     in
     let partials =
       dp.partials

@@ -29,10 +29,6 @@ type config = {
       (** Domain pool used to parallelize the pricing DP's level
           enumeration.  Never changes results (so it is not part of bid
           cache validity); [None] is the serial path.  Default [None]. *)
-  legacy_dp : bool;
-      (** Price with the frozen pre-bitset string-list enumeration
-          ({!Qt_optimizer.Dp_legacy}).  Bench-only baseline knob; offers
-          are identical to the bitset core's.  Default [false]. *)
   market : (Qt_sql.Ast.t -> Offer.t list) option;
       (** Subcontracting (the extension Section 3.5 defers): a channel to
           request offers for pieces this node is missing, provided by the

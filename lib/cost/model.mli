@@ -5,9 +5,6 @@
     operators through this one module, so comparisons across optimizers are
     apples-to-apples. *)
 
-val pages : Params.t -> rows:float -> row_bytes:int -> float
-(** Number of pages occupied by [rows] rows. *)
-
 val scan : Params.t -> ?io_factor:float -> rows:float -> row_bytes:int -> unit -> Cost.t
 (** Sequential scan of a stored fragment or materialized view. *)
 

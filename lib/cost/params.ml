@@ -22,9 +22,3 @@ let default =
 let lan = { default with net_latency = 2e-4; net_bandwidth = 100e6 }
 
 let wan = { default with net_latency = 5e-2; net_bandwidth = 1e6 }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "cpu=%.2gs/tuple io=%.2gs/page page=%dB latency=%.2gs bw=%.3gB/s envelope=%dB"
-    t.cpu_tuple t.io_page t.page_bytes t.net_latency t.net_bandwidth
-    t.msg_overhead_bytes

@@ -33,5 +33,3 @@ val lan : t
 val wan : t
 (** High-latency variant (50 ms latency, 1 MB/s), where shipping data is
     expensive and good placement matters most. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,5 @@
 (** Row-level scalar and predicate evaluation. *)
 
-val scalar : Table.t -> Value.t array -> Qt_sql.Ast.scalar -> Value.t
-(** @raise Invalid_argument when a referenced column is absent. *)
-
 val predicate : Table.t -> Value.t array -> Qt_sql.Ast.predicate -> bool
 
 val predicates : Table.t -> Value.t array -> Qt_sql.Ast.predicate list -> bool

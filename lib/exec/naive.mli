@@ -12,11 +12,6 @@
     - {b view materialization}: [materialize_views] fills the store's view
       tables by evaluating each view definition over its owner's data. *)
 
-val run : source:(rel:string -> alias:string -> Table.t) -> Qt_sql.Ast.t -> Table.t
-(** Evaluate against an arbitrary table source.
-    @raise Invalid_argument when the source lacks a relation or the query
-    references unknown columns. *)
-
 val run_global : Store.t -> Qt_sql.Ast.t -> Table.t
 (** Evaluate against the federation's complete data. *)
 

@@ -8,8 +8,6 @@ type t = {
   views : (int * string, Table.t) Hashtbl.t;
 }
 
-let schema t = t.schema
-
 let gen_value rng (attr : Schema.attribute) =
   match attr.domain with
   | Schema.D_int _ when attr.hist <> None ->

@@ -14,8 +14,6 @@ val generate : seed:int -> Qt_catalog.Federation.t -> t
     cardinality.  Intended for execution-scale schemas (up to ~10^5 rows);
     pure costing experiments never call this. *)
 
-val schema : t -> Qt_catalog.Schema.t
-
 val global_table : t -> string -> Table.t
 (** Whole relation, columns tagged with the relation name as alias.
     @raise Invalid_argument for an unknown relation. *)

@@ -19,5 +19,4 @@ val to_float : t -> float
 (** Numeric value; 0 for null.  @raise Invalid_argument on strings. *)
 
 val is_null : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -11,8 +11,6 @@ module Table = Qt_exec.Table
 
 type config = { workers : int; share_results : bool }
 
-let default_config = { workers = 1; share_results = true }
-
 type node_stats = {
   ns_node : int;
   ns_tasks : int;

@@ -50,9 +50,6 @@ type config = {
           share the answer (default on). *)
 }
 
-val default_config : config
-(** 1 worker per node, sharing on. *)
-
 type node_stats = {
   ns_node : int;
   ns_tasks : int;  (** Tasks completed on this node. *)

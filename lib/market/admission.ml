@@ -81,8 +81,6 @@ let create ?waits cfg =
     waits;
   }
 
-let metrics t = t.m
-
 let slots t = t.cfg.slots
 let in_service t = List.length t.active
 let queue_depth t = List.length t.queued
@@ -97,7 +95,6 @@ let occupancy t =
 
 let work h = h.h_work
 let trade_of h = h.h_trade
-let reserved h = h.h_reserved
 let is_active t h = List.exists (fun a -> a.h_seq = h.h_seq) t.active
 
 let served_of t trade =

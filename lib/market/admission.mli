@@ -65,9 +65,6 @@ val occupancy : t -> float
 val work : handle -> float
 val trade_of : handle -> int
 
-val reserved : handle -> bool
-(** Whether the contract bought a reserved slot (see {!submit}). *)
-
 val started_at : handle -> float
 (** Virtual time the contract last entered service (its submission time
     until then) — the start of its contract span in traces. *)
@@ -113,8 +110,5 @@ type stats = {
 }
 
 val stats : t -> stats
-(** A view over the controller's metrics registry (see {!metrics}). *)
-
-val metrics : t -> Qt_obs.Metrics.t
-(** The registry holding the controller's counters and gauges
-    ([admission.admitted], [admission.peak_queue], …). *)
+(** A view over the controller's metrics registry ([admission.admitted],
+    [admission.peak_queue], …). *)

@@ -51,8 +51,6 @@ let create ~batching =
     c_dups = Metrics.counter m "batcher.dup_signatures_merged";
   }
 
-let metrics t = t.m
-
 (* Envelope framing overhead, mirroring the per-request header the trader
    charges: an unbatched message is [bytes] (headers included); a merged
    envelope keeps one header per distinct signature. *)

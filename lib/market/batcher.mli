@@ -53,8 +53,5 @@ val coalesce : t -> request list -> envelope list
     ascending id order.  Counts the wave in {!stats}. *)
 
 val stats : t -> stats
-(** A view over the batcher's metrics registry (see {!metrics}). *)
-
-val metrics : t -> Qt_obs.Metrics.t
-(** The registry holding the batcher's counters ([batcher.waves],
+(** A view over the batcher's metrics registry ([batcher.waves],
     [batcher.sent_messages], …). *)

@@ -18,6 +18,7 @@ module Flight_recorder = Qt_obs.Flight_recorder
 module Plan = Qt_optimizer.Plan
 module Pool = Qt_optimizer.Pool
 module Listx = Qt_util.Listx
+module Json = Qt_util.Json_min
 module Store = Qt_exec.Store
 module Naive = Qt_exec.Naive
 module Table = Qt_exec.Table
@@ -791,10 +792,7 @@ let serve_wave st trades waiting ~t_close ~drive =
   in
   let group_results =
     match st.cfg.pool with
-    | Some p
-      when Pool.domains p > 1
-           && (not (Obs.enabled st.obs))
-           && List.length groups > 1 ->
+    | Some p when not (Obs.enabled st.obs) ->
       Array.to_list (Pool.map p serve_group (Array.of_list groups))
     | Some _ | None -> List.map serve_group groups
   in
@@ -1024,15 +1022,13 @@ let status_to_string = function
   | Shed -> "shed"
   | Expired -> "expired"
 
-let jf x = Printf.sprintf "%.6g" x
-
 (* One phase rendered without its wall-clock field — wall time is
    process-local and would break byte-stable same-seed output. *)
 let phase_json (p : Trader.phase) =
   Printf.sprintf
     "{\"messages\":%d,\"bytes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"sim\":%s}"
     p.Trader.messages p.Trader.bytes p.Trader.cache_hits p.Trader.cache_misses
-    (jf p.Trader.sim)
+    (Json.number p.Trader.sim)
 
 let phases_json (ph : Trader.phase_stats) =
   Printf.sprintf
@@ -1043,7 +1039,7 @@ let phases_json (ph : Trader.phase_stats) =
 
 let latency_json (l : latency_summary) =
   (* No observations means no percentiles: render null, not a fake 0. *)
-  let stat v = if l.l_count = 0 then "null" else jf v in
+  let stat v = if l.l_count = 0 then "null" else Json.number v in
   Printf.sprintf "{\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}" l.l_count
     (stat l.l_p50) (stat l.l_p95) (stat l.l_p99)
 
@@ -1053,7 +1049,7 @@ let seller_json (x : seller_stats) =
     "{\"seller\":%d,\"admitted\":%d,\"accepted\":%d,\"rejected\":%d,\"completed\":%d,\"canceled\":%d,\"peak_queue\":%d,\"peak_active\":%d,\"busy\":%s,\"utilization\":%s}"
     x.seller a.Admission.admitted a.Admission.accepted a.Admission.rejected
     a.Admission.completed a.Admission.canceled a.Admission.peak_queue
-    a.Admission.peak_active (jf a.Admission.busy) (jf x.utilization)
+    a.Admission.peak_active (Json.number a.Admission.busy) (Json.number x.utilization)
 
 let batcher_json (bt : Batcher.stats) =
   Printf.sprintf
@@ -1081,11 +1077,11 @@ let qcache_json (q : Tier.stats) =
        s.Statement_cache.invalidations s.Statement_cache.evictions
        s.Statement_cache.suppressed)
     (counts_json r)
-    q.Tier.trades_avoided q.Tier.executions_avoided (jf q.Tier.hit_revenue)
+    q.Tier.trades_avoided q.Tier.executions_avoided (Json.number q.Tier.hit_revenue)
     (String.concat ","
        (List.map
           (fun (seller, rev) ->
-            Printf.sprintf "{\"seller\":%d,\"revenue\":%s}" seller (jf rev))
+            Printf.sprintf "{\"seller\":%d,\"revenue\":%s}" seller (Json.number rev))
           q.Tier.hit_revenue_by_seller))
     q.Tier.result_bytes_held
 
@@ -1094,12 +1090,12 @@ let qcache_json (q : Tier.stats) =
 let pricing_json (p : Pricing.stats) =
   Printf.sprintf
     "{\"revenue\":%s,\"reservation_revenue\":%s,\"surge_activations\":%d,\"forced_flips\":%d,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_fill\":%s,\"sellers\":[%s]}"
-    (jf p.Pricing.p_revenue)
-    (jf p.Pricing.p_reservation_revenue)
+    (Json.number p.Pricing.p_revenue)
+    (Json.number p.Pricing.p_reservation_revenue)
     p.Pricing.p_surge_activations p.Pricing.p_forced_flips
     p.Pricing.p_reserved_sold p.Pricing.p_reserved_completed
     p.Pricing.p_reserved_refunded
-    (jf p.Pricing.p_reservation_fill)
+    (Json.number p.Pricing.p_reservation_fill)
     (String.concat ","
        (List.map
           (fun (x : Pricing.seller_stats) ->
@@ -1108,14 +1104,14 @@ let pricing_json (p : Pricing.stats) =
               x.Pricing.ps_seller
               (Pricing.strategy_to_string x.Pricing.ps_strategy)
               x.Pricing.ps_surging x.Pricing.ps_surge_activations
-              (jf x.Pricing.ps_revenue) x.Pricing.ps_reserved_sold
+              (Json.number x.Pricing.ps_revenue) x.Pricing.ps_reserved_sold
               x.Pricing.ps_reserved_completed x.Pricing.ps_reserved_refunded
-              (jf x.Pricing.ps_reservation_revenue))
+              (Json.number x.Pricing.ps_reservation_revenue))
           p.Pricing.p_sellers))
 
 let exec_node_json (n : exec_node) =
   Printf.sprintf "{\"node\":%d,\"tasks\":%d,\"busy\":%s,\"utilization\":%s}"
-    n.en_node n.en_tasks (jf n.en_busy) (jf n.en_utilization)
+    n.en_node n.en_tasks (Json.number n.en_busy) (Json.number n.en_utilization)
 
 let json_list add f xs =
   add "[";
@@ -1138,11 +1134,13 @@ let add_run_wide_json b ~batch (s : stream_stats) =
          s.str_failed);
   add (Printf.sprintf ",\"admission_retries\":%d" s.str_admission_retries);
   if batch then
-    add (Printf.sprintf ",\"trading_makespan\":%s" (jf s.str_trading_makespan));
+    add
+      (Printf.sprintf ",\"trading_makespan\":%s"
+         (Json.number s.str_trading_makespan));
   add
     (Printf.sprintf
        ",\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
-       (jf s.str_makespan) s.str_wire_messages s.str_wire_bytes
+       (Json.number s.str_makespan) s.str_wire_messages s.str_wire_bytes
        (latency_json s.str_offer_rtt)
        (latency_json s.str_queue_wait));
   (match s.str_exec with
@@ -1151,7 +1149,7 @@ let add_run_wide_json b ~batch (s : stream_stats) =
     add
       (Printf.sprintf
          ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d"
-         (jf e.exec_makespan) e.tasks_run e.shared_results);
+         (Json.number e.exec_makespan) e.tasks_run e.shared_results);
     if batch then begin
       add ",\"trades\":";
       list
@@ -1159,7 +1157,7 @@ let add_run_wide_json b ~batch (s : stream_stats) =
           add
             (Printf.sprintf
                "{\"trade\":%d,\"rows\":%d,\"digest\":%d,\"finished_at\":%s}"
-               t.et_trade t.et_rows t.et_digest (jf t.et_finished_at)))
+               t.et_trade t.et_rows t.et_digest (Json.number t.et_finished_at)))
         e.exec_trades
     end;
     add ",\"nodes\":";
@@ -1183,11 +1181,11 @@ let to_json (s : stream_stats) =
         (Printf.sprintf
            "{\"trade\":%d,\"status\":\"%s\",\"attempts\":%d,\"rounds\":%d,\"plan_cost\":%s,\"messages\":%d,\"bytes\":%d,\"sim_time\":%s,\"phases\":%s,\"contracts\":"
            t.trade (status_to_string t.status) t.attempts t.rounds
-           (jf t.plan_cost) t.messages t.bytes (jf t.sim_time)
+           (Json.number t.plan_cost) t.messages t.bytes (Json.number t.sim_time)
            (phases_json t.phases));
       list
         (fun (seller, work) ->
-          add (Printf.sprintf "{\"seller\":%d,\"work\":%s}" seller (jf work)))
+          add (Printf.sprintf "{\"seller\":%d,\"work\":%s}" seller (Json.number work)))
         t.contracts;
       add "}")
     s.str_trades;
@@ -1201,13 +1199,13 @@ let class_json ~qcache (c : class_stats) =
   let cache_fields =
     if qcache then
       Printf.sprintf ",\"cache_hits\":%d,\"cache_hit_rate\":%s" c.cs_cache_hits
-        (jf c.cs_cache_hit_rate)
+        (Json.number c.cs_cache_hit_rate)
     else ""
   in
   Printf.sprintf
     "{\"class\":%S,\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s%s,\"latency\":%s}"
     (Sla.to_string c.cs_klass) c.cs_arrivals c.cs_completed c.cs_hits c.cs_shed
-    c.cs_expired c.cs_failed (jf c.cs_goodput) cache_fields
+    c.cs_expired c.cs_failed (Json.number c.cs_goodput) cache_fields
     (latency_json c.cs_latency)
 
 let alert_json ((al : Slo.alert), bundle) =
@@ -1222,7 +1220,7 @@ let stream_to_json (s : stream_stats) =
     (Printf.sprintf
        "{\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s,\"latency\":%s"
        s.str_arrivals s.str_completed s.str_hits s.str_shed s.str_expired
-       s.str_failed (jf s.str_goodput) (latency_json s.str_latency));
+       s.str_failed (Json.number s.str_goodput) (latency_json s.str_latency));
   add ",\"classes\":";
   list (fun c -> add (class_json ~qcache:(s.str_qcache <> None) c)) s.str_classes;
   add_run_wide_json b ~batch:false s;
@@ -1236,7 +1234,7 @@ let stream_to_json (s : stream_stats) =
     add
       (Printf.sprintf
          ",\"telemetry\":{\"interval\":%s,\"ticks\":%d,\"points\":%d,\"rules\":"
-         (jf t.tl_interval) t.tl_ticks (List.length t.tl_points));
+         (Json.number t.tl_interval) t.tl_ticks (List.length t.tl_points));
     list
       (fun (r : Slo.rule) -> add (Printf.sprintf "%S" r.Slo.r_name))
       t.tl_rules;

@@ -68,13 +68,11 @@ let parse_rules text =
 type report = { failures : string list; notes : string list }
 
 let scalar_to_string = function
-  | Json.Num f -> Printf.sprintf "%.6g" f
+  | Json.Num f -> Json.number f
   | Json.Bool b -> string_of_bool b
   | Json.String s -> s
   | Json.Null -> "null"
   | Json.List _ | Json.Obj _ -> "<compound>"
-
-let jf = Printf.sprintf "%.6g"
 
 let compare_snapshots ~rules ~baseline ~current =
   let failures = ref [] and notes = ref [] in
@@ -101,11 +99,13 @@ let compare_snapshots ~rules ~baseline ~current =
             if r.bd_cmp = Min_ratio && cv < floor then
               fail
                 (Printf.sprintf "%s: %s < %s (baseline %s, tolerance %g)"
-                   r.bd_key (jf cv) (jf floor) (jf bv) r.bd_tol)
+                   r.bd_key (Json.number cv) (Json.number floor) (Json.number bv)
+                   r.bd_tol)
             else if r.bd_cmp = Max_ratio && cv > ceiling then
               fail
                 (Printf.sprintf "%s: %s > %s (baseline %s, tolerance %g)"
-                   r.bd_key (jf cv) (jf ceiling) (jf bv) r.bd_tol)
+                   r.bd_key (Json.number cv) (Json.number ceiling) (Json.number bv)
+                   r.bd_tol)
           | _ ->
             fail
               (Printf.sprintf "%s: ratio rule on non-numeric values (%s vs %s)"
@@ -124,7 +124,8 @@ let compare_snapshots ~rules ~baseline ~current =
               if bv = 0. then infinity else 100. *. (cv -. bv) /. Float.abs bv
             in
             note
-              (Printf.sprintf "%s: %s -> %s (%+.1f%%)" key (jf bv) (jf cv) pct)
+              (Printf.sprintf "%s: %s -> %s (%+.1f%%)" key (Json.number bv)
+                 (Json.number cv) pct)
           | b, Some c when b <> c ->
             note
               (Printf.sprintf "%s: %s -> %s" key (scalar_to_string b)

@@ -24,7 +24,7 @@ let escape = Qt_util.Json_min.escape
 
 let value_json = function
   | Obs.Int n -> string_of_int n
-  | Obs.Float f -> Printf.sprintf "%.6g" f
+  | Obs.Float f -> Qt_util.Json_min.number f
   | Obs.Str s -> Printf.sprintf "\"%s\"" (escape s)
 
 let args_json attrs =
@@ -142,8 +142,8 @@ let to_json ?(counters = []) obs =
       (fun (t, series, v) ->
         event
           (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"telemetry\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":{\"value\":%.6g}}"
-             (escape series) (us t) pid v))
+             "{\"name\":\"%s\",\"cat\":\"telemetry\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":1,\"args\":{\"value\":%s}}"
+             (escape series) (us t) pid (Qt_util.Json_min.number v)))
       points
   end;
   Printf.sprintf "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"

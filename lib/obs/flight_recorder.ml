@@ -25,8 +25,6 @@ let create ~capacity =
     invalid_arg "Flight_recorder.create: capacity must be positive";
   { fr_capacity = capacity; rings = Hashtbl.create 16; fr_seq = 0 }
 
-let capacity t = t.fr_capacity
-
 let ring_of t node =
   match Hashtbl.find_opt t.rings node with
   | Some r -> r
@@ -72,15 +70,14 @@ let bundle t ~time ~reason ~metrics =
   in
   { b_time = time; b_reason = reason; b_entries = entries; b_metrics = metrics }
 
-let jf x = Printf.sprintf "%.6g" x
 let escape = Qt_util.Json_min.escape
 
 let entry_to_json e =
   Printf.sprintf "{\"t\":%s,\"node\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
-    (jf e.e_time) e.e_node (escape e.e_kind) (escape e.e_detail)
+    (Qt_util.Json_min.number e.e_time) e.e_node (escape e.e_kind) (escape e.e_detail)
 
 let bundle_to_json b =
   Printf.sprintf "{\"t\":%s,\"reason\":\"%s\",\"entries\":[%s],\"metrics\":%s}"
-    (jf b.b_time) (escape b.b_reason)
+    (Qt_util.Json_min.number b.b_time) (escape b.b_reason)
     (String.concat "," (List.map entry_to_json b.b_entries))
     (if b.b_metrics = "" then "null" else b.b_metrics)

@@ -23,8 +23,6 @@ val create : capacity:int -> t
 (** Per-node ring capacity.
     @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val record :
   t -> time:float -> node:int -> kind:string -> detail:string -> unit
 

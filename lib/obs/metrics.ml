@@ -169,19 +169,17 @@ let drain_window h =
 let histo_buckets h = h.h_buckets
 let histo_scale h = h.h_scale
 
-let jf x = Printf.sprintf "%.6g" x
-
 let to_json t =
   let entries =
     List.concat_map
       (fun item ->
         match item with
         | Counter c -> [ (c.c_name, string_of_int c.c_value) ]
-        | Gauge g -> [ (g.g_name, jf g.g_value) ]
+        | Gauge g -> [ (g.g_name, Qt_util.Json_min.number g.g_value) ]
         | Histo h ->
           (* An empty histogram has no measurements: render null rather
              than a bare 0. indistinguishable from a real observation. *)
-          let stat v = if h.h_count = 0 then "null" else jf v in
+          let stat v = if h.h_count = 0 then "null" else Qt_util.Json_min.number v in
           [
             (h.h_name ^ ".count", string_of_int h.h_count);
             (h.h_name ^ ".mean", stat (mean h));

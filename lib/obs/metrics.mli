@@ -50,7 +50,6 @@ val observe : histo -> float -> unit
 
 val observations : histo -> int
 val sum : histo -> float
-val mean : histo -> float
 
 val percentile : histo -> float -> float
 (** Interpolated quantile in raw units, [p] clamped to [0, 1].  With a

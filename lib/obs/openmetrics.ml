@@ -22,8 +22,6 @@ let sanitize name =
   let s = Buffer.contents b in
   if s = "" || not (name_start s.[0]) then "_" ^ s else s
 
-let jf x = Printf.sprintf "%.6g" x
-
 let render metrics =
   let b = Buffer.create 1024 in
   List.iter
@@ -37,7 +35,8 @@ let render metrics =
       | Metrics.V_gauge g ->
         Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" n);
         Buffer.add_string b
-          (Printf.sprintf "%s %s\n" n (jf (Metrics.gauge_value g)))
+          (Printf.sprintf "%s %s\n" n
+             (Qt_util.Json_min.number (Metrics.gauge_value g)))
       | Metrics.V_histo h ->
         Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" n);
         if Metrics.observations h > 0 then
@@ -45,10 +44,10 @@ let render metrics =
             (fun (q, p) ->
               Buffer.add_string b
                 (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n q
-                   (jf (Metrics.percentile h p))))
+                   (Qt_util.Json_min.number (Metrics.percentile h p))))
             [ ("0.5", 0.5); ("0.95", 0.95); ("0.99", 0.99) ];
         Buffer.add_string b
-          (Printf.sprintf "%s_sum %s\n" n (jf (Metrics.sum h)));
+          (Printf.sprintf "%s_sum %s\n" n (Qt_util.Json_min.number (Metrics.sum h)));
         Buffer.add_string b
           (Printf.sprintf "%s_count %d\n" n (Metrics.observations h)))
     (Metrics.items metrics);

@@ -241,13 +241,11 @@ let observe t ~now ~error_rate =
 
 let alerts t = List.rev t.st_alerts
 
-let jf x = Printf.sprintf "%.6g" x
-
 let alert_to_json al =
   Printf.sprintf
     "{\"rule\":\"%s\",\"t\":%s,\"severity\":\"%s\",\"burn_fast\":%s,\"burn_slow\":%s,\"window_error\":%s,\"suppressed\":%d}"
-    (Qt_util.Json_min.escape al.al_rule.r_name) (jf al.al_time)
+    (Qt_util.Json_min.escape al.al_rule.r_name) (Qt_util.Json_min.number al.al_time)
     (severity_to_string al.al_severity)
-    (jf al.al_burn_fast)
-    (jf al.al_burn_slow)
-    (jf al.al_window_error) al.al_suppressed
+    (Qt_util.Json_min.number al.al_burn_fast)
+    (Qt_util.Json_min.number al.al_burn_slow)
+    (Qt_util.Json_min.number al.al_window_error) al.al_suppressed

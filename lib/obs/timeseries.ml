@@ -156,8 +156,8 @@ let window_above t name threshold =
 
 let points t = List.rev t.ts_points
 
-let jf x = Printf.sprintf "%.6g" x
-
 let point_to_json p =
-  Printf.sprintf "{\"t\":%s,\"series\":\"%s\",\"value\":%s}" (jf p.pt_time)
-    (Qt_util.Json_min.escape p.pt_series) (jf p.pt_value)
+  Printf.sprintf "{\"t\":%s,\"series\":\"%s\",\"value\":%s}"
+    (Qt_util.Json_min.number p.pt_time)
+    (Qt_util.Json_min.escape p.pt_series)
+    (Qt_util.Json_min.number p.pt_value)

@@ -22,7 +22,6 @@ let make aliases =
   Array.iteri (fun i a -> Hashtbl.replace index a i) order;
   { order; index; n }
 
-let size ctx = ctx.n
 let full ctx = (1 lsl ctx.n) - 1
 let bit ctx alias = 1 lsl Hashtbl.find ctx.index alias
 let bit_opt ctx alias =

@@ -14,7 +14,6 @@ val make : string list -> ctx
     [Invalid_argument] past the host word size — far beyond any
     practical join count. *)
 
-val size : ctx -> int
 val full : ctx -> int
 
 val bit : ctx -> string -> int
@@ -28,9 +27,6 @@ val to_list : ctx -> int -> string list
 
 val card : int -> int
 val lowest_bit : int -> int
-
-val bits : int -> int list
-(** Single-bit masks of a mask, lowest first. *)
 
 val subsets_of_size : int -> int list -> int list
 (** [subsets_of_size k bits] — all k-element unions of the given

@@ -237,7 +237,7 @@ let same_key fa ma fb mb =
   in
   String.equal fa.factors fb.factors && aliases 0 0 && joins 0 0
 
-let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~env
+let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?pool ?memo ~env
     ~(base : string -> Plan.t option) (q : Ast.t) =
   let aliases = Analysis.aliases q in
   let parts p = Plan.cost_parts params ~cpu_factor ~io_factor p in
@@ -282,10 +282,10 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~
   let adj = Bitset.adjacency ctx (List.map snd where_aliases) in
   (* Two memo slots per subset, each carrying the plan's [(local, remote)]
      cost pair and its total, so a join candidate is costed from its
-     inputs' pairs in O(1) and neither candidate selection nor IDP pruning
-     ever re-walks a plan: the cheapest plan, and (when different and not
-     dominated) the cheapest plan with a sorted output, kept because a
-     downstream merge join or ORDER BY may redeem its extra cost. *)
+     inputs' pairs in O(1) and candidate selection never re-walks a plan:
+     the cheapest plan, and (when different and not dominated) the
+     cheapest plan with a sorted output, kept because a downstream merge
+     join or ORDER BY may redeem its extra cost. *)
   let table : entry Bitset.table = Bitset.table_create ctx in
   let ordered : entry Bitset.table = Bitset.table_create ctx in
   List.iter
@@ -364,19 +364,17 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~
       Some (best, ord)
     | None -> None
   in
-  (* IDP pruning removes entries a later subset would read, so a pruned
-     enumeration neither reads nor fills the memo. *)
   let memo =
-    match (memo, prune) with
-    | Some (m, catalog), None ->
-      (* Level 1 is in FROM order; the facts are by bit rank. *)
-      let ranked =
-        List.map
-          (fun alias -> List.find (fun (a, _, _) -> a = alias) level1)
-          (Bitset.to_list ctx (Bitset.full ctx))
-      in
-      Some (m, catalog, facts_of ~cpu_factor ~io_factor ranked joins)
-    | Some _, Some _ | None, _ -> None
+    Option.map
+      (fun (m, catalog) ->
+        (* Level 1 is in FROM order; the facts are by bit rank. *)
+        let ranked =
+          List.map
+            (fun alias -> List.find (fun (a, _, _) -> a = alias) level1)
+            (Bitset.to_list ctx (Bitset.full ctx))
+        in
+        (m, catalog, facts_of ~cpu_factor ~io_factor ranked joins))
+      memo
   in
   let lookup smask =
     match memo with
@@ -401,9 +399,9 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~
           m_value = value;
         }
   in
-  let levels : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.replace levels 1 (List.map abit available);
   let from_bits = List.map abit available in
+  (* Each level's built subsets in enumeration order, largest level first. *)
+  let levels = ref [ from_bits ] in
   for size = 2 to n do
     let subsets =
       List.filter (Bitset.connected adj) (Bitset.subsets_of_size size from_bits)
@@ -419,9 +417,8 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~
     in
     let computed =
       match pool with
-      | Some p when Pool.domains p > 1 && Array.length misses > 1 ->
-        Pool.map p compute_subset misses
-      | Some _ | None -> Array.map compute_subset misses
+      | Some p -> Pool.map p compute_subset misses
+      | None -> Array.map compute_subset misses
     in
     let next_miss = ref 0 in
     let built =
@@ -446,30 +443,7 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~
             Some smask)
         looked
     in
-    Hashtbl.replace levels size built;
-    (* IDP(k,m): at level k, retain only the m cheapest sub-plans. *)
-    (match prune with
-    | Some (k, m) when size = k && List.length built > m ->
-      let response_of smask =
-        match Bitset.table_get table smask with
-        | Some (_, _, c) -> Cost.response c
-        | None -> infinity
-      in
-      let ranked =
-        List.sort (fun a b -> Float.compare (response_of a) (response_of b)) built
-      in
-      let keep = Listx.take m ranked in
-      let keep_set = Hashtbl.create (2 * m) in
-      List.iter (fun s -> Hashtbl.replace keep_set s ()) keep;
-      List.iter
-        (fun smask ->
-          if not (Hashtbl.mem keep_set smask) then begin
-            Bitset.table_remove table smask;
-            Bitset.table_remove ordered smask
-          end)
-        built;
-      Hashtbl.replace levels size keep
-    | Some _ | None -> ())
+    levels := built :: !levels
   done;
   let restrict = restrictor_of ctx q where_aliases in
   let partial_of smask =
@@ -490,14 +464,7 @@ let optimize ~params ?(cpu_factor = 1.0) ?(io_factor = 1.0) ?prune ?pool ?memo ~
           cost = Plan.total (Plan.unary_cost params ~cpu_factor ~io_factor projected pair);
         }
   in
-  let partials =
-    List.concat_map
-      (fun size ->
-        match Hashtbl.find_opt levels size with
-        | None -> []
-        | Some subsets -> List.filter_map partial_of subsets)
-      (Listx.range 1 n)
-  in
+  let partials = List.concat_map (List.filter_map partial_of) (List.rev !levels) in
   let best =
     if List.length available <> List.length aliases || n = 0 then None
     else

@@ -1,22 +1,17 @@
-(** System-R dynamic-programming join enumeration, with the two extensions
-    the paper needs (Section 3.4):
-
-    - {b Partial results}: conventional DP prices every connected sub-join
-      on the way to the full plan; we surface those intermediate optima as
-      [partial]s so a seller can offer the optimal 2-way, 3-way, ...
-      answers to the buyer, exactly as the modified DP of the paper does.
-    - {b IDP(k,m) pruning} (Kossmann & Stocker): after all [k]-way
-      sub-plans are built, only the best [m] are retained; larger plans are
-      built from the survivors.  [IDP-M(2,5)] is the variant the paper
-      names for the buyer plan generator.
+(** The sellers' System-R dynamic-programming join enumeration, modified
+    as the paper's Section 3.4 asks: conventional DP prices every
+    connected sub-join on the way to the full plan, and we surface those
+    intermediate optima as [partial]s so a seller can offer the optimal
+    2-way, 3-way, ... answers to the buyer.  The buyer's IDP-M(k,m)
+    enumeration over traded blocks lives in [Qt_core.Plan_generator].
 
     The enumeration core runs on interned alias bitsets ({!Bitset}):
     subset connectivity, predicate coverage and memo probes are
     machine-word bit operations, and levels can be enumerated in parallel
     on a {!Pool} with results merged in enumeration order — output is
-    byte-identical to the serial path at any domain count.  The original
-    string-list enumeration survives as {!Dp_legacy} and is oracle-tested
-    against this one. *)
+    byte-identical to the serial path at any domain count.  The test
+    suite keeps the original string-list enumeration as an oracle and
+    checks this one against it. *)
 
 type partial = {
   subset : string list;  (** Sorted aliases covered. *)
@@ -64,7 +59,6 @@ val optimize :
   params:Qt_cost.Params.t ->
   ?cpu_factor:float ->
   ?io_factor:float ->
-  ?prune:int * int ->
   ?pool:Pool.t ->
   ?memo:memo * int ->
   env:Qt_stats.Estimate.env ->
@@ -75,9 +69,9 @@ val optimize :
     supplies the access path for an alias — a fragment scan (possibly a
     union of fragment scans) for a seller, a remote-capable scan for the
     baselines — or [None] if the alias is unavailable, in which case
-    partials simply avoid it.  [prune = (k, m)] enables IDP(k,m).
-    [pool] parallelizes each DP level's subset enumeration across its
-    domains; results are identical to the serial path.
+    partials simply avoid it.  [pool] parallelizes each DP level's subset
+    enumeration across its domains; results are identical to the serial
+    path.
 
     [memo = (m, catalog)] looks every subset up in [m] before building it
     and stores what it builds, stamped with [catalog] (a fingerprint of
@@ -85,8 +79,7 @@ val optimize :
     mismatch is a miss.  Lookups and inserts run on the calling domain in
     enumeration order, and only misses go to [pool], so results and the
     memo's contents are the same at any domain count.  The result is
-    identical to a run without the memo.  An IDP run ([prune]) bypasses
-    the memo. *)
+    identical to a run without the memo. *)
 
 val restrictor : Bitset.ctx -> Qt_sql.Ast.t -> int -> Qt_sql.Ast.t
 (** [restrictor ctx q] derives alias masks of [q]'s FROM items, WHERE
@@ -112,8 +105,3 @@ val finalize :
     only an Aggregate or a Distinct forces it, so a caller finalizing
     several plans of one query derives it at most once.  Shared by the
     seller optimizer and the buyer plan generator. *)
-
-val algos_for : Qt_sql.Ast.predicate list -> Plan.join_algo list
-(** Join algorithms applicable to a predicate set: hash and sort-merge
-    when an equality conjunct crosses relations, else nested loop.
-    Exposed for {!Dp_legacy}. *)

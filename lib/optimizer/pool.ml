@@ -97,8 +97,6 @@ let create ~domains =
     List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
-let domains t = t.domains
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.shutting_down <- true;

@@ -20,8 +20,6 @@ val create : domains:int -> t
     cores only stretches the stop-the-world GC safepoints, and results
     are byte-identical at any pool size anyway. *)
 
-val domains : t -> int
-
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel map preserving input order.  The caller participates.  The
     first exception raised by [f] is re-raised on the caller once the

@@ -75,11 +75,6 @@ val quote_multiplier : quote -> float
 
 (** {1 Price-function layer} *)
 
-val contained : Qt_sql.Ast.t -> Qt_sql.Ast.t -> bool
-(** [contained sub sup]: [sup]'s answer determines [sub]'s — same scan
-    set and output columns, no aggregation, and [sub]'s WHERE implies
-    [sup]'s (sound, incomplete; see [Qt_views.Containment]). *)
-
 val reprice : quote -> (Qt_sql.Ast.t * float) array -> float array
 (** Apply the strategy multiplier to each [(query, quote)] pair, then
     repair monotonicity: each price is capped at the cheapest price
@@ -103,7 +98,6 @@ val create : config -> t
     would flip in and out of surge at every wave). *)
 
 val config : t -> config
-val strategy_of : t -> int -> strategy
 
 val observe_occupancy : t -> seller:int -> occupancy:float -> unit
 (** Run the hysteresis step for one seller: enter surge at

@@ -64,7 +64,6 @@ let create ?(rpc = default_rpc) ?(faults = Fault_plan.none)
     obs;
   }
 
-let rpc t = t.rpc
 let obs t = t.obs
 let now t = t.now
 

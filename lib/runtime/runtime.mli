@@ -60,8 +60,6 @@ val create :
     instants; each {!gather_round} adds one summary span.  The default
     {!Qt_obs.Obs.disabled} sink makes all of it a dead branch. *)
 
-val rpc : t -> rpc_config
-
 val obs : t -> Qt_obs.Obs.t
 (** The trace sink the runtime was created with (shared by transports
     layered on top). *)
@@ -96,9 +94,6 @@ val chatter : t -> node:int -> count:int -> bytes_each:int -> elapsed:float -> u
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Schedule a raw event ([at] clamped to the current virtual time). *)
-
-val step : t -> bool
-(** Dispatch the earliest pending event; [false] when the queue is idle. *)
 
 val run_until_idle : t -> unit
 

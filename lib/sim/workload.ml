@@ -140,11 +140,10 @@ let random_chain_queries ~seed ~count ~relations ~max_joins =
 (* TPC-H flavour                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let tpch_date_days = 2555
 let tpch_order_domain = 6000
 
 (* Q1 flavour: pricing summary over a shipdate slice of lineitem. *)
-let tpch_pricing_summary ?(ship_lo = 0) ?(ship_hi = tpch_date_days - 1) () =
+let tpch_pricing_summary ?(ship_lo = 0) ?(ship_hi = Generator.tpch_date_days - 1) () =
   let flag = { Ast.rel = "l"; name = "returnflag" } in
   Ast.query
     ~select:
@@ -160,7 +159,7 @@ let tpch_pricing_summary ?(ship_lo = 0) ?(ship_hi = tpch_date_days - 1) () =
 (* Q3 flavour: revenue of a market segment's recent orders, grouped by
    order priority — customer x orders x lineitem with the cross-partition
    customer-orders join. *)
-let tpch_shipping_priority ?(segment = 0) ?(date_hi = tpch_date_days / 2) () =
+let tpch_shipping_priority ?(segment = 0) ?(date_hi = Generator.tpch_date_days / 2) () =
   let c_custkey = { Ast.rel = "c"; name = "custkey" } in
   let o_custkey = { Ast.rel = "o"; name = "custkey" } in
   let o_orderkey = { Ast.rel = "o"; name = "orderkey" } in
@@ -273,17 +272,17 @@ let tpch_templates ~seed ~count =
   List.init count (fun i ->
       match i mod 5 with
       | 0 ->
-        let lo = Rng.int rng (tpch_date_days - 400) in
+        let lo = Rng.int rng (Generator.tpch_date_days - 400) in
         tpch_pricing_summary ~ship_lo:lo ~ship_hi:(lo + 200 + Rng.int rng 200) ()
       | 1 ->
         tpch_shipping_priority ~segment:(Rng.int rng 5)
-          ~date_hi:(600 + Rng.int rng (tpch_date_days - 600))
+          ~date_hi:(600 + Rng.int rng (Generator.tpch_date_days - 600))
           ()
       | 2 ->
-        let lo = Rng.int rng (tpch_date_days - 365) in
+        let lo = Rng.int rng (Generator.tpch_date_days - 365) in
         tpch_local_supplier_volume ~date_lo:lo ~date_hi:(lo + 365) ()
       | 3 ->
-        let lo = Rng.int rng (tpch_date_days - 90) in
+        let lo = Rng.int rng (Generator.tpch_date_days - 90) in
         tpch_returned_items ~date_lo:lo ()
       | _ -> tpch_order_lookup ~orderkey:(Rng.int rng tpch_order_domain))
 

@@ -85,7 +85,6 @@ val compare_predicate : predicate -> predicate -> int
 val compare_select_item : select_item -> select_item -> int
 val compare_table_ref : table_ref -> table_ref -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val to_string : t -> string
 (** The query as SQL text that {!Parser.parse} accepts and reads back as an

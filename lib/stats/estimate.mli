@@ -32,10 +32,6 @@ val env_of_fragments :
   env
 (** Environment with explicit per-alias row counts (alias, rows). *)
 
-val attribute :
-  env -> Qt_sql.Ast.attr -> rel:string -> Qt_catalog.Schema.attribute option
-(** Schema attribute backing a query attribute of the given relation. *)
-
 val selectivity : env -> Qt_sql.Ast.t -> Qt_sql.Ast.predicate -> float
 (** Fraction of candidate rows (or row pairs, for join predicates) that
     satisfy the predicate; always in (0, 1]. *)

@@ -24,14 +24,6 @@ type mix = (klass * float) list
 
 let default_mix = [ (Interactive, 0.5); (Batch, 0.3); (Besteffort, 0.2) ]
 
-let mix_to_string mix =
-  List.map
-    (fun k ->
-      let w = try List.assoc k mix with Not_found -> 0. in
-      Printf.sprintf "%s=%g" (to_string k) w)
-    all
-  |> String.concat ","
-
 (* Shared "k=v,k=v" parser for mixes and deadline overrides. *)
 let parse_pairs s =
   let parts =

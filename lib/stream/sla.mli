@@ -41,8 +41,6 @@ type mix = (klass * float) list
 val default_mix : mix
 (** Interactive 0.5, batch 0.3, besteffort 0.2. *)
 
-val mix_to_string : mix -> string
-
 val mix_of_string : string -> (mix, string) result
 (** Parse ["interactive=0.5,batch=0.3,besteffort=0.2"]-style specs.
     Unmentioned classes get weight 0; at least one weight must be

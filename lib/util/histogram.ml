@@ -227,7 +227,3 @@ module Window = struct
   let percentile w p = run_percentile w.geometry (Some w.buckets) w.counts p
   let mass_in w itv = run_mass_in w.geometry (Some w.buckets) w.counts itv
 end
-
-let pp ppf t =
-  Format.fprintf ppf "hist[%d,%d] %d buckets, %.0f rows" t.lo t.hi (bucket_count t)
-    (total t)

@@ -47,7 +47,6 @@ val fraction_in : t -> Interval.t -> float
 (** [mass_in] normalized by {!total}; 0 when the histogram is empty. *)
 
 val bucket_count : t -> int
-val domain : t -> Interval.t
 
 val percentile : t -> float -> float
 (** [percentile t p] is the interpolated value at quantile [p] (clamped
@@ -82,5 +81,3 @@ val sample : t -> Rng.t -> int
 (** Draw a value from the histogram's distribution: a bucket weighted by
     its mass, then uniform within the bucket.
     @raise Invalid_argument on an empty histogram. *)
-
-val pp : Format.formatter -> t -> unit

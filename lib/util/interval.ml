@@ -76,12 +76,3 @@ let pp ppf t =
   else Format.fprintf ppf "[%d,%d]" t.lo t.hi
 
 let equal a b = (is_empty a && is_empty b) || (a.lo = b.lo && a.hi = b.hi)
-
-let compare a b =
-  match (is_empty a, is_empty b) with
-  | true, true -> 0
-  | true, false -> -1
-  | false, true -> 1
-  | false, false ->
-    let c = Int.compare a.lo b.lo in
-    if c <> 0 then c else Int.compare a.hi b.hi

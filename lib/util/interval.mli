@@ -51,4 +51,3 @@ val split_even : t -> int -> t list
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int

@@ -175,3 +175,5 @@ let escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
+
+let number x = Printf.sprintf "%.6g" x

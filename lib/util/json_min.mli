@@ -34,3 +34,7 @@ val escape : string -> string
 (** [s] as the body of a JSON string literal, for the hand-written
     serializers: quotes, backslashes, newlines and tabs escaped, other
     control characters as [\u00XX]. *)
+
+val number : float -> string
+(** [x] as a JSON number literal for the hand-written serializers: [%.6g],
+    the one float format every JSON artifact of the tree uses. *)

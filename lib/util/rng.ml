@@ -64,13 +64,6 @@ let shuffle t xs =
   done;
   Array.to_list a
 
-let sample t k xs =
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-  in
-  take (min k (List.length xs)) (shuffle t xs)
-
 (* Zipf via the classical rejection-free inverse-CDF over precomputed
    harmonic weights would need a table per (n, theta); instead we use the
    standard acceptance method of Chung & Vitter style iteration, which is

@@ -41,10 +41,6 @@ val pick_weighted : t -> ('a * float) list -> 'a
 val shuffle : t -> 'a list -> 'a list
 (** Uniform random permutation. *)
 
-val sample : t -> int -> 'a list -> 'a list
-(** [sample t k xs] draws [min k (length xs)] distinct elements, order
-    unspecified. *)
-
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] draws from [1, n] with a Zipf distribution of skew
     [theta] ([theta = 0.] is uniform).  Used for skewed partition sizes and

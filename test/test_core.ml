@@ -199,6 +199,90 @@ let test_plan_generator_empty_offers () =
        (Plan_generator.generate ~params ~weights:Offer.default_weights
           ~mode:Plan_generator.Mode_dp ~schema ~offers:[] revenue))
 
+(* IDP(k, m) in the buyer plan generator: once the [k]-alias subsets are
+   built, only the [m] cheapest survive, and larger plans are built from
+   them alone.  A four-alias chain over two co-located partitions has
+   three connected pairs, each offered as union blocks. *)
+let test_plan_generator_idp_prunes () =
+  let fed = Helpers.chain_federation ~nodes:4 ~relations:4 ~partitions:2 () in
+  let schema = fed.Qt_catalog.Federation.schema in
+  let q = Qt_sim.Workload.chain_query ~joins:3 ~relations:4 () in
+  let offers =
+    List.concat_map
+      (fun (n : Qt_catalog.Node.t) ->
+        (Seller.respond (Seller.default_config params) schema n ~requests:[ (q, 0.) ])
+          .Seller.offers)
+      fed.Qt_catalog.Federation.nodes
+  in
+  let pair_offers =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (o : Offer.t) ->
+           if List.length o.subset = 2 then Some o.subset else None)
+         offers)
+  in
+  Alcotest.(check bool) "two-alias blocks on offer" true
+    (List.length pair_offers >= 2);
+  let joined mode =
+    match
+      List.find_opt
+        (fun (c : Plan_generator.candidate) ->
+          String.ends_with ~suffix:"-join over traded blocks" c.description)
+        (Plan_generator.generate ~params ~weights:Offer.default_weights ~mode ~schema
+           ~offers q)
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "no joined candidate"
+  in
+  (* The alias sets the buyer joined: every join and each of its inputs. *)
+  let rec joined_sets (plan : Plan.t) =
+    let aliases p =
+      List.sort_uniq String.compare
+        (List.concat_map
+           (fun (r : Plan.remote) -> Analysis.aliases r.query)
+           (Plan.remote_leaves p))
+    in
+    match plan with
+    | Plan.Join { build; probe; _ } ->
+      (aliases plan :: aliases build :: aliases probe :: joined_sets build)
+      @ joined_sets probe
+    | Plan.Filter { input; _ }
+    | Plan.Project { input; _ }
+    | Plan.Sort { input; _ }
+    | Plan.Aggregate { input; _ }
+    | Plan.Distinct { input; _ } ->
+      joined_sets input
+    | Plan.Scan _ | Plan.Remote _ | Plan.Union _ -> []
+  in
+  let pairs (c : Plan_generator.candidate) =
+    List.sort_uniq compare
+      (List.filter (fun s -> List.length s = 2) (joined_sets c.plan))
+  in
+  let dp = joined Plan_generator.Mode_dp in
+  let idp = joined (Plan_generator.Mode_idp (2, 1)) in
+  (* Keeping at least as many pairs as there are prunes nothing. *)
+  let wide = joined (Plan_generator.Mode_idp (2, 3)) in
+  Alcotest.(check bool) "IDP(2,3) plans as DP" true (wide.plan = dp.plan);
+  (* The DP optimum joins two pair blocks ({a0,a1} and {a2,a3}). *)
+  Alcotest.(check int) "DP joins two pairs" 2 (List.length (pairs dp));
+  (* One pair survives IDP(2,1): its plan joins at most one two-alias
+     set, and every larger join it makes contains that set. *)
+  (match pairs idp with
+  | [] -> ()
+  | [ survivor ] ->
+    List.iter
+      (fun s ->
+        if List.length s > 2 && not (List.for_all (fun a -> List.mem a s) survivor)
+        then
+          Alcotest.failf "join over {%s} lacks the surviving pair"
+            (String.concat "," s))
+      (joined_sets idp.plan)
+  | ps -> Alcotest.failf "IDP(2,1) joined %d pairs" (List.length ps));
+  (* The pruned search costs no less than the exhaustive one, and here
+     strictly more: a pair the DP optimum needs was pruned. *)
+  Alcotest.(check bool) "IDP(2,1) costs more than DP" true
+    (Cost.response idp.cost > Cost.response dp.cost)
+
 let test_plan_generator_union_is_disjoint () =
   let offers = collect_offers revenue in
   let candidates =
@@ -1052,6 +1136,7 @@ let suite =
       quick "plan generator covers" test_plan_generator_covers_query;
       quick "plan generator empty" test_plan_generator_empty_offers;
       quick "plan generator unions disjoint" test_plan_generator_union_is_disjoint;
+      quick "plan generator idp prunes" test_plan_generator_idp_prunes;
       quick "rollup items" test_rollup_items;
       quick "singleton blocks" test_singleton_blocks;
       quick "analyser proposes pieces" test_analyser_proposes_agg_pieces;

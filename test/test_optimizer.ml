@@ -49,9 +49,9 @@ let chain n =
   in
   Ast.query ~select:[ Ast.col (alias 0) "val" ] ~from ~where ()
 
-let optimize ?prune q =
+let optimize q =
   let env = Estimate.env_of_schema schema q in
-  Dp.optimize ~params ?prune ~env ~base:(scan_base q) q
+  Dp.optimize ~params ~env ~base:(scan_base q) q
 
 let test_dp_finds_full_plan () =
   let q = chain 3 in
@@ -168,22 +168,6 @@ let test_dp_optimal_vs_bruteforce () =
     | p -> Cost.response (Plan.cost params p)
   in
   Alcotest.(check (float 1e-9)) "dp matches brute force" best_brute dp_join_cost
-
-let test_idp_prunes () =
-  let q = chain 4 in
-  let full = optimize q in
-  let pruned = optimize ~prune:(2, 1) q in
-  let pairs result =
-    List.filter (fun (p : Dp.partial) -> List.length p.Dp.subset = 2) result.Dp.partials
-  in
-  Alcotest.(check int) "all pairs without pruning" 3 (List.length (pairs full));
-  Alcotest.(check int) "one pair with IDP(2,1)" 1 (List.length (pairs pruned));
-  (* Pruned search must still produce some full plan, possibly worse. *)
-  match (full.Dp.best, pruned.Dp.best) with
-  | Some f, Some p ->
-    Alcotest.(check bool) "pruned not better" true
-      (Cost.response p.Dp.cost >= Cost.response f.Dp.cost -. 1e-9)
-  | _ -> Alcotest.fail "missing plans"
 
 let test_missing_base_degrades () =
   let q = chain 3 in
@@ -361,7 +345,6 @@ let suite =
       quick "dp partials enumerated" test_dp_partials_enumerated;
       quick "dp partial projected" test_dp_partial_queries_projected;
       quick "dp optimal vs brute force" test_dp_optimal_vs_bruteforce;
-      quick "idp prunes" test_idp_prunes;
       quick "missing base degrades" test_missing_base_degrades;
       quick "finalize semantics" test_finalize_semantics;
       quick "remote legs parallel" test_plan_cost_remote_parallel;

@@ -15,7 +15,6 @@ module Estimate = Qt_stats.Estimate
 module Cost = Qt_cost.Cost
 module Plan = Qt_optimizer.Plan
 module Dp = Qt_optimizer.Dp
-module Dp_legacy = Qt_optimizer.Dp_legacy
 module Bitset = Qt_optimizer.Bitset
 module Pool = Qt_optimizer.Pool
 module Listx = Qt_util.Listx
@@ -195,13 +194,13 @@ let oracle_queries () =
     (Workload.random_chain_queries ~seed:7 ~count:12 ~relations:5 ~max_joins:4)
   @ List.map (fun q -> (telecom_schema, q)) (Workload.telecom_templates ~seed:5 ~count:8)
 
-let test_dp_matches_legacy prune () =
+let test_dp_matches_legacy () =
   List.iter
     (fun (schema, q) ->
       let env = Estimate.env_of_schema schema q in
       let base = scan_base schema q in
-      let legacy = Dp_legacy.optimize ~params ?prune ~env ~base q in
-      let bitset = Dp.optimize ~params ?prune ~env ~base q in
+      let legacy = Dp_legacy.optimize ~params ~env ~base q in
+      let bitset = Dp.optimize ~params ~env ~base q in
       check_same_result q legacy bitset)
     (oracle_queries ())
 
@@ -321,10 +320,7 @@ let suite =
       quick "pool map re-raises worker exceptions" test_pool_map_propagates_exception;
       quick "pool map degrades to serial after shutdown"
         test_pool_map_after_shutdown_is_serial;
-      quick "DP oracle: bitset matches legacy (exhaustive)"
-        (test_dp_matches_legacy None);
-      quick "DP oracle: bitset matches legacy (IDP 2,5)"
-        (test_dp_matches_legacy (Some (2, 5)));
+      quick "DP oracle: bitset matches legacy (exhaustive)" test_dp_matches_legacy;
       quick "DP parity: pooled matches serial" test_dp_pool_matches_serial;
       quick "trader parity across domains" test_trader_parity;
       quick "market parity across domains" test_market_parity;
