@@ -16,7 +16,7 @@ let quote s = Printf.sprintf "%S" s
 
 let render = function
   | I n -> string_of_int n
-  | F x -> if Float.is_finite x then Printf.sprintf "%.6g" x else quote "inf"
+  | F x -> if Float.is_finite x then Qt_util.Json_min.number x else quote "inf"
   | S s -> quote s
   | B b -> string_of_bool b
   | Raw s -> s
