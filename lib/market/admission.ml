@@ -17,8 +17,6 @@ type config = {
 let default_config =
   { slots = 2; queue_limit = 4; load_per_contract = 0.5; policy = Fifo }
 
-module Metrics = Qt_obs.Metrics
-
 type handle = {
   h_trade : int;
   h_work : float;
@@ -47,37 +45,34 @@ type t = {
   mutable seq : int;
   (* Work admitted per trade, for proportional share. *)
   served : (int, float) Hashtbl.t;
-  (* Counters live in a metrics registry; [stats] below is a view. *)
-  m : Metrics.t;
-  c_admitted : Metrics.counter;
-  c_accepted : Metrics.counter;
-  c_rejected : Metrics.counter;
-  c_completed : Metrics.counter;
-  c_canceled : Metrics.counter;
-  g_peak_queue : Metrics.gauge;
-  g_peak_active : Metrics.gauge;
-  g_busy : Metrics.gauge;
-  waits : Metrics.histo option;
+  (* The counters [stats] reports. *)
+  mutable n_admitted : int;
+  mutable n_accepted : int;
+  mutable n_rejected : int;
+  mutable n_completed : int;
+  mutable n_canceled : int;
+  mutable max_queue : int;
+  mutable max_active : int;
+  mutable busy_time : float;
+  waits : Qt_obs.Metrics.histo option;
       (* Shared queue-wait histogram, observed at service start. *)
 }
 
 let create ?waits cfg =
-  let m = Metrics.create () in
   {
     cfg = { cfg with slots = max 1 cfg.slots; queue_limit = max 0 cfg.queue_limit };
     active = [];
     queued = [];
     seq = 0;
     served = Hashtbl.create 16;
-    m;
-    c_admitted = Metrics.counter m "admission.admitted";
-    c_accepted = Metrics.counter m "admission.accepted";
-    c_rejected = Metrics.counter m "admission.rejected";
-    c_completed = Metrics.counter m "admission.completed";
-    c_canceled = Metrics.counter m "admission.canceled";
-    g_peak_queue = Metrics.gauge m "admission.peak_queue";
-    g_peak_active = Metrics.gauge m "admission.peak_active";
-    g_busy = Metrics.gauge m "admission.busy";
+    n_admitted = 0;
+    n_accepted = 0;
+    n_rejected = 0;
+    n_completed = 0;
+    n_canceled = 0;
+    max_queue = 0;
+    max_active = 0;
+    busy_time = 0.;
     waits;
   }
 
@@ -101,18 +96,18 @@ let served_of t trade =
   match Hashtbl.find_opt t.served trade with Some w -> w | None -> 0.
 
 let note_peaks t =
-  Metrics.peak t.g_peak_queue (float_of_int (queue_depth t));
-  Metrics.peak t.g_peak_active (float_of_int (in_service t))
+  t.max_queue <- max t.max_queue (queue_depth t);
+  t.max_active <- max t.max_active (in_service t)
 
 let started_at h = h.h_started
 
 let start t ~now h =
   h.h_started <- now;
   (match t.waits with
-  | Some w -> Metrics.observe w (Float.max 0. (now -. h.h_submitted))
+  | Some w -> Qt_obs.Metrics.observe w (Float.max 0. (now -. h.h_submitted))
   | None -> ());
   t.active <- h :: t.active;
-  Metrics.incr t.c_admitted;
+  t.n_admitted <- t.n_admitted + 1;
   Hashtbl.replace t.served h.h_trade (served_of t h.h_trade +. h.h_work);
   note_peaks t
 
@@ -168,25 +163,25 @@ let submit ?(reserved = false) t ~now ~trade ~work ~priority =
   in
   t.seq <- t.seq + 1;
   if in_service t < t.cfg.slots then (
-    Metrics.incr t.c_accepted;
+    t.n_accepted <- t.n_accepted + 1;
     start t ~now h;
     Started h)
   else if queue_depth t < t.cfg.queue_limit then (
-    Metrics.incr t.c_accepted;
+    t.n_accepted <- t.n_accepted + 1;
     t.queued <- h :: t.queued;
     note_peaks t;
     Enqueued h)
   else (
-    Metrics.incr t.c_rejected;
+    t.n_rejected <- t.n_rejected + 1;
     Rejected)
 
 let retire t ~now h =
   t.active <- List.filter (fun a -> a.h_seq <> h.h_seq) t.active;
-  Metrics.add t.g_busy (max 0. (now -. h.h_started))
+  t.busy_time <- t.busy_time +. max 0. (now -. h.h_started)
 
 let finish t ~now h =
   retire t ~now h;
-  Metrics.incr t.c_completed;
+  t.n_completed <- t.n_completed + 1;
   promote t ~now
 
 let cancel t ~now ~trade =
@@ -199,17 +194,17 @@ let cancel t ~now ~trade =
       (* A canceled contract never ran to completion: give its share back. *)
       Hashtbl.replace t.served trade (max 0. (served_of t trade -. h.h_work)))
     running;
-  Metrics.incr ~by:(List.length mine + List.length running) t.c_canceled;
+  t.n_canceled <- t.n_canceled + List.length mine + List.length running;
   promote t ~now
 
 let stats t =
   {
-    admitted = Metrics.value t.c_admitted;
-    accepted = Metrics.value t.c_accepted;
-    rejected = Metrics.value t.c_rejected;
-    completed = Metrics.value t.c_completed;
-    canceled = Metrics.value t.c_canceled;
-    peak_queue = int_of_float (Metrics.gauge_value t.g_peak_queue);
-    peak_active = int_of_float (Metrics.gauge_value t.g_peak_active);
-    busy = Metrics.gauge_value t.g_busy;
+    admitted = t.n_admitted;
+    accepted = t.n_accepted;
+    rejected = t.n_rejected;
+    completed = t.n_completed;
+    canceled = t.n_canceled;
+    peak_queue = t.max_queue;
+    peak_active = t.max_active;
+    busy = t.busy_time;
   }

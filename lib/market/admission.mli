@@ -110,5 +110,4 @@ type stats = {
 }
 
 val stats : t -> stats
-(** A view over the controller's metrics registry ([admission.admitted],
-    [admission.peak_queue], …). *)
+(** The controller's counters so far. *)

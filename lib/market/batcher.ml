@@ -24,31 +24,26 @@ type stats = {
   batching : bool;
 }
 
-module Metrics = Qt_obs.Metrics
-
-(* Counters live in a metrics registry; [stats] below is a view. *)
+(* The counters [stats] reports. *)
 type t = {
   batching : bool;
-  m : Metrics.t;
-  c_waves : Metrics.counter;
-  c_sent_messages : Metrics.counter;
-  c_sent_bytes : Metrics.counter;
-  c_unbatched_messages : Metrics.counter;
-  c_unbatched_bytes : Metrics.counter;
-  c_dups : Metrics.counter;
+  mutable n_waves : int;
+  mutable n_sent_messages : int;
+  mutable n_sent_bytes : int;
+  mutable n_unbatched_messages : int;
+  mutable n_unbatched_bytes : int;
+  mutable n_dups : int;
 }
 
 let create ~batching =
-  let m = Metrics.create () in
   {
     batching;
-    m;
-    c_waves = Metrics.counter m "batcher.waves";
-    c_sent_messages = Metrics.counter m "batcher.sent_messages";
-    c_sent_bytes = Metrics.counter m "batcher.sent_bytes";
-    c_unbatched_messages = Metrics.counter m "batcher.unbatched_messages";
-    c_unbatched_bytes = Metrics.counter m "batcher.unbatched_bytes";
-    c_dups = Metrics.counter m "batcher.dup_signatures_merged";
+    n_waves = 0;
+    n_sent_messages = 0;
+    n_sent_bytes = 0;
+    n_unbatched_messages = 0;
+    n_unbatched_bytes = 0;
+    n_dups = 0;
   }
 
 (* Envelope framing overhead, mirroring the per-request header the trader
@@ -75,16 +70,16 @@ let envelope_for t seller requests =
             bytes := !bytes + sz))
         r.signatures)
     mine;
-  Metrics.incr ~by:!dups t.c_dups;
+  t.n_dups <- t.n_dups + !dups;
   { seller; trades; env_signatures = List.rev !signatures; env_bytes = !bytes }
 
 let coalesce t requests =
-  Metrics.incr t.c_waves;
+  t.n_waves <- t.n_waves + 1;
   List.iter
     (fun r ->
       let n = List.length r.targets in
-      Metrics.incr ~by:n t.c_unbatched_messages;
-      Metrics.incr ~by:(n * r.bytes) t.c_unbatched_bytes)
+      t.n_unbatched_messages <- t.n_unbatched_messages + n;
+      t.n_unbatched_bytes <- t.n_unbatched_bytes + (n * r.bytes))
     requests;
   let envelopes =
     if t.batching then
@@ -103,21 +98,20 @@ let coalesce t requests =
   in
   List.iter
     (fun e ->
-      Metrics.incr t.c_sent_messages;
-      Metrics.incr ~by:e.env_bytes t.c_sent_bytes)
+      t.n_sent_messages <- t.n_sent_messages + 1;
+      t.n_sent_bytes <- t.n_sent_bytes + e.env_bytes)
     envelopes;
   envelopes
 
 let stats t =
-  let v = Metrics.value in
   {
-    waves = v t.c_waves;
-    sent_messages = v t.c_sent_messages;
-    sent_bytes = v t.c_sent_bytes;
-    unbatched_messages = v t.c_unbatched_messages;
-    unbatched_bytes = v t.c_unbatched_bytes;
-    messages_saved = v t.c_unbatched_messages - v t.c_sent_messages;
-    bytes_saved = v t.c_unbatched_bytes - v t.c_sent_bytes;
-    dup_signatures_merged = v t.c_dups;
+    waves = t.n_waves;
+    sent_messages = t.n_sent_messages;
+    sent_bytes = t.n_sent_bytes;
+    unbatched_messages = t.n_unbatched_messages;
+    unbatched_bytes = t.n_unbatched_bytes;
+    messages_saved = t.n_unbatched_messages - t.n_sent_messages;
+    bytes_saved = t.n_unbatched_bytes - t.n_sent_bytes;
+    dup_signatures_merged = t.n_dups;
     batching = t.batching;
   }

@@ -53,5 +53,4 @@ val coalesce : t -> request list -> envelope list
     ascending id order.  Counts the wave in {!stats}. *)
 
 val stats : t -> stats
-(** A view over the batcher's metrics registry ([batcher.waves],
-    [batcher.sent_messages], …). *)
+(** The batcher's counters so far. *)

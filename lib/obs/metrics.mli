@@ -1,9 +1,10 @@
 (** A minimal metrics registry: counters, gauges and sim-time histograms
     behind one deterministic [to_json].
 
-    The RFB batcher and the admission controller register their counters
-    here and keep their [stats] accessors as thin views.  (The caches
-    count in {!Qt_util.Lru} instead.)  Handles are plain mutable records,
+    The marketplace registers its run-level counters and histograms
+    here.  (The RFB batcher and the admission controller keep plain
+    mutable counters behind their [stats] records, and the caches count
+    in {!Qt_util.Lru}.)  Handles are plain mutable records,
     so the hot path pays one memory write per update — no hashtable
     lookup, no allocation.
 
