@@ -25,7 +25,6 @@ module Arrivals = Qt_stream.Arrivals
 module Sla = Qt_stream.Sla
 module Pool = Qt_optimizer.Pool
 module Interval = Qt_util.Interval
-module J = Bench_json
 open Printf
 open Report
 
@@ -118,8 +117,8 @@ let frag rel lo hi rows =
 (* R-T1: simulation parameters *)
 let r_t1 () =
   heading "R-T1" "simulation parameters (defaults)";
-  let g unit x = { text = sprintf "%g %s" x unit; value = J.F x } in
-  let d unit n = { text = sprintf "%d %s" n unit; value = J.I n } in
+  let g unit x = { text = sprintf "%g %s" x unit; value = num x } in
+  let d unit n = { text = sprintf "%d %s" n unit; value = Json.Int n } in
   let p = params in
   let listing =
     [
@@ -142,7 +141,7 @@ let r_t1 () =
       shown "value" (fun (_, _, c) -> c);
     ]
     (rows listing);
-  J.emit ~scenario:"params"
+  emit ~scenario:"params"
     (List.filter_map
        (fun (_, key, c) -> if key = "" then None else Some (key, c.value))
        listing)
@@ -372,11 +371,10 @@ let r_f7 () =
         shown "best plan cost (s)" (fun (_, c) -> cost c);
       ]
       (List.mapi (fun i c -> Row (i, c)) costs);
-    let floats = List.map (fun c -> J.render (J.F c)) costs in
-    J.emit ~scenario:"f7"
+    emit ~scenario:"f7"
       [
-        ("iterations", J.I (List.length costs));
-        ("convergence", J.Raw ("[" ^ String.concat "," floats ^ "]"));
+        ("iterations", Int (List.length costs));
+        ("convergence", List (List.map num costs));
       ];
     printf "\ntrace:\n";
     List.iter print_endline o.Trader.trace
@@ -673,7 +671,7 @@ let r_f15 () =
     table ~scenario:"f15"
       [
         col "strategy" "strategy" (fun ((key, label), _) ->
-            { text = label; value = J.S key });
+            { text = label; value = Json.String key });
         plan_cost "plan cost";
         messages "messages";
         iterations "iterations";
@@ -810,7 +808,8 @@ let r_market () =
   table ~scenario:"market"
     [
       col "buyers" "buyers" (fun (buyers, _, _) -> int buyers);
-      keyed "stats" (fun (_, _, s) -> raw (Market.to_json s));
+      keyed "stats" (fun (_, _, s) ->
+          json (Market.report_json ~batch:true s));
       shown "batching" (fun (_, batching, _) -> on_off batching);
       shown "done" (fun (buyers, _, s) -> completed buyers s);
       shown_stat "retries" (fun s -> int s.str_admission_retries);
@@ -903,21 +902,21 @@ let r_obs () =
   let ph = outcome.Trader.phases in
   let phase name (p : Trader.phase) =
     [
-      (name ^ "_wall_ms", J.F (1000. *. p.wall));
-      (name ^ "_messages", J.I p.messages);
+      (name ^ "_wall_ms", num (1000. *. p.wall));
+      (name ^ "_messages", Json.Int p.messages);
     ]
   in
   make
     ([
-       ("disabled_ms", J.F (1000. *. disabled_s));
-       ("enabled_ms", J.F (1000. *. enabled_s));
-       ("spans", J.I span_count);
-       ("noop_emit_ns", J.F (1e9 *. per_noop_call));
-       ("dead_branch_overhead", J.F dead_branch_overhead);
-       ("recording_overhead", J.F recording_overhead);
-       ("messages", J.I outcome.Trader.stats.messages);
+       ("disabled_ms", num (1000. *. disabled_s));
+       ("enabled_ms", num (1000. *. enabled_s));
+       ("spans", Json.Int span_count);
+       ("noop_emit_ns", num (1e9 *. per_noop_call));
+       ("dead_branch_overhead", num dead_branch_overhead);
+       ("recording_overhead", num recording_overhead);
+       ("messages", Json.Int outcome.Trader.stats.messages);
        ( "cache_hit_rate",
-         J.F (hit_ratio ph.pricing.cache_hits ph.pricing.cache_misses) );
+         num (hit_ratio ph.pricing.cache_hits ph.pricing.cache_misses) );
      ]
     @ phase "rfb" ph.rfb
     @ phase "pricing" ph.pricing
@@ -1011,12 +1010,12 @@ let r_execsched () =
   let flatten = flatten ~arm:(fun (key, _, _) -> key) cols in
   let makespan a = (exec a).exec_makespan in
   let speedup s f =
-    J.F (if makespan f > 0. then makespan s /. makespan f else 0.)
+    num (if makespan f > 0. then makespan s /. makespan f else 0.)
   in
   let sm = makespan static and fm = makespan feedback in
   let _, _, tpch_stats = tpch_feedback in
   make
-    ((("buyers", J.I buyers)
+    ((("buyers", Json.Int buyers)
      :: flatten
           [
             "exec_makespan";
@@ -1027,13 +1026,13 @@ let r_execsched () =
           [ static; feedback ])
     @ [
         ("speedup", speedup static feedback);
-        ("tasks", J.I (exec feedback).tasks_run);
+        ("tasks", Json.Int (exec feedback).tasks_run);
       ]
     @ flatten [ "exec_makespan" ] [ tpch_static; tpch_feedback ]
     @ [
         ("tpch_speedup", speedup tpch_static tpch_feedback);
-        ("tpch_tasks", J.I (exec tpch_feedback).tasks_run);
-        ("tpch_completed", J.I tpch_stats.str_completed);
+        ("tpch_tasks", Json.Int (exec tpch_feedback).tasks_run);
+        ("tpch_completed", Json.Int tpch_stats.str_completed);
       ])
     [
       check (fm < sm)
@@ -1144,10 +1143,10 @@ let r_stream () =
   let _, _, shed_stats = shed in
   make
     ([
-       ("nodes", J.I overload_nodes);
-       ("arrivals", J.I queries);
-       ("rate", J.F overload_rate);
-       ("shed_policy", J.S (Shedding.to_string shed_policy));
+       ("nodes", Json.Int overload_nodes);
+       ("arrivals", Json.Int queries);
+       ("rate", num overload_rate);
+       ("shed_policy", Json.String (Shedding.to_string shed_policy));
      ]
     @ flatten
         [ "goodput"; "hits"; "expired"; "p95_interactive"; "makespan" ]
@@ -1227,20 +1226,20 @@ let r_telemetry () =
     (List.length tel.tl_failures);
   make
     [
-      ("arrivals", J.I queries);
-      ("rate", J.F overload_rate);
-      ("goodput", J.F s.str_goodput);
-      ("min_goodput_window", J.F min_goodput_window);
-      ("makespan", J.F s.str_makespan);
-      ("ticks", J.I tel.tl_ticks);
-      ("points", J.I (List.length tel.tl_points));
-      ("alerts", J.I (List.length alerts));
-      ("first_alert_t", J.F first_alert_t);
-      ("alert_before_end", J.B alert_before_end);
-      ("first_bundle_entries", J.I first_bundle_entries);
-      ("failure_bundles", J.I (List.length tel.tl_failures));
-      ("identical_d1_d4", J.B identical);
-      ("openmetrics_valid", J.B om_valid);
+      ("arrivals", Json.Int queries);
+      ("rate", num overload_rate);
+      ("goodput", num s.str_goodput);
+      ("min_goodput_window", num min_goodput_window);
+      ("makespan", num s.str_makespan);
+      ("ticks", Json.Int tel.tl_ticks);
+      ("points", Json.Int (List.length tel.tl_points));
+      ("alerts", Json.Int (List.length alerts));
+      ("first_alert_t", num first_alert_t);
+      ("alert_before_end", Json.Bool alert_before_end);
+      ("first_bundle_entries", Json.Int first_bundle_entries);
+      ("failure_bundles", Json.Int (List.length tel.tl_failures));
+      ("identical_d1_d4", Json.Bool identical);
+      ("openmetrics_valid", Json.Bool om_valid);
     ]
     [
       check alert_before_end
@@ -1341,16 +1340,16 @@ let r_optimizer () =
     tpch_d1_s tpch_d4_s tpch_d4.str_completed buyers tpch_identical;
   make
     [
-      ("relations", J.I relations);
-      ("buyers", J.I buyers);
-      ("d1_wall_s", J.F d1_s);
-      ("d4_wall_s", J.F d4_s);
-      ("identical_d1_d4", J.B identical);
-      ("completed", J.I d4.str_completed);
-      ("tpch_d1_wall_s", J.F tpch_d1_s);
-      ("tpch_d4_wall_s", J.F tpch_d4_s);
-      ("tpch_identical_d1_d4", J.B tpch_identical);
-      ("tpch_completed", J.I tpch_d4.str_completed);
+      ("relations", Json.Int relations);
+      ("buyers", Json.Int buyers);
+      ("d1_wall_s", num d1_s);
+      ("d4_wall_s", num d4_s);
+      ("identical_d1_d4", Json.Bool identical);
+      ("completed", Json.Int d4.str_completed);
+      ("tpch_d1_wall_s", num tpch_d1_s);
+      ("tpch_d4_wall_s", num tpch_d4_s);
+      ("tpch_identical_d1_d4", Json.Bool tpch_identical);
+      ("tpch_completed", Json.Int tpch_d4.str_completed);
     ]
     [
       check identical
@@ -1369,7 +1368,7 @@ let r_optimizer () =
    faster than the federation can trade and execute from scratch, so
    without reuse most queries blow their SLA deadline. *)
 let hot_fields =
-  [ ("arrivals", J.I 10_000); ("rate", J.F 8.0); ("theta", J.F 1.1) ]
+  [ ("arrivals", Json.Int 10_000); ("rate", num 8.0); ("theta", num 1.1) ]
 
 let hot_stream ?(count = 10_000) federation templates base =
   run_stream ~count ~rate:8.0 ~theta:1.1 federation templates (fun b ->
@@ -1495,7 +1494,12 @@ let r_pricing () =
   let module Pricing = Qt_pricing.Pricing in
   (* The telecom federation replicates the pre-PR golden config
      (bench/golden/pricing_off_telecom.json) exactly, so the off arm
-     doubles as the byte-identity gate. *)
+     doubles as the byte-identity gate.  The golden is read before the
+     first arm, so a run from the wrong directory fails at once. *)
+  let golden =
+    In_channel.with_open_bin "bench/golden/pricing_off_telecom.json"
+      In_channel.input_all
+  in
   let telecom_federation () =
     Generator.telecom ~nodes:8 ~placement:(place 4 2) ()
   in
@@ -1606,21 +1610,17 @@ let r_pricing () =
       (hot_stream ~count:2000 (telecom_federation ()) telecom_templates
          (priced ?pool pricing))
   in
-  let golden =
-    In_channel.with_open_bin "bench/golden/pricing_off_telecom.json"
-      In_channel.input_all
-  in
   let off_identity = String.trim (telecom_json None) = String.trim golden in
   let surge = uniform Pricing.Surge in
   let serial_json = telecom_json surge in
   let pooled_json = with_pool 4 (fun pool -> telecom_json ~pool surge) in
   let domains_identity = serial_json = pooled_json in
-  let flag b = J.I (if b then 1 else 0) in
+  let flag b = Json.Int (if b then 1 else 0) in
   make ~echo:false
     (hot_fields
     @ [
-        ("arbitrage_pairs", J.I !audit_pairs);
-        ("arbitrage_violations", J.I !audit_violations);
+        ("arbitrage_pairs", Json.Int !audit_pairs);
+        ("arbitrage_violations", Json.Int !audit_violations);
         ("off_identity", flag off_identity);
         ("domains_identity", flag domains_identity);
       ]

@@ -5,24 +5,34 @@
    formats one typed value, so every data point is built once and both
    renderings come from it.  A scenario that gates CI returns a [t]: the
    fields of its BENCH_<name>.json snapshot and its checks.  {!finish}
-   prints, writes and enforces them. *)
+   prints, writes and enforces them.  BENCH lines stay wall-clock free
+   unless a field is explicitly a wall measurement, so same-seed lines
+   diff cleanly. *)
 
-module J = Bench_json
+module Json = Qt_util.Json_min
+
+(* A float BENCH value; a non-finite one (a failed cost) is "inf". *)
+let num x : Json.t = if Float.is_finite x then Num x else String "inf"
+
+let line ~scenario fields =
+  Json.to_string (Obj (("scenario", String scenario) :: fields))
+
+let emit ~scenario fields = print_endline ("BENCH " ^ line ~scenario fields)
 
 (* One value: its table text and its BENCH value. *)
-type cell = { text : string; value : J.v }
+type cell = { text : string; value : Json.t }
 
-let int n = { text = string_of_int n; value = J.I n }
-let fixed d x = { text = Printf.sprintf "%.*f" d x; value = J.F x }
-let secs d x = { text = Printf.sprintf "%.*fs" d x; value = J.F x }
-let pct x = { text = Printf.sprintf "%.0f%%" (100. *. x); value = J.F x }
-let str s = { text = s; value = J.S s }
-let on_off b = { text = (if b then "on" else "off"); value = J.B b }
-let raw json = { text = json; value = J.Raw json }
+let int n = { text = string_of_int n; value = Int n }
+let fixed d x = { text = Printf.sprintf "%.*f" d x; value = num x }
+let secs d x = { text = Printf.sprintf "%.*fs" d x; value = num x }
+let pct x = { text = Printf.sprintf "%.0f%%" (100. *. x); value = num x }
+let str s = { text = s; value = String s }
+let on_off b = { text = (if b then "on" else "off"); value = Bool b }
+let json v = { text = Json.to_string v; value = v }
 
 (* A cost in seconds, "fail" when the optimizer found no plan. *)
 let cost x =
-  if Float.is_finite x then fixed 4 x else { text = "fail"; value = J.F x }
+  if Float.is_finite x then fixed 4 x else { text = "fail"; value = num x }
 
 (* [head] is the table header, [key] the BENCH key; a column without a
    header is BENCH-only and one without a key is table-only. *)
@@ -39,7 +49,7 @@ type 'a row = Row of 'a | Failed of string list
 let lines ~scenario cols points =
   List.iter
     (fun r ->
-      J.emit ~scenario
+      emit ~scenario
         (List.filter_map
            (fun c -> Option.map (fun k -> (k, (c.cell r).value)) c.key)
            cols))
@@ -85,7 +95,7 @@ type check = { ok : bool; fail : string; pass : string option }
 let check ?pass ok fail = { ok; fail; pass }
 
 type t = {
-  snapshot : (string * J.v) list;
+  snapshot : (string * Json.t) list;
   echo : bool;  (* also print the snapshot as a BENCH line *)
   checks : check list;
 }
@@ -96,8 +106,9 @@ let make ?(echo = true) snapshot checks = { snapshot; echo; checks }
    verdicts, and exit 1 if any check failed. *)
 let finish name r =
   let path = "BENCH_" ^ name ^ ".json" in
-  if r.echo then J.emit ~scenario:name r.snapshot;
-  J.to_file path (("scenario", J.S name) :: r.snapshot);
+  if r.echo then emit ~scenario:name r.snapshot;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (line ~scenario:name r.snapshot ^ "\n"));
   Printf.printf "wrote %s\n" path;
   if List.for_all (fun c -> c.ok) r.checks then
     List.iter (fun c -> Option.iter print_endline c.pass) r.checks

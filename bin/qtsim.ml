@@ -606,35 +606,28 @@ let print_phase_stats (ph : Qt_core.Trader.phase_stats) =
   Printf.printf "  deduped requests: %d, skipped re-broadcasts: %d\n"
     ph.requests_deduped ph.rebroadcasts_skipped
 
+(* The standalone trade's report, flattened as [--metrics] writes it: the
+   trader's counters under "optimize" and its phases under "phase". *)
 let optimize_metrics_json (outcome : Qt_core.Trader.outcome) =
-  let module Metrics = Qt_obs.Metrics in
-  let m = Metrics.create () in
-  let c name v = Metrics.incr ~by:v (Metrics.counter m name) in
-  let g name v = Metrics.set (Metrics.gauge m name) v in
   let s = outcome.Qt_core.Trader.stats in
-  c "optimize.iterations" s.Qt_core.Trader.iterations;
-  c "optimize.messages" s.Qt_core.Trader.messages;
-  c "optimize.bytes" s.Qt_core.Trader.bytes;
-  c "optimize.offers_received" s.Qt_core.Trader.offers_received;
-  c "optimize.negotiation_rounds" s.Qt_core.Trader.negotiation_rounds;
-  c "optimize.queries_asked" s.Qt_core.Trader.queries_asked;
-  g "optimize.sim_time" s.Qt_core.Trader.sim_time;
-  g "optimize.plan_cost" s.Qt_core.Trader.plan_cost;
-  let ph = outcome.Qt_core.Trader.phases in
-  let phase name (p : Qt_core.Trader.phase) =
-    c (name ^ ".messages") p.Qt_core.Trader.messages;
-    c (name ^ ".bytes") p.Qt_core.Trader.bytes;
-    c (name ^ ".cache_hits") p.Qt_core.Trader.cache_hits;
-    c (name ^ ".cache_misses") p.Qt_core.Trader.cache_misses;
-    g (name ^ ".sim") p.Qt_core.Trader.sim
-  in
-  phase "phase.rfb" ph.Qt_core.Trader.rfb;
-  phase "phase.pricing" ph.Qt_core.Trader.pricing;
-  phase "phase.negotiation" ph.Qt_core.Trader.negotiation;
-  phase "phase.plan_gen" ph.Qt_core.Trader.plan_gen;
-  c "phase.requests_deduped" ph.Qt_core.Trader.requests_deduped;
-  c "phase.rebroadcasts_skipped" ph.Qt_core.Trader.rebroadcasts_skipped;
-  Metrics.to_json m
+  Qt_obs.Metrics.of_json
+    (Obj
+       [
+         ( "optimize",
+           Obj
+             [
+               ("iterations", Int s.iterations);
+               ("messages", Int s.messages);
+               ("bytes", Int s.bytes);
+               ("offers_received", Int s.offers_received);
+               ("negotiation_rounds", Int s.negotiation_rounds);
+               ("queries_asked", Int s.queries_asked);
+               ("sim_time", Num s.sim_time);
+               ("plan_cost", Num s.plan_cost);
+             ] );
+         ("phase", Qt_core.Trader.phases_json outcome.phases);
+       ])
+  |> Qt_obs.Metrics.to_json |> Qt_util.Json_min.to_string
 
 let run_optimize sql schema nodes partitions replicas views profile execute
     competitive auction seed subcontracting price faults timeout retries backoff
@@ -743,7 +736,7 @@ let run_compare sql schema nodes partitions replicas views profile staleness =
   let rows = Qt_sim.Experiment.compare_all ~staleness ~params federation query in
   let table =
     Qt_util.Texttable.create
-      [ "optimizer"; "plan cost (s)"; "opt time (s)"; "messages"; "KiB"; "wall ms" ]
+      [ "optimizer"; "plan cost (s)"; "opt time (s)"; "messages"; "KiB" ]
   in
   List.iter
     (fun (m : Qt_sim.Experiment.metrics) ->
@@ -755,7 +748,6 @@ let run_compare sql schema nodes partitions replicas views profile staleness =
           Printf.sprintf "%.4f" m.sim_time;
           string_of_int m.messages;
           Printf.sprintf "%.1f" m.kbytes;
-          Printf.sprintf "%.1f" m.wall_ms;
         ])
     rows;
   Qt_util.Texttable.print table;

@@ -164,6 +164,27 @@ let add_phase_stats a b =
     rebroadcasts_skipped = a.rebroadcasts_skipped + b.rebroadcasts_skipped;
   }
 
+let phase_json p : Qt_util.Json_min.t =
+  Obj
+    [
+      ("messages", Int p.messages);
+      ("bytes", Int p.bytes);
+      ("cache_hits", Int p.cache_hits);
+      ("cache_misses", Int p.cache_misses);
+      ("sim", Num p.sim);
+    ]
+
+let phases_json ph : Qt_util.Json_min.t =
+  Obj
+    [
+      ("rfb", phase_json ph.rfb);
+      ("pricing", phase_json ph.pricing);
+      ("negotiation", phase_json ph.negotiation);
+      ("plan_gen", phase_json ph.plan_gen);
+      ("requests_deduped", Int ph.requests_deduped);
+      ("rebroadcasts_skipped", Int ph.rebroadcasts_skipped);
+    ]
+
 (* The paper's [c0]: the buyer's a-priori value for the query (0 =
    unknown). *)
 let c0 = 0.

@@ -115,6 +115,10 @@ val add_phase_stats : phase_stats -> phase_stats -> phase_stats
 (** Field-wise sum, for accumulating breakdowns across repeated
     optimizations (e.g. a trade's admission retries). *)
 
+val phases_json : phase_stats -> Qt_util.Json_min.t
+(** The breakdown as reports carry it; wall time is left out so
+    same-seed runs render byte-identically. *)
+
 type plan_memo
 (** A bounded memo of the buyer's plan generation (B4) and predicates
     analysis (B5/B6), shareable across trades on one federation. *)

@@ -1012,8 +1012,9 @@ let emit_pool_span obs pool ~at =
   | _ -> ()
 
 (* Canonical JSON: fixed key order, no wall-clock or process-local
-   values, floats through one formatter — same-seed runs render
-   byte-identically. *)
+   values — same-seed runs render byte-identically.  [report_json]
+   states every field of a report once; every rendering derives from
+   it. *)
 
 let status_to_string = function
   | Completed -> "completed"
@@ -1022,393 +1023,270 @@ let status_to_string = function
   | Shed -> "shed"
   | Expired -> "expired"
 
-(* One phase rendered without its wall-clock field — wall time is
-   process-local and would break byte-stable same-seed output. *)
-let phase_json (p : Trader.phase) =
-  Printf.sprintf
-    "{\"messages\":%d,\"bytes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"sim\":%s}"
-    p.Trader.messages p.Trader.bytes p.Trader.cache_hits p.Trader.cache_misses
-    (Json.number p.Trader.sim)
-
-let phases_json (ph : Trader.phase_stats) =
-  Printf.sprintf
-    "{\"rfb\":%s,\"pricing\":%s,\"negotiation\":%s,\"plan_gen\":%s,\"requests_deduped\":%d,\"rebroadcasts_skipped\":%d}"
-    (phase_json ph.Trader.rfb) (phase_json ph.Trader.pricing)
-    (phase_json ph.Trader.negotiation) (phase_json ph.Trader.plan_gen)
-    ph.Trader.requests_deduped ph.Trader.rebroadcasts_skipped
-
-let latency_json (l : latency_summary) =
+let latency_json (l : latency_summary) : Json.t =
   (* No observations means no percentiles: render null, not a fake 0. *)
-  let stat v = if l.l_count = 0 then "null" else Json.number v in
-  Printf.sprintf "{\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}" l.l_count
-    (stat l.l_p50) (stat l.l_p95) (stat l.l_p99)
+  let stat v : Json.t = if l.l_count = 0 then Null else Num v in
+  Obj
+    [
+      ("count", Int l.l_count);
+      ("p50", stat l.l_p50);
+      ("p95", stat l.l_p95);
+      ("p99", stat l.l_p99);
+    ]
 
-let seller_json (x : seller_stats) =
+let seller_json (x : seller_stats) : Json.t =
   let a = x.admission in
-  Printf.sprintf
-    "{\"seller\":%d,\"admitted\":%d,\"accepted\":%d,\"rejected\":%d,\"completed\":%d,\"canceled\":%d,\"peak_queue\":%d,\"peak_active\":%d,\"busy\":%s,\"utilization\":%s}"
-    x.seller a.Admission.admitted a.Admission.accepted a.Admission.rejected
-    a.Admission.completed a.Admission.canceled a.Admission.peak_queue
-    a.Admission.peak_active (Json.number a.Admission.busy) (Json.number x.utilization)
+  Obj
+    [
+      ("seller", Int x.seller);
+      ("admitted", Int a.Admission.admitted);
+      ("accepted", Int a.Admission.accepted);
+      ("rejected", Int a.Admission.rejected);
+      ("completed", Int a.Admission.completed);
+      ("canceled", Int a.Admission.canceled);
+      ("peak_queue", Int a.Admission.peak_queue);
+      ("peak_active", Int a.Admission.peak_active);
+      ("busy", Num a.Admission.busy);
+      ("utilization", Num x.utilization);
+    ]
 
-let batcher_json (bt : Batcher.stats) =
-  Printf.sprintf
-    "{\"batching\":%b,\"waves\":%d,\"sent_messages\":%d,\"sent_bytes\":%d,\"unbatched_messages\":%d,\"unbatched_bytes\":%d,\"messages_saved\":%d,\"bytes_saved\":%d,\"dup_signatures_merged\":%d}"
-    bt.Batcher.batching bt.Batcher.waves bt.Batcher.sent_messages
-    bt.Batcher.sent_bytes bt.Batcher.unbatched_messages
-    bt.Batcher.unbatched_bytes bt.Batcher.messages_saved bt.Batcher.bytes_saved
-    bt.Batcher.dup_signatures_merged
+let batcher_json (bt : Batcher.stats) : Json.t =
+  Obj
+    [
+      ("batching", Bool bt.Batcher.batching);
+      ("waves", Int bt.Batcher.waves);
+      ("sent_messages", Int bt.Batcher.sent_messages);
+      ("sent_bytes", Int bt.Batcher.sent_bytes);
+      ("unbatched_messages", Int bt.Batcher.unbatched_messages);
+      ("unbatched_bytes", Int bt.Batcher.unbatched_bytes);
+      ("messages_saved", Int bt.Batcher.messages_saved);
+      ("bytes_saved", Int bt.Batcher.bytes_saved);
+      ("dup_signatures_merged", Int bt.Batcher.dup_signatures_merged);
+    ]
 
-let counts_json (c : Lru.stats) =
-  Printf.sprintf
-    "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d}"
-    c.hits c.misses c.invalidations c.evictions
+let counts_json (c : Lru.stats) : Json.t =
+  Obj
+    [
+      ("hits", Int c.hits);
+      ("misses", Int c.misses);
+      ("invalidations", Int c.invalidations);
+      ("evictions", Int c.evictions);
+    ]
 
-(* Rendered only when the tier is configured, so cache-off output stays
-   byte-identical to a build without the cache tier. *)
-let qcache_json (q : Tier.stats) =
-  let s = q.Tier.stmt and r = q.Tier.result in
-  Printf.sprintf
-    "{\"placement\":%S,\"stmt\":%s,\"result\":%s,\"trades_avoided\":%d,\"executions_avoided\":%d,\"hit_revenue\":%s,\"revenue_by_seller\":[%s],\"result_bytes\":%d}"
-    q.Tier.placement
-    (Printf.sprintf
-       "{\"hits\":%d,\"misses\":%d,\"invalidations\":%d,\"evictions\":%d,\"suppressed\":%d}"
-       s.Statement_cache.hits s.Statement_cache.misses
-       s.Statement_cache.invalidations s.Statement_cache.evictions
-       s.Statement_cache.suppressed)
-    (counts_json r)
-    q.Tier.trades_avoided q.Tier.executions_avoided (Json.number q.Tier.hit_revenue)
-    (String.concat ","
-       (List.map
-          (fun (seller, rev) ->
-            Printf.sprintf "{\"seller\":%d,\"revenue\":%s}" seller (Json.number rev))
-          q.Tier.hit_revenue_by_seller))
-    q.Tier.result_bytes_held
-
-(* Rendered only when the pricing layer is configured, so pricing-off
-   output stays byte-identical to a build without lib/pricing. *)
-let pricing_json (p : Pricing.stats) =
-  Printf.sprintf
-    "{\"revenue\":%s,\"reservation_revenue\":%s,\"surge_activations\":%d,\"forced_flips\":%d,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_fill\":%s,\"sellers\":[%s]}"
-    (Json.number p.Pricing.p_revenue)
-    (Json.number p.Pricing.p_reservation_revenue)
-    p.Pricing.p_surge_activations p.Pricing.p_forced_flips
-    p.Pricing.p_reserved_sold p.Pricing.p_reserved_completed
-    p.Pricing.p_reserved_refunded
-    (Json.number p.Pricing.p_reservation_fill)
-    (String.concat ","
-       (List.map
-          (fun (x : Pricing.seller_stats) ->
-            Printf.sprintf
-              "{\"seller\":%d,\"strategy\":\"%s\",\"surging\":%b,\"surge_activations\":%d,\"revenue\":%s,\"reserved_sold\":%d,\"reserved_completed\":%d,\"reserved_refunded\":%d,\"reservation_revenue\":%s}"
-              x.Pricing.ps_seller
-              (Pricing.strategy_to_string x.Pricing.ps_strategy)
-              x.Pricing.ps_surging x.Pricing.ps_surge_activations
-              (Json.number x.Pricing.ps_revenue) x.Pricing.ps_reserved_sold
-              x.Pricing.ps_reserved_completed x.Pricing.ps_reserved_refunded
-              (Json.number x.Pricing.ps_reservation_revenue))
-          p.Pricing.p_sellers))
-
-let exec_node_json (n : exec_node) =
-  Printf.sprintf "{\"node\":%d,\"tasks\":%d,\"busy\":%s,\"utilization\":%s}"
-    n.en_node n.en_tasks (Json.number n.en_busy) (Json.number n.en_utilization)
-
-let json_list add f xs =
-  add "[";
-  List.iteri (fun i x -> if i > 0 then add ","; f x) xs;
-  add "]"
-
-(* The run-wide block both JSON renderings share, "sellers" through
-   "pricing".  [batch] adds the batch's own keys in their places: the
-   trade counts, the trading makespan and exec's per-trade rows. *)
-let add_run_wide_json b ~batch (s : stream_stats) =
-  let add = Buffer.add_string b in
-  let list f xs = json_list add f xs in
-  add ",\"sellers\":";
-  list (fun x -> add (seller_json x)) s.str_sellers;
-  add (",\"batcher\":" ^ batcher_json s.str_batcher);
-  add (",\"cache\":" ^ counts_json s.str_cache);
-  if batch then
-    add
-      (Printf.sprintf ",\"completed\":%d,\"failed\":%d" s.str_completed
-         s.str_failed);
-  add (Printf.sprintf ",\"admission_retries\":%d" s.str_admission_retries);
-  if batch then
-    add
-      (Printf.sprintf ",\"trading_makespan\":%s"
-         (Json.number s.str_trading_makespan));
-  add
-    (Printf.sprintf
-       ",\"makespan\":%s,\"wire_messages\":%d,\"wire_bytes\":%d,\"offer_rtt\":%s,\"queue_wait\":%s"
-       (Json.number s.str_makespan) s.str_wire_messages s.str_wire_bytes
-       (latency_json s.str_offer_rtt)
-       (latency_json s.str_queue_wait));
-  (match s.str_exec with
-  | None -> add ",\"exec\":null"
-  | Some e ->
-    add
-      (Printf.sprintf
-         ",\"exec\":{\"makespan\":%s,\"tasks\":%d,\"shared_results\":%d"
-         (Json.number e.exec_makespan) e.tasks_run e.shared_results);
-    if batch then begin
-      add ",\"trades\":";
-      list
-        (fun (t : exec_trade) ->
-          add
-            (Printf.sprintf
-               "{\"trade\":%d,\"rows\":%d,\"digest\":%d,\"finished_at\":%s}"
-               t.et_trade t.et_rows t.et_digest (Json.number t.et_finished_at)))
-        e.exec_trades
-    end;
-    add ",\"nodes\":";
-    list (fun n -> add (exec_node_json n)) e.exec_nodes;
-    add "}");
-  (match s.str_qcache with
-  | None -> ()
-  | Some q -> add (",\"qcache\":" ^ qcache_json q));
-  match s.str_pricing with
-  | None -> ()
-  | Some p -> add (",\"pricing\":" ^ pricing_json p)
-
-let to_json (s : stream_stats) =
-  let b = Buffer.create 2048 in
-  let add = Buffer.add_string b in
-  let list f xs = json_list add f xs in
-  add "{\"trades\":";
-  list
-    (fun (t : trade_stats) ->
-      add
-        (Printf.sprintf
-           "{\"trade\":%d,\"status\":\"%s\",\"attempts\":%d,\"rounds\":%d,\"plan_cost\":%s,\"messages\":%d,\"bytes\":%d,\"sim_time\":%s,\"phases\":%s,\"contracts\":"
-           t.trade (status_to_string t.status) t.attempts t.rounds
-           (Json.number t.plan_cost) t.messages t.bytes (Json.number t.sim_time)
-           (phases_json t.phases));
-      list
-        (fun (seller, work) ->
-          add (Printf.sprintf "{\"seller\":%d,\"work\":%s}" seller (Json.number work)))
-        t.contracts;
-      add "}")
-    s.str_trades;
-  add_run_wide_json b ~batch:true s;
-  add "}";
-  Buffer.contents b
-
-(* Cache fields render only when the tier was on, keeping cache-off
-   stream JSON byte-identical to a cache-less build. *)
-let class_json ~qcache (c : class_stats) =
-  let cache_fields =
-    if qcache then
-      Printf.sprintf ",\"cache_hits\":%d,\"cache_hit_rate\":%s" c.cs_cache_hits
-        (Json.number c.cs_cache_hit_rate)
-    else ""
+let qcache_json (q : Tier.stats) : Json.t =
+  let s = q.Tier.stmt in
+  let revenue (seller, rev) : Json.t =
+    Obj [ ("seller", Int seller); ("revenue", Num rev) ]
   in
-  Printf.sprintf
-    "{\"class\":%S,\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s%s,\"latency\":%s}"
-    (Sla.to_string c.cs_klass) c.cs_arrivals c.cs_completed c.cs_hits c.cs_shed
-    c.cs_expired c.cs_failed (Json.number c.cs_goodput) cache_fields
-    (latency_json c.cs_latency)
+  Obj
+    [
+      ("placement", String q.Tier.placement);
+      ( "stmt",
+        Obj
+          [
+            ("hits", Int s.Statement_cache.hits);
+            ("misses", Int s.Statement_cache.misses);
+            ("invalidations", Int s.Statement_cache.invalidations);
+            ("evictions", Int s.Statement_cache.evictions);
+            ("suppressed", Int s.Statement_cache.suppressed);
+          ] );
+      ("result", counts_json q.Tier.result);
+      ("trades_avoided", Int q.Tier.trades_avoided);
+      ("executions_avoided", Int q.Tier.executions_avoided);
+      ("hit_revenue", Num q.Tier.hit_revenue);
+      ("revenue_by_seller", List (List.map revenue q.hit_revenue_by_seller));
+      ("result_bytes", Int q.Tier.result_bytes_held);
+    ]
 
-let alert_json ((al : Slo.alert), bundle) =
-  Printf.sprintf "{\"alert\":%s,\"bundle\":%s}" (Slo.alert_to_json al)
-    (Flight_recorder.bundle_to_json bundle)
+let pricing_json (p : Pricing.stats) : Json.t =
+  let seller (x : Pricing.seller_stats) : Json.t =
+    Obj
+      [
+        ("seller", Int x.Pricing.ps_seller);
+        ("strategy", String (Pricing.strategy_to_string x.Pricing.ps_strategy));
+        ("surging", Bool x.Pricing.ps_surging);
+        ("surge_activations", Int x.Pricing.ps_surge_activations);
+        ("revenue", Num x.Pricing.ps_revenue);
+        ("reserved_sold", Int x.Pricing.ps_reserved_sold);
+        ("reserved_completed", Int x.Pricing.ps_reserved_completed);
+        ("reserved_refunded", Int x.Pricing.ps_reserved_refunded);
+        ("reservation_revenue", Num x.Pricing.ps_reservation_revenue);
+      ]
+  in
+  Obj
+    [
+      ("revenue", Num p.Pricing.p_revenue);
+      ("reservation_revenue", Num p.Pricing.p_reservation_revenue);
+      ("surge_activations", Int p.Pricing.p_surge_activations);
+      ("forced_flips", Int p.Pricing.p_forced_flips);
+      ("reserved_sold", Int p.Pricing.p_reserved_sold);
+      ("reserved_completed", Int p.Pricing.p_reserved_completed);
+      ("reserved_refunded", Int p.Pricing.p_reserved_refunded);
+      ("reservation_fill", Num p.Pricing.p_reservation_fill);
+      ("sellers", List (List.map seller p.Pricing.p_sellers));
+    ]
 
-let stream_to_json (s : stream_stats) =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  let list f xs = json_list add f xs in
-  add
-    (Printf.sprintf
-       "{\"arrivals\":%d,\"completed\":%d,\"hits\":%d,\"shed\":%d,\"expired\":%d,\"failed\":%d,\"goodput\":%s,\"latency\":%s"
-       s.str_arrivals s.str_completed s.str_hits s.str_shed s.str_expired
-       s.str_failed (Json.number s.str_goodput) (latency_json s.str_latency));
-  add ",\"classes\":";
-  list (fun c -> add (class_json ~qcache:(s.str_qcache <> None) c)) s.str_classes;
-  add_run_wide_json b ~batch:false s;
-  (* Rendered only when telemetry was on, keeping telemetry-off stream
-     JSON byte-identical to a telemetry-less build.  The full point
-     series goes to the JSONL dump ([telemetry_jsonl]); this carries the
-     summary plus every alert with its flight-recorder bundle. *)
-  (match s.str_telemetry with
-  | None -> ()
-  | Some t ->
-    add
-      (Printf.sprintf
-         ",\"telemetry\":{\"interval\":%s,\"ticks\":%d,\"points\":%d,\"rules\":"
-         (Json.number t.tl_interval) t.tl_ticks (List.length t.tl_points));
-    list
-      (fun (r : Slo.rule) -> add (Printf.sprintf "%S" r.Slo.r_name))
-      t.tl_rules;
-    add ",\"alerts\":";
-    list (fun a -> add (alert_json a)) t.tl_alerts;
-    add ",\"failures\":";
-    list (fun bd -> add (Flight_recorder.bundle_to_json bd)) t.tl_failures;
-    add "}");
-  add "}";
-  Buffer.contents b
+let exec_json ~batch (e : exec_stats) : Json.t =
+  let trade (t : exec_trade) : Json.t =
+    Obj
+      [
+        ("trade", Int t.et_trade);
+        ("rows", Int t.et_rows);
+        ("digest", Int t.et_digest);
+        ("finished_at", Num t.et_finished_at);
+      ]
+  in
+  let node (n : exec_node) : Json.t =
+    Obj
+      [
+        ("node", Int n.en_node);
+        ("tasks", Int n.en_tasks);
+        ("busy", Num n.en_busy);
+        ("utilization", Num n.en_utilization);
+      ]
+  in
+  Json.(
+    Obj
+      ([
+         ("makespan", Num e.exec_makespan);
+         ("tasks", Int e.tasks_run);
+         ("shared_results", Int e.shared_results);
+       ]
+      @ (if batch then [ ("trades", List (List.map trade e.exec_trades)) ]
+         else [])
+      @ [ ("nodes", List (List.map node e.exec_nodes)) ]))
+
+let trade_json (t : trade_stats) : Json.t =
+  let contract (seller, work) : Json.t =
+    Obj [ ("seller", Int seller); ("work", Num work) ]
+  in
+  Obj
+    [
+      ("trade", Int t.trade);
+      ("status", String (status_to_string t.status));
+      ("attempts", Int t.attempts);
+      ("rounds", Int t.rounds);
+      ("plan_cost", Num t.plan_cost);
+      ("messages", Int t.messages);
+      ("bytes", Int t.bytes);
+      ("sim_time", Num t.sim_time);
+      ("phases", Trader.phases_json t.phases);
+      ("contracts", List (List.map contract t.contracts));
+    ]
+
+let class_json ~qcache (c : class_stats) : Json.t =
+  Json.(
+    Obj
+      ([
+         ("class", String (Sla.to_string c.cs_klass));
+         ("arrivals", Int c.cs_arrivals);
+         ("completed", Int c.cs_completed);
+         ("hits", Int c.cs_hits);
+         ("shed", Int c.cs_shed);
+         ("expired", Int c.cs_expired);
+         ("failed", Int c.cs_failed);
+         ("goodput", Num c.cs_goodput);
+       ]
+      @ (if qcache then
+           [
+             ("cache_hits", Int c.cs_cache_hits);
+             ("cache_hit_rate", Num c.cs_cache_hit_rate);
+           ]
+         else [])
+      @ [ ("latency", latency_json c.cs_latency) ]))
+
+let alert_json ((al : Slo.alert), bundle) : Json.t =
+  Obj
+    [
+      ("alert", Slo.alert_to_json al);
+      ("bundle", Flight_recorder.bundle_to_json bundle);
+    ]
+
+(* The summary plus every alert with its flight-recorder bundle; the
+   full point series goes to the JSONL dump ([telemetry_jsonl]). *)
+let telemetry_json (t : telemetry_stats) : Json.t =
+  let rule (r : Slo.rule) : Json.t = String r.Slo.r_name in
+  Obj
+    [
+      ("interval", Num t.tl_interval);
+      ("ticks", Int t.tl_ticks);
+      ("points", Int (List.length t.tl_points));
+      ("rules", List (List.map rule t.tl_rules));
+      ("alerts", List (List.map alert_json t.tl_alerts));
+      ( "failures",
+        List (List.map Flight_recorder.bundle_to_json t.tl_failures) );
+    ]
+
+(* A batch leads with its trades and adds its counts, trading makespan
+   and exec rows in place; a stream leads with its outcomes and classes.
+   The qcache, pricing and telemetry blocks appear only when their layer
+   is on, so output with a layer off matches a build without it. *)
+let report_json ~batch (s : stream_stats) =
+  let qcache = s.str_qcache <> None in
+  let only cond fields = if cond then fields else [] in
+  let opt key f = function Some x -> [ (key, f x) ] | None -> [] in
+  Json.(
+    Obj
+      (only batch [ ("trades", List (List.map trade_json s.str_trades)) ]
+      @ only (not batch)
+          [
+            ("arrivals", Int s.str_arrivals);
+            ("completed", Int s.str_completed);
+            ("hits", Int s.str_hits);
+            ("shed", Int s.str_shed);
+            ("expired", Int s.str_expired);
+            ("failed", Int s.str_failed);
+            ("goodput", Num s.str_goodput);
+            ("latency", latency_json s.str_latency);
+            ("classes", List (List.map (class_json ~qcache) s.str_classes));
+          ]
+      @ [
+          ("sellers", List (List.map seller_json s.str_sellers));
+          ("batcher", batcher_json s.str_batcher);
+          ("cache", counts_json s.str_cache);
+        ]
+      @ only batch
+          [ ("completed", Int s.str_completed); ("failed", Int s.str_failed) ]
+      @ [ ("admission_retries", Int s.str_admission_retries) ]
+      @ only batch [ ("trading_makespan", Num s.str_trading_makespan) ]
+      @ [
+          ("makespan", Num s.str_makespan);
+          ("wire_messages", Int s.str_wire_messages);
+          ("wire_bytes", Int s.str_wire_bytes);
+          ("offer_rtt", latency_json s.str_offer_rtt);
+          ("queue_wait", latency_json s.str_queue_wait);
+          ( "exec",
+            match s.str_exec with Some e -> exec_json ~batch e | None -> Null );
+        ]
+      @ opt "qcache" qcache_json s.str_qcache
+      @ opt "pricing" pricing_json s.str_pricing
+      @ opt "telemetry" telemetry_json s.str_telemetry))
+
+let to_json s = Json.to_string (report_json ~batch:true s)
+let stream_to_json s = Json.to_string (report_json ~batch:false s)
 
 (* The series dump: every scraped/derived point, then alert and failure
    lines, one JSON object per line. *)
 let telemetry_jsonl (t : telemetry_stats) =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun p ->
-      Buffer.add_string b (Timeseries.point_to_json p);
-      Buffer.add_char b '\n')
-    t.tl_points;
-  List.iter
-    (fun a ->
-      Buffer.add_string b (alert_json a);
-      Buffer.add_char b '\n')
-    t.tl_alerts;
-  List.iter
-    (fun bd ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"failure\":%s}\n" (Flight_recorder.bundle_to_json bd)))
-    t.tl_failures;
-  Buffer.contents b
+  let failure bd : Json.t =
+    Obj [ ("failure", Flight_recorder.bundle_to_json bd) ]
+  in
+  List.map Timeseries.point_to_json t.tl_points
+  @ List.map alert_json t.tl_alerts
+  @ List.map failure t.tl_failures
+  |> List.map (fun j -> Json.to_string j ^ "\n")
+  |> String.concat ""
 
-(* Flat metrics renderings of a finished run — what [--metrics FILE]
-   writes.  Derived entirely from the report, so they share its
-   determinism; the registry sorts keys, so registration order is free. *)
-let metrics_c m name v = Metrics.incr ~by:v (Metrics.counter m name)
-let metrics_g m name v = Metrics.set (Metrics.gauge m name) v
+(* The flat renderings of a finished run — what [--metrics FILE] and
+   [--openmetrics FILE] write: one metric per numeric leaf of the
+   report, named by its path under the run's root. *)
+let registry root ~batch s =
+  Metrics.of_json (Obj [ (root, report_json ~batch s) ])
 
-(* No observations means no percentiles: only the count is written, as
-   [latency_json] renders null rather than a fake 0. *)
-let metrics_lat m name (l : latency_summary) =
-  metrics_c m (name ^ ".count") l.l_count;
-  if l.l_count > 0 then begin
-    metrics_g m (name ^ ".p50") l.l_p50;
-    metrics_g m (name ^ ".p95") l.l_p95;
-    metrics_g m (name ^ ".p99") l.l_p99
-  end
-
-let metrics_counts m prefix (c : Lru.stats) =
-  metrics_c m (prefix ^ ".hits") c.hits;
-  metrics_c m (prefix ^ ".misses") c.misses;
-  metrics_c m (prefix ^ ".invalidations") c.invalidations;
-  metrics_c m (prefix ^ ".evictions") c.evictions
-
-(* The run-wide metrics both renderings share; [prefix] ("market" or
-   "stream") names the run's own family. *)
-let metrics_run_wide m ~prefix (s : stream_stats) =
-  let c = metrics_c m and g = metrics_g m in
-  c (prefix ^ ".admission_retries") s.str_admission_retries;
-  c (prefix ^ ".wire_messages") s.str_wire_messages;
-  c (prefix ^ ".wire_bytes") s.str_wire_bytes;
-  g (prefix ^ ".makespan") s.str_makespan;
-  Option.iter
-    (fun e ->
-      c "exec.tasks" e.tasks_run;
-      c "exec.shared_results" e.shared_results;
-      g "exec.makespan" e.exec_makespan;
-      List.iter
-        (fun (n : exec_node) ->
-          let p = Printf.sprintf "exec.node.%d." n.en_node in
-          c (p ^ "tasks") n.en_tasks;
-          g (p ^ "busy") n.en_busy;
-          g (p ^ "utilization") n.en_utilization)
-        e.exec_nodes)
-    s.str_exec;
-  (* qcache.* and pricing.* appear only when the tier or the layer was
-     configured, keeping their off output identical to a build without
-     them. *)
-  Option.iter
-    (fun (q : Tier.stats) ->
-      let st = q.Tier.stmt in
-      c "qcache.stmt.hits" st.Statement_cache.hits;
-      c "qcache.stmt.misses" st.Statement_cache.misses;
-      c "qcache.stmt.invalidations" st.Statement_cache.invalidations;
-      c "qcache.stmt.evictions" st.Statement_cache.evictions;
-      c "qcache.stmt.suppressed" st.Statement_cache.suppressed;
-      metrics_counts m "qcache.result" q.Tier.result;
-      c "qcache.trades_avoided" q.Tier.trades_avoided;
-      c "qcache.executions_avoided" q.Tier.executions_avoided;
-      c "qcache.result_bytes" q.Tier.result_bytes_held;
-      g "qcache.hit_revenue" q.Tier.hit_revenue)
-    s.str_qcache;
-  Option.iter
-    (fun (p : Pricing.stats) ->
-      g "pricing.revenue" p.Pricing.p_revenue;
-      g "pricing.reservation_revenue" p.Pricing.p_reservation_revenue;
-      c "pricing.surge_activations" p.Pricing.p_surge_activations;
-      c "pricing.forced_flips" p.Pricing.p_forced_flips;
-      c "pricing.reserved_sold" p.Pricing.p_reserved_sold;
-      c "pricing.reserved_completed" p.Pricing.p_reserved_completed;
-      c "pricing.reserved_refunded" p.Pricing.p_reserved_refunded;
-      g "pricing.reservation_fill" p.Pricing.p_reservation_fill;
-      List.iter
-        (fun (x : Pricing.seller_stats) ->
-          let pre = Printf.sprintf "pricing.seller.%d." x.Pricing.ps_seller in
-          g (pre ^ "revenue") x.Pricing.ps_revenue;
-          c (pre ^ "surge_activations") x.Pricing.ps_surge_activations)
-        p.Pricing.p_sellers)
-    s.str_pricing;
-  let bt = s.str_batcher in
-  c "batcher.waves" bt.Batcher.waves;
-  c "batcher.sent_messages" bt.Batcher.sent_messages;
-  c "batcher.sent_bytes" bt.Batcher.sent_bytes;
-  c "batcher.messages_saved" bt.Batcher.messages_saved;
-  c "batcher.bytes_saved" bt.Batcher.bytes_saved;
-  c "batcher.dup_signatures_merged" bt.Batcher.dup_signatures_merged;
-  metrics_counts m "cache" s.str_cache;
-  List.iter
-    (fun (x : seller_stats) ->
-      let p = Printf.sprintf "seller.%d." x.seller in
-      c (p ^ "admitted") x.admission.Admission.admitted;
-      c (p ^ "rejected") x.admission.Admission.rejected;
-      c (p ^ "completed") x.admission.Admission.completed;
-      g (p ^ "busy") x.admission.Admission.busy;
-      g (p ^ "utilization") x.utilization)
-    s.str_sellers;
-  metrics_lat m "market.offer_rtt" s.str_offer_rtt;
-  metrics_lat m "market.queue_wait" s.str_queue_wait
-
-let metrics_json (s : stream_stats) =
-  let m = Metrics.create () in
-  metrics_c m "market.trades" s.str_arrivals;
-  metrics_c m "market.completed" s.str_completed;
-  metrics_c m "market.failed" s.str_failed;
-  metrics_g m "market.trading_makespan" s.str_trading_makespan;
-  metrics_run_wide m ~prefix:"market" s;
-  Metrics.to_json m
-
-let stream_metrics_registry (s : stream_stats) =
-  let m = Metrics.create () in
-  let c = metrics_c m and g = metrics_g m in
-  c "stream.arrivals" s.str_arrivals;
-  c "stream.completed" s.str_completed;
-  c "stream.hits" s.str_hits;
-  c "stream.shed" s.str_shed;
-  c "stream.expired" s.str_expired;
-  c "stream.failed" s.str_failed;
-  g "stream.goodput" s.str_goodput;
-  metrics_lat m "stream.latency" s.str_latency;
-  List.iter
-    (fun cl ->
-      let p = Printf.sprintf "stream.class.%s." (Sla.to_string cl.cs_klass) in
-      c (p ^ "arrivals") cl.cs_arrivals;
-      c (p ^ "completed") cl.cs_completed;
-      c (p ^ "hits") cl.cs_hits;
-      c (p ^ "shed") cl.cs_shed;
-      c (p ^ "expired") cl.cs_expired;
-      c (p ^ "failed") cl.cs_failed;
-      g (p ^ "goodput") cl.cs_goodput;
-      (* Per-class cache effectiveness: every cache hit is one trade the
-         class did not have to run.  Only rendered when the tier is on so
-         cache-off metrics match the pre-cache format. *)
-      if s.str_qcache <> None then begin
-        c (p ^ "cache_hits") cl.cs_cache_hits;
-        c (p ^ "trades_avoided") cl.cs_cache_hits;
-        g (p ^ "cache_hit_rate") cl.cs_cache_hit_rate
-      end;
-      metrics_lat m (p ^ "latency") cl.cs_latency)
-    s.str_classes;
-  metrics_run_wide m ~prefix:"stream" s;
-  m
-
-let stream_metrics_json (s : stream_stats) =
-  Metrics.to_json (stream_metrics_registry s)
+let flat m = Json.to_string (Metrics.to_json m)
+let metrics_json s = flat (registry "market" ~batch:true s)
+let stream_metrics_registry s = registry "stream" ~batch:false s
+let stream_metrics_json s = flat (stream_metrics_registry s)
 
 (* ------------------------------------------------------------------- *)
 (* The market loop.  Batch [run] and [run_stream] share one driver: a
@@ -1872,10 +1750,35 @@ let tally_trade n tr =
 
 let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
 
+(* Each contract a seller accepted completed or was canceled, and with
+   pricing on each reservation it sold completed or was refunded. *)
+let check_seller_laws sellers (pricing : Pricing.stats option) =
+  let law seller (total, n) (a, na) (b, nb) =
+    if n <> na + nb then
+      failwith
+        (Printf.sprintf "Market: seller %d: %s %d <> %s %d + %s %d" seller
+           total n a na b nb)
+  in
+  List.iter
+    (fun { seller; admission = a; _ } ->
+      law seller ("accepted", a.Admission.accepted) ("completed", a.completed)
+        ("canceled", a.canceled))
+    sellers;
+  Option.iter
+    (fun (p : Pricing.stats) ->
+      List.iter
+        (fun (x : Pricing.seller_stats) ->
+          law x.ps_seller
+            ("reserved_sold", x.ps_reserved_sold)
+            ("reserved_completed", x.ps_reserved_completed)
+            ("reserved_refunded", x.ps_reserved_refunded))
+        p.p_sellers)
+    pricing
+
 (* The run report, built from what the driver left, counting outcomes in
-   one pass over the trades.  [per_trade] keeps the batch-only detail
-   (the per-trade list, the executed answers and exec's per-trade rows),
-   which is not retained at stream scale. *)
+   one pass over the trades and checking the seller laws.  [per_trade]
+   keeps the batch-only detail (the per-trade list, the executed answers
+   and exec's per-trade rows), which is not retained at stream scale. *)
 let report_of ~per_trade f =
   let st = f.f_st and trades = f.f_trades in
   let all = new_tally () in
@@ -1935,6 +1838,21 @@ let report_of ~per_trade f =
   in
   let trading_makespan = f.f_trading_makespan in
   let wire = Runtime.stats st.rt in
+  let sellers =
+    List.map
+      (fun id ->
+        let adm = admission_of st id in
+        let a = Admission.stats adm in
+        let capacity = float_of_int (Admission.slots adm) *. trading_makespan in
+        {
+          seller = id;
+          admission = a;
+          utilization = (if capacity > 0. then a.Admission.busy /. capacity else 0.);
+        })
+      st.seller_ids
+  in
+  let pricing = Option.map Pricing.stats st.pstate in
+  check_seller_laws sellers pricing;
   {
     str_arrivals = all.n_arrivals;
     str_completed = all.n_completed;
@@ -1945,18 +1863,7 @@ let report_of ~per_trade f =
     str_goodput = ratio all.n_hits all.n_arrivals;
     str_latency = summarize st.lat_all;
     str_classes = classes;
-    str_sellers =
-      List.map
-        (fun id ->
-          let adm = admission_of st id in
-          let a = Admission.stats adm in
-          let capacity = float_of_int (Admission.slots adm) *. trading_makespan in
-          {
-            seller = id;
-            admission = a;
-            utilization = (if capacity > 0. then a.Admission.busy /. capacity else 0.);
-          })
-        st.seller_ids;
+    str_sellers = sellers;
     str_batcher = Batcher.stats st.batcher;
     str_cache = Seller.pool_stats st.caches;
     str_admission_retries = st.retries;
@@ -1973,7 +1880,7 @@ let report_of ~per_trade f =
     str_queue_wait = summarize st.waits;
     str_exec = exec;
     str_qcache = Option.map (fun q -> Tier.stats q.q_tier) st.qcache;
-    str_pricing = Option.map Pricing.stats st.pstate;
+    str_pricing = pricing;
     str_telemetry = Option.map Telemetry.stats st.tel;
     str_trades =
       (if not per_trade then []
@@ -2047,4 +1954,6 @@ module Private = struct
     let st = make_market ~obs:Obs.disabled (batch_stream cfg) federation in
     let tr = make_trade ~index:0 ~priority:batch_priority query in
     List.iter (fun outcome -> settle st tr outcome ~at:0.) outcomes
+
+  let check_seller_laws = check_seller_laws
 end

@@ -260,7 +260,9 @@ type stream_stats = {
 (** The one report {!run} and {!run_stream} both return.  Every arrival
     ends exactly once: [arrivals = completed + shed + expired + failed],
     overall and per class, and a trade left without an outcome fails the
-    run with [Failure] naming it.  A batch has no shed or expired
+    run with [Failure] naming it, as does a seller whose [accepted <>
+    completed + canceled] or, with pricing on, whose [reserved_sold <>
+    reserved_completed + reserved_refunded].  A batch has no shed or expired
     trades, no classes and no telemetry.  Only a batch fills
     [str_trades], [str_results] and [str_exec]'s [exec_trades]; a stream
     leaves them empty, as per-trade rows and answer tables are not
@@ -295,6 +297,10 @@ val run :
     {!run_stream}, with the batch-only fields filled.
     @raise Invalid_argument on a negative [max_admission_retries]. *)
 
+val report_json : batch:bool -> stream_stats -> Qt_util.Json_min.t
+(** Every field of a report, stated once: {!to_json} ([batch]) and
+    {!stream_to_json} print it, and the metrics renderings flatten it. *)
+
 val to_json : stream_stats -> string
 (** Canonical single-line JSON rendering of a batch report.  Contains no
     wall-clock or process-local values, so two same-seed runs yield
@@ -304,8 +310,9 @@ val to_json : stream_stats -> string
     [exec.trades] to the keys it shares with {!stream_to_json}. *)
 
 val metrics_json : stream_stats -> string
-(** Flat metrics-registry rendering of a batch report (keys sorted) —
-    what [qtsim market --metrics FILE] writes. *)
+(** {!to_json}'s value flattened by {!Qt_obs.Metrics.of_json} under the
+    root [market] ([market.sellers.3.admitted]), keys sorted — what
+    [qtsim market --metrics FILE] writes. *)
 
 (** {1 Open-stream marketplace}
 
@@ -384,13 +391,13 @@ val stream_to_json : stream_stats -> string
     determinism contract as {!to_json}: same seeds, same bytes. *)
 
 val stream_metrics_registry : stream_stats -> Qt_obs.Metrics.t
-(** The end-of-run metrics registry behind {!stream_metrics_json} —
-    what [qtsim stream --openmetrics FILE] renders through
-    {!Qt_obs.Openmetrics.render}. *)
+(** {!stream_to_json}'s value flattened by {!Qt_obs.Metrics.of_json}
+    under the root [stream] ([stream.classes.batch.latency.count]) —
+    what [qtsim stream --openmetrics FILE] renders. *)
 
 val stream_metrics_json : stream_stats -> string
-(** Flat metrics-registry rendering — what [qtsim stream --metrics FILE]
-    writes. *)
+(** {!stream_metrics_registry} as one JSON object, keys sorted — what
+    [qtsim stream --metrics FILE] writes. *)
 
 val telemetry_jsonl : telemetry_stats -> string
 (** JSONL series dump — one [{"t":..,"series":..,"value":..}] line per
@@ -406,4 +413,9 @@ module Private : sig
     config -> Qt_catalog.Federation.t -> Qt_sql.Ast.t -> Telemetry.outcome list -> unit
   (** End one fresh trade of a new market once per outcome, in order.
       @raise Failure on the second: a trade ends exactly once. *)
+
+  val check_seller_laws :
+    seller_stats list -> Qt_pricing.Pricing.stats option -> unit
+  (** The per-seller laws every run checks on its report.
+      @raise Failure naming the first seller that breaks one. *)
 end

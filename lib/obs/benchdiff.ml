@@ -1,7 +1,7 @@
 (* part of qt_obs *)
 
 (* Regression comparison of two BENCH_*.json snapshots (flat one-line
-   objects from Bench_json.to_file) against declared per-key tolerances.
+   objects the bench driver writes) against declared per-key tolerances.
    The rule language is deliberately tiny:
 
      key>=tol   numeric; current may not drop more than [tol] fraction
@@ -68,11 +68,9 @@ let parse_rules text =
 type report = { failures : string list; notes : string list }
 
 let scalar_to_string = function
-  | Json.Num f -> Json.number f
-  | Json.Bool b -> string_of_bool b
   | Json.String s -> s
-  | Json.Null -> "null"
   | Json.List _ | Json.Obj _ -> "<compound>"
+  | v -> Json.to_string v
 
 let compare_snapshots ~rules ~baseline ~current =
   let failures = ref [] and notes = ref [] in

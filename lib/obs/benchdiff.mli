@@ -28,6 +28,6 @@ type report = { failures : string list; notes : string list }
 
 val compare_snapshots :
   rules:rule list -> baseline:Qt_util.Json_min.t -> current:Qt_util.Json_min.t -> report
-(** Both snapshots should be the flat one-line objects Bench_json
-    writes; non-object inputs produce no notes and fail only ruled
+(** Both snapshots should be the flat one-line objects the bench
+    driver writes; non-object inputs produce no notes and fail only ruled
     keys. *)

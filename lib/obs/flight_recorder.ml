@@ -60,7 +60,7 @@ type bundle = {
   b_time : float;
   b_reason : string;
   b_entries : entry list;
-  b_metrics : string;
+  b_metrics : Qt_util.Json_min.t;
 }
 
 let bundle t ~time ~reason ~metrics =
@@ -70,14 +70,22 @@ let bundle t ~time ~reason ~metrics =
   in
   { b_time = time; b_reason = reason; b_entries = entries; b_metrics = metrics }
 
-let escape = Qt_util.Json_min.escape
+module Json = Qt_util.Json_min
 
 let entry_to_json e =
-  Printf.sprintf "{\"t\":%s,\"node\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
-    (Qt_util.Json_min.number e.e_time) e.e_node (escape e.e_kind) (escape e.e_detail)
+  Json.Obj
+    [
+      ("t", Num e.e_time);
+      ("node", Int e.e_node);
+      ("kind", String e.e_kind);
+      ("detail", String e.e_detail);
+    ]
 
 let bundle_to_json b =
-  Printf.sprintf "{\"t\":%s,\"reason\":\"%s\",\"entries\":[%s],\"metrics\":%s}"
-    (Qt_util.Json_min.number b.b_time) (escape b.b_reason)
-    (String.concat "," (List.map entry_to_json b.b_entries))
-    (if b.b_metrics = "" then "null" else b.b_metrics)
+  Json.Obj
+    [
+      ("t", Num b.b_time);
+      ("reason", String b.b_reason);
+      ("entries", List (List.map entry_to_json b.b_entries));
+      ("metrics", b.b_metrics);
+    ]

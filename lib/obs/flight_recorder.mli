@@ -36,9 +36,10 @@ type bundle = {
   b_time : float;
   b_reason : string;
   b_entries : entry list;  (** all nodes' recents, (time, seq)-ordered *)
-  b_metrics : string;  (** a metrics-registry JSON snapshot, verbatim *)
+  b_metrics : Qt_util.Json_min.t;  (** a metrics-registry snapshot *)
 }
 
-val bundle : t -> time:float -> reason:string -> metrics:string -> bundle
+val bundle :
+  t -> time:float -> reason:string -> metrics:Qt_util.Json_min.t -> bundle
 
-val bundle_to_json : bundle -> string
+val bundle_to_json : bundle -> Qt_util.Json_min.t

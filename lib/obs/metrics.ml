@@ -169,19 +169,21 @@ let drain_window h =
 let histo_buckets h = h.h_buckets
 let histo_scale h = h.h_scale
 
+module Json = Qt_util.Json_min
+
 let to_json t =
   let entries =
     List.concat_map
       (fun item ->
         match item with
-        | Counter c -> [ (c.c_name, string_of_int c.c_value) ]
-        | Gauge g -> [ (g.g_name, Qt_util.Json_min.number g.g_value) ]
+        | Counter c -> [ (c.c_name, Json.Int c.c_value) ]
+        | Gauge g -> [ (g.g_name, Json.Num g.g_value) ]
         | Histo h ->
           (* An empty histogram has no measurements: render null rather
              than a bare 0. indistinguishable from a real observation. *)
-          let stat v = if h.h_count = 0 then "null" else Qt_util.Json_min.number v in
+          let stat v = if h.h_count = 0 then Json.Null else Json.Num v in
           [
-            (h.h_name ^ ".count", string_of_int h.h_count);
+            (h.h_name ^ ".count", Json.Int h.h_count);
             (h.h_name ^ ".mean", stat (mean h));
             (h.h_name ^ ".p50", stat (percentile h 0.5));
             (h.h_name ^ ".p95", stat (percentile h 0.95));
@@ -189,13 +191,25 @@ let to_json t =
           ])
       t.items
   in
-  let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%S:%s" k v))
-    entries;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj (List.sort (fun (a, _) (b, _) -> String.compare a b) entries)
+
+let of_json v =
+  let t = create () in
+  let join path k = if path = "" then k else path ^ "." ^ k in
+  let key = function
+    | Json.Obj ((_, Json.Int n) :: rest) -> Some (string_of_int n, rest)
+    | Json.Obj ((_, Json.String s) :: rest) -> Some (s, rest)
+    | _ -> None
+  in
+  let rec walk path = function
+    | Json.Int n -> t.items <- Counter { c_name = path; c_value = n } :: t.items
+    | Json.Num x -> t.items <- Gauge { g_name = path; g_value = x } :: t.items
+    | Json.Obj kvs -> List.iter (fun (k, v) -> walk (join path k) v) kvs
+    | Json.List xs ->
+      let keyed = List.filter_map key xs in
+      if List.compare_lengths keyed xs = 0 then
+        List.iter (fun (k, rest) -> walk (join path k) (Json.Obj rest)) keyed
+    | Json.Null | Json.Bool _ | Json.String _ -> ()
+  in
+  walk "" v;
+  t

@@ -1,12 +1,14 @@
 (** A minimal metrics registry: counters, gauges and sim-time histograms
     behind one deterministic [to_json].
 
-    The marketplace registers its run-level counters and histograms
-    here.  (The RFB batcher and the admission controller keep plain
-    mutable counters behind their [stats] records, and the caches count
-    in {!Qt_util.Lru}.)  Handles are plain mutable records,
-    so the hot path pays one memory write per update — no hashtable
-    lookup, no allocation.
+    The marketplace registers its live counters and histograms here,
+    and a finished run's report becomes a registry through {!of_json},
+    so the flat renderings ([--metrics], OpenMetrics) name every
+    counter by its path in the report.  (The RFB batcher and the
+    admission controller keep plain mutable counters behind their
+    [stats] records, and the caches count in {!Qt_util.Lru}.)  Handles
+    are plain mutable records, so the hot path pays one memory write per
+    update — no hashtable lookup, no allocation.
 
     Histograms store integer-scaled observations in a
     {!Qt_util.Histogram} (by default microseconds over a 10-second
@@ -94,8 +96,16 @@ val drain_window : histo -> Qt_util.Histogram.Window.t
     Costs O(k log k) for k logged observations, independent of the
     bucket count.  Empty unless {!enable_windows} was called. *)
 
-val to_json : t -> string
-(** One flat JSON object, keys sorted; histograms expand to
-    [name.count/.mean/.p50/.p95/.p99].  Empty histograms render their
-    [.mean]/[.p*] fields as [null] (the [.count] 0 stays numeric) so
-    downstream tooling cannot mistake "no data" for a measured 0. *)
+val to_json : t -> Qt_util.Json_min.t
+(** One flat JSON object, keys sorted: counters as [Int], gauges as
+    [Num]; histograms expand to [name.count/.mean/.p50/.p95/.p99].
+    Empty histograms render their [.mean]/[.p*] fields as [Null] (the
+    [.count] 0 stays numeric) so downstream tooling cannot mistake "no
+    data" for a measured 0. *)
+
+val of_json : Qt_util.Json_min.t -> t
+(** One counter per [Int] leaf and one gauge per [Num] leaf, named by
+    the JSON path joined with [.].  A list of objects whose first fields
+    are ints or strings is keyed by them, and they are not metrics:
+    [{"sellers":[{"seller":3,"admitted":5}]}] gives [sellers.3.admitted].
+    Other lists, strings, bools and nulls are skipped.  One pass. *)

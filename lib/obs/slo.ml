@@ -242,10 +242,13 @@ let observe t ~now ~error_rate =
 let alerts t = List.rev t.st_alerts
 
 let alert_to_json al =
-  Printf.sprintf
-    "{\"rule\":\"%s\",\"t\":%s,\"severity\":\"%s\",\"burn_fast\":%s,\"burn_slow\":%s,\"window_error\":%s,\"suppressed\":%d}"
-    (Qt_util.Json_min.escape al.al_rule.r_name) (Qt_util.Json_min.number al.al_time)
-    (severity_to_string al.al_severity)
-    (Qt_util.Json_min.number al.al_burn_fast)
-    (Qt_util.Json_min.number al.al_burn_slow)
-    (Qt_util.Json_min.number al.al_window_error) al.al_suppressed
+  Qt_util.Json_min.Obj
+    [
+      ("rule", String al.al_rule.r_name);
+      ("t", Num al.al_time);
+      ("severity", String (severity_to_string al.al_severity));
+      ("burn_fast", Num al.al_burn_fast);
+      ("burn_slow", Num al.al_burn_slow);
+      ("window_error", Num al.al_window_error);
+      ("suppressed", Int al.al_suppressed);
+    ]

@@ -83,4 +83,4 @@ val firing : t -> bool
 val suppressed : t -> int
 (** Total fires folded away by [dedup] across all rules. *)
 
-val alert_to_json : alert -> string
+val alert_to_json : alert -> Qt_util.Json_min.t

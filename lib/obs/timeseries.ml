@@ -157,7 +157,9 @@ let window_above t name threshold =
 let points t = List.rev t.ts_points
 
 let point_to_json p =
-  Printf.sprintf "{\"t\":%s,\"series\":\"%s\",\"value\":%s}"
-    (Qt_util.Json_min.number p.pt_time)
-    (Qt_util.Json_min.escape p.pt_series)
-    (Qt_util.Json_min.number p.pt_value)
+  Qt_util.Json_min.Obj
+    [
+      ("t", Num p.pt_time);
+      ("series", String p.pt_series);
+      ("value", Num p.pt_value);
+    ]

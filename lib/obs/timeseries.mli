@@ -65,4 +65,4 @@ val window_above : t -> string -> float -> (float * float) option
 val points : t -> point list
 (** All points in emission order. *)
 
-val point_to_json : point -> string
+val point_to_json : point -> Qt_util.Json_min.t

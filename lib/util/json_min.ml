@@ -1,14 +1,14 @@
 (* part of qt_util *)
 
-(* A small self-contained JSON reader — enough to check emitted
-   artifacts (traces, series, bench snapshots) without pulling a JSON
-   dependency into the tree.  Originally private to the Chrome trace
-   validator; hoisted here once benchdiff and the series report needed
-   the same thing. *)
+(* A small self-contained JSON value, printer and reader: reports are
+   built as a [t] and printed once, and emitted artifacts (traces,
+   series, bench snapshots) are read back without pulling a JSON
+   dependency into the tree. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | String of string
   | List of t list
@@ -159,21 +159,65 @@ let parse_opt s = match parse s with v -> Some v | exception Parse_error _ -> No
 let field obj key = match obj with Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let str v = match v with String s -> Some s | _ -> None
-let num v = match v with Num f -> Some f | _ -> None
+
+let num v =
+  match v with Num f -> Some f | Int n -> Some (float_of_int n) | _ -> None
+
+let add_escaped b s =
+  if String.for_all (fun c -> c <> '"' && c <> '\\' && c >= ' ') s then
+    Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  add_escaped b s;
   Buffer.contents b
 
-let number x = Printf.sprintf "%.6g" x
+(* Printf's [%.6g] without the format interpreter: the same C
+   conversion, so the same bytes, "inf" and "nan" included. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let number x = format_float "%.6g" x
+
+let add_seq b opening closing f xs =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f x)
+    xs;
+  Buffer.add_char b closing
+
+let rec add b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Int n -> Buffer.add_string b (string_of_int n)
+  | Num x -> Buffer.add_string b (number x)
+  | String s ->
+    Buffer.add_char b '"';
+    add_escaped b s;
+    Buffer.add_char b '"'
+  | List xs -> add_seq b '[' ']' (add b) xs
+  | Obj kvs ->
+    add_seq b '{' '}'
+      (fun (k, v) ->
+        add b (String k);
+        Buffer.add_char b ':';
+        add b v)
+      kvs
+
+let to_string v =
+  let b = Buffer.create 256 in
+  add b v;
+  Buffer.contents b

@@ -1,14 +1,17 @@
-(** Minimal JSON reader for validating the tree's own artifacts.
+(** Minimal JSON value, printer and reader.
 
-    Every serializer in the repo renders JSON by hand; this is the
-    matching reader, shared by the Chrome trace validator, the
-    [benchdiff] regression harness, and the series report.  It parses
-    the full JSON grammar (numbers as floats) but makes no attempt at
-    streaming or spans — inputs are whole artifacts, read into memory. *)
+    Reports are built as a {!t} and printed by {!to_string}; flat
+    renderings (the metrics registry, OpenMetrics) are derived from the
+    same value, so each counter is stated once.  The reader, shared by
+    the Chrome trace validator, the [benchdiff] regression harness and
+    the series report, parses the full JSON grammar (every number as a
+    [Num]) but makes no attempt at streaming or spans — inputs are whole
+    artifacts, read into memory. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int  (** Printed with [%d]; {!parse} never produces it. *)
   | Num of float
   | String of string
   | List of t list
@@ -31,10 +34,14 @@ val str : t -> string option
 val num : t -> float option
 
 val escape : string -> string
-(** [s] as the body of a JSON string literal, for the hand-written
-    serializers: quotes, backslashes, newlines and tabs escaped, other
-    control characters as [\u00XX]. *)
+(** [s] as the body of a JSON string literal: quotes, backslashes,
+    newlines and tabs escaped, other control characters as [\u00XX],
+    every other byte (UTF-8 included) verbatim. *)
 
 val number : float -> string
-(** [x] as a JSON number literal for the hand-written serializers: [%.6g],
-    the one float format every JSON artifact of the tree uses. *)
+(** [x] as a JSON number literal: [%.6g], the one float format every
+    JSON artifact of the tree uses. *)
+
+val to_string : t -> string
+(** One line, no whitespace: strings through {!escape}, [Num] through
+    {!number}, [Int] with [%d], object members in list order. *)

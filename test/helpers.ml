@@ -66,3 +66,58 @@ let assert_qt_correct ?(seed = 11) ?config federation query =
     outcome
 
 let quick name f = Alcotest.test_case name `Quick f
+
+(* Every numeric leaf of a parsed report, named by its path under [root]:
+   a list whose elements are all objects whose first field is a string
+   or a whole number is keyed by that field, and any other list is left
+   out.  An independent statement, over the printed bytes, of the
+   naming rule [Qt_obs.Metrics.of_json] follows. *)
+let report_leaves root json =
+  let module Json = Qt_util.Json_min in
+  let key = function
+    | Json.Obj ((_, Json.Num n) :: rest) when Float.is_integer n ->
+      Some (Printf.sprintf "%.0f" n, rest)
+    | Json.Obj ((_, Json.String s) :: rest) -> Some (s, rest)
+    | _ -> None
+  in
+  let rec walk path acc = function
+    | Json.Num x -> (path, x) :: acc
+    | Json.Obj kvs ->
+      List.fold_left (fun acc (k, v) -> walk (path ^ "." ^ k) acc v) acc kvs
+    | Json.List xs ->
+      let keyed = List.map key xs in
+      if List.for_all Option.is_some keyed then
+        List.fold_left
+          (fun acc k ->
+            match k with
+            | Some (k, rest) -> walk (path ^ "." ^ k) acc (Json.Obj rest)
+            | None -> acc)
+          acc keyed
+      else acc
+    | _ -> acc
+  in
+  List.sort compare (walk root [] json)
+
+(* A run's [--json] and [--metrics] renderings come from one report:
+   every numeric leaf of the JSON is a metric of the same name and value,
+   and the metrics hold nothing else. *)
+let check_one_source ~root ~json ~metrics =
+  let module Json = Qt_util.Json_min in
+  let flat =
+    match Json.parse metrics with
+    | Json.Obj kvs ->
+      List.map
+        (fun (k, v) ->
+          match Json.num v with
+          | Some x -> (k, x)
+          | None -> Alcotest.failf "metric %s is not a number" k)
+        kvs
+    | _ -> Alcotest.fail "metrics are not one object"
+  in
+  let leaves = report_leaves root (Json.parse json) in
+  Alcotest.(check bool) "per-seller leaves are keyed by seller" true
+    (List.exists
+       (fun (k, _) -> String.starts_with ~prefix:(root ^ ".sellers.0.") k)
+       leaves);
+  Alcotest.(check (list (pair string (float 0.))))
+    "metrics = the numeric leaves of the JSON" leaves (List.sort compare flat)

@@ -234,6 +234,84 @@ let test_market_concurrency_cap () =
   Alcotest.(check int) "no cross-trade merging possible" 0
     s.Market.str_batcher.Batcher.messages_saved
 
+let surge_pricing =
+  Some
+    {
+      Qt_pricing.Pricing.default_config with
+      Qt_pricing.Pricing.mix =
+        Qt_pricing.Pricing.uniform_mix Qt_pricing.Pricing.Surge;
+    }
+
+let test_report_one_source () =
+  let cfg =
+    {
+      (Market.default_config params) with
+      Market.execute = Some Market.default_exec;
+      qcache = Some (Qt_cache.Tier.create Qt_cache.Tier.default_config);
+      pricing = surge_pricing;
+    }
+  in
+  let s = Market.run cfg (market_federation ()) (market_queries 6) in
+  Alcotest.(check bool) "every layer reports" true
+    (s.Market.str_exec <> None && s.Market.str_qcache <> None
+   && s.Market.str_pricing <> None);
+  check_one_source ~root:"market" ~json:(Market.to_json s)
+    ~metrics:(Market.metrics_json s)
+
+(* A report that breaks a seller law fails the run, naming the seller:
+   here seller 0 drops a cancel, and seller 1 refunds a reservation it
+   never sold. *)
+let test_seller_laws () =
+  let cfg =
+    { (Market.default_config params) with Market.pricing = surge_pricing }
+  in
+  let s = Market.run cfg (market_federation ()) (market_queries 4) in
+  Market.Private.check_seller_laws s.Market.str_sellers s.Market.str_pricing;
+  let tamper f =
+    List.map (fun (x : Market.seller_stats) -> f x) s.Market.str_sellers
+  in
+  let dropped_cancel =
+    tamper (fun x ->
+        if x.Market.seller <> 0 then x
+        else
+          let a = x.Market.admission in
+          let canceled = a.Admission.canceled - 1 in
+          { x with admission = { a with Admission.canceled } })
+  in
+  let a0 = (List.hd s.Market.str_sellers).Market.admission in
+  Alcotest.check_raises "a dropped cancel fails the run"
+    (Failure
+       (Printf.sprintf
+          "Market: seller 0: accepted %d <> completed %d + canceled %d"
+          a0.Admission.accepted a0.Admission.completed
+          (a0.Admission.canceled - 1)))
+    (fun () ->
+      Market.Private.check_seller_laws dropped_cancel s.Market.str_pricing);
+  let p = Option.get s.Market.str_pricing in
+  let module Pricing = Qt_pricing.Pricing in
+  let refunded =
+    List.map
+      (fun (x : Pricing.seller_stats) ->
+        if x.Pricing.ps_seller <> 1 then x
+        else
+          let refunded = x.Pricing.ps_reserved_refunded + 1 in
+          { x with Pricing.ps_reserved_refunded = refunded })
+      p.Pricing.p_sellers
+  in
+  let x1 =
+    List.find (fun (x : Pricing.seller_stats) -> x.ps_seller = 1) refunded
+  in
+  Alcotest.check_raises "an unsold refund fails the run"
+    (Failure
+       (Printf.sprintf
+          "Market: seller 1: reserved_sold %d <> reserved_completed %d + \
+           reserved_refunded %d"
+          x1.Pricing.ps_reserved_sold x1.Pricing.ps_reserved_completed
+          x1.Pricing.ps_reserved_refunded))
+    (fun () ->
+      Market.Private.check_seller_laws s.Market.str_sellers
+        (Some { p with Pricing.p_sellers = refunded }))
+
 let suite =
   ( "market",
     [
@@ -249,4 +327,7 @@ let suite =
       quick "market: batching preserves contracts, saves messages"
         test_market_batching_parity;
       quick "market: concurrency cap serializes trades" test_market_concurrency_cap;
+      quick "report: batch --json and --metrics from one value"
+        test_report_one_source;
+      quick "report: a broken seller law fails the run" test_seller_laws;
     ] )

@@ -84,7 +84,7 @@ let test_metrics_golden_json () =
     "flat sorted rendering"
     "{\"a.gauge\":2.5,\"b.count\":5,\"c.lat.count\":3,\"c.lat.mean\":0.00233333,\
      \"c.lat.p50\":0.00324975,\"c.lat.p95\":0.00392407,\"c.lat.p99\":0.00398401}"
-    (Metrics.to_json m)
+    (Qt_util.Json_min.to_string (Metrics.to_json m))
 
 let test_metrics_kind_clash () =
   let m = Metrics.create () in
@@ -92,6 +92,45 @@ let test_metrics_kind_clash () =
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Metrics.gauge: x registered as another kind")
     (fun () -> ignore (Metrics.gauge m "x"))
+
+(* The naming rule of a flattened report: paths joined with ".", lists
+   of objects keyed by their first int or string field, every other
+   list and every non-number skipped; ints count, floats gauge. *)
+let test_metrics_of_json () =
+  let module Json = Qt_util.Json_min in
+  let report : Json.t =
+    Obj
+      [
+        ("n", Int 3);
+        ("lat", Obj [ ("count", Int 0); ("p50", Null) ]);
+        ( "sellers",
+          List
+            [
+              Obj [ ("seller", Int (-1)); ("busy", Num 0.5) ];
+              Obj [ ("seller", Int 2); ("busy", Num 1.5); ("up", Bool true) ];
+            ] );
+        ("classes", List [ Obj [ ("class", String "batch"); ("hits", Int 4) ] ]);
+        ("rules", List [ String "r" ]);
+        ("bundles", List [ Obj [ ("t", Num 1.); ("n", Int 9) ] ]);
+        ("name", String "x");
+      ]
+  in
+  let m = Metrics.of_json report in
+  Alcotest.(check string)
+    "one metric per numeric leaf"
+    "{\"classes.batch.hits\":4,\"lat.count\":0,\"n\":3,\"sellers.-1.busy\":0.5,\
+     \"sellers.2.busy\":1.5}"
+    (Json.to_string (Metrics.to_json m));
+  Alcotest.(check (list string))
+    "ints are counters, floats gauges"
+    [ "counter"; "counter"; "counter"; "gauge"; "gauge" ]
+    (List.map
+       (fun (_, v) ->
+         match v with
+         | Metrics.V_counter _ -> "counter"
+         | Metrics.V_gauge _ -> "gauge"
+         | Metrics.V_histo _ -> "histo")
+       (Metrics.items m))
 
 let test_metrics_empty_histogram () =
   let m = Metrics.create () in
@@ -103,7 +142,7 @@ let test_metrics_empty_histogram () =
     "empty histogram renders null, not a fake zero"
     "{\"e.lat.count\":0,\"e.lat.mean\":null,\"e.lat.p50\":null,\
      \"e.lat.p95\":null,\"e.lat.p99\":null}"
-    (Metrics.to_json m)
+    (Qt_util.Json_min.to_string (Metrics.to_json m))
 
 let test_metrics_single_sample_bounds () =
   let m = Metrics.create () in
@@ -314,6 +353,8 @@ let suite =
       quick "metrics golden json" test_metrics_golden_json;
       quick "metrics kind clash" test_metrics_kind_clash;
       quick "metrics: empty histogram renders null" test_metrics_empty_histogram;
+      quick "metrics: a report flattens to its numeric leaves"
+        test_metrics_of_json;
       quick "metrics: single-sample percentile bounds"
         test_metrics_single_sample_bounds;
       quick "histogram percentile" test_histogram_percentile;

@@ -272,7 +272,7 @@ let test_stream_empty_latency_metrics () =
   let s = run_small ~count:10 ~mix:[ (Sla.Interactive, 1.) ] () in
   let module Json = Qt_util.Json_min in
   let m = Json.parse (Market.stream_metrics_json s) in
-  let key name = Json.field m ("stream.class.batch.latency." ^ name) in
+  let key name = Json.field m ("stream.classes.batch.latency." ^ name) in
   Alcotest.(check bool) "batch latency count is 0" true
     (key "count" = Some (Json.Num 0.));
   List.iter
@@ -280,10 +280,10 @@ let test_stream_empty_latency_metrics () =
       Alcotest.(check bool) ("no batch latency " ^ p) true (key p = None))
     [ "p50"; "p95"; "p99" ];
   Alcotest.(check bool) "interactive percentiles still written" true
-    (Json.field m "stream.class.interactive.latency.p50" <> None);
+    (Json.field m "stream.classes.interactive.latency.p50" <> None);
   let om = Qt_obs.Openmetrics.render (Market.stream_metrics_registry s) in
   Alcotest.(check bool) "no batch percentile in OpenMetrics" false
-    (Astring_like.contains om "stream_class_batch_latency_p50")
+    (Astring_like.contains om "stream_classes_batch_latency_p50")
 
 let test_stream_shedding_sheds () =
   let s =

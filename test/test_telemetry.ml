@@ -411,7 +411,8 @@ let test_flight_recorder_ring () =
     (List.map (fun (e : Flight_recorder.entry) -> e.Flight_recorder.e_detail) recent);
   Alcotest.(check (list int)) "nodes ascending" [ 0; 1 ]
     (Flight_recorder.nodes fr);
-  let b = Flight_recorder.bundle fr ~time:7. ~reason:"test" ~metrics:"{}" in
+  let b = Flight_recorder.bundle fr ~time:7. ~reason:"test"
+      ~metrics:(Qt_util.Json_min.Obj []) in
   Alcotest.(check int) "bundle merges all nodes" 4
     (List.length b.Flight_recorder.b_entries);
   let ordered =
@@ -617,7 +618,7 @@ let test_stream_alert_fires () =
     Alcotest.(check bool) "bundle carries recent activity" true
       (bundle.Flight_recorder.b_entries <> []);
     Alcotest.(check bool) "bundle carries a metrics snapshot" true
-      (bundle.Flight_recorder.b_metrics <> "")
+      (bundle.Flight_recorder.b_metrics <> Qt_util.Json_min.Null)
   | [] -> Alcotest.fail "overload run should fire the p95 alert");
   (* The series dump carries points, the alert and its bundle. *)
   let jsonl = Market.telemetry_jsonl tel in
@@ -767,6 +768,61 @@ let test_stream_telemetry_matches_report () =
       check (p ^ ".expired") c.Market.cs_expired)
     classes
 
+(* The stream's --json, --metrics and OpenMetrics come from one report
+   value, with the cache tier, surge pricing and telemetry all on.  The
+   alerts and failure bundles are lists the naming rule skips. *)
+let test_stream_report_one_source () =
+  let scfg = telemetry_scfg ~slo:[ overload_rule () ] () in
+  let scfg =
+    {
+      scfg with
+      Market.base =
+        {
+          scfg.Market.base with
+          Market.qcache = Some (Tier.create Tier.default_config);
+          pricing =
+            Some
+              {
+                Qt_pricing.Pricing.default_config with
+                Qt_pricing.Pricing.mix =
+                  Qt_pricing.Pricing.uniform_mix Qt_pricing.Pricing.Surge;
+              };
+        };
+    }
+  in
+  let templates = stream_templates () in
+  let arrivals =
+    Arrivals.generate ~seed:13
+      ~process:(Arrivals.Poisson { rate = 20. })
+      ~horizon:(Arrivals.Count 200) ~templates:(Array.length templates)
+      ~theta:0.9 ~mix:Sla.default_mix
+  in
+  let s = Market.run_stream scfg (stream_federation ()) ~templates arrivals in
+  let tel = Option.get s.Market.str_telemetry in
+  Alcotest.(check bool) "alerts and failure bundles to skip" true
+    (tel.Market.tl_alerts <> [] && tel.Market.tl_failures <> []);
+  check_one_source ~root:"stream" ~json:(Market.stream_to_json s)
+    ~metrics:(Market.stream_metrics_json s);
+  Alcotest.(check bool) "OpenMetrics renders the same registry" true
+    (Astring_like.contains
+       (Openmetrics.render (Market.stream_metrics_registry s))
+       "stream_qcache_stmt_hits_total")
+
+(* A rule name is any bytes: the report escapes it as JSON, so a UTF-8
+   name comes back from the parser byte for byte. *)
+let test_slo_rule_name_utf8 () =
+  let name = "caf\xc3\xa9:p95<5:budget=0.01" in
+  let rule = match Slo.parse name with Ok r -> r | Error msg -> failwith msg in
+  let s = run_overload ~count:20 ~slo:[ rule ] () in
+  let json = Json.parse (Market.stream_to_json s) in
+  Alcotest.(check (option (list string)))
+    "rule name round-trips" (Some [ name ])
+    (match
+       Option.bind (Json.field json "telemetry") (fun t -> Json.field t "rules")
+     with
+    | Some (Json.List rules) -> Some (List.filter_map Json.str rules)
+    | _ -> None)
+
 let test_settle_twice_fails () =
   let cfg = Market.default_config params in
   let federation = stream_federation () in
@@ -805,4 +861,8 @@ let suite =
       quick "run_stream: telemetry counters integrate to the report"
         test_stream_telemetry_matches_report;
       quick "settle: a trade ends exactly once" test_settle_twice_fails;
+      quick "report: stream --json and --metrics from one value"
+        test_stream_report_one_source;
+      quick "report: a UTF-8 SLO rule name stays valid JSON"
+        test_slo_rule_name_utf8;
     ] )
