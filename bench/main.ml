@@ -377,7 +377,7 @@ let r_f7 () =
         ("convergence", List (List.map num costs));
       ];
     printf "\ntrace:\n";
-    List.iter print_endline o.Trader.trace
+    List.iter print_endline (o.Trader.trace ())
 
 (* R-F8: strategies and protocols *)
 let r_f8 () =

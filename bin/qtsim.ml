@@ -656,7 +656,7 @@ let run_optimize sql schema nodes partitions replicas views profile execute
     1
   | Ok outcome ->
     Printf.printf "Query: %s\n\n" (Qt_sql.Analysis.to_string query);
-    List.iter print_endline outcome.trace;
+    List.iter print_endline (outcome.trace ());
     Printf.printf "\nPlan (estimated %s):\n%s\n"
       (Format.asprintf "%a" Qt_cost.Cost.pp outcome.cost)
       (Format.asprintf "%a" Qt_optimizer.Plan.pp outcome.plan);
@@ -800,7 +800,7 @@ let run_trace sql schema nodes partitions replicas views profile competitive auc
     Printf.eprintf "optimization failed: %s\n" e;
     1
   | Ok outcome ->
-    List.iter print_endline outcome.trace;
+    List.iter print_endline (outcome.trace ());
     Printf.printf "\npurchased offers:\n";
     List.iter
       (fun o -> Format.printf "  %a@." Qt_core.Offer.pp o)

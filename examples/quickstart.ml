@@ -26,7 +26,7 @@ let () =
   match Qt_core.Trader.optimize config federation query with
   | Error e -> failwith e
   | Ok outcome ->
-    List.iter print_endline outcome.trace;
+    List.iter print_endline (outcome.trace ());
     Printf.printf "\nChosen plan (estimated %s):\n%s\n"
       (Format.asprintf "%a" Qt_cost.Cost.pp outcome.cost)
       (Format.asprintf "%a" Qt_optimizer.Plan.pp outcome.plan);

@@ -24,22 +24,24 @@ type result = { plan : Plan.t; cost : Cost.t; stats : stats }
 let collect_offers ~params ~(federation : Federation.t) ~rounds q =
   let schema = federation.schema in
   let seller_config = Seller.default_config params in
-  let ranges = Qt_rewrite.Localize.required_ranges schema q in
+  let facts =
+    Qt_core.Plan_generator.create ~params ~weights:Offer.default_weights ~schema q
+  in
   let asked : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let pool = ref [] in
   let processing = ref 0. in
-  let queue = ref [ (q, Analysis.Sig.of_ast q) ] in
+  let queue = ref [ Qt_core.Plan_generator.query_request facts ] in
   let round = ref 0 in
   while !round < rounds && !queue <> [] do
     incr round;
     let requests =
       List.filter_map
-        (fun (query, s) ->
-          let s = Analysis.Sig.id s in
+        (fun (r : Qt_core.Plan_generator.request) ->
+          let s = Analysis.Sig.id r.signature in
           if Hashtbl.mem asked s then None
           else begin
             Hashtbl.replace asked s ();
-            Some (query, 0.)
+            Some (r.query, 0.)
           end)
         !queue
     in
@@ -51,7 +53,7 @@ let collect_offers ~params ~(federation : Federation.t) ~rounds q =
           processing := !processing +. r.Seller.processing_time;
           pool := !pool @ r.Seller.offers)
         federation.nodes;
-      queue := Buyer_analyser.enrich ~schema ~ranges ~query:q ~offers:!pool
+      queue := Buyer_analyser.enrich facts !pool
     end
   done;
   (* Keep the cheapest copy of identical (seller, query) offers. *)

@@ -1,105 +1,98 @@
 module Ast = Qt_sql.Ast
 module Analysis = Qt_sql.Analysis
-module Schema = Qt_catalog.Schema
 module Interval = Qt_util.Interval
 module Listx = Qt_util.Listx
 module Localize = Qt_rewrite.Localize
 
 (* Distinct coverage ranges observed for an alias across the offer pool,
-   clipped to the query's required range. *)
+   clipped to the query's required range, in first-seen order. *)
 let observed_ranges ranges offers alias =
   let required = Localize.range_of ranges alias in
-  let ranges =
-    List.filter_map
-      (fun (o : Offer.t) ->
-        match List.assoc_opt alias o.coverage with
-        | Some r ->
-          let clipped = Interval.inter r required in
-          if Interval.is_empty clipped || Interval.equal clipped required then None
-          else Some clipped
-        | None -> None)
-      offers
-  in
-  Listx.dedup Interval.equal ranges
+  List.rev
+    (List.fold_left
+       (fun seen (o : Offer.t) ->
+         match List.assoc_opt alias o.coverage with
+         | Some r ->
+           let clipped = Interval.inter r required in
+           if
+             Interval.is_empty clipped || Interval.equal clipped required
+             || List.exists (Interval.equal clipped) seen
+           then seen
+           else clipped :: seen
+         | None -> seen)
+       [] offers)
 
-(* Family 1: two-phase aggregation piece queries. *)
-let aggregation_pieces schema ranges (q : Ast.t) offers =
-  match Plan_generator.rollup_items q with
-  | None -> []
-  | Some _ ->
-    List.concat_map
-      (fun alias ->
-        match Localize.partition_attr schema q alias with
-        | None -> []
-        | Some attr ->
-          List.map
-            (fun range ->
-              Analysis.add_range { q with Ast.order_by = [] } attr range)
-            (observed_ranges ranges offers alias))
-      (Analysis.aliases q)
+let partition_key st alias =
+  Option.join (List.assoc_opt alias (Plan_generator.partition_keys st))
 
-(* Family 2: trimmed ranges that turn overlapping coverage into disjoint
-   pieces — the restrictions "which eliminate the redundancy". *)
-let redundancy_restrictions schema ranges (q : Ast.t) offers =
-  let spj (o : Offer.t) = not (Analysis.has_aggregate o.query) in
-  let spj_offers = List.filter spj offers in
-  let groups = Listx.group_by (fun (o : Offer.t) -> o.subset) spj_offers in
-  List.concat_map
-    (fun (subset, group) ->
-      List.concat_map
-        (fun alias ->
-          match Localize.partition_attr schema q alias with
-          | None -> []
-          | Some attr ->
-            let observed = observed_ranges ranges group alias in
-            let overlapping_pairs =
-              List.filter (fun (a, b) -> Interval.overlaps a b && not (Interval.equal a b))
-                (Listx.pairs observed)
-            in
-            List.concat_map
-              (fun (a, b) ->
-                let trims = Interval.subtract a b @ Interval.subtract b a in
-                List.map
-                  (fun trim ->
-                    let shape =
-                      if List.length subset = List.length (Analysis.aliases q) then
-                        { q with Ast.order_by = [] }
-                      else Analysis.restrict q subset
-                    in
-                    Analysis.add_range shape attr trim)
-                  trims)
-              overlapping_pairs)
-        subset)
-    groups
-
-(* Family 3: projection-pruned sub-queries over connected subsets that no
-   offer covered yet (helping sellers target exactly what is missing). *)
-let subset_requests (q : Ast.t) offers =
-  let aliases = Analysis.aliases q in
-  if List.length aliases < 2 then []
-  else begin
-    let offered_subsets = List.map (fun (o : Offer.t) -> o.subset) offers in
-    let missing =
-      List.filter
-        (fun subset ->
-          Analysis.connected q subset
-          && List.length subset < List.length aliases
-          && not (List.mem (List.sort String.compare subset) offered_subsets))
-        (Listx.subsets_of_size 2 aliases)
+(* The query a proposal key stands for; run once per key and state. *)
+let build st (key : Plan_generator.proposal_key) =
+  let q = Plan_generator.query st in
+  let unordered = { q with Ast.order_by = [] } in
+  let attr alias = Option.get (partition_key st alias) in
+  match key with
+  | Piece (alias, range) -> Analysis.add_range unordered (attr alias) range
+  | Trim (subset, alias, trim) ->
+    let shape =
+      if List.length subset = List.length (Analysis.aliases q) then unordered
+      else Analysis.restrict q subset
     in
-    List.map (Analysis.restrict q) missing
-  end
+    Analysis.add_range shape (attr alias) trim
+  | Pair pair -> Analysis.restrict q pair
 
-let proposals ~schema ~ranges ~query ~offers =
-  aggregation_pieces schema ranges query offers
-  @ redundancy_restrictions schema ranges query offers
-  @ subset_requests query offers
+(* The three families' keys, in family order, each handed to [emit].
 
-(* Deduplicated by [Analysis.equal_semantic], with each proposal
-   normalized once rather than once per comparison; the survivors are
-   signed from that same normal form. *)
-let enrich ~schema ~ranges ~query ~offers =
-  proposals ~schema ~ranges ~query ~offers
-  |> List.map (fun p -> (Analysis.normalize p, p))
-  |> Listx.dedup (fun (a, _) (b, _) -> Ast.equal a b)
-  |> List.map (fun (n, p) -> (p, Analysis.Sig.of_normal n))
+   Family 1: two-phase aggregation pieces, per alias and observed range.
+   Family 2: trimmed ranges that turn overlapping coverage of one offer
+   subset into disjoint pieces — the restrictions "which eliminate the
+   redundancy".
+   Family 3: projection-pruned sub-queries over connected alias pairs no
+   offer covered yet (helping sellers target exactly what is missing). *)
+let keys st offers emit =
+  let q = Plan_generator.query st in
+  let ranges = Plan_generator.required_ranges st in
+  if Plan_generator.rollup_items q <> None then
+    List.iter
+      (fun (alias, key) ->
+        if key <> None then
+          List.iter
+            (fun range -> emit (Plan_generator.Piece (alias, range)))
+            (observed_ranges ranges offers alias))
+      (Plan_generator.partition_keys st);
+  let spj = List.filter (fun (o : Offer.t) -> not (Analysis.has_aggregate o.query)) offers in
+  List.iter
+    (fun (subset, group) ->
+      List.iter
+        (fun alias ->
+          if partition_key st alias <> None then
+            List.iter
+              (fun (a, b) ->
+                if Interval.overlaps a b && not (Interval.equal a b) then begin
+                  List.iter
+                    (fun trim -> emit (Plan_generator.Trim (subset, alias, trim)))
+                    (Interval.subtract a b);
+                  List.iter
+                    (fun trim -> emit (Plan_generator.Trim (subset, alias, trim)))
+                    (Interval.subtract b a)
+                end)
+              (Listx.pairs (observed_ranges ranges group alias)))
+        subset)
+    (Listx.group_by (fun (o : Offer.t) -> o.subset) spj);
+  List.iter
+    (fun pair ->
+      let sorted = List.sort String.compare pair in
+      if not (List.exists (fun (o : Offer.t) -> o.subset = sorted) offers) then
+        emit (Plan_generator.Pair pair))
+    (Plan_generator.connected_pairs st)
+
+let enrich st offers =
+  let seen = Hashtbl.create 16 in
+  let out = ref [] in
+  keys st offers (fun key ->
+      let p = Plan_generator.proposal st key build in
+      let id = Analysis.Sig.id p.signature in
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        out := p :: !out
+      end);
+  List.rev !out

@@ -17,24 +17,16 @@
       original query, which sellers answer more cheaply than the full
       query. *)
 
-val proposals :
-  schema:Qt_catalog.Schema.t ->
-  ranges:Qt_rewrite.Localize.ranges ->
-  query:Qt_sql.Ast.t ->
-  offers:Offer.t list ->
-  Qt_sql.Ast.t list
-(** Every query of the three families, in family order, before
-    deduplication.  [ranges] is [Localize.required_ranges schema query]. *)
+val enrich : Plan_generator.state -> Offer.t list -> Plan_generator.request list
+(** [enrich state offers]: new candidate queries for the state's query,
+    signed and sized, in family order, keeping the first query of each
+    signature (not yet deduplicated against previously asked ones — the
+    buyer loop does that by signature).
 
-val enrich :
-  schema:Qt_catalog.Schema.t ->
-  ranges:Qt_rewrite.Localize.ranges ->
-  query:Qt_sql.Ast.t ->
-  offers:Offer.t list ->
-  (Qt_sql.Ast.t * Qt_sql.Analysis.Sig.t) list
-(** New candidate queries with their signatures: {!proposals} keeping the
-    first of each class under {!Qt_sql.Analysis.equal_semantic}, in order
-    (not yet deduplicated against previously asked ones — the buyer loop
-    does that by signature).  Each signature is interned from the normal
-    form the dedup computed, and equals [Analysis.Sig.of_ast] of its
-    query. *)
+    Every round of a trade asks this of a pool that extends the last
+    one, and most of the keys a round derives (an alias and an observed
+    range, an offer subset, alias and trimmed range, or a missing alias
+    pair) were derived by an earlier round or an earlier trade of the
+    query.  The state keeps each key's request, so a proposal is built,
+    normalized, signed and printed once per state; the list is the same
+    as with a fresh state. *)

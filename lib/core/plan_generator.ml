@@ -70,6 +70,26 @@ type facts = {
   piece : piece option;
 }
 
+(* What a buyer-analyser proposal is derived from, per family: an
+   aggregation piece's (alias, observed range), a redundancy trim's
+   (offer subset, alias, trimmed range), or a missing alias pair. *)
+type proposal_key =
+  | Piece of string * Interval.t
+  | Trim of string list * string * Interval.t
+  | Pair of string list
+
+(* A query a buyer may ask, with what every round reads of it: its
+   interned signature and the length of its SQL text, which sizes the
+   request on the wire. *)
+type request = { query : Ast.t; signature : Analysis.Sig.t; sql_length : int }
+
+let request_of q =
+  {
+    query = q;
+    signature = Analysis.Sig.of_ast q;
+    sql_length = String.length (Analysis.to_string q);
+  }
+
 type state = {
   query : Ast.t;
   schema : Schema.t;
@@ -79,6 +99,7 @@ type state = {
   ctx : Bitset.ctx;
   full_subset : string list;  (* sorted *)
   ranges : Localize.ranges;
+  keys : (string * Ast.attr option) list;  (* alias -> partition key, FROM order *)
   key_adj : int array;
       (* alias -> aliases whose partition key it equals in a WHERE
          conjunct: the co-partitioning relation of union pieces *)
@@ -92,6 +113,11 @@ type state = {
   from_bits : int list;
   rollup_rows : float Lazy.t;  (* output rows every two-phase axis rolls up to *)
   mutable classified : facts list;  (* the last pool, classified in order *)
+  pairs : string list list Lazy.t;
+      (* connected alias pairs short of the whole query, in
+         [Listx.subsets_of_size 2] order *)
+  proposals : (proposal_key, request) Hashtbl.t;  (* every proposal derived so far *)
+  own : request Lazy.t;  (* the query itself *)
 }
 
 (* Join predicates fully interned in [ctx], with their alias masks, in
@@ -147,6 +173,7 @@ let create ~params ~weights ~schema (q : Ast.t) =
     ctx;
     full_subset = List.sort String.compare aliases;
     ranges;
+    keys;
     key_adj = Bitset.adjacency ctx key_edges;
     key_ranges =
       List.filter_map
@@ -174,9 +201,32 @@ let create ~params ~weights ~schema (q : Ast.t) =
     from_bits = List.map (Bitset.bit ctx) aliases;
     rollup_rows = lazy (Estimate.output_rows (Estimate.env_of_schema schema q) q);
     classified = [];
+    pairs =
+      lazy
+        (if List.length aliases > 2 then
+           List.filter (Analysis.connected q) (Listx.subsets_of_size 2 aliases)
+         else []);
+    proposals = Hashtbl.create 16;
+    own = lazy (request_of q);
   }
 
+let query st = st.query
+let made_for st ~params ~weights ~schema q =
+  st.query == q && st.schema == schema && st.params == params && st.weights == weights
+
 let required_ranges st = st.ranges
+let partition_keys st = st.keys
+let connected_pairs st = Lazy.force st.pairs
+
+let query_request st = Lazy.force st.own
+
+let proposal st key build =
+  match Hashtbl.find_opt st.proposals key with
+  | Some p -> p
+  | None ->
+    let p = request_of (build st key) in
+    Hashtbl.add st.proposals key p;
+    p
 
 let keys_connected st aliases =
   Bitset.connected st.key_adj (Bitset.of_list st.ctx aliases)
@@ -383,10 +433,7 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
     match state with
     | None -> create ~params ~weights ~schema q
     | Some st ->
-      if
-        st.query == q && st.schema == schema && st.params == params
-        && st.weights == weights
-      then st
+      if made_for st ~params ~weights ~schema q then st
       else invalid_arg "Plan_generator.generate: state made for another query"
   in
   let aliases = st.aliases in

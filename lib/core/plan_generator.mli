@@ -28,8 +28,29 @@ type candidate = {
   description : string;  (** Human-readable shape, for traces/examples. *)
 }
 
+type proposal_key =
+  | Piece of string * Qt_util.Interval.t
+      (** A two-phase aggregation piece: alias and observed range. *)
+  | Trim of string list * string * Qt_util.Interval.t
+      (** A redundancy trim: offer subset, alias and trimmed range. *)
+  | Pair of string list  (** A connected alias pair no offer covered. *)
+(** What one {!Buyer_analyser} proposal is derived from. *)
+
+type request = {
+  query : Qt_sql.Ast.t;
+  signature : Qt_sql.Analysis.Sig.t;  (** [Analysis.Sig.of_ast query] *)
+  sql_length : int;
+      (** [String.length (Analysis.to_string query)], which sizes the
+          request on the wire. *)
+}
+(** A query a buyer may ask, with what every trading round reads of it. *)
+
+val request_of : Qt_sql.Ast.t -> request
+(** Sign and print a query once. *)
+
 type state
-(** One trade's facts about its query, derived once: the alias universe,
+(** One query's trading facts, derived once and shared by every trade of
+    the query (and every attempt of a trade): the alias universe,
     the required key ranges, each alias's partition key and which keys
     the WHERE clause equates, the sorted select and group-by lists offers
     are compared against, and the join graph.  It also keeps the facts of
@@ -37,7 +58,9 @@ type state
     shaped like the final answer, its full-cover block or its union-piece
     group and tiles): a later pool that extends that one, as each trading
     round's pool does, is classified only past their longest physically
-    equal ([==]) prefix. *)
+    equal ([==]) prefix.  And it keeps the query's own {!request} and
+    every {!Buyer_analyser} proposal derived so far, by {!proposal_key}:
+    each is signed and printed once per state. *)
 
 val create :
   params:Qt_cost.Params.t ->
@@ -46,8 +69,36 @@ val create :
   Qt_sql.Ast.t ->
   state
 
+val query : state -> Qt_sql.Ast.t
+
+val query_request : state -> request
+(** The query itself as a request, made on first use. *)
+
+val made_for :
+  state ->
+  params:Qt_cost.Params.t ->
+  weights:Offer.weights ->
+  schema:Qt_catalog.Schema.t ->
+  Qt_sql.Ast.t ->
+  bool
+(** Whether {!create} made the state from these (physically equal)
+    arguments. *)
+
 val required_ranges : state -> Qt_rewrite.Localize.ranges
 (** [Localize.required_ranges schema q], derived at {!create}. *)
+
+val partition_keys : state -> (string * Qt_sql.Ast.attr option) list
+(** Each alias of the query, in FROM order, with its relation's partition
+    key ([Localize.partition_attr]). *)
+
+val connected_pairs : state -> string list list
+(** The connected alias pairs of a query of more than two aliases, in
+    [Listx.subsets_of_size 2] order; derived on first use. *)
+
+val proposal :
+  state -> proposal_key -> (state -> proposal_key -> Qt_sql.Ast.t) -> request
+(** [proposal state key build]: [request_of (build state key)], made on
+    the key's first use only. *)
 
 val keys_connected : state -> string list -> bool
 (** Whether the aliases' partition keys are transitively linked by

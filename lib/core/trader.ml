@@ -81,9 +81,41 @@ type outcome = {
   stats : stats;
   phases : phase_stats;
   purchased : Offer.t list;
-  trace : string list;
+  trace : unit -> string list;
   iteration_costs : float list;
 }
+
+(* What one iteration's trace line reports, kept until a caller asks for
+   the text. *)
+type iteration =
+  | Covered of { it : int; pool : int }
+      (* nothing left to ask; planned from [pool] standing offers *)
+  | Round of {
+      it : int;
+      asked : int;
+      offers : int;
+      winners : int;
+      best : Plan_generator.candidate option;
+      fresh : int;
+    }
+
+let plural n one many = if n = 1 then one else many
+
+let trace_line = function
+  | Covered { it; pool } ->
+    Printf.sprintf
+      "iter %d: all requests covered by standing offers, planned from %d offer%s"
+      it pool (plural pool "" "s")
+  | Round { it; asked; offers; winners; best; fresh } ->
+    Printf.sprintf
+      "iter %d: asked %d quer%s, %d offers, %d winners, best=%s, %d new quer%s" it
+      asked (plural asked "y" "ies") offers winners
+      (match best with
+      | None -> "none"
+      | Some c ->
+        Printf.sprintf "%.4gs (%s)" (Cost.response c.Plan_generator.cost)
+          c.description)
+      fresh (plural fresh "y" "ies")
 
 (* The buyer's own id on the discrete-event runtime: sellers are the
    federation's node ids (>= 0), so the buyer sits below them. *)
@@ -207,7 +239,7 @@ type memo_entry = {
   m_weights : Offer.weights;
   m_mode : Plan_generator.mode;
   m_best : Plan_generator.candidate option;
-  mutable m_proposals : (Ast.t * Analysis.Sig.t) list option;
+  mutable m_proposals : Plan_generator.request list option;
 }
 
 type plan_memo = (int * int, memo_entry) Lru.t
@@ -248,9 +280,9 @@ let memo_valid config schema q offers e =
   && same e.m_mode config.mode
   && List.equal same e.m_offers offers
 
-let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
-    ?plans ?(obs = Obs.disabled) ?obs_track config (federation : Federation.t)
-    (q : Ast.t) =
+let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
+    ?caches ?plans ?(obs = Obs.disabled) ?obs_track config
+    (federation : Federation.t) (q : Ast.t) =
   let wall_start = Sys.time () in
   let obs_track = Option.value ~default:buyer_id obs_track in
   (* All execution-model specifics (faults, timeouts, retries, batching)
@@ -291,9 +323,19 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     transport.account ~count ~bytes_each:300 ~elapsed
   in
   let schema = federation.schema in
+  (* The query's facts, shared by every plan-generation pass and the
+     predicates analyser, and with them the query's signature. *)
+  let facts =
+    let params = config.params and weights = config.weights in
+    match facts with
+    | None -> Plan_generator.create ~params ~weights ~schema q
+    | Some st ->
+      if Plan_generator.made_for st ~params ~weights ~schema q then st
+      else invalid_arg "Trader.optimize: facts made for another query"
+  in
   let asked : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let pool : Offer.t list ref = ref standing in
-  let trace = ref [] in
+  let iterations_done = ref [] in
   let offers_received = ref 0 in
   let negotiation_rounds = ref 0 in
   let queries_asked = ref 0 in
@@ -363,24 +405,17 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         wall = !pricing_p.wall +. wall;
       }
   in
-  (* Each queued query carries its interned signature, computed exactly
-     once: here for the initial requests, with the memoized proposals for
-     the rest.  Everything downstream (dedup, the asked set, seller
-     caches, lots) keys on it, and sellers receive it with the query. *)
-  let q_sig = Analysis.Sig.of_ast q in
+  (* Each queued query carries its interned signature and SQL length,
+     computed once: by the facts for the query itself and its proposals,
+     here for other initial requests.  Everything downstream (dedup, the
+     asked set, seller caches, lots) keys on the signature, and sellers
+     receive it with the query. *)
+  let q_sig = (Plan_generator.query_request facts).signature in
   let queue =
     ref
       (match initial_requests with
-      | None -> [ (q, q_sig, c0) ]
-      | Some qs ->
-        List.map (fun query -> (query, Analysis.Sig.of_ast query, 0.)) qs)
-  in
-  (* The trade's query and offer facts, shared by every plan-generation
-     pass and the predicates analyser; made on the first memo miss. *)
-  let trade_facts =
-    lazy
-      (Plan_generator.create ~params:config.params ~weights:config.weights ~schema
-         q)
+      | None -> [ Plan_generator.query_request facts ]
+      | Some qs -> List.map (fun query -> Plan_generator.request_of query) qs)
   in
   (* B4: one plan-generation pass over the current offer pool, through
      the memo.  A hit still charges the buyer's CPU time and emits its
@@ -407,7 +442,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
               (match
                  Plan_generator.generate ~params:config.params
                    ~weights:config.weights ~mode:config.mode ~schema ~offers
-                   ?pool:config.pool ~state:(Lazy.force trade_facts) q
+                   ?pool:config.pool ~state:facts q
                with
               | [] -> None
               | c :: _ -> Some c);
@@ -444,7 +479,8 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     incr iterations;
     let unasked =
       List.filter
-        (fun (_, s, _) -> not (Hashtbl.mem asked (Analysis.Sig.id s)))
+        (fun (r : Plan_generator.request) ->
+          not (Hashtbl.mem asked (Analysis.Sig.id r.signature)))
         !queue
     in
     (* One message per distinct signature per round: a query asked twice
@@ -453,13 +489,14 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
     let seen_this_round = Hashtbl.create 8 in
     let unasked =
       List.filter
-        (fun (_, s, _) ->
-          if Hashtbl.mem seen_this_round (Analysis.Sig.id s) then begin
+        (fun (r : Plan_generator.request) ->
+          let id = Analysis.Sig.id r.signature in
+          if Hashtbl.mem seen_this_round id then begin
             incr requests_deduped;
             false
           end
           else begin
-            Hashtbl.replace seen_this_round (Analysis.Sig.id s) ();
+            Hashtbl.replace seen_this_round id ();
             true
           end)
         unasked
@@ -474,21 +511,23 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
       !pool;
     let requests, memoized =
       List.partition
-        (fun (_, s, _) -> not (Hashtbl.mem live_sigs (Analysis.Sig.id s)))
+        (fun (r : Plan_generator.request) ->
+          not (Hashtbl.mem live_sigs (Analysis.Sig.id r.signature)))
         unasked
     in
     rebroadcasts_skipped := !rebroadcasts_skipped + List.length memoized;
     List.iter
-      (fun (_, s, _) -> Hashtbl.replace asked (Analysis.Sig.id s) ())
+      (fun (r : Plan_generator.request) ->
+        Hashtbl.replace asked (Analysis.Sig.id r.signature) ())
       unasked;
     queries_asked := !queries_asked + List.length requests;
     (* Content descriptor of the RFB for coalescing transports: one
        (interned signature id, wire bytes) pair per request.  A request's
-       wire size is a fixed header plus its SQL, printed here once. *)
+       wire size is a fixed header plus its SQL. *)
     let request_sigs =
       List.map
-        (fun (query, s, _) ->
-          (Analysis.Sig.id s, 32 + String.length (Analysis.to_string query)))
+        (fun (r : Plan_generator.request) ->
+          (Analysis.Sig.id r.signature, 32 + r.sql_length))
         requests
     in
     if requests = [] then begin
@@ -497,13 +536,8 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
          re-trade), still give the plan generator one pass. *)
       if !best = None && !pool <> [] then begin
         ignore (plan_pass () : bool * memo_entry);
-        trace :=
-          Printf.sprintf
-            "iter %d: all requests covered by standing offers, planned from \
-             %d offer%s"
-            !iterations (List.length !pool)
-            (if List.length !pool = 1 then "" else "s")
-          :: !trace
+        iterations_done :=
+          Covered { it = !iterations; pool = List.length !pool } :: !iterations_done
       end;
       continue := false
     end
@@ -571,6 +605,11 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
           pricing = config.pricing_of node.node_id;
           market = market_for node;
         }
+      in
+      let requests =
+        List.map
+          (fun (r : Plan_generator.request) -> (r.query, r.signature, c0))
+          requests
       in
       let round_from = snap () in
       let _, _, round_e0, _ = round_from in
@@ -663,34 +702,28 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
         match entry.m_proposals with
         | Some p -> p
         | None ->
-          let p =
-            Buyer_analyser.enrich ~schema
-              ~ranges:(Plan_generator.required_ranges (Lazy.force trade_facts))
-              ~query:q ~offers:!pool
-          in
+          let p = Buyer_analyser.enrich facts !pool in
           entry.m_proposals <- Some p;
           p
       in
       let fresh_queries =
-        List.filter_map
-          (fun (query, s) ->
-            if Hashtbl.mem asked (Analysis.Sig.id s) then None
-            else Some (query, s, 0.))
+        List.filter
+          (fun (r : Plan_generator.request) ->
+            not (Hashtbl.mem asked (Analysis.Sig.id r.signature)))
           proposals
       in
       record ~cat:"plan_gen" plan_p ~from:plan_from ~sim_shift:0. ~wall_shift:0.;
-      trace :=
-        Printf.sprintf
-          "iter %d: asked %d quer%s, %d offers, %d winners, best=%s, %d new quer%s"
-          !iterations (List.length requests)
-          (if List.length requests = 1 then "y" else "ies")
-          (List.length fresh) (List.length winners)
-          (match !best with
-          | None -> "none"
-          | Some c -> Printf.sprintf "%.4gs (%s)" (Cost.response c.cost) c.description)
-          (List.length fresh_queries)
-          (if List.length fresh_queries = 1 then "y" else "ies")
-        :: !trace;
+      iterations_done :=
+        Round
+          {
+            it = !iterations;
+            asked = List.length requests;
+            offers = List.length fresh;
+            winners = List.length winners;
+            best = !best;
+            fresh = List.length fresh_queries;
+          }
+        :: !iterations_done;
       (* B7: stop when nothing improved and nothing new to ask. *)
       if (not improved) && fresh_queries = [] then continue := false
       else queue := fresh_queries
@@ -754,6 +787,8 @@ let optimize ?(standing = []) ?requests:initial_requests ?transport ?caches
             rebroadcasts_skipped = !rebroadcasts_skipped;
           };
         purchased;
-        trace = List.rev !trace;
+        trace =
+          (let done_ = !iterations_done in
+           fun () -> List.rev_map trace_line done_);
         iteration_costs = List.rev !iteration_costs;
       }

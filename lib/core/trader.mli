@@ -97,7 +97,11 @@ type outcome = {
       (** Where the messages/bytes/time of [stats] went, phase by phase. *)
   purchased : Offer.t list;
       (** The offers the final plan actually buys (its [Remote] leaves). *)
-  trace : string list;  (** One line per iteration, for examples/demos. *)
+  trace : unit -> string list;
+      (** One line per iteration, for examples/demos.  The loop keeps a
+          few counters per iteration; the lines are printed from them
+          only when this is called, so a trade nobody traces prints
+          nothing. *)
   iteration_costs : float list;
       (** Best-known plan cost after each trading iteration (infinity while
           no candidate exists) -- the convergence series of experiment
@@ -133,6 +137,7 @@ val plan_memo_stats : plan_memo -> Qt_util.Lru.stats
 val optimize :
   ?standing:Offer.t list ->
   ?requests:Qt_sql.Ast.t list ->
+  ?facts:Plan_generator.state ->
   ?transport:Seller.response Qt_runtime.Transport.t ->
   ?caches:Seller.cache_pool ->
   ?plans:plan_memo ->
@@ -150,6 +155,17 @@ val optimize :
     [requests] overrides the first round's request-for-bids content
     (default [[q]]): a recovering buyer asks only for the pieces it lost
     — see {!Recovery}.
+
+    [facts] is the query's {!Plan_generator.state}, made by
+    {!Plan_generator.create} (with [config]'s own [params] and
+    [weights], [federation]'s schema and [q] itself, or
+    [Invalid_argument] is raised).  It carries the query's signature and
+    the predicates analyser's proposals, each signed and printed once,
+    so a caller trading one query many times (a stream's template, a
+    trade's admission retries) passes the same facts to every call and
+    can read the signature from {!Plan_generator.query_request}.  The
+    default is a fresh state per call; the outcome is the same either
+    way.
 
     [transport] carries the trading rounds.  The default is
     {!Qt_runtime.Transport_des} over a fresh fault-free

@@ -3,6 +3,7 @@
 [@@@alert "-unstable"]
 
 module Trader = Qt_core.Trader
+module Plan_generator = Qt_core.Plan_generator
 module Seller = Qt_core.Seller
 module Offer = Qt_core.Offer
 module Cost = Qt_cost.Cost
@@ -17,7 +18,6 @@ module Slo = Qt_obs.Slo
 module Flight_recorder = Qt_obs.Flight_recorder
 module Plan = Qt_optimizer.Plan
 module Pool = Qt_optimizer.Pool
-module Listx = Qt_util.Listx
 module Json = Qt_util.Json_min
 module Store = Qt_exec.Store
 module Naive = Qt_exec.Naive
@@ -271,7 +271,9 @@ type cache_hit = Cache_stmt | Cache_result
 type trade = {
   t_index : int;
   t_buyer : int;  (* runtime node id: -(index + 1) *)
-  t_query : Qt_sql.Ast.t;
+  t_facts : Plan_generator.state;
+      (* The query's trading facts, shared by every trade of the query. *)
+  t_sig : Analysis.Sig.t;  (* the query's signature, taken once with the facts *)
   t_priority : int;
   mutable t_messages : int;
   mutable t_bytes : int;
@@ -305,11 +307,12 @@ type trade = {
 }
 
 let make_trade ?(arrival = 0.) ?(deadline = infinity) ?klass ~index ~priority
-    query =
+    facts =
   {
     t_index = index;
     t_buyer = -(index + 1);
-    t_query = query;
+    t_facts = facts;
+    t_sig = (Plan_generator.query_request facts).signature;
     t_priority = priority;
     t_messages = 0;
     t_bytes = 0;
@@ -592,8 +595,9 @@ let launch_fiber st tr ~drive =
   drive tr
     (Effect.Deep.match_with
        (fun () ->
-         Trader.optimize ~caches:st.caches ~plans:st.plans ~transport
-           ~obs:st.obs ~obs_track:tr.t_buyer tcfg st.federation tr.t_query)
+         Trader.optimize ~facts:tr.t_facts ~caches:st.caches ~plans:st.plans
+           ~transport ~obs:st.obs ~obs_track:tr.t_buyer tcfg st.federation
+           (Plan_generator.query tr.t_facts))
        () handler)
 
 (* ------------------------------------------------------------------- *)
@@ -616,16 +620,15 @@ let qcache_probe st tr =
     let lat = (Tier.config q.q_tier).Tier.lookup_latency in
     if lat > 0. then Runtime.advance st.rt ~node:tr.t_buyer lat;
     let inst = Tier.instance q.q_tier ~client:tr.t_index in
-    let sg = Analysis.Sig.of_ast tr.t_query in
     let result_hit =
       match st.sched with
       | None -> None
-      | Some _ -> Result_cache.find inst.Tier.result ~epoch:q.q_epoch sg
+      | Some _ -> Result_cache.find inst.Tier.result ~epoch:q.q_epoch tr.t_sig
     in
     match result_hit with
     | Some e -> `Result (q, e)
     | None -> (
-      match Statement_cache.find inst.Tier.stmt ~fingerprint:q.q_fp sg with
+      match Statement_cache.find inst.Tier.stmt ~fingerprint:q.q_fp tr.t_sig with
       | Some e -> `Stmt (q, e)
       | None -> `Miss))
 
@@ -666,8 +669,7 @@ let qcache_note_traded st tr ~plan ~plan_cost works =
   | Some q ->
     if tr.t_cache_hit = None then
       let inst = Tier.instance q.q_tier ~client:tr.t_index in
-      Statement_cache.insert inst.Tier.stmt
-        (Analysis.Sig.of_ast tr.t_query)
+      Statement_cache.insert inst.Tier.stmt tr.t_sig
         ~plan ~plan_cost ~contracts:works
         ~sources:(List.map (fun (s, _) -> (s, q.q_fp s)) works)
 
@@ -685,8 +687,7 @@ let qcache_install_exec_hook st trades =
            | None -> ()
            | Some plan ->
              let inst = Tier.instance q.q_tier ~client:trade in
-             Result_cache.insert inst.Tier.result
-               (Analysis.Sig.of_ast tr.t_query)
+             Result_cache.insert inst.Tier.result tr.t_sig
                ~table ~plan ~plan_cost:tr.t_plan_cost
                ~suppliers:tr.t_contracts ~epoch:q.q_epoch))
   | _ -> ()
@@ -724,11 +725,14 @@ let update_surge st =
    trade order via [drive]. *)
 let serve_wave st trades waiting ~t_close ~drive =
   update_surge st;
+  (* The batcher names each request by its position in the wave, which
+     [waiting]'s ascending trade order keeps in trade order. *)
+  let wave = Array.of_list waiting in
   let reqs =
-    List.map
-      (fun (i, (r : round_request), _) ->
+    List.mapi
+      (fun pos (_, (r : round_request), _) ->
         {
-          Batcher.trade = i;
+          Batcher.trade = pos;
           targets = r.rr_targets;
           signatures = r.rr_signatures;
           bytes = r.rr_bytes;
@@ -737,12 +741,20 @@ let serve_wave st trades waiting ~t_close ~drive =
   in
   (* Sorting by (seller, trades) makes the per-seller service order
      identical whether or not envelopes were merged — the heart of the
-     batched/unbatched parity property. *)
+     batched/unbatched parity property.  Merged envelopes come out in
+     that order already. *)
   let envelopes =
-    List.sort
-      (fun (a : Batcher.envelope) b ->
-        compare (a.seller, a.trades) (b.seller, b.trades))
-      (Batcher.coalesce st.batcher reqs)
+    let service_order (a : Batcher.envelope) (b : Batcher.envelope) =
+      match Int.compare a.seller b.seller with
+      | 0 -> List.compare Int.compare a.trades b.trades
+      | c -> c
+    in
+    let rec in_order = function
+      | a :: (b :: _ as rest) -> service_order a b <= 0 && in_order rest
+      | [ _ ] | [] -> true
+    in
+    let envelopes = Batcher.coalesce st.batcher reqs in
+    if in_order envelopes then envelopes else List.sort service_order envelopes
   in
   let wave_span =
     if Obs.enabled st.obs then
@@ -756,8 +768,8 @@ let serve_wave st trades waiting ~t_close ~drive =
     else 0
   in
   let wave_end = ref t_close in
-  (* (trade, seller) -> (reply, arrival time back at the buyer) *)
-  let reply_of = Hashtbl.create 32 in
+  (* Per wave position: (seller, reply, arrival time back at the buyer). *)
+  let replies_at = Array.make (Array.length wave) [] in
   (* Phase A — pricing.  [rr_serve] runs the seller's whole
      optimize-and-quote pipeline and depends only on the request and the
      seller's bid cache, never on clocks or earlier wave accounting, so
@@ -769,23 +781,27 @@ let serve_wave st trades waiting ~t_close ~drive =
   let env_arr = Array.of_list envelopes in
   let serve_env (e : Batcher.envelope) =
     List.filter_map
-      (fun ti ->
-        match List.find_opt (fun (i, _, _) -> i = ti) waiting with
-        | None -> None
-        | Some (_, req, _) ->
-          if List.mem e.seller req.rr_targets then begin
-            let reply, processing, rbytes = req.rr_serve e.seller in
-            Some (ti, reply, processing, rbytes)
-          end
-          else None)
+      (fun pos ->
+        let _, req, _ = wave.(pos) in
+        if List.mem e.seller req.rr_targets then begin
+          let reply, processing, rbytes = req.rr_serve e.seller in
+          Some (pos, reply, processing, rbytes)
+        end
+        else None)
       e.trades
   in
   let served = Array.make (Array.length env_arr) [] in
   let groups =
-    (* Envelope indices per seller, in envelope order. *)
-    Listx.group_by
-      (fun i -> env_arr.(i).Batcher.seller)
-      (List.init (Array.length env_arr) (fun i -> i))
+    (* Envelope indices per seller, in envelope order: envelopes are
+       sorted by seller, so each group is a run. *)
+    let runs = ref [] in
+    for i = Array.length env_arr - 1 downto 0 do
+      let seller = env_arr.(i).Batcher.seller in
+      match !runs with
+      | (s, idxs) :: rest when s = seller -> runs := (s, i :: idxs) :: rest
+      | rs -> runs := (seller, [ i ]) :: rs
+    done;
+    !runs
   in
   let serve_group ((_ : int), idxs) =
     List.map (fun i -> (i, serve_env env_arr.(i))) idxs
@@ -806,7 +822,8 @@ let serve_wave st trades waiting ~t_close ~drive =
          to the first participating trade. *)
       (match e.trades with
       | first :: _ ->
-        let tr = trades.(first) in
+        let ti, _, _ = wave.(first) in
+        let tr = trades.(ti) in
         tr.t_messages <- tr.t_messages + 1;
         tr.t_bytes <- tr.t_bytes + e.env_bytes;
         Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:e.env_bytes
@@ -828,10 +845,11 @@ let serve_wave st trades waiting ~t_close ~drive =
       let sc = Runtime.node_clock st.rt e.seller in
       if arrival > sc then Runtime.advance st.rt ~node:e.seller (arrival -. sc);
       List.iter
-        (fun (ti, reply, processing, rbytes) ->
+        (fun (pos, reply, processing, rbytes) ->
           Runtime.advance st.rt ~node:e.seller processing;
           let finish = Runtime.node_clock st.rt e.seller in
           let back = finish +. Runtime.one_way st.rt ~bytes:rbytes in
+          let ti, _, _ = wave.(pos) in
           let tr = trades.(ti) in
           tr.t_messages <- tr.t_messages + 1;
           tr.t_bytes <- tr.t_bytes + rbytes;
@@ -839,25 +857,29 @@ let serve_wave st trades waiting ~t_close ~drive =
             ~elapsed:0.;
           Metrics.observe st.rtt (back -. t_close);
           wave_end := Float.max !wave_end back;
-          Hashtbl.replace reply_of (ti, e.seller) (reply, back))
+          replies_at.(pos) <- (e.seller, reply, back) :: replies_at.(pos))
         served.(ei))
     env_arr;
-  List.iter
-    (fun (ti, (req : round_request), k) ->
+  (* A seller serves a trade at most once per wave. *)
+  let rec reply_from s = function
+    | [] -> None
+    | ((s', _, _) as r) :: rest -> if s' = s then Some r else reply_from s rest
+  in
+  Array.iteri
+    (fun pos (ti, (req : round_request), k) ->
       let tr = trades.(ti) in
+      let mine = replies_at.(pos) in
       let replies =
         List.filter_map
           (fun s ->
-            Option.map
-              (fun (reply, _) -> (s, reply))
-              (Hashtbl.find_opt reply_of (ti, s)))
+            Option.map (fun (_, reply, _) -> (s, reply)) (reply_from s mine))
           req.rr_targets
       in
       let resolution =
         List.fold_left
           (fun acc s ->
-            match Hashtbl.find_opt reply_of (ti, s) with
-            | Some (_, back) -> Float.max acc back
+            match reply_from s mine with
+            | Some (_, _, back) -> Float.max acc back
             | None -> acc)
           t_close req.rr_targets
       in
@@ -867,7 +889,7 @@ let serve_wave st trades waiting ~t_close ~drive =
       drive tr
         (Effect.Deep.continue k
            { Transport.replies; failed = []; fresh_failures = false }))
-    waiting;
+    wave;
   Obs.close st.obs wave_span ~t1:!wave_end ()
 
 (* Terminate a suspended fiber without serving it: feed it all-failed
@@ -1415,7 +1437,8 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
   let st = make_market ~obs scfg federation in
   Array.iter
     (fun tr ->
-      Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
+      if Obs.enabled obs then
+        Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
       Runtime.register st.rt tr.t_buyer)
     trades;
   qcache_install_exec_hook st trades;
@@ -1614,7 +1637,13 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
       incr next;
       stream_instant st tr ~at:tr.t_arrival "arrive";
       (match st.tel with Some t -> Telemetry.arrive t tr.t_klass | None -> ());
-      if Shedding.sheds scfg.shedding ~occupancy:(occupancy st) then
+      let shed =
+        match scfg.shedding with
+        | Shedding.Keep_all -> false
+        | Shedding.Occupancy _ as policy ->
+          Shedding.sheds policy ~occupancy:(occupancy st)
+      in
+      if shed then
         settle st tr Telemetry.Shed ~at:tr.t_arrival
       else begin
         Queue.add tr.t_index ready;
@@ -1919,11 +1948,19 @@ let batch_stream cfg =
     latency_domain = 1000.;
   }
 
+(* The facts every trade of [q] shares: its signature, taken once for
+   the cache tier and every optimization, and the trading memo. *)
+let query_facts cfg (federation : Federation.t) q =
+  Plan_generator.create ~params:cfg.trader.Trader.params
+    ~weights:cfg.trader.Trader.weights ~schema:federation.schema q
+
 let run ?(obs = Obs.disabled) cfg federation queries =
   let trades =
     Array.of_list
       (List.mapi
-         (fun i q -> make_trade ~index:i ~priority:batch_priority q)
+         (fun i q ->
+           make_trade ~index:i ~priority:batch_priority
+             (query_facts cfg federation q))
          queries)
   in
   drive_market ~obs ~exec_at_admission:true (batch_stream cfg) federation trades
@@ -1934,6 +1971,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
     invalid_arg "Market.run_stream: empty template pool";
   if not (scfg.latency_domain > 0.) then
     invalid_arg "Market.run_stream: latency_domain must be positive";
+  let facts = Array.map (query_facts scfg.base federation) templates in
   let trades =
     Array.of_list arrivals
     |> Array.mapi (fun i (a : Arrivals.arrival) ->
@@ -1944,7 +1982,7 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
            in
            make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
              ~index:i ~priority:spec.Sla.priority
-             templates.(a.Arrivals.template mod Array.length templates))
+             facts.(a.Arrivals.template mod Array.length templates))
   in
   drive_market ~obs ~exec_at_admission:false scfg federation trades
   |> report_of ~per_trade:false
@@ -1952,7 +1990,10 @@ let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
 module Private = struct
   let settle_fresh cfg federation query outcomes =
     let st = make_market ~obs:Obs.disabled (batch_stream cfg) federation in
-    let tr = make_trade ~index:0 ~priority:batch_priority query in
+    let tr =
+      make_trade ~index:0 ~priority:batch_priority
+        (query_facts cfg federation query)
+    in
     List.iter (fun outcome -> settle st tr outcome ~at:0.) outcomes
 
   let check_seller_laws = check_seller_laws

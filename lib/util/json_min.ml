@@ -42,6 +42,23 @@ let parse (s : string) : t =
     end
     else fail ("expected " ^ word)
   in
+  (* The four hex digits of a \u escape, as a UTF-16 code unit. *)
+  let hex4 () =
+    if !pos + 4 > n then fail "bad unicode escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> fail "bad unicode escape"
+    in
+    let u = ref 0 in
+    for i = 0 to 3 do
+      u := (!u lsl 4) lor digit s.[!pos + i]
+    done;
+    pos := !pos + 4;
+    !u
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -62,10 +79,21 @@ let parse (s : string) : t =
         | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
         | Some 'u' ->
           advance ();
-          if !pos + 4 > n then fail "bad unicode escape";
-          (* Decoded codepoints are only compared, never re-rendered. *)
-          Buffer.add_string b (String.sub s !pos 4);
-          pos := !pos + 4;
+          let u = hex4 () in
+          let u =
+            if u >= 0xD800 && u <= 0xDBFF then
+              (* A high surrogate: the codepoint needs its low half. *)
+              if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+                pos := !pos + 2;
+                let lo = hex4 () in
+                if lo < 0xDC00 || lo > 0xDFFF then fail "bad surrogate pair";
+                0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+              end
+              else fail "unpaired surrogate"
+            else if u >= 0xDC00 && u <= 0xDFFF then fail "unpaired surrogate"
+            else u
+          in
+          Buffer.add_utf_8_uchar b (Uchar.of_int u);
           go ()
         | _ -> fail "bad escape")
       | Some c ->

@@ -21,8 +21,12 @@ exception Parse_error of string
 
 val parse : string -> t
 (** Parse one complete JSON value; trailing non-whitespace is an error.
+    A [\uXXXX] escape becomes the UTF-8 bytes of its codepoint (a
+    surrogate pair of escapes, of the one codepoint they encode), so
+    [parse (to_string (String s))] is [String s] for every byte string
+    [s].
     @raise Parse_error with an offset-bearing message on malformed
-    input. *)
+    input, an unpaired surrogate included. *)
 
 val parse_opt : string -> t option
 (** [parse] with parse errors mapped to [None]. *)

@@ -337,12 +337,16 @@ let test_singleton_blocks () =
 (* Buyer analyser                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let enrich q offers =
+  List.map
+    (fun (r : Plan_generator.request) -> r.query)
+    (Buyer_analyser.enrich
+       (Plan_generator.create ~params ~weights:Offer.default_weights ~schema q)
+       offers)
+
 let test_analyser_proposes_agg_pieces () =
   let offers = collect_offers revenue in
-  let ranges = Qt_rewrite.Localize.required_ranges schema revenue in
-  let proposals =
-    List.map fst (Buyer_analyser.enrich ~schema ~ranges ~query:revenue ~offers)
-  in
+  let proposals = enrich revenue offers in
   Alcotest.(check bool) "proposes queries" true (proposals <> []);
   (* At least one proposal is an aggregate piece restricted to a partition
      range. *)
@@ -364,11 +368,7 @@ let test_analyser_no_pieces_for_avg () =
     parse
       "SELECT AVG(il.charge) FROM customer c, invoiceline il WHERE c.custid = il.custid"
   in
-  let offers = collect_offers avg in
-  let ranges = Qt_rewrite.Localize.required_ranges schema avg in
-  let proposals =
-    List.map fst (Buyer_analyser.enrich ~schema ~ranges ~query:avg ~offers)
-  in
+  let proposals = enrich avg (collect_offers avg) in
   List.iter
     (fun q ->
       if Analysis.has_aggregate q then Alcotest.fail "AVG piece proposed")
@@ -445,7 +445,7 @@ let test_qt_stats_sane () =
     Alcotest.(check (float 1e-9)) "cooperative surplus zero" 0. s.seller_surplus;
     Alcotest.(check bool) "purchased non-empty" true (outcome.Trader.purchased <> []);
     Alcotest.(check int) "trace per iteration" s.iterations
-      (List.length outcome.Trader.trace)
+      (List.length (outcome.Trader.trace ()))
 
 let test_qt_fails_on_uncoverable () =
   (* Remove every node holding invoiceline: the trade must abort. *)
@@ -933,7 +933,7 @@ let comparable (o : Trader.outcome) =
   let phase (p : Trader.phase) = { p with Trader.wall = 0. } in
   let ph = o.Trader.phases in
   ( (o.Trader.plan, o.Trader.cost, o.Trader.purchased),
-    (o.Trader.trace, o.Trader.iteration_costs),
+    (o.Trader.trace (), o.Trader.iteration_costs),
     { o.Trader.stats with Trader.wall_time = 0. },
     {
       ph with

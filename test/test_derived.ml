@@ -28,6 +28,10 @@ module Fragment = Qt_catalog.Fragment
 let quick = Helpers.quick
 let params = Qt_cost.Params.default
 
+(* A fresh trading state for the query. *)
+let facts schema q =
+  Plan_generator.create ~params ~weights:Offer.default_weights ~schema q
+
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Same structure and same float bits. *)
@@ -321,19 +325,25 @@ let test_enrich_dedup () =
           in
           let offers = offers @ List.map shifted offers in
           let ranges = Localize.required_ranges schema query in
-          let proposals = Buyer_analyser.proposals ~schema ~ranges ~query ~offers in
+          let proposals = Analyser_legacy.proposals ~schema ~ranges ~query ~offers in
           let want = Listx.dedup Analysis.equal_semantic proposals in
-          let got = Buyer_analyser.enrich ~schema ~ranges ~query ~offers in
+          let got = Buyer_analyser.enrich (facts schema query) offers in
           if List.length want < List.length proposals then incr deduped;
-          if not (List.equal Ast.equal want (List.map fst got)) then
+          if
+            not
+              (List.equal Ast.equal want
+                 (List.map (fun (r : Plan_generator.request) -> r.query) got))
+          then
             Alcotest.failf "%s: %s: enrich differs from the equal_semantic dedup" name
               (Analysis.to_string query);
           List.iter
-            (fun (p, s) ->
+            (fun ({ query = p; signature = s; sql_length } : Plan_generator.request) ->
               if not (Analysis.Sig.equal s (Analysis.Sig.of_ast p)) then
                 Alcotest.failf "%s: %s: signed %s, want %s" name (Analysis.to_string p)
                   (Analysis.Sig.to_string s)
-                  (Analysis.Sig.to_string (Analysis.Sig.of_ast p)))
+                  (Analysis.Sig.to_string (Analysis.Sig.of_ast p));
+              if sql_length <> String.length (Analysis.to_string p) then
+                Alcotest.failf "%s: %s: sized %d" name (Analysis.to_string p) sql_length)
             got)
         templates)
     (Lazy.force cases);
@@ -418,7 +428,7 @@ let with_proposals fed templates =
           fed.Federation.nodes
       in
       query
-      :: Buyer_analyser.proposals ~schema
+      :: Analyser_legacy.proposals ~schema
            ~ranges:(Localize.required_ranges schema query)
            ~query ~offers)
     templates
@@ -715,7 +725,7 @@ let trade_pools (fed : Federation.t) query =
       fed.Federation.nodes
   in
   let next pool =
-    respond (List.map fst (Buyer_analyser.enrich ~schema ~ranges ~query ~offers:pool))
+    respond (List.map fst (Analyser_legacy.enrich ~schema ~ranges ~query ~offers:pool))
   in
   let first = respond [ query ] in
   let second = first @ next first in
@@ -770,6 +780,60 @@ let test_generate_state ?pool () =
         templates)
     (Lazy.force cases);
   Alcotest.(check bool) "some candidates stitch unions" true (!unions > 0)
+
+(* One state fed every prefix of every pool of a trade, in round order
+   (the crashed pool shrinks it), proposes at each call what the legacy
+   analyser proposes from scratch: the same queries, signatures and
+   order.  Each pool is followed by its shifted copies, so coverages
+   overlap and trims are proposed, and cut at 60 offers to keep the
+   quadratic legacy cheap.  Calls where two families both propose give
+   the order teeth. *)
+let test_enrich_incremental () =
+  let mixed = ref 0 in
+  List.iter
+    (fun (name, fed, templates) ->
+      let schema = fed.Federation.schema in
+      List.iter
+        (fun (query, pools) ->
+          let ranges = Localize.required_ranges schema query in
+          let state = facts schema query in
+          List.iteri
+            (fun round pool ->
+              for k = 0 to List.length pool do
+                let offers = Listx.take k pool in
+                let want = Analyser_legacy.enrich ~schema ~ranges ~query ~offers in
+                let got = Buyer_analyser.enrich state offers in
+                let families =
+                  List.filter
+                    (fun l -> l <> [])
+                    [
+                      Analyser_legacy.aggregation_pieces schema ranges query offers;
+                      Analyser_legacy.redundancy_restrictions schema ranges query offers;
+                      Analyser_legacy.subset_requests query offers;
+                    ]
+                in
+                if List.length families > 1 then incr mixed;
+                let same (q, s) (r : Plan_generator.request) =
+                  Ast.equal q r.query && Analysis.Sig.equal s r.signature
+                in
+                if
+                  List.compare_lengths want got <> 0
+                  || not (List.for_all2 same want got)
+                then
+                  Alcotest.failf "%s: %s: round %d, %d offers: %d proposals, want %d"
+                    name (Analysis.to_string query) (round + 1) k (List.length got)
+                    (List.length want)
+              done)
+            pools)
+        (List.map
+           (fun q ->
+             ( q,
+               List.map
+                 (fun pool -> Listx.take 60 (pool @ List.map shifted pool))
+                 (trade_pools fed q) ))
+           templates))
+    (Lazy.force cases);
+  Alcotest.(check bool) "some calls mix families" true (!mixed > 0)
 
 (* Union pieces group by the set of aliases they restrict: a piece that
    restricts [a] alone and one that restricts both co-partitioned aliases
@@ -853,4 +917,6 @@ let suite =
       quick "generate through one state = stateless, 2 domains"
         (with_pool test_generate_state);
       quick "union pieces group by restricted aliases" test_piece_groups;
+      quick "enrich through one state = legacy, every pool prefix"
+        test_enrich_incremental;
     ] )

@@ -312,6 +312,58 @@ let test_seller_laws () =
       Market.Private.check_seller_laws s.Market.str_sellers
         (Some { p with Pricing.p_sellers = refunded }))
 
+(* Random waves through one batcher and through the legacy list-based
+   one: each wave's envelopes, in order, and every counter after it must
+   agree, with and without batching.  Waves share a batcher, so state
+   kept across waves is exercised; targets may repeat within a request
+   and signatures within and across requests. *)
+let prop_coalesce_matches_legacy =
+  let open QCheck2.Gen in
+  let request trade =
+    let* targets = list_size (int_range 0 5) (int_range 0 9) in
+    let* signatures =
+      list_size (int_range 0 5) (pair (int_range 0 12) (int_range 30 300))
+    in
+    let+ bytes = int_range 0 2000 in
+    { Batcher.trade; targets; signatures; bytes }
+  in
+  let wave =
+    let* n = int_range 0 8 in
+    let* first = int_range 0 100 in
+    let* gaps = list_repeat n (int_range 1 3) in
+    let ascending =
+      List.rev
+        (snd
+           (List.fold_left (fun (t, acc) g -> (t + g, (t + g) :: acc)) (first, []) gaps))
+    in
+    (* The market hands requests over in trade order; the batcher must
+       not depend on it. *)
+    let* trades = oneof [ pure ascending; shuffle_l ascending ] in
+    flatten_l (List.map request trades)
+  in
+  let print (batching, waves) =
+    Printf.sprintf "batching=%b, %d waves of %s" batching (List.length waves)
+      (String.concat "; "
+         (List.map
+            (fun w ->
+              String.concat ","
+                (List.map
+                   (fun (r : Batcher.request) ->
+                     Printf.sprintf "%d->[%s]" r.trade
+                       (String.concat " " (List.map string_of_int r.targets)))
+                   w))
+            waves))
+  in
+  QCheck2.Test.make ~name:"coalesce = legacy coalesce" ~count:300 ~print
+    (pair bool (list_size (int_range 1 6) wave))
+    (fun (batching, waves) ->
+      let t = Batcher.create ~batching and legacy = Batcher_legacy.create ~batching in
+      List.for_all
+        (fun w ->
+          let got = Batcher.coalesce t w and want = Batcher_legacy.coalesce legacy w in
+          got = want && Batcher.stats t = Batcher_legacy.stats legacy)
+        waves)
+
 let suite =
   ( "market",
     [
@@ -327,6 +379,7 @@ let suite =
       quick "market: batching preserves contracts, saves messages"
         test_market_batching_parity;
       quick "market: concurrency cap serializes trades" test_market_concurrency_cap;
+      QCheck_alcotest.to_alcotest prop_coalesce_matches_legacy;
       quick "report: batch --json and --metrics from one value"
         test_report_one_source;
       quick "report: a broken seller law fails the run" test_seller_laws;

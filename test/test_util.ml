@@ -430,6 +430,36 @@ let prop_lru_matches_model =
         ops;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Json_min                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Qt_util.Json_min
+
+let json = Alcotest.testable (fun ppf v -> Fmt.string ppf (Json.to_string v)) ( = )
+
+let prop_json_string_round_trip =
+  QCheck2.Test.make ~name:"json string round-trips any bytes" ~count:500
+    ~print:String.escaped
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 40))
+    (fun s -> Json.parse (Json.to_string (Json.String s)) = Json.String s)
+
+let test_json_unicode_escapes () =
+  let check what text want =
+    Alcotest.check json what (Json.String want) (Json.parse text)
+  in
+  check "control byte" {|"a\u0001b"|} "a\001b";
+  check "e acute" {|"caf\u00e9"|} "caf\xc3\xa9";
+  check "e acute, upper-case hex" {|"caf\u00E9"|} "caf\xc3\xa9";
+  check "euro sign" {|"\u20ac"|} "\xe2\x82\xac";
+  check "surrogate pair" {|"\ud83d\ude00!"|} "\xf0\x9f\x98\x80!";
+  List.iter
+    (fun bad ->
+      match Json.parse bad with
+      | v -> Alcotest.failf "%s parsed as %s" bad (Json.to_string v)
+      | exception Json.Parse_error _ -> ())
+    [ {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ude00"|}; {|"\ud83d\u0041"|}; {|"\u12g4"|}; {|"\u12"|} ]
+
 let suite =
   ( "util",
     [
@@ -456,4 +486,6 @@ let suite =
       quick "listx basics" test_listx_basics;
       quick "listx group_by" test_listx_group_by;
       quick "texttable" test_texttable;
+      QCheck_alcotest.to_alcotest prop_json_string_round_trip;
+      quick "json unicode escapes" test_json_unicode_escapes;
     ] )
