@@ -1710,9 +1710,10 @@ let micro () =
         ( "plan-generate",
           fun () ->
             ignore
-              (Qt_core.Plan_generator.generate ~params
-                 ~weights:Qt_core.Offer.default_weights
-                 ~mode:Qt_core.Plan_generator.Mode_dp ~schema ~offers q) );
+              (Qt_core.Plan_generator.generate ~offers
+                 (Qt_core.Plan_generator.create ~params
+                    ~weights:Qt_core.Offer.default_weights
+                    ~mode:Qt_core.Plan_generator.Mode_dp ~schema q)) );
         ( "qt-optimize",
           fun () ->
             ignore

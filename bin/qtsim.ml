@@ -1036,7 +1036,7 @@ let run_stream schema nodes partitions replicas rate process burst_on burst_off
   let shedding = ok_or_fail (Shedding.of_string shedding) in
   let arrivals =
     match replay with
-    | Some path -> ok_or_fail (Arrivals.of_trace (read_file path))
+    | Some path -> ok_or_fail (Arrivals.of_trace ~templates (read_file path))
     | None ->
       let process =
         ok_or_fail
@@ -1235,7 +1235,8 @@ let stream_cmd =
     Arg.(
       value & opt int 12
       & info [ "templates" ] ~docv:"N"
-          ~doc:"Query-template pool size (Zipf-ranked by popularity).")
+          ~doc:"Query-template pool size (Zipf-ranked by popularity); must \
+                cover every template index of a $(b,--replay) trace.")
   in
   let zipf_arg =
     Arg.(

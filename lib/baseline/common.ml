@@ -21,12 +21,9 @@ type stats = {
 
 type result = { plan : Plan.t; cost : Cost.t; stats : stats }
 
-let collect_offers ~params ~(federation : Federation.t) ~rounds q =
+let collect_offers ~params ~(federation : Federation.t) ~rounds facts =
   let schema = federation.schema in
   let seller_config = Seller.default_config params in
-  let facts =
-    Qt_core.Plan_generator.create ~params ~weights:Offer.default_weights ~schema q
-  in
   let asked : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let pool = ref [] in
   let processing = ref 0. in

@@ -25,10 +25,10 @@ val collect_offers :
   params:Qt_cost.Params.t ->
   federation:Qt_catalog.Federation.t ->
   rounds:int ->
-  Qt_sql.Ast.t ->
+  Qt_core.Plan_generator.state ->
   Qt_core.Offer.t list * float
 (** Full-knowledge offer harvest: run every node's (truthful, cooperative)
-    seller machinery locally for the query and for the follow-up piece
+    seller machinery locally for the state's query and for the follow-up piece
     queries the buyer analyser derives, for [rounds] refinement rounds.
     Returns the pool and the total seller processing time, which a
     centralized optimizer pays {e sequentially}. *)

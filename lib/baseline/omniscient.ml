@@ -8,15 +8,16 @@ let run ~mode ~staleness ~seed ~params federation q =
   let wall_start = Sys.time () in
   (* Knowledge acquisition: one catalog pull per node. *)
   let rt = Common.fetch_catalogs ~params federation in
-  let true_offers, processing = Common.collect_offers ~params ~federation ~rounds:3 q in
+  let facts =
+    Plan_generator.create ~params ~weights:Offer.default_weights ~mode
+      ~schema:federation.Qt_catalog.Federation.schema q
+  in
+  let true_offers, processing = Common.collect_offers ~params ~federation ~rounds:3 facts in
   (* A central site evaluates every node's access paths itself,
      sequentially — this is where centralized optimization stops scaling. *)
   Runtime.advance rt ~node:Trader.buyer_id processing;
   let known = Common.perturb_offers ~seed ~staleness true_offers in
-  let candidates =
-    Plan_generator.generate ~params ~weights:Offer.default_weights ~mode
-      ~schema:federation.Qt_catalog.Federation.schema ~offers:known q
-  in
+  let candidates = Plan_generator.generate ~offers:known facts in
   Runtime.advance rt ~node:Trader.buyer_id
     (1e-4 *. float_of_int (List.length known));
   match candidates with

@@ -70,15 +70,16 @@ let optimize ?(staleness = 1.) ?(seed = 42) ~params federation (q : Ast.t) =
   match local_join_order ~params schema q with
   | None -> Result.Error "two-step: no local join order (disconnected query?)"
   | Some tree ->
+    let facts =
+      Plan_generator.create ~params ~weights:Offer.default_weights
+        ~mode:Plan_generator.Mode_dp ~schema q
+    in
     let true_offers, processing =
-      Common.collect_offers ~params ~federation ~rounds:1 q
+      Common.collect_offers ~params ~federation ~rounds:1 facts
     in
     Runtime.advance rt ~node:Qt_core.Trader.buyer_id (0.2 *. processing);
     let known = Common.perturb_offers ~seed ~staleness true_offers in
-    let blocks =
-      Plan_generator.singleton_blocks ~params ~weights:Offer.default_weights ~schema
-        ~offers:known q
-    in
+    let blocks = Plan_generator.singleton_blocks ~offers:known facts in
     let env =
       let aliases = Analysis.aliases q in
       let base_rows =

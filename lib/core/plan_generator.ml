@@ -11,6 +11,7 @@ module Bitset = Qt_optimizer.Bitset
 module Pool = Qt_optimizer.Pool
 module Localize = Qt_rewrite.Localize
 module View_match = Qt_views.View_match
+module Lru = Qt_util.Lru
 
 type mode = Mode_dp | Mode_idp of int * int
 
@@ -90,11 +91,20 @@ let request_of q =
     sql_length = String.length (Analysis.to_string q);
   }
 
+(* One plan-generation pass: the head of [generate]'s list for [offers]
+   and, once asked for, the analyser's proposals over the same pool. *)
+type pass = {
+  offers : Offer.t list;
+  best : candidate option;
+  mutable proposals : request list option;
+}
+
 type state = {
   query : Ast.t;
   schema : Schema.t;
   params : Qt_cost.Params.t;
   weights : Offer.weights;
+  mode : mode;
   aliases : string list;  (* FROM order *)
   ctx : Bitset.ctx;
   full_subset : string list;  (* sorted *)
@@ -118,7 +128,12 @@ type state = {
          [Listx.subsets_of_size 2] order *)
   proposals : (proposal_key, request) Hashtbl.t;  (* every proposal derived so far *)
   own : request Lazy.t;  (* the query itself *)
+  passes : (int, pass) Lru.t;  (* by [pool_hash] of their offers *)
 }
+
+(* A pass can keep offer ASTs alive after the bid caches drop them, so
+   the cap is sized by peak heap rather than by hit ratio. *)
+let passes_per_state = 32
 
 (* Join predicates fully interned in [ctx], with their alias masks, in
    WHERE order — the bitset equivalent of the legacy [connecting]
@@ -140,7 +155,7 @@ let connecting_preds ctx (q : Ast.t) =
       else None)
     q.Ast.where
 
-let create ~params ~weights ~schema (q : Ast.t) =
+let create ~params ~weights ~mode ~schema (q : Ast.t) =
   let aliases = Analysis.aliases q in
   let ctx = Bitset.make aliases in
   let ranges = Localize.required_ranges schema q in
@@ -169,6 +184,7 @@ let create ~params ~weights ~schema (q : Ast.t) =
     schema;
     params;
     weights;
+    mode;
     aliases;
     ctx;
     full_subset = List.sort String.compare aliases;
@@ -208,11 +224,14 @@ let create ~params ~weights ~schema (q : Ast.t) =
          else []);
     proposals = Hashtbl.create 16;
     own = lazy (request_of q);
+    passes = Lru.create ~max_entries:passes_per_state ();
   }
 
 let query st = st.query
-let made_for st ~params ~weights ~schema q =
+
+let made_for st ~params ~weights ~mode ~schema q =
   st.query == q && st.schema == schema && st.params == params && st.weights == weights
+  && st.mode = mode
 
 let required_ranges st = st.ranges
 let partition_keys st = st.keys
@@ -395,8 +414,8 @@ let maybe_sort (q : Ast.t) plan =
   if q.order_by = [] || Plan.satisfies_order plan q.order_by then plan
   else Plan.Sort { input = plan; keys = q.order_by; rows = Plan.rows plan }
 
-let singleton_blocks ~params ~weights ~schema ~offers (q : Ast.t) =
-  let st = create ~params ~weights ~schema q in
+let singleton_blocks ~offers st =
+  let params = st.params and weights = st.weights in
   let singles =
     List.filter
       (fun f ->
@@ -428,14 +447,9 @@ let singleton_blocks ~params ~weights ~schema ~offers (q : Ast.t) =
         (Listx.min_by (fun (_, c) -> Cost.response c) (full @ unions)))
     st.aliases
 
-let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
-  let st =
-    match state with
-    | None -> create ~params ~weights ~schema q
-    | Some st ->
-      if made_for st ~params ~weights ~schema q then st
-      else invalid_arg "Plan_generator.generate: state made for another query"
-  in
+let generate ?pool ~offers st =
+  let q = st.query and schema = st.schema and mode = st.mode in
+  let params = st.params and weights = st.weights in
   let aliases = st.aliases in
   let n = List.length aliases in
   let ctx = st.ctx in
@@ -666,3 +680,35 @@ let generate ~params ~weights ~mode ~schema ~offers ?pool ?state (q : Ast.t) =
   in
   let all = final_candidates @ two_phase_candidates @ joined_candidate in
   List.sort (fun a b -> Cost.compare a.cost b.cost) all
+
+(* Routes a pass-memo lookup; a hit needs the same pool, in order. *)
+let pool_hash offers =
+  let mix h x = ((h * 31) + x) land max_int in
+  List.fold_left
+    (fun h (o : Offer.t) ->
+      mix
+        (mix
+           (mix (mix h o.seller) (Analysis.Sig.id o.query_sig))
+           (Analysis.Sig.id o.request_sig))
+        (Hashtbl.hash o.quoted))
+    0 offers
+
+let same x y = x == y || compare x y = 0
+
+let best ?pool ~offers st =
+  let key = pool_hash offers in
+  match Lru.find st.passes key ~valid:(fun p -> List.equal same p.offers offers) with
+  | Some p -> p
+  | None ->
+    let best = List.nth_opt (generate ?pool ~offers st) 0 in
+    let p = { offers; best; proposals = None } in
+    Lru.insert st.passes key p;
+    p
+
+let pass_best p = p.best
+
+let pass_proposals (p : pass) enrich =
+  if Option.is_none p.proposals then p.proposals <- Some (enrich p.offers);
+  Option.get p.proposals
+
+let pass_stats st = Lru.stats st.passes

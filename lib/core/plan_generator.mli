@@ -49,25 +49,27 @@ val request_of : Qt_sql.Ast.t -> request
 (** Sign and print a query once. *)
 
 type state
-(** One query's trading facts, derived once and shared by every trade of
-    the query (and every attempt of a trade): the alias universe,
-    the required key ranges, each alias's partition key and which keys
-    the WHERE clause equates, the sorted select and group-by lists offers
-    are compared against, and the join graph.  It also keeps the facts of
-    every offer of the last pool it saw (its subset mask, whether it is
-    shaped like the final answer, its full-cover block or its union-piece
-    group and tiles): a later pool that extends that one, as each trading
-    round's pool does, is classified only past their longest physically
-    equal ([==]) prefix.  And it keeps the query's own {!request} and
-    every {!Buyer_analyser} proposal derived so far, by {!proposal_key}:
-    each is signed and printed once per state. *)
+(** One query's buyer state, shared by every trade of the query (and
+    every attempt of a trade).  It pins the query, schema, cost
+    parameters, offer weights and enumeration mode, and derives once the
+    alias universe, the required key ranges, each alias's partition key
+    and which keys the WHERE clause equates, the sorted select and
+    group-by lists offers are compared against, and the join graph.  It
+    keeps the facts of every offer of the last pool it saw, so a later
+    pool that extends that one is classified only past their longest
+    physically equal ([==]) prefix; the query's own {!request} and every
+    {!Buyer_analyser} proposal by {!proposal_key}, each signed and
+    printed once; and its 32 most recently used plan-generation passes
+    (see {!best}). *)
 
 val create :
   params:Qt_cost.Params.t ->
   weights:Offer.weights ->
+  mode:mode ->
   schema:Qt_catalog.Schema.t ->
   Qt_sql.Ast.t ->
   state
+(** A fresh state with an empty pass memo. *)
 
 val query : state -> Qt_sql.Ast.t
 
@@ -78,11 +80,12 @@ val made_for :
   state ->
   params:Qt_cost.Params.t ->
   weights:Offer.weights ->
+  mode:mode ->
   schema:Qt_catalog.Schema.t ->
   Qt_sql.Ast.t ->
   bool
-(** Whether {!create} made the state from these (physically equal)
-    arguments. *)
+(** Whether {!create} made the state from these arguments: physically
+    equal ones, and an equal [mode]. *)
 
 val required_ranges : state -> Qt_rewrite.Localize.ranges
 (** [Localize.required_ranges schema q], derived at {!create}. *)
@@ -107,32 +110,33 @@ val keys_connected : state -> string list -> bool
     stitched into one disjoint union. *)
 
 val generate :
-  params:Qt_cost.Params.t ->
-  weights:Offer.weights ->
-  mode:mode ->
-  schema:Qt_catalog.Schema.t ->
-  offers:Offer.t list ->
-  ?pool:Qt_optimizer.Pool.t ->
-  ?state:state ->
-  Qt_sql.Ast.t ->
-  candidate list
-(** Candidate plans for the query, cheapest first; empty when the offer
-    pool cannot cover the query (step B8's abort condition).  [pool]
-    parallelizes the block join enumeration per DP level; the candidate
-    list is identical to the serial path at any domain count.  [state]
-    carries the query's and the offers' facts across the calls of one
-    trade; it must come from {!create} with the same (physically equal)
-    [params], [weights], [schema] and query, or [Invalid_argument] is
-    raised.  Without it a fresh state is made, and the candidate list is
-    the same either way. *)
+  ?pool:Qt_optimizer.Pool.t -> offers:Offer.t list -> state -> candidate list
+(** Candidate plans for the state's query from the offer pool, cheapest
+    first; empty when the pool cannot cover the query (step B8's abort
+    condition).  [pool] parallelizes the block join enumeration per DP
+    level; the list is the same at any domain count, and the same as
+    from a fresh state. *)
 
-val singleton_blocks :
-  params:Qt_cost.Params.t ->
-  weights:Offer.weights ->
-  schema:Qt_catalog.Schema.t ->
-  offers:Offer.t list ->
-  Qt_sql.Ast.t ->
-  (string * Qt_optimizer.Plan.t) list
+type pass
+(** One plan-generation pass over one offer pool. *)
+
+val best : ?pool:Qt_optimizer.Pool.t -> offers:Offer.t list -> state -> pass
+(** The pass over [offers], memoized: a pool equal in order (each offer
+    physically or structurally) to that of one of the state's 32 most
+    recently used passes reuses it; any other runs {!generate}.  The
+    state pins everything else a pass reads, so a hit is exact. *)
+
+val pass_best : pass -> candidate option
+(** The head of {!generate}'s list for the pass's pool. *)
+
+val pass_proposals : pass -> (Offer.t list -> request list) -> request list
+(** [pass_proposals pass enrich]: [enrich] of the pass's pool (the
+    {!Buyer_analyser.enrich} of the state), on its first call only. *)
+
+val pass_stats : state -> Qt_util.Lru.stats
+(** Counters of the state's pass memo. *)
+
+val singleton_blocks : offers:Offer.t list -> state -> (string * Qt_optimizer.Plan.t) list
 (** Cheapest fully-covering access block per alias (one offer or a
     partition-disjoint union), from single-alias offers only.  Used by the
     two-step baseline, which fixes the join order first and only then

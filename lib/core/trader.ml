@@ -10,7 +10,6 @@ module Transport_des = Qt_runtime.Transport_des
 module Protocol = Qt_trading.Protocol
 module Strategy = Qt_trading.Strategy
 module Listx = Qt_util.Listx
-module Lru = Qt_util.Lru
 module Obs = Qt_obs.Obs
 
 type config = {
@@ -225,63 +224,8 @@ let c0 = 0.
    plan-generation pass. *)
 let plan_overhead = 1e-4
 
-(* One memo entry: steps B4 and B5/B6 for one (query, offer pool) input.
-   Plan generation and the predicates analyser are pure functions of the
-   query, the pool, the schema and the plan-generation settings, all of
-   which the entry keeps to validate a hit against.  Only the head of
-   [generate]'s candidate list is kept, as it is all the loop reads; the
-   proposals, with their signatures, are filled on first use. *)
-type memo_entry = {
-  m_query : Ast.t;
-  m_offers : Offer.t list;
-  m_schema : Qt_catalog.Schema.t;
-  m_params : Qt_cost.Params.t;
-  m_weights : Offer.weights;
-  m_mode : Plan_generator.mode;
-  m_best : Plan_generator.candidate option;
-  mutable m_proposals : Plan_generator.request list option;
-}
-
-type plan_memo = (int * int, memo_entry) Lru.t
-
-(* Entries one market keeps.  Each holds about 1.2k words of pool, plan
-   and proposals, and can keep offer ASTs alive after the bid caches drop
-   them, so the cap is sized by peak heap rather than by hit ratio. *)
-let plan_memo_entries = 256
-
-let plan_memo_create () : plan_memo =
-  Lru.create ~max_entries:plan_memo_entries ()
-
-let plan_memo_stats : plan_memo -> Lru.stats = Lru.stats
-
-(* The key only routes a lookup; [memo_valid] decides a hit. *)
-let memo_key q_sig (offers : Offer.t list) =
-  let mix h x = ((h * 31) + x) land max_int in
-  ( Analysis.Sig.id q_sig,
-    List.fold_left
-      (fun h (o : Offer.t) ->
-        mix
-          (mix
-             (mix (mix h o.seller) (Analysis.Sig.id o.query_sig))
-             (Analysis.Sig.id o.request_sig))
-          (Hashtbl.hash o.quoted))
-      0 offers )
-
-let same x y = x == y || compare x y = 0
-
-(* Exact by construction: the query is compared as an AST, not by
-   signature, since normalization sorts the select list and twins that
-   differ only in column order get different plans. *)
-let memo_valid config schema q offers e =
-  same e.m_query q
-  && e.m_schema == schema
-  && same e.m_params config.params
-  && same e.m_weights config.weights
-  && same e.m_mode config.mode
-  && List.equal same e.m_offers offers
-
 let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
-    ?caches ?plans ?(obs = Obs.disabled) ?obs_track config
+    ?caches ?(obs = Obs.disabled) ?obs_track config
     (federation : Federation.t) (q : Ast.t) =
   let wall_start = Sys.time () in
   let obs_track = Option.value ~default:buyer_id obs_track in
@@ -308,7 +252,6 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
   let caches =
     match caches with Some pool -> pool | None -> Seller.pool_create ()
   in
-  let plans = match plans with Some m -> m | None -> plan_memo_create () in
   (* Buyer-local CPU work advances the buyer's clock without traffic. *)
   let local_work dt = transport.account ~count:0 ~bytes_each:0 ~elapsed:dt in
   let account_nego ~count ~deepest_rounds =
@@ -323,15 +266,15 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
     transport.account ~count ~bytes_each:300 ~elapsed
   in
   let schema = federation.schema in
-  (* The query's facts, shared by every plan-generation pass and the
-     predicates analyser, and with them the query's signature. *)
+  (* The query's state: its signature, its facts and its plan memo,
+     shared by every plan-generation pass and the predicates analyser. *)
   let facts =
     let params = config.params and weights = config.weights in
+    let mode = config.mode in
     match facts with
-    | None -> Plan_generator.create ~params ~weights ~schema q
-    | Some st ->
-      if Plan_generator.made_for st ~params ~weights ~schema q then st
-      else invalid_arg "Trader.optimize: facts made for another query"
+    | None -> Plan_generator.create ~params ~weights ~mode ~schema q
+    | Some st when Plan_generator.made_for st ~params ~weights ~mode ~schema q -> st
+    | Some _ -> invalid_arg "Trader.optimize: facts made for another query"
   in
   let asked : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let pool : Offer.t list ref = ref standing in
@@ -410,7 +353,6 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
      here for other initial requests.  Everything downstream (dedup, the
      asked set, seller caches, lots) keys on the signature, and sellers
      receive it with the query. *)
-  let q_sig = (Plan_generator.query_request facts).signature in
   let queue =
     ref
       (match initial_requests with
@@ -418,80 +360,44 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
       | Some qs -> List.map (fun query -> Plan_generator.request_of query) qs)
   in
   (* B4: one plan-generation pass over the current offer pool, through
-     the memo.  A hit still charges the buyer's CPU time and emits its
-     span, so simulated time and traces do not depend on the memo.
-     Returns whether the best plan improved, and the pool's entry. *)
+     the state's memo.  A hit still charges the buyer's CPU time and
+     emits its span, so simulated time and traces do not depend on the
+     memo.  Returns whether the best plan improved, and the pass. *)
   let plan_pass () =
     let from = snap () in
     let offers = !pool in
     local_work (plan_overhead *. float_of_int (List.length offers));
-    let key = memo_key q_sig offers in
-    let entry =
-      match Lru.find plans key ~valid:(memo_valid config schema q offers) with
-      | Some e -> e
-      | None ->
-        let e =
-          {
-            m_query = q;
-            m_offers = offers;
-            m_schema = schema;
-            m_params = config.params;
-            m_weights = config.weights;
-            m_mode = config.mode;
-            m_best =
-              (match
-                 Plan_generator.generate ~params:config.params
-                   ~weights:config.weights ~mode:config.mode ~schema ~offers
-                   ?pool:config.pool ~state:facts q
-               with
-              | [] -> None
-              | c :: _ -> Some c);
-            m_proposals = None;
-          }
-        in
-        Lru.insert plans key e;
-        e
-    in
+    let pass = Plan_generator.best ?pool:config.pool ~offers facts in
+    let candidate = Plan_generator.pass_best pass in
     let improved =
-      match (entry.m_best, !best) with
+      match (candidate, !best) with
+      | Some _, None -> true
+      | Some c, Some b -> Cost.response c.cost < Cost.response b.cost -. 1e-12
       | None, _ -> false
-      | Some c, None ->
-        best := Some c;
-        true
-      | Some c, Some b ->
-        if Cost.response c.cost < Cost.response b.cost -. 1e-12 then begin
-          best := Some c;
-          true
-        end
-        else false
     in
+    if improved then best := candidate;
     iteration_costs :=
       (match !best with
       | None -> infinity
       | Some c -> Cost.response c.Plan_generator.cost)
       :: !iteration_costs;
     record ~cat:"plan_gen" plan_p ~from ~sim_shift:0. ~wall_shift:0.;
-    (improved, entry)
+    (improved, pass)
   in
   let iterations = ref 0 in
   let continue = ref true in
   while !continue && !iterations < config.max_iterations && !queue <> [] do
     incr iterations;
-    let unasked =
-      List.filter
-        (fun (r : Plan_generator.request) ->
-          not (Hashtbl.mem asked (Analysis.Sig.id r.signature)))
-        !queue
-    in
-    (* One message per distinct signature per round: a query asked twice
-       in the same RFB would be priced twice and billed twice for no new
-       information. *)
+    (* One message per distinct signature per round, never one already
+       asked: a query asked twice in the same RFB would be priced twice
+       and billed twice for no new information. *)
     let seen_this_round = Hashtbl.create 8 in
     let unasked =
       List.filter
         (fun (r : Plan_generator.request) ->
           let id = Analysis.Sig.id r.signature in
-          if Hashtbl.mem seen_this_round id then begin
+          if Hashtbl.mem asked id then false
+          else if Hashtbl.mem seen_this_round id then begin
             incr requests_deduped;
             false
           end
@@ -499,7 +405,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
             Hashtbl.replace seen_this_round id ();
             true
           end)
-        unasked
+        !queue
     in
     (* Offer memo: skip re-broadcasting a request whose signature already
        has a live offer standing in the pool (warm re-trades over standing
@@ -535,7 +441,7 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
          that would have been asked and no plan exists yet (a warm
          re-trade), still give the plan generator one pass. *)
       if !best = None && !pool <> [] then begin
-        ignore (plan_pass () : bool * memo_entry);
+        ignore (plan_pass () : bool * Plan_generator.pass);
         iterations_done :=
           Covered { it = !iterations; pool = List.length !pool } :: !iterations_done
       end;
@@ -693,18 +599,13 @@ let optimize ?(standing = []) ?requests:initial_requests ?facts ?transport
       negotiation_rounds := !negotiation_rounds + rounds;
       pool := !pool @ winners;
       (* B4: combine winning offers into candidate plans. *)
-      let improved, entry = plan_pass () in
+      let improved, pass = plan_pass () in
       (* B5/B6: the predicates analyser proposes the next round's queries,
-         once per memo entry; what was already asked depends on this
-         trade, so that filter runs after the memo. *)
+         once per pass; what was already asked depends on this trade, so
+         that filter runs after the memo. *)
       let plan_from = snap () in
       let proposals =
-        match entry.m_proposals with
-        | Some p -> p
-        | None ->
-          let p = Buyer_analyser.enrich facts !pool in
-          entry.m_proposals <- Some p;
-          p
+        Plan_generator.pass_proposals pass (Buyer_analyser.enrich facts)
       in
       let fresh_queries =
         List.filter

@@ -123,24 +123,12 @@ val phases_json : phase_stats -> Qt_util.Json_min.t
 (** The breakdown as reports carry it; wall time is left out so
     same-seed runs render byte-identically. *)
 
-type plan_memo
-(** A bounded memo of the buyer's plan generation (B4) and predicates
-    analysis (B5/B6), shareable across trades on one federation. *)
-
-val plan_memo_create : unit -> plan_memo
-(** An empty memo holding at most a fixed number of entries, evicted
-    least-recently-used. *)
-
-val plan_memo_stats : plan_memo -> Qt_util.Lru.stats
-(** Hits, misses, invalidations and evictions so far. *)
-
 val optimize :
   ?standing:Offer.t list ->
   ?requests:Qt_sql.Ast.t list ->
   ?facts:Plan_generator.state ->
   ?transport:Seller.response Qt_runtime.Transport.t ->
   ?caches:Seller.cache_pool ->
-  ?plans:plan_memo ->
   ?obs:Qt_obs.Obs.t ->
   ?obs_track:int ->
   config ->
@@ -156,16 +144,15 @@ val optimize :
     (default [[q]]): a recovering buyer asks only for the pieces it lost
     — see {!Recovery}.
 
-    [facts] is the query's {!Plan_generator.state}, made by
-    {!Plan_generator.create} (with [config]'s own [params] and
-    [weights], [federation]'s schema and [q] itself, or
-    [Invalid_argument] is raised).  It carries the query's signature and
-    the predicates analyser's proposals, each signed and printed once,
-    so a caller trading one query many times (a stream's template, a
-    trade's admission retries) passes the same facts to every call and
-    can read the signature from {!Plan_generator.query_request}.  The
-    default is a fresh state per call; the outcome is the same either
-    way.
+    [facts] is the query's {!Plan_generator.state}, made with [config]'s
+    own [params], [weights] and [mode], [federation]'s schema and [q]
+    itself (not an equal copy, such as a select-order twin), or
+    [Invalid_argument] is raised.  A caller trading one query many times
+    (a stream's template, a trade's admission retries) passes the same
+    facts to every call: its signature, proposals and plan-generation
+    passes are derived once.  A pass-memo hit still charges the pass's
+    simulated CPU time and emits its [plan_gen] span, so the outcome is
+    the same as with the default, a fresh state per call.
 
     [transport] carries the trading rounds.  The default is
     {!Qt_runtime.Transport_des} over a fresh fault-free
@@ -185,20 +172,6 @@ val optimize :
     replay priced bids instead of re-running each local optimizer.  The
     default is a fresh pool per call, which leaves single-trade numbers
     exactly as uncached.
-
-    [plans] shares the buyer's plan memo across calls (see
-    {!plan_memo_create}): a plan-generation pass whose query and offer
-    pool repeat those of an earlier pass reuses that pass's best
-    candidate and, when asked, its analyser proposals, instead of
-    recomputing them.  The
-    pool is usually repeated by another trade of the same query, not by
-    this one.  A hit is exact: the stored query must equal [q] as an AST
-    (not merely by signature), the stored pool must equal the current one
-    structurally and in order, and the schema, params, weights and mode
-    must match, so results never depend on the memo.  A hit still charges
-    the pass's simulated CPU time and emits its [plan_gen] span, and the
-    per-trade filter of already-asked proposals still runs after it.
-    The default is a fresh memo per call.
 
     [obs] records the trade as structured spans (default: the no-op
     sink): a root [optimize] span on [obs_track] (default {!buyer_id}),

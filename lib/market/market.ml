@@ -352,7 +352,6 @@ type market = {
   federation : Federation.t;
   rt : Runtime.t;
   caches : Seller.cache_pool;
-  plans : Trader.plan_memo;  (* buyer plan memo, shared by all trades *)
   batcher : Batcher.t;
   admissions : (int, Admission.t) Hashtbl.t;
   completions : (int * Admission.handle) Event_queue.t;
@@ -595,9 +594,8 @@ let launch_fiber st tr ~drive =
   drive tr
     (Effect.Deep.match_with
        (fun () ->
-         Trader.optimize ~facts:tr.t_facts ~caches:st.caches ~plans:st.plans
-           ~transport ~obs:st.obs ~obs_track:tr.t_buyer tcfg st.federation
-           (Plan_generator.query tr.t_facts))
+         Trader.optimize ~facts:tr.t_facts ~caches:st.caches ~transport ~obs:st.obs
+           ~obs_track:tr.t_buyer tcfg st.federation (Plan_generator.query tr.t_facts))
        () handler)
 
 (* ------------------------------------------------------------------- *)
@@ -978,7 +976,6 @@ let make_market ~obs scfg federation =
       federation;
       rt = Runtime.create ~obs ~params:cfg.trader.Trader.params ~seed:cfg.seed ();
       caches = Seller.pool_create ();
-      plans = Trader.plan_memo_create ();
       batcher = Batcher.create ~batching:cfg.batching;
       admissions;
       completions = Event_queue.create ();
@@ -1948,19 +1945,35 @@ let batch_stream cfg =
     latency_domain = 1000.;
   }
 
-(* The facts every trade of [q] shares: its signature, taken once for
-   the cache tier and every optimization, and the trading memo. *)
-let query_facts cfg (federation : Federation.t) q =
-  Plan_generator.create ~params:cfg.trader.Trader.params
-    ~weights:cfg.trader.Trader.weights ~schema:federation.schema q
+module Query_table = Hashtbl.Make (struct
+  type t = Qt_sql.Ast.t
+  let equal = Qt_sql.Ast.equal
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+(* The state every trade of a query shares: its signature, taken once
+   for the cache tier and every optimization, its trading facts and its
+   plan-generation memo.  One state per distinct query, so equal
+   templates share one memo. *)
+let query_facts cfg (federation : Federation.t) =
+  let made = Query_table.create 16 and t = cfg.trader in
+  fun q ->
+    match Query_table.find_opt made q with
+    | Some st -> st
+    | None ->
+      let st =
+        Plan_generator.create ~params:t.Trader.params ~weights:t.weights
+          ~mode:t.mode ~schema:federation.schema q
+      in
+      Query_table.add made q st;
+      st
 
 let run ?(obs = Obs.disabled) cfg federation queries =
+  let facts_of = query_facts cfg federation in
   let trades =
     Array.of_list
       (List.mapi
-         (fun i q ->
-           make_trade ~index:i ~priority:batch_priority
-             (query_facts cfg federation q))
+         (fun i q -> make_trade ~index:i ~priority:batch_priority (facts_of q))
          queries)
   in
   drive_market ~obs ~exec_at_admission:true (batch_stream cfg) federation trades

@@ -85,7 +85,7 @@ let to_trace arrivals =
     arrivals;
   Buffer.contents buf
 
-let of_trace s =
+let of_trace ~templates s =
   let lines = String.split_on_char '\n' s in
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
@@ -103,6 +103,8 @@ let of_trace s =
               | Some at, Some template, Some klass ->
                   if Float.is_nan at || at < 0. || at = infinity then err "arrival time %g out of range" at
                   else if template < 0 then err "negative template index %d" template
+                  else if template >= templates then
+                    err "template index %d outside a pool of %d templates" template templates
                   else go (lineno + 1) ({ at; template; klass } :: acc) rest)
           | _ -> err "expected <at> <template> <class>")
   in

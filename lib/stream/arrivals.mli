@@ -56,8 +56,9 @@ val to_trace : arrival list -> string
 (** Render as a replayable trace: a versioned header line followed by
     one ["<at> <template> <class>"] line per arrival. *)
 
-val of_trace : string -> (arrival list, string) result
+val of_trace : templates:int -> string -> (arrival list, string) result
 (** Parse {!to_trace} output (blank lines and [#] comments ignored;
-    arrivals re-sorted by time, stably).  Guaranteed round-trip:
-    [to_trace] after [of_trace] reproduces the input trace's
-    arrivals exactly. *)
+    arrivals re-sorted by time, stably) for a pool of [templates]
+    templates: a template index outside the pool is an error naming its
+    line.  Guaranteed round-trip: [to_trace] after [of_trace] reproduces
+    the input trace's arrivals exactly. *)

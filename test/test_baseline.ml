@@ -92,8 +92,17 @@ let test_staleness_degrades_centralized_not_qt () =
       (s.Common.stats.plan_cost >= f.Common.stats.plan_cost -. 1e-9)
   | _ -> Alcotest.fail "optimization failed"
 
+(* Every offer the centralized optimizers know of for [revenue]. *)
+let revenue_offers () =
+  let facts =
+    Qt_core.Plan_generator.create ~params ~weights:Qt_core.Offer.default_weights
+      ~mode:Qt_core.Plan_generator.Mode_dp ~schema:federation.Qt_catalog.Federation.schema
+      revenue
+  in
+  fst (Common.collect_offers ~params ~federation ~rounds:1 facts)
+
 let test_perturb_offers_preserves_true_costs () =
-  let offers, _ = Common.collect_offers ~params ~federation ~rounds:1 revenue in
+  let offers = revenue_offers () in
   let perturbed = Common.perturb_offers ~seed:5 ~staleness:4. offers in
   List.iter2
     (fun (a : Qt_core.Offer.t) (b : Qt_core.Offer.t) ->
@@ -107,7 +116,7 @@ let test_perturb_offers_preserves_true_costs () =
        offers perturbed)
 
 let test_staleness_one_is_noop () =
-  let offers, _ = Common.collect_offers ~params ~federation ~rounds:1 revenue in
+  let offers = revenue_offers () in
   let same = Common.perturb_offers ~seed:5 ~staleness:1. offers in
   List.iter2
     (fun (a : Qt_core.Offer.t) (b : Qt_core.Offer.t) ->

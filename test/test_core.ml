@@ -173,6 +173,10 @@ let test_qt_mixed_capabilities_prefers_capable () =
 (* Plan generator                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh buyer state for [q], over the test schema by default. *)
+let facts ?(schema = schema) ?(mode = Plan_generator.Mode_dp) q =
+  Plan_generator.create ~params ~weights:Offer.default_weights ~mode ~schema q
+
 let collect_offers q =
   List.concat_map
     (fun (n : Qt_catalog.Node.t) ->
@@ -182,10 +186,7 @@ let collect_offers q =
 
 let test_plan_generator_covers_query () =
   let offers = collect_offers revenue in
-  let candidates =
-    Plan_generator.generate ~params ~weights:Offer.default_weights
-      ~mode:Plan_generator.Mode_dp ~schema ~offers revenue
-  in
+  let candidates = Plan_generator.generate ~offers (facts revenue) in
   Alcotest.(check bool) "has candidates" true (candidates <> []);
   let best = List.hd candidates in
   Alcotest.(check bool) "cost finite" true (Cost.is_finite best.Plan_generator.cost);
@@ -196,8 +197,7 @@ let test_plan_generator_covers_query () =
 let test_plan_generator_empty_offers () =
   Alcotest.(check int) "no candidates from nothing" 0
     (List.length
-       (Plan_generator.generate ~params ~weights:Offer.default_weights
-          ~mode:Plan_generator.Mode_dp ~schema ~offers:[] revenue))
+       (Plan_generator.generate ~offers:[] (facts revenue)))
 
 (* IDP(k, m) in the buyer plan generator: once the [k]-alias subsets are
    built, only the [m] cheapest survive, and larger plans are built from
@@ -228,8 +228,7 @@ let test_plan_generator_idp_prunes () =
       List.find_opt
         (fun (c : Plan_generator.candidate) ->
           String.ends_with ~suffix:"-join over traded blocks" c.description)
-        (Plan_generator.generate ~params ~weights:Offer.default_weights ~mode ~schema
-           ~offers q)
+        (Plan_generator.generate ~offers (facts ~schema ~mode q))
     with
     | Some c -> c
     | None -> Alcotest.fail "no joined candidate"
@@ -285,10 +284,7 @@ let test_plan_generator_idp_prunes () =
 
 let test_plan_generator_union_is_disjoint () =
   let offers = collect_offers revenue in
-  let candidates =
-    Plan_generator.generate ~params ~weights:Offer.default_weights
-      ~mode:Plan_generator.Mode_dp ~schema ~offers revenue
-  in
+  let candidates = Plan_generator.generate ~offers (facts revenue) in
   let rec check_unions plan =
     match plan with
     | Plan.Union { inputs; _ } ->
@@ -326,10 +322,7 @@ let test_rollup_items () =
 
 let test_singleton_blocks () =
   let offers = collect_offers revenue in
-  let blocks =
-    Plan_generator.singleton_blocks ~params ~weights:Offer.default_weights ~schema
-      ~offers revenue
-  in
+  let blocks = Plan_generator.singleton_blocks ~offers (facts revenue) in
   Alcotest.(check (list string)) "both aliases covered" [ "c"; "il" ]
     (List.sort compare (List.map fst blocks))
 
@@ -340,9 +333,7 @@ let test_singleton_blocks () =
 let enrich q offers =
   List.map
     (fun (r : Plan_generator.request) -> r.query)
-    (Buyer_analyser.enrich
-       (Plan_generator.create ~params ~weights:Offer.default_weights ~schema q)
-       offers)
+    (Buyer_analyser.enrich (facts q) offers)
 
 let test_analyser_proposes_agg_pieces () =
   let offers = collect_offers revenue in
@@ -943,40 +934,63 @@ let comparable (o : Trader.outcome) =
       plan_gen = phase ph.Trader.plan_gen;
     } )
 
-let trade_ok ?plans ?caches config q =
-  match Trader.optimize ?plans ?caches config memo_federation q with
+(* The buyer state a caller shares across trades of [q] under [config]. *)
+let memo_facts (config : Trader.config) q =
+  Plan_generator.create ~params:config.Trader.params ~weights:config.Trader.weights
+    ~mode:config.Trader.mode ~schema:memo_federation.Qt_catalog.Federation.schema q
+
+let trade_ok ?facts ?caches config q =
+  match Trader.optimize ?facts ?caches config memo_federation q with
   | Ok o -> o
   | Error e -> Alcotest.fail e
 
+let rejects what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "facts made for %s accepted" what
+
 (* Normalization sorts the select list, so template 0 and its
    select-reversed twin share a signature but not a plan.  A memo hit
-   validated by signature would hand the twin template 0's plan. *)
+   validated by signature would hand the twin template 0's plan, so
+   template 0's state is refused for the twin. *)
 let test_plan_memo_select_twin () =
   let t0 = List.hd memo_templates in
   let twin = { t0 with Ast.select = List.rev t0.Ast.select } in
   Alcotest.(check bool) "twins share a signature" true
     (Analysis.Sig.equal (Analysis.Sig.of_ast t0) (Analysis.Sig.of_ast twin));
   let config = Trader.default_config params in
-  let trade ?plans q =
-    trade_ok ?plans ~caches:(Seller.pool_create ()) config q
+  let trade ?facts q =
+    trade_ok ?facts ~caches:(Seller.pool_create ()) config q
   in
   Alcotest.(check bool) "twins get different plans" false
     ((trade t0).Trader.plan = (trade twin).Trader.plan);
-  let plans = Trader.plan_memo_create () in
-  ignore (trade ~plans t0 : Trader.outcome);
-  Alcotest.(check bool) "the twin's outcome ignores the memo" true
-    (comparable (trade ~plans twin) = comparable (trade twin))
+  let facts = memo_facts config t0 in
+  ignore (trade ~facts t0 : Trader.outcome);
+  rejects "a select-order twin" (fun () -> trade ~facts twin)
 
-(* Warm re-trades that plan straight from standing offers, so the memo
-   key repeats.  A pool that agrees with a stored one on every keyed field
-   (seller, signatures, quote) but not on the offers' properties, or the
-   same pool under the select-reversed twin, must not share its entry. *)
+(* A state pins the weights and the plan-generation mode as well as the
+   query: a config that differs in either is refused. *)
+let test_plan_memo_settings_checked () =
+  let config = Trader.default_config params in
+  let t0 = List.hd memo_templates in
+  let facts = memo_facts config t0 in
+  ignore (trade_ok ~facts config t0 : Trader.outcome);
+  rejects "other weights" (fun () ->
+      trade_ok ~facts
+        { config with Trader.weights = { config.Trader.weights with Offer.w_time = 0.5 } }
+        t0);
+  rejects "another mode" (fun () ->
+      trade_ok ~facts { config with Trader.mode = Plan_generator.Mode_idp (2, 5) } t0)
+
+(* Warm re-trades that plan straight from standing offers, so the pass
+   memo key repeats.  A pool that agrees with a stored one on every keyed
+   field (seller, signatures, quote) but not on the offers' properties
+   must not share its pass; the same pool again must. *)
 let test_plan_memo_pool_checked () =
   let config = Trader.default_config params in
   let t0 = List.hd memo_templates in
-  let twin = { t0 with Ast.select = List.rev t0.Ast.select } in
   (* Every seller's bids for [t0] itself: they answer its signature, so
-     neither [t0] nor its twin is broadcast again. *)
+     [t0] is not broadcast again. *)
   let standing =
     List.concat_map
       (fun (n : Qt_catalog.Node.t) ->
@@ -992,47 +1006,45 @@ let test_plan_memo_pool_checked () =
         { o with Offer.props = { o.props with rows = 2. *. o.props.rows } })
       standing
   in
-  let warm ?plans q standing =
+  let warm ?facts standing =
     Result.map comparable
-      (Trader.optimize ?plans ~standing config memo_federation q)
-  in
-  (* [q] over [pool], through a memo that holds [t0] over [standing]. *)
-  let after_t0 q pool =
-    let plans = Trader.plan_memo_create () in
-    ignore (warm ~plans t0 standing);
-    warm ~plans q pool
+      (Trader.optimize ?facts ~standing config memo_federation t0)
   in
   Alcotest.(check bool) "the larger pool plans differently" false
-    (warm t0 standing = warm t0 larger);
+    (warm standing = warm larger);
+  let facts = memo_facts config t0 in
+  ignore (warm ~facts standing);
   Alcotest.(check bool) "the larger pool misses the memo" true
-    (after_t0 t0 larger = warm t0 larger);
-  Alcotest.(check bool) "the twin plans differently" false
-    (warm t0 standing = warm twin standing);
-  Alcotest.(check bool) "the twin misses the memo" true
-    (after_t0 twin standing = warm twin standing)
+    (warm ~facts larger = warm larger);
+  let stats = Plan_generator.pass_stats facts in
+  Alcotest.(check (pair int int)) "one invalidation, no hit" (1, 0)
+    (stats.Qt_util.Lru.invalidations, stats.Qt_util.Lru.hits);
+  Alcotest.(check bool) "the same pool hits the memo" true
+    (warm ~facts larger = warm larger
+    && (Plan_generator.pass_stats facts).Qt_util.Lru.hits = 1)
 
 (* Twelve templates traded twice over shared seller caches, with node 0's
-   load raised for the second pass: the memo must hit, and no outcome may
-   differ from the same run without it. *)
+   load raised for the second pass: states shared by both passes must hit
+   their pass memos, and no outcome may differ from fresh states. *)
 let test_plan_memo_exact () =
-  let run plans =
+  let config = Trader.default_config params in
+  let run states =
     let caches = Seller.pool_create () in
-    let config = Trader.default_config params in
     let pass load_of =
-      List.map
-        (fun q ->
-          comparable (trade_ok ?plans ~caches { config with Trader.load_of } q))
-        memo_templates
+      List.map2
+        (fun q facts ->
+          comparable (trade_ok ?facts ~caches { config with Trader.load_of } q))
+        memo_templates states
     in
     let first = pass (fun _ -> 0.) in
     first @ pass (fun node -> if node = 0 then 0.5 else 0.)
   in
-  let plans = Trader.plan_memo_create () in
-  let memoized = run (Some plans) in
-  Alcotest.(check bool) "outcomes identical with and without the memo" true
-    (memoized = run None);
-  Alcotest.(check bool) "the memo hit" true
-    ((Trader.plan_memo_stats plans).Qt_util.Lru.hits > 0)
+  let states = List.map (memo_facts config) memo_templates in
+  let shared = run (List.map Option.some states) in
+  Alcotest.(check bool) "outcomes identical with shared and fresh states" true
+    (shared = run (List.map (fun _ -> None) memo_templates));
+  Alcotest.(check bool) "the pass memos hit" true
+    (List.exists (fun st -> (Plan_generator.pass_stats st).Qt_util.Lru.hits > 0) states)
 
 (* ------------------------------------------------------------------ *)
 (* Seller candidate memo                                                *)
@@ -1173,4 +1185,6 @@ let suite =
       quick "seller memo: warm cache answers as cold"
         test_seller_memo_warm_equals_cold;
       quick "seller memo: select-order twin misses" test_seller_memo_select_twin;
+      quick "plan memo: facts for other settings refused"
+        test_plan_memo_settings_checked;
     ] )

@@ -29,8 +29,8 @@ let quick = Helpers.quick
 let params = Qt_cost.Params.default
 
 (* A fresh trading state for the query. *)
-let facts schema q =
-  Plan_generator.create ~params ~weights:Offer.default_weights ~schema q
+let facts ?(mode = Plan_generator.Mode_dp) schema q =
+  Plan_generator.create ~params ~weights:Offer.default_weights ~mode ~schema q
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -694,9 +694,7 @@ let test_keys_connected () =
       let schema = fed.Federation.schema in
       List.iter
         (fun q ->
-          let st =
-            Plan_generator.create ~params ~weights:Offer.default_weights ~schema q
-          in
+          let st = facts schema q in
           List.iter
             (fun subset ->
               let want = keys_eq_connected_bfs schema q subset in
@@ -746,7 +744,8 @@ let rec has_union = function
   | Plan.Scan _ | Plan.Remote _ -> false
 
 (* One state fed a trade's growing pools gives, at every round, what a
-   stateless call gives on the same pool. *)
+   fresh state gives on the same pool, and its memoized best pass is
+   the head of that list, the same pass again when asked again. *)
 let test_generate_state ?pool () =
   let unions = ref 0 in
   List.iter
@@ -757,20 +756,26 @@ let test_generate_state ?pool () =
           let pools = trade_pools fed query in
           List.iter
             (fun mode ->
-              let state =
-                Plan_generator.create ~params ~weights:Offer.default_weights ~schema
-                  query
-              in
+              let state = facts ~mode schema query in
               List.iteri
                 (fun round offers ->
-                  let generate ?state () =
-                    Plan_generator.generate ~params ~weights:Offer.default_weights ~mode
-                      ~schema ~offers ?pool ?state query
+                  let fail what =
+                    Alcotest.failf "%s: %s: round %d: %s" name
+                      (Analysis.to_string query) (round + 1) what
                   in
-                  let warm = generate ~state () in
-                  if not (marshal_equal warm (generate ())) then
-                    Alcotest.failf "%s: %s: round %d differs through the state" name
-                      (Analysis.to_string query) (round + 1);
+                  let warm = Plan_generator.generate ?pool ~offers state in
+                  let fresh =
+                    Plan_generator.generate ?pool ~offers (facts ~mode schema query)
+                  in
+                  if not (marshal_equal warm fresh) then fail "differs through the state";
+                  let pass = Plan_generator.best ?pool ~offers state in
+                  if
+                    not
+                      (marshal_equal (Plan_generator.pass_best pass)
+                         (match fresh with [] -> None | c :: _ -> Some c))
+                  then fail "best pass is not the head";
+                  if Plan_generator.best ?pool ~offers state != pass then
+                    fail "the same pool missed the pass memo";
                   List.iter
                     (fun (c : Plan_generator.candidate) ->
                       if has_union c.plan then incr unions)
@@ -876,10 +881,7 @@ let test_piece_groups () =
   let a_low = piece 1 [ ("a", half); ("b", Interval.full) ]
   and both_high = piece 2 [ ("a", rest); ("b", rest) ]
   and a_high = piece 3 [ ("a", rest); ("b", Interval.full) ] in
-  let generate offers =
-    Plan_generator.generate ~params ~weights:Offer.default_weights
-      ~mode:Plan_generator.Mode_dp ~schema ~offers q
-  in
+  let generate offers = Plan_generator.generate ~offers (facts schema q) in
   Alcotest.(check int) "no union across restricted sets" 0
     (List.length (generate [ a_low; both_high ]));
   let rec union_sellers = function

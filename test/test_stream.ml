@@ -90,7 +90,7 @@ let test_trace_roundtrip () =
   let txt = Arrivals.to_trace a in
   Alcotest.(check bool) "header comment present" true
     (String.length txt > 0 && String.sub txt 0 1 = "#");
-  match Arrivals.of_trace txt with
+  match Arrivals.of_trace ~templates:12 txt with
   | Error e -> Alcotest.failf "of_trace failed: %s" e
   | Ok b ->
     Alcotest.(check int) "same length" (List.length a) (List.length b);
@@ -107,12 +107,32 @@ let test_trace_roundtrip () =
       a b
 
 let test_trace_rejects_garbage () =
-  (match Arrivals.of_trace "0.5 0 interactive\nnot-a-number 1 batch\n" with
+  (match Arrivals.of_trace ~templates:12 "0.5 0 interactive\nnot-a-number 1 batch\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad time accepted");
-  match Arrivals.of_trace "0.5 0 platinum\n" with
+  match Arrivals.of_trace ~templates:12 "0.5 0 platinum\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad class accepted"
+
+(* A trace recorded over 24 templates replays only over a pool that
+   covers it: a smaller pool names the first line out of range instead of
+   trading another template in its place. *)
+let test_trace_outside_pool () =
+  let a = gen ~templates:24 ~theta:0. ~horizon:(Arrivals.Count 20) () in
+  let txt = Arrivals.to_trace a in
+  Alcotest.(check bool) "the trace reaches past 12 templates" true
+    (List.exists (fun (x : Arrivals.arrival) -> x.Arrivals.template >= 12) a);
+  (match Arrivals.of_trace ~templates:24 txt with
+  | Ok a -> Alcotest.(check int) "the full pool replays it" 20 (List.length a)
+  | Error e -> Alcotest.failf "of_trace failed: %s" e);
+  Alcotest.(check (result reject string)) "index 1 of a one-template pool"
+    (Error "trace line 1: template index 1 outside a pool of 1 templates")
+    (Arrivals.of_trace ~templates:1 "0.5 1 batch\n");
+  match Arrivals.of_trace ~templates:12 txt with
+  | Ok _ -> Alcotest.fail "a trace outside the pool replayed"
+  | Error e ->
+    Alcotest.(check bool) "the error names the pool" true
+      (String.ends_with ~suffix:"outside a pool of 12 templates" e)
 
 (* ------------------------------------------------------------------ *)
 (* SLA and shedding parsing                                             *)
@@ -509,4 +529,6 @@ let suite =
         test_report_accounting_law;
       quick "admission: stale completion after cancel is dropped"
         test_admission_stale_completion;
+      quick "arrivals: trace outside the template pool refused"
+        test_trace_outside_pool;
     ] )
