@@ -961,7 +961,7 @@ let run_market schema nodes partitions replicas count json trace metrics
           (match t.Market.status with
           | Market.Completed -> "completed"
           | Market.No_plan -> "no plan"
-          | Market.Admission_failed -> "admission failed"
+          | Market.Admission_failed _ -> "admission failed"
           | Market.Shed -> "shed"
           | Market.Expired -> "expired")
           t.Market.attempts

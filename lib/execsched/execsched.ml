@@ -74,7 +74,8 @@ type t = {
   mutable completed : int;
   mutable submitted : int;
   mutable shared_hits : int;
-  mutable on_result : (trade:int -> at:float -> Table.t -> unit) option;
+  on_result : (int, at:float -> Table.t -> unit) Hashtbl.t;
+      (* trade -> callback for its answer, until it fires *)
 }
 
 let create ?(obs = Obs.disabled) config params store federation =
@@ -96,18 +97,17 @@ let create ?(obs = Obs.disabled) config params store federation =
     completed = 0;
     submitted = 0;
     shared_hits = 0;
-    on_result = None;
+    on_result = Hashtbl.create 8;
   }
 
-let set_on_result t f = t.on_result <- f
-
 let notify_result t ~trade ~at (root : dep) =
-  match t.on_result with
+  match Hashtbl.find_opt t.on_result trade with
   | None -> ()
   | Some f -> (
+    Hashtbl.remove t.on_result trade;
     let producer = Hashtbl.find t.tasks root.d_task in
     match producer.t_table with
-    | Some table -> f ~trade ~at (Engine.apply_rename table root.d_rename)
+    | Some table -> f ~at (Engine.apply_rename table root.d_rename)
     | None -> ())
 
 let nstate t node =
@@ -356,7 +356,8 @@ and new_task t ~trade ~node ~at op ~deps =
   if task.t_waiting = 0 then ready t task ~at;
   task
 
-let submit t ~trade ~buyer ~at plan =
+let submit ?on_result t ~trade ~buyer ~at plan =
+  Option.iter (Hashtbl.replace t.on_result trade) on_result;
   let at = Float.max at t.clock in
   let root = build t ~trade ~buyer ~at plan in
   Hashtbl.remove t.finished_trades trade;

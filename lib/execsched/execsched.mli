@@ -84,12 +84,17 @@ val create :
     completion in real simulated time, with [trade] and [rows] attributes
     ([seller] too on remote tasks). *)
 
-val submit : t -> trade:int -> buyer:int -> at:float -> Qt_optimizer.Plan.t -> unit
+val submit :
+  ?on_result:(at:float -> Qt_exec.Table.t -> unit) ->
+  t -> trade:int -> buyer:int -> at:float -> Qt_optimizer.Plan.t -> unit
 (** Decompose [plan] into tasks arriving at virtual time [at] (clamped to
     the scheduler clock) and enqueue the ready leaves.  Buyer-side
     operators pin to node [buyer]; [Remote] leaves pin to their seller.
     Nothing executes until {!drain} advances the clock.  A trade may be
-    submitted once; resubmitting replaces its recorded result. *)
+    submitted once; resubmitting replaces its recorded result.
+    [on_result] fires once, from {!drain} or here, when the trade's own
+    root task completes (also when the whole plan deduplicates onto
+    finished tasks), with the renamed answer and its virtual time. *)
 
 val drain : t -> upto:float -> unit
 (** Run every task completion scheduled at or before [upto]
@@ -105,15 +110,6 @@ val load_of : t -> int -> float
 
 val result : t -> trade:int -> Qt_exec.Table.t option
 (** The trade's root answer, once every task of its plan completed. *)
-
-val set_on_result :
-  t -> (trade:int -> at:float -> Qt_exec.Table.t -> unit) option -> unit
-(** Callback fired (from {!drain} or {!submit}) the moment a trade's root
-    answer materializes, with the fully-renamed table and its virtual
-    completion time — the hook the market's result cache fills itself
-    from.  Fires for a trade whose own root task completes, including the
-    instant-completion case where {!submit} deduplicates the whole plan
-    onto already-finished tasks. *)
 
 val finished_at : t -> trade:int -> float option
 (** Virtual completion time of the trade's last task. *)

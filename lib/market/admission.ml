@@ -197,6 +197,9 @@ let cancel t ~now ~trade =
   t.n_canceled <- t.n_canceled + List.length mine + List.length running;
   promote t ~now
 
+let forget t ~trade = Hashtbl.remove t.served trade
+let served_trades t = Hashtbl.length t.served
+
 let stats t =
   {
     admitted = t.n_admitted;

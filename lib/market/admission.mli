@@ -98,6 +98,13 @@ val cancel : t -> now:float -> trade:int -> handle list
     rollback path when a multi-seller admission attempt fails partway.
     Returns contracts promoted into the freed slots, as {!finish}. *)
 
+val forget : t -> trade:int -> unit
+(** Drop [trade]'s {!Proportional_share} work share once it holds no
+    contract here. *)
+
+val served_trades : t -> int
+(** Trades with an admitted-work share still held. *)
+
 type stats = {
   admitted : int;  (** Contracts that entered service. *)
   accepted : int;  (** Submissions not rejected (started or queued). *)

@@ -88,12 +88,12 @@ let default_config params =
     pricing = None;
   }
 
-type status =
+type status = Telemetry.outcome =
   | Completed
-  | No_plan
-  | Admission_failed
   | Shed  (* stream only: rejected at arrival by the shedding policy *)
   | Expired  (* stream only: SLA deadline passed before completion *)
+  | No_plan
+  | Admission_failed of int
 
 type trade_stats = {
   trade : int;
@@ -237,7 +237,6 @@ let default_stream_config params =
 (* A trade fiber suspends here when it broadcasts an RFB: everything the
    scheduler needs to merge the round into a wave and serve it. *)
 type round_request = {
-  rr_trade : int;
   rr_targets : int list;
   rr_signatures : (int * int) list;
   rr_bytes : int;
@@ -266,8 +265,6 @@ let handler : ((Trader.outcome, string) result, step) Effect.Deep.handler =
         | _ -> None);
   }
 
-type cache_hit = Cache_stmt | Cache_result
-
 type trade = {
   t_index : int;
   t_buyer : int;  (* runtime node id: -(index + 1) *)
@@ -288,8 +285,6 @@ type trade = {
   mutable t_phases : Trader.phase_stats;
       (* Accumulated across this trade's optimization attempts. *)
   mutable t_plan : Plan.t option;  (* The admitted plan, when executing. *)
-  mutable t_cache_hit : cache_hit option;
-      (* How the cache tier served this trade, if it did. *)
   mutable t_cache_table : Table.t option;
       (* The result-cache answer delivered to the buyer. *)
   (* Arrival and SLA: a batch trade arrives at 0 with no deadline and
@@ -298,12 +293,12 @@ type trade = {
   t_deadline : float;  (* absolute completion deadline; [infinity] = none *)
   t_klass : Qt_stream.Sla.klass option;  (* [None] in batch runs *)
   mutable t_pending : int;  (* admitted contracts not yet completed *)
-  mutable t_completed_at : float;  (* last contract completion time *)
   (* Pricing bookkeeping; inert when the pricing layer is off. *)
   mutable t_prices : (int * float) list;
       (* Quoted (not true-cost) price per seller — what the buyer pays. *)
   mutable t_reserved : bool;  (* admitted on reserved slots at a premium *)
   mutable t_done : int list;  (* sellers whose contracts completed *)
+  mutable t_fiber : bool;  (* an optimization fiber is running for it *)
 }
 
 let make_trade ?(arrival = 0.) ?(deadline = infinity) ?klass ~index ~priority
@@ -325,16 +320,15 @@ let make_trade ?(arrival = 0.) ?(deadline = infinity) ?klass ~index ~priority
     t_finished_at = 0.;
     t_phases = Trader.zero_phase_stats;
     t_plan = None;
-    t_cache_hit = None;
     t_cache_table = None;
     t_arrival = arrival;
     t_deadline = deadline;
     t_klass = klass;
     t_pending = 0;
-    t_completed_at = 0.;
     t_prices = [];
     t_reserved = false;
     t_done = [];
+    t_fiber = false;
   }
 
 (* The cache tier plus the validity tokens of the federation this market
@@ -368,15 +362,16 @@ type market = {
   lat_all : Metrics.histo;  (* end-to-end latency, all classes *)
   lat_class : (Sla.klass * Metrics.histo) list;  (* ... and per class *)
   tel : Telemetry.t option;  (* stream telemetry, when configured *)
+  live : (int, trade) Hashtbl.t;
+      (* Trades released and not yet settled: the only index -> trade
+         lookup, for contract completions. *)
+  all : Telemetry.counts;  (* the running tally of the whole run ... *)
+  by_class : (Sla.klass * Telemetry.counts) list;  (* ... and of each class *)
+  mutable makespan : float;  (* latest settle so far: the trading end *)
 }
 
-let admission_of st node =
-  match Hashtbl.find_opt st.admissions node with
-  | Some a -> a
-  | None ->
-    let a = Admission.create ~waits:st.waits st.cfg.admission in
-    Hashtbl.replace st.admissions node a;
-    a
+(* Every seller is a federation node, and each has its controller. *)
+let admission_of st node = Hashtbl.find st.admissions node
 
 let schedule_promoted st seller ~now promoted =
   List.iter
@@ -455,7 +450,6 @@ let make_transport st tr : Seller.response Transport.t =
           Effect.perform
             (Rfb
                {
-                 rr_trade = tr.t_index;
                  rr_targets = targets;
                  rr_signatures = signatures;
                  rr_bytes = request_bytes;
@@ -610,25 +604,22 @@ let launch_fiber st tr ~drive =
    probe hits or misses — the honest-comparison rule.  The result cache
    is only consulted when execution is on (without [--execute] there is
    no answer to cache); the statement cache is always live. *)
-let qcache_probe st tr =
-  match st.qcache with
-  | None -> `Off
-  | Some q -> (
-    floor_buyer_clock st tr;
-    let lat = (Tier.config q.q_tier).Tier.lookup_latency in
-    if lat > 0. then Runtime.advance st.rt ~node:tr.t_buyer lat;
-    let inst = Tier.instance q.q_tier ~client:tr.t_index in
-    let result_hit =
-      match st.sched with
-      | None -> None
-      | Some _ -> Result_cache.find inst.Tier.result ~epoch:q.q_epoch tr.t_sig
-    in
-    match result_hit with
-    | Some e -> `Result (q, e)
-    | None -> (
-      match Statement_cache.find inst.Tier.stmt ~fingerprint:q.q_fp tr.t_sig with
-      | Some e -> `Stmt (q, e)
-      | None -> `Miss))
+let qcache_probe st q tr =
+  floor_buyer_clock st tr;
+  let lat = (Tier.config q.q_tier).Tier.lookup_latency in
+  if lat > 0. then Runtime.advance st.rt ~node:tr.t_buyer lat;
+  let inst = Tier.instance q.q_tier ~client:tr.t_index in
+  let result_hit =
+    match st.sched with
+    | None -> None
+    | Some _ -> Result_cache.find inst.Tier.result ~epoch:q.q_epoch tr.t_sig
+  in
+  match result_hit with
+  | Some e -> `Result e
+  | None -> (
+    match Statement_cache.find inst.Tier.stmt ~fingerprint:q.q_fp tr.t_sig with
+    | Some e -> `Stmt e
+    | None -> `Miss)
 
 (* Deliver a cached answer: the trade completes with no contracts and no
    execution, and the original suppliers settle the arbitrage-free
@@ -642,7 +633,6 @@ let qcache_serve_result st q tr (e : Result_cache.entry) ~now =
   tr.t_contracts <- [];
   tr.t_finished_at <- now;
   tr.t_plan <- Some e.Result_cache.plan;
-  tr.t_cache_hit <- Some Cache_result;
   tr.t_cache_table <- Some e.Result_cache.table;
   Tier.note_trade_avoided q.q_tier;
   Tier.note_execution_avoided q.q_tier;
@@ -665,38 +655,35 @@ let qcache_note_traded st tr ~plan ~plan_cost works =
   match st.qcache with
   | None -> ()
   | Some q ->
-    if tr.t_cache_hit = None then
-      let inst = Tier.instance q.q_tier ~client:tr.t_index in
-      Statement_cache.insert inst.Tier.stmt tr.t_sig
-        ~plan ~plan_cost ~contracts:works
-        ~sources:(List.map (fun (s, _) -> (s, q.q_fp s)) works)
+    let inst = Tier.instance q.q_tier ~client:tr.t_index in
+    Statement_cache.insert inst.Tier.stmt tr.t_sig ~plan ~plan_cost
+      ~contracts:works
+      ~sources:(List.map (fun (s, _) -> (s, q.q_fp s)) works)
 
-(* Fill the result cache the moment a trade's answer materializes on the
-   execution timeline.  Runs from [Execsched.drain]/[submit] on the
-   coordinator. *)
-let qcache_install_exec_hook st trades =
-  match (st.qcache, st.sched) with
-  | Some q, Some sched ->
-    Execsched.set_on_result sched
-      (Some
-         (fun ~trade ~at:_ table ->
-           let tr = trades.(trade) in
-           match tr.t_plan with
-           | None -> ()
-           | Some plan ->
-             let inst = Tier.instance q.q_tier ~client:trade in
-             Result_cache.insert inst.Tier.result tr.t_sig
-               ~table ~plan ~plan_cost:tr.t_plan_cost
-               ~suppliers:tr.t_contracts ~epoch:q.q_epoch))
+(* Hand an admitted plan to the execution scheduler.  With the cache
+   tier on, the answer fills the result cache the moment it materializes
+   on the execution timeline; until then the scheduler holds only what
+   the fill needs, not the trade. *)
+let submit_exec st tr ~at =
+  match (st.sched, tr.t_plan) with
+  | Some sched, Some plan ->
+    let fill q =
+      let inst = Tier.instance q.q_tier ~client:tr.t_index in
+      let sg = tr.t_sig and plan_cost = tr.t_plan_cost and suppliers = tr.t_contracts in
+      fun ~at:_ table ->
+        Result_cache.insert inst.Tier.result sg ~table ~plan ~plan_cost ~suppliers
+          ~epoch:q.q_epoch
+    in
+    Execsched.submit ?on_result:(Option.map fill st.qcache) sched ~trade:tr.t_index
+      ~buyer:tr.t_buyer ~at plan
   | _ -> ()
 
 (* Close an RFB window over the suspended fibers: market time advances
    to the latest suspended buyer clock. *)
-let wave_close st trades waiting =
+let wave_close st waiting =
   let t_close =
     List.fold_left
-      (fun acc (i, _, _) ->
-        Float.max acc (Runtime.node_clock st.rt trades.(i).t_buyer))
+      (fun acc (tr, _, _) -> Float.max acc (Runtime.node_clock st.rt tr.t_buyer))
       st.mclock waiting
   in
   st.mclock <- t_close;
@@ -721,7 +708,7 @@ let update_surge st =
    per-seller envelopes, serve each envelope's trades back-to-back on
    the seller's clock (real contention), then resume every fiber in
    trade order via [drive]. *)
-let serve_wave st trades waiting ~t_close ~drive =
+let serve_wave st waiting ~t_close ~drive =
   update_surge st;
   (* The batcher names each request by its position in the wave, which
      [waiting]'s ascending trade order keeps in trade order. *)
@@ -820,8 +807,7 @@ let serve_wave st trades waiting ~t_close ~drive =
          to the first participating trade. *)
       (match e.trades with
       | first :: _ ->
-        let ti, _, _ = wave.(first) in
-        let tr = trades.(ti) in
+        let tr, _, _ = wave.(first) in
         tr.t_messages <- tr.t_messages + 1;
         tr.t_bytes <- tr.t_bytes + e.env_bytes;
         Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:e.env_bytes
@@ -847,8 +833,7 @@ let serve_wave st trades waiting ~t_close ~drive =
           Runtime.advance st.rt ~node:e.seller processing;
           let finish = Runtime.node_clock st.rt e.seller in
           let back = finish +. Runtime.one_way st.rt ~bytes:rbytes in
-          let ti, _, _ = wave.(pos) in
-          let tr = trades.(ti) in
+          let tr, _, _ = wave.(pos) in
           tr.t_messages <- tr.t_messages + 1;
           tr.t_bytes <- tr.t_bytes + rbytes;
           Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:rbytes
@@ -864,8 +849,7 @@ let serve_wave st trades waiting ~t_close ~drive =
     | ((s', _, _) as r) :: rest -> if s' = s then Some r else reply_from s rest
   in
   Array.iteri
-    (fun pos (ti, (req : round_request), k) ->
-      let tr = trades.(ti) in
+    (fun pos (tr, (req : round_request), k) ->
       let mine = replies_at.(pos) in
       let replies =
         List.filter_map
@@ -929,18 +913,13 @@ let make_market ~obs scfg federation =
     match cfg.qcache with
     | None -> None
     | Some tier ->
-      let fps = Hashtbl.create 16 in
-      List.iter
-        (fun id -> Hashtbl.replace fps id (Tier.fingerprint_of federation id))
-        (Federation.node_ids federation);
-      Some
-        {
-          q_tier = tier;
-          q_fp =
-            (fun node ->
-              match Hashtbl.find_opt fps node with Some fp -> fp | None -> 0);
-          q_epoch = Tier.epoch_of federation;
-        }
+      let fps =
+        List.map
+          (fun id -> (id, Tier.fingerprint_of federation id))
+          (Federation.node_ids federation)
+      in
+      let q_fp node = try List.assoc node fps with Not_found -> 0 in
+      Some { q_tier = tier; q_fp; q_epoch = Tier.epoch_of federation }
   in
   let pstate = Option.map Pricing.create cfg.pricing in
   let seller_ids = List.sort compare (Federation.node_ids federation) in
@@ -961,13 +940,15 @@ let make_market ~obs scfg federation =
     let buckets = min 100_000 ((hi + 1) / 100) in
     Metrics.histogram ~hi ~buckets ~scale metrics ("stream.latency." ^ name)
   in
+  let all = Telemetry.new_counts () in
+  let by_class = List.map (fun k -> (k, Telemetry.new_counts ())) Sla.all in
   let tel =
     Option.map
       (fun tc ->
         Telemetry.create ~interval:tc.scrape_interval ~rules:tc.slo_rules metrics
           ~market_track
           ~sellers:(List.map (fun id -> (id, Hashtbl.find admissions id)) seller_ids)
-          ~cached:(qcache <> None) ~pricing:pstate)
+          ~cached:(qcache <> None) ~pricing:pstate ~all ~by_class)
       scfg.telemetry
   in
   let st =
@@ -992,6 +973,10 @@ let make_market ~obs scfg federation =
       lat_all = latency "all";
       lat_class = List.map (fun k -> (k, latency (Sla.to_string k))) Sla.all;
       tel;
+      live = Hashtbl.create 64;
+      all;
+      by_class;
+      makespan = 0.;
     }
   in
   Obs.track_name obs market_track "market";
@@ -1038,7 +1023,7 @@ let emit_pool_span obs pool ~at =
 let status_to_string = function
   | Completed -> "completed"
   | No_plan -> "no_plan"
-  | Admission_failed -> "admission_failed"
+  | Admission_failed _ -> "admission_failed"
   | Shed -> "shed"
   | Expired -> "expired"
 
@@ -1330,45 +1315,57 @@ let stream_instant st tr ~at name =
          ~at ()
         : int)
 
+(* Count into the run's tally and the trade's class's. *)
+let count st tr bump =
+  bump st.all;
+  match tr.t_klass with Some k -> bump (List.assoc k st.by_class) | None -> ()
+
 (* Every trade ends here, exactly once: shed at the door, expired at its
    deadline, failed (no plan, or admission refused past its retries) or
    completed (its last contract finished, its plan was empty, or the
-   result cache answered it).  A completion writes [t_completed_at] and
-   records its end-to-end latency; its trading end [t_finished_at] was
-   written when it was admitted or served.  Every other ending writes
-   [t_finished_at], and a shed or expired trade gets its [stream]
-   instant.  A second settle of one trade breaks the exactly-once law
-   and fails the run. *)
-let settle st tr (outcome : Telemetry.outcome) ~at =
+   result cache answered it).  The ending is counted into the tally, the
+   one place endings are counted.  A completion records its end-to-end
+   latency; its trading end [t_finished_at] was written when it was
+   admitted or served.  Every other ending writes [t_finished_at], and a
+   shed or expired trade gets its [stream] instant.  No trading end
+   comes after its settle, so [at] also bounds the run's trading
+   makespan.  The trade then leaves the live table and the sellers'
+   admission shares: it holds no contract any more.  A second settle of
+   one trade breaks the exactly-once law and fails the run. *)
+let settle st tr outcome ~at =
   if tr.t_status <> None then
     failwith (Printf.sprintf "Market: trade %d settled twice" tr.t_index);
+  tr.t_status <- Some outcome;
+  st.makespan <- Float.max st.makespan at;
   (match outcome with
-  | Telemetry.Completed -> (
-    tr.t_status <- Some Completed;
-    tr.t_completed_at <- at;
+  | Completed -> (
+    count st tr (fun n -> n.Telemetry.n_completed <- n.n_completed + 1);
+    if at <= tr.t_deadline then count st tr (fun n -> n.Telemetry.n_hits <- n.n_hits + 1);
     let lat = at -. tr.t_arrival in
     Metrics.observe st.lat_all lat;
     match tr.t_klass with
     | Some k -> Metrics.observe (List.assoc k st.lat_class) lat
     | None -> ())
-  | Telemetry.Shed ->
-    tr.t_status <- Some Shed;
+  | Shed ->
     tr.t_finished_at <- at;
+    count st tr (fun n -> n.Telemetry.n_shed <- n.n_shed + 1);
     stream_instant st tr ~at "shed"
-  | Telemetry.Expired ->
-    tr.t_status <- Some Expired;
+  | Expired ->
     tr.t_finished_at <- at;
+    count st tr (fun n -> n.Telemetry.n_expired <- n.n_expired + 1);
     stream_instant st tr ~at "expired"
-  | Telemetry.No_plan ->
-    tr.t_status <- Some No_plan;
-    tr.t_finished_at <- at
-  | Telemetry.Admission_failed _ ->
-    tr.t_status <- Some Admission_failed;
-    tr.t_finished_at <- at);
+  | No_plan | Admission_failed _ ->
+    tr.t_finished_at <- at;
+    count st tr (fun n -> n.Telemetry.n_failed <- n.n_failed + 1));
+  Hashtbl.remove st.live tr.t_index;
+  Hashtbl.iter (fun _ adm -> Admission.forget adm ~trade:tr.t_index) st.admissions;
+  (* The runtime buyer node goes once the fiber has finished too: the
+     runtime would re-create it at clock 0 for a fiber still reading it. *)
+  if not tr.t_fiber then Runtime.retire st.rt tr.t_buyer;
   match st.tel with
   | Some t ->
-    Telemetry.settle t ~trade:tr.t_index ~node:tr.t_buyer ~klass:tr.t_klass
-      ~arrival:tr.t_arrival ~deadline:tr.t_deadline ~at outcome
+    Telemetry.settle t ~trade:tr.t_index ~node:tr.t_buyer ~arrival:tr.t_arrival
+      ~deadline:tr.t_deadline ~at outcome
   | None -> ()
 
 (* A contract of [tr] completed at [seller]: the seller's credited
@@ -1407,18 +1404,17 @@ let withdraw st tr ~now =
           if tr.t_reserved then
             Pricing.reserve_refund p ~seller ~premium:(premium_rate *. price)
         end)
-      tr.t_prices);
-  tr.t_pending <- 0
+      tr.t_prices)
 
-(* What the driver leaves for [report_of]. *)
-type finished = { f_st : market; f_trades : trade array; f_trading_makespan : float }
-
-(* Run [trades] (in arrival order) to completion: release each at its
-   arrival time, shed or queue it, trade queued ones concurrently under
-   [cfg.concurrency], enforce deadlines, and drain every contract,
-   deadline, scrape tick and execution task.  A trade is admitted (its
-   contracts placed) before it ends: it settles as completed when its
-   last contract finishes, or expires if its deadline comes first.
+(* Run [arrivals] (trades in arrival order, pulled one at a time) to
+   completion: release each at its arrival time, shed or queue it, trade
+   queued ones concurrently under [cfg.concurrency], enforce deadlines,
+   and drain every contract, deadline, scrape tick and execution task.
+   A trade is admitted (its contracts placed) before it ends: it settles
+   as completed when its last contract finishes, or expires if its
+   deadline comes first.  The driver holds a trade from release to
+   settle (its fiber, until it finishes), and nothing else.  Returns the
+   market, [makespan] raised to the end of trading.
 
    [exec_at_admission] is the one rule batch and stream runs do not
    share.  Batch hands an admitted plan to the execution scheduler at
@@ -1427,54 +1423,38 @@ type finished = { f_st : market; f_trades : trade array; f_trading_makespan : fl
    batch has no deadlines, so either rule is sound there, but moving
    execution changes every pinned batch [--execute] output; the rule
    stays a private argument here, not a configuration knob. *)
-let drive_market ~obs ~exec_at_admission scfg federation trades =
+let drive_market ~obs ~exec_at_admission scfg federation arrivals =
   let cfg = scfg.base in
   if cfg.max_admission_retries < 0 then
     invalid_arg "Market: max_admission_retries must be non-negative";
   let st = make_market ~obs scfg federation in
-  Array.iter
-    (fun tr ->
-      if Obs.enabled obs then
-        Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
-      Runtime.register st.rt tr.t_buyer)
-    trades;
-  qcache_install_exec_hook st trades;
-  let deadlines : int Event_queue.t = Event_queue.create () in
-  let ready = Queue.create () in
+  let deadlines : trade Event_queue.t = Event_queue.create () in
+  let ready : trade Queue.t = Queue.create () in
   let parked = ref [] in
   let running = ref 0 in
-  let next = ref 0 in
-  let submit_exec tr ~at =
-    match (st.sched, tr.t_plan) with
-    | Some sched, Some plan ->
-      Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at plan
-    | _ -> ()
-  in
+  let next = ref (arrivals ()) in
   (* The trade's last contract completed (or it had none). *)
   let contracts_done tr t =
-    settle st tr Telemetry.Completed ~at:t;
-    if not exec_at_admission then submit_exec tr ~at:t
+    settle st tr Completed ~at:t;
+    if not exec_at_admission then submit_exec st tr ~at:t
   in
   (* End-to-end accounting at contract completion, from
      [fire_completion], so it also runs for promotions and late drains.
      The pricing bookkeeping runs first, so deadline refunds can tell
      completed sellers apart. *)
   let on_complete ti ~seller t =
-    let tr = trades.(ti) in
+    let tr = Hashtbl.find st.live ti in
     note_seller_done st tr seller;
-    if tr.t_pending > 0 then begin
-      tr.t_pending <- tr.t_pending - 1;
-      if tr.t_pending = 0 then contracts_done tr t
-    end
+    tr.t_pending <- tr.t_pending - 1;
+    if tr.t_pending = 0 then contracts_done tr t
   in
   (* An SLA deadline fires: a trade still trading, or holding
      uncompleted contracts, expires. *)
-  let fire_deadline i d =
-    let tr = trades.(i) in
+  let fire_deadline tr d =
     if tr.t_status = None then begin
       if tr.t_pending > 0 then withdraw st tr ~now:d;
       st.mclock <- Float.max st.mclock d;
-      settle st tr Telemetry.Expired ~at:d
+      settle st tr Expired ~at:d
     end
   in
   (* Advance contract completions, deadline expiries and scrape ticks
@@ -1485,39 +1465,27 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
      it.  Scrape ticks are read-only: they never touch [st.mclock] or
      an event queue. *)
   let rec drain_events ~upto =
-    let tc = Event_queue.peek_time st.completions in
-    let td = Event_queue.peek_time deadlines in
     let tk = match st.tel with Some t -> Telemetry.next_tick t | None -> infinity in
-    let completion_first =
-      match (tc, td) with
-      | Some t, Some d -> t <= d && t <= upto && t <= tk
-      | Some t, None -> t <= upto && t <= tk
-      | None, _ -> false
-    in
-    if completion_first then begin
+    match (Event_queue.peek_time st.completions, Event_queue.peek_time deadlines) with
+    | Some t, td
+      when t <= upto && t <= tk && match td with Some d -> t <= d | None -> true ->
       (match Event_queue.pop st.completions with
       | Some (t, (seller, h)) -> fire_completion st ~on_complete t seller h
       | None -> ());
       drain_events ~upto
-    end
-    else
-      match td with
-      | Some d when d <= upto && d <= tk ->
-        (match Event_queue.pop deadlines with
-        | Some (d, i) -> fire_deadline i d
-        | None -> ());
+    | _, Some d when d <= upto && d <= tk ->
+      (match Event_queue.pop deadlines with
+      | Some (d, tr) -> fire_deadline tr d
+      | None -> ());
+      drain_events ~upto
+    | tc, td ->
+      (* A due scrape tick fires once every earlier event has; during the
+         unbounded final settle, ticks only fire while events remain, so
+         the drain cannot tick forever. *)
+      if tk <= upto && (Float.is_finite upto || tc <> None || td <> None) then begin
+        Option.iter (fun t -> Telemetry.tick t ~now:tk ~occupancy:(occupancy st)) st.tel;
         drain_events ~upto
-      | _ ->
-        (* A due scrape tick fires once every earlier event has; during
-           the unbounded final settle, ticks only fire while events
-           remain, so the drain cannot tick forever. *)
-        if tk <= upto && (Float.is_finite upto || tc <> None || td <> None)
-        then begin
-          Option.iter
-            (fun t -> Telemetry.tick t ~now:tk ~occupancy:(occupancy st))
-            st.tel;
-          drain_events ~upto
-        end
+      end
   in
   let drain ~upto =
     drain_events ~upto;
@@ -1531,13 +1499,18 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
     tr.t_finished_at <- now;
     tr.t_plan <- Some plan;
     tr.t_pending <- List.length works;
-    if exec_at_admission then submit_exec tr ~at:now;
+    if exec_at_admission then submit_exec st tr ~at:now;
     if works = [] then contracts_done tr now
   in
+  (* Settle everything due up to [t] and move market time there. *)
+  let catch_up t =
+    drain ~upto:t;
+    st.mclock <- Float.max st.mclock t;
+    t
+  in
+  let buyer_now tr = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
   let handle_ok tr (outcome : Trader.outcome) =
-    let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-    drain ~upto:now;
-    st.mclock <- Float.max st.mclock now;
+    let now = catch_up (buyer_now tr) in
     (* The drain fired every deadline up to [now]: an expired trade is
        too late to admit, and a live one is still inside its deadline. *)
     if tr.t_status = None then begin
@@ -1553,27 +1526,27 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
         if tr.t_attempts <= cfg.max_admission_retries then begin
           st.retries <- st.retries + 1;
           penalize tr seller rejection_penalty;
-          Queue.add tr.t_index ready
+          Queue.add tr ready
         end
-        else settle st tr (Telemetry.Admission_failed seller) ~at:now
+        else settle st tr (Admission_failed seller) ~at:now
     end
   in
   let drive tr step =
     match step with
     | Awaiting (req, k) ->
       tr.t_rounds <- tr.t_rounds + 1;
-      parked := (tr.t_index, req, k) :: !parked
+      parked := (tr, req, k) :: !parked
     | Finished res -> (
       decr running;
+      tr.t_fiber <- false;
       (* A fiber poisoned mid-optimization finishes an expired trade. *)
-      if tr.t_status = None then
+      if tr.t_status <> None then Runtime.retire st.rt tr.t_buyer
+      else
         match res with
         | Ok outcome ->
           tr.t_phases <- Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
           handle_ok tr outcome
-        | Error _ ->
-          settle st tr Telemetry.No_plan
-            ~at:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock))
+        | Error _ -> settle st tr No_plan ~at:(buyer_now tr))
   in
   (* Probe the cache tier before spending a fiber on an arrival.  A
      result hit completes the trade outright; a statement hit goes
@@ -1582,100 +1555,103 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
      plan just stopped fitting the market).  Returns [true] when the
      arrival needs no fiber. *)
   let try_cache tr =
-    (* Materialize execution completions at or before the probe time
-       first (the result-cache fill hook fires from the drain); the drain
-       may also expire this very arrival, which then needs no fiber. *)
-    if st.qcache <> None then
-      drain ~upto:(Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock);
-    if st.qcache <> None && tr.t_status <> None then true
-    else
-    match qcache_probe st tr with
-    | `Off | `Miss -> false
-    | `Result (q, e) ->
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      if tr.t_status <> None then true  (* expired during the drain *)
-      else begin
-        tr.t_attempts <- tr.t_attempts + 1;
-        Option.iter Telemetry.cache_hit st.tel;
-        let now = qcache_serve_result st q tr e ~now in
-        st.mclock <- Float.max st.mclock now;
-        settle st tr Telemetry.Completed ~at:now;
-        true
-      end
-    | `Stmt (q, e) -> (
-      let now = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-      drain ~upto:now;
-      st.mclock <- Float.max st.mclock now;
-      if tr.t_status <> None then true  (* expired during the drain *)
-      else begin
-        (* A statement hit skips negotiation: the cached plan is bought
-           at its contracts' cost. *)
-        if st.pstate <> None then tr.t_prices <- e.Statement_cache.contracts;
-        match try_admit st tr ~now e.Statement_cache.contracts with
-        | Ok () ->
-          tr.t_attempts <- tr.t_attempts + 1;
-          tr.t_cache_hit <- Some Cache_stmt;
-          Option.iter Telemetry.cache_hit st.tel;
-          Tier.note_trade_avoided q.q_tier;
-          admitted tr ~now ~plan:e.Statement_cache.plan
-            ~plan_cost:e.Statement_cache.plan_cost e.Statement_cache.contracts;
-          true
-        | Error _ -> false
-      end)
+    match st.qcache with
+    | None -> false
+    | Some q -> (
+      (* Materialize execution completions at or before the probe time
+         first (the result-cache fill hook fires from the drain); the
+         drain may also expire this very arrival, which then needs no
+         fiber. *)
+      drain ~upto:(buyer_now tr);
+      if tr.t_status <> None then true
+      else
+        match qcache_probe st q tr with
+        | `Miss -> false
+        | `Result e ->
+          let now = catch_up (buyer_now tr) in
+          if tr.t_status <> None then true (* expired during the drain *)
+          else begin
+            tr.t_attempts <- tr.t_attempts + 1;
+            count st tr (fun n -> n.Telemetry.n_cache_hits <- n.n_cache_hits + 1);
+            let now = qcache_serve_result st q tr e ~now in
+            st.mclock <- Float.max st.mclock now;
+            settle st tr Completed ~at:now;
+            true
+          end
+        | `Stmt e -> (
+          let now = catch_up (buyer_now tr) in
+          if tr.t_status <> None then true (* expired during the drain *)
+          else
+            (* A statement hit skips negotiation: the cached plan is
+               bought at its contracts' cost. *)
+            let contracts = e.Statement_cache.contracts in
+            if st.pstate <> None then tr.t_prices <- contracts;
+            match try_admit st tr ~now contracts with
+            | Ok () ->
+              tr.t_attempts <- tr.t_attempts + 1;
+              count st tr (fun n -> n.Telemetry.n_cache_hits <- n.n_cache_hits + 1);
+              Tier.note_trade_avoided q.q_tier;
+              admitted tr ~now ~plan:e.Statement_cache.plan
+                ~plan_cost:e.Statement_cache.plan_cost contracts;
+              true
+            | Error _ -> false))
   in
   (* Release every arrival up to market time: shed it outright if the
      marketplace is saturated, otherwise queue it for a fiber and arm
      its deadline. *)
-  let release () =
-    while !next < Array.length trades && trades.(!next).t_arrival <= st.mclock do
-      let tr = trades.(!next) in
-      incr next;
+  let rec release () =
+    match !next with
+    | Seq.Cons (tr, rest) when tr.t_arrival <= st.mclock ->
+      next := rest ();
+      Hashtbl.replace st.live tr.t_index tr;
+      if Obs.enabled obs then
+        Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
+      Runtime.register st.rt tr.t_buyer;
+      count st tr (fun n -> n.Telemetry.n_arrivals <- n.n_arrivals + 1);
       stream_instant st tr ~at:tr.t_arrival "arrive";
-      (match st.tel with Some t -> Telemetry.arrive t tr.t_klass | None -> ());
       let shed =
         match scfg.shedding with
         | Shedding.Keep_all -> false
         | Shedding.Occupancy _ as policy ->
           Shedding.sheds policy ~occupancy:(occupancy st)
       in
-      if shed then
-        settle st tr Telemetry.Shed ~at:tr.t_arrival
+      if shed then settle st tr Shed ~at:tr.t_arrival
       else begin
-        Queue.add tr.t_index ready;
+        Queue.add tr ready;
         if tr.t_deadline < infinity then
-          Event_queue.push deadlines ~time:tr.t_deadline tr.t_index
-      end
-    done
+          Event_queue.push deadlines ~time:tr.t_deadline tr
+      end;
+      release ()
+    | Seq.Cons _ | Seq.Nil -> ()
   in
   let cap = if cfg.concurrency <= 0 then max_int else cfg.concurrency in
   let start_more () =
     while !running < cap && not (Queue.is_empty ready) do
-      let tr = trades.(Queue.pop ready) in
+      let tr = Queue.pop ready in
       (* Trades that expired while waiting for a fiber are skipped —
          they were already settled by their deadline event. *)
       if tr.t_status = None then
         if not (try_cache tr) then begin
           incr running;
+          tr.t_fiber <- true;
           launch_fiber st tr ~drive
         end
     done
   in
   let execute_wave () =
-    let waiting = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !parked in
+    let waiting =
+      List.sort (fun (a, _, _) (b, _, _) -> Int.compare a.t_index b.t_index) !parked
+    in
     parked := [];
-    let t_close = wave_close st trades waiting in
+    let t_close = wave_close st waiting in
     drain ~upto:t_close;
     (* Deadlines fired during the drain may have expired parked trades:
        poison their fibers instead of serving them. *)
     let expired, live =
-      List.partition
-        (fun (i, _, _) -> trades.(i).t_status = Some Expired)
-        waiting
+      List.partition (fun (tr, _, _) -> tr.t_status = Some Expired) waiting
     in
-    List.iter (fun (i, req, k) -> poison_fiber trades.(i) ~drive req k) expired;
-    if live <> [] then serve_wave st trades live ~t_close ~drive
+    List.iter (fun (tr, req, k) -> poison_fiber tr ~drive req k) expired;
+    if live <> [] then serve_wave st live ~t_close ~drive
   in
   let rec market_loop () =
     release ();
@@ -1684,27 +1660,28 @@ let drive_market ~obs ~exec_at_admission scfg federation trades =
       execute_wave ();
       market_loop ()
     end
-    else if !next < Array.length trades then begin
-      (* Idle marketplace: jump to the next arrival, settling
-         completions and deadlines on the way. *)
-      let t = Float.max trades.(!next).t_arrival st.mclock in
-      drain ~upto:t;
-      st.mclock <- Float.max st.mclock t;
-      market_loop ()
-    end
+    else
+      match !next with
+      | Seq.Cons (tr, _) ->
+        (* Idle marketplace: jump to the next arrival, settling
+           completions and deadlines on the way. *)
+        ignore (catch_up (Float.max tr.t_arrival st.mclock) : float);
+        market_loop ()
+      | Seq.Nil -> ()
   in
   market_loop ();
   drain ~upto:infinity;
-  let trading_makespan =
-    Array.fold_left
-      (fun acc tr -> Float.max acc (Float.max tr.t_finished_at tr.t_completed_at))
-      st.mclock trades
-  in
+  (* Every released trade has settled, or the exactly-once law broke. *)
+  if Hashtbl.length st.live > 0 then
+    failwith
+      (Printf.sprintf "Market: trade %d ended with no status"
+         (Hashtbl.fold (fun i _ acc -> min i acc) st.live max_int));
+  st.makespan <- Float.max st.makespan st.mclock;
   Option.iter
-    (fun t -> Telemetry.finish t ~at:trading_makespan ~occupancy:(occupancy st))
+    (fun t -> Telemetry.finish t ~at:st.makespan ~occupancy:(occupancy st))
     st.tel;
-  emit_pool_span obs cfg.pool ~at:trading_makespan;
-  { f_st = st; f_trades = trades; f_trading_makespan = trading_makespan }
+  emit_pool_span obs cfg.pool ~at:st.makespan;
+  st
 
 (* Each executed trade's answer-table row and [(index, plan, table)],
    in trade order.  Result-cache hits never reach the scheduler, but
@@ -1736,44 +1713,6 @@ let executed st trades =
           | _ -> (ets, res)))
       trades ([], [])
 
-(* How the trades of one bucket (the whole run, or one class) ended. *)
-type tally = {
-  mutable n_arrivals : int;
-  mutable n_completed : int;
-  mutable n_hits : int;
-  mutable n_shed : int;
-  mutable n_expired : int;
-  mutable n_failed : int;
-  mutable n_cache_hits : int;
-}
-
-let new_tally () =
-  {
-    n_arrivals = 0;
-    n_completed = 0;
-    n_hits = 0;
-    n_shed = 0;
-    n_expired = 0;
-    n_failed = 0;
-    n_cache_hits = 0;
-  }
-
-(* Every arrival ends exactly once — completed, shed, expired or failed —
-   so the counts partition the arrivals; a trade left with no status
-   breaks that law and fails the run. *)
-let tally_trade n tr =
-  n.n_arrivals <- n.n_arrivals + 1;
-  (match tr.t_status with
-  | Some Completed ->
-    n.n_completed <- n.n_completed + 1;
-    if tr.t_completed_at <= tr.t_deadline then n.n_hits <- n.n_hits + 1
-  | Some Shed -> n.n_shed <- n.n_shed + 1
-  | Some Expired -> n.n_expired <- n.n_expired + 1
-  | Some (No_plan | Admission_failed) -> n.n_failed <- n.n_failed + 1
-  | None ->
-    failwith (Printf.sprintf "Market: trade %d ended with no status" tr.t_index));
-  if tr.t_cache_hit <> None then n.n_cache_hits <- n.n_cache_hits + 1
-
 let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
 
 (* Each contract a seller accepted completed or was canceled, and with
@@ -1801,23 +1740,24 @@ let check_seller_laws sellers (pricing : Pricing.stats option) =
         p.p_sellers)
     pricing
 
-(* The run report, built from what the driver left, counting outcomes in
-   one pass over the trades and checking the seller laws.  [per_trade]
-   keeps the batch-only detail (the per-trade list, the executed answers
-   and exec's per-trade rows), which is not retained at stream scale. *)
-let report_of ~per_trade f =
-  let st = f.f_st and trades = f.f_trades in
-  let all = new_tally () in
-  let by_class = List.map (fun k -> (k, new_tally ())) Sla.all in
-  Array.iter
-    (fun tr ->
-      tally_trade all tr;
-      match tr.t_klass with
-      | Some k -> tally_trade (List.assoc k by_class) tr
-      | None -> ())
-    trades;
+(* Every arrival ended exactly once, so the run's and each class's
+   endings partition its arrivals. *)
+let check_partition st =
+  List.iter
+    (fun (what, (n : Telemetry.counts)) ->
+      let ended = n.n_completed + n.n_shed + n.n_expired + n.n_failed in
+      if n.n_arrivals <> ended then
+        failwith (Printf.sprintf "Market: %s: %d arrivals, %d endings" what n.n_arrivals ended))
+    (("run", st.all) :: List.map (fun (k, n) -> (Sla.to_string k, n)) st.by_class)
+
+(* The run report, read from the driver's market and its tally, after
+   checking the accounting laws.  A batch passes its [trades] for the
+   batch-only detail (the per-trade list, the executed answers and
+   exec's per-trade rows), which a stream does not keep. *)
+let report_of ?trades st =
+  check_partition st;
   let exec_trades, results =
-    if per_trade then executed st trades else ([], [])
+    match trades with Some trades -> executed st trades | None -> ([], [])
   in
   let exec =
     match (st.sched, st.cfg.execute) with
@@ -1846,7 +1786,7 @@ let report_of ~per_trade f =
   in
   let classes =
     List.map
-      (fun (k, n) ->
+      (fun (k, (n : Telemetry.counts)) ->
         {
           cs_klass = k;
           cs_arrivals = n.n_arrivals;
@@ -1860,9 +1800,9 @@ let report_of ~per_trade f =
           cs_cache_hit_rate = ratio n.n_cache_hits n.n_arrivals;
           cs_latency = summarize (List.assoc k st.lat_class);
         })
-      by_class
+      st.by_class
   in
-  let trading_makespan = f.f_trading_makespan in
+  let trading_makespan = st.makespan and all = st.all in
   let wire = Runtime.stats st.rt in
   let sellers =
     List.map
@@ -1909,24 +1849,25 @@ let report_of ~per_trade f =
     str_pricing = pricing;
     str_telemetry = Option.map Telemetry.stats st.tel;
     str_trades =
-      (if not per_trade then []
-       else
-         Array.to_list
-           (Array.map
-              (fun tr ->
-                {
-                  trade = tr.t_index;
-                  status = Option.get tr.t_status;
-                  attempts = tr.t_attempts;
-                  rounds = tr.t_rounds;
-                  plan_cost = tr.t_plan_cost;
-                  messages = tr.t_messages;
-                  bytes = tr.t_bytes;
-                  sim_time = tr.t_finished_at;
-                  contracts = tr.t_contracts;
-                  phases = tr.t_phases;
-                })
-              trades));
+      (match trades with
+      | None -> []
+      | Some trades ->
+        Array.to_list
+          (Array.map
+             (fun tr ->
+               {
+                 trade = tr.t_index;
+                 status = Option.get tr.t_status;
+                 attempts = tr.t_attempts;
+                 rounds = tr.t_rounds;
+                 plan_cost = tr.t_plan_cost;
+                 messages = tr.t_messages;
+                 bytes = tr.t_bytes;
+                 sim_time = tr.t_finished_at;
+                 contracts = tr.t_contracts;
+                 phases = tr.t_phases;
+               })
+             trades));
     str_results = results;
   }
 
@@ -1937,13 +1878,7 @@ let batch_priority = 0
 (* The stream settings a batch runs under: no shedding, no telemetry and
    the default latency domain. *)
 let batch_stream cfg =
-  {
-    base = cfg;
-    spec_of = Sla.default_spec;
-    shedding = Shedding.Keep_all;
-    telemetry = None;
-    latency_domain = 1000.;
-  }
+  { (default_stream_config cfg.trader.Trader.params) with base = cfg }
 
 module Query_table = Hashtbl.Make (struct
   type t = Qt_sql.Ast.t
@@ -1976,29 +1911,43 @@ let run ?(obs = Obs.disabled) cfg federation queries =
          (fun i q -> make_trade ~index:i ~priority:batch_priority (facts_of q))
          queries)
   in
-  drive_market ~obs ~exec_at_admission:true (batch_stream cfg) federation trades
-  |> report_of ~per_trade:true
+  drive_market ~obs ~exec_at_admission:true (batch_stream cfg) federation
+    (Array.to_seq trades)
+  |> report_of ~trades
 
-let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
-  if Array.length templates = 0 then
-    invalid_arg "Market.run_stream: empty template pool";
+(* The stream's driver run.  Arrivals wait in flat arrays, 3 words each
+   against the list's 9: the unreleased arrivals are what a long stream
+   holds most.  Each trade is made when the driver pulls it. *)
+let drive_stream ~obs scfg federation ~templates arrivals =
+  let pool = Array.length templates in
+  if pool = 0 then invalid_arg "Market.run_stream: empty template pool";
   if not (scfg.latency_domain > 0.) then
     invalid_arg "Market.run_stream: latency_domain must be positive";
+  let n = List.length arrivals in
+  let at = Float.Array.make n 0. and template = Array.make n 0 in
+  let klass = Array.make n Sla.Besteffort in
+  List.iteri
+    (fun i (a : Arrivals.arrival) ->
+      if a.Arrivals.template < 0 || a.Arrivals.template >= pool then
+        invalid_arg
+          (Printf.sprintf
+             "Market.run_stream: arrival %d names template %d, outside the pool of %d"
+             i a.Arrivals.template pool);
+      Float.Array.set at i a.Arrivals.at;
+      template.(i) <- a.Arrivals.template;
+      klass.(i) <- a.Arrivals.klass)
+    arrivals;
   let facts = Array.map (query_facts scfg.base federation) templates in
-  let trades =
-    Array.of_list arrivals
-    |> Array.mapi (fun i (a : Arrivals.arrival) ->
-           let spec = scfg.spec_of a.Arrivals.klass in
-           let deadline =
-             if spec.Sla.deadline = infinity then infinity
-             else a.Arrivals.at +. spec.Sla.deadline
-           in
-           make_trade ~arrival:a.Arrivals.at ~deadline ~klass:a.Arrivals.klass
-             ~index:i ~priority:spec.Sla.priority
-             facts.(a.Arrivals.template mod Array.length templates))
+  let trade i =
+    let arrival = Float.Array.get at i and spec = scfg.spec_of klass.(i) in
+    (* A class without a deadline has an infinite one, and so does its arrival. *)
+    make_trade ~arrival ~deadline:(arrival +. spec.Sla.deadline) ~klass:klass.(i)
+      ~index:i ~priority:spec.Sla.priority facts.(template.(i))
   in
-  drive_market ~obs ~exec_at_admission:false scfg federation trades
-  |> report_of ~per_trade:false
+  drive_market ~obs ~exec_at_admission:false scfg federation (Seq.init n trade)
+
+let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
+  report_of (drive_stream ~obs scfg federation ~templates arrivals)
 
 module Private = struct
   let settle_fresh cfg federation query outcomes =
@@ -2010,4 +1959,9 @@ module Private = struct
     List.iter (fun outcome -> settle st tr outcome ~at:0.) outcomes
 
   let check_seller_laws = check_seller_laws
+
+  let stream_residue scfg federation ~templates arrivals =
+    let st = drive_stream ~obs:Obs.disabled scfg federation ~templates arrivals in
+    let served = Hashtbl.fold (fun _ a n -> n + Admission.served_trades a) in
+    (Hashtbl.length st.live, Runtime.nodes st.rt, served st.admissions 0)
 end

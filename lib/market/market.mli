@@ -104,18 +104,19 @@ val default_config : Qt_cost.Params.t -> config
 (** Default trader, default admission, batching on, unlimited
     concurrency, 2 retries, seed 7, no execution. *)
 
-type status =
+type status = Telemetry.outcome =
   | Completed
       (** Planned, admitted and every contract completed, or answered
           from the result cache. *)
-  | No_plan  (** The trading loop ended with no candidate plan. *)
-  | Admission_failed  (** Rejected on every allowed attempt. *)
   | Shed
       (** Stream runs only: rejected at arrival by the load-shedding
           policy, before any optimization work. *)
   | Expired
       (** Stream runs only: the SLA deadline passed before the trade's
           contracts completed; any in-flight work was canceled. *)
+  | No_plan  (** The trading loop ended with no candidate plan. *)
+  | Admission_failed of int
+      (** Rejected on every allowed attempt; the last rejecting seller. *)
 
 type trade_stats = {
   trade : int;
@@ -257,16 +258,20 @@ type stream_stats = {
           oracle sweep also checks every cache-served answer.  Not
           serialized. *)
 }
-(** The one report {!run} and {!run_stream} both return.  Every arrival
-    ends exactly once: [arrivals = completed + shed + expired + failed],
-    overall and per class, and a trade left without an outcome fails the
-    run with [Failure] naming it, as does a seller whose [accepted <>
-    completed + canceled] or, with pricing on, whose [reserved_sold <>
-    reserved_completed + reserved_refunded].  A batch has no shed or expired
-    trades, no classes and no telemetry.  Only a batch fills
-    [str_trades], [str_results] and [str_exec]'s [exec_trades]; a stream
-    leaves them empty, as per-trade rows and answer tables are not
-    retained at stream scale. *)
+(** The one report {!run} and {!run_stream} both return.  Its outcome
+    counts, overall and per class, come from the market's one running
+    tally ({!Telemetry.counts}), which counts arrivals at release,
+    endings when a trade settles and cache hits where the tier serves
+    one; the telemetry counters are set from the same tally.  Every
+    arrival ends exactly once: [arrivals = completed + shed + expired +
+    failed], overall and per class, and a trade left without an outcome
+    fails the run with [Failure] naming it, as does a seller whose
+    [accepted <> completed + canceled] or, with pricing on, whose
+    [reserved_sold <> reserved_completed + reserved_refunded].  A batch
+    has no shed or expired trades, no classes and no telemetry.  Only a
+    batch fills [str_trades], [str_results] and [str_exec]'s
+    [exec_trades]; a stream leaves them empty, as per-trade rows and
+    answer tables are not retained at stream scale. *)
 
 val run :
   ?obs:Qt_obs.Obs.t ->
@@ -377,13 +382,15 @@ val run_stream :
   Qt_stream.Arrivals.arrival list ->
   stream_stats
 (** Run the open stream to completion: release each arrival at its
-    timestamp (template index taken modulo the pool), shed or admit it,
-    trade admitted queries concurrently under [base.concurrency], and
-    keep draining until every arrival is accounted as completed, shed,
-    expired or failed.  A query completes end-to-end when its last
-    admitted contract finishes; it counts as a goodput {e hit} iff that
-    happens by its deadline.
-    @raise Invalid_argument on an empty template pool, a non-positive
+    timestamp, shed or admit it, trade admitted queries concurrently
+    under [base.concurrency], and keep draining until every arrival is
+    accounted as completed, shed, expired or failed.  A query completes
+    end-to-end when its last admitted contract finishes; it counts as a
+    goodput {e hit} iff that happens by its deadline.  Each trade is
+    made from its arrival when the market releases it and dropped once
+    it has settled, so the run keeps no per-trade state past its end.
+    @raise Invalid_argument on an empty template pool, an arrival whose
+    template index is outside the pool, a non-positive
     [latency_domain] or a negative [base.max_admission_retries]. *)
 
 val stream_to_json : stream_stats -> string
@@ -407,7 +414,7 @@ val telemetry_jsonl : telemetry_stats -> string
 
 (**/**)
 
-(** Test access to the settle path; not part of the API. *)
+(** Test access to the market's internals; not part of the API. *)
 module Private : sig
   val settle_fresh :
     config -> Qt_catalog.Federation.t -> Qt_sql.Ast.t -> Telemetry.outcome list -> unit
@@ -418,4 +425,10 @@ module Private : sig
     seller_stats list -> Qt_pricing.Pricing.stats option -> unit
   (** The per-seller laws every run checks on its report.
       @raise Failure naming the first seller that breaks one. *)
+
+  val stream_residue :
+    stream_config -> Qt_catalog.Federation.t -> templates:Qt_sql.Ast.t array ->
+    Qt_stream.Arrivals.arrival list -> int * int list * int
+  (** What {!run_stream}'s market still holds at the end: its live
+      trades, runtime nodes and admission shares. *)
 end

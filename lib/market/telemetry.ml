@@ -24,6 +24,27 @@ let flight_capacity = 32
    bounded so a total collapse cannot flood the output. *)
 let max_failure_bundles = 3
 
+type counts = {
+  mutable n_arrivals : int;
+  mutable n_completed : int;
+  mutable n_hits : int;
+  mutable n_shed : int;
+  mutable n_expired : int;
+  mutable n_failed : int;
+  mutable n_cache_hits : int;
+}
+
+let new_counts () =
+  {
+    n_arrivals = 0;
+    n_completed = 0;
+    n_hits = 0;
+    n_shed = 0;
+    n_expired = 0;
+    n_failed = 0;
+    n_cache_hits = 0;
+  }
+
 type t = {
   metrics : Metrics.t;
   market_track : int;
@@ -32,31 +53,26 @@ type t = {
   fr : Flight_recorder.t;
   mutable alerts : (Slo.alert * Flight_recorder.bundle) list;  (* newest first *)
   mutable failures : Flight_recorder.bundle list;  (* newest first *)
-  arrivals : Metrics.counter;
-  completed : Metrics.counter;
-  hits : Metrics.counter;
-  shed : Metrics.counter;
-  expired : Metrics.counter;
-  failed : Metrics.counter;
-  cache_hits : Metrics.counter;
-  class_arrivals : (Sla.klass * Metrics.counter) list;
-  class_hits : (Sla.klass * Metrics.counter) list;
-  class_expired : (Sla.klass * Metrics.counter) list;
+  counters : (Metrics.counter * (unit -> int)) list;
+      (* Each [stream.*] counter with the tally field it mirrors. *)
   occupancy : Metrics.gauge;
   sellers : (Admission.t * Metrics.gauge * Metrics.gauge * Metrics.gauge) list;
   cached : bool;
   pricing : Pricing.t option;
 }
 
-let create ~interval ~rules metrics ~market_track ~sellers ~cached ~pricing =
-  let counter = Metrics.counter metrics in
-  let gauge = Metrics.gauge metrics in
-  let per_class suffix =
-    List.map
-      (fun k ->
-        (k, counter (Printf.sprintf "stream.class.%s.%s" (Sla.to_string k) suffix)))
-      Sla.all
+let create ~interval ~rules metrics ~market_track ~sellers ~cached ~pricing ~all
+    ~by_class =
+  let counter name read = (Metrics.counter metrics name, read) in
+  let per_class (k, n) =
+    let name = Printf.sprintf "stream.class.%s.%s" (Sla.to_string k) in
+    [
+      counter (name "arrivals") (fun () -> n.n_arrivals);
+      counter (name "hits") (fun () -> n.n_hits);
+      counter (name "expired") (fun () -> n.n_expired);
+    ]
   in
+  let gauge = Metrics.gauge metrics in
   {
     metrics;
     market_track;
@@ -65,16 +81,17 @@ let create ~interval ~rules metrics ~market_track ~sellers ~cached ~pricing =
     fr = Flight_recorder.create ~capacity:flight_capacity;
     alerts = [];
     failures = [];
-    arrivals = counter "stream.arrivals";
-    completed = counter "stream.completed";
-    hits = counter "stream.hits";
-    shed = counter "stream.shed";
-    expired = counter "stream.expired";
-    failed = counter "stream.failed";
-    cache_hits = counter "stream.cache_hits";
-    class_arrivals = per_class "arrivals";
-    class_hits = per_class "hits";
-    class_expired = per_class "expired";
+    counters =
+      [
+        counter "stream.arrivals" (fun () -> all.n_arrivals);
+        counter "stream.completed" (fun () -> all.n_completed);
+        counter "stream.hits" (fun () -> all.n_hits);
+        counter "stream.shed" (fun () -> all.n_shed);
+        counter "stream.expired" (fun () -> all.n_expired);
+        counter "stream.failed" (fun () -> all.n_failed);
+        counter "stream.cache_hits" (fun () -> all.n_cache_hits);
+      ]
+      @ List.concat_map per_class by_class;
     occupancy = gauge "stream.occupancy";
     sellers =
       List.map
@@ -88,14 +105,14 @@ let create ~interval ~rules metrics ~market_track ~sellers ~cached ~pricing =
     pricing;
   }
 
-let incr_class tbl klass =
-  Option.iter (fun k -> Metrics.incr (List.assoc k tbl)) klass
+(* Copy the market's tally into the registry's counters, right before a
+   scrape or a bundle reads them. *)
+let sync t =
+  List.iter (fun (c, read) -> Metrics.incr ~by:(read () - Metrics.value c) c) t.counters
 
-let arrive t klass =
-  Metrics.incr t.arrivals;
-  incr_class t.class_arrivals klass
-
-let cache_hit t = Metrics.incr t.cache_hits
+let bundle t ~time ~reason =
+  sync t;
+  Flight_recorder.bundle t.fr ~time ~reason ~metrics:(Metrics.to_json t.metrics)
 
 let record t ~time ~node ~kind ~detail =
   Flight_recorder.record t.fr ~time ~node ~kind ~detail
@@ -106,37 +123,21 @@ let reject t ~trade ~seller ~at =
 
 let failure t ~time ~reason =
   if List.length t.failures < max_failure_bundles then
-    t.failures <-
-      Flight_recorder.bundle t.fr ~time ~reason ~metrics:(Metrics.to_json t.metrics)
-      :: t.failures
+    t.failures <- bundle t ~time ~reason :: t.failures
 
-let settle t ~trade ~node ~klass ~arrival ~deadline ~at = function
-  | Completed ->
-    Metrics.incr t.completed;
-    if at <= deadline then begin
-      Metrics.incr t.hits;
-      incr_class t.class_hits klass
-    end;
-    record t ~time:at ~node ~kind:"complete"
-      ~detail:(Printf.sprintf "trade=%d lat=%.3fs" trade (at -. arrival))
-  | Shed ->
-    Metrics.incr t.shed;
-    record t ~time:at ~node ~kind:"shed" ~detail:(Printf.sprintf "trade=%d" trade)
-  | Expired ->
-    Metrics.incr t.expired;
-    incr_class t.class_expired klass;
-    record t ~time:at ~node ~kind:"expire"
-      ~detail:(Printf.sprintf "trade=%d deadline=%.3fs" trade deadline);
-    failure t ~time:at ~reason:(Printf.sprintf "trade %d expired" trade)
-  | No_plan ->
-    Metrics.incr t.failed;
-    record t ~time:at ~node ~kind:"no_plan" ~detail:(Printf.sprintf "trade=%d" trade);
-    failure t ~time:at ~reason:(Printf.sprintf "trade %d found no plan" trade)
-  | Admission_failed seller ->
-    Metrics.incr t.failed;
-    record t ~time:at ~node ~kind:"admission_failed"
-      ~detail:(Printf.sprintf "trade=%d seller=%d" trade seller);
-    failure t ~time:at ~reason:(Printf.sprintf "trade %d admission failed" trade)
+let settle t ~trade ~node ~arrival ~deadline ~at outcome =
+  let sp = Printf.sprintf in
+  let kind, detail, failed =
+    match outcome with
+    | Completed -> ("complete", sp "trade=%d lat=%.3fs" trade (at -. arrival), None)
+    | Shed -> ("shed", sp "trade=%d" trade, None)
+    | Expired -> ("expire", sp "trade=%d deadline=%.3fs" trade deadline, Some "expired")
+    | No_plan -> ("no_plan", sp "trade=%d" trade, Some "found no plan")
+    | Admission_failed seller ->
+      ("admission_failed", sp "trade=%d seller=%d" trade seller, Some "admission failed")
+  in
+  record t ~time:at ~node ~kind ~detail;
+  Option.iter (fun why -> failure t ~time:at ~reason:(sp "trade %d %s" trade why)) failed
 
 let next_tick t = Timeseries.next_tick t.ts
 
@@ -154,18 +155,14 @@ let error_rate ts ~arr_w ~goodput_w ~cache_w ~occ (r : Slo.rule) =
   let subject_class = Sla.of_string r.Slo.r_subject in
   match r.Slo.r_metric with
   | Slo.P50 | Slo.P95 | Slo.P99 -> (
-    let hname =
-      match subject_class with
-      | Some k -> "stream.latency." ^ Sla.to_string k
-      | None -> "stream.latency.all"
-    in
-    let expired_w =
+    let hname, expired =
       match subject_class with
       | Some k ->
-        Timeseries.window_delta ts
-          (Printf.sprintf "stream.class.%s.expired" (Sla.to_string k))
-      | None -> Timeseries.window_delta ts "stream.expired"
+        let k = Sla.to_string k in
+        ("stream.latency." ^ k, Printf.sprintf "stream.class.%s.expired" k)
+      | None -> ("stream.latency.all", "stream.expired")
     in
+    let expired_w = Timeseries.window_delta ts expired in
     match Timeseries.window_above ts hname r.Slo.r_threshold with
     | None -> 0.
     | Some (above, total) ->
@@ -204,6 +201,7 @@ let tick t ~now ~occupancy:occ =
       Metrics.set g_load (Admission.offered_load adm);
       Metrics.set g_rev (Admission.stats adm).Admission.busy)
     t.sellers;
+  sync t;
   Timeseries.scrape ts ~now;
   let arr_w = Timeseries.window_delta ts "stream.arrivals" in
   let hits_w = Timeseries.window_delta ts "stream.hits" in
@@ -223,11 +221,7 @@ let tick t ~now ~occupancy:occ =
          occ);
   List.iter
     (fun (al : Slo.alert) ->
-      let b =
-        Flight_recorder.bundle t.fr ~time:now ~reason:al.Slo.al_rule.Slo.r_name
-          ~metrics:(Metrics.to_json t.metrics)
-      in
-      t.alerts <- (al, b) :: t.alerts)
+      t.alerts <- (al, bundle t ~time:now ~reason:al.Slo.al_rule.Slo.r_name) :: t.alerts)
     (Slo.observe t.slo ~now ~error_rate:(error_rate ts ~arr_w ~goodput_w ~cache_w ~occ));
   (* Telemetry loop closure (--slo-surge): while any burn-rate rule is
      firing, every seller is forced into surge pricing; the force clears

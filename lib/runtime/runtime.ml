@@ -112,6 +112,8 @@ let node t id =
     n
 
 let register t id = ignore (node t id : node_state)
+let retire t id = Hashtbl.remove t.nodes id
+let nodes t = Hashtbl.fold (fun id _ acc -> id :: acc) t.nodes [] |> List.sort compare
 let alive t id = (node t id).alive
 let node_clock t id = (node t id).clock
 

@@ -77,6 +77,12 @@ val register : t -> int -> unit
 (** Ensure a node's state exists (arming its crash timer, if planned).
     Nodes also materialize lazily on first contact. *)
 
+val retire : t -> int -> unit
+(** Drop a node's state; a later contact re-creates it at clock 0. *)
+
+val nodes : t -> int list
+(** The nodes whose state exists, sorted. *)
+
 val alive : t -> int -> bool
 val node_clock : t -> int -> float
 val crashed : t -> int list

@@ -496,6 +496,77 @@ let test_admission_stale_completion () =
   Alcotest.(check (float 1e-9)) "offered load fully released" 0.
     (Admission.offered_load t)
 
+(* An arrival naming a template outside the pool is refused, not
+   wrapped onto another template. *)
+let test_stream_template_out_of_pool () =
+  let federation = stream_federation () in
+  let templates = stream_templates () in
+  let arrival template =
+    { Arrivals.at = 0.5; template; klass = Sla.Batch }
+  in
+  let ok = arrival 0 in
+  List.iter
+    (fun template ->
+      Alcotest.check_raises
+        (Printf.sprintf "template %d refused" template)
+        (Invalid_argument
+           (Printf.sprintf
+              "Market.run_stream: arrival 1 names template %d, outside the pool of 4"
+              template))
+        (fun () ->
+          ignore
+            (Market.run_stream (scfg ()) federation ~templates
+               [ ok; arrival template ])))
+    [ 4; -1 ]
+
+(* A stream keeps a trade only from release to settle: once it ends, no
+   trade is live, the runtime holds only the sellers' nodes and no
+   seller keeps an admission share.  The run expires, sheds, hits the
+   cache tier and prices with surge, so every ending path runs. *)
+let test_stream_releases_trade_state () =
+  let federation = stream_federation () in
+  let templates = stream_templates () in
+  let spec_of k =
+    let s = Sla.default_spec k in
+    { s with Sla.deadline = s.Sla.deadline /. 10. }
+  in
+  let scfg = scfg ~slots:1 ~queue:2 ~spec_of ~shedding:(Shedding.Occupancy 0.9) () in
+  let scfg =
+    {
+      scfg with
+      Market.base =
+        {
+          scfg.Market.base with
+          Market.qcache = Some (Qt_cache.Tier.create Qt_cache.Tier.default_config);
+          pricing =
+            Some
+              {
+                Qt_pricing.Pricing.default_config with
+                Qt_pricing.Pricing.mix =
+                  Qt_pricing.Pricing.uniform_mix Qt_pricing.Pricing.Surge;
+              };
+        };
+    }
+  in
+  let arrivals =
+    Arrivals.generate ~seed:13
+      ~process:(Arrivals.Poisson { rate = 40. })
+      ~horizon:(Arrivals.Count 2000) ~templates:(Array.length templates)
+      ~theta:0.9 ~mix:Sla.default_mix
+  in
+  let s = Market.run_stream scfg federation ~templates arrivals in
+  Alcotest.(check bool) "the run expires, sheds and hits the cache" true
+    (s.Market.str_expired > 0 && s.Market.str_shed > 0
+    && (Option.get s.Market.str_qcache).Qt_cache.Tier.trades_avoided > 0);
+  let live, nodes, served =
+    Market.Private.stream_residue scfg federation ~templates arrivals
+  in
+  Alcotest.(check int) "no trade live" 0 live;
+  Alcotest.(check (list int)) "runtime holds the sellers only"
+    (List.sort compare (Qt_catalog.Federation.node_ids federation))
+    nodes;
+  Alcotest.(check int) "no admission share held" 0 served
+
 let suite =
   ( "stream",
     [
@@ -531,4 +602,8 @@ let suite =
         test_admission_stale_completion;
       quick "arrivals: trace outside the template pool refused"
         test_trace_outside_pool;
+      quick "run_stream: a template outside the pool is refused"
+        test_stream_template_out_of_pool;
+      quick "run_stream: a settled trade leaves no state behind"
+        test_stream_releases_trade_state;
     ] )
