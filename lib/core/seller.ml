@@ -26,7 +26,7 @@ type config = {
   pool : Qt_optimizer.Pool.t option;
       (* Domain pool for parallel DP level enumeration while pricing;
          [None] (or a 1-domain pool) keeps the serial path.  Not part of
-         bid-cache validity: the pool never changes results. *)
+         quote-cache validity: the pool never changes results. *)
   market : (Ast.t -> Offer.t list) option;
       (* Subcontracting (Section 3.5's deferred extension): a way to ask
          the rest of the federation for pieces this node is missing.  The
@@ -35,8 +35,8 @@ type config = {
   pricing : Pricing.quote option;
       (* Price-function layer (lib/pricing): strategy multiplier applied
          to every quote, then an arbitrage-free monotone repair across
-         the offer batch.  Plain data, part of bid-cache validity: a
-         surge-multiplier change invalidates cached bids exactly as a
+         the offer batch.  Plain data, a cached quote's condition: a
+         surge-multiplier change invalidates a cached quote exactly as a
          load change does.  [None] prices at cost (pre-pricing default). *)
 }
 
@@ -58,15 +58,6 @@ type response = {
   processing_time : float;
   reply_bytes : int;
 }
-
-(* Wire size of the offers for one request: a fixed header plus the
-   offered query's SQL per offer.  Computed once, when the request is
-   priced, and replayed from the bid cache with its offers. *)
-let offers_bytes offers =
-  List.fold_left
-    (fun acc (o : Offer.t) ->
-      acc + 64 + String.length (Analysis.to_string o.query))
-    0 offers
 
 (* Expected output column names of a request — what the buyer will see
    from any honest seller, used to align view-based answers. *)
@@ -110,7 +101,15 @@ type candidate = {
   c_exec : float;  (** [Cost.response] of producing the answer locally. *)
   c_transfer : float;  (** [Cost.response] of shipping it to the buyer. *)
   c_purchase : float;  (** Subcontracted purchases folded into the quote. *)
+  mutable c_bytes : int;
+      (** Wire size of an offer built from it, 0 until one is first kept. *)
 }
+
+(* Wire size of an offer: a fixed header plus the offered query's SQL. *)
+let wire_size c =
+  if c.c_bytes = 0 then
+    c.c_bytes <- 64 + String.length (Analysis.to_string c.c_offer.query);
+  c.c_bytes
 
 let candidate_of_partial config (node : Node.t) ~ranges ~request_sig ~sig_of
     ?(purchase_cost = 0.) ?(imports = []) (variant : Localize.t) env
@@ -158,6 +157,7 @@ let candidate_of_partial config (node : Node.t) ~ranges ~request_sig ~sig_of
     c_exec = Cost.response partial.cost;
     c_transfer = Cost.response transfer;
     c_purchase = purchase_cost;
+    c_bytes = 0;
   }
 
 let view_candidates config schema (node : Node.t) ~ranges ~request ~request_sig =
@@ -250,6 +250,7 @@ let view_candidates config schema (node : Node.t) ~ranges ~request ~request_sig 
               c_exec = Cost.response exec;
               c_transfer = Cost.response transfer;
               c_purchase = 0.;
+              c_bytes = 0;
             })
       node.views
 
@@ -258,7 +259,7 @@ let view_candidates config schema (node : Node.t) ~ranges ~request ~request_sig 
    order, which the goldens pin to the bit: a fragment offer adds its
    purchase last and scales delivered megabytes, a view offer adds no
    purchase and multiplies left to right. *)
-let finish_offer config { c_offer = o; c_exec; c_transfer; c_purchase } =
+let finish_offer config { c_offer = o; c_exec; c_transfer; c_purchase; _ } =
   (* Contention: a loaded node honestly needs longer to produce the same
      answer, so even truthful quotes rise with load. *)
   let contention = 1. +. Float.max 0. config.load in
@@ -527,98 +528,109 @@ let candidates ?memo ?(sig_of = Analysis.Sig.of_ast) config schema (node : Node.
   considered := !considered + List.length from_views;
   (from_fragments @ from_subcontracts @ from_views, !considered)
 
+(* A finished quote: the offers for one request and their wire size,
+   under the conditions they were valued at. *)
+type quote = {
+  q_load : float;
+  q_strategy : Strategy.t;
+  q_pricing : Pricing.quote option;
+  q_price_per_mb : float;
+  q_max_offers : int;
+  q_offers : Offer.t list;
+  q_bytes : int;
+}
+
+let quoted_under config q =
+  q.q_load = config.load
+  && q.q_strategy = config.strategy
+  && q.q_pricing = config.pricing
+  && q.q_price_per_mb = config.price_per_mb
+  && q.q_max_offers = config.max_offers_per_request
+
 (* The load-dependent step: value every candidate under the live load and
    strategy, drop complete answers far above the buyer's estimate,
-   dedup, rank, take, and run the price-function layer. *)
+   dedup, rank, take, and run the price-function layer.  Only the kept
+   offers' candidates are sized for the wire. *)
 let finish config ~buyer_estimate candidates =
-  let offers = List.map (finish_offer config) candidates in
   (* Strategy filter: don't bother offering a complete answer that is far
      above what the buyer announced it values the query at. *)
-  let offers =
-    List.filter
-      (fun (o : Offer.t) ->
-        buyer_estimate <= 0.
-        || o.props.completeness < 1.
-        || o.quoted <= 5. *. buyer_estimate)
-      offers
+  let valued =
+    List.filter_map
+      (fun c ->
+        let o = finish_offer config c in
+        if
+          buyer_estimate <= 0.
+          || o.props.completeness < 1.
+          || o.quoted <= 5. *. buyer_estimate
+        then Some (o, c)
+        else None)
+      candidates
   in
   (* Deduplicate identical offered queries, keeping the cheapest. *)
   let deduped =
     List.filter_map
       (fun (_, group) ->
-        Listx.min_by (fun (o : Offer.t) -> o.props.total_time) group)
-      (Listx.group_by (fun (o : Offer.t) -> Analysis.Sig.id o.query_sig) offers)
+        Listx.min_by (fun ((o : Offer.t), _) -> o.props.total_time) group)
+      (Listx.group_by (fun ((o : Offer.t), _) -> Analysis.Sig.id o.query_sig) valued)
   in
   let ranked =
     List.sort
-      (fun (a : Offer.t) (b : Offer.t) ->
+      (fun ((a : Offer.t), _) ((b : Offer.t), _) ->
         let c = Float.compare b.props.completeness a.props.completeness in
         if c <> 0 then c else Float.compare a.props.total_time b.props.total_time)
       deduped
   in
-  let offers = Listx.take config.max_offers_per_request ranked in
+  let kept = Listx.take config.max_offers_per_request ranked in
   (* Price-function layer: strategy multiplier plus the arbitrage-free
      monotone repair over the whole batch (a contained offer never prices
      above an offer that determines it). *)
-  match config.pricing with
-  | None -> offers
-  | Some _ when offers = [] -> offers
-  | Some q ->
-    let arr = Array.of_list offers in
-    let priced = Array.map (fun (o : Offer.t) -> (o.Offer.query, o.quoted)) arr in
-    let adjusted = Pricing.reprice q priced in
-    Array.to_list
-      (Array.mapi (fun i (o : Offer.t) -> { o with Offer.quoted = adjusted.(i) }) arr)
+  let offers =
+    match config.pricing with
+    | Some q when kept <> [] ->
+      let adjusted =
+        Pricing.reprice q
+          (Array.of_list (List.map (fun ((o : Offer.t), _) -> (o.query, o.quoted)) kept))
+      in
+      List.mapi (fun i ((o : Offer.t), _) -> { o with Offer.quoted = adjusted.(i) }) kept
+    | Some _ | None -> List.map fst kept
+  in
+  {
+    q_load = config.load;
+    q_strategy = config.strategy;
+    q_pricing = config.pricing;
+    q_price_per_mb = config.price_per_mb;
+    q_max_offers = config.max_offers_per_request;
+    q_offers = offers;
+    q_bytes = List.fold_left (fun acc (_, c) -> acc + wire_size c) 0 kept;
+  }
 
-(* Price one request from scratch: both steps, no memo. *)
-let price_request config schema node ~request ~request_sig ~buyer_estimate =
-  let cands, considered = candidates config schema node ~request ~request_sig in
-  (finish config ~buyer_estimate cands, considered)
-
-(* --- seller-side bid cache and candidate memo -----------------------
+(* --- seller quote cache ---------------------------------------------
 
    Pricing a request is the expensive seller-side step (a full DP
-   enumeration per localization variant).  Requests are keyed by their
-   interned signature plus the buyer's announced estimate, and the cached
-   offers are replayed only while the conditions they were priced under
-   still hold: same load, strategy, pricing knobs and an unchanged local
-   catalog.  Anything else invalidates the entry — autonomy means a
-   seller must never quote from a stale picture of itself.
+   enumeration per localization variant).  Each seller keeps one LRU of
+   requests keyed by interned signature and the buyer's announced
+   estimate.  An entry holds the request's candidates, what they were
+   built under (catalog fingerprint, [params], [use_views]) and up to
+   eight finished quotes, newest first.  It is valid while the newest
+   quote's conditions and the candidates' still hold, and then that quote
+   is replayed: autonomy means a seller never quotes from a stale picture
+   of itself.  Otherwise, if the stale entry's candidates were built for
+   this very request under the live catalog, the quote for the live load,
+   strategy and prices comes from the entry or from one {!finish}; else
+   the request is priced cold, through the sub-plan memo ([Dp.memo]:
+   distinct requests at one seller share most of their DP subsets) and
+   the table of the partials' signatures. *)
 
-   Under the bid cache sits the candidate memo: the load-free step's
-   result per request, valid while the request, catalog, [params] and
-   [use_views] are unchanged.  A bid-cache miss after a load change then
-   only re-runs {!finish}.
-
-   Under the candidate memo sits the sub-plan memo ([Dp.memo]): distinct
-   requests priced at one seller share most of their DP subsets (the same
-   fragments joined under the same conjuncts), and a candidate-memo miss
-   re-uses every subset an earlier request already built.  Beside it, the
-   signatures of the partials' restricted queries, which recur across
-   requests too. *)
-
-type cache_entry = {
-  e_offers : Offer.t list;
-  e_bytes : int;  (** [offers_bytes e_offers]. *)
-  e_load : float;
-  e_strategy : Strategy.t;
-  e_price_per_mb : float;
-  e_use_views : bool;
-  e_max_offers : int;
+type entry = {
+  e_request : Ast.t;
+      (** Select-order twins share a key but not their candidates. *)
+  e_candidates : candidate list;
+  e_considered : int;  (** Charged again on every miss. *)
+  e_catalog : int;
   e_params : Qt_cost.Params.t;
-  e_pricing : Pricing.quote option;  (** Pricing view at pricing time. *)
-  e_catalog : int;  (** Catalog fingerprint at pricing time. *)
-}
-
-type memo_entry = {
-  m_request : Ast.t;
-      (** The request itself: select-order twins share a signature id but
-          not their candidates. *)
-  m_candidates : candidate list;
-  m_considered : int;  (** Charged again on every bid-cache miss. *)
-  m_use_views : bool;
-  m_params : Qt_cost.Params.t;
-  m_catalog : int;
+  e_use_views : bool;
+  e_quote : quote;  (** The newest quote. *)
+  e_older : quote list;  (** Earlier conditions' quotes, newest first. *)
 }
 
 let default_cache_entries = 4096
@@ -630,16 +642,16 @@ let default_cache_entries = 4096
    eviction scan, small. *)
 let subplan_entries = 1024
 
-(* Bids keyed by (interned request signature id, buyer estimate), the
-   memo by the signature id alone, signatures by a hash of the restricted
-   query, validated with [Ast.equal].  Long workload streams with many
-   distinct signatures must not grow any of them without bound: at
-   capacity, the least-recently-used entry makes room. *)
+(* Requests keyed by (interned signature id, buyer estimate), signatures
+   by a hash of the restricted query, validated with [Ast.equal].  Long
+   workload streams with many distinct signatures must not grow either
+   without bound: at capacity, the least-recently-used entry makes room.
+   [stale] holds the entry the last lookup invalidated. *)
 type cache = {
-  bids : (int * float, cache_entry) Lru.t;
-  memo : (int, memo_entry) Lru.t;
+  requests : (int * float, entry) Lru.t;
   subplans : Dp.memo;
   sigs : (int, Ast.t * Analysis.Sig.t) Lru.t;
+  mutable stale : entry option;
 }
 
 type cache_stats = Lru.stats = {
@@ -651,13 +663,13 @@ type cache_stats = Lru.stats = {
 
 let cache_create ?(max_entries = default_cache_entries) () =
   {
-    bids = Lru.create ~max_entries ();
-    memo = Lru.create ~max_entries ();
+    requests = Lru.create ~max_entries ();
     subplans = Dp.memo_create ~max_entries:subplan_entries;
     sigs = Lru.create ~max_entries:subplan_entries ();
+    stale = None;
   }
 
-let cache_stats c = Lru.stats c.bids
+let cache_stats c = Lru.stats c.requests
 let subplan_stats c = Dp.memo_stats c.subplans
 
 (* [Analysis.Sig.of_ast q] through the signature table. *)
@@ -670,47 +682,44 @@ let cached_sig sigs (q : Ast.t) =
     Lru.insert sigs key (q, s);
     s
 
-(* Structural digest of everything pricing reads from the node's catalog;
-   shared with the federation cache tier via [Node.fingerprint]. *)
-let catalog_fingerprint (node : Node.t) = Node.fingerprint node
-
-let entry_valid config ~fingerprint e =
-  e.e_load = config.load
-  && e.e_strategy = config.strategy
-  && e.e_pricing = config.pricing
-  && e.e_price_per_mb = config.price_per_mb
+let built_under config ~fingerprint e =
+  e.e_catalog = fingerprint
   && e.e_use_views = config.use_views
-  && e.e_max_offers = config.max_offers_per_request
   && e.e_params = config.params
-  && e.e_catalog = fingerprint
 
-let memo_valid config ~fingerprint ~request m =
-  m.m_catalog = fingerprint
-  && m.m_use_views = config.use_views
-  && m.m_params = config.params
-  && Ast.equal m.m_request request
-
-(* The load-free step through the memo, pricing a miss through the
-   sub-plan memo and the signature table. *)
-let memo_candidates c config schema node ~request ~request_sig ~fingerprint =
-  let key = Analysis.Sig.id request_sig in
-  match Lru.find c.memo key ~valid:(memo_valid config ~fingerprint ~request) with
-  | Some m -> (m.m_candidates, m.m_considered)
-  | None ->
+(* The entry for a request that missed: the stale entry re-quoted when its
+   candidates still hold, else a cold pricing run through the sub-plan
+   memo and the signature table. *)
+let requote c config schema node ~request ~request_sig ~buyer_estimate
+    ~fingerprint =
+  match c.stale with
+  | Some e when built_under config ~fingerprint e && Ast.equal e.e_request request
+    -> (
+    match List.find_opt (quoted_under config) e.e_older with
+    | Some q ->
+      { e with e_quote = q; e_older = e.e_quote :: List.filter (( != ) q) e.e_older }
+    | None ->
+      {
+        e with
+        e_quote = finish config ~buyer_estimate e.e_candidates;
+        (* An entry keeps eight quotes. *)
+        e_older = Listx.take 7 (e.e_quote :: e.e_older);
+      })
+  | Some _ | None ->
     let cands, considered =
       candidates ~memo:(c.subplans, fingerprint) ~sig_of:(cached_sig c.sigs) config
         schema node ~request ~request_sig
     in
-    Lru.insert c.memo key
-      {
-        m_request = request;
-        m_candidates = cands;
-        m_considered = considered;
-        m_use_views = config.use_views;
-        m_params = config.params;
-        m_catalog = fingerprint;
-      };
-    (cands, considered)
+    {
+      e_request = request;
+      e_candidates = cands;
+      e_considered = considered;
+      e_catalog = fingerprint;
+      e_params = config.params;
+      e_use_views = config.use_views;
+      e_quote = finish config ~buyer_estimate cands;
+      e_older = [];
+    }
 
 type cache_pool = { pool_max : int; pool_caches : (int, cache) Hashtbl.t }
 
@@ -736,59 +745,46 @@ let pool_stats (pool : cache_pool) =
 let offer_overhead = 5e-4
 
 let respond_signed ?cache config schema (node : Node.t) ~requests =
-  (* Only bid-cache-miss requests cost pricing work, memo hit or not; a
-     batch served entirely from the bid cache still pays the
-     single-request floor, so the cold path is charged exactly as before
-     either cache existed. *)
+  (* Only missed requests cost pricing work, whatever the miss re-used; a
+     batch served entirely from the cache pays the single-request floor,
+     so the cold path is charged exactly as before the cache existed. *)
   let total_considered = ref 0 in
-  let charge (offers, considered) =
-    total_considered := !total_considered + considered;
-    (offers, offers_bytes offers)
-  in
   (* Under subcontracting the offers depend on what the rest of the market
-     answers right now, which no key can capture — bypass both caches. *)
-  let cacheable = config.market = None in
+     answers right now, which no key can capture — bypass the cache. *)
   let serve =
     match cache with
-    | Some c when cacheable ->
-      (* The catalog cannot change while one batch is priced. *)
-      let fingerprint = catalog_fingerprint node in
+    | Some c when config.market = None ->
+      (* What pricing reads from the node's catalog (shared with the cache
+         tier); it cannot change while one batch is priced. *)
+      let fingerprint = Node.fingerprint node in
+      let valid e =
+        (quoted_under config e.e_quote && built_under config ~fingerprint e)
+        || (c.stale <- Some e; false)
+      in
       fun (request, request_sig, buyer_estimate) -> (
         let key = (Analysis.Sig.id request_sig, buyer_estimate) in
-        match Lru.find c.bids key ~valid:(entry_valid config ~fingerprint) with
-        | Some e -> (e.e_offers, e.e_bytes)
+        c.stale <- None;
+        match Lru.find c.requests key ~valid with
+        | Some e -> e.e_quote
         | None ->
-          let cands, considered =
-            memo_candidates c config schema node ~request ~request_sig
+          let e =
+            requote c config schema node ~request ~request_sig ~buyer_estimate
               ~fingerprint
           in
-          let offers, bytes =
-            charge (finish config ~buyer_estimate cands, considered)
-          in
-          Lru.insert c.bids key
-            {
-              e_offers = offers;
-              e_bytes = bytes;
-              e_load = config.load;
-              e_strategy = config.strategy;
-              e_price_per_mb = config.price_per_mb;
-              e_use_views = config.use_views;
-              e_max_offers = config.max_offers_per_request;
-              e_params = config.params;
-              e_pricing = config.pricing;
-              e_catalog = fingerprint;
-            };
-          (offers, bytes))
+          Lru.insert c.requests key e;
+          total_considered := !total_considered + e.e_considered;
+          e.e_quote)
     | _ ->
       fun (request, request_sig, buyer_estimate) ->
-        charge
-          (price_request config schema node ~request ~request_sig ~buyer_estimate)
+        let cands, considered = candidates config schema node ~request ~request_sig in
+        total_considered := !total_considered + considered;
+        finish config ~buyer_estimate cands
   in
-  let served = List.map serve requests in
+  let quotes = List.map serve requests in
   {
-    offers = List.concat_map fst served;
+    offers = List.concat_map (fun q -> q.q_offers) quotes;
     processing_time = offer_overhead *. float_of_int (max 1 !total_considered);
-    reply_bytes = List.fold_left (fun acc (_, bytes) -> acc + bytes) 0 served;
+    reply_bytes = List.fold_left (fun acc q -> acc + q.q_bytes) 0 quotes;
   }
 
 let respond ?cache config schema node ~requests =

@@ -27,7 +27,7 @@ type config = {
           fold it in through {!Offer.weights.w_price}.  Default 0. *)
   pool : Qt_optimizer.Pool.t option;
       (** Domain pool used to parallelize the pricing DP's level
-          enumeration.  Never changes results (so it is not part of bid
+          enumeration.  Never changes results (so it is not part of quote
           cache validity); [None] is the serial path.  Default [None]. *)
   market : (Qt_sql.Ast.t -> Offer.t list) option;
       (** Subcontracting (the extension Section 3.5 defers): a channel to
@@ -41,10 +41,10 @@ type config = {
       (** Price-function layer (lib/pricing): the strategy multiplier is
           applied to every quote, then an arbitrage-free monotone repair
           runs across the offer batch so a contained offer never prices
-          above an offer that determines it.  Plain data and part of bid
-          cache validity — a surge-multiplier change invalidates cached
-          bids exactly as a load change does.  [None] (the default)
-          prices at cost. *)
+          above an offer that determines it.  Plain data and one of a
+          cached quote's conditions — a surge-multiplier change
+          invalidates a cached quote exactly as a load change does.
+          [None] (the default) prices at cost. *)
 }
 
 val default_config : Qt_cost.Params.t -> config
@@ -57,40 +57,43 @@ type response = {
           batch. *)
   reply_bytes : int;
       (** Wire size of [offers]: per offer, a 64-byte header plus its
-          [query]'s SQL text.  Each request's share is computed once, when
-          it is priced, and kept in the bid-cache entry, so a cache hit
-          prints no SQL. *)
+          [query]'s SQL text.  Each candidate's size is computed once, the
+          first time an offer built from it is kept, and each cached quote
+          keeps its request's total, so a cache hit prints no SQL. *)
 }
 
 type cache
-(** A per-node bid cache: priced offers keyed by the request's interned
-    signature and the buyer's announced estimate.  Entries are replayed
-    only while everything the pricing run read still holds — same load,
-    strategy, pricing knobs and an unchanged local catalog; a mismatch
-    invalidates the entry and re-prices.  Requests arriving while
-    subcontracting is enabled bypass the cache entirely (their offers
-    depend on the live market, which the key cannot capture).
+(** A per-node quote cache: one {!Qt_util.Lru} of requests keyed by the
+    request's interned signature and the buyer's announced estimate.
+    Pricing splits in two (Sections 3.4 and 3.7): the load-free
+    candidates (localization, the local DP, view rewrites, each
+    candidate's costs and coverage) and their valuation under the live
+    load, strategy and prices.  An entry holds the request its
+    candidates were built for, the candidates, what they were built
+    under (catalog fingerprint, cost params, [use_views]) and up to 8
+    finished quotes, each under its conditions: load, strategy, pricing
+    quote, [price_per_mb] and offer cap.
 
-    Under the bids sits a candidate memo: the load-free half of pricing
-    (localization, the local DP, view rewrites, each candidate's costs
-    and coverage), routed by signature id and valid while the request is
-    {!Qt_sql.Ast.equal} to the stored one and the catalog fingerprint,
-    cost params and [use_views] are unchanged.  A bid-cache miss that
-    hits the memo re-values the candidates under the live load,
-    strategy and prices without re-running the DP.  Offers, reply bytes
-    and [processing_time] are exactly those of a cold seller: every
-    bid-cache miss is charged the memo entry's candidate count.
-    {!cache_stats} counts the bids only.
+    A lookup hits while the live conditions are the newest quote's and
+    the candidates' build conditions still hold; the quote is replayed.
+    A select-order twin shares the key, so it replays its sibling's
+    quote on such a hit.  Any other lookup of a present key invalidates
+    the entry; if its candidates were built for this very request
+    ({!Qt_sql.Ast.equal}) under the live catalog, params and
+    [use_views], the quote for the live conditions is taken from the
+    entry or valued once, without re-running the DP.  Otherwise the
+    request is priced cold, through the sub-plan memo
+    ({!Qt_optimizer.Dp.memo}, stamped with the catalog fingerprint),
+    which reuses every DP subset an earlier request at this node built
+    under the same [params] and catalog, and through a table of the
+    partials' signatures validated with {!Qt_sql.Ast.equal}.  Neither
+    changes any result: offers, reply bytes and [processing_time] are
+    exactly those of a cold seller, and every miss is charged the
+    entry's candidate count.  Requests arriving while subcontracting is
+    enabled bypass the cache entirely (their offers depend on the live
+    market, which the key cannot capture).
 
-    A candidate-memo miss prices through the sub-plan memo
-    ({!Qt_optimizer.Dp.memo}, stamped with the catalog fingerprint):
-    every DP subset an earlier request at this node already built under
-    the same [params] and catalog is reused instead of enumerated, so
-    distinct requests over the same fragments share their sub-plans.
-    The partials' signatures are reused the same way, validated with
-    {!Qt_sql.Ast.equal}.  Neither changes any result.
-
-    Capacity is bounded: all four are {!Qt_util.Lru}s, so at capacity
+    Capacity is bounded: all three are {!Qt_util.Lru}s, so at capacity
     the least-recently-used entry is evicted and long workload streams
     with many distinct signatures cannot grow them without bound.
     Eviction order — and therefore whole runs — is deterministic. *)
@@ -103,12 +106,16 @@ type cache_stats = Qt_util.Lru.stats = {
 }
 
 val cache_create : ?max_entries:int -> unit -> cache
-(** [max_entries] bounds the bids and the memo alike; it defaults to a
-    generous 4096 per node.  The sub-plan memo and the signature table
-    hold at most 1024 entries each.
+(** [max_entries] bounds the requests; it defaults to a generous 4096
+    per node.  The sub-plan memo and the signature table hold at most
+    1024 entries each.
     @raise Invalid_argument if [max_entries < 1]. *)
 
 val cache_stats : cache -> cache_stats
+(** Counters of the request LRU: a hit replays a quote, an invalidation
+    is a present entry whose conditions changed (it is re-quoted or
+    re-priced), every invalidation is also a miss, and evictions are
+    capacity drops. *)
 
 val subplan_stats : cache -> cache_stats
 (** Counters of the cache's sub-plan memo ({!Qt_optimizer.Dp.memo}). *)
@@ -116,7 +123,7 @@ val subplan_stats : cache -> cache_stats
 type cache_pool
 (** One cache per seller node, created on demand — what a trading session
     (or a whole workload run) threads through so repeated trades share
-    priced bids. *)
+    priced quotes. *)
 
 val pool_create : ?max_entries:int -> unit -> cache_pool
 (** Per-node caches created by this pool carry the given LRU capacity. *)
@@ -141,7 +148,7 @@ val respond :
 
     With [?cache], previously priced requests are replayed without
     re-running the local optimizer, and [processing_time] charges only
-    the bid-cache-miss requests (a batch answered entirely from cache costs
+    the cache-miss requests (a batch answered entirely from cache costs
     the single-request floor).  Signs each request with
     {!Qt_sql.Analysis.Sig.of_ast}, then calls {!respond_signed}. *)
 
@@ -156,4 +163,4 @@ val respond_signed :
     [(query, signature, buyer_estimate)], where [signature] must be
     [Analysis.Sig.of_ast query].  The trading loop signs each request once
     and passes it here, so a seller never re-signs a request.  This is
-    the only pricing and bid-cache loop; {!respond} is a wrapper. *)
+    the only pricing and quote-cache loop; {!respond} is a wrapper. *)

@@ -18,7 +18,13 @@ type policy =
   | Priority  (** Highest buyer priority first, arrival order within. *)
   | Proportional_share
       (** The buyer with the least admitted work per unit of priority
-          weight goes first — long-run fairness across trades. *)
+          weight goes first — long-run fairness across trades.  Inside
+          the marketplace this orders exactly like [Fifo]: a trade holds
+          at most one contract per seller, and a rollback gives a started
+          contract's share back, so every queued contract's trade has been
+          served nothing at that seller and the tie falls to arrival
+          order.  It acts only where one trade queues several contracts
+          at one seller, as a direct user of this module may. *)
 
 val policy_of_string : string -> policy option
 

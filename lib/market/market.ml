@@ -427,7 +427,7 @@ let trader_config st tr =
       (* The coordinator freezes each seller's pricing quote (strategy +
          surge multiplier) into the trader config; fibers priced in
          parallel read the same frozen view, and a multiplier change
-         invalidates cached bids through [Seller.entry_valid]. *)
+         invalidates cached quotes through [Seller.cache]'s validity. *)
       (match st.pstate with
       | None -> st.cfg.trader.Trader.pricing_of
       | Some p -> fun node -> Some (Pricing.quote_for p ~seller:node));

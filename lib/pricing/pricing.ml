@@ -133,9 +133,9 @@ let reserves cfg ~priority =
 (* Quotes: the immutable per-seller pricing view handed to Seller       *)
 (* ------------------------------------------------------------------ *)
 
-(* Plain data, no closures: Seller's bid cache compares the quote
-   structurally ([entry_valid]), so a multiplier change invalidates
-   cached bids exactly as a load change does. *)
+(* Plain data, no closures: Seller's quote cache compares the quote
+   structurally, so a multiplier change invalidates cached quotes
+   exactly as a load change does. *)
 type quote = {
   q_strategy : strategy;
   q_multiplier : float;  (* surge multiplier currently in force, >= 1 *)

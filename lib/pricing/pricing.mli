@@ -60,8 +60,8 @@ val reserves : config -> priority:int -> bool
 (** {1 Quotes} *)
 
 (** The immutable pricing view handed to [Seller.config]: plain data
-    with no closures, so the bid cache's [entry_valid] compares it
-    structurally and a multiplier change invalidates cached bids exactly
+    with no closures, so the seller's quote cache compares it
+    structurally and a multiplier change invalidates cached quotes exactly
     as a load change does. *)
 type quote = {
   q_strategy : strategy;

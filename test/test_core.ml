@@ -1047,7 +1047,7 @@ let test_plan_memo_exact () =
     (List.exists (fun st -> (Plan_generator.pass_stats st).Qt_util.Lru.hits > 0) states)
 
 (* ------------------------------------------------------------------ *)
-(* Seller candidate memo                                                *)
+(* Seller quote cache                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* The memo federation with per-customer revenue views, and a request
@@ -1067,7 +1067,7 @@ let same_bits a b =
   = Marshal.to_string b [ Marshal.No_sharing ]
 
 (* A cache warmed at one setting must answer another setting exactly as a
-   cold seller would: the memo replays only the load-free step, and
+   cold seller would: the entry keeps only the load-free step for it, and
    [finish] re-values it under the new load, strategy and prices. *)
 let test_seller_memo_warm_equals_cold () =
   let base = Seller.default_config params in
@@ -1109,8 +1109,8 @@ let test_seller_memo_warm_equals_cold () =
     viewed_federation.Qt_catalog.Federation.nodes;
   Alcotest.(check bool) "view offers replayed" true (!views > 0)
 
-(* Select-order twins share a signature id, so they share a memo slot:
-   with a load change between them (the bid cache misses), each must
+(* Select-order twins share a signature id, so they share an entry: with
+   a load change between them (the entry is invalidated), each must
    still get exactly the offers a cold seller makes for it. *)
 let test_seller_memo_select_twin () =
   let t0 = List.hd memo_templates in

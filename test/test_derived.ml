@@ -478,7 +478,7 @@ let test_memo_dp ?pool () =
 
 (* Seller.respond through a cache warmed the same way gives a cold
    seller's response.  Warm requests with the query's own signature are
-   left out: the bid cache would answer the query, and a bid-cache hit is
+   left out: the quote cache would answer the query, and a cache hit is
    charged less processing time than a cold seller by design. *)
 let same_sig a b = Analysis.Sig.equal (Analysis.Sig.of_ast a) (Analysis.Sig.of_ast b)
 
@@ -897,6 +897,131 @@ let test_piece_groups () =
     Alcotest.(check (list int)) "the [a] pieces tile" [ 1; 3 ] (union_sellers c.plan)
   | cs -> Alcotest.failf "%d candidates, want 1" (List.length cs)
 
+(* ------------------------------------------------------------------ *)
+(* The seller's quote cache                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Strategy = Qt_trading.Strategy
+
+(* A select-order twin: the request with its select list reversed, which
+   normalization maps to the same signature. *)
+let twin (q : Ast.t) = { q with Ast.select = List.rev q.Ast.select }
+
+(* Four telecom sellers, and six templates each signed and grouped with
+   its twin. *)
+let quote_world =
+  lazy
+    (let fed = Qt_sim.Generator.telecom ~nodes:4 ~placement () in
+     let groups =
+       List.map
+         (fun q ->
+           List.map
+             (fun q -> (q, Analysis.Sig.of_ast q))
+             (if Ast.equal (twin q) q then [ q ] else [ q; twin q ]))
+         (Qt_sim.Workload.telecom_templates ~seed:11 ~count:6)
+     in
+     (fed, Array.of_list groups))
+
+(* What a seller prices under: its load, strategy and surge multiplier,
+   and whether its CPU got twice as fast (a catalog change). *)
+type quote_conditions = {
+  load : float;
+  strategy : Strategy.t;
+  surge : float option;
+  faster : bool;
+}
+
+(* One batch: requests with the buyer's estimate, under some conditions. *)
+type quote_step = {
+  asks : (Ast.t * Analysis.Sig.t * float) list;
+  under : quote_conditions;
+}
+
+(* A case draws a few templates with their twins and a palette of up to
+   four conditions, so that requests and conditions recur: hits, quotes
+   kept from earlier conditions and twin replays all happen.  Estimates
+   of 0.002 and 0.01 drop some complete answers under load. *)
+let quote_case_gen groups =
+  let open QCheck2.Gen in
+  let conditions =
+    let+ load = oneofl [ 0.; 0.5; 1.5; 2.; 4. ]
+    and+ strategy = oneofl [ Strategy.Cooperative; Strategy.default_competitive ]
+    and+ surge = oneofl [ None; Some 1.; Some 2. ]
+    and+ faster = frequency [ (3, return false); (1, return true) ] in
+    { load; strategy; surge; faster }
+  in
+  let* max_entries = oneofl [ 1; 2; 4096 ] and* node = int_bound 3 in
+  let* pool = list_size (int_range 1 3) (oneofl groups) in
+  let* palette = list_size (int_range 1 4) conditions in
+  let step =
+    let+ asks =
+      list_size (int_range 1 3)
+        (let+ q, s = oneofl (List.concat pool) and+ e = oneofl [ 0.; 0.002; 0.01 ] in
+         (q, s, e))
+    and+ under = oneofl palette in
+    { asks; under }
+  in
+  let+ steps = list_size (int_range 1 30) step in
+  (max_entries, node, steps)
+
+let print_quote_case (max_entries, node, steps) =
+  Printf.sprintf "max_entries %d, node %d:\n%s" max_entries node
+    (String.concat "\n"
+       (List.map
+          (fun { asks; under = c } ->
+            Printf.sprintf "  [%s] load %g, %s, surge %s%s"
+              (String.concat "; "
+                 (List.map
+                    (fun (q, _, e) -> Printf.sprintf "%s @%g" (Analysis.to_string q) e)
+                    asks))
+              c.load
+              (if c.strategy = Strategy.Cooperative then "cooperative" else "competitive")
+              (match c.surge with None -> "off" | Some m -> Printf.sprintf "%g" m)
+              (if c.faster then ", faster" else ""))
+          steps))
+
+(* Random request sequences through one quote cache and through the
+   legacy two-table cache: every response and the four counters agree. *)
+let prop_quote_cache =
+  let fed, groups = Lazy.force quote_world in
+  let schema = fed.Federation.schema in
+  QCheck2.Test.make ~name:"quote cache = legacy cache" ~count:200
+    ~print:print_quote_case
+    (quote_case_gen (Array.to_list groups))
+    (fun (max_entries, node_id, steps) ->
+      let node = Federation.node fed node_id in
+      let cache = Seller.cache_create ~max_entries () in
+      let legacy = Seller_cache_legacy.create ~max_entries () in
+      List.for_all
+        (fun { asks = requests; under = c } ->
+          let node =
+            if c.faster then { node with Node.cpu_factor = 2. *. node.cpu_factor }
+            else node
+          in
+          let config =
+            {
+              (Seller.default_config params) with
+              Seller.load = c.load;
+              strategy = c.strategy;
+              pricing =
+                Option.map
+                  (fun m ->
+                    {
+                      Qt_pricing.Pricing.q_strategy = Qt_pricing.Pricing.Surge;
+                      q_multiplier = m;
+                      q_markup = 0.;
+                    })
+                  c.surge;
+            }
+          in
+          let got = Seller.respond_signed ~cache config schema node ~requests in
+          let want = Seller_cache_legacy.respond_signed legacy config schema node ~requests in
+          marshal_equal got.offers want.offers
+          && got.reply_bytes = want.reply_bytes
+          && same_float got.processing_time want.processing_time
+          && Seller.cache_stats cache = Seller_cache_legacy.stats legacy)
+        steps)
+
 let suite =
   ( "derived",
     [
@@ -921,4 +1046,5 @@ let suite =
       quick "union pieces group by restricted aliases" test_piece_groups;
       quick "enrich through one state = legacy, every pool prefix"
         test_enrich_incremental;
+      QCheck_alcotest.to_alcotest prop_quote_cache;
     ] )

@@ -364,6 +364,39 @@ let prop_coalesce_matches_legacy =
           got = want && Batcher.stats t = Batcher_legacy.stats legacy)
         waves)
 
+(* Proportional share ranks a queued contract by the work its trade was
+   already served at that seller.  In the market a trade holds at most
+   one contract per seller, and a rollback gives a started contract's
+   share back, so every queued contract's share is 0 and arbitration
+   falls to arrival order: a contended stream prints FIFO's bytes, while
+   priority order, which does act on the same queues, prints others. *)
+let test_proportional_is_fifo_in_market () =
+  let federation =
+    Qt_sim.Generator.telecom ~nodes:8
+      ~placement:{ Qt_sim.Generator.partitions = 4; replicas = 1 }
+      ()
+  in
+  let templates = Array.of_list (Qt_sim.Workload.telecom_templates ~seed:11 ~count:12) in
+  let arrivals =
+    Qt_stream.Arrivals.generate ~seed:13
+      ~process:(Qt_stream.Arrivals.Poisson { rate = 8. })
+      ~horizon:(Qt_stream.Arrivals.Count 300) ~templates:(Array.length templates)
+      ~theta:0.9 ~mix:Qt_stream.Sla.default_mix
+  in
+  let json policy =
+    let d = Market.default_stream_config params in
+    let base =
+      { d.Market.base with Market.admission = { d.base.admission with Admission.policy } }
+    in
+    Market.stream_to_json
+      (Market.run_stream { d with Market.base } federation ~templates arrivals)
+  in
+  let fifo = json Admission.Fifo in
+  Alcotest.(check string) "proportional share prints FIFO's bytes" fifo
+    (json Admission.Proportional_share);
+  Alcotest.(check bool) "priority order prints others" false
+    (String.equal fifo (json Admission.Priority))
+
 let suite =
   ( "market",
     [
@@ -383,4 +416,6 @@ let suite =
       quick "report: batch --json and --metrics from one value"
         test_report_one_source;
       quick "report: a broken seller law fails the run" test_seller_laws;
+      quick "admission: proportional share orders like fifo in the market"
+        test_proportional_is_fifo_in_market;
     ] )
