@@ -99,6 +99,20 @@ type pass = {
   mutable proposals : request list option;
 }
 
+(* Offers by physical identity, hashed structurally: a winner kept by
+   reference from the seller's quote meets its facts again in every pool
+   and trade of the query. *)
+module Offers = Hashtbl.Make (struct
+  type t = Offer.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Classified offers a state keeps before it starts afresh.  Like the
+   pass cap, it trades minor words for retained offers. *)
+let facts_per_state = 64
+
 type state = {
   query : Ast.t;
   schema : Schema.t;
@@ -122,7 +136,7 @@ type state = {
   adj : int array;
   from_bits : int list;
   rollup_rows : float Lazy.t;  (* output rows every two-phase axis rolls up to *)
-  mutable classified : facts list;  (* the last pool, classified in order *)
+  classified : facts Offers.t;  (* by offer, physically; reset at the cap *)
   pairs : string list list Lazy.t;
       (* connected alias pairs short of the whole query, in
          [Listx.subsets_of_size 2] order *)
@@ -216,7 +230,7 @@ let create ~params ~weights ~mode ~schema (q : Ast.t) =
     adj = Bitset.adjacency ctx (List.map Analysis.predicate_aliases q.Ast.where);
     from_bits = List.map (Bitset.bit ctx) aliases;
     rollup_rows = lazy (Estimate.output_rows (Estimate.env_of_schema schema q) q);
-    classified = [];
+    classified = Offers.create facts_per_state;
     pairs =
       lazy
         (if List.length aliases > 2 then
@@ -334,19 +348,19 @@ let classify st (o : Offer.t) =
       }
     | restricted -> { facts with piece = piece_of st restricted o })
 
-(* The pool only grows within a trade, so the longest prefix of offers
-   physically equal to the last pool's keeps its facts; only the tail is
-   classified.  A crash-filtered pool keeps the prefix before its first
-   dropped offer. *)
-let classify_pool st offers =
-  let rec go acc old offers =
-    match (old, offers) with
-    | f :: old, o :: offers when f.offer == o -> go (f :: acc) old offers
-    | _, offers -> List.rev_append acc (List.map (classify st) offers)
-  in
-  let facts = go [] st.classified offers in
-  st.classified <- facts;
-  facts
+(* Each distinct offer is classified once per state; its facts depend on
+   nothing else. *)
+let facts_of st (o : Offer.t) =
+  match Offers.find st.classified o with
+  | f -> f
+  | exception Not_found ->
+    let f = classify st o in
+    if Offers.length st.classified >= facts_per_state then
+      Offers.clear st.classified;
+    Offers.add st.classified o f;
+    f
+
+let classify_pool st offers = List.map (facts_of st) offers
 
 (* ------------------------------------------------------------------ *)
 (* Union tiling                                                         *)

@@ -55,12 +55,12 @@ type state
     alias universe, the required key ranges, each alias's partition key
     and which keys the WHERE clause equates, the sorted select and
     group-by lists offers are compared against, and the join graph.  It
-    keeps the facts of every offer of the last pool it saw, so a later
-    pool that extends that one is classified only past their longest
-    physically equal ([==]) prefix; the query's own {!request} and every
-    {!Buyer_analyser} proposal by {!proposal_key}, each signed and
-    printed once; and its 32 most recently used plan-generation passes
-    (see {!best}). *)
+    keeps the facts of up to 64 distinct offers by physical identity
+    ([==]), so an offer met again in any pool of any trade of the query
+    is classified once (past 64 the table starts afresh); the query's own
+    {!request} and every {!Buyer_analyser} proposal by {!proposal_key},
+    each signed and printed once; and its 32 most recently used
+    plan-generation passes (see {!best}). *)
 
 val create :
   params:Qt_cost.Params.t ->

@@ -78,10 +78,15 @@ type cache
     the candidates' build conditions still hold; the quote is replayed.
     A select-order twin shares the key, so it replays its sibling's
     quote on such a hit.  Any other lookup of a present key invalidates
-    the entry; if its candidates were built for this very request
-    ({!Qt_sql.Ast.equal}) under the live catalog, params and
-    [use_views], the quote for the live conditions is taken from the
-    entry or valued once, without re-running the DP.  Otherwise the
+    the entry.  The entry that replaces it keeps it, and up to 6 entries
+    it had replaced in turn, as siblings: requests of one signature
+    (select-order twins, or aggregation pieces the buyer builds alike for
+    templates over different ranges) that alternate keep their own
+    candidates.  If the invalidated entry's candidates, or a sibling's,
+    were built for this very request ({!Qt_sql.Ast.equal}) under the
+    live catalog, params and [use_views], the quote for the live
+    conditions is taken from that entry or valued once, without
+    re-running the DP.  Otherwise the
     request is priced cold, through the sub-plan memo
     ({!Qt_optimizer.Dp.memo}, stamped with the catalog fingerprint),
     which reuses every DP subset an earlier request at this node built

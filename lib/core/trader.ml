@@ -122,45 +122,36 @@ let buyer_id = -1
 
 (* Step B3/S3: one nested negotiation per lot.  Offers compete only when
    they promise the same answer (same offered query), otherwise they are
-   complementary goods and all survive to the plan generator.  [account]
-   books the negotiation chatter: count messages, deepest lot's rounds. *)
+   complementary goods and all survive to the plan generator.  A winner
+   priced at its own quote is the seller's offer itself, so the plan
+   generator meets an offer it has already classified; one priced
+   otherwise is a copy at the final price.  [account] books the
+   negotiation chatter: count messages, deepest lot's rounds. *)
 let negotiate config ~account offers =
-  let lots =
-    Listx.group_by
-      (fun (o : Offer.t) -> Analysis.Sig.id o.Offer.query_sig)
+  let s =
+    Protocol.settle config.protocol
+      ~lot:(fun (o : Offer.t) -> Analysis.Sig.id o.query_sig)
+      ~value:(Offer.valuation config.weights)
+      ~quote:(fun (o : Offer.t) value ->
+        {
+          Protocol.seller = o.seller;
+          item = o;
+          value;
+          true_cost = o.true_cost;
+          strategy = config.strategy_of o.seller;
+          load = config.load_of o.seller;
+        })
+      ~award:(fun (o : Offer.t) price ->
+        if
+          Int64.equal (Int64.bits_of_float price) (Int64.bits_of_float o.quoted)
+        then o
+        else { o with Offer.quoted = price })
       offers
   in
-  let total_rounds = ref 0 in
-  let total_messages = ref 0 in
-  let max_rounds_any_lot = ref 0 in
-  let winners =
-    List.filter_map
-      (fun (_, competing) ->
-        let quotes =
-          List.map
-            (fun (o : Offer.t) ->
-              {
-                Protocol.seller = o.seller;
-                item = o;
-                value = Offer.valuation config.weights o;
-                true_cost = o.true_cost;
-                strategy = config.strategy_of o.seller;
-                load = config.load_of o.seller;
-              })
-            competing
-        in
-        let outcome = Protocol.run config.protocol quotes in
-        total_rounds := !total_rounds + outcome.Protocol.rounds;
-        total_messages := !total_messages + outcome.Protocol.exchanged_messages;
-        max_rounds_any_lot := max !max_rounds_any_lot outcome.Protocol.rounds;
-        Option.map
-          (fun (q : Offer.t Protocol.quote) -> { q.item with Offer.quoted = q.value })
-          outcome.Protocol.winner)
-      lots
-  in
   (* Lots are negotiated in parallel: clock advances by the deepest lot. *)
-  account ~count:!total_messages ~deepest_rounds:!max_rounds_any_lot;
-  (winners, !total_rounds)
+  account ~count:s.Protocol.total_messages
+    ~deepest_rounds:s.Protocol.deepest_rounds;
+  (s.Protocol.awarded, s.Protocol.total_rounds)
 
 let zero_phase =
   { messages = 0; bytes = 0; cache_hits = 0; cache_misses = 0; wall = 0.; sim = 0. }

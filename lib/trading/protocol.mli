@@ -50,3 +50,28 @@ val quote_bytes : int
 
 val run : kind -> 'item quote list -> 'item outcome
 (** Deterministic: ties break toward the earlier quote in the list. *)
+
+type 'a settlement = {
+  awarded : 'a list;
+      (** One per lot with a winner, in first-appearance order. *)
+  total_rounds : int;  (** Summed over the lots. *)
+  total_messages : int;  (** Summed over the lots. *)
+  deepest_rounds : int;  (** The most rounds any one lot took. *)
+}
+
+val settle :
+  kind ->
+  lot:('item -> int) ->
+  value:('item -> float) ->
+  quote:('item -> float -> 'item quote) ->
+  award:('item -> float -> 'a) ->
+  'item list ->
+  'a settlement
+(** [settle kind ~lot ~value ~quote ~award items] negotiates every lot of
+    [items] at once: items with equal [lot] keys compete, lots come in
+    order of their first item, and a lot's winner at its final price [v]
+    is awarded as [award item v].  The result is that of grouping the
+    items and running {!run} per lot on their quotes ([quote item (value
+    item)], in list order).  Sealed-bid kinds ([Bidding], [Vickrey]) fold
+    each lot's running best in one pass and build no quote; the concession
+    kinds build quotes for each lot and run it. *)

@@ -1133,6 +1133,139 @@ let test_seller_memo_select_twin () =
     viewed_federation.Qt_catalog.Federation.nodes;
   Alcotest.(check bool) "twins get different offers" true !differ
 
+(* Select-order twins alternating under two loads: each new entry keeps
+   the ones it replaced as siblings, so once both twins have been priced
+   no request is priced cold again (the sub-plan memo, which only cold
+   pricing reads, stops moving), and every response is a cold seller's.
+   The same holds for three select orders of a template under three
+   loads. *)
+let test_seller_twins_keep_candidates () =
+  let t0 = List.hd memo_templates and t3 = List.nth memo_templates 3 in
+  let twin (q : Ast.t) = { q with Ast.select = List.rev q.Ast.select } in
+  let rotated (q : Ast.t) =
+    { q with Ast.select = List.tl q.Ast.select @ [ List.hd q.Ast.select ] }
+  in
+  let families =
+    [
+      [ (t0, 0.); (twin t0, 1.5) ];
+      [ (t3, 0.); (twin t3, 1.5); (rotated t3, 0.75) ];
+    ]
+  in
+  let at load = { (Seller.default_config params) with Seller.load } in
+  let priced_cold = ref false in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun (node : Qt_catalog.Node.t) ->
+          let respond ?cache q load =
+            Seller.respond ?cache (at load) viewed_schema node
+              ~requests:[ (q, 0.) ]
+          in
+          let cache = Seller.cache_create () in
+          let all () =
+            List.iter
+              (fun (q, load) ->
+                Alcotest.(check bool)
+                  "shared cache answers as a cold seller" true
+                  (same_bits (respond ~cache q load) (respond q load)))
+              family
+          in
+          all ();
+          let priced = Seller.subplan_stats cache in
+          if priced.Seller.misses > 0 then priced_cold := true;
+          for _ = 2 to 4 do
+            all ();
+            Alcotest.(check bool)
+              "no cold pricing once every order is priced" true
+              (Seller.subplan_stats cache = priced)
+          done)
+        viewed_federation.Qt_catalog.Federation.nodes)
+    families;
+  Alcotest.(check bool) "cold pricing reads the sub-plan memo" true !priced_cold
+
+(* A winner priced at its own quote is the seller's offer itself: a repeat
+   of its request hits the seller's quote cache and returns that very
+   offer.  A winner priced otherwise is a copy of it at the final price:
+   under Vickrey a lot of several offers pays the runner-up's value, and
+   with [w_price > 0] the valuation adds the offer's price.  Two replicas
+   of every fragment under different loads put several offers of
+   different values in a lot. *)
+let test_negotiation_keeps_offers () =
+  let fed =
+    Qt_sim.Generator.telecom ~nodes:8 ~with_views:true
+      ~placement:{ Qt_sim.Generator.partitions = 4; replicas = 2 }
+      ()
+  in
+  let schema = fed.Qt_catalog.Federation.schema in
+  let seller_template =
+    { (Seller.default_config params) with Seller.price_per_mb = 2. }
+  in
+  let load_of id = float_of_int (id mod 3) /. 2. in
+  let kept_and_copied ~protocol ~weights =
+    let kept = ref 0 and copied = ref 0 in
+    List.iter
+      (fun q ->
+        let caches = Seller.pool_create () in
+        let config =
+          {
+            (Trader.default_config params) with
+            Trader.protocol;
+            weights;
+            seller_template;
+            load_of;
+          }
+        in
+        match Trader.optimize ~caches config fed q with
+        | Error e -> Alcotest.fail e
+        | Ok o ->
+          List.iter
+            (fun (p : Offer.t) ->
+              let node = Qt_catalog.Federation.node fed p.seller in
+              let cache = Seller.pool_cache caches p.seller in
+              let offers =
+                (Seller.respond_signed ~cache
+                   { seller_template with Seller.load = load_of p.seller }
+                   schema node
+                   ~requests:[ (p.answers, p.request_sig, 0.) ])
+                  .Seller.offers
+              in
+              match
+                List.find_opt
+                  (fun (s : Offer.t) ->
+                    Analysis.Sig.equal s.query_sig p.query_sig)
+                  offers
+              with
+              | None ->
+                Alcotest.fail "a purchased offer its seller no longer quotes"
+              | Some s ->
+                if s == p then incr kept
+                else begin
+                  Alcotest.(check bool) "a copy at another price" false
+                    (Int64.equal (Int64.bits_of_float s.quoted)
+                       (Int64.bits_of_float p.quoted));
+                  Alcotest.(check bool) "a copy of the seller's offer" true
+                    (same_bits { s with Offer.quoted = p.quoted } p);
+                  incr copied
+                end)
+            o.Trader.purchased)
+      (revenue_per_customer :: memo_templates);
+    (!kept, !copied)
+  in
+  let priced = { Offer.default_weights with Offer.w_price = 0.5 } in
+  let plain = Offer.default_weights in
+  let kept, copied =
+    kept_and_copied ~protocol:Protocol.Bidding ~weights:plain
+  in
+  Alcotest.(check bool) "bidding keeps offers" true (kept > 0);
+  Alcotest.(check int) "bidding copies none" 0 copied;
+  let _, copied = kept_and_copied ~protocol:Protocol.Vickrey ~weights:plain in
+  Alcotest.(check bool) "vickrey copies" true (copied > 0);
+  let kept, copied =
+    kept_and_copied ~protocol:Protocol.Bidding ~weights:priced
+  in
+  Alcotest.(check bool) "w_price copies" true (copied > 0);
+  Alcotest.(check int) "w_price keeps none" 0 kept
+
 let suite =
   ( "core",
     [
@@ -1187,4 +1320,8 @@ let suite =
       quick "seller memo: select-order twin misses" test_seller_memo_select_twin;
       quick "plan memo: facts for other settings refused"
         test_plan_memo_settings_checked;
+      quick "seller memo: select-order twins keep their candidates"
+        test_seller_twins_keep_candidates;
+      quick "negotiation keeps the seller's offer"
+        test_negotiation_keeps_offers;
     ] )

@@ -786,6 +786,48 @@ let test_generate_state ?pool () =
     (Lazy.force cases);
   Alcotest.(check bool) "some candidates stitch unions" true (!unions > 0)
 
+(* Each distinct offer is classified once per state, whatever pool it
+   comes in.  Two trades of one query whose pools share physical offers
+   (the second trade's pools are the first's reversed, then dearer and
+   shifted copies of them), planned through one warm state, give at every
+   pool the candidates a fresh state gives.  A pool of every offer of both
+   trades holds well over the state's cap of classified offers, so the
+   table starts afresh within one pool. *)
+let test_generate_shared_offers () =
+  let largest = ref 0 in
+  List.iter
+    (fun (name, fed, templates) ->
+      let schema = fed.Federation.schema in
+      List.iter
+        (fun query ->
+          let first = trade_pools fed query in
+          let dearer pool =
+            List.map
+              (fun (o : Offer.t) -> { o with quoted = 1.5 *. o.quoted })
+              pool
+          in
+          let second =
+            List.map
+              (fun pool -> List.rev pool @ dearer pool @ List.map shifted pool)
+              first
+          in
+          let everything = List.concat (first @ second) in
+          largest := max !largest (List.length everything);
+          let state = facts schema query in
+          List.iteri
+            (fun i offers ->
+              let warm = Plan_generator.generate ~offers state in
+              let fresh =
+                Plan_generator.generate ~offers (facts schema query)
+              in
+              if not (marshal_equal warm fresh) then
+                Alcotest.failf "%s: %s: pool %d: differs through a warm state"
+                  name (Analysis.to_string query) i)
+            ((first @ [ everything ]) @ second @ [ List.rev everything ]))
+        templates)
+    (Lazy.force cases);
+  Alcotest.(check bool) "a pool holds over 200 offers" true (!largest > 200)
+
 (* One state fed every prefix of every pool of a trade, in round order
    (the crashed pool shrinks it), proposes at each call what the legacy
    analyser proposes from scratch: the same queries, signatures and
@@ -907,8 +949,15 @@ module Strategy = Qt_trading.Strategy
    normalization maps to the same signature. *)
 let twin (q : Ast.t) = { q with Ast.select = List.rev q.Ast.select }
 
+(* Another select order, the head moved last: a third request of the
+   same signature when the select list has three or more items. *)
+let rotated (q : Ast.t) =
+  match q.Ast.select with
+  | first :: rest -> { q with Ast.select = rest @ [ first ] }
+  | [] -> q
+
 (* Four telecom sellers, and six templates each signed and grouped with
-   its twin. *)
+   its distinct select orders: itself, its twin and its rotation. *)
 let quote_world =
   lazy
     (let fed = Qt_sim.Generator.telecom ~nodes:4 ~placement () in
@@ -917,7 +966,11 @@ let quote_world =
          (fun q ->
            List.map
              (fun q -> (q, Analysis.Sig.of_ast q))
-             (if Ast.equal (twin q) q then [ q ] else [ q; twin q ]))
+             (List.fold_left
+                (fun orders v ->
+                  if List.exists (Ast.equal v) orders then orders
+                  else orders @ [ v ])
+                [ q ] [ twin q; rotated q ]))
          (Qt_sim.Workload.telecom_templates ~seed:11 ~count:6)
      in
      (fed, Array.of_list groups))
@@ -937,10 +990,11 @@ type quote_step = {
   under : quote_conditions;
 }
 
-(* A case draws a few templates with their twins and a palette of up to
-   four conditions, so that requests and conditions recur: hits, quotes
-   kept from earlier conditions and twin replays all happen.  Estimates
-   of 0.002 and 0.01 drop some complete answers under load. *)
+(* A case draws a few templates with their select orders and a palette
+   of up to four conditions, so that requests and conditions recur: hits,
+   quotes kept from earlier conditions, twin replays and twins re-quoting
+   each other's candidates all happen.  Estimates of 0.002 and 0.01 drop
+   some complete answers under load. *)
 let quote_case_gen groups =
   let open QCheck2.Gen in
   let conditions =
@@ -1047,4 +1101,6 @@ let suite =
       quick "enrich through one state = legacy, every pool prefix"
         test_enrich_incremental;
       QCheck_alcotest.to_alcotest prop_quote_cache;
+      quick "generate through a warm facts table = fresh, shared offers"
+        test_generate_shared_offers;
     ] )

@@ -179,6 +179,170 @@ let test_auction_respects_round_limit () =
   let outcome = Protocol.run (Protocol.Reverse_auction { max_rounds = 3 }) [ mk 1; mk 2 ] in
   Alcotest.(check bool) "stopped at limit" true (outcome.Protocol.rounds <= 3)
 
+(* ------------------------------------------------------------------ *)
+(* Many lots in one pass                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Offer = Qt_core.Offer
+module Sig = Qt_sql.Analysis.Sig
+
+(* Four offered queries: the lots an offer can fall in. *)
+let lot_sigs =
+  lazy
+    (Array.init 4 (fun k ->
+         Sig.of_ast
+           (Helpers.parse
+              (Printf.sprintf
+                 "SELECT c.custid FROM customer c WHERE c.custid BETWEEN 0 \
+                  AND %d"
+                 (100 * (k + 1))))))
+
+let offer ~lot ~seller ~quoted ~price : Offer.t =
+  let s = (Lazy.force lot_sigs).(lot) in
+  let q = Helpers.parse "SELECT c.custid FROM customer c" in
+  {
+    seller;
+    request_sig = s;
+    query = q;
+    query_sig = s;
+    answers = q;
+    subset = [ "c" ];
+    coverage = [];
+    props =
+      {
+        Offer.total_time = quoted;
+        first_row_time = 0.1;
+        rows = 10.;
+        row_bytes = 8;
+        freshness = 1.;
+        completeness = 1.;
+        price;
+      };
+    quoted;
+    true_cost = quoted /. 1.4;
+    via_view = None;
+    rename = None;
+    imports = [];
+  }
+
+(* Sellers 0 and 2 concede, the others quote truthfully. *)
+let strategy_of seller =
+  if seller mod 2 = 0 then competitive else Strategy.Cooperative
+let load_of seller = float_of_int seller /. 4.
+
+let lot_quote (o : Offer.t) value =
+  {
+    Protocol.seller = o.seller;
+    item = o;
+    value;
+    true_cost = o.true_cost;
+    strategy = strategy_of o.seller;
+    load = load_of o.seller;
+  }
+
+(* Few lots, sellers and quotes, so lots are shared, singletons and tied;
+   the list may be empty. *)
+let lots_case_gen =
+  let open QCheck2.Gen in
+  let* kind =
+    oneof
+      [
+        return Protocol.Bidding;
+        return Protocol.Vickrey;
+        map
+          (fun max_rounds -> Protocol.Reverse_auction { max_rounds })
+          (int_range 1 4);
+        map2
+          (fun max_rounds target_ratio ->
+            Protocol.Bargaining { max_rounds; target_ratio })
+          (int_range 1 4)
+          (oneofl [ 0.5; 0.8 ]);
+      ]
+  and* weights =
+    oneofl
+      [
+        Offer.default_weights;
+        { Offer.default_weights with Offer.w_price = 0.5 };
+      ]
+  in
+  let+ offers =
+    list_size (int_range 0 12)
+      (let+ lot = int_bound 3
+       and+ seller = int_bound 4
+       and+ quoted = oneofl [ 0.5; 1.; 2.; 2.; 3. ]
+       and+ price = oneofl [ 0.; 1.; 2. ] in
+       offer ~lot ~seller ~quoted ~price)
+  in
+  (kind, weights, offers)
+
+let print_lots_case (kind, (w : Offer.weights), offers) =
+  Printf.sprintf "%s, w_price %g: [%s]"
+    (match kind with
+    | Protocol.Bidding -> "bidding"
+    | Protocol.Vickrey -> "vickrey"
+    | Protocol.Reverse_auction { max_rounds } ->
+      Printf.sprintf "auction %d" max_rounds
+    | Protocol.Bargaining { max_rounds; target_ratio } ->
+      Printf.sprintf "bargaining %d %g" max_rounds target_ratio)
+    w.Offer.w_price
+    (String.concat "; "
+       (List.map
+          (fun (o : Offer.t) ->
+            Printf.sprintf "lot %d seller %d quoted %g price %g"
+              (Sig.id o.query_sig) o.seller o.quoted o.props.price)
+          offers))
+
+(* Lots in first-appearance order, members in list order, grouped by
+   rescanning the groups so far. *)
+let lots_by_hand offers =
+  List.rev
+    (List.fold_left
+       (fun groups (o : Offer.t) ->
+         let k = Sig.id o.query_sig in
+         if List.mem_assoc k groups then
+           List.map
+             (fun (k', m) -> if k' = k then (k', m @ [ o ]) else (k', m))
+             groups
+         else (k, [ o ]) :: groups)
+       [] offers)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Protocol.settle] gives what grouping the offers and running
+   [Protocol.run] on each lot's quotes gives: the same winners in the
+   same order at bit-equal prices, and the same round and message
+   totals. *)
+let prop_settle_per_lot =
+  QCheck2.Test.make ~name:"lot engine = Protocol.run per lot" ~count:1000
+    ~print:print_lots_case lots_case_gen (fun (kind, weights, offers) ->
+      let value = Offer.valuation weights in
+      let s =
+        Protocol.settle kind
+          ~lot:(fun (o : Offer.t) -> Sig.id o.query_sig)
+          ~value ~quote:lot_quote
+          ~award:(fun o price -> (o, price))
+          offers
+      in
+      let outcomes =
+        List.map
+          (fun (_, members) ->
+            Protocol.run kind
+              (List.map (fun o -> lot_quote o (value o)) members))
+          (lots_by_hand offers)
+      in
+      let winners = List.filter_map (fun o -> o.Protocol.winner) outcomes in
+      let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+      List.length s.Protocol.awarded = List.length winners
+      && List.for_all2
+           (fun (o, price) (w : Offer.t Protocol.quote) ->
+             o == w.Protocol.item && same_bits price w.Protocol.value)
+           s.Protocol.awarded winners
+      && s.Protocol.total_rounds = sum (fun o -> o.Protocol.rounds)
+      && s.Protocol.total_messages
+         = sum (fun o -> o.Protocol.exchanged_messages)
+      && s.Protocol.deepest_rounds
+         = List.fold_left (fun acc o -> max acc o.Protocol.rounds) 0 outcomes)
+
 let suite =
   ( "trading",
     [
@@ -197,4 +361,5 @@ let suite =
       quick "vickrey monopoly/empty" test_vickrey_monopoly_and_empty;
       quick "vickrey vs first price" test_vickrey_beats_competitive_bidding_for_buyer;
       quick "auction round limit" test_auction_respects_round_limit;
+      QCheck_alcotest.to_alcotest prop_settle_per_lot;
     ] )
