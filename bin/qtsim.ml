@@ -464,8 +464,8 @@ let market_config_term ~concurrency ~policy ~execute_doc =
       value & opt string policy
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
-            "Admission arbitration: fifo, priority or proportional (in a \
-             stream, priority reads each query's SLA class).")
+            "Admission arbitration: fifo or priority (in a stream, priority \
+             reads each query's SLA class).")
   and+ no_batching =
     Arg.(
       value & flag
@@ -523,7 +523,7 @@ let market_config_term ~concurrency ~policy ~execute_doc =
       | None ->
         failwith
           (Printf.sprintf
-             "unknown admission policy %s (try fifo, priority or proportional)"
+             "unknown admission policy %s (try fifo or priority)"
              policy)
     in
     let qcache =

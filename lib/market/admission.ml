@@ -1,10 +1,8 @@
-type policy = Fifo | Priority | Proportional_share
+type policy = Fifo | Priority
 
 let policy_of_string = function
   | "fifo" -> Some Fifo
   | "priority" -> Some Priority
-  | "proportional" | "proportional-share" | "proportional_share" ->
-      Some Proportional_share
   | _ -> None
 
 type config = {
@@ -43,8 +41,6 @@ type t = {
   mutable active : handle list;
   mutable queued : handle list;  (* newest first; arbitration scans it *)
   mutable seq : int;
-  (* Work admitted per trade, for proportional share. *)
-  served : (int, float) Hashtbl.t;
   (* The counters [stats] reports. *)
   mutable n_admitted : int;
   mutable n_accepted : int;
@@ -64,7 +60,6 @@ let create ?waits cfg =
     active = [];
     queued = [];
     seq = 0;
-    served = Hashtbl.create 16;
     n_admitted = 0;
     n_accepted = 0;
     n_rejected = 0;
@@ -92,9 +87,6 @@ let work h = h.h_work
 let trade_of h = h.h_trade
 let is_active t h = List.exists (fun a -> a.h_seq = h.h_seq) t.active
 
-let served_of t trade =
-  match Hashtbl.find_opt t.served trade with Some w -> w | None -> 0.
-
 let note_peaks t =
   t.max_queue <- max t.max_queue (queue_depth t);
   t.max_active <- max t.max_active (in_service t)
@@ -108,7 +100,6 @@ let start t ~now h =
   | None -> ());
   t.active <- h :: t.active;
   t.n_admitted <- t.n_admitted + 1;
-  Hashtbl.replace t.served h.h_trade (served_of t h.h_trade +. h.h_work);
   note_peaks t
 
 (* Pick the next queued contract under the arbitration policy.  Sequence
@@ -123,12 +114,6 @@ let pick_next t =
     | Priority ->
         a.h_priority > b.h_priority
         || (a.h_priority = b.h_priority && a.h_seq < b.h_seq)
-    | Proportional_share ->
-        let share h =
-          served_of t h.h_trade /. float_of_int (max 1 h.h_priority)
-        in
-        let sa = share a and sb = share b in
-        sa < sb || (sa = sb && a.h_seq < b.h_seq)
   in
   let pool =
     match List.filter (fun h -> h.h_reserved) t.queued with
@@ -188,17 +173,9 @@ let cancel t ~now ~trade =
   let mine, queued = List.partition (fun h -> h.h_trade = trade) t.queued in
   t.queued <- queued;
   let running = List.filter (fun h -> h.h_trade = trade) t.active in
-  List.iter
-    (fun h ->
-      retire t ~now h;
-      (* A canceled contract never ran to completion: give its share back. *)
-      Hashtbl.replace t.served trade (max 0. (served_of t trade -. h.h_work)))
-    running;
+  List.iter (retire t ~now) running;
   t.n_canceled <- t.n_canceled + List.length mine + List.length running;
   promote t ~now
-
-let forget t ~trade = Hashtbl.remove t.served trade
-let served_trades t = Hashtbl.length t.served
 
 let stats t =
   {

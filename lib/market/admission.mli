@@ -16,15 +16,6 @@
 type policy =
   | Fifo  (** Arrival order. *)
   | Priority  (** Highest buyer priority first, arrival order within. *)
-  | Proportional_share
-      (** The buyer with the least admitted work per unit of priority
-          weight goes first — long-run fairness across trades.  Inside
-          the marketplace this orders exactly like [Fifo]: a trade holds
-          at most one contract per seller, and a rollback gives a started
-          contract's share back, so every queued contract's trade has been
-          served nothing at that seller and the tie falls to arrival
-          order.  It acts only where one trade queues several contracts
-          at one seller, as a direct user of this module may. *)
 
 val policy_of_string : string -> policy option
 
@@ -103,13 +94,6 @@ val cancel : t -> now:float -> trade:int -> handle list
 (** Withdraw every contract [trade] has here, running or queued — the
     rollback path when a multi-seller admission attempt fails partway.
     Returns contracts promoted into the freed slots, as {!finish}. *)
-
-val forget : t -> trade:int -> unit
-(** Drop [trade]'s {!Proportional_share} work share once it holds no
-    contract here. *)
-
-val served_trades : t -> int
-(** Trades with an admitted-work share still held. *)
 
 type stats = {
   admitted : int;  (** Contracts that entered service. *)

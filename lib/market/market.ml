@@ -368,6 +368,21 @@ type market = {
   all : Telemetry.counts;  (* the running tally of the whole run ... *)
   by_class : (Sla.klass * Telemetry.counts) list;  (* ... and of each class *)
   mutable makespan : float;  (* latest settle so far: the trading end *)
+  (* The driver's state, shared by its event handlers. *)
+  mutable next : trade Seq.node;  (* the arrivals not yet released, in order *)
+  ready : trade Queue.t;  (* released trades waiting for a fiber *)
+  deadlines : trade Event_queue.t;  (* armed SLA deadlines *)
+  mutable parked :
+    (trade * round_request * (Seller.response Transport.round, step) Effect.Deep.continuation) list;
+      (* fibers suspended on an RFB, newest first: the open wave *)
+  mutable running : int;  (* fibers started and not yet finished *)
+  shedding : Shedding.policy;
+  exec_at_admission : bool;
+      (* The one rule batch and stream runs do not share: batch executes
+         an admitted plan at admission, the stream when its last contract
+         completes, so a trade canceled at its deadline never executes.
+         Either is sound for a batch, which has no deadlines, but moving
+         its execution would change every pinned batch [--execute] output. *)
 }
 
 (* Every seller is a federation node, and each has its controller. *)
@@ -378,29 +393,6 @@ let schedule_promoted st seller ~now promoted =
     (fun p ->
       Event_queue.push st.completions ~time:(now +. Admission.work p) (seller, p))
     promoted
-
-(* Fire one contract-completion event: free the slot, start the promoted
-   waiters, schedule their completions and report the completion as
-   [on_complete trade ~seller t].  Events whose contract was canceled in
-   the meantime are skipped — the stale-event guard that deadline
-   cancellation leans on. *)
-let fire_completion st ~on_complete t seller h =
-  let adm = admission_of st seller in
-  if Admission.is_active adm h then begin
-    st.mclock <- Float.max st.mclock t;
-    if Obs.enabled st.obs then
-      ignore
-        (Obs.emit st.obs ~cat:"contract" ~name:"contract" ~track:seller
-           ~attrs:
-             [
-               ("trade", Obs.Int (Admission.trade_of h));
-               ("work", Obs.Float (Admission.work h));
-             ]
-           ~t0:(Admission.started_at h) ~t1:t ()
-          : int);
-    schedule_promoted st seller ~now:t (Admission.finish adm ~now:t h);
-    on_complete (Admission.trade_of h) ~seller t
-  end
 
 (* The buyer's effective view of a seller's load: the base profile, plus
    what the admission layer says the node is already committed to, plus
@@ -578,20 +570,6 @@ let floor_buyer_clock st tr =
   let c = Runtime.node_clock st.rt tr.t_buyer in
   if floor > c then Runtime.advance st.rt ~node:tr.t_buyer (floor -. c)
 
-(* (Re)start a trade's optimization fiber, on a floored buyer clock, and
-   hand its first step to [drive]. *)
-let launch_fiber st tr ~drive =
-  tr.t_attempts <- tr.t_attempts + 1;
-  floor_buyer_clock st tr;
-  let transport = make_transport st tr in
-  let tcfg = trader_config st tr in
-  drive tr
-    (Effect.Deep.match_with
-       (fun () ->
-         Trader.optimize ~facts:tr.t_facts ~caches:st.caches ~transport ~obs:st.obs
-           ~obs_track:tr.t_buyer tcfg st.federation (Plan_generator.query tr.t_facts))
-       () handler)
-
 (* ------------------------------------------------------------------- *)
 (* Cache-tier plumbing.  Every cache read and write below runs on the
    coordinator (trade launch, post-admission bookkeeping, execution
@@ -678,17 +656,6 @@ let submit_exec st tr ~at =
       ~buyer:tr.t_buyer ~at plan
   | _ -> ()
 
-(* Close an RFB window over the suspended fibers: market time advances
-   to the latest suspended buyer clock. *)
-let wave_close st waiting =
-  let t_close =
-    List.fold_left
-      (fun acc (tr, _, _) -> Float.max acc (Runtime.node_clock st.rt tr.t_buyer))
-      st.mclock waiting
-  in
-  st.mclock <- t_close;
-  t_close
-
 (* Refresh every seller's surge state from its admission occupancy.
    Runs on the coordinator at each wave close, before any envelope is
    priced, so the multiplier a wave sees is frozen — phase A's parallel
@@ -704,196 +671,15 @@ let update_surge st =
           ~occupancy:(Admission.occupancy (admission_of st id)))
       st.seller_ids
 
-(* Serve one closed wave: coalesce the suspended broadcasts into
-   per-seller envelopes, serve each envelope's trades back-to-back on
-   the seller's clock (real contention), then resume every fiber in
-   trade order via [drive]. *)
-let serve_wave st waiting ~t_close ~drive =
-  update_surge st;
-  (* The batcher names each request by its position in the wave, which
-     [waiting]'s ascending trade order keeps in trade order. *)
-  let wave = Array.of_list waiting in
-  let reqs =
-    List.mapi
-      (fun pos (_, (r : round_request), _) ->
-        {
-          Batcher.trade = pos;
-          targets = r.rr_targets;
-          signatures = r.rr_signatures;
-          bytes = r.rr_bytes;
-        })
-      waiting
-  in
-  (* Sorting by (seller, trades) makes the per-seller service order
-     identical whether or not envelopes were merged — the heart of the
-     batched/unbatched parity property.  Merged envelopes come out in
-     that order already. *)
-  let envelopes =
-    let service_order (a : Batcher.envelope) (b : Batcher.envelope) =
-      match Int.compare a.seller b.seller with
-      | 0 -> List.compare Int.compare a.trades b.trades
-      | c -> c
-    in
-    let rec in_order = function
-      | a :: (b :: _ as rest) -> service_order a b <= 0 && in_order rest
-      | [ _ ] | [] -> true
-    in
-    let envelopes = Batcher.coalesce st.batcher reqs in
-    if in_order envelopes then envelopes else List.sort service_order envelopes
-  in
-  let wave_span =
-    if Obs.enabled st.obs then
-      Obs.open_span st.obs ~cat:"wave" ~name:"wave" ~track:market_track
-        ~attrs:
-          [
-            ("trades", Obs.Int (List.length waiting));
-            ("envelopes", Obs.Int (List.length envelopes));
-          ]
-        ~t0:t_close ()
-    else 0
-  in
-  let wave_end = ref t_close in
-  (* Per wave position: (seller, reply, arrival time back at the buyer). *)
-  let replies_at = Array.make (Array.length wave) [] in
-  (* Phase A — pricing.  [rr_serve] runs the seller's whole
-     optimize-and-quote pipeline and depends only on the request and the
-     seller's bid cache, never on clocks or earlier wave accounting, so
-     envelopes can be priced ahead of the sequential replay below.
-     Envelopes sharing a seller share that seller's bid cache and must
-     stay in service order, so the parallel unit is a seller's whole
-     envelope group.  Serving stays serial when observability is on
-     (span ids are emission-ordered). *)
-  let env_arr = Array.of_list envelopes in
-  let serve_env (e : Batcher.envelope) =
-    List.filter_map
-      (fun pos ->
-        let _, req, _ = wave.(pos) in
-        if List.mem e.seller req.rr_targets then begin
-          let reply, processing, rbytes = req.rr_serve e.seller in
-          Some (pos, reply, processing, rbytes)
-        end
-        else None)
-      e.trades
-  in
-  let served = Array.make (Array.length env_arr) [] in
-  let groups =
-    (* Envelope indices per seller, in envelope order: envelopes are
-       sorted by seller, so each group is a run. *)
-    let runs = ref [] in
-    for i = Array.length env_arr - 1 downto 0 do
-      let seller = env_arr.(i).Batcher.seller in
-      match !runs with
-      | (s, idxs) :: rest when s = seller -> runs := (s, i :: idxs) :: rest
-      | rs -> runs := (seller, [ i ]) :: rs
-    done;
-    !runs
-  in
-  let serve_group ((_ : int), idxs) =
-    List.map (fun i -> (i, serve_env env_arr.(i))) idxs
-  in
-  let group_results =
-    match st.cfg.pool with
-    | Some p when not (Obs.enabled st.obs) ->
-      Array.to_list (Pool.map p serve_group (Array.of_list groups))
-    | Some _ | None -> List.map serve_group groups
-  in
-  List.iter (List.iter (fun (i, r) -> served.(i) <- r)) group_results;
-  (* Phase B — replay.  All clock advances, wire accounting and metrics
-     happen here, on the coordinator, in the original envelope order:
-     identical floats to the serial path. *)
-  Array.iteri
-    (fun ei (e : Batcher.envelope) ->
-      (* The envelope goes on the wire once; its bytes are attributed
-         to the first participating trade. *)
-      (match e.trades with
-      | first :: _ ->
-        let tr, _, _ = wave.(first) in
-        tr.t_messages <- tr.t_messages + 1;
-        tr.t_bytes <- tr.t_bytes + e.env_bytes;
-        Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:e.env_bytes
-          ~elapsed:0.
-      | [] -> ());
-      let arrival = t_close +. Runtime.one_way st.rt ~bytes:e.env_bytes in
-      if Obs.enabled st.obs then
-        ignore
-          (Obs.emit st.obs ~cat:"message" ~name:"envelope" ~track:e.seller
-             ~parent:wave_span
-             ~attrs:
-               [
-                 ("bytes", Obs.Int e.env_bytes);
-                 ("trades", Obs.Int (List.length e.trades));
-                 ("signatures", Obs.Int (List.length e.env_signatures));
-               ]
-             ~t0:t_close ~t1:arrival ()
-            : int);
-      let sc = Runtime.node_clock st.rt e.seller in
-      if arrival > sc then Runtime.advance st.rt ~node:e.seller (arrival -. sc);
-      List.iter
-        (fun (pos, reply, processing, rbytes) ->
-          Runtime.advance st.rt ~node:e.seller processing;
-          let finish = Runtime.node_clock st.rt e.seller in
-          let back = finish +. Runtime.one_way st.rt ~bytes:rbytes in
-          let tr, _, _ = wave.(pos) in
-          tr.t_messages <- tr.t_messages + 1;
-          tr.t_bytes <- tr.t_bytes + rbytes;
-          Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:rbytes
-            ~elapsed:0.;
-          Metrics.observe st.rtt (back -. t_close);
-          wave_end := Float.max !wave_end back;
-          replies_at.(pos) <- (e.seller, reply, back) :: replies_at.(pos))
-        served.(ei))
-    env_arr;
-  (* A seller serves a trade at most once per wave. *)
-  let rec reply_from s = function
-    | [] -> None
-    | ((s', _, _) as r) :: rest -> if s' = s then Some r else reply_from s rest
-  in
-  Array.iteri
-    (fun pos (tr, (req : round_request), k) ->
-      let mine = replies_at.(pos) in
-      let replies =
-        List.filter_map
-          (fun s ->
-            Option.map (fun (_, reply, _) -> (s, reply)) (reply_from s mine))
-          req.rr_targets
-      in
-      let resolution =
-        List.fold_left
-          (fun acc s ->
-            match reply_from s mine with
-            | Some (_, _, back) -> Float.max acc back
-            | None -> acc)
-          t_close req.rr_targets
-      in
-      let c = Runtime.node_clock st.rt tr.t_buyer in
-      if resolution > c then
-        Runtime.advance st.rt ~node:tr.t_buyer (resolution -. c);
-      drive tr
-        (Effect.Deep.continue k
-           { Transport.replies; failed = []; fresh_failures = false }))
-    wave;
-  Obs.close st.obs wave_span ~t1:!wave_end ()
-
-(* Terminate a suspended fiber without serving it: feed it all-failed
-   rounds until the trader gives up through its crash-recovery path.
-   Bounded by the trader's iteration cap, cheap (no seller work, no wire
-   traffic), and it unwinds the fiber normally, so observability spans
-   close and [drive] sees a regular [Finished].  Used on trades whose
-   deadline expired while they were parked in a wave. *)
-let rec poison_fiber tr ~drive (req : round_request) k =
-  match
-    Effect.Deep.continue k
-      { Transport.replies = []; failed = req.rr_targets; fresh_failures = true }
-  with
-  | Awaiting (req', k') -> poison_fiber tr ~drive req' k'
-  | Finished _ as step -> drive tr step
-
 (* Shared marketplace construction: metrics registry, optional execution
    scheduler over a freshly materialized store, runtime, one admission
-   controller per federation node, the end-to-end latency histograms and
-   the stream telemetry. *)
-let make_market ~obs scfg federation =
+   controller per federation node, the end-to-end latency histograms,
+   the stream telemetry and the driver's state over [arrivals] (trades
+   in arrival order, pulled one at a time). *)
+let make_market ~obs ~exec_at_admission scfg federation arrivals =
   let cfg = scfg.base in
+  if cfg.max_admission_retries < 0 then
+    invalid_arg "Market: max_admission_retries must be non-negative";
   let metrics = Metrics.create () in
   let sched =
     match cfg.execute with
@@ -977,6 +763,13 @@ let make_market ~obs scfg federation =
       all;
       by_class;
       makespan = 0.;
+      next = arrivals ();
+      ready = Queue.create ();
+      deadlines = Event_queue.create ();
+      parked = [];
+      running = 0;
+      shedding = scfg.shedding;
+      exec_at_admission;
     }
   in
   Obs.track_name obs market_track "market";
@@ -1329,8 +1122,7 @@ let count st tr bump =
    admitted or served.  Every other ending writes [t_finished_at], and a
    shed or expired trade gets its [stream] instant.  No trading end
    comes after its settle, so [at] also bounds the run's trading
-   makespan.  The trade then leaves the live table and the sellers'
-   admission shares: it holds no contract any more.  A second settle of
+   makespan.  The trade then leaves the live table.  A second settle of
    one trade breaks the exactly-once law and fails the run. *)
 let settle st tr outcome ~at =
   if tr.t_status <> None then
@@ -1358,7 +1150,6 @@ let settle st tr outcome ~at =
     tr.t_finished_at <- at;
     count st tr (fun n -> n.Telemetry.n_failed <- n.n_failed + 1));
   Hashtbl.remove st.live tr.t_index;
-  Hashtbl.iter (fun _ adm -> Admission.forget adm ~trade:tr.t_index) st.admissions;
   (* The runtime buyer node goes once the fiber has finished too: the
      runtime would re-create it at clock 0 for a fiber still reading it. *)
   if not tr.t_fiber then Runtime.retire st.rt tr.t_buyer;
@@ -1406,271 +1197,481 @@ let withdraw st tr ~now =
         end)
       tr.t_prices)
 
-(* Run [arrivals] (trades in arrival order, pulled one at a time) to
-   completion: release each at its arrival time, shed or queue it, trade
-   queued ones concurrently under [cfg.concurrency], enforce deadlines,
-   and drain every contract, deadline, scrape tick and execution task.
-   A trade is admitted (its contracts placed) before it ends: it settles
-   as completed when its last contract finishes, or expires if its
-   deadline comes first.  The driver holds a trade from release to
-   settle (its fiber, until it finishes), and nothing else.  Returns the
-   market, [makespan] raised to the end of trading.
+(* The trade's last contract completed, or it had none. *)
+let contracts_done st tr t =
+  settle st tr Completed ~at:t;
+  if not st.exec_at_admission then submit_exec st tr ~at:t
 
-   [exec_at_admission] is the one rule batch and stream runs do not
-   share.  Batch hands an admitted plan to the execution scheduler at
-   admission; the stream hands it over when the plan's last contract
-   completes, so a trade canceled at its deadline never executes.  A
-   batch has no deadlines, so either rule is sound there, but moving
-   execution changes every pinned batch [--execute] output; the rule
-   stays a private argument here, not a configuration knob. *)
-let drive_market ~obs ~exec_at_admission scfg federation arrivals =
-  let cfg = scfg.base in
-  if cfg.max_admission_retries < 0 then
-    invalid_arg "Market: max_admission_retries must be non-negative";
-  let st = make_market ~obs scfg federation in
-  let deadlines : trade Event_queue.t = Event_queue.create () in
-  let ready : trade Queue.t = Queue.create () in
-  let parked = ref [] in
-  let running = ref 0 in
-  let next = ref (arrivals ()) in
-  (* The trade's last contract completed (or it had none). *)
-  let contracts_done tr t =
-    settle st tr Completed ~at:t;
-    if not exec_at_admission then submit_exec st tr ~at:t
-  in
-  (* End-to-end accounting at contract completion, from
-     [fire_completion], so it also runs for promotions and late drains.
-     The pricing bookkeeping runs first, so deadline refunds can tell
-     completed sellers apart. *)
-  let on_complete ti ~seller t =
-    let tr = Hashtbl.find st.live ti in
+(* Fire one contract-completion event: free the slot, start the promoted
+   waiters and schedule their completions, then count the contract done
+   for its trade, which completes with its last contract.  The pricing
+   bookkeeping comes first, so a later deadline refund can tell
+   completed sellers apart.  Events whose contract was canceled in the
+   meantime are skipped — the stale-event guard that deadline
+   cancellation leans on. *)
+let fire_completion st t seller h =
+  let adm = admission_of st seller in
+  if Admission.is_active adm h then begin
+    st.mclock <- Float.max st.mclock t;
+    if Obs.enabled st.obs then
+      ignore
+        (Obs.emit st.obs ~cat:"contract" ~name:"contract" ~track:seller
+           ~attrs:
+             [
+               ("trade", Obs.Int (Admission.trade_of h));
+               ("work", Obs.Float (Admission.work h));
+             ]
+           ~t0:(Admission.started_at h) ~t1:t ()
+          : int);
+    schedule_promoted st seller ~now:t (Admission.finish adm ~now:t h);
+    let tr = Hashtbl.find st.live (Admission.trade_of h) in
     note_seller_done st tr seller;
     tr.t_pending <- tr.t_pending - 1;
-    if tr.t_pending = 0 then contracts_done tr t
-  in
-  (* An SLA deadline fires: a trade still trading, or holding
-     uncompleted contracts, expires. *)
-  let fire_deadline tr d =
-    if tr.t_status = None then begin
-      if tr.t_pending > 0 then withdraw st tr ~now:d;
-      st.mclock <- Float.max st.mclock d;
-      settle st tr Expired ~at:d
+    if tr.t_pending = 0 then contracts_done st tr t
+  end
+
+(* An SLA deadline fires: a trade still trading, or holding
+   uncompleted contracts, expires. *)
+let fire_deadline st tr d =
+  if tr.t_status = None then begin
+    if tr.t_pending > 0 then withdraw st tr ~now:d;
+    st.mclock <- Float.max st.mclock d;
+    settle st tr Expired ~at:d
+  end
+
+(* Advance contract completions, deadline expiries and scrape ticks
+   together in time order (completions win ties: finishing exactly at
+   the deadline counts; events at a tick's exact time land in that
+   tick's window), then settle execution up to the same point, so
+   backlog-derived load is current whenever a pricing round reads
+   it.  Scrape ticks are read-only: they never touch [st.mclock] or
+   an event queue. *)
+let rec drain_events st ~upto =
+  let tk = match st.tel with Some t -> Telemetry.next_tick t | None -> infinity in
+  match (Event_queue.peek_time st.completions, Event_queue.peek_time st.deadlines) with
+  | Some t, td
+    when t <= upto && t <= tk && match td with Some d -> t <= d | None -> true ->
+    (match Event_queue.pop st.completions with
+    | Some (t, (seller, h)) -> fire_completion st t seller h
+    | None -> ());
+    drain_events st ~upto
+  | _, Some d when d <= upto && d <= tk ->
+    (match Event_queue.pop st.deadlines with
+    | Some (d, tr) -> fire_deadline st tr d
+    | None -> ());
+    drain_events st ~upto
+  | tc, td ->
+    (* A due scrape tick fires once every earlier event has; during the
+       unbounded final settle, ticks only fire while events remain, so
+       the drain cannot tick forever. *)
+    if tk <= upto && (Float.is_finite upto || tc <> None || td <> None) then begin
+      Option.iter (fun t -> Telemetry.tick t ~now:tk ~occupancy:(occupancy st)) st.tel;
+      drain_events st ~upto
     end
-  in
-  (* Advance contract completions, deadline expiries and scrape ticks
-     together in time order (completions win ties: finishing exactly at
-     the deadline counts; events at a tick's exact time land in that
-     tick's window), then settle execution up to the same point, so
-     backlog-derived load is current whenever a pricing round reads
-     it.  Scrape ticks are read-only: they never touch [st.mclock] or
-     an event queue. *)
-  let rec drain_events ~upto =
-    let tk = match st.tel with Some t -> Telemetry.next_tick t | None -> infinity in
-    match (Event_queue.peek_time st.completions, Event_queue.peek_time deadlines) with
-    | Some t, td
-      when t <= upto && t <= tk && match td with Some d -> t <= d | None -> true ->
-      (match Event_queue.pop st.completions with
-      | Some (t, (seller, h)) -> fire_completion st ~on_complete t seller h
-      | None -> ());
-      drain_events ~upto
-    | _, Some d when d <= upto && d <= tk ->
-      (match Event_queue.pop deadlines with
-      | Some (d, tr) -> fire_deadline tr d
-      | None -> ());
-      drain_events ~upto
-    | tc, td ->
-      (* A due scrape tick fires once every earlier event has; during the
-         unbounded final settle, ticks only fire while events remain, so
-         the drain cannot tick forever. *)
-      if tk <= upto && (Float.is_finite upto || tc <> None || td <> None) then begin
-        Option.iter (fun t -> Telemetry.tick t ~now:tk ~occupancy:(occupancy st)) st.tel;
-        drain_events ~upto
+
+let drain st ~upto =
+  drain_events st ~upto;
+  match st.sched with
+  | Some sched -> Execsched.drain sched ~upto
+  | None -> ()
+
+(* Settle everything due up to [t] and move market time there. *)
+let catch_up st t =
+  drain st ~upto:t;
+  st.mclock <- Float.max st.mclock t;
+  t
+
+let buyer_now st tr = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock
+
+let admitted st tr ~now ~plan ~plan_cost works =
+  tr.t_plan_cost <- plan_cost;
+  tr.t_contracts <- works;
+  tr.t_finished_at <- now;
+  tr.t_plan <- Some plan;
+  tr.t_pending <- List.length works;
+  if st.exec_at_admission then submit_exec st tr ~at:now;
+  if works = [] then contracts_done st tr now
+
+(* A fiber found a plan: place its contracts at the buyer's clock; on a
+   rejection queue the trade for another attempt with the rejecting
+   seller penalized, or fail it once its retries are spent. *)
+let admit_traded st tr (outcome : Trader.outcome) =
+  let now = catch_up st (buyer_now st tr) in
+  (* The drain fired every deadline up to [now]: an expired trade is
+     too late to admit, and a live one is still inside its deadline. *)
+  if tr.t_status = None then begin
+    let works = by_seller (fun o -> o.Offer.true_cost) outcome in
+    if st.pstate <> None then
+      tr.t_prices <- by_seller (fun o -> o.Offer.quoted) outcome;
+    let plan_cost = Cost.response outcome.Trader.cost in
+    match try_admit st tr ~now works with
+    | Ok () ->
+      qcache_note_traded st tr ~plan:outcome.Trader.plan ~plan_cost works;
+      admitted st tr ~now ~plan:outcome.Trader.plan ~plan_cost works
+    | Error seller ->
+      if tr.t_attempts <= st.cfg.max_admission_retries then begin
+        st.retries <- st.retries + 1;
+        penalize tr seller rejection_penalty;
+        Queue.add tr st.ready
       end
+      else settle st tr (Admission_failed seller) ~at:now
+  end
+
+(* One step of a trade's fiber: it parks in the open wave, or its
+   optimization ended. *)
+let drive st tr = function
+  | Awaiting (req, k) ->
+    tr.t_rounds <- tr.t_rounds + 1;
+    st.parked <- (tr, req, k) :: st.parked
+  | Finished res -> (
+    st.running <- st.running - 1;
+    tr.t_fiber <- false;
+    (* A fiber poisoned mid-optimization finishes an expired trade. *)
+    if tr.t_status <> None then Runtime.retire st.rt tr.t_buyer
+    else
+      match res with
+      | Ok outcome ->
+        tr.t_phases <- Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
+        admit_traded st tr outcome
+      | Error _ -> settle st tr No_plan ~at:(buyer_now st tr))
+
+(* (Re)start a trade's optimization fiber, on a floored buyer clock,
+   and take its first step. *)
+let launch_fiber st tr =
+  st.running <- st.running + 1;
+  tr.t_fiber <- true;
+  tr.t_attempts <- tr.t_attempts + 1;
+  floor_buyer_clock st tr;
+  let transport = make_transport st tr in
+  let tcfg = trader_config st tr in
+  drive st tr
+    (Effect.Deep.match_with
+       (fun () ->
+         Trader.optimize ~facts:tr.t_facts ~caches:st.caches ~transport ~obs:st.obs
+           ~obs_track:tr.t_buyer tcfg st.federation (Plan_generator.query tr.t_facts))
+       () handler)
+
+(* Serve one closed wave: coalesce the suspended broadcasts into
+   per-seller envelopes, serve each envelope's trades back-to-back on
+   the seller's clock (real contention), then resume every fiber in
+   trade order. *)
+let serve_wave st waiting ~t_close =
+  update_surge st;
+  (* The batcher names each request by its position in the wave, which
+     [waiting]'s ascending trade order keeps in trade order. *)
+  let wave = Array.of_list waiting in
+  let reqs =
+    List.mapi
+      (fun pos (_, (r : round_request), _) ->
+        {
+          Batcher.trade = pos;
+          targets = r.rr_targets;
+          signatures = r.rr_signatures;
+          bytes = r.rr_bytes;
+        })
+      waiting
   in
-  let drain ~upto =
-    drain_events ~upto;
-    match st.sched with
-    | Some sched -> Execsched.drain sched ~upto
-    | None -> ()
+  (* Sorting by (seller, trades) makes the per-seller service order
+     identical whether or not envelopes were merged — the heart of the
+     batched/unbatched parity property.  Merged envelopes come out in
+     that order already. *)
+  let envelopes =
+    let service_order (a : Batcher.envelope) (b : Batcher.envelope) =
+      match Int.compare a.seller b.seller with
+      | 0 -> List.compare Int.compare a.trades b.trades
+      | c -> c
+    in
+    let rec in_order = function
+      | a :: (b :: _ as rest) -> service_order a b <= 0 && in_order rest
+      | [ _ ] | [] -> true
+    in
+    let envelopes = Batcher.coalesce st.batcher reqs in
+    if in_order envelopes then envelopes else List.sort service_order envelopes
   in
-  let admitted tr ~now ~plan ~plan_cost works =
-    tr.t_plan_cost <- plan_cost;
-    tr.t_contracts <- works;
-    tr.t_finished_at <- now;
-    tr.t_plan <- Some plan;
-    tr.t_pending <- List.length works;
-    if exec_at_admission then submit_exec st tr ~at:now;
-    if works = [] then contracts_done tr now
+  let wave_span =
+    if Obs.enabled st.obs then
+      Obs.open_span st.obs ~cat:"wave" ~name:"wave" ~track:market_track
+        ~attrs:
+          [
+            ("trades", Obs.Int (List.length waiting));
+            ("envelopes", Obs.Int (List.length envelopes));
+          ]
+        ~t0:t_close ()
+    else 0
   in
-  (* Settle everything due up to [t] and move market time there. *)
-  let catch_up t =
-    drain ~upto:t;
-    st.mclock <- Float.max st.mclock t;
-    t
-  in
-  let buyer_now tr = Float.max (Runtime.node_clock st.rt tr.t_buyer) st.mclock in
-  let handle_ok tr (outcome : Trader.outcome) =
-    let now = catch_up (buyer_now tr) in
-    (* The drain fired every deadline up to [now]: an expired trade is
-       too late to admit, and a live one is still inside its deadline. *)
-    if tr.t_status = None then begin
-      let works = by_seller (fun o -> o.Offer.true_cost) outcome in
-      if st.pstate <> None then
-        tr.t_prices <- by_seller (fun o -> o.Offer.quoted) outcome;
-      let plan_cost = Cost.response outcome.Trader.cost in
-      match try_admit st tr ~now works with
-      | Ok () ->
-        qcache_note_traded st tr ~plan:outcome.Trader.plan ~plan_cost works;
-        admitted tr ~now ~plan:outcome.Trader.plan ~plan_cost works
-      | Error seller ->
-        if tr.t_attempts <= cfg.max_admission_retries then begin
-          st.retries <- st.retries + 1;
-          penalize tr seller rejection_penalty;
-          Queue.add tr ready
+  let wave_end = ref t_close in
+  (* Per wave position: (seller, reply, arrival time back at the buyer). *)
+  let replies_at = Array.make (Array.length wave) [] in
+  (* Phase A — pricing.  [rr_serve] runs the seller's whole
+     optimize-and-quote pipeline and depends only on the request and the
+     seller's bid cache, never on clocks or earlier wave accounting, so
+     envelopes can be priced ahead of the sequential replay below.
+     Envelopes sharing a seller share that seller's bid cache and must
+     stay in service order, so the parallel unit is a seller's whole
+     envelope group.  Serving stays serial when observability is on
+     (span ids are emission-ordered). *)
+  let env_arr = Array.of_list envelopes in
+  let serve_env (e : Batcher.envelope) =
+    List.filter_map
+      (fun pos ->
+        let _, req, _ = wave.(pos) in
+        if List.mem e.seller req.rr_targets then begin
+          let reply, processing, rbytes = req.rr_serve e.seller in
+          Some (pos, reply, processing, rbytes)
         end
-        else settle st tr (Admission_failed seller) ~at:now
-    end
+        else None)
+      e.trades
   in
-  let drive tr step =
-    match step with
-    | Awaiting (req, k) ->
-      tr.t_rounds <- tr.t_rounds + 1;
-      parked := (tr, req, k) :: !parked
-    | Finished res -> (
-      decr running;
-      tr.t_fiber <- false;
-      (* A fiber poisoned mid-optimization finishes an expired trade. *)
-      if tr.t_status <> None then Runtime.retire st.rt tr.t_buyer
-      else
-        match res with
-        | Ok outcome ->
-          tr.t_phases <- Trader.add_phase_stats tr.t_phases outcome.Trader.phases;
-          handle_ok tr outcome
-        | Error _ -> settle st tr No_plan ~at:(buyer_now tr))
+  let served = Array.make (Array.length env_arr) [] in
+  let groups =
+    (* Envelope indices per seller, in envelope order: envelopes are
+       sorted by seller, so each group is a run. *)
+    let runs = ref [] in
+    for i = Array.length env_arr - 1 downto 0 do
+      let seller = env_arr.(i).Batcher.seller in
+      match !runs with
+      | (s, idxs) :: rest when s = seller -> runs := (s, i :: idxs) :: rest
+      | rs -> runs := (seller, [ i ]) :: rs
+    done;
+    !runs
   in
-  (* Probe the cache tier before spending a fiber on an arrival.  A
-     result hit completes the trade outright; a statement hit goes
-     straight to admission with the remembered contracts (falling back to
-     fresh trading if admission rejects them — no penalty, the cached
-     plan just stopped fitting the market).  Returns [true] when the
-     arrival needs no fiber. *)
-  let try_cache tr =
-    match st.qcache with
-    | None -> false
-    | Some q -> (
-      (* Materialize execution completions at or before the probe time
-         first (the result-cache fill hook fires from the drain); the
-         drain may also expire this very arrival, which then needs no
-         fiber. *)
-      drain ~upto:(buyer_now tr);
-      if tr.t_status <> None then true
-      else
-        match qcache_probe st q tr with
-        | `Miss -> false
-        | `Result e ->
-          let now = catch_up (buyer_now tr) in
-          if tr.t_status <> None then true (* expired during the drain *)
-          else begin
-            tr.t_attempts <- tr.t_attempts + 1;
-            count st tr (fun n -> n.Telemetry.n_cache_hits <- n.n_cache_hits + 1);
-            let now = qcache_serve_result st q tr e ~now in
-            st.mclock <- Float.max st.mclock now;
-            settle st tr Completed ~at:now;
-            true
-          end
-        | `Stmt e -> (
-          let now = catch_up (buyer_now tr) in
-          if tr.t_status <> None then true (* expired during the drain *)
-          else
-            (* A statement hit skips negotiation: the cached plan is
-               bought at its contracts' cost. *)
-            let contracts = e.Statement_cache.contracts in
-            if st.pstate <> None then tr.t_prices <- contracts;
-            match try_admit st tr ~now contracts with
-            | Ok () ->
-              tr.t_attempts <- tr.t_attempts + 1;
-              count st tr (fun n -> n.Telemetry.n_cache_hits <- n.n_cache_hits + 1);
-              Tier.note_trade_avoided q.q_tier;
-              admitted tr ~now ~plan:e.Statement_cache.plan
-                ~plan_cost:e.Statement_cache.plan_cost contracts;
-              true
-            | Error _ -> false))
+  let serve_group ((_ : int), idxs) =
+    List.map (fun i -> (i, serve_env env_arr.(i))) idxs
   in
-  (* Release every arrival up to market time: shed it outright if the
-     marketplace is saturated, otherwise queue it for a fiber and arm
-     its deadline. *)
-  let rec release () =
-    match !next with
-    | Seq.Cons (tr, rest) when tr.t_arrival <= st.mclock ->
-      next := rest ();
-      Hashtbl.replace st.live tr.t_index tr;
-      if Obs.enabled obs then
-        Obs.track_name obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
-      Runtime.register st.rt tr.t_buyer;
-      count st tr (fun n -> n.Telemetry.n_arrivals <- n.n_arrivals + 1);
-      stream_instant st tr ~at:tr.t_arrival "arrive";
-      let shed =
-        match scfg.shedding with
-        | Shedding.Keep_all -> false
-        | Shedding.Occupancy _ as policy ->
-          Shedding.sheds policy ~occupancy:(occupancy st)
+  let group_results =
+    match st.cfg.pool with
+    | Some p when not (Obs.enabled st.obs) ->
+      Array.to_list (Pool.map p serve_group (Array.of_list groups))
+    | Some _ | None -> List.map serve_group groups
+  in
+  List.iter (List.iter (fun (i, r) -> served.(i) <- r)) group_results;
+  (* Phase B — replay.  All clock advances, wire accounting and metrics
+     happen here, on the coordinator, in the original envelope order:
+     identical floats to the serial path. *)
+  Array.iteri
+    (fun ei (e : Batcher.envelope) ->
+      (* The envelope goes on the wire once; its bytes are attributed
+         to the first participating trade. *)
+      (match e.trades with
+      | first :: _ ->
+        let tr, _, _ = wave.(first) in
+        tr.t_messages <- tr.t_messages + 1;
+        tr.t_bytes <- tr.t_bytes + e.env_bytes;
+        Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:e.env_bytes
+          ~elapsed:0.
+      | [] -> ());
+      let arrival = t_close +. Runtime.one_way st.rt ~bytes:e.env_bytes in
+      if Obs.enabled st.obs then
+        ignore
+          (Obs.emit st.obs ~cat:"message" ~name:"envelope" ~track:e.seller
+             ~parent:wave_span
+             ~attrs:
+               [
+                 ("bytes", Obs.Int e.env_bytes);
+                 ("trades", Obs.Int (List.length e.trades));
+                 ("signatures", Obs.Int (List.length e.env_signatures));
+               ]
+             ~t0:t_close ~t1:arrival ()
+            : int);
+      let sc = Runtime.node_clock st.rt e.seller in
+      if arrival > sc then Runtime.advance st.rt ~node:e.seller (arrival -. sc);
+      List.iter
+        (fun (pos, reply, processing, rbytes) ->
+          Runtime.advance st.rt ~node:e.seller processing;
+          let finish = Runtime.node_clock st.rt e.seller in
+          let back = finish +. Runtime.one_way st.rt ~bytes:rbytes in
+          let tr, _, _ = wave.(pos) in
+          tr.t_messages <- tr.t_messages + 1;
+          tr.t_bytes <- tr.t_bytes + rbytes;
+          Runtime.chatter st.rt ~node:tr.t_buyer ~count:1 ~bytes_each:rbytes
+            ~elapsed:0.;
+          Metrics.observe st.rtt (back -. t_close);
+          wave_end := Float.max !wave_end back;
+          replies_at.(pos) <- (e.seller, reply, back) :: replies_at.(pos))
+        served.(ei))
+    env_arr;
+  (* A seller serves a trade at most once per wave. *)
+  let rec reply_from s = function
+    | [] -> None
+    | ((s', _, _) as r) :: rest -> if s' = s then Some r else reply_from s rest
+  in
+  Array.iteri
+    (fun pos (tr, (req : round_request), k) ->
+      let mine = replies_at.(pos) in
+      let replies =
+        List.filter_map
+          (fun s ->
+            Option.map (fun (_, reply, _) -> (s, reply)) (reply_from s mine))
+          req.rr_targets
       in
-      if shed then settle st tr Shed ~at:tr.t_arrival
-      else begin
-        Queue.add tr ready;
-        if tr.t_deadline < infinity then
-          Event_queue.push deadlines ~time:tr.t_deadline tr
-      end;
-      release ()
-    | Seq.Cons _ | Seq.Nil -> ()
-  in
-  let cap = if cfg.concurrency <= 0 then max_int else cfg.concurrency in
-  let start_more () =
-    while !running < cap && not (Queue.is_empty ready) do
-      let tr = Queue.pop ready in
-      (* Trades that expired while waiting for a fiber are skipped —
-         they were already settled by their deadline event. *)
-      if tr.t_status = None then
-        if not (try_cache tr) then begin
-          incr running;
-          tr.t_fiber <- true;
-          launch_fiber st tr ~drive
-        end
-    done
-  in
-  let execute_wave () =
-    let waiting =
-      List.sort (fun (a, _, _) (b, _, _) -> Int.compare a.t_index b.t_index) !parked
+      let resolution =
+        List.fold_left
+          (fun acc s ->
+            match reply_from s mine with
+            | Some (_, _, back) -> Float.max acc back
+            | None -> acc)
+          t_close req.rr_targets
+      in
+      let c = Runtime.node_clock st.rt tr.t_buyer in
+      if resolution > c then
+        Runtime.advance st.rt ~node:tr.t_buyer (resolution -. c);
+      drive st tr
+        (Effect.Deep.continue k
+           { Transport.replies; failed = []; fresh_failures = false }))
+    wave;
+  Obs.close st.obs wave_span ~t1:!wave_end ()
+
+(* Terminate a suspended fiber without serving it: feed it all-failed
+   rounds until the trader gives up through its crash-recovery path.
+   Bounded by the trader's iteration cap, cheap (no seller work, no wire
+   traffic), and it unwinds the fiber normally, so observability spans
+   close and [drive] sees a regular [Finished].  Used on trades whose
+   deadline expired while they were parked in a wave. *)
+let rec poison_fiber st tr (req : round_request) k =
+  match
+    Effect.Deep.continue k
+      { Transport.replies = []; failed = req.rr_targets; fresh_failures = true }
+  with
+  | Awaiting (req', k') -> poison_fiber st tr req' k'
+  | Finished _ as step -> drive st tr step
+
+(* Probe the cache tier before spending a fiber on an arrival.  A result
+   hit completes the trade outright; a statement hit goes straight to
+   admission with the remembered contracts (falling back to fresh
+   trading if admission rejects them — no penalty, the cached plan just
+   stopped fitting the market).  A hit served counts as an attempt and
+   a cache hit.  Returns [true] when the arrival needs no fiber. *)
+let try_cache st tr =
+  match st.qcache with
+  | None -> false
+  | Some q -> (
+    (* Materialize execution completions at or before the probe time
+       first (the result-cache fill hook fires from the drain); the
+       drain may also expire this very arrival, which then needs no
+       fiber. *)
+    drain st ~upto:(buyer_now st tr);
+    if tr.t_status <> None then true
+    else
+      match qcache_probe st q tr with
+      | `Miss -> false
+      | (`Result _ | `Stmt _) as hit ->
+        let now = catch_up st (buyer_now st tr) in
+        if tr.t_status <> None then true (* expired during the drain *)
+        else
+          let served =
+            match hit with
+            | `Result e ->
+              let now = qcache_serve_result st q tr e ~now in
+              st.mclock <- Float.max st.mclock now;
+              settle st tr Completed ~at:now;
+              true
+            | `Stmt e ->
+              (* A statement hit skips negotiation: the cached plan is
+                 bought at its contracts' cost. *)
+              let contracts = e.Statement_cache.contracts in
+              if st.pstate <> None then tr.t_prices <- contracts;
+              let ok = try_admit st tr ~now contracts = Ok () in
+              if ok then begin
+                Tier.note_trade_avoided q.q_tier;
+                admitted st tr ~now ~plan:e.Statement_cache.plan
+                  ~plan_cost:e.Statement_cache.plan_cost contracts
+              end;
+              ok
+          in
+          if served then begin
+            tr.t_attempts <- tr.t_attempts + 1;
+            count st tr (fun n -> n.Telemetry.n_cache_hits <- n.n_cache_hits + 1)
+          end;
+          served)
+
+(* Release every arrival up to market time: shed it outright if the
+   marketplace is saturated, otherwise queue it for a fiber and arm
+   its deadline. *)
+let rec release st =
+  match st.next with
+  | Seq.Cons (tr, rest) when tr.t_arrival <= st.mclock ->
+    st.next <- rest ();
+    Hashtbl.replace st.live tr.t_index tr;
+    if Obs.enabled st.obs then
+      Obs.track_name st.obs tr.t_buyer (Printf.sprintf "trade %d" tr.t_index);
+    Runtime.register st.rt tr.t_buyer;
+    count st tr (fun n -> n.Telemetry.n_arrivals <- n.n_arrivals + 1);
+    stream_instant st tr ~at:tr.t_arrival "arrive";
+    let shed =
+      match st.shedding with
+      | Shedding.Keep_all -> false
+      | Shedding.Occupancy _ as policy ->
+        Shedding.sheds policy ~occupancy:(occupancy st)
     in
-    parked := [];
-    let t_close = wave_close st waiting in
-    drain ~upto:t_close;
-    (* Deadlines fired during the drain may have expired parked trades:
-       poison their fibers instead of serving them. *)
-    let expired, live =
-      List.partition (fun (tr, _, _) -> tr.t_status = Some Expired) waiting
-    in
-    List.iter (fun (tr, req, k) -> poison_fiber tr ~drive req k) expired;
-    if live <> [] then serve_wave st live ~t_close ~drive
+    if shed then settle st tr Shed ~at:tr.t_arrival
+    else begin
+      Queue.add tr st.ready;
+      if tr.t_deadline < infinity then
+        Event_queue.push st.deadlines ~time:tr.t_deadline tr
+    end;
+    release st
+  | Seq.Cons _ | Seq.Nil -> ()
+
+(* Start fibers for ready trades, up to the concurrency cap.  Trades
+   that expired while waiting for a fiber are skipped — they were
+   already settled by their deadline event. *)
+let start_more st =
+  let cap = if st.cfg.concurrency <= 0 then max_int else st.cfg.concurrency in
+  while st.running < cap && not (Queue.is_empty st.ready) do
+    let tr = Queue.pop st.ready in
+    if tr.t_status = None && not (try_cache st tr) then launch_fiber st tr
+  done
+
+(* Close the open wave: market time advances to the latest parked
+   buyer clock, everything due by then fires, and the wave is served.
+   Deadlines fired in that drain may have expired parked trades:
+   their fibers are poisoned instead of served. *)
+let close_wave st =
+  let waiting =
+    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a.t_index b.t_index) st.parked
   in
-  let rec market_loop () =
-    release ();
-    start_more ();
-    if !parked <> [] then begin
-      execute_wave ();
-      market_loop ()
+  st.parked <- [];
+  let t_close =
+    List.fold_left
+      (fun acc (tr, _, _) -> Float.max acc (Runtime.node_clock st.rt tr.t_buyer))
+      st.mclock waiting
+  in
+  st.mclock <- t_close;
+  drain st ~upto:t_close;
+  let expired, live =
+    List.partition (fun (tr, _, _) -> tr.t_status = Some Expired) waiting
+  in
+  List.iter (fun (tr, req, k) -> poison_fiber st tr req k) expired;
+  if live <> [] then serve_wave st live ~t_close
+
+(* Run the market's arrivals to completion: release each at its arrival
+   time, shed or queue it, trade queued ones concurrently under
+   [cfg.concurrency], enforce deadlines, and drain every contract,
+   deadline, scrape tick and execution task.  A trade is admitted (its
+   contracts placed) before it ends: it settles as completed when its
+   last contract finishes, or expires if its deadline comes first.  The
+   driver holds a trade from release to settle (its fiber, until it
+   finishes), and nothing else.  Returns the market, [makespan] raised
+   to the end of trading. *)
+let drive_market st =
+  let rec loop () =
+    release st;
+    start_more st;
+    if st.parked <> [] then begin
+      close_wave st;
+      loop ()
     end
     else
-      match !next with
+      match st.next with
       | Seq.Cons (tr, _) ->
         (* Idle marketplace: jump to the next arrival, settling
            completions and deadlines on the way. *)
-        ignore (catch_up (Float.max tr.t_arrival st.mclock) : float);
-        market_loop ()
+        ignore (catch_up st (Float.max tr.t_arrival st.mclock) : float);
+        loop ()
       | Seq.Nil -> ()
   in
-  market_loop ();
-  drain ~upto:infinity;
+  loop ();
+  drain st ~upto:infinity;
   (* Every released trade has settled, or the exactly-once law broke. *)
   if Hashtbl.length st.live > 0 then
     failwith
@@ -1680,7 +1681,7 @@ let drive_market ~obs ~exec_at_admission scfg federation arrivals =
   Option.iter
     (fun t -> Telemetry.finish t ~at:st.makespan ~occupancy:(occupancy st))
     st.tel;
-  emit_pool_span obs cfg.pool ~at:st.makespan;
+  emit_pool_span st.obs st.cfg.pool ~at:st.makespan;
   st
 
 (* Each executed trade's answer-table row and [(index, plan, table)],
@@ -1871,8 +1872,8 @@ let report_of ?trades st =
     str_results = results;
   }
 
-(* Buyer priority of every batch trade, read by the [Priority] and
-   [Proportional_share] arbitration policies. *)
+(* Buyer priority of every batch trade, read by the [Priority]
+   arbitration policy. *)
 let batch_priority = 0
 
 (* The stream settings a batch runs under: no shedding, no telemetry and
@@ -1911,14 +1912,14 @@ let run ?(obs = Obs.disabled) cfg federation queries =
          (fun i q -> make_trade ~index:i ~priority:batch_priority (facts_of q))
          queries)
   in
-  drive_market ~obs ~exec_at_admission:true (batch_stream cfg) federation
+  make_market ~obs ~exec_at_admission:true (batch_stream cfg) federation
     (Array.to_seq trades)
-  |> report_of ~trades
+  |> drive_market |> report_of ~trades
 
-(* The stream's driver run.  Arrivals wait in flat arrays, 3 words each
-   against the list's 9: the unreleased arrivals are what a long stream
-   holds most.  Each trade is made when the driver pulls it. *)
-let drive_stream ~obs scfg federation ~templates arrivals =
+(* The stream's market, before its first event.  Arrivals wait in flat
+   arrays, 3 words each against the list's 9: the unreleased arrivals
+   are what a long stream holds most.  Each trade is made when pulled. *)
+let stream_market ~obs scfg federation ~templates arrivals =
   let pool = Array.length templates in
   if pool = 0 then invalid_arg "Market.run_stream: empty template pool";
   if not (scfg.latency_domain > 0.) then
@@ -1944,14 +1945,19 @@ let drive_stream ~obs scfg federation ~templates arrivals =
     make_trade ~arrival ~deadline:(arrival +. spec.Sla.deadline) ~klass:klass.(i)
       ~index:i ~priority:spec.Sla.priority facts.(template.(i))
   in
-  drive_market ~obs ~exec_at_admission:false scfg federation (Seq.init n trade)
+  make_market ~obs ~exec_at_admission:false scfg federation (Seq.init n trade)
 
 let run_stream ?(obs = Obs.disabled) scfg federation ~templates arrivals =
-  report_of (drive_stream ~obs scfg federation ~templates arrivals)
+  report_of (drive_market (stream_market ~obs scfg federation ~templates arrivals))
 
 module Private = struct
+  type nonrec market = market
+
   let settle_fresh cfg federation query outcomes =
-    let st = make_market ~obs:Obs.disabled (batch_stream cfg) federation in
+    let st =
+      make_market ~obs:Obs.disabled ~exec_at_admission:true (batch_stream cfg)
+        federation Seq.empty
+    in
     let tr =
       make_trade ~index:0 ~priority:batch_priority
         (query_facts cfg federation query)
@@ -1960,8 +1966,10 @@ module Private = struct
 
   let check_seller_laws = check_seller_laws
 
-  let stream_residue scfg federation ~templates arrivals =
-    let st = drive_stream ~obs:Obs.disabled scfg federation ~templates arrivals in
-    let served = Hashtbl.fold (fun _ a n -> n + Admission.served_trades a) in
-    (Hashtbl.length st.live, Runtime.nodes st.rt, served st.admissions 0)
+  let market = stream_market ~obs:Obs.disabled
+  let start st = release st; start_more st
+  let drain = drain
+  let close_wave = close_wave
+  let finish st = report_of (drive_market st)
+  let state st = (List.length st.parked, Hashtbl.length st.live, Runtime.nodes st.rt)
 end

@@ -426,9 +426,23 @@ module Private : sig
   (** The per-seller laws every run checks on its report.
       @raise Failure naming the first seller that breaks one. *)
 
-  val stream_residue :
+  type market
+  (** A market and its driver, driven one handler at a time. *)
+
+  val market :
     stream_config -> Qt_catalog.Federation.t -> templates:Qt_sql.Ast.t array ->
-    Qt_stream.Arrivals.arrival list -> int * int list * int
-  (** What {!run_stream}'s market still holds at the end: its live
-      trades, runtime nodes and admission shares. *)
+    Qt_stream.Arrivals.arrival list -> market
+  (** {!run_stream}'s market before its first event. *)
+
+  val start : market -> unit
+  (** Release the arrivals due by market time and start their fibers. *)
+
+  val drain : market -> upto:float -> unit
+  val close_wave : market -> unit
+
+  val finish : market -> stream_stats
+  (** Drive the rest of the run and report it, as {!run_stream} does. *)
+
+  val state : market -> int * int * int list
+  (** Fibers parked in the open wave, live trades and runtime nodes. *)
 end

@@ -49,24 +49,6 @@ val tpch_pricing_summary : ?ship_lo:int -> ?ship_hi:int -> unit -> Qt_sql.Ast.t
     COUNT-star [FROM lineitem l WHERE l.shipdate BETWEEN lo AND hi GROUP
     BY l.returnflag] (defaults: the whole date domain). *)
 
-val tpch_shipping_priority : ?segment:int -> ?date_hi:int -> unit -> Qt_sql.Ast.t
-(** TPC-H Q3 flavour: revenue of one market segment's orders up to
-    [date_hi], grouped by order priority — the 3-way
-    customer-orders-lineitem join whose customer-orders edge always
-    crosses partitions. *)
-
-val tpch_local_supplier_volume :
-  ?date_lo:int -> ?date_hi:int -> unit -> Qt_sql.Ast.t
-(** TPC-H Q5 flavour: supplier revenue volume by nation over an order-date
-    window — the 5-way customer-orders-lineitem-supplier-nation chain. *)
-
-val tpch_returned_items : ?date_lo:int -> unit -> Qt_sql.Ast.t
-(** TPC-H Q10 flavour: revenue of returned items per customer over the
-    quarter starting at [date_lo]. *)
-
-val tpch_order_lookup : orderkey:int -> Qt_sql.Ast.t
-(** Point lookup joining one order to its line items. *)
-
 val tpch_templates : seed:int -> count:int -> Qt_sql.Ast.t list
 (** A reproducible TPC-H-flavoured template pool cycling pricing
     summaries, shipping-priority and supplier-volume joins, returned-item

@@ -6,8 +6,8 @@
     capacity is left over.  Each arriving query therefore carries a
     {!klass}, and the stream runner resolves the class to a {!spec} —
     a relative completion deadline plus an admission priority that flows
-    into {!Qt_market.Admission} arbitration (a [Priority] or
-    [Proportional_share] seller serves interactive contracts first).
+    into {!Qt_market.Admission} arbitration (a [Priority] seller serves
+    interactive contracts first).
 
     Deadlines are {e relative} to the query's arrival time; the stream
     runner turns them into absolute virtual times.  A class without a

@@ -2,6 +2,8 @@ module Ast = Qt_sql.Ast
 module Analysis = Qt_sql.Analysis
 module Interval = Qt_util.Interval
 
+(* Does [by]'s WHERE conjunction guarantee conjunct [p]?  [q_ctx] is the
+   query whose range of [p]'s attribute is compared against [by]'s. *)
 let conjunct_implied ~by q_ctx p =
   if Analysis.is_range_conjunct p then
     match Analysis.range_attr p with

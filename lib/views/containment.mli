@@ -6,14 +6,6 @@
     syntactically.  Incompleteness only costs missed view-rewriting
     opportunities, never wrong answers. *)
 
-val conjunct_implied :
-  by:Qt_sql.Ast.t -> Qt_sql.Ast.t -> Qt_sql.Ast.predicate -> bool
-(** [conjunct_implied ~by:q q_ctx p]: does the WHERE conjunction of [q]
-    guarantee conjunct [p]?  [q_ctx] supplies the context in which range
-    conjuncts of [p] are interpreted (its [range_of] is compared against
-    [q]'s).  For non-range conjuncts the test is syntactic membership in
-    [q]'s WHERE clause. *)
-
 val where_implies : Qt_sql.Ast.t -> Qt_sql.Ast.t -> bool
 (** [where_implies stronger weaker]: every conjunct of [weaker.where] is
     guaranteed by [stronger.where].  Both queries must range over the same

@@ -54,18 +54,12 @@ let test_admission_priority () =
   Alcotest.(check (list int)) "highest priority first" [ 2 ]
     (promoted_trades promoted)
 
-let test_admission_proportional () =
-  let t =
-    Admission.create (adm_config ~policy:Admission.Proportional_share ())
-  in
-  (* Trade 0 has already been served a big contract; under proportional
-     share the newcomer (trade 1) goes first when a slot frees. *)
-  let h0 = started (submit t ~now:0. ~trade:0 ~work:10.) in
-  ignore (submit t ~now:0. ~trade:0 ~work:1.);
-  ignore (submit t ~now:0. ~trade:1 ~work:1.);
-  let promoted = Admission.finish t ~now:10. h0 in
-  Alcotest.(check (list int)) "least served share first" [ 1 ]
-    (promoted_trades promoted)
+let test_policy_of_string () =
+  Alcotest.(check bool) "fifo and priority parse" true
+    (Admission.policy_of_string "fifo" = Some Admission.Fifo
+    && Admission.policy_of_string "priority" = Some Admission.Priority);
+  Alcotest.(check bool) "proportional is unknown" true
+    (Admission.policy_of_string "proportional" = None)
 
 let test_admission_rejection_and_stats () =
   let t = Admission.create (adm_config ~queue_limit:1 ()) in
@@ -364,13 +358,9 @@ let prop_coalesce_matches_legacy =
           got = want && Batcher.stats t = Batcher_legacy.stats legacy)
         waves)
 
-(* Proportional share ranks a queued contract by the work its trade was
-   already served at that seller.  In the market a trade holds at most
-   one contract per seller, and a rollback gives a started contract's
-   share back, so every queued contract's share is 0 and arbitration
-   falls to arrival order: a contended stream prints FIFO's bytes, while
-   priority order, which does act on the same queues, prints others. *)
-let test_proportional_is_fifo_in_market () =
+(* Priority order acts on a contended stream's admission queues: it
+   prints other bytes than arrival order. *)
+let test_priority_acts_in_market () =
   let federation =
     Qt_sim.Generator.telecom ~nodes:8
       ~placement:{ Qt_sim.Generator.partitions = 4; replicas = 1 }
@@ -391,18 +381,15 @@ let test_proportional_is_fifo_in_market () =
     Market.stream_to_json
       (Market.run_stream { d with Market.base } federation ~templates arrivals)
   in
-  let fifo = json Admission.Fifo in
-  Alcotest.(check string) "proportional share prints FIFO's bytes" fifo
-    (json Admission.Proportional_share);
   Alcotest.(check bool) "priority order prints others" false
-    (String.equal fifo (json Admission.Priority))
+    (String.equal (json Admission.Fifo) (json Admission.Priority))
 
 let suite =
   ( "market",
     [
       quick "admission: fifo promotes in arrival order" test_admission_fifo;
       quick "admission: priority arbitration" test_admission_priority;
-      quick "admission: proportional share arbitration" test_admission_proportional;
+      quick "admission: policy names parse" test_policy_of_string;
       quick "admission: bounded queue rejects" test_admission_rejection_and_stats;
       quick "admission: cancel rolls back and promotes" test_admission_cancel;
       quick "seller cache: LRU capacity evicts deterministically"
@@ -416,6 +403,6 @@ let suite =
       quick "report: batch --json and --metrics from one value"
         test_report_one_source;
       quick "report: a broken seller law fails the run" test_seller_laws;
-      quick "admission: proportional share orders like fifo in the market"
-        test_proportional_is_fifo_in_market;
+      quick "admission: priority order acts in the market"
+        test_priority_acts_in_market;
     ] )

@@ -520,9 +520,9 @@ let test_stream_template_out_of_pool () =
     [ 4; -1 ]
 
 (* A stream keeps a trade only from release to settle: once it ends, no
-   trade is live, the runtime holds only the sellers' nodes and no
-   seller keeps an admission share.  The run expires, sheds, hits the
-   cache tier and prices with surge, so every ending path runs. *)
+   trade is live and the runtime holds only the sellers' nodes.  The run
+   expires, sheds, hits the cache tier and prices with surge, so every
+   ending path runs. *)
 let test_stream_releases_trade_state () =
   let federation = stream_federation () in
   let templates = stream_templates () in
@@ -554,18 +554,98 @@ let test_stream_releases_trade_state () =
       ~horizon:(Arrivals.Count 2000) ~templates:(Array.length templates)
       ~theta:0.9 ~mix:Sla.default_mix
   in
-  let s = Market.run_stream scfg federation ~templates arrivals in
+  let m = Market.Private.market scfg federation ~templates arrivals in
+  let s = Market.Private.finish m in
   Alcotest.(check bool) "the run expires, sheds and hits the cache" true
     (s.Market.str_expired > 0 && s.Market.str_shed > 0
     && (Option.get s.Market.str_qcache).Qt_cache.Tier.trades_avoided > 0);
-  let live, nodes, served =
-    Market.Private.stream_residue scfg federation ~templates arrivals
-  in
+  let _, live, nodes = Market.Private.state m in
   Alcotest.(check int) "no trade live" 0 live;
   Alcotest.(check (list int)) "runtime holds the sellers only"
     (List.sort compare (Qt_catalog.Federation.node_ids federation))
-    nodes;
-  Alcotest.(check int) "no admission share held" 0 served
+    nodes
+
+(* The driver's handlers, stepped one at a time on a one-arrival market
+   whose class deadline is [deadline]. *)
+let one_arrival_market ~deadline klass =
+  let spec_of k = { (Sla.default_spec k) with Sla.deadline } in
+  Market.Private.market (scfg ~spec_of ()) (stream_federation ())
+    ~templates:(stream_templates ())
+    [ { Arrivals.at = 0.; template = 0; klass } ]
+
+let state = Alcotest.(triple int int (list int))
+
+(* A deadline fires while the trade's fiber is parked in the open wave:
+   the trade settles expired at once, and the next wave poisons the
+   fiber instead of serving it, which retires the trade's buyer node. *)
+let test_deadline_on_parked_fiber () =
+  let sellers =
+    List.sort compare (Qt_catalog.Federation.node_ids (stream_federation ()))
+  in
+  let m = one_arrival_market ~deadline:0.001 Sla.Interactive in
+  Market.Private.start m;
+  Alcotest.check state "parked, live, buyer node held" (1, 1, -1 :: sellers)
+    (Market.Private.state m);
+  Market.Private.drain m ~upto:0.001;
+  Alcotest.check state "settled, fiber still parked" (1, 0, -1 :: sellers)
+    (Market.Private.state m);
+  Market.Private.close_wave m;
+  Alcotest.check state "fiber poisoned, buyer node retired" (0, 0, sellers)
+    (Market.Private.state m);
+  let s = Market.Private.finish m in
+  Alcotest.(check (pair int int)) "expired once, completed never" (1, 0)
+    (s.Market.str_expired, s.Market.str_completed);
+  Alcotest.(check int) "no wave served" 0
+    s.Market.str_batcher.Qt_market.Batcher.waves
+
+(* A deadline fires while the trade holds admitted contracts: they are
+   withdrawn, their completion events, still queued, are skipped when
+   they come due, and every seller's accepted = completed + canceled.
+   A batch run of the same query says when it is admitted and how long
+   its shortest contract runs; the deadline falls halfway into it. *)
+let test_deadline_on_admitted_contract () =
+  let batch =
+    Market.run (scfg ()).Market.base (stream_federation ())
+      [ (stream_templates ()).(0) ]
+  in
+  let t = List.hd batch.Market.str_trades in
+  let work =
+    List.fold_left (fun a (_, w) -> Float.min a w) infinity t.Market.contracts
+  in
+  let deadline = t.Market.sim_time +. (work /. 2.) in
+  let m = one_arrival_market ~deadline Sla.Batch in
+  Market.Private.start m;
+  let rec trade () =
+    let parked, _, _ = Market.Private.state m in
+    if parked > 0 then begin
+      Market.Private.close_wave m;
+      Market.Private.start m;
+      trade ()
+    end
+  in
+  trade ();
+  let _, live, _ = Market.Private.state m in
+  Alcotest.(check int) "admitted and still live" 1 live;
+  Market.Private.drain m ~upto:deadline;
+  let _, live, _ = Market.Private.state m in
+  Alcotest.(check int) "expired at the deadline" 0 live;
+  let s = Market.Private.finish m in
+  Alcotest.(check (pair int int)) "expired once, completed never" (1, 0)
+    (s.Market.str_expired, s.Market.str_completed);
+  let sum f =
+    List.fold_left
+      (fun n (x : Market.seller_stats) -> n + f x.Market.admission)
+      0 s.Market.str_sellers
+  in
+  Alcotest.(check (pair int int)) "contracts canceled, none completed"
+    (List.length t.Market.contracts, 0)
+    (sum (fun a -> a.Admission.canceled), sum (fun a -> a.Admission.completed));
+  List.iter
+    (fun (x : Market.seller_stats) ->
+      let a = x.Market.admission in
+      Alcotest.(check int) "accepted = completed + canceled" a.Admission.accepted
+        (a.Admission.completed + a.Admission.canceled))
+    s.Market.str_sellers
 
 let suite =
   ( "stream",
@@ -606,4 +686,8 @@ let suite =
         test_stream_template_out_of_pool;
       quick "run_stream: a settled trade leaves no state behind"
         test_stream_releases_trade_state;
+      quick "handlers: a deadline on a parked fiber poisons it"
+        test_deadline_on_parked_fiber;
+      quick "handlers: a deadline withdraws admitted contracts"
+        test_deadline_on_admitted_contract;
     ] )
