@@ -44,6 +44,8 @@ type task = {
   mutable t_measured : float;
   mutable t_started : float;
   mutable t_finished : float;  (* < 0. while unfinished *)
+  mutable t_waiters : (at:float -> Table.t -> unit) list;
+      (* until it completes, the answer callbacks of the trades rooted here *)
 }
 
 type nstate = {
@@ -64,18 +66,15 @@ type t = {
   obs : Obs.t;
   tasks : (int, task) Hashtbl.t;
   nodes : (int, nstate) Hashtbl.t;
-  (* (sig id, seller) -> producers, disambiguated by imports *)
+  (* (sig id, seller) -> producers, disambiguated by imports; empty when
+     results are not shared *)
   shared : (int * int, ((string * int * Qt_util.Interval.t) list * int) list) Hashtbl.t;
   events : int Event_queue.t;  (* task completions *)
-  roots : (int, dep) Hashtbl.t;  (* trade -> root task + rename *)
-  finished_trades : (int, float) Hashtbl.t;
   mutable next_id : int;
   mutable clock : float;
   mutable completed : int;
   mutable submitted : int;
   mutable shared_hits : int;
-  on_result : (int, at:float -> Table.t -> unit) Hashtbl.t;
-      (* trade -> callback for its answer, until it fires *)
 }
 
 let create ?(obs = Obs.disabled) config params store federation =
@@ -90,25 +89,12 @@ let create ?(obs = Obs.disabled) config params store federation =
     nodes = Hashtbl.create 16;
     shared = Hashtbl.create 32;
     events = Event_queue.create ();
-    roots = Hashtbl.create 8;
-    finished_trades = Hashtbl.create 8;
     next_id = 0;
     clock = 0.;
     completed = 0;
     submitted = 0;
     shared_hits = 0;
-    on_result = Hashtbl.create 8;
   }
-
-let notify_result t ~trade ~at (root : dep) =
-  match Hashtbl.find_opt t.on_result trade with
-  | None -> ()
-  | Some f -> (
-    Hashtbl.remove t.on_result trade;
-    let producer = Hashtbl.find t.tasks root.d_task in
-    match producer.t_table with
-    | Some table -> f ~at (Engine.apply_rename table root.d_rename)
-    | None -> ())
 
 let nstate t node =
   match Hashtbl.find_opt t.nodes node with
@@ -224,6 +210,18 @@ let ready t task ~at =
   end
   else Queue.push task.id node.n_queue
 
+(* Forget a finished trade's tasks that no other plan reaches, from its
+   root down through [t_deps]: buyer-side operators, scans, and remote
+   tasks too when results are not shared. *)
+let rec drop_private t task =
+  match task.t_op with
+  | Plan.Remote _ when t.config.share_results -> ()
+  | _ ->
+    Hashtbl.remove t.tasks task.id;
+    List.iter
+      (fun dep -> drop_private t (Hashtbl.find t.tasks dep.d_task))
+      task.t_deps
+
 let complete t task ~at =
   let node = nstate t task.t_node in
   task.t_finished <- at;
@@ -262,11 +260,15 @@ let complete t task ~at =
       if c.t_waiting = 0 then ready t c ~at)
     (List.rev task.t_consumers);
   task.t_consumers <- [];
-  match Hashtbl.find_opt t.roots task.t_trade with
-  | Some root when root.d_task = task.id ->
-    Hashtbl.replace t.finished_trades task.t_trade at;
-    notify_result t ~trade:task.t_trade ~at root
-  | _ -> ()
+  (* Deliver the answer to every trade whose plan root this is; those
+     trades are then done with their private tasks. *)
+  match task.t_waiters with
+  | [] -> ()
+  | waiters ->
+    task.t_waiters <- [];
+    let table = Option.get task.t_table in
+    List.iter (fun f -> f ~at table) (List.rev waiters);
+    drop_private t task
 
 let drain t ~upto =
   let rec loop () =
@@ -289,28 +291,17 @@ let rec build t ~trade ~buyer ~at plan =
   match plan with
   | Plan.Remote r ->
     let key = (Sig.id (Sig.of_ast r.Plan.query), r.Plan.seller) in
-    let existing =
-      if not t.config.share_results then None
-      else
-        match Hashtbl.find_opt t.shared key with
-        | None -> None
-        | Some producers -> (
-          match List.assoc_opt r.Plan.imports producers with
-          | Some id -> Some id
-          | None -> None)
-    in
+    let producers = Option.value ~default:[] (Hashtbl.find_opt t.shared key) in
     let d_rename = r.Plan.rename in
-    (match existing with
+    (match List.assoc_opt r.Plan.imports producers with
     | Some id ->
       t.shared_hits <- t.shared_hits + 1;
       { d_task = id; d_rename }
     | None ->
       let op = Plan.Remote { r with Plan.rename = None } in
       let task = new_task t ~trade ~node:r.Plan.seller ~at op ~deps:[] in
-      let producers =
-        Option.value ~default:[] (Hashtbl.find_opt t.shared key)
-      in
-      Hashtbl.replace t.shared key ((r.Plan.imports, task.id) :: producers);
+      if t.config.share_results then
+        Hashtbl.replace t.shared key ((r.Plan.imports, task.id) :: producers);
       { d_task = task.id; d_rename })
   | Plan.Scan s ->
     let task = new_task t ~trade ~node:s.Plan.node ~at plan ~deps:[] in
@@ -338,6 +329,7 @@ and new_task t ~trade ~node ~at op ~deps =
       t_measured = 0.;
       t_started = 0.;
       t_finished = -1.;
+      t_waiters = [];
     }
   in
   Hashtbl.replace t.tasks id task;
@@ -356,18 +348,17 @@ and new_task t ~trade ~node ~at op ~deps =
   if task.t_waiting = 0 then ready t task ~at;
   task
 
-let submit ?on_result t ~trade ~buyer ~at plan =
-  Option.iter (Hashtbl.replace t.on_result trade) on_result;
+let submit t ~trade ~buyer ~at ~on_result plan =
   let at = Float.max at t.clock in
   let root = build t ~trade ~buyer ~at plan in
-  Hashtbl.remove t.finished_trades trade;
-  Hashtbl.replace t.roots trade root;
-  (* The whole plan may have deduplicated onto already-finished tasks. *)
   let producer = Hashtbl.find t.tasks root.d_task in
-  if finished producer then begin
-    Hashtbl.replace t.finished_trades trade producer.t_finished;
-    notify_result t ~trade ~at:producer.t_finished root
-  end
+  let deliver ~at table =
+    on_result ~at (Engine.apply_rename table root.d_rename)
+  in
+  (* The whole plan may have deduplicated onto an already-finished task. *)
+  if finished producer then
+    deliver ~at:producer.t_finished (Option.get producer.t_table)
+  else producer.t_waiters <- deliver :: producer.t_waiters
 
 (* Multiplier from backlog seconds to the load units seller pricing
    consumes: one second of backlog raises quotes by the contention
@@ -378,17 +369,6 @@ let load_of t node =
   match Hashtbl.find_opt t.nodes node with
   | None -> 0.
   | Some n -> Float.max 0. n.n_backlog *. load_scale
-
-let result t ~trade =
-  match Hashtbl.find_opt t.roots trade with
-  | None -> None
-  | Some root ->
-    let producer = Hashtbl.find t.tasks root.d_task in
-    if not (finished producer) then None
-    else
-      Option.map (fun table -> Engine.apply_rename table root.d_rename) producer.t_table
-
-let finished_at t ~trade = Hashtbl.find_opt t.finished_trades trade
 
 let stats t =
   let exec_nodes =

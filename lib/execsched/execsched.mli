@@ -38,6 +38,15 @@
     renames still apply individually, so view-served offers dedup with
     differently-renamed siblings.
 
+    {b Answers and what is kept.}  A trade's answer leaves the scheduler
+    one way: the [on_result] callback given to {!submit}, called when the
+    task at the root of the trade's plan completes.  The scheduler keeps
+    no per-trade table.  Once the root completes, the trade's private
+    tasks (its buyer-side operators and scans, and its remote tasks when
+    [share_results] is off) are dropped; shared remote producers, with
+    their answer tables, stay for later trades, so what a run holds grows
+    with its distinct remote sub-queries, not with its trades.
+
     Scheduling is deterministic: tasks are created in submission order,
     per-node queues are FIFO, and completions drain from the tie-broken
     {!Qt_runtime.Event_queue} — the same (plans, config, store seed)
@@ -85,16 +94,24 @@ val create :
     ([seller] too on remote tasks). *)
 
 val submit :
-  ?on_result:(at:float -> Qt_exec.Table.t -> unit) ->
-  t -> trade:int -> buyer:int -> at:float -> Qt_optimizer.Plan.t -> unit
+  t ->
+  trade:int ->
+  buyer:int ->
+  at:float ->
+  on_result:(at:float -> Qt_exec.Table.t -> unit) ->
+  Qt_optimizer.Plan.t ->
+  unit
 (** Decompose [plan] into tasks arriving at virtual time [at] (clamped to
     the scheduler clock) and enqueue the ready leaves.  Buyer-side
     operators pin to node [buyer]; [Remote] leaves pin to their seller.
-    Nothing executes until {!drain} advances the clock.  A trade may be
-    submitted once; resubmitting replaces its recorded result.
-    [on_result] fires once, from {!drain} or here, when the trade's own
-    root task completes (also when the whole plan deduplicates onto
-    finished tasks), with the renamed answer and its virtual time. *)
+    Nothing executes until {!drain} advances the clock.  [trade] labels
+    the tasks' spans.  [on_result] is how the answer is delivered: it is
+    called once, from {!drain}, with the renamed answer and the virtual
+    time the plan's root task completed.  When the whole plan is one
+    [Remote] leaf that deduplicates onto another trade's task, it waits
+    on that task, or is called here at once if the task has already
+    finished.  Once the answer is delivered, the scheduler keeps nothing
+    of the trade but its shared remote producers. *)
 
 val drain : t -> upto:float -> unit
 (** Run every task completion scheduled at or before [upto]
@@ -107,11 +124,5 @@ val load_of : t -> int -> float
     unfinished work, measured seconds once in service), one load unit
     per backlog second.  This is the measured-time feedback signal wired
     into seller pricing. *)
-
-val result : t -> trade:int -> Qt_exec.Table.t option
-(** The trade's root answer, once every task of its plan completed. *)
-
-val finished_at : t -> trade:int -> float option
-(** Virtual completion time of the trade's last task. *)
 
 val stats : t -> stats

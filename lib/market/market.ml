@@ -265,6 +265,10 @@ let handler : ((Trader.outcome, string) result, step) Effect.Deep.handler =
         | _ -> None);
   }
 
+(* The answer a trade's buyer got: served by the result cache, or
+   executed, at the virtual time its plan's root task completed. *)
+type answer = Cached of Table.t | Executed of float * Table.t
+
 type trade = {
   t_index : int;
   t_buyer : int;  (* runtime node id: -(index + 1) *)
@@ -285,8 +289,7 @@ type trade = {
   mutable t_phases : Trader.phase_stats;
       (* Accumulated across this trade's optimization attempts. *)
   mutable t_plan : Plan.t option;  (* The admitted plan, when executing. *)
-  mutable t_cache_table : Table.t option;
-      (* The result-cache answer delivered to the buyer. *)
+  mutable t_answer : answer option;  (* an executed one only in a batch *)
   (* Arrival and SLA: a batch trade arrives at 0 with no deadline and
      no class. *)
   t_arrival : float;  (* arrival time on the market timeline *)
@@ -320,7 +323,7 @@ let make_trade ?(arrival = 0.) ?(deadline = infinity) ?klass ~index ~priority
     t_finished_at = 0.;
     t_phases = Trader.zero_phase_stats;
     t_plan = None;
-    t_cache_table = None;
+    t_answer = None;
     t_arrival = arrival;
     t_deadline = deadline;
     t_klass = klass;
@@ -379,10 +382,11 @@ type market = {
   shedding : Shedding.policy;
   exec_at_admission : bool;
       (* The one rule batch and stream runs do not share: batch executes
-         an admitted plan at admission, the stream when its last contract
-         completes, so a trade canceled at its deadline never executes.
-         Either is sound for a batch, which has no deadlines, but moving
-         its execution would change every pinned batch [--execute] output. *)
+         an admitted plan at admission and keeps its answer, the stream
+         when its last contract completes, so a trade canceled at its
+         deadline never executes.  Either is sound for a batch, which has
+         no deadlines, but moving its execution would change every pinned
+         batch [--execute] output. *)
 }
 
 (* Every seller is a federation node, and each has its controller. *)
@@ -611,7 +615,7 @@ let qcache_serve_result st q tr (e : Result_cache.entry) ~now =
   tr.t_contracts <- [];
   tr.t_finished_at <- now;
   tr.t_plan <- Some e.Result_cache.plan;
-  tr.t_cache_table <- Some e.Result_cache.table;
+  tr.t_answer <- Some (Cached e.Result_cache.table);
   Tier.note_trade_avoided q.q_tier;
   Tier.note_execution_avoided q.q_tier;
   let frac = (Tier.config q.q_tier).Tier.hit_price_fraction in
@@ -638,22 +642,31 @@ let qcache_note_traded st tr ~plan ~plan_cost works =
       ~contracts:works
       ~sources:(List.map (fun (s, _) -> (s, q.q_fp s)) works)
 
-(* Hand an admitted plan to the execution scheduler.  With the cache
-   tier on, the answer fills the result cache the moment it materializes
-   on the execution timeline; until then the scheduler holds only what
-   the fill needs, not the trade. *)
+(* Hand an admitted plan to the execution scheduler.  The answer comes
+   back the moment it materializes on the execution timeline: a batch
+   records it on the trade for the report, and with the cache tier on it
+   fills the result cache.  A stream's callback holds only what the fill
+   needs, not the trade. *)
 let submit_exec st tr ~at =
   match (st.sched, tr.t_plan) with
   | Some sched, Some plan ->
-    let fill q =
-      let inst = Tier.instance q.q_tier ~client:tr.t_index in
-      let sg = tr.t_sig and plan_cost = tr.t_plan_cost and suppliers = tr.t_contracts in
-      fun ~at:_ table ->
-        Result_cache.insert inst.Tier.result sg ~table ~plan ~plan_cost ~suppliers
-          ~epoch:q.q_epoch
+    let fill =
+      match st.qcache with
+      | None -> fun ~at:_ _ -> ()
+      | Some q ->
+        let inst = Tier.instance q.q_tier ~client:tr.t_index in
+        let sg = tr.t_sig and plan_cost = tr.t_plan_cost and suppliers = tr.t_contracts in
+        fun ~at:_ table ->
+          Result_cache.insert inst.Tier.result sg ~table ~plan ~plan_cost ~suppliers
+            ~epoch:q.q_epoch
     in
-    Execsched.submit ?on_result:(Option.map fill st.qcache) sched ~trade:tr.t_index
-      ~buyer:tr.t_buyer ~at plan
+    let on_result =
+      if st.exec_at_admission then fun ~at table ->
+        tr.t_answer <- Some (Executed (at, table));
+        fill ~at table
+      else fill
+    in
+    Execsched.submit sched ~trade:tr.t_index ~buyer:tr.t_buyer ~at ~on_result plan
   | _ -> ()
 
 (* Refresh every seller's surge state from its admission occupancy.
@@ -1688,31 +1701,23 @@ let drive_market st =
    in trade order.  Result-cache hits never reach the scheduler, but
    their answers still belong in the results so callers can oracle them
    against fresh execution. *)
-let executed st trades =
-  match st.sched with
-  | None -> ([], [])
-  | Some sched ->
-    Array.fold_right
-      (fun tr (ets, res) ->
-        match (Execsched.result sched ~trade:tr.t_index, tr.t_plan) with
-        | Some table, Some plan ->
-          let et =
-            {
-              et_trade = tr.t_index;
-              et_rows = List.length table.Table.rows;
-              et_digest = table_digest table;
-              et_finished_at =
-                Option.value
-                  (Execsched.finished_at sched ~trade:tr.t_index)
-                  ~default:0.;
-            }
-          in
-          (et :: ets, (tr.t_index, plan, table) :: res)
-        | _ -> (
-          match (tr.t_cache_table, tr.t_plan) with
-          | Some table, Some plan -> (ets, (tr.t_index, plan, table) :: res)
-          | _ -> (ets, res)))
-      trades ([], [])
+let executed trades =
+  Array.fold_right
+    (fun tr (ets, res) ->
+      match (tr.t_answer, tr.t_plan) with
+      | Some (Executed (at, table)), Some plan ->
+        let et =
+          {
+            et_trade = tr.t_index;
+            et_rows = List.length table.Table.rows;
+            et_digest = table_digest table;
+            et_finished_at = at;
+          }
+        in
+        (et :: ets, (tr.t_index, plan, table) :: res)
+      | Some (Cached table), Some plan -> (ets, (tr.t_index, plan, table) :: res)
+      | _ -> (ets, res))
+    trades ([], [])
 
 let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
 
@@ -1758,7 +1763,7 @@ let check_partition st =
 let report_of ?trades st =
   check_partition st;
   let exec_trades, results =
-    match trades with Some trades -> executed st trades | None -> ([], [])
+    match trades with Some trades -> executed trades | None -> ([], [])
   in
   let exec =
     match (st.sched, st.cfg.execute) with

@@ -157,7 +157,10 @@ type exec_trade = {
       (** Order-sensitive structural digest of the answer (header
           included) — equal digests across same-seed runs mean equal
           tables. *)
-  et_finished_at : float;  (** Virtual time the last task completed. *)
+  et_finished_at : float;
+      (** Virtual time the plan's root task completed, delivered with the
+          answer.  A plan that is one [Remote] leaf shared with another
+          trade's task reads that task's completion time. *)
 }
 
 type exec_node = {

@@ -181,6 +181,34 @@ let test_exec_spans_on_sim_clock () =
         (sp.Qt_obs.Obs.t0 >= 0. && sp.Qt_obs.Obs.t1 <= s.Market.str_makespan +. 1e-9))
     exec_spans
 
+(* Three copies of a query whose whole plan is one [Remote] leaf: the
+   later two trades deduplicate onto the first one's task while it is
+   still unfinished, and must each get its answer and completion time
+   when that task completes, not only the trade that created it. *)
+let test_remote_root_shared_by_waiting_trades () =
+  let federation = Qt_sim.Generator.telecom ~nodes:8 () in
+  let query = Qt_sim.Workload.telecom_revenue_by_office ~custid_range:(0, 999) () in
+  let s =
+    Market.run
+      { (Market.default_config params) with Market.execute = Some Market.default_exec }
+      federation [ query; query; query ]
+  in
+  let e = exec_stats s in
+  Alcotest.(check int) "two trades reuse the first trade's remote task" 2
+    e.Market.shared_results;
+  let rows = e.Market.exec_trades in
+  Alcotest.(check (list int)) "every trade has an answer row" [ 0; 1; 2 ]
+    (List.map (fun (t : Market.exec_trade) -> t.Market.et_trade) rows);
+  List.iter
+    (fun (t : Market.exec_trade) ->
+      Alcotest.(check int)
+        (Printf.sprintf "trade %d: same answer" t.Market.et_trade)
+        (List.hd rows).Market.et_digest t.Market.et_digest;
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "trade %d: finished when the shared task did" t.Market.et_trade)
+        0.346763 t.Market.et_finished_at)
+    rows
+
 let suite =
   ( "execsched",
     [
@@ -192,4 +220,6 @@ let suite =
       quick "makespan covers trading and execution"
         test_makespan_covers_trading_and_exec;
       quick "exec spans carry sim timestamps" test_exec_spans_on_sim_clock;
+      quick "a shared remote root answers every waiting trade"
+        test_remote_root_shared_by_waiting_trades;
     ] )
